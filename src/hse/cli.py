@@ -4,7 +4,7 @@ runs one engine operation, and emits a deterministic report.
 Exit codes: 0 all checks passed, 1 a check failed, 2 usage or input error.
 Reports embed the exact ring descriptor, arity bounds, and a config hash;
 timing is only included with --timing so byte-identical inputs give
-byte-identical reports.  HSE_THREADS caps internal parallelism.
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -148,17 +148,22 @@ def _load_mc(args):
     return io_json.mc_from_json(data, ring)
 
 
-def _require_minimal_pair(path: str, args) -> LInfPair:
-    obj = _load_structure(path)
+def _minimal_pair(obj, path: str, max_arity: int) -> tuple[LInfPair, int | None]:
+    """The minimal pair of a package and the arity it was transferred to;
+    None when the package already is a minimal pair and no transfer ran."""
     if isinstance(obj, LInfPair):
         if 1 in obj.algebra.brackets or 1 in obj.module.actions:
-            obj = transfer_pair(obj, args.max_arity).pair
-        return obj
+            return transfer_pair(obj, max_arity).pair, max_arity
+        return obj, None
     if isinstance(obj, AInfAlgebra):
         from .fixtures import ainf_cdga_pair
 
-        return transfer_pair(ainf_cdga_pair(obj), args.max_arity).pair
+        return transfer_pair(ainf_cdga_pair(obj), max_arity).pair, max_arity
     raise UsageError(f"{path}: need a pair (or commutative dga) package")
+
+
+def _require_minimal_pair(path: str, args) -> LInfPair:
+    return _minimal_pair(_load_structure(path), path, args.max_arity)[0]
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -359,23 +364,30 @@ def cmd_tangent_space(args) -> tuple[str, dict, int]:
 
 
 def cmd_resonance(args) -> tuple[str, dict, int]:
-    pair = _require_minimal_pair(args.file, args)
-    n0 = None
-    if args.exact:
-        rep = subtorus_hypothesis_check(pair)
-        if rep.certified:
-            n0 = rep.n0
-        else:
-            raise UsageError(
-                "--exact needs the weight hypothesis; run subtorus-check "
-                f"(offenders: {rep.offenders[:3]})")
-        res = resonance_ideal(pair, args.i, args.k, n0=n0, seed=args.seed or 0)
-    else:
+    """Exact mode sums the universal complex through arity n0 + 1, so a pair
+    the command transfers itself is transferred at least that far; the
+    payload records the arity reached (null for an already minimal pair)."""
+    if not args.exact:
         if args.trunc is None:
             raise UsageError("resonance needs --trunc D or --exact")
+        pair = _require_minimal_pair(args.file, args)
         res = resonance_ideal(pair, args.i, args.k, trunc=args.trunc, seed=args.seed or 0)
+        ok = res.consistent
+        return ("pass" if ok else "fail"), res.to_json(), 0 if ok else 1
+    obj = _load_structure(args.file)
+    pair, reached = _minimal_pair(obj, args.file, args.max_arity)
+    rep = subtorus_hypothesis_check(pair)
+    if not rep.certified:
+        raise UsageError(
+            "--exact needs the weight hypothesis; run subtorus-check "
+            f"(offenders: {rep.offenders[:3]})")
+    n0 = rep.n0
+    if reached is not None and reached < n0 + 1:
+        pair, reached = _minimal_pair(obj, args.file, n0 + 1)
+    res = resonance_ideal(pair, args.i, args.k, n0=n0, seed=args.seed or 0)
+    payload = {**res.to_json(), "n0": n0, "arity_reached": reached}
     ok = res.consistent
-    return ("pass" if ok else "fail"), res.to_json(), 0 if ok else 1
+    return ("pass" if ok else "fail"), payload, 0 if ok else 1
 
 
 def cmd_dga_resonance(args) -> tuple[str, dict, int]:

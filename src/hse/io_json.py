@@ -24,7 +24,7 @@ import json
 from fractions import Fraction
 
 from .grading import BasisElement, GradedSpace
-from .multimap import MultiMap
+from .multimap import SYMMETRIES, MultiMap
 from .scalars import format_scalar, parse_scalar
 from .structures import (
     AInfAlgebra,
@@ -37,6 +37,29 @@ from .structures import (
 
 class ParseError(ValueError):
     pass
+
+
+def _as_int(value, what: str) -> int:
+    """An integer field; JSON integers and integer strings pass, booleans,
+    floats and anything else are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError as exc:
+        raise ParseError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def _as_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _as_dict(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be an object, got {value!r}")
+    return value
 
 
 # -- spaces -----------------------------------------------------------------
@@ -54,14 +77,14 @@ def space_from_json(data: dict) -> GradedSpace:
     if not isinstance(data, dict) or "basis" not in data:
         raise ParseError("space needs a 'basis' list")
     elements = []
-    for entry in data["basis"]:
-        try:
-            label = entry["label"]
-            deg = int(entry["deg"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad basis element {entry!r}") from exc
+    for entry in _as_list(data["basis"], "space 'basis'"):
+        if not isinstance(entry, dict) or "label" not in entry or "deg" not in entry:
+            raise ParseError(f"bad basis element {entry!r}")
+        deg = _as_int(entry["deg"], f"basis element {entry['label']!r} 'deg'")
         weight = entry.get("weight")
-        elements.append(BasisElement(str(label), deg, None if weight is None else int(weight)))
+        if weight is not None:
+            weight = _as_int(weight, f"basis element {entry['label']!r} 'weight'")
+        elements.append(BasisElement(str(entry["label"]), deg, weight))
     try:
         return GradedSpace(elements)
     except ValueError as exc:
@@ -89,6 +112,15 @@ def multimap_to_json(mm: MultiMap) -> dict:
     }
 
 
+def _parse_coef(value, what: str) -> Fraction:
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ParseError(f"{what} must be a rational string, got {value!r}")
+    try:
+        return parse_scalar(str(value))
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
+
+
 def _coef_str(c) -> str:
     if isinstance(c, Fraction):
         return format_scalar(c)
@@ -98,16 +130,23 @@ def _coef_str(c) -> str:
 def multimap_from_json(
     data: dict, space_in: GradedSpace, space_out: GradedSpace, where: str,
 ) -> MultiMap:
-    try:
-        arity = int(data["arity"])
-        shift = int(data["shift"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: arity/shift missing or malformed") from exc
+    _as_dict(data, where)
+    if "arity" not in data or "shift" not in data:
+        raise ParseError(f"{where}: arity/shift missing")
+    arity = _as_int(data["arity"], f"{where}: 'arity'")
+    shift = _as_int(data["shift"], f"{where}: 'shift'")
+    if arity < 1:
+        raise ParseError(f"{where}: 'arity' must be >= 1, got {arity}")
     symmetry = data.get("symmetry", "none")
+    if symmetry not in SYMMETRIES:
+        raise ParseError(f"{where}: unknown 'symmetry' {symmetry!r}")
     mm = MultiMap(space_in, space_out, arity, shift, symmetry)
     seen: set[tuple[str, ...]] = set()
-    for entry in data.get("entries", []):
-        key = tuple(entry.get("in", ()))
+    for entry in _as_list(data.get("entries", []), f"{where}: 'entries'"):
+        _as_dict(entry, f"{where}: entry")
+        key = tuple(_as_list(entry.get("in", []), f"{where}: entry 'in'"))
+        if not all(isinstance(lab, str) for lab in key):
+            raise ParseError(f"{where}: entry 'in' must list labels, got {list(key)!r}")
         if len(key) != arity:
             raise ParseError(f"{where}: entry {key} has arity {len(key)}, expected {arity}")
         for lab in key:
@@ -126,11 +165,12 @@ def multimap_from_json(
             sum(space_in.weight(l) for l in key)
             if space_in.weighted else None
         )
-        for out in entry.get("out", ()):
+        for out in _as_list(entry.get("out", []), f"{where}: 'out' at {key}"):
+            _as_dict(out, f"{where}: output at {key}")
             lab = out.get("label")
-            if lab not in space_out:
+            if not isinstance(lab, str) or lab not in space_out:
                 raise ParseError(f"{where}: unknown output label {lab!r} at {key}")
-            coef = parse_scalar(str(out.get("coef", "0")))
+            coef = _parse_coef(out.get("coef", "0"), f"{where}: 'coef' at {key} -> {lab}")
             if space_out.deg(lab) != in_deg + shift:
                 raise ParseError(
                     f"{where}: entry {key} -> {lab} violates the degree shift "
@@ -200,18 +240,19 @@ def parse_structure(data: dict):
         algebra = parse_structure(data.get("algebra") or {})
         if not isinstance(algebra, LInfAlgebra):
             raise ParseError("pair package needs a linf 'algebra'")
-        module = _parse_module(data.get("module") or {}, algebra)
+        module = _parse_module(_as_dict(data.get("module") or {}, "pair 'module'"), algebra)
         return LInfPair(algebra, module)
     raise ParseError(f"unknown structure kind {kind!r}")
 
 
 def _parse_maps(data, space_in, space_out, expected_symmetry, shift_of):
     maps = {}
-    for key, raw in (data.get("maps") or {}).items():
+    for key, raw in _as_dict(data.get("maps") or {}, "'maps'").items():
         try:
             n = int(key)
         except ValueError as exc:
             raise ParseError(f"map key {key!r} is not an arity") from exc
+        _as_dict(raw, f"map {key}")
         if raw.get("symmetry", expected_symmetry) != expected_symmetry:
             raise ParseError(f"map {key}: expected symmetry {expected_symmetry}")
         raw = dict(raw)
@@ -232,10 +273,13 @@ def _parse_module(data: dict, algebra: LInfAlgebra) -> LInfModule:
     space = space_from_json(data.get("space", {}))
     combined = combine_spaces(algebra.space, space)
     actions = {}
-    for key, raw in (data.get("maps") or {}).items():
-        n = int(key)
+    for key, raw in _as_dict(data.get("maps") or {}, "module 'maps'").items():
+        try:
+            n = int(key)
+        except ValueError as exc:
+            raise ParseError(f"module map key {key!r} is not an arity") from exc
         symmetry = "antisym_algebra" if n > 1 else "none"
-        raw = dict(raw)
+        raw = dict(_as_dict(raw, f"module map {key}"))
         raw.setdefault("symmetry", symmetry)
         if raw["symmetry"] != symmetry:
             raise ParseError(f"module map {key}: expected symmetry {symmetry}")

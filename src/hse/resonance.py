@@ -260,17 +260,12 @@ def resonance_ideal(
     h1 = ucx.variables
     shadow = pair if not binary_only else _binary_shadow(pair)
 
-    def classify(pt):
+    samples = []
+    consistent = True
+    for pt in sample_points(h1, n_samples, seed):
         coords = [pt[lab] for lab in h1]
         vanish = all(g.evaluate(coords) == 0 for g in ideal.generators)
         dim = twisted_cohomology_dim(shadow, pt, i)
-        return pt, vanish, dim
-
-    from .util import pmap
-
-    samples = []
-    consistent = True
-    for pt, vanish, dim in pmap(classify, sample_points(h1, n_samples, seed)):
         in_locus = dim >= k
         if ucx.mode == "exact" and vanish != in_locus:
             consistent = False

@@ -620,13 +620,9 @@ class MinorEngine:
 
 def minors(matrix: RingMatrix, r: int) -> Ideal:
     """The determinantal ideal I_r; unit for r <= 0, zero when r exceeds the
-    shape, nonzero minors tagged with their row/column label sets.
-
-    Row subsets are processed in parallel under HSE_THREADS; the generator
-    order is the deterministic subset order either way.
+    shape, nonzero minors tagged with their row/column label sets, in
+    (row subset, column subset) order.
     """
-    from .util import pmap
-
     ring = matrix.ring
     if r <= 0:
         return Ideal.unit(ring)
@@ -635,24 +631,15 @@ def minors(matrix: RingMatrix, r: int) -> Ideal:
         return Ideal.zero(ring)
     engine = MinorEngine(matrix)
     col_sets = list(combinations(range(ncols), r))
-
-    def row_batch(rows):
-        batch = []
+    gens, prov = [], []
+    for rows in combinations(range(nrows), r):
         for cols in col_sets:
             value = engine.minor(rows, cols)
             if value:
-                batch.append((
-                    value,
+                gens.append(value)
+                prov.append(
                     "rows[" + ",".join(matrix.rows[i] for i in rows) + "] x cols["
-                    + ",".join(matrix.cols[j] for j in cols) + "]",
-                ))
-        return batch
-
-    gens, prov = [], []
-    for batch in pmap(row_batch, combinations(range(nrows), r)):
-        for value, tag in batch:
-            gens.append(value)
-            prov.append(tag)
+                    + ",".join(matrix.cols[j] for j in cols) + "]")
     return Ideal(ring, tuple(gens), tuple(prov))
 
 

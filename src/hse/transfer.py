@@ -1,7 +1,7 @@
 """Homotopy transfer: deterministic cohomology splittings, the memoized
-p-/q-kernel recursion for A-infinity structures, the partition recursion
-for L-infinity structures, pair transfer through the L (+) M algebra, and
-the weight-based vanishing bound.
+p-/q-kernel recursion for A-infinity structures, the partition (tree)
+recursion for L-infinity structures, pair transfer through the L (+) M
+algebra, and the weight-based vanishing bound.
 
 The A-infinity kernels follow the explicit recursion
 
@@ -13,6 +13,15 @@ recursion with scratch maps (psi phi)_m.  The L-infinity recursion sums the
 same composition shapes over block partitions with increasing minima; its
 global sign convention is frozen below and certified by the Jacobi checker
 on every output (an output failing Jacobi aborts, it is never returned).
+
+The L-infinity p_n is a sum over trees (Kadeishvili; Loday-Vallette,
+Algebraic Operads, 10.3) whose root is a bracket l_k and whose other
+vertices are earlier h p_s.  A term is nonzero only when every vertex value
+is, so ``LInfKernelCache`` enumerates input tuples from the stored keys of
+l_k and of the h p_s tables (one tree level deep, since h p_s already sums
+the deeper levels) instead of scanning every sorted tuple against every set
+partition.  On the Heisenberg pair at arity 6 no tuple survives, where the
+scan tried each of 7,435 sorted tuples against 31 partitions.
 """
 
 from __future__ import annotations
@@ -442,35 +451,32 @@ def _linf_profile_sign(profile: tuple[int, ...]) -> int:
     return -1 if theta_exponent(profile) % 2 else 1
 
 
-def _ordered_partitions(n: int):
-    """Set partitions of 0..n-1 into >= 2 blocks: insides increasing, blocks
-    ordered by their minima (each unordered partition appears once)."""
-    def rec(remaining: tuple[int, ...]):
-        if not remaining:
-            yield ()
-            return
-        head = remaining[0]
-        rest = remaining[1:]
-        for size_minus_one in range(0, len(rest) + 1):
-            for extra in combinations(rest, size_minus_one):
-                block = (head,) + extra
-                left = tuple(x for x in rest if x not in extra)
-                for more in rec(left):
-                    yield (block,) + more
-
-    for part in rec(tuple(range(n))):
-        if len(part) >= 2:
-            yield part
-
-
 class LInfKernelCache:
-    """Arity-keyed p-kernels for the partition (tree) recursion."""
+    """Arity-keyed p-kernels of the L-infinity tree recursion, built from
+    table supports.
+
+    p_n(T) sums, over set partitions of T into k >= 2 blocks (k a bracket
+    arity), the outer bracket l_k on the block values, where a block of one
+    input is the input itself and a larger block B is h p_|B| (T[B]).  A
+    nonzero term therefore has a stored key M of some l_k whose slots are
+    the block values, and each block of size >= 2 is a stored key of
+    h p_|B| whose row holds its slot of M.  So the multiset unions over
+    stored keys M of one block per slot (the label itself, or an h p_s key
+    producing it) cover every input tuple where p_n can be nonzero; only
+    those candidates are evaluated, in ``iter_sorted_tuples`` order, so the
+    tables fill in the same order as a scan over every sorted tuple would.
+    Per candidate the partitions grow block by block and a block without a
+    stored h p row at its inputs is dropped before any sign is computed.
+    """
 
     def __init__(self, diagram: TransferDiagram, brackets: dict[int, MultiMap]):
         self.diagram = diagram
         self.brackets = brackets
         self.p: dict[int, MultiMap] = {}
         self.hp: dict[int, MultiMap] = {1: identity_map(diagram.big)}
+        # output label -> block size s >= 2 -> stored h p_s keys whose row holds it
+        self._producers: dict[str, dict[int, list[tuple[str, ...]]]] = {}
+        self._max_blocks = max((k for k in brackets if k >= 2), default=1)
 
     def ensure(self, n: int) -> None:
         for m in range(2, n + 1):
@@ -479,27 +485,90 @@ class LInfKernelCache:
 
     def _build(self, n: int) -> None:
         big = self.diagram.big
-        degs_by_label = {e.label: e.deg for e in big.elements}
         p_n = MultiMap(big, big, n, 2 - n, "antisym")
-        sums = {d - (2 - n) for d in big.degrees()}
-        partitions = [
-            (part, self.brackets[len(part)],
-             _linf_profile_sign(tuple(len(b) for b in part)),
-             tuple(i for b in part for i in b))
-            for part in _ordered_partitions(n)
-            if len(part) in self.brackets
-        ]
-        for T in iter_sorted_tuples(big, n, sums):
-            degs = tuple(degs_by_label[l] for l in T)
-            acc: dict[str, Fraction] = {}
-            for partition, outer, base, perm in partitions:
-                chi = antisym_sign(perm, degs)
-                self._expand(acc, outer, partition, T, degs, base * chi)
-            for lab, c in acc.items():
+        for T in self._candidates(n):
+            degs = tuple(big.deg(l) for l in T)
+            for lab, c in self._evaluate(T, degs).items():
                 if c:
                     p_n.add(T, lab, c)
         self.p[n] = p_n
-        self.hp[n] = postcompose(self.diagram.h, p_n)
+        hp_n = postcompose(self.diagram.h, p_n)
+        self.hp[n] = hp_n
+        for key, row in hp_n.table.items():
+            for mid in row:
+                self._producers.setdefault(mid, {}).setdefault(n, []).append(key)
+
+    def _candidates(self, n: int) -> list[tuple[str, ...]]:
+        """Sorted n-tuples that some tree with nonzero vertex values reaches,
+        in ``iter_sorted_tuples`` order (degree window, no repeated even
+        label)."""
+        big = self.diagram.big
+        index, deg = big.order_index, big.deg
+        sums = {d - (2 - n) for d in big.degrees()}
+        found: set[tuple[str, ...]] = set()
+        for k, outer in self.brackets.items():
+            if not 2 <= k <= n:
+                continue
+            for M in outer.table:
+                slots = [self._producers.get(mid, {}) for mid in M]
+
+                def rec(t: int, chunks: tuple[str, ...], room: int) -> None:
+                    if t == k:
+                        if room == 0:
+                            found.add(tuple(sorted(chunks, key=index)))
+                        return
+                    rec(t + 1, chunks + (M[t],), room - 1)
+                    for size, keys in slots[t].items():
+                        if size - 1 <= room - (k - t):
+                            for key in keys:
+                                rec(t + 1, chunks + key, room - size)
+
+                rec(0, (), n)
+        kept = []
+        for T in found:
+            if sum(deg(l) for l in T) not in sums:
+                continue
+            if any(a == b and deg(a) % 2 == 0 for a, b in zip(T, T[1:])):
+                continue
+            kept.append(T)
+        kept.sort(key=lambda T: [index(l) for l in T])
+        return kept
+
+    def _evaluate(self, T: tuple[str, ...], degs: tuple[int, ...]) -> dict[str, Fraction]:
+        """p_n(T) as the sum over set partitions of T into >= 2 blocks.
+
+        Each block takes the smallest remaining input plus a subset of the
+        rest (by size, then lexicographically), so the partitions come in a
+        fixed order and ``acc`` fills in a fixed order too."""
+        acc: dict[str, Fraction] = {}
+        blocks: list[tuple[int, ...]] = []
+
+        def grow(remaining: tuple[int, ...]) -> None:
+            if not remaining:
+                outer = self.brackets.get(len(blocks)) if len(blocks) >= 2 else None
+                if outer is not None:
+                    profile = tuple(len(b) for b in blocks)
+                    perm = tuple(i for b in blocks for i in b)
+                    factor = _linf_profile_sign(profile) * antisym_sign(perm, degs)
+                    self._expand(acc, outer, tuple(blocks), T, degs, factor)
+                return
+            if len(blocks) == self._max_blocks:
+                return
+            head, rest = remaining[0], remaining[1:]
+            for size_minus_one in range(len(rest) + 1):
+                # h p_n is not built yet, so no block takes all n inputs
+                inner = self.hp.get(size_minus_one + 1)
+                if inner is None:
+                    continue
+                for extra in combinations(rest, size_minus_one):
+                    if extra and tuple(T[i] for i in (head,) + extra) not in inner.table:
+                        continue
+                    blocks.append((head,) + extra)
+                    grow(tuple(x for x in rest if x not in extra))
+                    blocks.pop()
+
+        grow(tuple(range(len(T))))
+        return acc
 
     def _expand(self, acc, outer, partition, T, degs, factor) -> None:
         blocks = list(partition)

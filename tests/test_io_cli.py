@@ -213,3 +213,50 @@ def test_cli_transfer_linf_package(tmp_path):
     rep = run_cli(tmp_path, "transfer", str(fx), "--max-arity", "3")
     assert rep["status"] == "pass"
     assert rep["payload"]["metadata"]["checks"]["jacobi"]["ok"]
+
+
+def test_cli_exact_resonance_transfers_to_n0_plus_one(tmp_path):
+    fx = Path(__file__).resolve().parent.parent / "fixtures" / "heisenberg-pair-weighted.json"
+    rep = run_cli(tmp_path, "resonance", str(fx), "--i", "1", "--k", "1", "--exact")
+    assert rep["status"] == "pass"
+    payload = rep["payload"]
+    assert payload["n0"] == 8
+    assert payload["arity_reached"] >= payload["n0"] + 1
+
+
+def _set_coef(value):
+    def mutate(data):
+        data["maps"]["2"]["entries"][0]["out"][0]["coef"] = value
+    return mutate
+
+
+def _set_entry_field(field, value):
+    def mutate(data):
+        data["maps"]["2"]["entries"][0][field] = value
+    return mutate
+
+
+def _set_map_field(field, value):
+    def mutate(data):
+        data["maps"]["2"][field] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, field", [
+    (_set_coef(True), "coef"),
+    (_set_coef("1/0"), "coef"),
+    (_set_entry_field("out", 5), "out"),
+    (_set_map_field("entries", None), "entries"),
+    (_set_map_field("arity", 0), "arity"),
+    (_set_entry_field("in", "1x"), "in"),
+], ids=["coef-true", "coef-1/0", "out-5", "entries-null", "arity-0", "in-string"])
+def test_malformed_package_exits_2_naming_the_field(tmp_path, capsys, mutate, field):
+    golden = Path(__file__).resolve().parent.parent / "fixtures" / "heisenberg.json"
+    data = json.loads(golden.read_text(encoding="utf-8"))
+    mutate(data)
+    with pytest.raises(ParseError, match=f"'{field}'"):
+        parse_structure(json.loads(json.dumps(data)))
+    fx = tmp_path / "bad.json"
+    fx.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["check", str(fx)]) == 2
+    assert f"'{field}'" in capsys.readouterr().err

@@ -1,4 +1,8 @@
+import json
+import time
 from fractions import Fraction
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -13,17 +17,24 @@ from hse.fixtures import (
     solvable_dgla,
 )
 from hse.grading import BasisElement, GradedSpace
-from hse.multimap import MultiMap, compose_multimaps, identity_map
+from hse.io_json import parse_structure
+from hse.multimap import MultiMap, compose_multimaps, identity_map, postcompose
+from hse.signs import antisym_sign
 from hse.structures import (
     antisymmetrize,
+    iter_sorted_tuples,
     jacobi_check,
     module_check,
     morphism_check,
+    pair_to_algebra,
     stasheff_check,
 )
 from hse.transfer import (
     KernelCache,
+    LInfKernelCache,
     TransferError,
+    _direct_sum_diagrams,
+    _linf_profile_sign,
     arity_vacuity_bound,
     cohomology_splitting,
     is_quasi_isomorphism,
@@ -348,3 +359,114 @@ def test_scaling_smoke_dim16_pipeline():
     assert morphism_check(res.psi, 3).ok
     pres = transfer_pair(cdga_pair(alg), 3)
     assert pres.certificate.ok and module_check(pres.pair.module, 3).ok
+
+
+# ---------------------------------------------------------------------------
+# the support-driven L-infinity kernel against the exhaustive scan
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _ordered_partitions(n: int):
+    """Set partitions of 0..n-1 into >= 2 blocks: insides increasing, blocks
+    ordered by their minima (each unordered partition appears once)."""
+    def rec(remaining: tuple[int, ...]):
+        if not remaining:
+            yield ()
+            return
+        head = remaining[0]
+        rest = remaining[1:]
+        for size_minus_one in range(0, len(rest) + 1):
+            for extra in combinations(rest, size_minus_one):
+                block = (head,) + extra
+                left = tuple(x for x in rest if x not in extra)
+                for more in rec(left):
+                    yield (block,) + more
+
+    for part in rec(tuple(range(n))):
+        if len(part) >= 2:
+            yield part
+
+
+class ExhaustiveLInfKernelCache(LInfKernelCache):
+    """Reference kernel: every degree-feasible sorted tuple times every set
+    partition into >= 2 blocks, with no use of the table supports."""
+
+    def _build(self, n: int) -> None:
+        big = self.diagram.big
+        degs_by_label = {e.label: e.deg for e in big.elements}
+        p_n = MultiMap(big, big, n, 2 - n, "antisym")
+        sums = {d - (2 - n) for d in big.degrees()}
+        partitions = [
+            (part, self.brackets[len(part)],
+             _linf_profile_sign(tuple(len(b) for b in part)),
+             tuple(i for b in part for i in b))
+            for part in _ordered_partitions(n)
+            if len(part) in self.brackets
+        ]
+        for T in iter_sorted_tuples(big, n, sums):
+            degs = tuple(degs_by_label[l] for l in T)
+            acc: dict[str, Fraction] = {}
+            for partition, outer, base, perm in partitions:
+                chi = antisym_sign(perm, degs)
+                self._expand(acc, outer, partition, T, degs, base * chi)
+            for lab, c in acc.items():
+                if c:
+                    p_n.add(T, lab, c)
+        self.p[n] = p_n
+        self.hp[n] = postcompose(self.diagram.h, p_n)
+
+
+def _pair_kernel_inputs(pair):
+    """The diagram and brackets transfer_pair feeds its L-infinity kernel."""
+    res = transfer_pair(pair, 2)
+    combined, _ = pair_to_algebra(pair)
+    return _direct_sum_diagrams(res.algebra_diagram, res.module_diagram), combined.brackets
+
+
+def _ordered_table(mm: MultiMap):
+    return [(key, list(row.items())) for key, row in mm.table.items()]
+
+
+def _assert_kernels_agree(pair, max_arity: int) -> None:
+    diagram, brackets = _pair_kernel_inputs(pair)
+    fast = LInfKernelCache(diagram, brackets)
+    slow = ExhaustiveLInfKernelCache(diagram, brackets)
+    fast.ensure(max_arity)
+    slow.ensure(max_arity)
+    assert sorted(fast.p) == sorted(slow.p) == list(range(2, max_arity + 1))
+    for n in range(2, max_arity + 1):
+        assert _ordered_table(fast.p[n]) == _ordered_table(slow.p[n]), n
+
+
+def _golden_pair(name: str):
+    return parse_structure(json.loads((FIXTURES / name).read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("name, max_arity", [
+    ("heisenberg-pair.json", 6),
+    ("heisenberg-pair-weighted.json", 5),
+])
+def test_linf_kernel_matches_exhaustive_on_golden_pairs(name, max_arity):
+    _assert_kernels_agree(_golden_pair(name), max_arity)
+
+
+def test_linf_kernel_matches_exhaustive_on_exterior3():
+    _assert_kernels_agree(cdga_pair(exterior_cdga(3)), 5)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_linf_kernel_matches_exhaustive_on_random_pairs(seed):
+    _assert_kernels_agree(cdga_pair(random_cdga(seed, dims=(1, 3, 3, 1))), 5)
+
+
+def test_weighted_heisenberg_pair_reaches_arity_nine():
+    pair = _golden_pair("heisenberg-pair-weighted.json")
+    started = time.perf_counter()
+    res = transfer_pair(pair, 9, use_weights=True)
+    elapsed = time.perf_counter() - started
+    assert res.metadata["max_arity"] == 9
+    assert res.certificate.ok
+    assert module_check(res.pair.module, 9).ok
+    assert vanishing_bound(res.pair).n0_theoretical + 1 == 9
+    assert elapsed < 10  # under 0.2 s on one 2-core VM; the exhaustive scan took 8.9 s for arity 7
