@@ -80,11 +80,13 @@ def space_from_json(data: dict) -> GradedSpace:
     for entry in _as_list(data["basis"], "space 'basis'"):
         if not isinstance(entry, dict) or "label" not in entry or "deg" not in entry:
             raise ParseError(f"bad basis element {entry!r}")
+        if not isinstance(entry["label"], str):
+            raise ParseError(f"basis element 'label' must be a string, got {entry['label']!r}")
         deg = _as_int(entry["deg"], f"basis element {entry['label']!r} 'deg'")
         weight = entry.get("weight")
         if weight is not None:
             weight = _as_int(weight, f"basis element {entry['label']!r} 'weight'")
-        elements.append(BasisElement(str(entry["label"]), deg, weight))
+        elements.append(BasisElement(entry["label"], deg, weight))
     try:
         return GradedSpace(elements)
     except ValueError as exc:
@@ -271,7 +273,10 @@ def _parse_module(data: dict, algebra: LInfAlgebra) -> LInfModule:
     from .grading import combine_spaces
 
     space = space_from_json(data.get("space", {}))
-    combined = combine_spaces(algebra.space, space)
+    try:
+        combined = combine_spaces(algebra.space, space)
+    except ValueError as exc:
+        raise ParseError(f"module 'space': {exc}") from exc
     actions = {}
     for key, raw in _as_dict(data.get("maps") or {}, "module 'maps'").items():
         try:

@@ -11,7 +11,12 @@ tuple -> Fraction, graded-lex ordering for display):
 Ideal membership is decided by finite linear algebra wherever that is
 honest: always in Artinian quotients, degree-by-degree for homogeneous data
 in exact polynomial rings, and bounded-degree-solve-else-unknown otherwise.
-No Groebner machinery is used or pretended.
+Every case reduces the target against a sparse reduced echelon basis
+(``_Echelon``) of a spanning set of products of the generators; in an
+Artinian ring that set is the closure of the generators under
+multiplication by the variables, so the basis spans the whole ideal.  The
+basis is built per call and never stored on the ``Ideal``.  No Groebner
+machinery is used or pretended.
 """
 
 from __future__ import annotations
@@ -21,10 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from . import linalg
 from .scalars import format_scalar, parse_scalar
 
 Monomial = tuple[int, ...]
+
+_ZERO = Fraction(0)
 
 
 class RingError(ValueError):
@@ -46,6 +52,9 @@ class CoefRing:
         self.varnames = tuple(varnames)
         self.order = order
         self.trunc = trunc
+        # shared by every caller: safe because no code mutates RElem.terms
+        self._zero = RElem(self, {})
+        self._one = RElem(self, {(0,) * len(varnames): Fraction(1)})
 
     # -- basics --------------------------------------------------------
 
@@ -95,11 +104,11 @@ class CoefRing:
 
     @property
     def zero(self) -> "RElem":
-        return RElem(self, {})
+        return self._zero
 
     @property
     def one(self) -> "RElem":
-        return self.element(1)
+        return self._one
 
     def gen(self, i: int) -> "RElem":
         mono = tuple(1 if j == i else 0 for j in range(self.nvars))
@@ -113,17 +122,7 @@ class CoefRing:
         if not self.is_artinian:
             raise RingError("monomial basis requires an Artinian ring")
         bound = self.order - 1 if self.kind == "trunc_local" else (self.trunc or 0)
-        out: list[Monomial] = []
-
-        def rec(prefix: tuple[int, ...], remaining: int, budget: int):
-            if remaining == 0:
-                out.append(prefix)
-                return
-            for e in range(budget + 1):
-                rec(prefix + (e,), remaining - 1, budget - e)
-
-        rec((), self.nvars, bound)
-        return sorted(out, key=lambda m: (sum(m), m))
+        return sorted(_monomials_up_to(self.nvars, bound), key=lambda m: (sum(m), m))
 
     def describe(self) -> str:
         if self.kind == "field":
@@ -145,9 +144,6 @@ class CoefRing:
 
     def __repr__(self):
         return f"CoefRing({self.describe()})"
-
-
-RATIONALS = CoefRing("field")
 
 
 def _expand_vars(text: str) -> list[str]:
@@ -337,6 +333,8 @@ class RElem:
     __repr__ = __str__
 
 
+RATIONALS = CoefRing("field")
+
 _TERM_RE = re.compile(r"[+-]?[^+-]+")
 
 
@@ -416,72 +414,77 @@ class Ideal:
     def contains(self, f: RElem, degree_bound: int | None = None) -> bool | None:
         """Exact membership where decidable; None means inconclusive.
 
-        Artinian rings: always decided by linear algebra over the monomial
-        basis.  Exact polynomial rings: a bounded solve; a failed solve is
-        conclusive only when f and all generators are homogeneous (degree
-        bookkeeping bounds the multipliers), otherwise None.
+        Artinian rings: always decided by reducing f against the reduced
+        echelon basis of the ideal as a subspace of the ring.  Exact
+        polynomial rings: a bounded solve; a failed solve is conclusive only
+        when f and all generators are homogeneous (degree bookkeeping bounds
+        the multipliers), otherwise None.
         """
         if not f:
             return True
         if not self.generators:
-            return False if self.ring.is_artinian else (False if f else True)
+            return False
         if self.ring.is_artinian:
-            return self._contains_artinian(f)
+            return self._artinian_span().spans(f.terms)
         return self._contains_poly(f, degree_bound)
 
-    def _contains_artinian(self, f: RElem) -> bool:
-        basis = self.ring.monomial_basis()
-        index = {m: i for i, m in enumerate(basis)}
-        columns: list[list[Fraction]] = []
-        for g in self.generators:
-            for mono in basis:
-                prod = self.ring.element({mono: 1}) * g
-                if not prod:
-                    continue
-                col = [Fraction(0)] * len(basis)
-                for m, c in prod.terms.items():
-                    col[index[m]] = c
-                columns.append(col)
-        target = [Fraction(0)] * len(basis)
-        for m, c in f.terms.items():
-            target[index[m]] = c
-        return linalg.in_span(columns, target) is not None
+    def _artinian_span(self) -> "_Echelon":
+        """The ideal as a Q-subspace of the Artinian ring.
+
+        It is the smallest subspace that holds the generators and is closed
+        under multiplication by each variable.  So every vector that enters
+        the basis is multiplied by each variable (exponents shifted, the
+        monomials the ring drops left out) and queued in turn; a product
+        already in the span adds nothing.  This takes one reduction per
+        basis vector and variable, not one per monomial and generator.
+        """
+        full = len(self.ring.monomial_basis())
+        n = self.ring.nvars
+        variables = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        span = _Echelon()
+        queue = [g.terms for g in self.generators]
+        for vec in queue:
+            added = span.add(vec)
+            if added is None:
+                continue
+            if len(span.rows) == full:
+                break
+            for x in variables:
+                prod = _shifted(self.ring, added, x)
+                if prod:
+                    queue.append(prod)
+        return span
 
     def _contains_poly(self, f: RElem, degree_bound: int | None) -> bool | None:
         homogeneous = f.is_homogeneous() and all(g.is_homogeneous() for g in self.generators)
         if degree_bound is None:
             degree_bound = f.degree()
-        mono_pool: list[tuple[int, Monomial]] = []  # (generator index, multiplier)
-        prods: list[RElem] = []
-        for gi, g in enumerate(self.generators):
-            gdeg = g.low_degree()
-            max_mult = degree_bound - gdeg
+        span = _Echelon()
+        for g in self.generators:
+            max_mult = degree_bound - g.low_degree()
             if max_mult < 0:
                 continue
             for mult in _monomials_up_to(self.ring.nvars, max_mult):
                 if homogeneous and sum(mult) + g.degree() != f.degree():
                     continue
-                prod = self.ring.element({mult: 1}) * g
-                if prod:
-                    mono_pool.append((gi, mult))
-                    prods.append(prod)
-        support = sorted({m for p in prods for m in p.terms} | set(f.terms))
-        index = {m: i for i, m in enumerate(support)}
-        columns = []
-        for p in prods:
-            col = [Fraction(0)] * len(support)
-            for m, c in p.terms.items():
-                col[index[m]] = c
-            columns.append(col)
-        target = [Fraction(0)] * len(support)
-        for m, c in f.terms.items():
-            target[index[m]] = c
-        solved = linalg.in_span(columns, target) is not None
-        if solved:
+                span.add(_shifted(self.ring, g.terms, mult))
+        if span.spans(f.terms):
             return True
         return False if homogeneous else None
 
     def mutually_contains(self, other: "Ideal", degree_bound: int | None = None) -> bool | None:
+        """Whether the two ideals are equal: True, False, or None when a
+        polynomial membership is inconclusive.  Over an Artinian ring each
+        side's echelon basis is built once and the other side's generators
+        are reduced against it; nothing outlives the call."""
+        if self.ring.is_artinian:
+            for ideal, gens in ((self, other.generators), (other, self.generators)):
+                if not gens:
+                    continue
+                span = ideal._artinian_span()
+                if not all(span.spans(g.terms) for g in gens):
+                    return False
+            return True
         results = [self.contains(g, degree_bound) for g in other.generators]
         results += [other.contains(g, degree_bound) for g in self.generators]
         if any(r is False for r in results):
@@ -498,7 +501,75 @@ class Ideal:
         }
 
 
+def _shifted(ring: CoefRing, terms: dict[Monomial, Fraction],
+             mult: Monomial) -> dict[Monomial, Fraction]:
+    """terms times the monomial mult, less the monomials the ring drops."""
+    keeps = ring._keeps
+    out = {}
+    for mono, coef in terms.items():
+        prod = tuple(a + b for a, b in zip(mono, mult))
+        if keeps(prod):
+            out[prod] = coef
+    return out
+
+
+class _Echelon:
+    """Reduced echelon basis of a Q-subspace of a ring, as sparse vectors
+    monomial -> Fraction: ``rows`` maps each pivot monomial to the one row
+    with coefficient 1 there, and every row is 0 at every other pivot."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict[Monomial, dict[Monomial, Fraction]] = {}
+
+    def remainder(self, vec: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        """vec less its projection onto the span along the pivots; zero iff
+        vec lies in the span.  The rows vanish at each other's pivots, so
+        each pivot of vec is cleared by its own row with vec's coefficient."""
+        rows = self.rows
+        out = dict(vec)
+        for pivot, coef in vec.items():
+            row = rows.get(pivot)
+            if row is None:
+                continue
+            for mono, value in row.items():
+                v = out.get(mono, _ZERO) - coef * value
+                if v:
+                    out[mono] = v
+                else:
+                    del out[mono]
+        return out
+
+    def spans(self, vec: dict[Monomial, Fraction]) -> bool:
+        return not self.remainder(vec)
+
+    def add(self, vec: dict[Monomial, Fraction]) -> dict[Monomial, Fraction] | None:
+        """Extend the span by vec, keeping the basis reduced; returns vec's
+        remainder, which together with the span before spans the span after,
+        or None when vec was already in the span."""
+        rest = self.remainder(vec)
+        if not rest:
+            return None
+        pivot = min(rest)
+        inv = 1 / rest[pivot]
+        new = {mono: c * inv for mono, c in rest.items()}
+        for row in self.rows.values():
+            coef = row.get(pivot)
+            if coef is None:
+                continue
+            for mono, value in new.items():
+                v = row.get(mono, _ZERO) - coef * value
+                if v:
+                    row[mono] = v
+                else:
+                    del row[mono]
+        self.rows[pivot] = new
+        return rest
+
+
 def _monomials_up_to(nvars: int, bound: int) -> list[Monomial]:
+    """Every exponent vector in nvars variables of total degree <= bound."""
     out: list[Monomial] = []
 
     def rec(prefix, remaining, budget):

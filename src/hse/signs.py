@@ -41,9 +41,15 @@ def perm_sign(sigma: Permutation) -> int:
 
 
 @lru_cache(maxsize=None)
-def _koszul_core(sigma: Permutation, parities: tuple[int, ...]) -> int:
+def _koszul_core(sigma: Permutation, degrees: tuple[int, ...], signed: bool = False) -> int:
+    """The Koszul sign of sigma on `degrees`, times the signature if signed.
+
+    Memoized on the tuples callers already hold, so a repeated call costs one
+    lookup; only the parities of the degrees enter the computation.
+    """
+    parities = [d % 2 for d in degrees]
     seq = list(sigma)
-    sign = 1
+    sign = perm_sign(sigma) if signed else 1
     for i in range(len(seq)):
         for j in range(len(seq) - 1, i, -1):
             if seq[j - 1] > seq[j]:
@@ -59,17 +65,18 @@ def koszul_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> int
     Defined by a_{sigma(1)} x ... x a_{sigma(n)} = sign * (a_1 x ... x a_n):
     bubble the permuted sequence back to identity, each adjacent swap of
     entries with original indices u, v contributing (-1)^(deg_u * deg_v).
-    Independent of the chosen decomposition; only parities matter, so the
-    core is memoized.
+    Independent of the chosen decomposition; only parities matter.
     """
     if len(degrees) != len(sigma):
         raise ValueError("degree list length does not match permutation arity")
-    return _koszul_core(tuple(sigma), tuple(d % 2 for d in degrees))
+    return _koszul_core(tuple(sigma), tuple(degrees))
 
 
 def antisym_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> int:
     """Signature times Koszul sign: the antisymmetric convention."""
-    return perm_sign(tuple(sigma)) * koszul_sign(sigma, degrees)
+    if len(degrees) != len(sigma):
+        raise ValueError("degree list length does not match permutation arity")
+    return _koszul_core(tuple(sigma), tuple(degrees), True)
 
 
 @lru_cache(maxsize=None)

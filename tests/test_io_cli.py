@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hse.cli import main
 from hse.fixtures import cdga_pair, heisenberg_cdga
@@ -260,3 +265,98 @@ def test_malformed_package_exits_2_naming_the_field(tmp_path, capsys, mutate, fi
     fx.write_text(json.dumps(data), encoding="utf-8")
     assert main(["check", str(fx)]) == 2
     assert f"'{field}'" in capsys.readouterr().err
+
+
+# -- the exit-code contract under malformed packages --------------------------
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+GOLDEN = {path.name: json.loads(path.read_text(encoding="utf-8"))
+          for path in sorted(FIXTURE_DIR.glob("*.json"))}
+# values of every JSON type, and strings that look like labels or scalars
+ODD_VALUES = [None, True, False, 0, -1, 2, 2.5, "", "x", "1/0", "0", [], {}, [None], ["x"],
+              {"label": "x"}, {"1": {}}]
+
+
+def test_basis_label_type_and_pair_label_clash_exit_2(tmp_path, capsys):
+    pair = GOLDEN["heisenberg-pair.json"]
+    numeric = copy.deepcopy(pair)
+    numeric["algebra"]["space"]["basis"][0]["label"] = None
+    clash = copy.deepcopy(pair)
+    clash["module"]["space"]["basis"][0]["label"] = clash["algebra"]["space"]["basis"][0]["label"]
+    for data, field in ((numeric, "'label'"), (clash, "module 'space'")):
+        with pytest.raises(ParseError, match=field):
+            parse_structure(data)
+        fx = tmp_path / "bad.json"
+        fx.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["check", str(fx)]) == 2
+        assert field in capsys.readouterr().err
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON tree, as a tuple of keys and list indices."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+class _Twice:
+    """A field written twice in the JSON text; a reader keeps the later one."""
+
+    def __init__(self, first, last):
+        self.first, self.last = first, last
+
+
+def _encode(node) -> str:
+    if isinstance(node, dict):
+        fields = []
+        for key, value in node.items():
+            for v in ((value.first, value.last) if isinstance(value, _Twice) else (value,)):
+                fields.append(json.dumps(key) + ":" + _encode(v))
+        return "{" + ",".join(fields) + "}"
+    if isinstance(node, list):
+        return "[" + ",".join(_encode(v) for v in node) + "]"
+    if isinstance(node, _Twice):
+        return _encode(node.last)
+    return json.dumps(node)
+
+
+def _mutate(root, path, action, value) -> None:
+    """Drop, retype or duplicate the field at path: a list item is repeated,
+    an object key is written twice, with the odd value first or last."""
+    value = copy.deepcopy(value)  # never share a mutable ODD_VALUES entry
+    parent = root
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if action == "drop":
+        del parent[key]
+    elif action == "retype":
+        parent[key] = value
+    elif isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(parent[key]))
+    elif action == "duplicate":
+        parent[key] = _Twice(value, parent[key])
+    else:
+        parent[key] = _Twice(parent[key], value)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_check_never_raises_on_mutated_fixtures(data):
+    name = data.draw(st.sampled_from(sorted(GOLDEN)))
+    package = copy.deepcopy(GOLDEN[name])
+    for _ in range(data.draw(st.integers(1, 2))):
+        paths = [p for p in _paths(package) if p]
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths))
+        action = data.draw(st.sampled_from(["drop", "retype", "duplicate", "duplicate-last"]))
+        _mutate(package, path, action, data.draw(st.sampled_from(ODD_VALUES)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(_encode(package), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["check", str(path)])
+    assert code in (0, 1, 2)

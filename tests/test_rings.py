@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hse import linalg
 from hse.rings import (
     CoefRing,
     DualElement,
@@ -178,3 +180,130 @@ def test_poly_arith_commutes(a, b, e1, e2):
     assert f * g == g * f
     assert f + g == g + f
     assert (f - f) == R.zero
+
+
+def test_one_and_zero_are_shared_and_unchanged_by_arithmetic():
+    R = parse_ring("Q[a,b]/(m^3)")
+    one, zero = R.one, R.zero
+    assert R.one is one and R.zero is zero
+    a = R.gen(0)
+    _ = (one + a) * (one - a) - zero + one * 3 + (-one) + one ** 2 + zero * a
+    acc = R.zero
+    for _ in range(3):
+        acc = acc + R.one
+    assert acc == R.element(3)
+    assert one.terms == {(0, 0): Fraction(1)} and zero.terms == {}
+    assert R.one is one and R.zero is zero
+
+
+# -- membership: the echelon basis against the span-matrix reference --------
+
+def _reference_contains(ideal, f):
+    """Membership by the {monomial x generator} span matrix and one
+    linalg.in_span per query: the route Ideal.contains took before it
+    reduced against an echelon basis of the ideal."""
+    ring = ideal.ring
+    if not f:
+        return True
+    if not ideal.generators:
+        return False
+    homogeneous = False
+    if ring.is_artinian:
+        prods = [ring.element({mono: 1}) * g
+                 for g in ideal.generators for mono in ring.monomial_basis()]
+    else:
+        homogeneous = f.is_homogeneous() and all(g.is_homogeneous() for g in ideal.generators)
+        bound = f.degree()
+        prods = []
+        for g in ideal.generators:
+            for mult in product(range(bound + 1), repeat=ring.nvars):
+                if sum(mult) > bound - g.low_degree():
+                    continue
+                if homogeneous and sum(mult) + g.degree() != f.degree():
+                    continue
+                prods.append(ring.element({mult: 1}) * g)
+    support = sorted({m for p in prods for m in p.terms} | set(f.terms))
+    columns = [[p.terms.get(m, Fraction(0)) for m in support] for p in prods if p]
+    target = [f.terms.get(m, Fraction(0)) for m in support]
+    if linalg.in_span(columns, target) is not None:
+        return True
+    return False if ring.is_artinian or homogeneous else None
+
+
+def _reference_mutually_contains(a, b):
+    results = [_reference_contains(a, g) for g in b.generators]
+    results += [_reference_contains(b, g) for g in a.generators]
+    if any(r is False for r in results):
+        return False
+    return True if all(r is True for r in results) else None
+
+
+def _random_element(ring, rng, density, low=0, monos=None):
+    monos = monos if monos is not None else ring.monomial_basis()
+    return ring.element({m: Fraction(rng.randint(-3, 3)) for m in monos
+                         if sum(m) >= low and rng.random() < density})
+
+
+ARTINIAN_RINGS = ("Q[a,b]/(m^3)", "Q[x1..x3]/(m^4)", "Q[e]/(e^4)", "poly(u,v,w, trunc=2)")
+
+
+@pytest.mark.parametrize("descriptor", ARTINIAN_RINGS)
+def test_artinian_membership_matches_span_reference(descriptor):
+    R = parse_ring(descriptor)
+    rng = random.Random(descriptor)
+    answers = {"contains": [], "mutual": []}
+    for _ in range(14):
+        ngens = rng.randint(1, 4)
+        # mostly in the maximal ideal, so that most ideals are proper
+        gens = [_random_element(R, rng, 0.5, low=0 if rng.random() < 0.1 else 1)
+                for _ in range(ngens)]
+        I = Ideal.from_list(R, gens)
+        member = R.zero
+        for g in I.generators:
+            member = member + _random_element(R, rng, 0.6) * g
+        queries = [member, _random_element(R, rng, 0.4, low=1),
+                   member + R.element({rng.choice(R.monomial_basis()): 1}),
+                   R.one, R.zero]
+        for f in queries:
+            got = I.contains(f)
+            assert got == _reference_contains(I, f), (descriptor, gens, f)
+            answers["contains"].append(got)
+        # pairs that differ by one generator: swapped for a random one,
+        # dropped, or moved by a unit-triangular change of generators
+        extra = _random_element(R, rng, 0.5, low=1)
+        others = [gens[:-1] + [extra], gens[:-1], gens + [member],
+                  [g + gens[-1] * _random_element(R, rng, 0.5) for g in gens[:-1]] + gens[-1:]]
+        for other in others:
+            J = Ideal.from_list(R, other)
+            got = I.mutually_contains(J)
+            assert got == _reference_mutually_contains(I, J), (descriptor, gens, other)
+            assert J.mutually_contains(I) == got
+            answers["mutual"].append(got)
+    for kind, seen in answers.items():
+        assert True in seen and False in seen, (descriptor, kind)
+
+
+def test_poly_membership_matches_span_reference():
+    R = parse_ring("poly(x,y,z)")
+    rng = random.Random("homogeneous")
+    answers = []
+    for _ in range(12):
+        d = rng.randint(1, 2)
+        forms = [m for m in product(range(3), repeat=3) if sum(m) == d]
+        gens = [_random_element(R, rng, 0.5, monos=forms) for _ in range(rng.randint(1, 3))]
+        I = Ideal.from_list(R, gens)
+        if I.is_zero():
+            continue
+        top = [m for m in product(range(4), repeat=3) if sum(m) == d + 1]
+        member = R.zero
+        for g in I.generators:
+            member = member + R.gen(rng.randrange(3)) * g * rng.randint(1, 2)
+        queries = [member, _random_element(R, rng, 0.5, monos=top), member + R.gen(0) ** (d + 1),
+                   member + R.gen(0) ** d]  # the last one is inhomogeneous
+        for f in queries:
+            got = I.contains(f)
+            assert got == _reference_contains(I, f), (gens, f)
+            answers.append(got)
+        J = Ideal.from_list(R, gens[:-1] + [member])
+        assert I.mutually_contains(J) == _reference_mutually_contains(I, J)
+    assert {True, False, None} <= set(answers)
