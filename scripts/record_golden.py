@@ -1,0 +1,101 @@
+"""Record the golden CLI reports checked by tests/test_golden.py.
+
+Runs every subcommand on each applicable package in fixtures/, with the two
+MC elements in tests/golden/ for mc-check, twist and jump-ideal.  Jump
+ideals run at (i, k) = (1, 2), where they are neither zero nor the unit
+ideal; the other (i, k) commands run at (1, 1).  Every case goes through
+``hse.cli.main`` from the repository root with relative paths, because a
+report's ``config_hash`` hashes argv.
+Each case's exit code and argv go to tests/golden/manifest.json and its
+stdout to tests/golden/<name>.out.
+
+    python scripts/record_golden.py
+
+A change that alters a report on purpose reruns this script and says so.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+
+AINF = ("heisenberg", "torus2")
+PAIRS = ("heisenberg-pair", "heisenberg-pair-weighted")
+MC_FILES = ("mc-e", "mc-m")
+
+
+def cases() -> list[tuple[str, list[str]]]:
+    """(name, argv) for every golden report, argv relative to the repo root."""
+    out: list[tuple[str, list[str]]] = []
+
+    def add(name: str, *argv: str) -> None:
+        out.append((name, list(argv)))
+
+    for fx in AINF + PAIRS:
+        path = f"fixtures/{fx}.json"
+        add(f"check-{fx}", "check", path)
+        add(f"tangent-space-{fx}", "tangent-space", path, "--i", "1", "--k", "1")
+        add(f"resonance-trunc3-{fx}", "resonance", path, "--i", "1", "--k", "1",
+            "--trunc", "3")
+        add(f"subtorus-check-{fx}", "subtorus-check", path)
+        add(f"tangent-cone-{fx}", "tangent-cone", path, "--i", "1", "--k", "1")
+    for fx in AINF:
+        path = f"fixtures/{fx}.json"
+        add(f"cohomology-{fx}", "cohomology", path)
+        add(f"transfer-a5-{fx}", "transfer", path, "--emit", "all", "--max-arity", "5")
+        add(f"dga-resonance-{fx}", "dga-resonance", path, "--i", "1", "--k", "1")
+    for fx in PAIRS:
+        path = f"fixtures/{fx}.json"
+        for arity in ("5", "6"):
+            add(f"transfer-a{arity}-{fx}", "transfer", path, "--emit", "all",
+                "--max-arity", arity)
+        for mc in MC_FILES:
+            mc_path = f"tests/golden/{mc}.json"
+            add(f"mc-check-{mc}-{fx}", "mc-check", path, "--mc", mc_path)
+            add(f"twist-{mc}-{fx}", "twist", path, "--mc", mc_path)
+            add(f"jump-ideal-{mc}-{fx}", "jump-ideal", path, "--i", "1", "--k", "2",
+                "--mc", mc_path)
+    add("resonance-exact-heisenberg-pair-weighted", "resonance",
+        "fixtures/heisenberg-pair-weighted.json", "--i", "1", "--k", "1", "--exact")
+    return out
+
+
+def run_case(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of ``hse`` on argv, run from the repo root."""
+    from hse.cli import main
+
+    buf = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, buf.getvalue()
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    manifest = []
+    for name, argv in cases():
+        code, stdout = run_case(argv)
+        if code not in (0, 1):
+            raise SystemExit(f"{name}: exit {code}; a golden case must produce a report")
+        (GOLDEN / f"{name}.out").write_text(stdout, encoding="utf-8")
+        manifest.append({"name": name, "argv": argv, "exit_code": code})
+        print(f"{name}: exit {code}, {len(stdout)} bytes")
+    (GOLDEN / "manifest.json").write_text(
+        json.dumps({"cases": manifest}, indent=2) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -29,18 +29,6 @@ class DeformationError(ValueError):
 # ---------------------------------------------------------------------------
 # Maurer-Cartan elements
 
-@dataclass
-class MCElement:
-    ring: CoefRing
-    vector: dict[str, RElem]
-
-    def to_json(self) -> dict:
-        return {
-            "ring": self.ring.describe(),
-            "entries": {lab: str(v) for lab, v in sorted(self.vector.items())},
-        }
-
-
 def _check_mc_shape(alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem]) -> None:
     for lab, val in omega.items():
         if lab not in alg.space:

@@ -70,12 +70,6 @@ class Cdga:
             return "1"
         return "".join(self.gens[i][0] for i in mono)
 
-    def mono_of_label(self, label: str) -> tuple[int, ...]:
-        for m in self.monomials:
-            if self.label(m) == label:
-                return m
-        raise KeyError(label)
-
     def multiply_monos(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]] | None:
         """Graded-commutative product of two monomials, or None if it dies."""
         merged = list(a) + list(b)

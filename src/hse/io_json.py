@@ -307,13 +307,6 @@ def _parse_module(data: dict, algebra: LInfAlgebra) -> LInfModule:
 
 # -- Maurer-Cartan elements and witnesses -------------------------------------
 
-def mc_to_json(ring, omega: dict) -> dict:
-    return {
-        "ring": ring.describe(),
-        "entries": {lab: str(v) for lab, v in sorted(omega.items())},
-    }
-
-
 def mc_from_json(data: dict, ring=None):
     from .rings import parse_element, parse_ring
 

@@ -31,22 +31,6 @@ def copy(mat: Matrix) -> Matrix:
     return [row[:] for row in mat]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        for k in range(inner):
-            aik = a[i][k]
-            if not aik:
-                continue
-            brow = b[k]
-            orow = out[i]
-            for j in range(cols):
-                if brow[j]:
-                    orow[j] += aik * brow[j]
-    return out
-
-
 def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
     m = copy(mat)

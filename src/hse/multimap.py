@@ -16,6 +16,20 @@ Symmetry handling:
 * ``antisym_algebra`` - module maps: antisymmetric in all slots but the
   last, which is the module slot; the stored keys have the leading slots
   sorted.
+
+Contraction.  The L-infinity transfer kernel, the right-hand sides of the
+morphism identities, the universal twisted differential and every
+evaluation on coefficient vectors contract a table against per-slot sparse
+vectors: at each vertex of a transfer tree (Loday-Vallette, Algebraic
+Operads, 10.3) the outer map eats the values of the blocks below it.
+``contract`` is that one kernel: it adds scale * mm(v_1, ..., v_n) into an
+accumulator, reading each stored row in place.  ``block_vectors`` builds
+the slot vectors of one block partition -- a slot is a raw input or a
+map's stored row at the inputs of its block -- and is the one place that
+applies the Koszul crossing rule: a map of odd shift passing inputs of odd
+total degree in the earlier blocks contributes -1.  ``tensor_compose``
+stays table-driven: it composes whole tables by walking the outer map's
+stored keys, where an input-driven contraction would scan input tuples.
 """
 
 from __future__ import annotations
@@ -71,10 +85,6 @@ class MultiMap:
             if not row:
                 del self.table[ckey]
 
-    def add_vector(self, key: tuple[str, ...], vector: dict[str, object], scale=1) -> None:
-        for out_label, coef in vector.items():
-            self.add(key, out_label, coef * scale if scale != 1 else coef)
-
     def _canonical(self, key: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
         if self.symmetry == "none":
             return key, 1
@@ -122,9 +132,6 @@ class MultiMap:
     def entries(self):
         """Iterate stored (canonical key, output vector) pairs."""
         return self.table.items()
-
-    def support_degrees(self) -> set[tuple[int, ...]]:
-        return {tuple(self.space_in.deg(l) for l in key) for key in self.table}
 
     # -- algebra -----------------------------------------------------------
 
@@ -182,11 +189,6 @@ def identity_map(space: GradedSpace) -> MultiMap:
     for e in space.elements:
         mm.add((e.label,), e.label, Fraction(1))
     return mm
-
-
-def zero_map(space_in: GradedSpace, space_out: GradedSpace, arity: int, shift: int,
-             symmetry: str = "none") -> MultiMap:
-    return MultiMap(space_in, space_out, arity, shift, symmetry)
 
 
 def postcompose(linear: MultiMap, mm: MultiMap) -> MultiMap:
@@ -312,6 +314,64 @@ def antisymmetrization(nu: MultiMap) -> MultiMap:
     return out
 
 
+def contract(mm: MultiMap, vectors: list[dict[str, object]], acc: dict, scale=1) -> dict:
+    """Add scale * mm(v_1, ..., v_n) into acc and return acc.
+
+    The vectors map labels to coefficients that are even/central (no Koszul
+    signs arise from them).  Each stored row is read in place with
+    ``get_ref`` and entries that cancel are dropped from acc.
+    """
+    n = len(vectors)
+    get_ref = mm.get_ref
+
+    def rec(t: int, labels: tuple[str, ...], coef) -> None:
+        if t == n:
+            row, sign = get_ref(labels)
+            if row is None:
+                return
+            if sign == -1:
+                coef = -coef
+            for lab, c in row.items():
+                total = acc.get(lab, 0) + coef * c
+                if total:
+                    acc[lab] = total
+                else:
+                    acc.pop(lab, None)
+            return
+        for lab, c in vectors[t].items():
+            rec(t + 1, labels + (lab,), coef * c)
+
+    rec(0, (), scale)
+    return acc
+
+
+def block_vectors(maps: list[MultiMap | None], T: tuple[str, ...], degs: tuple[int, ...],
+                  blocks) -> tuple[list[dict[str, object]], int]:
+    """Slot vectors of outer(M_1(T[B_1]), ..., M_k(T[B_k])) and their sign.
+
+    ``maps[t]`` is None for a raw input (its block holds one index) and
+    otherwise a map whose stored row at the labels of block t fills slot t.
+    The sign collects the rows' canonicalization signs and the Koszul
+    crossing rule: a map of odd shift crossing the inputs of the earlier
+    blocks, of odd total degree, contributes -1.  The sign is 0 when some
+    block value is zero.  Rows are returned in place; do not mutate them.
+    """
+    vectors: list[dict[str, object]] = []
+    sign = 1
+    odd = 0
+    for m, block in zip(maps, blocks):
+        if m is None:
+            vectors.append({T[block[0]]: 1})
+        else:
+            row, s0 = m.get_ref(tuple(T[i] for i in block))
+            if row is None:
+                return [], 0
+            sign *= -s0 if m.shift % 2 and odd else s0
+            vectors.append(row)
+        odd ^= sum(degs[i] for i in block) & 1
+    return vectors, sign
+
+
 def evaluate_on_vectors(mm: MultiMap, vectors: list[dict[str, object]]):
     """Evaluate on coefficient vectors (labels -> even ring elements).
 
@@ -320,20 +380,4 @@ def evaluate_on_vectors(mm: MultiMap, vectors: list[dict[str, object]]):
     """
     if len(vectors) != mm.arity:
         raise ValueError("vector count mismatch")
-    out: dict[str, object] = {}
-
-    def rec(t: int, labels: tuple[str, ...], coef):
-        if t == mm.arity:
-            for lab, c in mm.get(labels).items():
-                total = out.get(lab, 0) + coef * c
-                if total:
-                    out[lab] = total
-                else:
-                    out.pop(lab, None)
-            return
-        for lab, c in vectors[t].items():
-            if c:
-                rec(t + 1, labels + (lab,), coef * c)
-
-    rec(0, (), 1)
-    return out
+    return contract(mm, vectors, {})

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import linalg
 from .grading import GradedSpace
-from .multimap import MultiMap, evaluate_on_vectors
+from .multimap import MultiMap, contract, evaluate_on_vectors
 from .rings import CoefRing, Ideal, RingMatrix, block_diag, minors
 from .scalars import factorial_inverse
 from .structures import AInfAlgebra, LInfPair, module_check
@@ -107,6 +107,7 @@ def universal_complex(
 
     matrices: dict[int, RingMatrix] = {}
     space = pair.module.space
+    w_univ = dict(zip(h1, ring.gens()))
     for i in space.degrees():
         rows = tuple(e.label for e in space.basis_of_degree(i + 1))
         cols = tuple(e.label for e in space.basis_of_degree(i))
@@ -118,8 +119,7 @@ def universal_complex(
                 if m_map is None:
                     continue
                 n = arity - 1
-                inv = factorial_inverse(n)
-                _accumulate_universal(acc, m_map, h1, ring, xi_label, n, inv)
+                contract(m_map, [w_univ] * n + [{xi_label: 1}], acc, factorial_inverse(n))
             for lab, val in acc.items():
                 if val and lab in rows:
                     mat.set(rows.index(lab), cj, val)
@@ -133,33 +133,6 @@ def universal_complex(
     )
     out.validate_square_zero()
     return out
-
-
-def _accumulate_universal(acc, m_map, h1, ring, xi_label, n, inv):
-    """Add (1/n!) sum over ordered n-tuples of H^1 labels, each weighted by
-    its monomial, of m(e_{j_1}, ..., e_{j_n}, xi)."""
-    def rec(slot: int, labels: tuple[str, ...], mono: tuple[int, ...]):
-        if slot == n:
-            if not ring._keeps(mono):
-                return
-            row, sign = m_map.get_ref(labels + (xi_label,))
-            if row is None:
-                return
-            coef = ring.element({mono: inv * sign})
-            if not coef:
-                return
-            for lab, c in row.items():
-                total = acc.get(lab, ring.zero) + coef * c
-                if total:
-                    acc[lab] = total
-                else:
-                    acc.pop(lab, None)
-            return
-        for j, e in enumerate(h1):
-            mono2 = tuple(m + (1 if t == j else 0) for t, m in enumerate(mono))
-            rec(slot + 1, labels + (e,), mono2)
-
-    rec(0, (), (0,) * len(h1))
 
 
 # ---------------------------------------------------------------------------

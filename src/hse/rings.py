@@ -629,13 +629,6 @@ class RingMatrix:
     def evaluate(self, point: list[Fraction]) -> list[list[Fraction]]:
         return [[e.evaluate(point) for e in row] for row in self.data]
 
-    def transpose_labels(self) -> "RingMatrix":
-        out = RingMatrix(self.ring, self.cols, self.rows)
-        for i in range(len(self.rows)):
-            for j in range(len(self.cols)):
-                out.data[j][i] = self.data[i][j]
-        return out
-
     def to_json(self) -> dict:
         return {
             "rows": list(self.rows),
@@ -730,66 +723,3 @@ def leibniz_minor(matrix: RingMatrix, rows: tuple[int, ...], cols: tuple[int, ..
                 break
         acc = acc + (term if inv % 2 == 0 else -term)
     return acc
-
-
-# ---------------------------------------------------------------------------
-# polynomial forms on the affine line (the K[t,dt] dual dga)
-
-class DualElement:
-    """p(t) + q(t) dt with coefficients in a CoefRing; d(p + q dt) = p' dt."""
-
-    def __init__(self, ring: CoefRing, p: dict[int, RElem] | None = None,
-                 q: dict[int, RElem] | None = None):
-        self.ring = ring
-        self.p = {k: v for k, v in (p or {}).items() if v}
-        self.q = {k: v for k, v in (q or {}).items() if v}
-
-    def d(self) -> "DualElement":
-        dq = {k - 1: v * k for k, v in self.p.items() if k >= 1}
-        return DualElement(self.ring, {}, dq)
-
-    def add(self, other: "DualElement") -> "DualElement":
-        p = dict(self.p)
-        for k, v in other.p.items():
-            s = p.get(k, self.ring.zero) + v
-            if s:
-                p[k] = s
-            else:
-                p.pop(k, None)
-        q = dict(self.q)
-        for k, v in other.q.items():
-            s = q.get(k, self.ring.zero) + v
-            if s:
-                q[k] = s
-            else:
-                q.pop(k, None)
-        return DualElement(self.ring, p, q)
-
-    def mul(self, other: "DualElement") -> "DualElement":
-        p: dict[int, RElem] = {}
-        q: dict[int, RElem] = {}
-
-        def bump(target, k, v):
-            s = target.get(k, self.ring.zero) + v
-            if s:
-                target[k] = s
-            else:
-                target.pop(k, None)
-
-        for k1, v1 in self.p.items():
-            for k2, v2 in other.p.items():
-                bump(p, k1 + k2, v1 * v2)
-            for k2, v2 in other.q.items():
-                bump(q, k1 + k2, v1 * v2)
-        for k1, v1 in self.q.items():
-            for k2, v2 in other.p.items():
-                bump(q, k1 + k2, v1 * v2)
-        # dt * dt = 0
-        return DualElement(self.ring, p, q)
-
-    def evaluate(self, c: Fraction) -> RElem:
-        """Evaluation at (t, dt) = (c, 0), a ring map."""
-        total = self.ring.zero
-        for k, v in self.p.items():
-            total = total + v * (Fraction(c) ** k)
-        return total

@@ -20,10 +20,6 @@ from itertools import combinations, permutations
 Permutation = tuple[int, ...]
 
 
-def is_permutation(sigma: Permutation) -> bool:
-    return sorted(sigma) == list(range(len(sigma)))
-
-
 def identity_perm(n: int) -> Permutation:
     return tuple(range(n))
 

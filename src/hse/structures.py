@@ -19,8 +19,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .grading import GradedSpace, combine_spaces
-from .multimap import MultiMap
-from .signs import antisym_sign, compositions as _compositions, unshuffles
+from .multimap import MultiMap, block_vectors, contract
+from .signs import (
+    antisym_sign,
+    block_permutations,
+    compositions as _compositions,
+    epsilon_exponent,
+    unshuffles,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +225,12 @@ def iter_sorted_tuples(space: GradedSpace, arity: int, sums: set[int]):
 
 # ---------------------------------------------------------------------------
 # residuals
+#
+# Each identity has one left-hand-side helper, shared by the structure's own
+# checker (outer maps = the structure's maps) and by its morphism twin (outer
+# maps = the morphism components).  The left-hand sides look up one stored
+# row per term directly; the morphism right-hand sides are block partitions
+# evaluated with ``block_vectors`` and ``contract``.
 
 def _accumulate(acc: dict, vec: dict, factor) -> None:
     for lab, c in vec.items():
@@ -229,107 +241,202 @@ def _accumulate(acc: dict, vec: dict, factor) -> None:
             acc.pop(lab, None)
 
 
-def stasheff_residual(products: dict[int, MultiMap], space: GradedSpace,
-                      T: tuple[str, ...]) -> dict:
-    """Sum over p+q+r=n of (-1)^(p+qr) nu_{p+r+1}(1^p x nu_q x 1^r) at T."""
+def _ainf_lhs(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
+              T: tuple[str, ...], degs: tuple[int, ...]) -> dict:
+    """Sum over p+q+r=n of (-1)^(p+qr) outer_{p+r+1}(1^p x inner_q x 1^r) at T."""
     n = len(T)
-    degs = [space.deg(l) for l in T]
     acc: dict = {}
     for q in range(1, n + 1):
-        inner = products.get(q)
-        if inner is None:
+        m_in = inner.get(q)
+        if m_in is None:
             continue
         for p in range(0, n - q + 1):
             r = n - q - p
-            outer = products.get(p + r + 1)
-            if outer is None:
+            m_out = outer.get(p + r + 1)
+            if m_out is None:
                 continue
-            sign = -1 if (p + q * r) % 2 else 1
-            if q % 2 and sum(degs[:p]) % 2:
-                sign = -sign  # nu_q crossing the first p inputs
-            row, s0 = inner.get_ref(T[p:p + q])
+            row, s0 = m_in.get_ref(T[p:p + q])
             if row is None:
                 continue
+            sign = -s0 if (p + q * r) % 2 else s0
+            if q % 2 and sum(degs[:p]) % 2:
+                sign = -sign  # inner_q crossing the first p inputs
             for mid, c in row.items():
-                out_vec = outer.get(T[:p] + (mid,) + T[p + q:])
-                if out_vec:
-                    _accumulate(acc, out_vec, sign * s0 * c)
+                out, s1 = m_out.get_ref(T[:p] + (mid,) + T[p + q:])
+                if out is not None:
+                    _accumulate(acc, out, sign * s1 * c)
     return acc
+
+
+def _linf_lhs(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
+              T: tuple[str, ...], degs: tuple[int, ...]) -> dict:
+    """Sum over (i,j,sigma) of chi(sigma) (-1)^(i(j-1)) outer_j(inner_i x 1^(j-1)) at T."""
+    n = len(T)
+    acc: dict = {}
+    for i in range(1, n + 1):
+        j = n + 1 - i
+        m_in = inner.get(i)
+        m_out = outer.get(j)
+        if m_in is None or m_out is None:
+            continue
+        for sigma in unshuffles(i, n):
+            Ts = tuple(T[k] for k in sigma)
+            row, s0 = m_in.get_ref(Ts[:i])
+            if row is None:
+                continue
+            sign = s0 * antisym_sign(sigma, degs)
+            if (i * (j - 1)) % 2:
+                sign = -sign
+            for mid, c in row.items():
+                out, s1 = m_out.get_ref((mid,) + Ts[i:])
+                if out is not None:
+                    _accumulate(acc, out, sign * s1 * c)
+    return acc
+
+
+def _module_lhs(module: LInfModule, outer: dict[int, MultiMap],
+                T: tuple[str, ...], degs: tuple[int, ...]) -> dict:
+    """Module identity left side at T = (algebra..., module-last).
+
+    Convention split: when sigma(i) = n the inner map is the action m_i on
+    the module element and the term is rotated with the kappa sign; when
+    sigma(n) = n the inner map is the algebra bracket l_i.
+    """
+    n = len(T)
+    last = n - 1
+    acc: dict = {}
+    for i in range(1, n + 1):
+        j = n + 1 - i
+        m_out = outer.get(j)
+        if m_out is None:
+            continue
+        action = module.actions.get(i)
+        bracket = module.algebra.brackets.get(i)
+        for sigma in unshuffles(i, n):
+            on_module = sigma[i - 1] == last
+            m_in = action if on_module else bracket
+            if m_in is None:
+                continue
+            Ts = tuple(T[k] for k in sigma)
+            row, s0 = m_in.get_ref(Ts[:i])
+            if row is None:
+                continue
+            sign = s0 * antisym_sign(sigma, degs)
+            if (i * (j - 1)) % 2:
+                sign = -sign
+            if on_module:
+                head = sum(degs[k] for k in sigma[:i])
+                tail = sum(degs[k] for k in sigma[i:])
+                if (j - 1) % 2:
+                    sign = -sign
+                if (i + head) % 2 and tail % 2:
+                    sign = -sign
+            for mid, c in row.items():
+                key = Ts[i:] + (mid,) if on_module else (mid,) + Ts[i:]
+                out, s1 = m_out.get_ref(key)
+                if out is not None:
+                    _accumulate(acc, out, sign * s1 * c)
+    return acc
+
+
+def stasheff_residual(products: dict[int, MultiMap], space: GradedSpace,
+                      T: tuple[str, ...]) -> dict:
+    """Sum over p+q+r=n of (-1)^(p+qr) nu_{p+r+1}(1^p x nu_q x 1^r) at T."""
+    return _ainf_lhs(products, products, T, tuple([space.deg(l) for l in T]))
 
 
 def jacobi_residual(brackets: dict[int, MultiMap], space: GradedSpace,
                     T: tuple[str, ...]) -> dict:
     """Sum over (i,j,sigma) of chi(sigma) (-1)^(i(j-1)) l_j(l_i x 1^(j-1)) at T."""
-    n = len(T)
-    degs = tuple(space.deg(l) for l in T)
-    acc: dict = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        inner = brackets.get(i)
-        outer = brackets.get(j)
-        if inner is None or outer is None:
-            continue
-        for sigma in unshuffles(i, n):
-            chi = antisym_sign(sigma, degs)
-            sign = chi if (i * (j - 1)) % 2 == 0 else -chi
-            Ts = tuple(T[k] for k in sigma)
-            row, s0 = inner.get_ref(Ts[:i])
-            if row is None:
-                continue
-            for mid, c in row.items():
-                out_vec = outer.get((mid,) + Ts[i:])
-                if out_vec:
-                    _accumulate(acc, out_vec, sign * s0 * c)
-    return acc
+    return _linf_lhs(brackets, brackets, T, tuple([space.deg(l) for l in T]))
 
 
 def module_residual(module: LInfModule, T: tuple[str, ...]) -> dict:
-    """Module identity residual at T = (algebra..., module-last).
+    """Module identity residual at T = (algebra..., module-last)."""
+    return _module_lhs(module, module.actions, T, tuple([module.combined.deg(l) for l in T]))
 
-    Convention split: when sigma(i) = n the inner map takes the module
-    element and the term is rotated with the kappa sign; when sigma(n) = n
-    the inner map is the algebra bracket l_i.
-    """
+
+def _consecutive(profile: tuple[int, ...]) -> list[range]:
+    blocks, start = [], 0
+    for size in profile:
+        blocks.append(range(start, start + size))
+        start += size
+    return blocks
+
+
+def _ainf_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
+    """f(1^p x nu_q x 1^r) terms minus nu'_k(f_{i_1} x ... x f_{i_k}) at T."""
+    src: AInfAlgebra = mor.source
+    tgt: AInfAlgebra = mor.target
     n = len(T)
-    space = module.combined
-    degs = tuple(space.deg(l) for l in T)
-    acc: dict = {}
+    degs = tuple([src.space.deg(l) for l in T])
+    acc = _ainf_lhs(mor.components, src.products, T, degs)
+    for k in range(1, n + 1):
+        target_map = tgt.products.get(k)
+        if target_map is None:
+            continue
+        for profile in _compositions(n, k):
+            comps = [mor.components.get(i) for i in profile]
+            if any(c is None for c in comps):
+                continue
+            vectors, sign = block_vectors(comps, T, degs, _consecutive(profile))
+            if sign:
+                if epsilon_exponent(profile) % 2 == 0:
+                    sign = -sign
+                contract(target_map, vectors, acc, sign)
+    return acc
+
+
+def _linf_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
+    """f(l_i x 1) terms minus l'_j over block partitions with increasing minima."""
+    src: LInfAlgebra = mor.source
+    tgt: LInfAlgebra = mor.target
+    n = len(T)
+    degs = tuple([src.space.deg(l) for l in T])
+    acc = _linf_lhs(mor.components, src.brackets, T, degs)
+    for j in range(1, n + 1):
+        target_map = tgt.brackets.get(j)
+        if target_map is None:
+            continue
+        for profile in _compositions(n, j):
+            comps = [mor.components.get(kt) for kt in profile]
+            if any(c is None for c in comps):
+                continue
+            spans = _consecutive(profile)
+            for sigma, eps in block_permutations(profile, n, min_first=True):
+                blocks = [sigma[b.start:b.stop] for b in spans]
+                vectors, sign = block_vectors(comps, T, degs, blocks)
+                if sign:
+                    sign *= antisym_sign(sigma, degs)
+                    contract(target_map, vectors, acc, sign if eps % 2 else -sign)
+    return acc
+
+
+def _module_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
+    """Module-morphism identity over a fixed algebra (identity on L).
+
+    Left side follows the module convention split; on the right the module
+    element's block feeds the last slot of the target action and all other
+    blocks are forced to size one through the identity of L.
+    """
+    src: LInfModule = mor.source
+    tgt: LInfModule = mor.target
+    n = len(T)
+    degs = tuple([src.combined.deg(l) for l in T])
     last = n - 1
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        for sigma in unshuffles(i, n):
-            chi = antisym_sign(sigma, degs)
-            base = chi if (i * (j - 1)) % 2 == 0 else -chi
-            Ts = tuple(T[k] for k in sigma)
-            if sigma[i - 1] == last:
-                inner = module.actions.get(i)
-                outer = module.actions.get(j)
-                if inner is None or outer is None:
-                    continue
-                head = sum(degs[k] for k in sigma[:i])
-                tail = sum(degs[k] for k in sigma[i:])
-                kappa = -1 if (j - 1) % 2 else 1
-                if (i + head) % 2 and tail % 2:
-                    kappa = -kappa
-                row, s0 = inner.get_ref(Ts[:i])
-                if row is None:
-                    continue
-                for mid, c in row.items():
-                    out_vec = outer.get(Ts[i:] + (mid,))
-                    if out_vec:
-                        _accumulate(acc, out_vec, base * kappa * s0 * c)
-            else:
-                inner = module.algebra.brackets.get(i)
-                outer = module.actions.get(j)
-                if inner is None or outer is None:
-                    continue
-                row, s0 = inner.get_ref(Ts[:i])
-                if row is None:
-                    continue
-                for mid, c in row.items():
-                    out_vec = outer.get((mid,) + Ts[i:])
-                    if out_vec:
-                        _accumulate(acc, out_vec, base * s0 * c)
+    acc = _module_lhs(src, mor.components, T, degs)
+    for k in range(1, n + 1):
+        comp = mor.components.get(k)
+        outer = tgt.actions.get(n - k + 1)
+        if comp is None or outer is None:
+            continue
+        for others in combinations(range(n - 1), k - 1):
+            singles = tuple(p for p in range(n - 1) if p not in others)
+            block = others + (last,)
+            vectors, sign = block_vectors(
+                [None] * len(singles) + [comp], T, degs, [(p,) for p in singles] + [block])
+            if sign:
+                contract(outer, vectors, acc, -sign * antisym_sign(singles + block, degs))
     return acc
 
 
@@ -377,229 +484,6 @@ def module_check(module: LInfModule, max_arity: int) -> CheckReport:
                 if res:
                     violations.append(Violation(n, T, res))
     return CheckReport("module", not violations, max_arity, tuple(violations))
-
-
-def _ainf_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
-    src: AInfAlgebra = mor.source
-    tgt: AInfAlgebra = mor.target
-    space = src.space
-    n = len(T)
-    degs = [space.deg(l) for l in T]
-    acc: dict = {}
-    # left side: f_{p+r+1} (1^p x nu_q x 1^r)
-    for q in range(1, n + 1):
-        inner = src.products.get(q)
-        if inner is None:
-            continue
-        for p in range(0, n - q + 1):
-            r = n - q - p
-            comp = mor.components.get(p + r + 1)
-            if comp is None:
-                continue
-            sign = -1 if (p + q * r) % 2 else 1
-            if q % 2 and sum(degs[:p]) % 2:
-                sign = -sign
-            row, s0 = inner.get_ref(T[p:p + q])
-            if row is None:
-                continue
-            for mid, c in row.items():
-                out_vec = comp.get(T[:p] + (mid,) + T[p + q:])
-                if out_vec:
-                    _accumulate(acc, out_vec, sign * s0 * c)
-    # right side, subtracted: nu'_k (f_{i_1} x ... x f_{i_k})
-    for k in range(1, n + 1):
-        target_map = tgt.products.get(k)
-        if target_map is None:
-            continue
-        for comp_profile in _compositions(n, k):
-            comps = [mor.components.get(i) for i in comp_profile]
-            if any(c is None for c in comps):
-                continue
-            eps = 0
-            for t, it in enumerate(comp_profile):
-                eps += (k - t - 1) * (it - 1)
-            sign = -1 if eps % 2 else 1
-            # Koszul: factor t (degree 1-i_t) crosses earlier raw inputs
-            _rhs_blocks(acc, target_map, comps, comp_profile, T, degs, -sign)
-    return acc
-
-
-def _rhs_blocks(acc, target_map, comps, profile, T, degs, factor):
-    """Accumulate factor * nu'(f_{i_1}(block_1), ...) over consecutive blocks."""
-    k = len(profile)
-    offsets = [0]
-    for size in profile:
-        offsets.append(offsets[-1] + size)
-
-    def rec(t: int, mids: tuple[str, ...], coef):
-        if t == k:
-            vec = target_map.get(mids)
-            if vec:
-                _accumulate(acc, vec, coef)
-            return
-        block = T[offsets[t]:offsets[t + 1]]
-        row, s0 = comps[t].get_ref(block)
-        if row is None:
-            return
-        sign = 1
-        if (1 + profile[t]) % 2 and sum(degs[:offsets[t]]) % 2:
-            sign = -1
-        for mid, c in row.items():
-            rec(t + 1, mids + (mid,), coef * sign * s0 * c)
-
-    rec(0, (), factor)
-
-
-def _linf_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
-    src: LInfAlgebra = mor.source
-    tgt: LInfAlgebra = mor.target
-    space = src.space
-    n = len(T)
-    degs = tuple(space.deg(l) for l in T)
-    acc: dict = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        inner = src.brackets.get(i)
-        comp = mor.components.get(j)
-        if inner is None or comp is None:
-            continue
-        for sigma in unshuffles(i, n):
-            chi = antisym_sign(sigma, degs)
-            sign = chi if (i * (j - 1)) % 2 == 0 else -chi
-            Ts = tuple(T[k] for k in sigma)
-            row, s0 = inner.get_ref(Ts[:i])
-            if row is None:
-                continue
-            for mid, c in row.items():
-                out_vec = comp.get((mid,) + Ts[i:])
-                if out_vec:
-                    _accumulate(acc, out_vec, sign * s0 * c)
-    # right side: blocks with increasing minima, sign epsilon and Koszul crossings
-    for j in range(1, n + 1):
-        target_map = tgt.brackets.get(j)
-        if target_map is None:
-            continue
-        for profile in _compositions(n, j):
-            comps = [mor.components.get(kt) for kt in profile]
-            if any(c is None for c in comps):
-                continue
-            eps = 0
-            for t, kt in enumerate(profile):
-                eps += (j - t - 1) * (kt - 1)
-            base = -1 if eps % 2 else 1
-            _linf_rhs_partitions(acc, target_map, comps, profile, T, degs, -base)
-    return acc
-
-
-def _linf_rhs_partitions(acc, target_map, comps, profile, T, degs, factor):
-    """Blocks of the given sizes with increasing minima and increasing insides."""
-    n = len(T)
-    j = len(profile)
-
-    def rec(t: int, remaining: tuple[int, ...], mids: tuple[str, ...],
-            perm: tuple[int, ...], coef):
-        if t == j:
-            chi = antisym_sign(perm, degs)
-            vec = target_map.get(mids)
-            if vec:
-                _accumulate(acc, vec, coef * chi)
-            return
-        size = profile[t]
-        # block must contain the smallest remaining index to normalize order
-        head = remaining[0]
-        for rest_block in combinations(remaining[1:], size - 1):
-            block = (head,) + rest_block
-            labels = tuple(T[p] for p in block)
-            row, s0 = comps[t].get_ref(labels)
-            if row is None:
-                continue
-            sign = 1
-            if (1 + size) % 2 and sum(degs[p] for p in perm) % 2:
-                sign = -1
-            new_remaining = tuple(x for x in remaining if x not in block)
-            for mid, c in row.items():
-                rec(t + 1, new_remaining, mids + (mid,), perm + block,
-                    coef * sign * s0 * c)
-
-    rec(0, tuple(range(n)), (), (), factor)
-
-
-def _module_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
-    """Module-morphism identity over a fixed algebra (identity on L).
-
-    Left side follows the module convention split; on the right the module
-    element's block feeds the last slot of the target action and all other
-    blocks are forced to size one through the identity of L.
-    """
-    src: LInfModule = mor.source
-    tgt: LInfModule = mor.target
-    space = src.combined
-    n = len(T)
-    degs = tuple(space.deg(l) for l in T)
-    last = n - 1
-    acc: dict = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        comp = mor.components.get(j)
-        if comp is None:
-            continue
-        for sigma in unshuffles(i, n):
-            chi = antisym_sign(sigma, degs)
-            base = chi if (i * (j - 1)) % 2 == 0 else -chi
-            Ts = tuple(T[k] for k in sigma)
-            if sigma[i - 1] == last:
-                inner = src.actions.get(i)
-                if inner is None:
-                    continue
-                head = sum(degs[k] for k in sigma[:i])
-                tail = sum(degs[k] for k in sigma[i:])
-                kappa = -1 if (j - 1) % 2 else 1
-                if (i + head) % 2 and tail % 2:
-                    kappa = -kappa
-                row, s0 = inner.get_ref(Ts[:i])
-                if row is None:
-                    continue
-                for mid, c in row.items():
-                    out_vec = comp.get(Ts[i:] + (mid,))
-                    if out_vec:
-                        _accumulate(acc, out_vec, base * kappa * s0 * c)
-            else:
-                inner = src.algebra.brackets.get(i)
-                if inner is None:
-                    continue
-                row, s0 = inner.get_ref(Ts[:i])
-                if row is None:
-                    continue
-                for mid, c in row.items():
-                    out_vec = comp.get((mid,) + Ts[i:])
-                    if out_vec:
-                        _accumulate(acc, out_vec, base * s0 * c)
-    # right side: m'_j(xi_{tau(1)}, ..., f_k(module block))
-    for k in range(1, n + 1):
-        comp = mor.components.get(k)
-        if comp is None:
-            continue
-        j = n - k + 1
-        outer = tgt.actions.get(j)
-        if outer is None:
-            continue
-        for others in combinations(range(n - 1), k - 1):
-            block = others + (last,)
-            singles = tuple(p for p in range(n - 1) if p not in others)
-            perm = singles + block
-            chi = antisym_sign(perm, degs)
-            sign = 1
-            if (1 + k) % 2 and sum(degs[p] for p in singles) % 2:
-                sign = -1
-            row, s0 = comp.get_ref(tuple(T[p] for p in block))
-            if row is None:
-                continue
-            labels_single = tuple(T[p] for p in singles)
-            for mid, c in row.items():
-                out_vec = outer.get(labels_single + (mid,))
-                if out_vec:
-                    _accumulate(acc, out_vec, -chi * sign * s0 * c)
-    return acc
 
 
 def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:

@@ -32,7 +32,14 @@ from itertools import combinations
 
 from . import linalg
 from .grading import BasisElement, GradedSpace, combine_spaces
-from .multimap import MultiMap, identity_map, postcompose, tensor_compose
+from .multimap import (
+    MultiMap,
+    block_vectors,
+    contract,
+    identity_map,
+    postcompose,
+    tensor_compose,
+)
 from .signs import antisym_sign, compositions, theta_exponent
 from .structures import (
     AInfAlgebra,
@@ -353,21 +360,6 @@ class KernelCache:
         self.psiphi[n] = pp_n
 
 
-def p_kernels(diagram: TransferDiagram, mu: dict[int, MultiMap], n: int) -> MultiMap:
-    """The arity-n p-kernel of the recursion (fresh cache each call; use a
-    KernelCache directly when computing a whole family)."""
-    cache = KernelCache(diagram, mu)
-    cache.ensure(n)
-    return cache.p[n] if n >= 2 else cache.hp[1]
-
-
-def q_kernels(diagram: TransferDiagram, mu: dict[int, MultiMap], n: int) -> MultiMap:
-    """The arity-n q-kernel; q_1 is the identity."""
-    cache = KernelCache(diagram, mu)
-    cache.ensure(max(n, 1))
-    return cache.q[n]
-
-
 @dataclass
 class AInfTransfer:
     algebra: AInfAlgebra
@@ -409,7 +401,7 @@ def transfer_ainf(
         comp_sign = Fraction(-1 if (n - 1) % 2 else 1)
         p_n = cache.p[n]
         if not p_n.is_zero():
-            png = tensor_compose_with_g(p_n, diagram.g, n)
+            png = tensor_compose(p_n, [diagram.g] * n)  # g has degree 0: no signs
             nu = postcompose(diagram.f, png)
             if not nu.is_zero():
                 products[n] = nu
@@ -435,11 +427,6 @@ def transfer_ainf(
         "weighted": diagram.small.weighted,
     }
     return AInfTransfer(small_alg, phi, psi, homotopy, diagram, cache, meta)
-
-
-def tensor_compose_with_g(mm: MultiMap, g: MultiMap, n: int) -> MultiMap:
-    """mm o g^n; g has degree 0 so no crossing signs arise."""
-    return tensor_compose(mm, [g] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +535,12 @@ class LInfKernelCache:
                 outer = self.brackets.get(len(blocks)) if len(blocks) >= 2 else None
                 if outer is not None:
                     profile = tuple(len(b) for b in blocks)
-                    perm = tuple(i for b in blocks for i in b)
-                    factor = _linf_profile_sign(profile) * antisym_sign(perm, degs)
-                    self._expand(acc, outer, tuple(blocks), T, degs, factor)
+                    maps = [None if len(b) == 1 else self.hp[len(b)] for b in blocks]
+                    vectors, sign = block_vectors(maps, T, degs, blocks)
+                    if sign:
+                        perm = tuple(i for b in blocks for i in b)
+                        sign *= _linf_profile_sign(profile) * antisym_sign(perm, degs)
+                        contract(outer, vectors, acc, sign)
                 return
             if len(blocks) == self._max_blocks:
                 return
@@ -569,40 +559,6 @@ class LInfKernelCache:
 
         grow(tuple(range(len(T))))
         return acc
-
-    def _expand(self, acc, outer, partition, T, degs, factor) -> None:
-        blocks = list(partition)
-
-        def rec(t: int, mids: tuple[str, ...], coef, odd_prefix: int):
-            if t == len(blocks):
-                row, s0 = outer.get_ref(mids)
-                if row is None:
-                    return
-                for lab, c in row.items():
-                    total = acc.get(lab, 0) + coef * s0 * c
-                    if total:
-                        acc[lab] = total
-                    else:
-                        acc.pop(lab, None)
-                return
-            block = blocks[t]
-            size = len(block)
-            labels = tuple(T[i] for i in block)
-            block_odd = sum(degs[i] for i in block) % 2
-            if size == 1:
-                rec(t + 1, mids + labels, coef, odd_prefix + block_odd)
-                return
-            inner = self.hp.get(size)
-            if inner is None:
-                return
-            row, s0 = inner.get_ref(labels)
-            if row is None:
-                return
-            sign = -1 if ((1 + size) % 2 and odd_prefix % 2) else 1
-            for mid, c in row.items():
-                rec(t + 1, mids + (mid,), coef * sign * s0 * c, odd_prefix + block_odd)
-
-        rec(0, (), factor, 0)
 
 
 @dataclass
@@ -637,25 +593,7 @@ def transfer_linf(
         ln = MultiMap(small, small, n, 2 - n, "antisym")
         sums = {d - (2 - n) for d in small.degrees()}
         for S in iter_sorted_tuples(small, n, sums):
-            vecs = [diagram.g.get((s,)) for s in S]
-            acc: dict[str, Fraction] = {}
-
-            def rec(t: int, labels: tuple[str, ...], coef):
-                if t == n:
-                    row, s0 = p_n.get_ref(labels)
-                    if row is None:
-                        return
-                    for lab, c in row.items():
-                        out = acc.get(lab, 0) + coef * s0 * c
-                        if out:
-                            acc[lab] = out
-                        else:
-                            acc.pop(lab, None)
-                    return
-                for lab, c in vecs[t].items():
-                    rec(t + 1, labels + (lab,), coef * c)
-
-            rec(0, (), Fraction(1))
+            acc = contract(p_n, [diagram.g.get((s,)) for s in S], {})
             for big_lab, c in acc.items():
                 for out_lab, c2 in diagram.f.get((big_lab,)).items():
                     ln.add(S, out_lab, c * c2)

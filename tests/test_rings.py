@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hse import linalg
 from hse.rings import (
     CoefRing,
-    DualElement,
     Ideal,
     RATIONALS,
     RingError,
@@ -54,19 +53,6 @@ def test_element_string_roundtrip():
     f = R.element({(2, 0): Fraction(1, 2), (1, 1): Fraction(-3), (0, 0): Fraction(4)})
     assert parse_element(R, str(f)) == f
     assert parse_element(R, "0") == R.zero
-
-
-def test_dual_element_eval_and_d():
-    R = eps_ring(3)
-    e = R.gen(0)
-    # z = (1 + t^2 e) + (t e) dt
-    z = DualElement(R, {0: R.one, 2: e}, {1: e})
-    assert z.evaluate(Fraction(1)) == R.one + e
-    dz = z.d()
-    assert dz.p == {}
-    assert dz.q == {1: e * 2}
-    # d^2 = 0
-    assert not dz.d().q and not dz.d().p
 
 
 def test_minors_zero_and_identity():

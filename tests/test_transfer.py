@@ -416,6 +416,42 @@ class ExhaustiveLInfKernelCache(LInfKernelCache):
         self.p[n] = p_n
         self.hp[n] = postcompose(self.diagram.h, p_n)
 
+    def _expand(self, acc, outer, partition, T, degs, factor) -> None:
+        """The hand-written tree evaluation the kernel had before it moved
+        onto ``multimap.contract``."""
+        blocks = list(partition)
+
+        def rec(t: int, mids: tuple[str, ...], coef, odd_prefix: int):
+            if t == len(blocks):
+                row, s0 = outer.get_ref(mids)
+                if row is None:
+                    return
+                for lab, c in row.items():
+                    total = acc.get(lab, 0) + coef * s0 * c
+                    if total:
+                        acc[lab] = total
+                    else:
+                        acc.pop(lab, None)
+                return
+            block = blocks[t]
+            size = len(block)
+            labels = tuple(T[i] for i in block)
+            block_odd = sum(degs[i] for i in block) % 2
+            if size == 1:
+                rec(t + 1, mids + labels, coef, odd_prefix + block_odd)
+                return
+            inner = self.hp.get(size)
+            if inner is None:
+                return
+            row, s0 = inner.get_ref(labels)
+            if row is None:
+                return
+            sign = -1 if ((1 + size) % 2 and odd_prefix % 2) else 1
+            for mid, c in row.items():
+                rec(t + 1, mids + (mid,), coef * sign * s0 * c, odd_prefix + block_odd)
+
+        rec(0, (), factor, 0)
+
 
 def _pair_kernel_inputs(pair):
     """The diagram and brackets transfer_pair feeds its L-infinity kernel."""
