@@ -3,7 +3,8 @@
 Runs every subcommand on each applicable package in fixtures/, with the two
 MC elements in tests/golden/ for mc-check, twist and jump-ideal.  Jump
 ideals run at (i, k) = (1, 2), where they are neither zero nor the unit
-ideal; the other (i, k) commands run at (1, 1).  Every case goes through
+ideal; the other (i, k) commands run at (1, 1).  Two perturbed packages in
+tests/golden/ give failing ``check`` reports (exit 1).  Every case goes through
 ``hse.cli.main`` from the repository root with relative paths, because a
 report's ``config_hash`` hashes argv.
 Each case's exit code and argv go to tests/golden/manifest.json and its
@@ -29,6 +30,10 @@ GOLDEN = ROOT / "tests" / "golden"
 AINF = ("heisenberg", "torus2")
 PAIRS = ("heisenberg-pair", "heisenberg-pair-weighted")
 MC_FILES = ("mc-e", "mc-m")
+# Packages in tests/golden/ with one coefficient changed (nu_2(1, x) of
+# heisenberg, the action m_2(a.1, m.x) of heisenberg-pair), so that their
+# checks fail and the report pins every violation and its order.
+PERTURBED = ("perturbed-heisenberg", "perturbed-heisenberg-pair")
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -64,6 +69,8 @@ def cases() -> list[tuple[str, list[str]]]:
                 "--mc", mc_path)
     add("resonance-exact-heisenberg-pair-weighted", "resonance",
         "fixtures/heisenberg-pair-weighted.json", "--i", "1", "--k", "1", "--exact")
+    for pkg in PERTURBED:
+        add(f"check-{pkg}", "check", f"tests/golden/{pkg}.json")
     return out
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 from . import io_json
 from .deformation import (
     DeformationError,
-    def_ik_membership,
     jump_ideal_pair,
     mc_check,
     tangent_space,
@@ -49,7 +48,6 @@ from .structures import (
 )
 from .transfer import (
     TransferError,
-    arity_vacuity_bound,
     cohomology_splitting,
     transfer_ainf,
     transfer_pair,

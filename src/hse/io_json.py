@@ -28,7 +28,6 @@ from .multimap import SYMMETRIES, MultiMap
 from .scalars import format_scalar, parse_scalar
 from .structures import (
     AInfAlgebra,
-    InfMorphism,
     LInfAlgebra,
     LInfModule,
     LInfPair,

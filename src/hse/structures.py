@@ -2,9 +2,16 @@
 identity checkers.
 
 Structure maps are stored sparsely with finite arity support; an absent
-arity is the zero map.  Checkers evaluate the defining identities exactly on
-every basis tuple whose output degree is populated, and report the full
-violation list (sign debugging needs more than a boolean).
+arity is the zero map.  Checkers evaluate the defining identities exactly
+and report the full violation list (sign debugging needs more than a
+boolean).  A term of an identity is nonzero only when each map it reads has
+a stored row at its inputs, so a tuple with a nonzero residual is reached
+from the stored keys: an outer key with one slot replaced by an inner key
+producing that slot's label, or a morphism's target key with every slot
+replaced by a component key producing it.  The checkers evaluate exactly
+those candidates that lie in the degree window (output degree populated),
+in basis order, and a residual anywhere else is identically zero; the
+violation lists are those of a scan over every basis tuple in the window.
 
 The antisymmetric convention throughout is signature times Koszul sign
 (``signs.antisym_sign``).  Under the pure-Koszul reading of the sign chi the
@@ -162,35 +169,6 @@ class InfMorphism:
 
 # ---------------------------------------------------------------------------
 # tuple enumeration
-
-def _feasible_sums(space: GradedSpace, arity: int, shift: int) -> set[int]:
-    """Input degree totals whose identity output degree is populated."""
-    return {d - shift for d in space.degrees()}
-
-
-def iter_tuples(space: GradedSpace, arity: int, sums: set[int]):
-    """All label tuples with total degree in sums, degree-pruned."""
-    elements = space.elements
-    if not elements or not sums:
-        return
-    degs = sorted({e.deg for e in elements})
-    dmin, dmax = degs[0], degs[-1]
-    smin, smax = min(sums), max(sums)
-    labels = [(e.label, e.deg) for e in elements]
-
-    def rec(slot: int, prefix: tuple[str, ...], total: int):
-        remaining = arity - slot
-        if remaining == 0:
-            if total in sums:
-                yield prefix
-            return
-        if total + remaining * dmin > smax or total + remaining * dmax < smin:
-            return
-        for lab, d in labels:
-            yield from rec(slot + 1, prefix + (lab,), total + d)
-
-    yield from rec(0, (), 0)
-
 
 def iter_sorted_tuples(space: GradedSpace, arity: int, sums: set[int]):
     """Nondecreasing tuples (by basis order), skipping repeated even labels.
@@ -441,87 +419,192 @@ def _module_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# candidate tuples
+#
+# A residual term is nonzero only when every map it reads has a stored row
+# at its inputs.  A left-hand-side term outer(1 x inner x 1) at T reads a
+# stored key K of the outer map whose slot p holds a label produced by a
+# stored key I of the inner map, so T is K with slot p replaced by I.  A
+# morphism right-hand side target(f x ... x f) at T reads a stored key K of
+# the target map and, per slot t, a stored key J_t of a component whose row
+# holds K[t], so T is J_1 + ... + J_k.  In the antisymmetric slots the
+# candidate is sorted into basis order.  Every tuple where a residual is
+# nonzero is a candidate; the checkers evaluate the residual only there.
+
+def _producers(maps: dict[int, MultiMap]) -> dict[str, list[tuple[str, ...]]]:
+    """Output label -> the stored keys (of every arity) whose row holds it."""
+    index: dict[str, list[tuple[str, ...]]] = {}
+    for m in maps.values():
+        for key, row in m.table.items():
+            for lab in row:
+                index.setdefault(lab, []).append(key)
+    return index
+
+
+def _sorted_in(space: GradedSpace):
+    index = space.order_index
+    return lambda T: tuple(sorted(T, key=index))
+
+
+def _sorted_head_in(space: GradedSpace):
+    """Module tuples: the algebra slots sorted, the module slot kept last."""
+    index = space.order_index
+    return lambda T: tuple(sorted(T[:-1], key=index)) + T[-1:]
+
+
+def _splice(found: dict, outer: dict[int, MultiMap], inner: dict, last: dict,
+            max_arity: int, canon) -> None:
+    """Add canon(K[:p] + I + K[p+1:]) for each stored key K of an outer map,
+    slot p and key I producing K[p], taken from ``last`` for the final slot
+    and from ``inner`` for the others."""
+    for m in outer.values():
+        for K in m.table:
+            end = len(K) - 1
+            for p, mid in enumerate(K):
+                for I in (last if p == end else inner).get(mid, ()):
+                    n = end + len(I)
+                    if n <= max_arity:
+                        found.setdefault(n, set()).add(canon(K[:p] + I + K[p + 1:]))
+
+
+def _concatenate(found: dict, target: dict[int, MultiMap], producers: dict,
+                 max_arity: int, canon) -> None:
+    """Add canon(J_1 + ... + J_k) for each stored key K of a target map and
+    keys J_t producing K[t]."""
+    for m in target.values():
+        for K in m.table:
+            slots = [producers.get(mid) for mid in K]
+            if not all(slots):
+                continue
+            k = len(K)
+
+            def rec(t: int, chunks: tuple[str, ...], room: int) -> None:
+                if t == k:
+                    found.setdefault(max_arity - room, set()).add(canon(chunks))
+                    return
+                for J in slots[t]:
+                    if len(J) <= room - (k - 1 - t):
+                        rec(t + 1, chunks + J, room - len(J))
+
+            rec(0, (), max_arity)
+
+
+def _repeats_even(T: tuple[str, ...], deg: dict[str, int]) -> bool:
+    return any(a == b and deg[a] % 2 == 0 for a, b in zip(T, T[1:]))
+
+
+def _window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
+            space: GradedSpace, antisym: bool):
+    """(n, T) for the candidates a scan of space would visit, in its order.
+
+    The window: the total input degree plus base - n is a degree of
+    out_space, and with antisymmetric slots no even label repeats.  Within
+    an arity the tuples come in basis order.
+    """
+    deg = {e.label: e.deg for e in space.elements}
+    index = space.order_index
+    out_degs = out_space.degrees()
+    for n in range(1, max_arity + 1):
+        sums = {d - (base - n) for d in out_degs}
+        kept = [T for T in found.get(n, ())
+                if all(l in deg for l in T) and sum(deg[l] for l in T) in sums
+                and not (antisym and _repeats_even(T, deg))]
+        kept.sort(key=lambda T: [index(l) for l in T])
+        for T in kept:
+            yield n, T
+
+
+def _module_window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
+                   module: LInfModule):
+    """``_window`` for tuples (algebra..., module-last) of a module: ordered
+    by the module label, then by the algebra labels; at arity one every
+    module label is visited."""
+    alg = {e.label: e.deg for e in module.algebra.space.elements}
+    mod = {e.label: e.deg for e in module.space.elements}
+    index = module.combined.order_index
+    out_degs = out_space.degrees()
+    for n in range(1, max_arity + 1):
+        sums = {d - (base - n) for d in out_degs}
+        kept = []
+        for T in found.get(n, ()):
+            head, xi = T[:-1], T[-1]
+            if xi not in mod or not all(l in alg for l in head):
+                continue
+            if n > 1 and (sum(alg[l] for l in head) + mod[xi] not in sums
+                          or _repeats_even(head, alg)):
+                continue
+            kept.append(T)
+        kept.sort(key=lambda T: (index(T[-1]), [index(l) for l in T[:-1]]))
+        for T in kept:
+            yield n, T
+
+
+# ---------------------------------------------------------------------------
 # checkers
 
-def stasheff_check(alg: AInfAlgebra, max_arity: int) -> CheckReport:
+def _report(name: str, max_arity: int, visits, residual) -> CheckReport:
     violations = []
-    for n in range(1, max_arity + 1):
-        sums = _feasible_sums(alg.space, n, 3 - n)
-        for T in iter_tuples(alg.space, n, sums):
-            res = stasheff_residual(alg.products, alg.space, T)
-            if res:
-                violations.append(Violation(n, T, res))
-    return CheckReport("stasheff", not violations, max_arity, tuple(violations))
+    for n, T in visits:
+        res = residual(T)
+        if res:
+            violations.append(Violation(n, T, res))
+    return CheckReport(name, not violations, max_arity, tuple(violations))
+
+
+def stasheff_check(alg: AInfAlgebra, max_arity: int) -> CheckReport:
+    found: dict = {}
+    products = _producers(alg.products)
+    _splice(found, alg.products, products, products, max_arity, tuple)
+    visits = _window(found, max_arity, 3, alg.space, alg.space, False)
+    return _report("stasheff", max_arity, visits,
+                   lambda T: stasheff_residual(alg.products, alg.space, T))
 
 
 def jacobi_check(alg: LInfAlgebra, max_arity: int) -> CheckReport:
-    violations = []
-    for n in range(1, max_arity + 1):
-        sums = _feasible_sums(alg.space, n, 3 - n)
-        for T in iter_sorted_tuples(alg.space, n, sums):
-            res = jacobi_residual(alg.brackets, alg.space, T)
-            if res:
-                violations.append(Violation(n, T, res))
-    return CheckReport("jacobi", not violations, max_arity, tuple(violations))
+    found: dict = {}
+    brackets = _producers(alg.brackets)
+    _splice(found, alg.brackets, brackets, brackets, max_arity, _sorted_in(alg.space))
+    visits = _window(found, max_arity, 3, alg.space, alg.space, True)
+    return _report("jacobi", max_arity, visits,
+                   lambda T: jacobi_residual(alg.brackets, alg.space, T))
 
 
 def module_check(module: LInfModule, max_arity: int) -> CheckReport:
-    violations = []
-    alg_space = module.algebra.space
-    for n in range(1, max_arity + 1):
-        out_degs = set(module.space.degrees())
-        for xi in module.space.elements:
-            sums = {d - (3 - n) - xi.deg for d in out_degs}
-            if n == 1:
-                T = (xi.label,)
-                res = module_residual(module, T)
-                if res:
-                    violations.append(Violation(n, T, res))
-                continue
-            for Ta in iter_sorted_tuples(alg_space, n - 1, sums):
-                T = Ta + (xi.label,)
-                res = module_residual(module, T)
-                if res:
-                    violations.append(Violation(n, T, res))
-    return CheckReport("module", not violations, max_arity, tuple(violations))
+    found: dict = {}
+    _splice(found, module.actions, _producers(module.algebra.brackets),
+            _producers(module.actions), max_arity, _sorted_head_in(module.combined))
+    visits = _module_window(found, max_arity, 3, module.space, module)
+    return _report("module", max_arity, visits, lambda T: module_residual(module, T))
 
 
 def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:
-    violations = []
+    found: dict = {}
+    components = _producers(mor.components)
+    src, tgt = mor.source, mor.target
     if mor.kind == "ainf":
-        space = mor.source.space
-        residual = lambda T: _ainf_morphism_residual(mor, T)
-        iterator = lambda n, sums: iter_tuples(space, n, sums)
-        tgt_space = mor.target.space
+        products = _producers(src.products)
+        _splice(found, mor.components, products, products, max_arity, tuple)
+        _concatenate(found, tgt.products, components, max_arity, tuple)
+        visits = _window(found, max_arity, 2, tgt.space, src.space, False)
+        residual = _ainf_morphism_residual
     elif mor.kind == "linf":
-        space = mor.source.space
-        residual = lambda T: _linf_morphism_residual(mor, T)
-        iterator = lambda n, sums: iter_sorted_tuples(space, n, sums)
-        tgt_space = mor.target.space
+        canon = _sorted_in(src.space)
+        brackets = _producers(src.brackets)
+        _splice(found, mor.components, brackets, brackets, max_arity, canon)
+        _concatenate(found, tgt.brackets, components, max_arity, canon)
+        visits = _window(found, max_arity, 2, tgt.space, src.space, True)
+        residual = _linf_morphism_residual
     else:
-        src: LInfModule = mor.source
-        if src.algebra is not mor.target.algebra:
+        if src.algebra is not tgt.algebra:
             raise StructureError("module morphism endpoints must share the algebra")
-        space = src.combined
-        tgt_space = mor.target.space
-        residual = lambda T: _module_morphism_residual(mor, T)
-
-        def iterator(n, sums):
-            for xi in src.space.elements:
-                if n == 1:
-                    yield (xi.label,)
-                    continue
-                sub = {s - xi.deg for s in sums}
-                for Ta in iter_sorted_tuples(src.algebra.space, n - 1, sub):
-                    yield Ta + (xi.label,)
-
-    for n in range(1, max_arity + 1):
-        sums = {d - (2 - n) for d in tgt_space.degrees()}
-        for T in iterator(n, sums):
-            res = residual(T)
-            if res:
-                violations.append(Violation(n, T, res))
-    return CheckReport(f"morphism-{mor.kind}", not violations, max_arity, tuple(violations))
+        canon = _sorted_head_in(src.combined)
+        _splice(found, mor.components, _producers(src.algebra.brackets),
+                _producers(src.actions), max_arity, canon)
+        # the right side m'(1 x ... x 1 x g): a g key fills the module slot
+        _splice(found, tgt.actions, {}, components, max_arity, canon)
+        visits = _module_window(found, max_arity, 2, tgt.space, src)
+        residual = _module_morphism_residual
+    return _report(f"morphism-{mor.kind}", max_arity, visits, lambda T: residual(mor, T))
 
 
 # ---------------------------------------------------------------------------

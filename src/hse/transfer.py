@@ -46,10 +46,8 @@ from .structures import (
     CheckReport,
     InfMorphism,
     LInfAlgebra,
-    LInfModule,
     LInfPair,
     PairEmbedding,
-    StructureError,
     algebra_to_module,
     iter_sorted_tuples,
     jacobi_check,

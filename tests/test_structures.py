@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from hse.fixtures import (
 )
 from hse import structures
 from hse.grading import BasisElement, GradedSpace
+from hse.io_json import parse_structure
 from hse.multimap import MultiMap
 from hse.signs import antisym_sign, compositions as _compositions, unshuffles
 from hse.structures import (
@@ -34,7 +37,7 @@ from hse.structures import (
     pair_to_algebra,
     stasheff_check,
 )
-from hse.transfer import cohomology_splitting, transfer_ainf
+from hse.transfer import cohomology_splitting, transfer_ainf, transfer_pair
 
 
 def test_heisenberg_dims():
@@ -727,3 +730,187 @@ def test_module_morphism_residual_matches_reference(monkeypatch):
         seen += _compare(monkeypatch, "_module_morphism_residual",
                          ref_module_morphism_residual, lambda: morphism_check(bad, 3))
     assert seen and any(seen) and not all(seen)
+
+
+# ---------------------------------------------------------------------------
+# support-driven checkers against the exhaustive scans they replaced
+#
+# The checkers evaluate a residual only at tuples that some stored key
+# reaches.  The reference below is the scan they replaced: the residual at
+# every degree-feasible tuple (every tuple for A-infinity, sorted tuples
+# for L-infinity, sorted algebra tuples with the module label last for
+# modules).  Both must give equal reports, every violation in order.
+
+def iter_tuples(space: GradedSpace, arity: int, sums: set[int]):
+    """All label tuples with total degree in sums, degree-pruned."""
+    elements = space.elements
+    if not elements or not sums:
+        return
+    degs = sorted({e.deg for e in elements})
+    dmin, dmax = degs[0], degs[-1]
+    smin, smax = min(sums), max(sums)
+    labels = [(e.label, e.deg) for e in elements]
+
+    def rec(slot: int, prefix: tuple[str, ...], total: int):
+        remaining = arity - slot
+        if remaining == 0:
+            if total in sums:
+                yield prefix
+            return
+        if total + remaining * dmin > smax or total + remaining * dmax < smin:
+            return
+        for lab, d in labels:
+            yield from rec(slot + 1, prefix + (lab,), total + d)
+
+    yield from rec(0, (), 0)
+
+
+def _scan(name, max_arity, tuples, residual):
+    violations = []
+    for n in range(1, max_arity + 1):
+        for T in tuples(n):
+            res = residual(T)
+            if res:
+                violations.append(structures.Violation(n, T, res))
+    return structures.CheckReport(name, not violations, max_arity, tuple(violations))
+
+
+def _module_tuples(module: LInfModule, n: int, sums: set[int]):
+    for xi in module.space.elements:
+        if n == 1:
+            yield (xi.label,)
+            continue
+        sub = {s - xi.deg for s in sums}
+        for Ta in structures.iter_sorted_tuples(module.algebra.space, n - 1, sub):
+            yield Ta + (xi.label,)
+
+
+def _window_sums(space: GradedSpace, shift: int) -> set[int]:
+    return {d - shift for d in space.degrees()}
+
+
+def ref_stasheff_check(alg: AInfAlgebra, max_arity: int):
+    return _scan("stasheff", max_arity,
+                 lambda n: iter_tuples(alg.space, n, _window_sums(alg.space, 3 - n)),
+                 lambda T: structures.stasheff_residual(alg.products, alg.space, T))
+
+
+def ref_jacobi_check(alg: LInfAlgebra, max_arity: int):
+    return _scan("jacobi", max_arity,
+                 lambda n: structures.iter_sorted_tuples(
+                     alg.space, n, _window_sums(alg.space, 3 - n)),
+                 lambda T: structures.jacobi_residual(alg.brackets, alg.space, T))
+
+
+def ref_module_check(module: LInfModule, max_arity: int):
+    return _scan("module", max_arity,
+                 lambda n: _module_tuples(module, n, _window_sums(module.space, 3 - n)),
+                 lambda T: structures.module_residual(module, T))
+
+
+def ref_morphism_check(mor: InfMorphism, max_arity: int):
+    sums = lambda n: _window_sums(mor.target.space, 2 - n)
+    if mor.kind == "ainf":
+        tuples = lambda n: iter_tuples(mor.source.space, n, sums(n))
+        residual = structures._ainf_morphism_residual
+    elif mor.kind == "linf":
+        tuples = lambda n: structures.iter_sorted_tuples(mor.source.space, n, sums(n))
+        residual = structures._linf_morphism_residual
+    else:
+        tuples = lambda n: _module_tuples(mor.source, n, sums(n))
+        residual = structures._module_morphism_residual
+    return _scan(f"morphism-{mor.kind}", max_arity, tuples, lambda T: residual(mor, T))
+
+
+def _perturbed_algebra(alg, rng):
+    maps = alg.products if isinstance(alg, AInfAlgebra) else alg.brackets
+    k = max(maps)
+    return type(alg)(alg.space, {**maps, k: _perturbed(maps[k], rng)})
+
+
+def _perturbed_module(mod: LInfModule, rng) -> LInfModule:
+    k = max(mod.actions)
+    return LInfModule(mod.algebra, mod.space, {**mod.actions, k: _perturbed(mod.actions[k], rng)})
+
+
+def _perturbed_morphism(mor: InfMorphism, rng) -> InfMorphism:
+    k = rng.choice(sorted(mor.components))
+    comps = {**mor.components, k: _perturbed(mor.components[k], rng)}
+    return InfMorphism(mor.kind, mor.source, mor.target, comps)
+
+
+def _golden_package(name: str):
+    path = Path(__file__).resolve().parent.parent / "fixtures" / name
+    return parse_structure(json.loads(path.read_text(encoding="utf-8")))
+
+
+def _differential_cases():
+    """(label, kind, structure, max arity, fast checker, reference checker),
+    each input once as built and once with one perturbed coefficient."""
+    cdgas = [(f"random{s}", random_cdga(s)) for s in range(3)]
+    cdgas.append(("exterior3", exterior_cdga(3)))
+    pairs = [(label, cdga_pair(alg)) for label, alg in cdgas]
+    pairs += [(name, _golden_package(f"{name}.json"))
+              for name in ("heisenberg-pair", "heisenberg-pair-weighted")]
+    pairs.append(("heisenberg-pair-a3", transfer_pair(pairs[-2][1], 3).pair))
+    cases = []
+    rng = random.Random(5)
+
+    def add(label, kind, obj, arity, fast, ref, perturb):
+        cases.append((label, kind, obj, arity, fast, ref))
+        cases.append((label + "-perturbed", kind, perturb(obj, rng), arity, fast, ref))
+
+    for label, alg in cdgas + [("heisenberg", heisenberg_cdga())]:
+        ainf = alg.ainf()
+        add(label, "stasheff", ainf, 4, stasheff_check, ref_stasheff_check, _perturbed_algebra)
+        res = transfer_ainf(cohomology_splitting(alg.space, alg.differential_map()), ainf, 3)
+        add(label + "-transferred", "stasheff", res.algebra, 4, stasheff_check,
+            ref_stasheff_check, _perturbed_algebra)
+        for name, mor in (("phi", res.phi), ("psi", res.psi)):
+            add(f"{label}-{name}", "ainf", mor, 3, morphism_check, ref_morphism_check,
+                _perturbed_morphism)
+        src_l, tgt_l = antisymmetrize(ainf), antisymmetrize(res.algebra)
+        for name, mor, ends in (("phi", res.phi, (src_l, tgt_l)), ("psi", res.psi, (tgt_l, src_l))):
+            add(f"{label}-{name}", "linf", antisymmetrize_morphism(mor, *ends), 3,
+                morphism_check, ref_morphism_check, _perturbed_morphism)
+    for label, pair in pairs:
+        combined = pair_to_algebra(pair)[0]
+        for name, alg in (("algebra", pair.algebra), ("combined", combined)):
+            if alg.brackets:
+                add(f"{label}-{name}", "jacobi", alg, 4, jacobi_check, ref_jacobi_check,
+                    _perturbed_algebra)
+        add(label, "module", pair.module, 4, module_check, ref_module_check, _perturbed_module)
+        space, mod = combined.space, pair.module
+        ident = MultiMap(space, space, 1, 0, "antisym")
+        for e in space.elements:
+            ident.add((e.label,), e.label, Fraction(1))
+        add(label + "-identity", "linf", InfMorphism("linf", combined, combined, {1: ident}),
+            3, morphism_check, ref_morphism_check, _perturbed_morphism)
+        ident = MultiMap(mod.combined, mod.space, 1, 0)
+        for e in mod.space.elements:
+            ident.add((e.label,), e.label, Fraction(1))
+        add(label + "-identity", "module-morphism", InfMorphism("module", mod, mod, {1: ident}),
+            3, morphism_check, ref_morphism_check, _perturbed_morphism)
+        f = {1: _identity_like(space, space, "antisym", rng),
+             2: _random_component(rng, space, space, 2, "antisym", _sorted_keys(rng, space, 2))}
+        add(label + "-combined", "linf", InfMorphism("linf", combined, combined, f), 3,
+            morphism_check, ref_morphism_check, _perturbed_morphism)
+        keys = [head + (xi,) for xi in mod.space.labels()
+                for head in _sorted_keys(rng, pair.algebra.space, 1)[:2]]
+        g = {1: _identity_like(mod.combined, mod.space, "none", rng),
+             2: _random_component(rng, mod.combined, mod.space, 2, "antisym_algebra", keys)}
+        add(label, "module-morphism", InfMorphism("module", mod, mod, g), 3,
+            morphism_check, ref_morphism_check, _perturbed_morphism)
+    return cases
+
+
+def test_support_driven_checkers_match_exhaustive_scan():
+    violated = {}
+    for label, kind, obj, arity, fast, ref in _differential_cases():
+        got, want = fast(obj, arity).to_json(), ref(obj, arity).to_json()
+        assert got == want, (kind, label)
+        violated[kind] = violated.get(kind, 0) + len(want["violations"])
+    # every kind fails somewhere, so equal reports are not equal empty lists
+    assert sorted(violated) == sorted(
+        ["stasheff", "jacobi", "module", "ainf", "linf", "module-morphism"])
+    assert all(violated.values()), violated
