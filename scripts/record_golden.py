@@ -4,7 +4,8 @@ Runs every subcommand on each applicable package in fixtures/, with the two
 MC elements in tests/golden/ for mc-check, twist and jump-ideal.  Jump
 ideals run at (i, k) = (1, 2), where they are neither zero nor the unit
 ideal; the other (i, k) commands run at (1, 1).  Two perturbed packages in
-tests/golden/ give failing ``check`` reports (exit 1).  Every case goes through
+tests/golden/ give failing ``check`` reports (exit 1), and two dglas there give
+``twist`` reports with non-abelian brackets.  Every case goes through
 ``hse.cli.main`` from the repository root with relative paths, because a
 report's ``config_hash`` hashes argv.
 Each case's exit code and argv go to tests/golden/manifest.json and its
@@ -34,6 +35,10 @@ MC_FILES = ("mc-e", "mc-m")
 # heisenberg, the action m_2(a.1, m.x) of heisenberg-pair), so that their
 # checks fail and the report pins every violation and its order.
 PERTURBED = ("perturbed-heisenberg", "perturbed-heisenberg-pair")
+# linf packages in tests/golden/ (fixtures.solvable_dgla and
+# fixtures.affine_plane_dgla) with an MC element over Q[e]/(e^4) each: their
+# degree-0 parts act, so ``twist`` pins a non-abelian twist_brackets.
+DGLAS = (("solvable-dgla", "mc-solvable"), ("affine-plane-dgla", "mc-affine-plane"))
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -71,6 +76,9 @@ def cases() -> list[tuple[str, list[str]]]:
         "fixtures/heisenberg-pair-weighted.json", "--i", "1", "--k", "1", "--exact")
     for pkg in PERTURBED:
         add(f"check-{pkg}", "check", f"tests/golden/{pkg}.json")
+    for pkg, mc in DGLAS:
+        add(f"twist-{pkg}", "twist", f"tests/golden/{pkg}.json",
+            "--mc", f"tests/golden/{mc}.json")
     return out
 
 

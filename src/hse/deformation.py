@@ -5,7 +5,10 @@ Zariski tangent-space computation for the jump functors.
 All sums of the shape sum_n (1/n!) map_n(omega, ..., omega, -) are finite:
 the entries of omega lie in the maximal ideal, so nilpotency bounds the
 range, and the structure maps have finite arity support anyway.  The bound
-is computed up front, never guessed.
+is computed up front, never guessed.  Each sum is driven by the stored keys
+of the structure maps (``multimap.contract_power``): a tail T receives a
+term only from a stored key holding T and i labels of supp w, so no input
+tuple is enumerated.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from fractions import Fraction
 
 from . import linalg
 from .grading import GradedSpace
-from .multimap import MultiMap, evaluate_on_vectors
+from .multimap import MultiMap, contract_power, evaluate_on_vectors
 from .rings import CoefRing, Ideal, RingMatrix, block_diag, minors, RElem
 from .scalars import factorial_inverse
 from .structures import LInfAlgebra, LInfModule, LInfPair, pair_to_algebra
@@ -51,20 +54,17 @@ def _omega_power_bound(ring: CoefRing, cap: int) -> int:
 
 def mc_residual(alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem]) -> dict[str, RElem]:
     _check_mc_shape(alg, ring, omega)
-    bound = _omega_power_bound(ring, alg.max_arity())
-    acc: dict[str, RElem] = {}
-    for n in range(1, bound + 1):
-        ln = alg.brackets.get(n)
-        if ln is None:
-            continue
-        vec = evaluate_on_vectors(ln, [omega] * n)
-        inv = factorial_inverse(n)
-        for lab, v in vec.items():
-            total = acc.get(lab, ring.zero) + v * inv
-            if total:
-                acc[lab] = total
-            else:
-                acc.pop(lab, None)
+    return _twist_terms(alg.brackets, ring, omega, 0).get((), {})
+
+
+def _twist_terms(maps: dict[int, MultiMap], ring: CoefRing, omega: dict[str, RElem],
+                 n: int) -> dict[tuple, dict[str, RElem]]:
+    """sum_i (1/i!) maps[i + n](w^i, T) for every tail T of n slots."""
+    acc: dict[tuple, dict[str, RElem]] = {}
+    for i in range(0, _omega_power_bound(ring, max(maps, default=0) - n) + 1):
+        m_map = maps.get(i + n)
+        if m_map is not None:
+            contract_power(m_map, omega, i, acc, ring.one)
     return acc
 
 
@@ -81,41 +81,20 @@ def twist_brackets(
     omega: dict[str, RElem], symmetry: str = "antisym",
 ) -> dict[int, MultiMap]:
     """l^w_n = sum_i (1/i!) l_{i+n}(w^i, -): same basis, ring coefficients."""
-    if not brackets:
-        return {}
-    max_arity = max(brackets)
-    omega_vec = dict(omega)
     out: dict[int, MultiMap] = {}
-    from .structures import iter_sorted_tuples
-
-    for n in range(1, max_arity + 1):
-        table = MultiMap(space, space, n, 2 - n, symmetry)
-        any_entry = False
-        # every i-term has the same total degree: inputs + (2 - n)
-        sums = {d - (2 - n) for d in space.degrees()}
-        i_max = _omega_power_bound(ring, max_arity - n)
-        for T in iter_sorted_tuples(space, n, sums):
-            acc: dict[str, RElem] = {}
-            for i in range(0, i_max + 1):
-                li = brackets.get(i + n)
-                if li is None:
-                    continue
-                inv = factorial_inverse(i)
-                vecs = [omega_vec] * i + [{t: ring.one} for t in T]
-                res = evaluate_on_vectors(li, vecs)
-                for lab, v in res.items():
-                    total = acc.get(lab, ring.zero) + v * inv
-                    if total:
-                        acc[lab] = total
-                    else:
-                        acc.pop(lab, None)
-            for lab, v in acc.items():
-                if v:
-                    table.add(T, lab, v)
-                    any_entry = True
-        if any_entry:
+    for n in range(1, max(brackets, default=0) + 1):
+        acc = _twist_terms(brackets, ring, omega, n)
+        table = _table_from(acc, MultiMap(space, space, n, 2 - n, symmetry))
+        if not table.is_zero():
             out[n] = table
     return out
+
+
+def _table_from(acc: dict[tuple, dict[str, RElem]], table: MultiMap) -> MultiMap:
+    for T, vec in acc.items():
+        for lab, v in vec.items():
+            table.add(T, lab, v)
+    return table
 
 
 def twist_algebra(
@@ -168,34 +147,18 @@ def twisted_differential(
     module: LInfModule, ring: CoefRing, omega: dict[str, RElem]
 ) -> TwistedComplex:
     """d_w(xi) = sum_n (1/n!) m_{n+1}(w^n, xi) as matrices per degree."""
-    space = module.space
-    max_arity = max(module.actions, default=0)
-    n_max = _omega_power_bound(ring, max_arity - 1)
-    columns: dict[str, dict[str, RElem]] = {}
-    omega_vec = dict(omega)
-    for xi in space.elements:
-        acc: dict[str, RElem] = {}
-        for n in range(0, n_max + 1):
-            m_map = module.actions.get(n + 1)
-            if m_map is None:
-                continue
-            vecs = [omega_vec] * n + [{xi.label: ring.one}]
-            res = evaluate_on_vectors(m_map, vecs)
-            inv = factorial_inverse(n)
-            for lab, v in res.items():
-                total = acc.get(lab, ring.zero) + v * inv
-                if total:
-                    acc[lab] = total
-                else:
-                    acc.pop(lab, None)
-        columns[xi.label] = acc
+    return _complex_from(_twist_terms(module.actions, ring, omega, 1), module.space, ring)
+
+
+def _complex_from(columns: dict[tuple, dict[str, RElem]], space: GradedSpace,
+                  ring: CoefRing) -> TwistedComplex:
     matrices: dict[int, RingMatrix] = {}
     for i in space.degrees():
         rows = tuple(e.label for e in space.basis_of_degree(i + 1))
         cols = tuple(e.label for e in space.basis_of_degree(i))
         mat = RingMatrix(ring, rows, cols)
         for j, col in enumerate(cols):
-            for lab, v in columns[col].items():
+            for lab, v in columns.get((col,), {}).items():
                 if lab in rows:
                     mat.set(rows.index(lab), j, v)
                 elif v:
@@ -211,8 +174,9 @@ def twist_module(
     """Twisted module structure maps and the twisted complex (M (x) A, d_w).
 
     Verifies that (w, 0) is Maurer-Cartan in the pair algebra L (+) M, that
-    the extracted d_w is the restriction of the twisted differential of
-    L (+) M, and that d_w squares to zero.
+    d_w is the restriction to M of the twisted differential of L (+) M (read
+    off that algebra's own tables, where the module slot is one more label
+    to leave out), and that d_w squares to zero.
     """
     if verify:
         ok, res = mc_check(pair.algebra, ring, omega)
@@ -224,59 +188,23 @@ def twist_module(
             raise DeformationError("(omega, 0) fails Maurer-Cartan in L (+) M")
 
     module = pair.module
-    omega_vec = dict(omega)
     twisted: dict[int, MultiMap] = {}
-    from .structures import iter_sorted_tuples
-
-    max_arity = max(module.actions, default=0)
-    mod_degs = set(module.space.degrees())
-    for n in range(1, max_arity + 1):
+    columns: dict[tuple, dict[str, RElem]] = {}
+    for n in range(1, max(module.actions, default=0) + 1):
+        acc = _twist_terms(module.actions, ring, omega, n)
+        if n == 1:
+            columns = acc
         symmetry = "antisym_algebra" if n > 1 else "none"
-        table = MultiMap(module.combined, module.space, n, 2 - n, symmetry)
-        got = False
-        i_max = _omega_power_bound(ring, max_arity - n)
-        for xi in module.space.elements:
-            if n == 1:
-                heads = [()]
-            else:
-                # every i-term lands in degree sum(T) + 2 - n
-                sums = {d - (2 - n) - xi.deg for d in mod_degs}
-                heads = list(iter_sorted_tuples(pair.algebra.space, n - 1, sums))
-            for Ta in heads:
-                T = Ta + (xi.label,)
-                acc: dict[str, RElem] = {}
-                for i in range(0, i_max + 1):
-                    m_map = module.actions.get(i + n)
-                    if m_map is None:
-                        continue
-                    vecs = [omega_vec] * i + [{t: ring.one} for t in T]
-                    res = evaluate_on_vectors(m_map, vecs)
-                    inv = factorial_inverse(i)
-                    for lab, v in res.items():
-                        total = acc.get(lab, ring.zero) + v * inv
-                        if total:
-                            acc[lab] = total
-                        else:
-                            acc.pop(lab, None)
-                for lab, v in acc.items():
-                    if v:
-                        table.add(T, lab, v)
-                        got = True
-        if got:
+        table = _table_from(acc, MultiMap(module.combined, module.space, n, 2 - n, symmetry))
+        if not table.is_zero():
             twisted[n] = table
 
-    complex_ = twisted_differential(module, ring, omega)
+    complex_ = _complex_from(columns, module.space, ring)
     if verify:
-        m1 = twisted.get(1)
-        for i in complex_.space.degrees():
-            mat = complex_.matrix(i)
-            for j, col in enumerate(mat.cols):
-                expect = m1.get((col,)) if m1 is not None else {}
-                for r, row_lab in enumerate(mat.rows):
-                    got_val = mat.data[r][j]
-                    want = expect.get(row_lab, ring.zero)
-                    if got_val != want:
-                        raise DeformationError("twisted differential mismatch with m_1^w")
+        whole = _twist_terms(combined.brackets, ring, omega, 1)
+        for xi in module.space.labels():
+            if whole.get((xi,), {}) != columns.get((xi,), {}):
+                raise DeformationError("twisted differential mismatch with L (+) M")
         complex_.validate_square_zero()
     return twisted, complex_
 
@@ -389,7 +317,7 @@ def _witness_terms(alg: LInfAlgebra, ring: CoefRing, witness: HomotopyWitness):
     bound = _omega_power_bound(ring, alg.max_arity())
     tz = witness.t_part
     dz = witness.dt_part
-    even_acc: dict[str, TPoly] = {}
+    even_acc: dict[tuple, dict[str, TPoly]] = {}
     odd_acc: dict[str, TPoly] = {}
     zero_t = TPoly(ring)
 
@@ -404,18 +332,15 @@ def _witness_terms(alg: LInfAlgebra, ring: CoefRing, witness: HomotopyWitness):
         ln = alg.brackets.get(n)
         if ln is None:
             continue
+        contract_power(ln, tz, n, even_acc, TPoly.const(ring, ring.one))
         inv = factorial_inverse(n)
-        vecs_t = [tz] * n
-        res = evaluate_on_vectors(ln, vecs_t)
-        for lab, v in res.items():
-            bump(even_acc, lab, v * inv)
         for i in range(1, n + 1):
             vecs = [tz] * (i - 1) + [dz] + [tz] * (n - i)
             res = evaluate_on_vectors(ln, vecs)
             sign = -1 if (n - i) % 2 else 1
             for lab, v in res.items():
                 bump(odd_acc, lab, v * (inv * sign))
-    return even_acc, odd_acc
+    return even_acc.get((), {}), odd_acc
 
 
 def homotopy_witness_check(

@@ -9,6 +9,8 @@ is spent on asymptotics.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 Matrix = list[list[Fraction]]
 
@@ -61,9 +63,25 @@ def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(mat: Matrix) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return len(rref(mat)[1])
+    """Rank by Bareiss elimination on the rows scaled to integers: entries
+    stay (k+1)-minors, so dividing by the last pivot is exact (Sylvester)."""
+    rows = []
+    for row in mat:
+        den = reduce(lcm, (x.denominator for x in row), 1)
+        if any(row):
+            rows.append([x.numerator * (den // x.denominator) for x in row])
+    r, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top, p = rows[r], rows[r][c]
+        for k in range(r + 1, len(rows)):
+            q = rows[k][c]
+            rows[k] = [(p * x - q * y) // prev for x, y in zip(rows[k], top)]
+        prev, r = p, r + 1
+    return r
 
 
 def kernel_basis(mat: Matrix, cols: int | None = None) -> list[list[Fraction]]:

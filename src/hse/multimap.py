@@ -30,11 +30,24 @@ applies the Koszul crossing rule: a map of odd shift passing inputs of odd
 total degree in the earlier blocks contributes -1.  ``tensor_compose``
 stays table-driven: it composes whole tables by walking the outer map's
 stored keys, where an input-driven contraction would scan input tuples.
+
+Symmetric powers.  Twisting by a degree-1 element w needs
+sum_i (1/i!) m(w^i, T); ``contract_power`` reads it off the stored keys of
+m, never enumerating the |supp w|^i label tuples.  Odd labels commute
+under the antisymmetric sign ((-1)(-1) = +1), which is why they may repeat
+in a stored key K, and why the i!/prod_l mult_S(l)! orderings of the
+w-slots that give one sub-multiset S of K carry the same sign.  So S
+contributes sign * prod_{s in S} w[s] / prod_l mult_S(l)! * row_K, with
+(K, sign) = canonical(S + T): the multiplicity rule, applied only there.
+The sign is counted from the even labels each s passes, so no permuted
+key enters a map's canonicalization cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from math import factorial, prod
 
 from .grading import GradedSpace
 from .signs import sort_with_sign
@@ -343,6 +356,74 @@ def contract(mm: MultiMap, vectors: list[dict[str, object]], acc: dict, scale=1)
 
     rec(0, (), scale)
     return acc
+
+
+def contract_power(mm: MultiMap, w: dict[str, object], i: int, acc: dict, scale=1) -> dict:
+    """Add scale * (1/i!) mm(w, ..., w, T) into acc[T] for every tail T.
+
+    A tail is a stored key with i labels of supp w removed from its
+    antisymmetric part, in stored order (the module slot stays last); w must
+    sit on odd labels with even coefficients.  Each distinct sub-multiset
+    contributes by the multiplicity rule above.  Cancelled entries are dropped.
+    """
+    space = mm.space_in
+    w = {lab: c for lab, c in w.items() if c}
+    if i and (mm.symmetry == "none" or any(lab in space and space.deg(lab) % 2 == 0 for lab in w)):
+        raise ValueError("symmetric powers need an antisymmetric map and w on odd labels")
+    lead = 0 if i == 0 else mm.arity - (mm.symmetry == "antisym_algebra")
+    powers: dict[tuple[str, ...], object] = {}  # S -> scale * prod w[s] / prod mult_S(l)!
+    in_w = w.__contains__
+    for key, row in mm.table.items():
+        head = key[:lead]
+        if i == lead:  # the whole antisymmetric part is S, in stored order
+            choices = ((head, (), 1),) if all(map(in_w, head)) else ()
+        else:
+            choices = _sub_multisets(head, w, i, space.deg)
+        for S, rest, sign in choices:
+            base = powers.get(S)
+            if base is None:
+                base = powers[S] = _power(w, S, scale)
+            if not base:
+                continue
+            tail = rest + key[lead:]
+            coef = base if sign == 1 else -base
+            vec = acc.setdefault(tail, {})
+            for lab, c in row.items():
+                term = coef if c == 1 else coef * c
+                old = vec.get(lab)
+                total = term if old is None else old + term
+                if total:
+                    vec[lab] = total
+                else:
+                    vec.pop(lab, None)
+    return acc
+
+
+def _sub_multisets(head: tuple[str, ...], w: dict, i: int, deg) -> list[tuple[tuple, tuple, int]]:
+    """(S, rest, sign) for each distinct sub-multiset S of i labels of the
+    sorted head lying in supp w; rest is the head without S, in order, and
+    sign is that of canonical(S + rest): each odd s passing an even label
+    gives -1, passing an odd one +1."""
+    runs = [(lab, len(list(group))) for lab, group in groupby(head)]
+    cap = sum(cnt for lab, cnt in runs if lab in w)
+    # (S, rest, labels still to choose, crossings), choosing run by run
+    states = [((), (), i, 0)] if cap >= i else []
+    evens = 0
+    for lab, cnt in runs:
+        free = lab in w
+        cap -= cnt if free else 0
+        states = [(S + (lab,) * c, rest + (lab,) * (cnt - c), left - c, cross + c * evens)
+                  for S, rest, left, cross in states
+                  for c in range(max(0, left - cap), (min(cnt, left) if free else 0) + 1)]
+        evens += 0 if deg(lab) % 2 else cnt
+    return [(S, rest, -1 if cross % 2 else 1) for S, rest, _, cross in states]
+
+
+def _power(w: dict[str, object], S: tuple[str, ...], scale):
+    mult = prod(factorial(len(list(group))) for _, group in groupby(S))
+    for lab in S:
+        scale = scale * w[lab]
+    return scale * Fraction(1, mult) if mult > 1 else scale
 
 
 def block_vectors(maps: list[MultiMap | None], T: tuple[str, ...], degs: tuple[int, ...],

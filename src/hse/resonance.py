@@ -7,7 +7,9 @@ The universal element w = sum_j e_j (x) x_j pairs the degree-1 cohomology
 basis with polynomial variables; the universal differential interpolates
 every constant twisted differential, and evaluation at a rational point is
 kept as an independent exact rank oracle (it never goes through the
-possibly truncated matrices).
+possibly truncated matrices).  Both are stored-key sums
+(``multimap.contract_power``); the oracle walks each action's keys once per
+point.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ from fractions import Fraction
 
 from . import linalg
 from .grading import GradedSpace
-from .multimap import MultiMap, contract, evaluate_on_vectors
+from .multimap import MultiMap, contract_power, evaluate_on_vectors
 from .rings import CoefRing, Ideal, RingMatrix, block_diag, minors
-from .scalars import factorial_inverse
 from .structures import AInfAlgebra, LInfPair, module_check
 from .transfer import TransferError, cohomology_splitting, transfer_pair, vanishing_bound
 
@@ -105,22 +106,20 @@ def universal_complex(
     if trunc is not None:
         arity_cap = min(arity_cap, trunc + 1)
 
-    matrices: dict[int, RingMatrix] = {}
     space = pair.module.space
     w_univ = dict(zip(h1, ring.gens()))
+    acc: dict[tuple, dict[str, object]] = {}
+    for arity in range(2, arity_cap + 1):
+        m_map = pair.module.actions.get(arity)
+        if m_map is not None:
+            contract_power(m_map, w_univ, arity - 1, acc)
+    matrices: dict[int, RingMatrix] = {}
     for i in space.degrees():
         rows = tuple(e.label for e in space.basis_of_degree(i + 1))
         cols = tuple(e.label for e in space.basis_of_degree(i))
         mat = RingMatrix(ring, rows, cols)
         for cj, xi_label in enumerate(cols):
-            acc: dict[str, object] = {}
-            for arity in range(2, arity_cap + 1):
-                m_map = pair.module.actions.get(arity)
-                if m_map is None:
-                    continue
-                n = arity - 1
-                contract(m_map, [w_univ] * n + [{xi_label: 1}], acc, factorial_inverse(n))
-            for lab, val in acc.items():
+            for lab, val in acc.get((xi_label,), {}).items():
                 if val and lab in rows:
                     mat.set(rows.index(lab), cj, val)
                 elif val:
@@ -142,31 +141,21 @@ def pointwise_twisted_matrices(
     pair: LInfPair, point: dict[str, Fraction]
 ) -> dict[int, list[list[Fraction]]]:
     """Exact matrices of d_a for a rational degree-1 class a; computed from
-    the structure maps directly, independent of any truncation."""
+    the structure maps directly, one pass over each action's stored keys,
+    independent of any truncation."""
     _require_minimal(pair)
     space = pair.module.space
-    arity_cap = max(pair.module.actions, default=1)
+    columns: dict[tuple, dict[str, Fraction]] = {}
+    for arity, m_map in pair.module.actions.items():
+        contract_power(m_map, point, arity - 1, columns)
     out: dict[int, list[list[Fraction]]] = {}
-    avec = {lab: c for lab, c in point.items() if c}
     for i in space.degrees():
-        rows = [e.label for e in space.basis_of_degree(i + 1)]
+        rows = {e.label: r for r, e in enumerate(space.basis_of_degree(i + 1))}
         cols = [e.label for e in space.basis_of_degree(i)]
         mat = [[Fraction(0)] * len(cols) for _ in rows]
         for cj, xi_label in enumerate(cols):
-            acc: dict[str, Fraction] = {}
-            for arity in range(2, arity_cap + 1):
-                m_map = pair.module.actions.get(arity)
-                if m_map is None:
-                    continue
-                n = arity - 1
-                vecs = [avec] * n + [{xi_label: Fraction(1)}]
-                res = evaluate_on_vectors(m_map, vecs)
-                inv = factorial_inverse(n)
-                for lab, v in res.items():
-                    acc[lab] = acc.get(lab, Fraction(0)) + v * inv
-            for lab, v in acc.items():
-                if v:
-                    mat[rows.index(lab)][cj] = v
+            for lab, v in columns.get((xi_label,), {}).items():
+                mat[rows[lab]][cj] = v
         out[i] = mat
     return out
 
@@ -267,7 +256,7 @@ def _binary_shadow(pair: LInfPair) -> LInfPair:
 def binary_resonance_ideal(pair: LInfPair, i: int, k: int, **kw) -> ResonanceResult:
     """Classical resonance of the cohomology algebra: only m_2 enters, so
     the universal matrix is linear and the computation is exact."""
-    return resonance_ideal(_binary_shadow(pair), i, k, exact=True, binary_only=True, **kw)
+    return resonance_ideal(pair, i, k, exact=True, binary_only=True, **kw)
 
 
 # ---------------------------------------------------------------------------

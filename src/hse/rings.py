@@ -297,7 +297,8 @@ class RElem:
         for m, c in self.terms.items():
             v = c
             for e, x in zip(m, point):
-                v *= x ** e
+                if e:
+                    v *= x if e == 1 else x ** e
             total += v
         return total
 
