@@ -3,11 +3,13 @@
 Runs every subcommand on each applicable package in fixtures/, with the two
 MC elements in tests/golden/ for mc-check, twist and jump-ideal.  Jump
 ideals run at (i, k) = (1, 2), where they are neither zero nor the unit
-ideal; the other (i, k) commands run at (1, 1).  Two perturbed packages in
-tests/golden/ give failing ``check`` reports (exit 1), and two dglas there give
-``twist`` reports with non-abelian brackets.  Every case goes through
-``hse.cli.main`` from the repository root with relative paths, because a
-report's ``config_hash`` hashes argv.
+ideal, and at (0, 1), (2, 1) and (3, 1), the edge shapes of the block
+d^{i-1} (+) d^i; the other (i, k) commands run at (1, 1), and on the pairs
+tangent-cone and resonance --trunc 3 also run at (2, 1).  Two perturbed
+packages in tests/golden/ give failing ``check`` reports (exit 1), and two
+dglas there give ``twist`` reports with non-abelian brackets.  Every case
+goes through ``hse.cli.main`` from the repository root with relative
+paths, because a report's ``config_hash`` hashes argv.
 Each case's exit code and argv go to tests/golden/manifest.json and its
 stdout to tests/golden/<name>.out.
 
@@ -39,6 +41,10 @@ PERTURBED = ("perturbed-heisenberg", "perturbed-heisenberg-pair")
 # fixtures.affine_plane_dgla) with an MC element over Q[e]/(e^4) each: their
 # degree-0 parts act, so ``twist`` pins a non-abelian twist_brackets.
 DGLAS = (("solvable-dgla", "mc-solvable"), ("affine-plane-dgla", "mc-affine-plane"))
+# Degrees where the block d^{i-1} (+) d^i of a pair's twisted complex has
+# an empty first block (i = 0), minors drawn from both blocks (i = 2) and a
+# second block with no rows (i = 3); run at k = 1.
+EDGE_DEGREES = ("0", "2", "3")
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -72,6 +78,12 @@ def cases() -> list[tuple[str, list[str]]]:
             add(f"twist-{mc}-{fx}", "twist", path, "--mc", mc_path)
             add(f"jump-ideal-{mc}-{fx}", "jump-ideal", path, "--i", "1", "--k", "2",
                 "--mc", mc_path)
+            for i in EDGE_DEGREES:
+                add(f"jump-ideal-i{i}-{mc}-{fx}", "jump-ideal", path, "--i", i, "--k", "1",
+                    "--mc", mc_path)
+        add(f"tangent-cone-i2-{fx}", "tangent-cone", path, "--i", "2", "--k", "1")
+        add(f"resonance-trunc3-i2-{fx}", "resonance", path, "--i", "2", "--k", "1",
+            "--trunc", "3")
     add("resonance-exact-heisenberg-pair-weighted", "resonance",
         "fixtures/heisenberg-pair-weighted.json", "--i", "1", "--k", "1", "--exact")
     for pkg in PERTURBED:

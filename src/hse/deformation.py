@@ -14,13 +14,13 @@ tuple is enumerated.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
 from .grading import GradedSpace
 from .multimap import MultiMap, contract_power, evaluate_on_vectors
-from .rings import CoefRing, Ideal, RingMatrix, block_diag, minors, RElem
+from .rings import CoefRing, Ideal, MinorEngine, RElem, RingMatrix, block_minors
 from .scalars import factorial_inverse
 from .structures import LInfAlgebra, LInfModule, LInfPair, pair_to_algebra
 
@@ -121,6 +121,11 @@ class TwistedComplex:
     ring: CoefRing
     space: GradedSpace
     matrices: dict[int, RingMatrix]
+    # one memoized MinorEngine per differential d^j, kept while the complex
+    # lives, so the jump ideals J^i_k for every k, and J^{i+1}, share the
+    # sub-minors of d^i; the matrices must not change once it is built
+    engines: dict[int, MinorEngine] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
 
     def matrix(self, i: int) -> RingMatrix:
         got = self.matrices.get(i)
@@ -136,11 +141,16 @@ class TwistedComplex:
             if not comp.is_zero():
                 raise DeformationError(f"twisted differential fails d^2 = 0 at degree {i}")
 
+    def engine(self, j: int) -> MinorEngine:
+        got = self.engines.get(j)
+        if got is None:
+            got = self.engines[j] = MinorEngine(self.matrix(j))
+        return got
+
     def jump_ideal(self, i: int, k: int) -> Ideal:
-        """J^i_k = I_{dim M^i - k + 1} of d^{i-1} (+) d^i."""
-        size = self.space.dim(i) - k + 1
-        block = block_diag(self.matrix(i - 1), self.matrix(i))
-        return minors(block, size)
+        """J^i_k = I_{dim M^i - k + 1} of d^{i-1} (+) d^i, from the minors of
+        the two differentials."""
+        return block_minors(self.engine(i - 1), self.engine(i), self.space.dim(i) - k + 1)
 
 
 def twisted_differential(

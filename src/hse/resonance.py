@@ -10,18 +10,24 @@ kept as an independent exact rank oracle (it never goes through the
 possibly truncated matrices).  Both are stored-key sums
 (``multimap.contract_power``); the oracle walks each action's keys once per
 point.
+
+Every ideal here is a jump ideal of d^{i-1} (+) d^i and goes through
+``rings.block_minors``: only minors that take as many rows as columns from
+each differential are evaluated, as products of one minor of each.  A
+universal complex keeps one memoized ``MinorEngine`` per differential.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .grading import GradedSpace
 from .multimap import MultiMap, contract_power, evaluate_on_vectors
-from .rings import CoefRing, Ideal, RingMatrix, block_diag, minors
+from .rings import CoefRing, Ideal, MinorEngine, RingMatrix, block_minor_terms, block_minors
 from .structures import AInfAlgebra, LInfPair, module_check
 from .transfer import TransferError, cohomology_splitting, transfer_pair, vanishing_bound
 
@@ -54,6 +60,10 @@ class UniversalComplex:
     mode: str  # "exact" | "truncated"
     arity_cap: int
     element: UniversalElement | None = None
+    # one memoized MinorEngine per differential, kept while the complex
+    # lives; the matrices must not change once it is built
+    engines: dict[int, MinorEngine] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
 
     def matrix(self, i: int) -> RingMatrix:
         got = self.matrices.get(i)
@@ -62,6 +72,12 @@ class UniversalComplex:
         rows = tuple(e.label for e in self.space.basis_of_degree(i + 1))
         cols = tuple(e.label for e in self.space.basis_of_degree(i))
         return RingMatrix(self.ring, rows, cols)
+
+    def engine(self, j: int) -> MinorEngine:
+        got = self.engines.get(j)
+        if got is None:
+            got = self.engines[j] = MinorEngine(self.matrix(j))
+        return got
 
     def validate_square_zero(self) -> None:
         for i in sorted(self.space.degrees()):
@@ -216,8 +232,7 @@ def resonance_ideal(
     description cross-checked against the exact pointwise rank oracle."""
     ucx = universal_complex(pair, trunc=trunc, exact=exact, n0=n0, binary_only=binary_only)
     size = pair.module.space.dim(i) - k + 1
-    block = block_diag(ucx.matrix(i - 1), ucx.matrix(i))
-    ideal = minors(block, size)
+    ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
 
     h1 = ucx.variables
     shadow = pair if not binary_only else _binary_shadow(pair)
@@ -348,8 +363,7 @@ def dga_resonance_ideal(
         return RingMatrix(ring, rows, cols)
 
     size = space.dim(i) - k + 1
-    block = block_diag(matrix(i - 1), matrix(i))
-    ideal = minors(block, size)
+    ideal = block_minors(MinorEngine(matrix(i - 1)), MinorEngine(matrix(i)), size)
 
     samples = []
     for pt in sample_points(h1_labels, n_samples, seed):
@@ -401,7 +415,9 @@ def tangent_cone_check(
     A nonzero linearized minor is then the initial form of the matching
     generator (entries have no constant terms, so nothing of lower degree
     can appear); zero linearized minors impose no equation.  The truncation
-    is auto-raised to reach degree s.
+    is auto-raised to reach degree s.  Only the minors that take as many
+    rows as columns from each differential are evaluated, on both sides; at
+    every other pair both are 0, and ``checked`` still counts every pair.
     """
     _require_minimal(pair)
     size = pair.module.space.dim(i) - k + 1
@@ -412,41 +428,32 @@ def tangent_cone_check(
     full = universal_complex(pair, trunc=trunc)
     lin = universal_complex(pair, exact=True, binary_only=True)
 
-    failures: list[str] = []
-    checked = 0
-    nonzero = 0
-    from itertools import combinations
-
-    full_block = block_diag(full.matrix(i - 1), full.matrix(i))
-    lin_block = block_diag(lin.matrix(i - 1), lin.matrix(i))
     # constant terms would break the initial-form argument
-    for row in full_block.data:
-        for entry in row:
-            if entry.constant_term():
-                raise ResonanceError("universal matrix has constant entries on a minimal pair")
+    for j in (i - 1, i):
+        if any(entry.constant_term() for row in full.matrix(j).data for entry in row):
+            raise ResonanceError("universal matrix has constant entries on a minimal pair")
 
-    from .rings import MinorEngine
-
-    eng_full = MinorEngine(full_block)
-    eng_lin = MinorEngine(lin_block)
-    nrows, ncols = full_block.shape()
-    if size <= min(nrows, ncols):
-        for rows in combinations(range(nrows), size):
-            for cols in combinations(range(ncols), size):
-                checked += 1
-                m_full = eng_full.minor(rows, cols)
-                m_lin_raw = eng_lin.minor(rows, cols)
-                m_lin = full.ring.element(dict(m_lin_raw.terms))
-                got = m_full.homogeneous_part(size)
-                if got != m_lin:
-                    failures.append(
-                        f"rows {rows} cols {cols}: degree-{size} part {got} != linearized {m_lin}")
-                    continue
-                if m_lin:
-                    nonzero += 1
-                    if m_full.initial_form() != m_lin:
-                        failures.append(
-                            f"rows {rows} cols {cols}: initial form is not the linearized minor")
+    full_minors = {(rows, cols): m for rows, cols, m
+                   in block_minor_terms(full.engine(i - 1), full.engine(i), size)}
+    lin_minors = {(rows, cols): full.ring.element(dict(m.terms)) for rows, cols, m
+                  in block_minor_terms(lin.engine(i - 1), lin.engine(i), size)}
+    failures: list[str] = []
+    nonzero = 0
+    for rows, cols in sorted(full_minors.keys() | lin_minors.keys()):
+        m_full = full_minors.get((rows, cols), full.ring.zero)
+        m_lin = lin_minors.get((rows, cols), full.ring.zero)
+        got = m_full.homogeneous_part(size)
+        if got != m_lin:
+            failures.append(
+                f"rows {rows} cols {cols}: degree-{size} part {got} != linearized {m_lin}")
+            continue
+        if m_lin:
+            nonzero += 1
+            if m_full.initial_form() != m_lin:
+                failures.append(
+                    f"rows {rows} cols {cols}: initial form is not the linearized minor")
+    (rows_up, cols_up), (rows_lo, cols_lo) = full.matrix(i - 1).shape(), full.matrix(i).shape()
+    checked = comb(rows_up + rows_lo, size) * comb(cols_up + cols_lo, size)
     return TangentConeReport(i, k, size, checked, nonzero, not failures, failures)
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,11 +9,11 @@ from hse import linalg
 from hse.rings import (
     CoefRing,
     Ideal,
+    MinorEngine,
     RATIONALS,
     RingError,
     RingMatrix,
     block_diag,
-    leibniz_minor,
     minors,
     parse_element,
     parse_ring,
@@ -135,8 +135,6 @@ def test_laplace_vs_leibniz_random():
                     if c:
                         terms[mono] = Fraction(c)
                 mat.set(i, j, R.element(terms))
-        from hse.rings import MinorEngine
-
         engine = MinorEngine(mat)
         rows = (0, 1, 2, 3)
         assert engine.minor(rows, rows) == leibniz_minor(mat, rows, rows)
@@ -180,6 +178,24 @@ def test_one_and_zero_are_shared_and_unchanged_by_arithmetic():
     assert acc == R.element(3)
     assert one.terms == {(0, 0): Fraction(1)} and zero.terms == {}
     assert R.one is one and R.zero is zero
+
+
+# -- slow originals --------------------------------------------------------
+
+def leibniz_minor(matrix, rows, cols):
+    """Permutation-sum determinant; the independent oracle for Laplace."""
+    ring = matrix.ring
+    acc = ring.zero
+    n = len(rows)
+    for perm in permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = ring.one
+        for i in range(n):
+            term = term * matrix.data[rows[i]][cols[perm[i]]]
+            if not term:
+                break
+        acc = acc + (term if inv % 2 == 0 else -term)
+    return acc
 
 
 # -- membership: the echelon basis against the span-matrix reference --------
