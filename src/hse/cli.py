@@ -25,7 +25,7 @@ from .deformation import (
     twist_algebra,
     twist_module,
 )
-from .fixtures import FixtureDescriptor, generate_fixture
+from .fixtures import FixtureDescriptor, ainf_cdga_pair, generate_fixture
 from .io_json import ParseError, dumps, package_to_json, parse_structure
 from .resonance import (
     ResonanceError,
@@ -50,6 +50,7 @@ from .transfer import (
     TransferError,
     cohomology_splitting,
     transfer_ainf,
+    transfer_linf,
     transfer_pair,
 )
 from .multimap import MultiMap
@@ -154,8 +155,6 @@ def _minimal_pair(obj, path: str, max_arity: int) -> tuple[LInfPair, int | None]
             return transfer_pair(obj, max_arity).pair, max_arity
         return obj, None
     if isinstance(obj, AInfAlgebra):
-        from .fixtures import ainf_cdga_pair
-
         return transfer_pair(ainf_cdga_pair(obj), max_arity).pair, max_arity
     raise UsageError(f"{path}: need a pair (or commutative dga) package")
 
@@ -262,8 +261,6 @@ def cmd_transfer(args) -> tuple[str, dict, int]:
         ok = checks["stasheff"]["ok"]
         return ("pass" if ok else "fail"), payload, 0 if ok else 1
     if isinstance(obj, LInfAlgebra):
-        from .transfer import transfer_linf
-
         l1 = obj.brackets.get(1)
         diff = MultiMap(obj.space, obj.space, 1, 1)
         if l1 is not None:

@@ -16,7 +16,14 @@ from itertools import combinations
 
 from .grading import BasisElement, GradedSpace, combine_spaces, prefix_space
 from .multimap import MultiMap
-from .structures import AInfAlgebra, LInfAlgebra, LInfModule, LInfPair, StructureError
+from .structures import (
+    AInfAlgebra,
+    LInfAlgebra,
+    LInfModule,
+    LInfPair,
+    StructureError,
+    module_check,
+)
 
 
 @dataclass(frozen=True)
@@ -244,8 +251,6 @@ def ainf_cdga_pair(alg: AInfAlgebra) -> LInfPair:
     The zero-bracket reading is only valid for graded-commutative products;
     the module identity check at arity 3 enforces that.
     """
-    from .structures import module_check
-
     if set(alg.products) - {1, 2}:
         raise StructureError("pair construction expects a dga (nu_1, nu_2 only)")
     a_space = prefix_space(alg.space, "a.")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .grading import BasisElement, GradedSpace
+from .grading import BasisElement, GradedSpace, combine_spaces
 from .multimap import SYMMETRIES, MultiMap
 from .scalars import format_scalar, parse_scalar
 from .structures import (
@@ -269,8 +269,6 @@ def _parse_maps(data, space_in, space_out, expected_symmetry, shift_of):
 
 
 def _parse_module(data: dict, algebra: LInfAlgebra) -> LInfModule:
-    from .grading import combine_spaces
-
     space = space_from_json(data.get("space", {}))
     try:
         combined = combine_spaces(algebra.space, space)

@@ -50,7 +50,7 @@ from itertools import groupby
 from math import factorial, prod
 
 from .grading import GradedSpace
-from .signs import sort_with_sign
+from .signs import all_permutations, antisym_sign, sort_with_sign
 
 SYMMETRIES = ("none", "antisym", "antisym_algebra")
 
@@ -308,8 +308,6 @@ def compose_multimaps(outer: MultiMap, inner: MultiMap, slot: int) -> MultiMap:
 def antisymmetrization(nu: MultiMap) -> MultiMap:
     """Sum over all permutations with the antisym sign: the A-oo to L-oo functor
     on one component, l(a_1..a_n) = sum_sigma chi(sigma) nu(a_{sigma(1)}..a_{sigma(n)})."""
-    from .signs import all_permutations, antisym_sign
-
     space = nu.space_in
     out = MultiMap(space, nu.space_out, nu.arity, nu.shift, "antisym")
     n = nu.arity

@@ -28,7 +28,7 @@ from . import linalg
 from .grading import GradedSpace
 from .multimap import MultiMap, contract_power, evaluate_on_vectors
 from .rings import CoefRing, Ideal, MinorEngine, RingMatrix, block_minor_terms, block_minors
-from .structures import AInfAlgebra, LInfPair, module_check
+from .structures import AInfAlgebra, LInfModule, LInfPair, module_check
 from .transfer import TransferError, cohomology_splitting, transfer_pair, vanishing_bound
 
 
@@ -45,10 +45,6 @@ class UniversalElement:
     cohomology basis and the polynomial variables."""
     ring: CoefRing
     pairs: tuple[tuple[str, str], ...]  # (H^1 label, variable name)
-
-    @staticmethod
-    def for_pair(pair: LInfPair, ring: CoefRing, h1: list[str]) -> "UniversalElement":
-        return UniversalElement(ring, tuple(zip(h1, ring.varnames)))
 
 
 @dataclass
@@ -144,7 +140,7 @@ def universal_complex(
     out = UniversalComplex(
         ring, space, matrices, h1,
         "exact" if trunc is None else "truncated", arity_cap,
-        UniversalElement.for_pair(pair, ring, h1),
+        UniversalElement(ring, tuple(zip(h1, ring.varnames))),
     )
     out.validate_square_zero()
     return out
@@ -258,8 +254,6 @@ def resonance_ideal(
 def _binary_shadow(pair: LInfPair) -> LInfPair:
     """The pair with actions above arity 2 dropped (classical resonance of
     the cohomology algebra); must itself satisfy the module identities."""
-    from .structures import LInfModule
-
     actions = {n: m for n, m in pair.module.actions.items() if n <= 2}
     module = LInfModule(pair.algebra, pair.module.space, actions)
     rep = module_check(module, 3)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .grading import GradedSpace, combine_spaces
-from .multimap import MultiMap, block_vectors, contract
+from .multimap import MultiMap, antisymmetrization, block_vectors, contract
 from .signs import (
     antisym_sign,
     block_permutations,
@@ -165,40 +165,6 @@ class InfMorphism:
 
     def max_arity(self) -> int:
         return max(self.components, default=0)
-
-
-# ---------------------------------------------------------------------------
-# tuple enumeration
-
-def iter_sorted_tuples(space: GradedSpace, arity: int, sums: set[int]):
-    """Nondecreasing tuples (by basis order), skipping repeated even labels.
-
-    Sufficient for identities that are graded antisymmetric in all slots:
-    values elsewhere follow formally by the sign rules.
-    """
-    elements = space.elements
-    n = len(elements)
-    if not elements or not sums:
-        return
-    degs = [e.deg for e in elements]
-    dmin, dmax = min(degs), max(degs)
-    smin, smax = min(sums), max(sums)
-
-    def rec(slot: int, start: int, prefix: tuple[str, ...], total: int, last: int):
-        remaining = arity - slot
-        if remaining == 0:
-            if total in sums:
-                yield prefix
-            return
-        if total + remaining * dmin > smax or total + remaining * dmax < smin:
-            return
-        for i in range(start, n):
-            e = elements[i]
-            if i == last and e.deg % 2 == 0:
-                continue  # repeated even label: identity vanishes formally
-            yield from rec(slot + 1, i, prefix + (e.label,), total + e.deg, i)
-
-    yield from rec(0, 0, (), 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +396,13 @@ def _module_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
 # holds K[t], so T is J_1 + ... + J_k.  In the antisymmetric slots the
 # candidate is sorted into basis order.  Every tuple where a residual is
 # nonzero is a candidate; the checkers evaluate the residual only there.
+#
+# ``producers``, ``concatenate`` and ``window`` are the one stored-key
+# candidate enumerator of the package: the L-infinity transfer
+# (``transfer.LInfKernelCache`` for p_n, ``transfer.transfer_linf`` for l_n)
+# draws its input tuples from them too.
 
-def _producers(maps: dict[int, MultiMap]) -> dict[str, list[tuple[str, ...]]]:
+def producers(maps: dict[int, MultiMap]) -> dict[str, list[tuple[str, ...]]]:
     """Output label -> the stored keys (of every arity) whose row holds it."""
     index: dict[str, list[tuple[str, ...]]] = {}
     for m in maps.values():
@@ -441,7 +412,7 @@ def _producers(maps: dict[int, MultiMap]) -> dict[str, list[tuple[str, ...]]]:
     return index
 
 
-def _sorted_in(space: GradedSpace):
+def sorted_in(space: GradedSpace):
     index = space.order_index
     return lambda T: tuple(sorted(T, key=index))
 
@@ -467,8 +438,8 @@ def _splice(found: dict, outer: dict[int, MultiMap], inner: dict, last: dict,
                         found.setdefault(n, set()).add(canon(K[:p] + I + K[p + 1:]))
 
 
-def _concatenate(found: dict, target: dict[int, MultiMap], producers: dict,
-                 max_arity: int, canon) -> None:
+def concatenate(found: dict, target: dict[int, MultiMap], producers: dict,
+                max_arity: int, canon) -> None:
     """Add canon(J_1 + ... + J_k) for each stored key K of a target map and
     keys J_t producing K[t]."""
     for m in target.values():
@@ -493,8 +464,8 @@ def _repeats_even(T: tuple[str, ...], deg: dict[str, int]) -> bool:
     return any(a == b and deg[a] % 2 == 0 for a, b in zip(T, T[1:]))
 
 
-def _window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
-            space: GradedSpace, antisym: bool):
+def window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
+           space: GradedSpace, antisym: bool):
     """(n, T) for the candidates a scan of space would visit, in its order.
 
     The window: the total input degree plus base - n is a degree of
@@ -516,7 +487,7 @@ def _window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
 
 def _module_window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
                    module: LInfModule):
-    """``_window`` for tuples (algebra..., module-last) of a module: ordered
+    """``window`` for tuples (algebra..., module-last) of a module: ordered
     by the module label, then by the algebra labels; at arity one every
     module label is visited."""
     alg = {e.label: e.deg for e in module.algebra.space.elements}
@@ -553,53 +524,53 @@ def _report(name: str, max_arity: int, visits, residual) -> CheckReport:
 
 def stasheff_check(alg: AInfAlgebra, max_arity: int) -> CheckReport:
     found: dict = {}
-    products = _producers(alg.products)
+    products = producers(alg.products)
     _splice(found, alg.products, products, products, max_arity, tuple)
-    visits = _window(found, max_arity, 3, alg.space, alg.space, False)
+    visits = window(found, max_arity, 3, alg.space, alg.space, False)
     return _report("stasheff", max_arity, visits,
                    lambda T: stasheff_residual(alg.products, alg.space, T))
 
 
 def jacobi_check(alg: LInfAlgebra, max_arity: int) -> CheckReport:
     found: dict = {}
-    brackets = _producers(alg.brackets)
-    _splice(found, alg.brackets, brackets, brackets, max_arity, _sorted_in(alg.space))
-    visits = _window(found, max_arity, 3, alg.space, alg.space, True)
+    brackets = producers(alg.brackets)
+    _splice(found, alg.brackets, brackets, brackets, max_arity, sorted_in(alg.space))
+    visits = window(found, max_arity, 3, alg.space, alg.space, True)
     return _report("jacobi", max_arity, visits,
                    lambda T: jacobi_residual(alg.brackets, alg.space, T))
 
 
 def module_check(module: LInfModule, max_arity: int) -> CheckReport:
     found: dict = {}
-    _splice(found, module.actions, _producers(module.algebra.brackets),
-            _producers(module.actions), max_arity, _sorted_head_in(module.combined))
+    _splice(found, module.actions, producers(module.algebra.brackets),
+            producers(module.actions), max_arity, _sorted_head_in(module.combined))
     visits = _module_window(found, max_arity, 3, module.space, module)
     return _report("module", max_arity, visits, lambda T: module_residual(module, T))
 
 
 def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:
     found: dict = {}
-    components = _producers(mor.components)
+    components = producers(mor.components)
     src, tgt = mor.source, mor.target
     if mor.kind == "ainf":
-        products = _producers(src.products)
+        products = producers(src.products)
         _splice(found, mor.components, products, products, max_arity, tuple)
-        _concatenate(found, tgt.products, components, max_arity, tuple)
-        visits = _window(found, max_arity, 2, tgt.space, src.space, False)
+        concatenate(found, tgt.products, components, max_arity, tuple)
+        visits = window(found, max_arity, 2, tgt.space, src.space, False)
         residual = _ainf_morphism_residual
     elif mor.kind == "linf":
-        canon = _sorted_in(src.space)
-        brackets = _producers(src.brackets)
+        canon = sorted_in(src.space)
+        brackets = producers(src.brackets)
         _splice(found, mor.components, brackets, brackets, max_arity, canon)
-        _concatenate(found, tgt.brackets, components, max_arity, canon)
-        visits = _window(found, max_arity, 2, tgt.space, src.space, True)
+        concatenate(found, tgt.brackets, components, max_arity, canon)
+        visits = window(found, max_arity, 2, tgt.space, src.space, True)
         residual = _linf_morphism_residual
     else:
         if src.algebra is not tgt.algebra:
             raise StructureError("module morphism endpoints must share the algebra")
         canon = _sorted_head_in(src.combined)
-        _splice(found, mor.components, _producers(src.algebra.brackets),
-                _producers(src.actions), max_arity, canon)
+        _splice(found, mor.components, producers(src.algebra.brackets),
+                producers(src.actions), max_arity, canon)
         # the right side m'(1 x ... x 1 x g): a g key fills the module slot
         _splice(found, tgt.actions, {}, components, max_arity, canon)
         visits = _module_window(found, max_arity, 2, tgt.space, src)
@@ -612,8 +583,6 @@ def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:
 
 def antisymmetrize(alg: AInfAlgebra, check_arity: int | None = None) -> LInfAlgebra:
     """The A-oo to L-oo functor: l_n = sum over permutations of chi . nu_n."""
-    from .multimap import antisymmetrization
-
     if check_arity is not None:
         rep = stasheff_check(alg, check_arity)
         if not rep.ok:
@@ -633,8 +602,6 @@ def antisymmetrize_morphism(
     """The A-oo to L-oo functor on morphisms: each component is summed over
     permutations with the antisym sign, between the antisymmetrized
     endpoints."""
-    from .multimap import antisymmetrization
-
     comps = {k: antisymmetrization(m) for k, m in mor.components.items()}
     comps = {k: m for k, m in comps.items() if not m.is_zero()}
     return InfMorphism("linf", source_l, target_l, comps)

@@ -17,11 +17,15 @@ on every output (an output failing Jacobi aborts, it is never returned).
 The L-infinity p_n is a sum over trees (Kadeishvili; Loday-Vallette,
 Algebraic Operads, 10.3) whose root is a bracket l_k and whose other
 vertices are earlier h p_s.  A term is nonzero only when every vertex value
-is, so ``LInfKernelCache`` enumerates input tuples from the stored keys of
-l_k and of the h p_s tables (one tree level deep, since h p_s already sums
-the deeper levels) instead of scanning every sorted tuple against every set
-partition.  On the Heisenberg pair at arity 6 no tuple survives, where the
-scan tried each of 7,435 sorted tuples against 31 partitions.
+is, so both L-infinity enumerations draw their input tuples from stored
+keys through the checkers' enumerator (``structures.producers``,
+``concatenate`` and ``window``): ``LInfKernelCache`` concatenates, over the
+stored keys of l_k, per slot the label itself or an h p_s key producing it
+(one tree level deep, since h p_s already sums the deeper levels), and
+``transfer_linf`` concatenates, over the stored keys of p_n, per slot a
+small label whose g-row holds it.  On the Heisenberg pair at arity 6 no
+tuple survives, where a scan tried each of 7,435 sorted tuples against 31
+partitions.
 """
 
 from __future__ import annotations
@@ -49,9 +53,12 @@ from .structures import (
     LInfPair,
     PairEmbedding,
     algebra_to_module,
-    iter_sorted_tuples,
+    concatenate,
     jacobi_check,
     pair_to_algebra,
+    producers,
+    sorted_in,
+    window,
 )
 
 
@@ -448,8 +455,9 @@ class LInfKernelCache:
     h p_|B| whose row holds its slot of M.  So the multiset unions over
     stored keys M of one block per slot (the label itself, or an h p_s key
     producing it) cover every input tuple where p_n can be nonzero; only
-    those candidates are evaluated, in ``iter_sorted_tuples`` order, so the
-    tables fill in the same order as a scan over every sorted tuple would.
+    those candidates are evaluated, through the checkers' ``concatenate``
+    and ``window``, so the tables fill in the same order as a scan over
+    every sorted tuple in the degree window would.
     Per candidate the partitions grow block by block and a block without a
     stored h p row at its inputs is dropped before any sign is computed.
     """
@@ -459,8 +467,8 @@ class LInfKernelCache:
         self.brackets = brackets
         self.p: dict[int, MultiMap] = {}
         self.hp: dict[int, MultiMap] = {1: identity_map(diagram.big)}
-        # output label -> block size s >= 2 -> stored h p_s keys whose row holds it
-        self._producers: dict[str, dict[int, list[tuple[str, ...]]]] = {}
+        # label -> the one-input block (label,) and the stored h p_s keys whose row holds it
+        self._producers = {lab: [(lab,)] for lab in diagram.big.labels()}
         self._max_blocks = max((k for k in brackets if k >= 2), default=1)
 
     def ensure(self, n: int) -> None:
@@ -481,43 +489,17 @@ class LInfKernelCache:
         self.hp[n] = hp_n
         for key, row in hp_n.table.items():
             for mid in row:
-                self._producers.setdefault(mid, {}).setdefault(n, []).append(key)
+                self._producers[mid].append(key)
 
     def _candidates(self, n: int) -> list[tuple[str, ...]]:
         """Sorted n-tuples that some tree with nonzero vertex values reaches,
-        in ``iter_sorted_tuples`` order (degree window, no repeated even
-        label)."""
+        in basis order within the degree window."""
         big = self.diagram.big
-        index, deg = big.order_index, big.deg
-        sums = {d - (2 - n) for d in big.degrees()}
-        found: set[tuple[str, ...]] = set()
-        for k, outer in self.brackets.items():
-            if not 2 <= k <= n:
-                continue
-            for M in outer.table:
-                slots = [self._producers.get(mid, {}) for mid in M]
-
-                def rec(t: int, chunks: tuple[str, ...], room: int) -> None:
-                    if t == k:
-                        if room == 0:
-                            found.add(tuple(sorted(chunks, key=index)))
-                        return
-                    rec(t + 1, chunks + (M[t],), room - 1)
-                    for size, keys in slots[t].items():
-                        if size - 1 <= room - (k - t):
-                            for key in keys:
-                                rec(t + 1, chunks + key, room - size)
-
-                rec(0, (), n)
-        kept = []
-        for T in found:
-            if sum(deg(l) for l in T) not in sums:
-                continue
-            if any(a == b and deg(a) % 2 == 0 for a, b in zip(T, T[1:])):
-                continue
-            kept.append(T)
-        kept.sort(key=lambda T: [index(l) for l in T])
-        return kept
+        outer = {k: m for k, m in self.brackets.items() if 2 <= k <= n}
+        found: dict = {}
+        concatenate(found, outer, self._producers, n, sorted_in(big))
+        # found also holds the shorter unions; p_n reads arity n only
+        return [T for _, T in window({n: found.get(n, ())}, n, 2, big, big, True)]
 
     def _evaluate(self, T: tuple[str, ...], degs: tuple[int, ...]) -> dict[str, Fraction]:
         """p_n(T) as the sum over set partitions of T into >= 2 blocks.
@@ -570,13 +552,17 @@ class LInfTransfer:
 
 def transfer_linf(
     diagram: TransferDiagram, source: LInfAlgebra, max_arity: int,
-    certify: bool = True,
 ) -> LInfTransfer:
     """Transfer an L-infinity structure; the Jacobi pass on the output is the
-    correctness certificate and failure aborts with the first violation."""
+    correctness certificate and failure aborts with the first violation.
+
+    l_n(S) = f p_n(g s_1, ..., g s_n) is nonzero only when some stored key
+    of p_n has, in each slot, a label in the g-row of some s_t, so the
+    candidates are those keys with every slot replaced by such an s_t."""
     cache = LInfKernelCache(diagram, source.brackets)
     cache.ensure(max_arity)
     small = diagram.small
+    g_producers, canon = producers({1: diagram.g}), sorted_in(small)
     brackets: dict[int, MultiMap] = {}
     if not diagram.d_small.is_zero():
         l1 = MultiMap(small, small, 1, 1, "antisym")
@@ -589,8 +575,9 @@ def transfer_linf(
         if p_n.is_zero():
             continue
         ln = MultiMap(small, small, n, 2 - n, "antisym")
-        sums = {d - (2 - n) for d in small.degrees()}
-        for S in iter_sorted_tuples(small, n, sums):
+        found: dict = {}
+        concatenate(found, {n: p_n}, g_producers, n, canon)
+        for _, S in window(found, n, 2, small, small, True):
             acc = contract(p_n, [diagram.g.get((s,)) for s in S], {})
             for big_lab, c in acc.items():
                 for out_lab, c2 in diagram.f.get((big_lab,)).items():
@@ -598,7 +585,7 @@ def transfer_linf(
         if not ln.is_zero():
             brackets[n] = ln
     result = LInfAlgebra(small, brackets)
-    certificate = jacobi_check(result, max_arity) if certify else CheckReport("jacobi", True, 0)
+    certificate = jacobi_check(result, max_arity)
     if not certificate.ok:
         raise TransferError(
             "transferred L-infinity structure fails Jacobi (sign convention bug): "
@@ -754,12 +741,12 @@ def vanishing_bound(pair: LInfPair) -> VanishingBound:
     offenders = [
         e.label for e in alg_space.elements if e.deg == 1 and (e.weight or 0) <= 0
     ]
-    window = []
+    outside = []
     for e in mod_space.elements:
         if e.weight < 0:
-            window.append(f"{e.label}: negative weight")
+            outside.append(f"{e.label}: negative weight")
         if e.deg >= 1 and e.weight >= 2 * e.deg:
-            window.append(f"{e.label}: weight {e.weight} >= {2 * e.deg}")
+            outside.append(f"{e.label}: weight {e.weight} >= {2 * e.deg}")
 
     empirical = 0
     for n, mm in sorted(pair.module.actions.items()):
@@ -769,9 +756,9 @@ def vanishing_bound(pair: LInfPair) -> VanishingBound:
             if all(alg_space.deg(l) == 1 for l in key[:-1]) and mm.table[key]:
                 empirical = max(empirical, n - 1)
 
-    if offenders or window:
+    if offenders or outside:
         return VanishingBound(
-            False, None, empirical, offenders + window,
+            False, None, empirical, offenders + outside,
             "weight-zero degree-1 classes present" if offenders else "weight window violated",
         )
     topdeg = mod_space.top_degree()

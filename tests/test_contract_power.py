@@ -48,8 +48,8 @@ from hse.resonance import (
 )
 from hse.rings import CoefRing, RElem, parse_ring
 from hse.scalars import factorial_inverse
-from hse.structures import iter_sorted_tuples
 from hse.transfer import transfer_pair
+from test_structures import iter_sorted_tuples
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -18,11 +18,11 @@ from hse.fixtures import (
 )
 from hse.grading import BasisElement, GradedSpace
 from hse.io_json import parse_structure
-from hse.multimap import MultiMap, compose_multimaps, identity_map, postcompose
+from hse.multimap import MultiMap, compose_multimaps, contract, identity_map, postcompose
 from hse.signs import antisym_sign
 from hse.structures import (
+    LInfAlgebra,
     antisymmetrize,
-    iter_sorted_tuples,
     jacobi_check,
     module_check,
     morphism_check,
@@ -44,6 +44,7 @@ from hse.transfer import (
     vanishing_bound,
 )
 from hse import linalg
+from test_structures import iter_sorted_tuples
 
 
 def heis_diagram():
@@ -494,6 +495,57 @@ def test_linf_kernel_matches_exhaustive_on_exterior3():
 @pytest.mark.parametrize("seed", range(20))
 def test_linf_kernel_matches_exhaustive_on_random_pairs(seed):
     _assert_kernels_agree(cdga_pair(random_cdga(seed, dims=(1, 3, 3, 1))), 5)
+
+
+# ---------------------------------------------------------------------------
+# the stored-key l_n candidates of transfer_linf against the sorted-tuple scan
+
+def ref_transferred_brackets(res) -> dict[int, MultiMap]:
+    """The l_n loop transfer_linf ran before its candidates came from the
+    stored keys of p_n: f p_n(g s_1, ..., g s_n) at every sorted small tuple
+    in the degree window."""
+    diagram = res.diagram
+    small = diagram.small
+    out = {}
+    for n, p_n in sorted(res.cache.p.items()):
+        ln = MultiMap(small, small, n, 2 - n, "antisym")
+        sums = {d - (2 - n) for d in small.degrees()}
+        for S in iter_sorted_tuples(small, n, sums):
+            acc = contract(p_n, [diagram.g.get((s,)) for s in S], {})
+            for big_lab, c in acc.items():
+                for out_lab, c2 in diagram.f.get((big_lab,)).items():
+                    ln.add(S, out_lab, c * c2)
+        if not ln.is_zero():
+            out[n] = ln
+    return out
+
+
+def _heisenberg5_pair():
+    """H_5 = Lambda(x1, y1, x2, y2, z), dz = x1 y1 + x2 y2, weights 1, 1, 2."""
+    gens = [("x1", 1, 1), ("y1", 1, 1), ("x2", 1, 1), ("y2", 1, 1), ("z", 1, 2)]
+    one = Fraction(1)
+    return cdga_pair(Cdga(gens, 5, {"z": [(one, (0, 1)), (one, (2, 3))]}))
+
+
+@pytest.mark.parametrize("build, max_arity", [
+    pytest.param(lambda: _golden_pair("heisenberg-pair.json"), 6, id="heisenberg-pair"),
+    pytest.param(lambda: _golden_pair("heisenberg-pair-weighted.json"), 5,
+                 id="heisenberg-pair-weighted"),
+    pytest.param(lambda: cdga_pair(exterior_cdga(3)), 5, id="exterior3"),
+    pytest.param(_heisenberg5_pair, 4, id="heisenberg5"),
+] + [
+    pytest.param(lambda s=s: cdga_pair(random_cdga(s, dims=(1, 3, 3, 1))), 5, id=f"random-{s}")
+    for s in range(20)
+])
+def test_transferred_brackets_match_sorted_tuple_scan(build, max_arity):
+    diagram, brackets = _pair_kernel_inputs(build())
+    res = transfer_linf(diagram, LInfAlgebra(diagram.big, brackets), max_arity)
+    got = {n: _ordered_table(m) for n, m in res.algebra.brackets.items() if n >= 2}
+    want = {n: _ordered_table(m) for n, m in ref_transferred_brackets(res).items()}
+    assert 2 in want  # the unit acts, so the comparison is never between empty tables
+    assert list(got) == list(want)
+    for n in want:
+        assert got[n] == want[n], n
 
 
 def test_weighted_heisenberg_pair_reaches_arity_nine():
