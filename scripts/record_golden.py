@@ -5,7 +5,11 @@ MC elements in tests/golden/ for mc-check, twist and jump-ideal.  Jump
 ideals run at (i, k) = (1, 2), where they are neither zero nor the unit
 ideal, and at (0, 1), (2, 1) and (3, 1), the edge shapes of the block
 d^{i-1} (+) d^i; the other (i, k) commands run at (1, 1), and on the pairs
-tangent-cone and resonance --trunc 3 also run at (2, 1).  Two perturbed
+tangent-cone and resonance --trunc 3 also run at (2, 1).  The rank oracle's
+edge shapes get their own reports: resonance --exact on the weighted pair
+at i = 0 (no d^{i-1}) and i = 3 (d^i has no rows), resonance --trunc 3
+with --seed 7 (sample points other than the default ones), and
+dga-resonance at (1, 2).  Two perturbed
 packages in tests/golden/ give failing ``check`` reports (exit 1), and two
 dglas there give ``twist`` reports with non-abelian brackets.  Every case
 goes through ``hse.cli.main`` from the repository root with relative
@@ -86,6 +90,15 @@ def cases() -> list[tuple[str, list[str]]]:
             "--trunc", "3")
     add("resonance-exact-heisenberg-pair-weighted", "resonance",
         "fixtures/heisenberg-pair-weighted.json", "--i", "1", "--k", "1", "--exact")
+    for i in ("0", "3"):
+        add(f"resonance-exact-i{i}-heisenberg-pair-weighted", "resonance",
+            "fixtures/heisenberg-pair-weighted.json", "--i", i, "--k", "1", "--exact")
+    add("resonance-trunc3-seed7-heisenberg-pair-weighted", "resonance",
+        "fixtures/heisenberg-pair-weighted.json", "--i", "1", "--k", "1", "--trunc", "3",
+        "--seed", "7")
+    for fx in AINF:
+        add(f"dga-resonance-k2-{fx}", "dga-resonance", f"fixtures/{fx}.json",
+            "--i", "1", "--k", "2")
     for pkg in PERTURBED:
         add(f"check-{pkg}", "check", f"tests/golden/{pkg}.json")
     for pkg, mc in DGLAS:
