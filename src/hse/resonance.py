@@ -5,11 +5,14 @@ the two, and the weight-based hypothesis check that switches on exact mode.
 
 The universal element w = sum_j e_j (x) x_j pairs the degree-1 cohomology
 basis with polynomial variables; the universal differential interpolates
-every constant twisted differential, and evaluation at a rational point is
-kept as an independent exact rank oracle (it never goes through the
-possibly truncated matrices).  Both are stored-key sums
-(``multimap.contract_power``); the oracle walks each action's keys once per
-point.
+every constant twisted differential (a stored-key sum,
+``multimap.contract_power``).  Evaluation at a rational point is kept as an
+independent exact rank oracle: it never goes through the possibly
+truncated matrices and uses no ring arithmetic.  Once per call it reads
+d_a on degrees i-1 and i off the actions' stored keys as polynomial
+matrices in a's coordinates (``_IntMatrix``), and the ideal as the echelon
+basis of its generators' Q-span; at each point n/D it evaluates both in
+Python ints, up to a nonzero factor that keeps ranks and zero patterns.
 
 Every ideal here is a jump ideal of d^{i-1} (+) d^i and goes through
 ``rings.block_minors``: only minors that take as many rows as columns from
@@ -22,12 +25,21 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from functools import reduce
+from math import comb, factorial, lcm, prod
 
 from . import linalg
 from .grading import GradedSpace
 from .multimap import MultiMap, contract_power, evaluate_on_vectors
-from .rings import CoefRing, Ideal, MinorEngine, RingMatrix, block_minor_terms, block_minors
+from .rings import (
+    CoefRing,
+    Ideal,
+    MinorEngine,
+    RingMatrix,
+    _Echelon,
+    block_minor_terms,
+    block_minors,
+)
 from .structures import AInfAlgebra, LInfModule, LInfPair, module_check
 from .transfer import TransferError, cohomology_splitting, transfer_pair, vanishing_bound
 
@@ -149,41 +161,150 @@ def universal_complex(
 # ---------------------------------------------------------------------------
 # rank oracle at rational points
 
+class _IntMatrix:
+    """A sparse polynomial matrix, compiled for exact integer evaluation.
+
+    Built once from terms (row, col, exponent vector, rational coefficient).
+    At a point n/D, written with one common denominator D, ``at`` returns
+    the integer matrix factor(D) * M(n/D) with factor(D) = L * D^top, where
+    L is the lcm of the coefficients' denominators and top the largest
+    total degree: each entry is sum (L*c) * prod n^e * D^(top - |e|).  The
+    factor is a nonzero constant, so rank and zero pattern are those of
+    M(n/D).
+    """
+
+    __slots__ = ("nrows", "ncols", "scale", "top", "monos", "cells")
+
+    def __init__(self, nrows: int, ncols: int, terms: list[tuple]):
+        self.nrows, self.ncols = nrows, ncols
+        self.scale = reduce(lcm, (coef.denominator for *_, coef in terms), 1)
+        self.top = max((sum(exps) for _, _, exps, _ in terms), default=0)
+        monos: dict[tuple[int, ...], int] = {}
+        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for r, c, exps, coef in terms:
+            m = monos.setdefault(exps, len(monos))
+            cells.setdefault((r, c), []).append(
+                (m, coef.numerator * (self.scale // coef.denominator)))
+        # per monomial: its nonzero (variable, exponent) pairs and D's exponent
+        self.monos = [([(j, e) for j, e in enumerate(exps) if e], self.top - sum(exps))
+                      for exps in monos]
+        self.cells = [(r, c, lin) for (r, c), lin in cells.items()]
+
+    def factor(self, den: int) -> int:
+        return self.scale * den ** self.top
+
+    def at(self, nums: list[int], den: int) -> list[list[int]]:
+        pads = [1]
+        for _ in range(self.top):
+            pads.append(pads[-1] * den)
+        vals = []
+        for factors, pad in self.monos:
+            v = pads[pad]
+            for j, e in factors:
+                v *= nums[j] ** e
+            vals.append(v)
+        out = [[0] * self.ncols for _ in range(self.nrows)]
+        for r, c, lin in self.cells:
+            out[r][c] = sum(k * vals[m] for m, k in lin)
+        return out
+
+
+def _split(coords) -> tuple[list[int], int]:
+    """Numerators over one common denominator: coords = nums / den."""
+    coords = list(coords)
+    den = reduce(lcm, (x.denominator for x in coords), 1)
+    return [x.numerator * (den // x.denominator) for x in coords], den
+
+
+def _pair_differentials(pair: LInfPair, variables: list[str],
+                        degrees: tuple[int, ...]) -> dict[int, _IntMatrix]:
+    """d_a on M^j for each j in degrees, as a polynomial matrix in the
+    coordinates of a = sum_v x_v v (v in variables).
+
+    One pass over the stored keys of the actions: a key (head, xi) with
+    every head label in variables adds value / prod mult! times the
+    monomial of the head's multiplicities at (row, xi), as
+    ``contract_power`` does with the whole head.
+    """
+    space = pair.module.space
+    var = {lab: v for v, lab in enumerate(variables)}
+    rows: dict[int, dict[str, int]] = {}
+    cols: dict[str, tuple[int, int]] = {}
+    terms: dict[int, list[tuple]] = {}
+    for j in degrees:
+        rows[j] = {e.label: r for r, e in enumerate(space.basis_of_degree(j + 1))}
+        cols.update((e.label, (j, c)) for c, e in enumerate(space.basis_of_degree(j)))
+        terms[j] = []
+    for m_map in pair.module.actions.values():
+        for key, row in m_map.table.items():
+            col = cols.get(key[-1])
+            if col is None or not all(lab in var for lab in key[:-1]):
+                continue
+            j, c = col
+            exps = [0] * len(var)
+            for lab in key[:-1]:
+                exps[var[lab]] += 1
+            mult = prod(map(factorial, exps))
+            exps = tuple(exps)
+            terms[j].extend((rows[j][lab], c, exps, Fraction(value, mult))
+                            for lab, value in row.items())
+    return {j: _IntMatrix(len(rows[j]), space.dim(j), terms[j]) for j in degrees}
+
+
+def _ring_matrix(mat: RingMatrix) -> _IntMatrix:
+    nrows, ncols = mat.shape()
+    return _IntMatrix(nrows, ncols, [(r, c, mono, coef)
+                                     for r, row in enumerate(mat.data)
+                                     for c, entry in enumerate(row)
+                                     for mono, coef in entry.terms.items()])
+
+
+def _span_column(ideal: Ideal) -> _IntMatrix:
+    """The reduced echelon basis of the generators' Q-span, one row each in
+    a single column.  Evaluation is linear, so every generator vanishes at a
+    point exactly when every row does."""
+    span = _Echelon()
+    for g in ideal.generators:
+        span.add(g.terms)
+    return _IntMatrix(len(span.rows), 1, [(r, 0, mono, coef)
+                                          for r, row in enumerate(span.rows.values())
+                                          for mono, coef in row.items()])
+
+
+def _twisted_dim(dim: int, below: _IntMatrix, here: _IntMatrix, nums: list[int],
+                 den: int) -> int:
+    return dim - linalg.rank(below.at(nums, den)) - linalg.rank(here.at(nums, den))
+
+
 def pointwise_twisted_matrices(
     pair: LInfPair, point: dict[str, Fraction]
 ) -> dict[int, list[list[Fraction]]]:
-    """Exact matrices of d_a for a rational degree-1 class a; computed from
-    the structure maps directly, one pass over each action's stored keys,
-    independent of any truncation."""
+    """Exact matrices of d_a for a rational degree-1 class a, in every
+    degree; read off the actions' stored keys (``_pair_differentials``),
+    independent of any truncation, evaluated in integers and divided by the
+    common factor."""
     _require_minimal(pair)
-    space = pair.module.space
-    columns: dict[tuple, dict[str, Fraction]] = {}
-    for arity, m_map in pair.module.actions.items():
-        contract_power(m_map, point, arity - 1, columns)
+    nums, den = _split(point.values())
+    mats = _pair_differentials(pair, list(point), tuple(pair.module.space.degrees()))
     out: dict[int, list[list[Fraction]]] = {}
-    for i in space.degrees():
-        rows = {e.label: r for r, e in enumerate(space.basis_of_degree(i + 1))}
-        cols = [e.label for e in space.basis_of_degree(i)]
-        mat = [[Fraction(0)] * len(cols) for _ in rows]
-        for cj, xi_label in enumerate(cols):
-            for lab, v in columns.get((xi_label,), {}).items():
-                mat[rows[lab]][cj] = v
-        out[i] = mat
+    for j, mat in mats.items():
+        scale = mat.factor(den)
+        out[j] = [[Fraction(x, scale) for x in row] for row in mat.at(nums, den)]
     return out
 
 
 def twisted_cohomology_dim(pair: LInfPair, point: dict[str, Fraction], i: int) -> int:
-    mats = pointwise_twisted_matrices(pair, point)
-    space = pair.module.space
-    r_below = linalg.rank(mats.get(i - 1, [])) if space.dim(i - 1) else 0
-    r_here = linalg.rank(mats.get(i, [])) if space.dim(i) else 0
-    return space.dim(i) - r_below - r_here
+    _require_minimal(pair)
+    below, here = _pair_differentials(pair, list(point), (i - 1, i)).values()
+    return _twisted_dim(pair.module.space.dim(i), below, here, *_split(point.values()))
 
 
 def sample_points(h1: list[str], count: int, seed: int = 0) -> list[dict[str, Fraction]]:
     """Deterministic small-height rational points, origin first."""
     rng = random.Random(seed)
     points = [dict.fromkeys(h1, Fraction(0))]
+    if not h1:
+        return points  # no degree-1 classes: the character space is a point
     while len(points) < count + 1:
         pt = {
             lab: Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
@@ -232,13 +353,15 @@ def resonance_ideal(
 
     h1 = ucx.variables
     shadow = pair if not binary_only else _binary_shadow(pair)
+    below, here = _pair_differentials(shadow, h1, (i - 1, i)).values()
+    span = _span_column(ideal)
 
     samples = []
     consistent = True
     for pt in sample_points(h1, n_samples, seed):
-        coords = [pt[lab] for lab in h1]
-        vanish = all(g.evaluate(coords) == 0 for g in ideal.generators)
-        dim = twisted_cohomology_dim(shadow, pt, i)
+        nums, den = _split(pt.values())
+        vanish = not any(row[0] for row in span.at(nums, den))
+        dim = _twisted_dim(pair.module.space.dim(i), below, here, nums, den)
         in_locus = dim >= k
         if ucx.mode == "exact" and vanish != in_locus:
             consistent = False
@@ -359,13 +482,13 @@ def dga_resonance_ideal(
     size = space.dim(i) - k + 1
     ideal = block_minors(MinorEngine(matrix(i - 1)), MinorEngine(matrix(i)), size)
 
+    below, here = _ring_matrix(matrix(i - 1)), _ring_matrix(matrix(i))
+    span = _span_column(ideal)
     samples = []
     for pt in sample_points(h1_labels, n_samples, seed):
-        coords = [pt[lab] for lab in h1_labels]
-        vanish = all(g.evaluate(coords) == 0 for g in ideal.generators)
-        r_below = linalg.rank(matrix(i - 1).evaluate(coords))
-        r_here = linalg.rank(matrix(i).evaluate(coords))
-        dim = space.dim(i) - r_below - r_here
+        nums, den = _split(pt.values())
+        vanish = not any(row[0] for row in span.at(nums, den))
+        dim = _twisted_dim(space.dim(i), below, here, nums, den)
         samples.append({
             "point": {lab: str(c) for lab, c in pt.items()},
             "generators_vanish": vanish,

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import signal
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hse.cli import main
-from hse.fixtures import cdga_pair, heisenberg_cdga
+from hse.fixtures import Cdga, cdga_pair, heisenberg_cdga
 from hse.io_json import (
     ParseError,
     dumps,
@@ -150,6 +151,38 @@ def test_cli_dga_resonance(tmp_path):
     fx.write_text(dumps(rep["payload"]))
     rep = run_cli(tmp_path, "dga-resonance", str(fx), "--i", "1", "--k", "1")
     assert rep["payload"]["ideal"]["generators"]
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError inside the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("resonance", ("--trunc", "3")),
+    ("dga-resonance", ()),
+])
+def test_cli_resonance_without_degree_one_classes(tmp_path, command, argv):
+    # Lambda(u) with |u| = 3 has H^1 = 0: the character space is the origin
+    # alone, so both commands report one sample point
+    u3 = Cdga([("u", 3, None)], 3)
+    obj = cdga_pair(u3) if command == "resonance" else u3.ainf()
+    fx = tmp_path / "u3.json"
+    fx.write_text(dumps(package_to_json(obj)))
+    with _deadline(1.0):
+        rep = run_cli(tmp_path, command, str(fx), "--i", "0", "--k", "1", *argv)
+    assert [s["point"] for s in rep["payload"]["samples"]] == [{}]
+    assert rep["payload"]["samples"][0]["in_locus"]
 
 
 def test_cli_usage_errors(tmp_path):

@@ -1,0 +1,211 @@
+"""The sampled rank oracle of ``resonance_ideal`` and ``dga_resonance_ideal``
+against the per-point loop it replaced.
+
+The oracle reads d_a on degrees i-1 and i, and the echelon basis of the
+ideal's Q-span, once per call; at each sample point it evaluates them in
+integers.  The reference below is the old loop: at every point the twisted
+matrices from the stored-key sum ``contract_power`` (or the dga's ring
+matrices evaluated entry by entry), their rank over the rationals, and
+every generator evaluated.  The sample records must be equal.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hse import linalg, resonance
+from hse.fixtures import exterior_cdga
+from hse.multimap import contract_power
+from hse.resonance import (
+    ResonanceError,
+    _span_column,
+    _split,
+    dga_resonance_ideal,
+    pointwise_twisted_matrices,
+    resonance_ideal,
+    sample_points,
+    subtorus_hypothesis_check,
+    twisted_cohomology_dim,
+)
+from hse.rings import CoefRing, Ideal, RElem, RingMatrix
+from hse.structures import LInfModule, LInfPair
+from test_contract_power import RANDOM, _heisenberg_circle, minimal_pair
+
+
+# ---------------------------------------------------------------------------
+# references: the per-point loop
+
+def ref_pointwise_matrices(pair, point):
+    """d_a in every degree, one contract_power pass per action and point."""
+    space = pair.module.space
+    columns = {}
+    for arity, m_map in pair.module.actions.items():
+        contract_power(m_map, point, arity - 1, columns)
+    out = {}
+    for i in space.degrees():
+        rows = {e.label: r for r, e in enumerate(space.basis_of_degree(i + 1))}
+        cols = [e.label for e in space.basis_of_degree(i)]
+        mat = [[Fraction(0)] * len(cols) for _ in rows]
+        for cj, xi_label in enumerate(cols):
+            for lab, v in columns.get((xi_label,), {}).items():
+                mat[rows[lab]][cj] = v
+        out[i] = mat
+    return out
+
+
+def _record(pt, vanish, dim, k):
+    return {
+        "point": {lab: str(c) for lab, c in pt.items()},
+        "generators_vanish": vanish,
+        "dim_twisted": dim,
+        "in_locus": dim >= k,
+    }
+
+
+def ref_oracle_samples(pair, ideal, i, k, points):
+    """The old sample records of ``resonance_ideal`` (pair is the shadow the
+    oracle reads: the binary truncation in binary mode)."""
+    space = pair.module.space
+    samples = []
+    for pt in points:
+        coords = list(pt.values())
+        vanish = all(g.evaluate(coords) == 0 for g in ideal.generators)
+        mats = ref_pointwise_matrices(pair, pt)
+        r_below = linalg.rank(mats.get(i - 1, [])) if space.dim(i - 1) else 0
+        r_here = linalg.rank(mats.get(i, [])) if space.dim(i) else 0
+        samples.append(_record(pt, vanish, space.dim(i) - r_below - r_here, k))
+    return samples
+
+
+def ref_dga_samples(res, dim, points):
+    """The old sample records of ``dga_resonance_ideal``."""
+    samples = []
+    for pt in points:
+        coords = list(pt.values())
+        vanish = all(g.evaluate(coords) == 0 for g in res.ideal.generators)
+        ranks = [linalg.rank(res.matrices[j].evaluate(coords)) if j in res.matrices else 0
+                 for j in (res.i - 1, res.i)]
+        samples.append(_record(pt, vanish, dim - sum(ranks), res.k))
+    return samples
+
+
+def _binary(pair):
+    actions = {n: m for n, m in pair.module.actions.items() if n <= 2}
+    return LInfPair(pair.algebra, LInfModule(pair.algebra, pair.module.space, actions))
+
+
+def _grid(space):
+    dims = space.dims()
+    return [(i, k) for i in sorted(dims) for k in range(1, dims[i] + 1) if dims[i] - k + 1 <= 3]
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+
+ORACLE_PAIRS = ["heisenberg-pair", "heisenberg-pair-weighted", "h3-arity9", "exterior4",
+                "heisenberg-circle"] + RANDOM
+
+
+@pytest.mark.parametrize("name", ORACLE_PAIRS)
+def test_resonance_samples_match_per_point_loop(name):
+    pair = minimal_pair(name)
+    rep = subtorus_hypothesis_check(pair)
+    n0 = rep.n0 if rep.certified else 2
+    n_samples = 100 if name in ORACLE_PAIRS[:5] else 30
+    modes = ({"exact": True}, {"n0": n0}, {"trunc": 3}, {"exact": True, "binary_only": True})
+    for i, k in _grid(pair.module.space):
+        for seed, kw in enumerate(modes):
+            res = resonance_ideal(pair, i, k, n_samples=n_samples, seed=seed, **kw)
+            shadow = _binary(pair) if kw.get("binary_only") else pair
+            points = sample_points(res.complex.variables, n_samples, seed)
+            assert res.samples == ref_oracle_samples(shadow, res.ideal, i, k, points), (i, k, kw)
+
+
+@pytest.mark.parametrize("name", ["exterior4", "heisenberg-circle"])
+def test_dga_samples_match_per_point_loop(name):
+    alg = exterior_cdga(4).ainf() if name == "exterior4" else _heisenberg_circle().ainf()
+    for seed, (i, k) in enumerate(_grid(alg.space)):
+        if i > 3:
+            continue
+        res = dga_resonance_ideal(alg, i, k, seed=seed)
+        points = sample_points(list(res.h1_reps), 100, seed)
+        assert res.samples == ref_dga_samples(res, alg.space.dim(i), points), (i, k)
+
+
+def test_oracle_catches_a_wrong_ideal(monkeypatch):
+    real = resonance.block_minors
+
+    def drop_all_but_first(upper, lower, r):
+        ideal = real(upper, lower, r)
+        return Ideal(ideal.ring, ideal.generators[:1], ideal.provenance[:1])
+
+    pair = minimal_pair("exterior4")
+    alg = exterior_cdga(4).ainf()
+    assert resonance_ideal(pair, 1, 1, exact=True).consistent
+    dga_resonance_ideal(alg, 1, 1)
+    monkeypatch.setattr(resonance, "block_minors", drop_all_but_first)
+    res = resonance_ideal(pair, 1, 1, exact=True)
+    assert res.to_json()["sample_oracle_consistent"] is False
+    with pytest.raises(ResonanceError, match="rank oracle"):
+        dga_resonance_ideal(alg, 1, 1)
+
+
+def test_pair_oracle_uses_no_ring_arithmetic(monkeypatch):
+    pair = minimal_pair("h3-arity9")
+    point = {lab: Fraction(j - 1, 2) for j, lab in enumerate(
+        e.label for e in pair.algebra.space.elements if e.deg == 1)}
+    want = ref_pointwise_matrices(pair, point)
+
+    def refuse(*args):
+        raise AssertionError("the pair oracle used ring arithmetic")
+
+    for name in ("__add__", "__mul__", "evaluate"):
+        monkeypatch.setattr(RElem, name, refuse)
+    monkeypatch.setattr(RingMatrix, "evaluate", refuse)
+    assert pointwise_twisted_matrices(pair, point) == want
+    for i in pair.module.space.degrees():
+        rank = sum(linalg.rank(want.get(j, [])) for j in (i - 1, i))
+        assert twisted_cohomology_dim(pair, point, i) == pair.module.space.dim(i) - rank
+
+
+def test_sample_points_without_degree_one_classes():
+    assert sample_points([], 100, seed=3) == [{}]
+
+
+# ---------------------------------------------------------------------------
+# the vanishing test: generators against the echelon rows of their span
+
+RING = CoefRing("poly", ("x1", "x2", "x3"))
+_COEF = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+_COORD = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+_EXPS = st.tuples(*[st.integers(0, 2)] * 3)
+
+
+def _poly(terms):
+    return sum((RING.element({mono: c}) for mono, c in terms if c), RING.zero)
+
+
+_POLYS = st.lists(st.tuples(_EXPS, _COEF), max_size=4).map(_poly)
+
+
+def _vanish_by_span(ideal, coords):
+    return not any(row[0] for row in _span_column(ideal).at(*_split(coords)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_POLYS, max_size=5), st.lists(_COORD, min_size=3, max_size=3),
+       st.booleans())
+def test_span_vanishing_matches_generators(gens, coords, combine):
+    if combine and len(gens) >= 2:
+        gens.append(gens[0] * 2 - gens[1])  # a dependent generator
+    ideal = Ideal.from_list(RING, gens)
+    for point in (coords, [Fraction(0)] * 3):
+        assert _vanish_by_span(ideal, point) == all(g.evaluate(point) == 0
+                                                     for g in ideal.generators)
+
+
+@pytest.mark.parametrize("coords", [[Fraction(0)] * 3, [Fraction(1, 2), Fraction(-3), Fraction(0)]])
+def test_span_vanishing_of_zero_and_unit_ideals(coords):
+    assert _vanish_by_span(Ideal.zero(RING), coords)
+    assert not _vanish_by_span(Ideal.unit(RING), coords)
