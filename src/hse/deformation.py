@@ -118,6 +118,8 @@ def _fmt_vec(vec: dict) -> str:
 
 @dataclass
 class TwistedComplex:
+    """A complex (M (x) A, d) over a coefficient ring, one matrix per degree
+    of M; ``error`` is the exception class its builder and d^2 check raise."""
     ring: CoefRing
     space: GradedSpace
     matrices: dict[int, RingMatrix]
@@ -126,6 +128,27 @@ class TwistedComplex:
     # sub-minors of d^i; the matrices must not change once it is built
     engines: dict[int, MinorEngine] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
+    error = DeformationError
+
+    @classmethod
+    def from_columns(cls, columns: dict[tuple, dict[str, RElem]], space: GradedSpace,
+                     ring: CoefRing, *extra) -> TwistedComplex:
+        """The complex whose differential sends xi to columns[(xi,)]; extra
+        fills the fields a subclass adds."""
+        matrices: dict[int, RingMatrix] = {}
+        for i in space.degrees():
+            rows = tuple(e.label for e in space.basis_of_degree(i + 1))
+            cols = tuple(e.label for e in space.basis_of_degree(i))
+            mat = RingMatrix(ring, rows, cols)
+            for j, col in enumerate(cols):
+                for lab, v in columns.get((col,), {}).items():
+                    if lab in rows:
+                        mat.set(rows.index(lab), j, v)
+                    elif v:
+                        raise cls.error(
+                            f"twisted differential leaves the degree window: {col} -> {lab}")
+            matrices[i] = mat
+        return cls(ring, space, matrices, *extra)
 
     def matrix(self, i: int) -> RingMatrix:
         got = self.matrices.get(i)
@@ -139,7 +162,7 @@ class TwistedComplex:
         for i in sorted(self.space.degrees()):
             comp = self.matrix(i + 1).compose(self.matrix(i))
             if not comp.is_zero():
-                raise DeformationError(f"twisted differential fails d^2 = 0 at degree {i}")
+                raise self.error(f"twisted differential fails d^2 = 0 at degree {i}")
 
     def engine(self, j: int) -> MinorEngine:
         got = self.engines.get(j)
@@ -157,25 +180,8 @@ def twisted_differential(
     module: LInfModule, ring: CoefRing, omega: dict[str, RElem]
 ) -> TwistedComplex:
     """d_w(xi) = sum_n (1/n!) m_{n+1}(w^n, xi) as matrices per degree."""
-    return _complex_from(_twist_terms(module.actions, ring, omega, 1), module.space, ring)
-
-
-def _complex_from(columns: dict[tuple, dict[str, RElem]], space: GradedSpace,
-                  ring: CoefRing) -> TwistedComplex:
-    matrices: dict[int, RingMatrix] = {}
-    for i in space.degrees():
-        rows = tuple(e.label for e in space.basis_of_degree(i + 1))
-        cols = tuple(e.label for e in space.basis_of_degree(i))
-        mat = RingMatrix(ring, rows, cols)
-        for j, col in enumerate(cols):
-            for lab, v in columns.get((col,), {}).items():
-                if lab in rows:
-                    mat.set(rows.index(lab), j, v)
-                elif v:
-                    raise DeformationError(
-                        f"twisted differential leaves the degree window: {col} -> {lab}")
-        matrices[i] = mat
-    return TwistedComplex(ring, space, matrices)
+    return TwistedComplex.from_columns(
+        _twist_terms(module.actions, ring, omega, 1), module.space, ring)
 
 
 def twist_module(
@@ -209,7 +215,7 @@ def twist_module(
         if not table.is_zero():
             twisted[n] = table
 
-    complex_ = _complex_from(columns, module.space, ring)
+    complex_ = TwistedComplex.from_columns(columns, module.space, ring)
     if verify:
         whole = _twist_terms(combined.brackets, ring, omega, 1)
         for xi in module.space.labels():

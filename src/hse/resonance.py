@@ -6,7 +6,10 @@ the two, and the weight-based hypothesis check that switches on exact mode.
 The universal element w = sum_j e_j (x) x_j pairs the degree-1 cohomology
 basis with polynomial variables; the universal differential interpolates
 every constant twisted differential (a stored-key sum,
-``multimap.contract_power``).  Evaluation at a rational point is kept as an
+``multimap.contract_power``).  The universal complex is a
+``deformation.TwistedComplex`` over Q[x_1..x_n], built by the same
+columns -> matrices builder and d^2 check; so is the dga-level complex
+(A (x) O, d + a.).  Evaluation at a rational point is kept as an
 independent exact rank oracle: it never goes through the possibly
 truncated matrices and uses no ring arithmetic.  Once per call it reads
 d_a on degrees i-1 and i off the actions' stored keys as polynomial
@@ -16,25 +19,24 @@ Python ints, up to a nonzero factor that keeps ranks and zero patterns.
 
 Every ideal here is a jump ideal of d^{i-1} (+) d^i and goes through
 ``rings.block_minors``: only minors that take as many rows as columns from
-each differential are evaluated, as products of one minor of each.  A
-universal complex keeps one memoized ``MinorEngine`` per differential.
+each differential are evaluated, as products of one minor of each, from
+the complex's memoized ``MinorEngine`` per differential.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb, factorial, lcm, prod
 
 from . import linalg
-from .grading import GradedSpace
+from .deformation import TwistedComplex
 from .multimap import MultiMap, contract_power, evaluate_on_vectors
 from .rings import (
     CoefRing,
     Ideal,
-    MinorEngine,
     RingMatrix,
     _Echelon,
     block_minor_terms,
@@ -51,48 +53,14 @@ class ResonanceError(ValueError):
 # ---------------------------------------------------------------------------
 # the universal twisted complex of a minimal pair
 
-@dataclass(frozen=True)
-class UniversalElement:
-    """w_univ = sum_j e_j (x) x_j: the fixed bijection between the degree-1
-    cohomology basis and the polynomial variables."""
-    ring: CoefRing
-    pairs: tuple[tuple[str, str], ...]  # (H^1 label, variable name)
-
-
 @dataclass
-class UniversalComplex:
-    ring: CoefRing
-    space: GradedSpace
-    matrices: dict[int, RingMatrix]
+class UniversalComplex(TwistedComplex):
+    """The twisted complex of the universal element over Q[x_1..x_n]:
+    variables[j] is the H^1 label paired with ring.varnames[j]."""
     variables: list[str]  # H^1 labels, in variable order
     mode: str  # "exact" | "truncated"
     arity_cap: int
-    element: UniversalElement | None = None
-    # one memoized MinorEngine per differential, kept while the complex
-    # lives; the matrices must not change once it is built
-    engines: dict[int, MinorEngine] = field(default_factory=dict, init=False, repr=False,
-                                            compare=False)
-
-    def matrix(self, i: int) -> RingMatrix:
-        got = self.matrices.get(i)
-        if got is not None:
-            return got
-        rows = tuple(e.label for e in self.space.basis_of_degree(i + 1))
-        cols = tuple(e.label for e in self.space.basis_of_degree(i))
-        return RingMatrix(self.ring, rows, cols)
-
-    def engine(self, j: int) -> MinorEngine:
-        got = self.engines.get(j)
-        if got is None:
-            got = self.engines[j] = MinorEngine(self.matrix(j))
-        return got
-
-    def validate_square_zero(self) -> None:
-        for i in sorted(self.space.degrees()):
-            if not self.matrix(i + 1).compose(self.matrix(i)).is_zero():
-                raise ResonanceError(
-                    f"universal differential fails d^2 = 0 at degree {i}"
-                    + (" (within truncation)" if self.mode == "truncated" else ""))
+    error = ResonanceError
 
 
 def _require_minimal(pair: LInfPair) -> None:
@@ -130,30 +98,14 @@ def universal_complex(
     if trunc is not None:
         arity_cap = min(arity_cap, trunc + 1)
 
-    space = pair.module.space
     w_univ = dict(zip(h1, ring.gens()))
     acc: dict[tuple, dict[str, object]] = {}
     for arity in range(2, arity_cap + 1):
         m_map = pair.module.actions.get(arity)
         if m_map is not None:
             contract_power(m_map, w_univ, arity - 1, acc)
-    matrices: dict[int, RingMatrix] = {}
-    for i in space.degrees():
-        rows = tuple(e.label for e in space.basis_of_degree(i + 1))
-        cols = tuple(e.label for e in space.basis_of_degree(i))
-        mat = RingMatrix(ring, rows, cols)
-        for cj, xi_label in enumerate(cols):
-            for lab, val in acc.get((xi_label,), {}).items():
-                if val and lab in rows:
-                    mat.set(rows.index(lab), cj, val)
-                elif val:
-                    raise ResonanceError(f"universal entry leaves the window: {lab}")
-        matrices[i] = mat
-    out = UniversalComplex(
-        ring, space, matrices, h1,
-        "exact" if trunc is None else "truncated", arity_cap,
-        UniversalElement(ring, tuple(zip(h1, ring.varnames))),
-    )
+    out = UniversalComplex.from_columns(acc, pair.module.space, ring, h1,
+                                        "exact" if trunc is None else "truncated", arity_cap)
     out.validate_square_zero()
     return out
 
@@ -315,6 +267,25 @@ def sample_points(h1: list[str], count: int, seed: int = 0) -> list[dict[str, Fr
     return points
 
 
+def _oracle_samples(ideal: Ideal, below: _IntMatrix, here: _IntMatrix, dim: int, k: int,
+                    points: list[dict[str, Fraction]]) -> list[dict]:
+    """At each point: whether the ideal's generators vanish, and the twisted
+    cohomology dimension from the rank oracle's d^{i-1} and d^i (dim is
+    dim M^i).  A sample is in the locus when that dimension is at least k."""
+    span = _span_column(ideal)
+    samples = []
+    for pt in points:
+        nums, den = _split(pt.values())
+        dim_twisted = _twisted_dim(dim, below, here, nums, den)
+        samples.append({
+            "point": {lab: str(c) for lab, c in pt.items()},
+            "generators_vanish": not any(row[0] for row in span.at(nums, den)),
+            "dim_twisted": dim_twisted,
+            "in_locus": dim_twisted >= k,
+        })
+    return samples
+
+
 # ---------------------------------------------------------------------------
 # resonance ideals
 
@@ -351,26 +322,13 @@ def resonance_ideal(
     size = pair.module.space.dim(i) - k + 1
     ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
 
-    h1 = ucx.variables
     shadow = pair if not binary_only else _binary_shadow(pair)
-    below, here = _pair_differentials(shadow, h1, (i - 1, i)).values()
-    span = _span_column(ideal)
-
-    samples = []
-    consistent = True
-    for pt in sample_points(h1, n_samples, seed):
-        nums, den = _split(pt.values())
-        vanish = not any(row[0] for row in span.at(nums, den))
-        dim = _twisted_dim(pair.module.space.dim(i), below, here, nums, den)
-        in_locus = dim >= k
-        if ucx.mode == "exact" and vanish != in_locus:
-            consistent = False
-        samples.append({
-            "point": {lab: str(c) for lab, c in pt.items()},
-            "generators_vanish": vanish,
-            "dim_twisted": dim,
-            "in_locus": in_locus,
-        })
+    below, here = _pair_differentials(shadow, ucx.variables, (i - 1, i)).values()
+    samples = _oracle_samples(ideal, below, here, pair.module.space.dim(i), k,
+                              sample_points(ucx.variables, n_samples, seed))
+    # a truncated ideal is only compared, not held to the oracle
+    consistent = ucx.mode != "exact" or all(
+        s["generators_vanish"] == s["in_locus"] for s in samples)
     return ResonanceResult(ideal, ucx, i, k, size, samples, consistent)
 
 
@@ -444,60 +402,29 @@ def dga_resonance_ideal(
     varnames = tuple(f"x{j + 1}" for j in range(len(h1_labels)))
     ring = CoefRing("poly", varnames)
 
-    matrices: dict[int, RingMatrix] = {}
-    for m in space.degrees():
-        rows = tuple(e.label for e in space.basis_of_degree(m + 1))
-        cols = tuple(e.label for e in space.basis_of_degree(m))
-        mat = RingMatrix(ring, rows, cols)
-        for cj, col in enumerate(cols):
-            entries: dict[str, object] = {}
-            if d is not None:
-                for lab, c in d.get((col,)).items():
-                    entries[lab] = entries.get(lab, ring.zero) + ring.element(c)
-            if mu is not None:
-                for j, v in enumerate(h1_labels):
-                    res = evaluate_on_vectors(mu, [h1_reps[v], {col: Fraction(1)}])
-                    xj = ring.gen(j)
-                    for lab, c in res.items():
-                        entries[lab] = entries.get(lab, ring.zero) + xj * c
-            for lab, val in entries.items():
-                if val and lab in rows:
-                    mat.set(rows.index(lab), cj, val)
-                elif val:
-                    raise ResonanceError(f"twisted entry leaves the window: {col} -> {lab}")
-        matrices[m] = mat
-    for m in space.degrees():
-        above = matrices.get(m + 1)
-        if above is not None and not above.compose(matrices[m]).is_zero():
-            raise ResonanceError("dga universal differential fails d^2 = 0")
-
-    def matrix(m: int) -> RingMatrix:
-        got = matrices.get(m)
-        if got is not None:
-            return got
-        rows = tuple(e.label for e in space.basis_of_degree(m + 1))
-        cols = tuple(e.label for e in space.basis_of_degree(m))
-        return RingMatrix(ring, rows, cols)
+    columns: dict[tuple, dict[str, object]] = {}
+    for col in space.labels():
+        entries = columns[(col,)] = {}
+        if d is not None:
+            for lab, c in d.get((col,)).items():
+                entries[lab] = entries.get(lab, ring.zero) + ring.element(c)
+        if mu is not None:
+            for j, v in enumerate(h1_labels):
+                res = evaluate_on_vectors(mu, [h1_reps[v], {col: Fraction(1)}])
+                xj = ring.gen(j)
+                for lab, c in res.items():
+                    entries[lab] = entries.get(lab, ring.zero) + xj * c
+    ucx = UniversalComplex.from_columns(columns, space, ring, h1_labels, "exact", 2)
+    ucx.validate_square_zero()
 
     size = space.dim(i) - k + 1
-    ideal = block_minors(MinorEngine(matrix(i - 1)), MinorEngine(matrix(i)), size)
-
-    below, here = _ring_matrix(matrix(i - 1)), _ring_matrix(matrix(i))
-    span = _span_column(ideal)
-    samples = []
-    for pt in sample_points(h1_labels, n_samples, seed):
-        nums, den = _split(pt.values())
-        vanish = not any(row[0] for row in span.at(nums, den))
-        dim = _twisted_dim(space.dim(i), below, here, nums, den)
-        samples.append({
-            "point": {lab: str(c) for lab, c in pt.items()},
-            "generators_vanish": vanish,
-            "dim_twisted": dim,
-            "in_locus": dim >= k,
-        })
-        if vanish != (dim >= k):
-            raise ResonanceError("dga resonance ideal disagrees with the rank oracle")
-    return DgaResonance(ideal, matrices, h1_reps, i, k, size, samples)
+    ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
+    samples = _oracle_samples(ideal, _ring_matrix(ucx.matrix(i - 1)),
+                              _ring_matrix(ucx.matrix(i)), space.dim(i), k,
+                              sample_points(h1_labels, n_samples, seed))
+    if any(s["generators_vanish"] != s["in_locus"] for s in samples):
+        raise ResonanceError("dga resonance ideal disagrees with the rank oracle")
+    return DgaResonance(ideal, ucx.matrices, h1_reps, i, k, size, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,18 @@ from hse.fixtures import (
     solvable_dgla,
     adjoint_pair,
 )
+from hse.grading import BasisElement, GradedSpace, combine_spaces
+from hse.multimap import MultiMap
+from hse.resonance import ResonanceError, dga_resonance_ideal, universal_complex
 from hse.rings import parse_ring, parse_element
-from hse.structures import jacobi_check, module_check
+from hse.structures import (
+    AInfAlgebra,
+    LInfAlgebra,
+    LInfModule,
+    LInfPair,
+    jacobi_check,
+    module_check,
+)
 from hse.transfer import transfer_pair
 
 
@@ -268,3 +278,47 @@ def test_twist_by_sampled_mc_passes_jacobi():
             assert rep.ok, rep.first().describe()
             hits += 1
     assert hits >= 3
+
+
+# ---------------------------------------------------------------------------
+# the error contract of the one columns -> matrices builder
+
+def line_pair(targets):
+    """L = <e> in degree 1 with no brackets, acting on M = <a, b, c> in
+    degrees 0, 1, 2 by m_2(e, src) = tgt for each (src, tgt) in targets.
+    Nothing checks the module identities, so the twisted differential may
+    leave the degree window or fail d^2 = 0."""
+    alg = LInfAlgebra(GradedSpace([BasisElement("e", 1)]), {})
+    space = GradedSpace([BasisElement("a", 0), BasisElement("b", 1), BasisElement("c", 2)])
+    m2 = MultiMap(combine_spaces(alg.space, space), space, 2, 0, "antisym_algebra")
+    for src, tgt in targets:
+        m2.add(("e", src), tgt, Fraction(1))
+    return LInfPair(alg, LInfModule(alg, space, {2: m2}))
+
+
+LEAVES_WINDOW = [("a", "c")]  # degree 0 -> degree 2
+NOT_SQUARE_ZERO = [("a", "b"), ("b", "c")]  # d^2 a = t^2 c, nonzero mod t^3
+
+
+@pytest.mark.parametrize("targets, message", [
+    (LEAVES_WINDOW, "leaves the degree window: a -> c"),
+    (NOT_SQUARE_ZERO, r"fails d\^2 = 0 at degree 0"),
+])
+def test_builder_errors_keep_each_callers_class(targets, message):
+    pair = line_pair(targets)
+    R = parse_ring("Q[t]/(t^3)")
+    with pytest.raises(DeformationError, match=message):
+        twist_module(pair, R, {"e": R.gen(0)}, verify=True)
+    with pytest.raises(ResonanceError, match=message):
+        universal_complex(pair, exact=True)
+
+
+def test_dga_path_checks_square_zero():
+    # e.e = f breaks graded commutativity: (d + x e.)^2 u = x^2 f
+    space = GradedSpace([BasisElement("u", 0), BasisElement("e", 1), BasisElement("f", 2)])
+    mu = MultiMap(space, space, 2, 0)
+    for key, out in [(("u", "u"), "u"), (("u", "e"), "e"), (("e", "u"), "e"),
+                     (("u", "f"), "f"), (("f", "u"), "f"), (("e", "e"), "f")]:
+        mu.add(key, out, Fraction(1))
+    with pytest.raises(ResonanceError, match=r"fails d\^2 = 0 at degree 0"):
+        dga_resonance_ideal(AInfAlgebra(space, {2: mu}), 1, 1)

@@ -18,6 +18,7 @@ from hse.io_json import (
     parse_structure,
 )
 from hse.structures import AInfAlgebra, LInfPair
+from test_deformation import NOT_SQUARE_ZERO, line_pair
 
 
 def test_golden_heisenberg_fixture_is_stable():
@@ -183,6 +184,15 @@ def test_cli_resonance_without_degree_one_classes(tmp_path, command, argv):
         rep = run_cli(tmp_path, command, str(fx), "--i", "0", "--k", "1", *argv)
     assert [s["point"] for s in rep["payload"]["samples"]] == [{}]
     assert rep["payload"]["samples"][0]["in_locus"]
+
+
+def test_cli_resonance_reports_a_failed_square_zero_check(tmp_path, capsys):
+    fx = tmp_path / "line.json"
+    fx.write_text(dumps(package_to_json(line_pair(NOT_SQUARE_ZERO))))
+    assert main(["resonance", str(fx), "--i", "1", "--k", "1", "--trunc", "3"]) == 1
+    err = capsys.readouterr().err
+    assert "fails d^2 = 0" in err
+    assert "Traceback" not in err
 
 
 def test_cli_usage_errors(tmp_path):

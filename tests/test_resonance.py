@@ -20,8 +20,9 @@ from hse.resonance import (
     tangent_cone_check_dga,
     universal_complex,
 )
-from hse.rings import Ideal, parse_ring
-from hse.transfer import transfer_pair
+from hse.multimap import MultiMap, evaluate_on_vectors
+from hse.rings import CoefRing, Ideal, RingMatrix, parse_ring
+from hse.transfer import cohomology_splitting, transfer_pair
 
 
 def torus_pair():
@@ -81,6 +82,62 @@ def test_torus_dga_resonance_matches_h_level():
     gens_a = [R.element(dict(g.terms)) for g in resA.ideal.generators]
     lifted = Ideal.from_list(R, gens_a)
     assert resH.ideal.mutually_contains(lifted) is True
+
+
+def ref_dga_matrices(alg):
+    """The matrices of (A (x) O, d + a.) built degree by degree, as
+    ``dga_resonance_ideal`` did before it went through the shared
+    columns -> matrices builder."""
+    space = alg.space
+    d = alg.products.get(1)
+    mu = alg.products.get(2)
+    diagram = cohomology_splitting(space, d if d is not None else MultiMap(space, space, 1, 1))
+    h1_labels = [e.label for e in diagram.small.elements if e.deg == 1]
+    h1_reps = {lab: diagram.g.get((lab,)) for lab in h1_labels}
+    ring = CoefRing("poly", tuple(f"x{j + 1}" for j in range(len(h1_labels))))
+    matrices = {}
+    for m in space.degrees():
+        rows = tuple(e.label for e in space.basis_of_degree(m + 1))
+        cols = tuple(e.label for e in space.basis_of_degree(m))
+        mat = RingMatrix(ring, rows, cols)
+        for cj, col in enumerate(cols):
+            entries = {}
+            if d is not None:
+                for lab, c in d.get((col,)).items():
+                    entries[lab] = entries.get(lab, ring.zero) + ring.element(c)
+            if mu is not None:
+                for j, v in enumerate(h1_labels):
+                    res = evaluate_on_vectors(mu, [h1_reps[v], {col: Fraction(1)}])
+                    xj = ring.gen(j)
+                    for lab, c in res.items():
+                        entries[lab] = entries.get(lab, ring.zero) + xj * c
+            for lab, val in entries.items():
+                if val and lab in rows:
+                    mat.set(rows.index(lab), cj, val)
+                elif val:
+                    raise AssertionError(f"twisted entry leaves the window: {col} -> {lab}")
+        matrices[m] = mat
+    return matrices
+
+
+DGAS = {
+    "heisenberg": heisenberg_cdga,
+    "torus2": lambda: exterior_cdga(2),
+    "exterior4": lambda: exterior_cdga(4),
+    **{f"random{s}": (lambda s=s: random_cdga(s)) for s in range(5)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DGAS))
+def test_dga_matrices_match_degree_by_degree_build(name):
+    alg = DGAS[name]().ainf()
+    got = dga_resonance_ideal(alg, 1, 1, n_samples=5).matrices
+    want = ref_dga_matrices(alg)
+    assert sorted(got) == sorted(want)
+    for m, mat in want.items():
+        assert (got[m].rows, got[m].cols) == (mat.rows, mat.cols), m
+        assert [[e.terms for e in row] for row in got[m].data] == \
+            [[e.terms for e in row] for row in mat.data], m
 
 
 def test_universal_complex_exact_vs_truncated():
