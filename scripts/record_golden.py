@@ -11,7 +11,9 @@ at i = 0 (no d^{i-1}) and i = 3 (d^i has no rows), resonance --trunc 3
 with --seed 7 (sample points other than the default ones), and
 dga-resonance at (1, 2).  Two perturbed
 packages in tests/golden/ give failing ``check`` reports (exit 1), and two
-dglas there give ``twist`` reports with non-abelian brackets.  Every case
+dglas there give ``twist`` reports with non-abelian brackets.  The weighted
+Heisenberg cdga viewed as a dgla (tests/golden/heisenberg-dgla.json) pins
+the linf branches of ``cohomology`` and ``transfer``.  Every case
 goes through ``hse.cli.main`` from the repository root with relative
 paths, because a report's ``config_hash`` hashes argv.
 Each case's exit code and argv go to tests/golden/manifest.json and its
@@ -49,6 +51,9 @@ DGLAS = (("solvable-dgla", "mc-solvable"), ("affine-plane-dgla", "mc-affine-plan
 # an empty first block (i = 0), minors drawn from both blocks (i = 2) and a
 # second block with no rows (i = 3); run at k = 1.
 EDGE_DEGREES = ("0", "2", "3")
+# fixtures.cdga_zero_bracket_dgla(fixtures.heisenberg_cdga(weights=True)):
+# a dgla with only a differential, for the linf cohomology and transfer.
+DGLA = "heisenberg-dgla"
 
 
 def cases() -> list[tuple[str, list[str]]]:
@@ -104,6 +109,9 @@ def cases() -> list[tuple[str, list[str]]]:
     for pkg, mc in DGLAS:
         add(f"twist-{pkg}", "twist", f"tests/golden/{pkg}.json",
             "--mc", f"tests/golden/{mc}.json")
+    add(f"cohomology-{DGLA}", "cohomology", f"tests/golden/{DGLA}.json")
+    add(f"transfer-a4-ignore-{DGLA}", "transfer", f"tests/golden/{DGLA}.json",
+        "--max-arity", "4", "--weights", "ignore")
     return out
 
 
