@@ -53,7 +53,6 @@ from .transfer import (
     transfer_linf,
     transfer_pair,
 )
-from .multimap import MultiMap
 
 
 class UsageError(ValueError):
@@ -207,14 +206,7 @@ def cmd_cohomology(args) -> tuple[str, dict, int]:
     if isinstance(obj, AInfAlgebra):
         space, diff = obj.space, obj.products.get(1)
     elif isinstance(obj, LInfAlgebra):
-        space = obj.space
-        l1 = obj.brackets.get(1)
-        diff = None
-        if l1 is not None:
-            diff = MultiMap(space, space, 1, 1)
-            for key, row in l1.entries():
-                for lab, c in row.items():
-                    diff.add(key, lab, c)
+        space, diff = obj.space, obj.brackets.get(1)
     else:
         raise UsageError("cohomology expects an algebra package")
     diagram = cohomology_splitting(space, diff, use_weights=_weights_flag(args, space))
@@ -261,14 +253,8 @@ def cmd_transfer(args) -> tuple[str, dict, int]:
         ok = checks["stasheff"]["ok"]
         return ("pass" if ok else "fail"), payload, 0 if ok else 1
     if isinstance(obj, LInfAlgebra):
-        l1 = obj.brackets.get(1)
-        diff = MultiMap(obj.space, obj.space, 1, 1)
-        if l1 is not None:
-            for key, row in l1.entries():
-                for lab, c in row.items():
-                    diff.add(key, lab, c)
         diagram = cohomology_splitting(
-            obj.space, diff, use_weights=_weights_flag(args, obj.space))
+            obj.space, obj.brackets.get(1), use_weights=_weights_flag(args, obj.space))
         res = transfer_linf(diagram, obj, args.max_arity)
         payload["metadata"] = {
             **res.metadata,

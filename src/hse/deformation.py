@@ -530,10 +530,7 @@ def sample_mc(
         vec = l1.get((lab,)) if l1 is not None else {}
         d_cols.append([Fraction(vec.get(t, 0)) for t in deg2])
     d_rows = [[d_cols[j][t] for j in range(len(h1))] for t in range(len(deg2))]
-    closed = linalg.kernel_basis(d_rows, len(h1)) if deg2 else [
-        [Fraction(1) if i == j else Fraction(0) for i in range(len(h1))]
-        for j in range(len(h1))
-    ]
+    closed = linalg.kernel_basis(d_rows, len(h1))
     if not closed:
         return None
 

@@ -1,9 +1,18 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on one reduced echelon form.
 
-Matrices are lists of row lists of Fractions.  Everything is deterministic:
-pivots are always the first usable column, kernel vectors come out in
-free-column order.  Sizes here are tiny (fixture complexes), so no effort
-is spent on asymptotics.
+``Echelon`` is the package's one Gauss-Jordan eliminator: a Q-subspace
+held as its reduced echelon basis of sparse vectors key -> Fraction.  The
+pivot of each row is its smallest key (a column index here, a monomial in
+``rings``).  That basis is unique for the subspace, so two spans are equal
+exactly when their rows are, and every answer read off it is canonical.
+Vectors are added one at a time, so extending a basis by candidates costs
+one reduction per candidate.
+
+Dense matrices are lists of row lists of Fractions.  ``kernel_basis``,
+``solve``, ``in_span``, ``invert`` and ``extend_to_basis`` read their
+answers off the rows of the echelon of the matrix's rows; kernel vectors
+come out in free-column order.  ``rank`` is separate: Bareiss elimination
+on integer matrices, for the rank oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +27,68 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class Echelon:
+    """Reduced echelon basis of a Q-subspace, as sparse vectors key ->
+    Fraction: ``rows`` maps each pivot to the one row with coefficient 1
+    there, which is its smallest key, and every row is 0 at every other
+    pivot."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, vectors=()):
+        self.rows: dict = {}
+        for vec in vectors:
+            self.add(vec)
+
+    def remainder(self, vec: dict) -> dict:
+        """vec less its projection onto the span along the pivots; zero iff
+        vec lies in the span.  The rows vanish at each other's pivots, so
+        each pivot of vec is cleared by its own row with vec's coefficient."""
+        rows = self.rows
+        out = dict(vec)
+        for pivot, coef in vec.items():
+            row = rows.get(pivot)
+            if row is None:
+                continue
+            for key, value in row.items():
+                v = out.get(key, _ZERO) - coef * value
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+        return out
+
+    def spans(self, vec: dict) -> bool:
+        return not self.remainder(vec)
+
+    def add(self, vec: dict) -> dict | None:
+        """Extend the span by vec, keeping the basis reduced; returns vec's
+        remainder, which together with the span before spans the span after,
+        or None when vec was already in the span."""
+        rest = self.remainder(vec)
+        if not rest:
+            return None
+        pivot = min(rest)
+        inv = 1 / rest[pivot]
+        new = {key: c * inv for key, c in rest.items()}
+        for row in self.rows.values():
+            coef = row.get(pivot)
+            if coef is None:
+                continue
+            for key, value in new.items():
+                v = row.get(key, _ZERO) - coef * value
+                if v:
+                    row[key] = v
+                else:
+                    del row[key]
+        self.rows[pivot] = new
+        return rest
+
+
+def _sparse(vec: list[Fraction]) -> dict[int, Fraction]:
+    return {i: x for i, x in enumerate(vec) if x}
+
+
 def zeros(rows: int, cols: int) -> Matrix:
     return [[_ZERO] * cols for _ in range(rows)]
 
@@ -27,39 +98,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         mat[i][i] = _ONE
     return mat
-
-
-def copy(mat: Matrix) -> Matrix:
-    return [row[:] for row in mat]
-
-
-def rref(mat: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
-    m = copy(mat)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = _ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
 
 
 def rank(mat: Matrix) -> int:
@@ -90,67 +128,52 @@ def kernel_basis(mat: Matrix, cols: int | None = None) -> list[list[Fraction]]:
     Pass cols explicitly for matrices with zero rows (the nested-list
     representation loses the column count there).
     """
-    rows = len(mat)
     if cols is None:
-        cols = len(mat[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[_ONE if i == j else _ZERO for i in range(cols)] for j in range(cols)]
-    red, pivots = rref(mat)
-    pivot_set = set(pivots)
+        cols = len(mat[0]) if mat else 0
+    rows = Echelon(map(_sparse, mat)).rows
     basis = []
     for free in range(cols):
-        if free in pivot_set:
+        if free in rows:
             continue
         vec = [_ZERO] * cols
         vec[free] = _ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][free]
+        for pivot, row in rows.items():
+            vec[pivot] = -row.get(free, _ZERO)
         basis.append(vec)
     return basis
 
 
 def solve(mat: Matrix, rhs: list[Fraction]) -> list[Fraction] | None:
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [mat[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
+    """One solution of mat @ x = rhs, or None if inconsistent: the free
+    variables are 0, each pivot variable reads the rhs column of its row."""
+    cols = len(mat[0]) if mat else 0
+    rows = Echelon(_sparse(row + [b]) for row, b in zip(mat, rhs)).rows
+    if cols in rows:
         return None
     x = [_ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
+    for pivot, row in rows.items():
+        x[pivot] = row.get(cols, _ZERO)
     return x
 
 
 def extend_to_basis(spanning: list[list[Fraction]], candidates: list[list[Fraction]]) -> list[int]:
     """Indices of candidates that greedily extend span(spanning) to a larger space.
 
-    Deterministic: candidates are tried in order, each kept iff it increases
-    the rank so far.
+    Deterministic: candidates are tried in order, each kept iff it is not
+    in the span of spanning and the candidates kept before it.
     """
-    kept: list[int] = []
-    current: Matrix = [vec[:] for vec in spanning]
-    current_rank = rank(current) if current else 0
-    for idx, cand in enumerate(candidates):
-        trial = current + [cand[:]]
-        r = rank(trial)
-        if r > current_rank:
-            kept.append(idx)
-            current = trial
-            current_rank = r
-    return kept
+    span = Echelon(map(_sparse, spanning))
+    return [i for i, cand in enumerate(candidates) if span.add(_sparse(cand)) is not None]
 
 
 def invert(mat: Matrix) -> Matrix:
+    """The inverse, read off the echelon of [mat | identity]: it has pivots
+    0..n-1 exactly when mat is invertible, and then rows [identity | inverse]."""
     n = len(mat)
-    aug = [mat[i][:] + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
+    rows = Echelon(_sparse(row + unit) for row, unit in zip(mat, identity(n))).rows
+    if any(pivot >= n for pivot in rows):
         raise ValueError("matrix not invertible")
-    return [row[n:] for row in red]
+    return [[rows[r].get(n + c, _ZERO) for c in range(n)] for r in range(n)]
 
 
 def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:

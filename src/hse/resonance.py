@@ -12,10 +12,11 @@ columns -> matrices builder and d^2 check; so is the dga-level complex
 (A (x) O, d + a.).  Evaluation at a rational point is kept as an
 independent exact rank oracle: it never goes through the possibly
 truncated matrices and uses no ring arithmetic.  Once per call it reads
-d_a on degrees i-1 and i off the actions' stored keys as polynomial
-matrices in a's coordinates (``_IntMatrix``), and the ideal as the echelon
-basis of its generators' Q-span; at each point n/D it evaluates both in
-Python ints, up to a nonzero factor that keeps ranks and zero patterns.
+d_a on degrees i-1 and i off the actions' stored keys (for a dga, off the
+tables of d and mu) as polynomial matrices in a's coordinates
+(``_IntMatrix``), and the ideal as the echelon basis of its generators'
+Q-span; at each point n/D it evaluates both in Python ints, up to a
+nonzero factor that keeps ranks and zero patterns.
 
 Every ideal here is a jump ideal of d^{i-1} (+) d^i and goes through
 ``rings.block_minors``: only minors that take as many rows as columns from
@@ -33,12 +34,12 @@ from math import comb, factorial, lcm, prod
 
 from . import linalg
 from .deformation import TwistedComplex
-from .multimap import MultiMap, contract_power, evaluate_on_vectors
+from .grading import GradedSpace
+from .multimap import contract_power, evaluate_on_vectors
 from .rings import (
     CoefRing,
     Ideal,
     RingMatrix,
-    _Echelon,
     block_minor_terms,
     block_minors,
 )
@@ -168,6 +169,26 @@ def _split(coords) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in coords], den
 
 
+def _compile(space: GradedSpace, degrees: tuple[int, ...], entries) -> dict[int, _IntMatrix]:
+    """A polynomial differential on M^j for each j in degrees, from entries
+    (column label, output row, exponent vector, scale): each adds scale *
+    value times the monomial at (row label, column); columns of other
+    degrees are skipped."""
+    rows: dict[int, dict[str, int]] = {}
+    cols: dict[str, tuple[int, int]] = {}
+    terms: dict[int, list[tuple]] = {}
+    for j in degrees:
+        rows[j] = {e.label: r for r, e in enumerate(space.basis_of_degree(j + 1))}
+        cols.update((e.label, (j, c)) for c, e in enumerate(space.basis_of_degree(j)))
+        terms[j] = []
+    for label, row, exps, scale in entries:
+        col = cols.get(label)
+        if col is not None:
+            j, c = col
+            terms[j].extend((rows[j][lab], c, exps, scale * value) for lab, value in row.items())
+    return {j: _IntMatrix(len(rows[j]), space.dim(j), terms[j]) for j in degrees}
+
+
 def _pair_differentials(pair: LInfPair, variables: list[str],
                         degrees: tuple[int, ...]) -> dict[int, _IntMatrix]:
     """d_a on M^j for each j in degrees, as a polynomial matrix in the
@@ -178,46 +199,45 @@ def _pair_differentials(pair: LInfPair, variables: list[str],
     monomial of the head's multiplicities at (row, xi), as
     ``contract_power`` does with the whole head.
     """
-    space = pair.module.space
     var = {lab: v for v, lab in enumerate(variables)}
-    rows: dict[int, dict[str, int]] = {}
-    cols: dict[str, tuple[int, int]] = {}
-    terms: dict[int, list[tuple]] = {}
-    for j in degrees:
-        rows[j] = {e.label: r for r, e in enumerate(space.basis_of_degree(j + 1))}
-        cols.update((e.label, (j, c)) for c, e in enumerate(space.basis_of_degree(j)))
-        terms[j] = []
-    for m_map in pair.module.actions.values():
-        for key, row in m_map.table.items():
-            col = cols.get(key[-1])
-            if col is None or not all(lab in var for lab in key[:-1]):
-                continue
-            j, c = col
-            exps = [0] * len(var)
-            for lab in key[:-1]:
-                exps[var[lab]] += 1
-            mult = prod(map(factorial, exps))
-            exps = tuple(exps)
-            terms[j].extend((rows[j][lab], c, exps, Fraction(value, mult))
-                            for lab, value in row.items())
-    return {j: _IntMatrix(len(rows[j]), space.dim(j), terms[j]) for j in degrees}
+
+    def entries():
+        for m_map in pair.module.actions.values():
+            for key, row in m_map.table.items():
+                if all(lab in var for lab in key[:-1]):
+                    exps = [0] * len(var)
+                    for lab in key[:-1]:
+                        exps[var[lab]] += 1
+                    yield key[-1], row, tuple(exps), Fraction(1, prod(map(factorial, exps)))
+
+    return _compile(pair.module.space, degrees, entries())
 
 
-def _ring_matrix(mat: RingMatrix) -> _IntMatrix:
-    nrows, ncols = mat.shape()
-    return _IntMatrix(nrows, ncols, [(r, c, mono, coef)
-                                     for r, row in enumerate(mat.data)
-                                     for c, entry in enumerate(row)
-                                     for mono, coef in entry.terms.items()])
+def _dga_differentials(alg: AInfAlgebra, reps: list[dict[str, Fraction]],
+                       degrees: tuple[int, ...]) -> dict[int, _IntMatrix]:
+    """d + sum_j x_j mu(rep_j, -) on A^j for each j in degrees, read off the
+    stored keys of d and mu, never through the universal complex."""
+    units = [tuple(int(v == j) for v in range(len(reps))) for j in range(len(reps))]
+
+    def entries():
+        d, mu = alg.products.get(1), alg.products.get(2)
+        if d is not None:
+            for (col,), row in d.table.items():
+                yield col, row, (0,) * len(reps), Fraction(1)
+        if mu is not None:
+            for (a, col), row in mu.table.items():
+                for unit, rep in zip(units, reps):
+                    if a in rep:
+                        yield col, row, unit, rep[a]
+
+    return _compile(alg.space, degrees, entries())
 
 
 def _span_column(ideal: Ideal) -> _IntMatrix:
     """The reduced echelon basis of the generators' Q-span, one row each in
     a single column.  Evaluation is linear, so every generator vanishes at a
     point exactly when every row does."""
-    span = _Echelon()
-    for g in ideal.generators:
-        span.add(g.terms)
+    span = linalg.Echelon(g.terms for g in ideal.generators)
     return _IntMatrix(len(span.rows), 1, [(r, 0, mono, coef)
                                           for r, row in enumerate(span.rows.values())
                                           for mono, coef in row.items()])
@@ -396,7 +416,7 @@ def dga_resonance_ideal(
         if d.get((unit_label,)):
             raise ResonanceError("degree-0 class must be closed")
 
-    diagram = cohomology_splitting(space, d if d is not None else MultiMap(space, space, 1, 1))
+    diagram = cohomology_splitting(space, d)
     h1_labels = [e.label for e in diagram.small.elements if e.deg == 1]
     h1_reps = {lab: diagram.g.get((lab,)) for lab in h1_labels}
     varnames = tuple(f"x{j + 1}" for j in range(len(h1_labels)))
@@ -419,8 +439,8 @@ def dga_resonance_ideal(
 
     size = space.dim(i) - k + 1
     ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
-    samples = _oracle_samples(ideal, _ring_matrix(ucx.matrix(i - 1)),
-                              _ring_matrix(ucx.matrix(i)), space.dim(i), k,
+    below, here = _dga_differentials(alg, list(h1_reps.values()), (i - 1, i)).values()
+    samples = _oracle_samples(ideal, below, here, space.dim(i), k,
                               sample_points(h1_labels, n_samples, seed))
     if any(s["generators_vanish"] != s["in_locus"] for s in samples):
         raise ResonanceError("dga resonance ideal disagrees with the rank oracle")
@@ -515,8 +535,7 @@ def tangent_cone_check_dga(
     minor-by-minor certificate at (i, k)."""
     if max_arity is None:
         # minors of size s only see entry degrees up to s, i.e. arities s + 1
-        diagram = cohomology_splitting(
-            alg.space, alg.products.get(1) or MultiMap(alg.space, alg.space, 1, 1))
+        diagram = cohomology_splitting(alg.space, alg.products.get(1))
         size_hint = max(diagram.small.dim(i) - k + 1, 1)
         max_arity = max(size_hint + 1, 3)
     pair = canonical_minimal_pair(alg, max_arity)

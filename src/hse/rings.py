@@ -11,12 +11,14 @@ tuple -> Fraction, graded-lex ordering for display):
 Ideal membership is decided by finite linear algebra wherever that is
 honest: always in Artinian quotients, degree-by-degree for homogeneous data
 in exact polynomial rings, and bounded-degree-solve-else-unknown otherwise.
-Every case reduces the target against a sparse reduced echelon basis
-(``_Echelon``) of a spanning set of products of the generators; in an
-Artinian ring that set is the closure of the generators under
-multiplication by the variables, so the basis spans the whole ideal.  The
-basis is built per call and never stored on the ``Ideal``.  No Groebner
-machinery is used or pretended.
+Every case reduces the target against the reduced echelon basis
+(``linalg.Echelon``, pivots at the smallest monomial) of a spanning set of
+products of the generators; in an Artinian ring that set is the closure of
+the generators under multiplication by the variables, so the basis spans
+the whole ideal.  That basis is unique for the ideal, so two ideals of an
+Artinian ring are equal exactly when their bases are.  The basis is built
+per call and never stored on the ``Ideal``.  No Groebner machinery is used
+or pretended.
 
 Determinantal ideals come from ``MinorEngine``, a Laplace expansion along
 the first row that memoizes every sub-minor.  ``block_minors`` gives I_r
@@ -39,11 +41,10 @@ from heapq import merge
 from itertools import combinations
 from math import comb
 
+from .linalg import Echelon
 from .scalars import format_scalar, parse_scalar
 
 Monomial = tuple[int, ...]
-
-_ZERO = Fraction(0)
 
 
 class RingError(ValueError):
@@ -442,7 +443,7 @@ class Ideal:
             return self._artinian_span().spans(f.terms)
         return self._contains_poly(f, degree_bound)
 
-    def _artinian_span(self) -> "_Echelon":
+    def _artinian_span(self) -> Echelon:
         """The ideal as a Q-subspace of the Artinian ring.
 
         It is the smallest subspace that holds the generators and is closed
@@ -455,7 +456,7 @@ class Ideal:
         full = len(self.ring.monomial_basis())
         n = self.ring.nvars
         variables = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        span = _Echelon()
+        span = Echelon()
         queue = [g.terms for g in self.generators]
         for vec in queue:
             added = span.add(vec)
@@ -473,7 +474,7 @@ class Ideal:
         homogeneous = f.is_homogeneous() and all(g.is_homogeneous() for g in self.generators)
         if degree_bound is None:
             degree_bound = f.degree()
-        span = _Echelon()
+        span = Echelon()
         for g in self.generators:
             max_mult = degree_bound - g.low_degree()
             if max_mult < 0:
@@ -488,17 +489,11 @@ class Ideal:
 
     def mutually_contains(self, other: "Ideal", degree_bound: int | None = None) -> bool | None:
         """Whether the two ideals are equal: True, False, or None when a
-        polynomial membership is inconclusive.  Over an Artinian ring each
-        side's echelon basis is built once and the other side's generators
-        are reduced against it; nothing outlives the call."""
+        polynomial membership is inconclusive.  Over an Artinian ring the
+        two ideals' reduced echelon bases are compared: the basis of a
+        subspace is unique."""
         if self.ring.is_artinian:
-            for ideal, gens in ((self, other.generators), (other, self.generators)):
-                if not gens:
-                    continue
-                span = ideal._artinian_span()
-                if not all(span.spans(g.terms) for g in gens):
-                    return False
-            return True
+            return self._artinian_span().rows == other._artinian_span().rows
         results = [self.contains(g, degree_bound) for g in other.generators]
         results += [other.contains(g, degree_bound) for g in self.generators]
         if any(r is False for r in results):
@@ -525,61 +520,6 @@ def _shifted(ring: CoefRing, terms: dict[Monomial, Fraction],
         if keeps(prod):
             out[prod] = coef
     return out
-
-
-class _Echelon:
-    """Reduced echelon basis of a Q-subspace of a ring, as sparse vectors
-    monomial -> Fraction: ``rows`` maps each pivot monomial to the one row
-    with coefficient 1 there, and every row is 0 at every other pivot."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: dict[Monomial, dict[Monomial, Fraction]] = {}
-
-    def remainder(self, vec: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        """vec less its projection onto the span along the pivots; zero iff
-        vec lies in the span.  The rows vanish at each other's pivots, so
-        each pivot of vec is cleared by its own row with vec's coefficient."""
-        rows = self.rows
-        out = dict(vec)
-        for pivot, coef in vec.items():
-            row = rows.get(pivot)
-            if row is None:
-                continue
-            for mono, value in row.items():
-                v = out.get(mono, _ZERO) - coef * value
-                if v:
-                    out[mono] = v
-                else:
-                    del out[mono]
-        return out
-
-    def spans(self, vec: dict[Monomial, Fraction]) -> bool:
-        return not self.remainder(vec)
-
-    def add(self, vec: dict[Monomial, Fraction]) -> dict[Monomial, Fraction] | None:
-        """Extend the span by vec, keeping the basis reduced; returns vec's
-        remainder, which together with the span before spans the span after,
-        or None when vec was already in the span."""
-        rest = self.remainder(vec)
-        if not rest:
-            return None
-        pivot = min(rest)
-        inv = 1 / rest[pivot]
-        new = {mono: c * inv for mono, c in rest.items()}
-        for row in self.rows.values():
-            coef = row.get(pivot)
-            if coef is None:
-                continue
-            for mono, value in new.items():
-                v = row.get(mono, _ZERO) - coef * value
-                if v:
-                    row[mono] = v
-                else:
-                    del row[mono]
-        self.rows[pivot] = new
-        return rest
 
 
 def _monomials_up_to(nvars: int, bound: int) -> list[Monomial]:

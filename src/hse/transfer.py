@@ -121,9 +121,16 @@ def cohomology_splitting(
     A nonzero ``variant`` shears the harmonic representatives by boundaries
     and reverses the co-exact pivoting order: a genuinely different valid
     splitting, used to test splitting-independence of invariants.
+
+    Any arity-1 map on space (an A-infinity nu_1, an L-infinity l_1, a
+    module's m_1) or None for zero is copied once into a plain differential.
     """
-    if differential is None:
-        differential = MultiMap(space, space, 1, 1)
+    d = MultiMap(space, space, 1, 1)
+    if differential is not None:
+        for key, row in differential.entries():
+            for lab, c in row.items():
+                d.add(key, lab, c)
+    differential = d
     weighted = space.weighted if use_weights is None else (use_weights and space.weighted)
     if use_weights and not space.weighted:
         raise TransferError("weights required but the space carries none")
@@ -641,20 +648,10 @@ def transfer_pair(pair: LInfPair, max_arity: int, use_weights: bool | None = Non
     transferred algebra.  Module and Jacobi checks certify the output.
     """
     combined, emb = pair_to_algebra(pair)
-    d1 = pair.algebra.brackets.get(1)
-    alg_d = MultiMap(pair.algebra.space, pair.algebra.space, 1, 1)
-    if d1 is not None:
-        for key, row in d1.entries():
-            for lab, c in row.items():
-                alg_d.add(key, lab, c)
-    m1 = pair.module.actions.get(1)
-    mod_d = MultiMap(pair.module.space, pair.module.space, 1, 1)
-    if m1 is not None:
-        for key, row in m1.entries():
-            for lab, c in row.items():
-                mod_d.add(key, lab, c)
-    diag_a = cohomology_splitting(pair.algebra.space, alg_d, use_weights, label_prefix="a.")
-    diag_m = cohomology_splitting(pair.module.space, mod_d, use_weights, label_prefix="m.")
+    diag_a = cohomology_splitting(pair.algebra.space, pair.algebra.brackets.get(1),
+                                  use_weights, label_prefix="a.")
+    diag_m = cohomology_splitting(pair.module.space, pair.module.actions.get(1),
+                                  use_weights, label_prefix="m.")
     diagram = _direct_sum_diagrams(diag_a, diag_m)
     diagram.validate()
 

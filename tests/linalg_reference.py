@@ -1,0 +1,108 @@
+"""The dense exact linear algebra ``hse.linalg`` had before it read every
+answer off ``linalg.Echelon``: a Gauss-Jordan ``rref`` of the whole matrix
+per call, and ``extend_to_basis`` as a full rank per candidate.  Kept as
+the references of the differential tests.
+"""
+
+from fractions import Fraction
+
+from hse import linalg
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def rref(mat):
+    """Reduced row echelon form; returns (rref_matrix, pivot_columns)."""
+    m = [row[:] for row in mat]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if m[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = _ONE / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def kernel_basis(mat, cols=None):
+    rows = len(mat)
+    if cols is None:
+        cols = len(mat[0]) if rows else 0
+    if cols == 0:
+        return []
+    if rows == 0:
+        return [[_ONE if i == j else _ZERO for i in range(cols)] for j in range(cols)]
+    red, pivots = rref(mat)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(cols):
+        if free in pivot_set:
+            continue
+        vec = [_ZERO] * cols
+        vec[free] = _ONE
+        for r, pc in enumerate(pivots):
+            vec[pc] = -red[r][free]
+        basis.append(vec)
+    return basis
+
+
+def solve(mat, rhs):
+    rows = len(mat)
+    cols = len(mat[0]) if rows else 0
+    aug = [mat[i][:] + [rhs[i]] for i in range(rows)]
+    red, pivots = rref(aug)
+    if cols in pivots:
+        return None
+    x = [_ZERO] * cols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][cols]
+    return x
+
+
+def in_span(vectors, target):
+    if not vectors:
+        return [] if not any(target) else None
+    mat = [[vectors[j][i] for j in range(len(vectors))] for i in range(len(target))]
+    return solve(mat, target)
+
+
+def extend_to_basis(spanning, candidates):
+    """Each candidate kept iff it raises the (Bareiss) rank of the matrix
+    kept so far."""
+    kept = []
+    current = [vec[:] for vec in spanning]
+    current_rank = linalg.rank(current) if current else 0
+    for idx, cand in enumerate(candidates):
+        trial = current + [cand[:]]
+        r = linalg.rank(trial)
+        if r > current_rank:
+            kept.append(idx)
+            current = trial
+            current_rank = r
+    return kept
+
+
+def invert(mat):
+    n = len(mat)
+    aug = [mat[i][:] + linalg.identity(n)[i] for i in range(n)]
+    red, pivots = rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix not invertible")
+    return [row[n:] for row in red]

@@ -6,7 +6,9 @@ ideal's Q-span, once per call; at each sample point it evaluates them in
 integers.  The reference below is the old loop: at every point the twisted
 matrices from the stored-key sum ``contract_power`` (or the dga's ring
 matrices evaluated entry by entry), their rank over the rationals, and
-every generator evaluated.  The sample records must be equal.
+every generator evaluated.  The sample records must be equal.  The dga
+oracle's matrices, compiled from the product tables, must also equal the
+universal complex's entry by entry.
 """
 
 from fractions import Fraction
@@ -15,10 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hse import linalg, resonance
-from hse.fixtures import exterior_cdga
+from hse.fixtures import exterior_cdga, heisenberg_cdga
 from hse.multimap import contract_power
 from hse.resonance import (
     ResonanceError,
+    _dga_differentials,
     _span_column,
     _split,
     dga_resonance_ideal,
@@ -131,6 +134,26 @@ def test_dga_samples_match_per_point_loop(name):
         res = dga_resonance_ideal(alg, i, k, seed=seed)
         points = sample_points(list(res.h1_reps), 100, seed)
         assert res.samples == ref_dga_samples(res, alg.space.dim(i), points), (i, k)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "torus2", "exterior4"])
+def test_dga_oracle_matrices_match_the_universal_complex(name):
+    """The dga oracle compiles d + sum_j x_j mu(rep_j, -) from the tables of
+    d and mu; at each point it must be factor(D) times the universal
+    complex's matrix, entry by entry.  Sampled ranks alone do not see a
+    builder that doubles mu or drops d."""
+    cdga = {"heisenberg": heisenberg_cdga, "torus2": lambda: exterior_cdga(2),
+            "exterior4": lambda: exterior_cdga(4)}[name]
+    alg = cdga().ainf()
+    res = dga_resonance_ideal(alg, 1, 1, n_samples=5)
+    degrees = tuple(alg.space.degrees())
+    compiled = _dga_differentials(alg, list(res.h1_reps.values()), degrees)
+    for pt in sample_points(list(res.h1_reps), 20, seed=1):
+        nums, den = _split(pt.values())
+        for j in degrees:
+            want = res.matrices[j].evaluate(list(pt.values()))
+            scale = compiled[j].factor(den)
+            assert compiled[j].at(nums, den) == [[scale * x for x in row] for row in want], j
 
 
 def test_oracle_catches_a_wrong_ideal(monkeypatch):
