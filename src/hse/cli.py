@@ -10,6 +10,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -166,12 +167,14 @@ def _require_minimal_pair(path: str, args) -> LInfPair:
 
 
 def cmd_fixture(args) -> tuple[str, dict, int]:
-    desc = FixtureDescriptor(
-        name=args.name, seed=args.seed or 0,
-        dims=tuple(int(x) for x in args.dims.split(",")) if args.dims else (),
-        weights=args.weights,
-    )
-    obj = generate_fixture(desc)
+    try:
+        dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else ()
+        obj = generate_fixture(FixtureDescriptor(
+            name=args.name, seed=args.seed or 0, dims=dims, weights=args.weights))
+    except StructureError:
+        raise
+    except ValueError as exc:  # a number in --dims or in the name that is not one
+        raise UsageError(f"bad fixture descriptor: {exc}") from exc
     payload = package_to_json(obj)
     return "ok", payload, 0
 
@@ -413,7 +416,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="hse",
         description="exact homotopy transfer / cohomology jump ideal engine",

@@ -20,7 +20,7 @@ from fractions import Fraction
 from . import linalg
 from .grading import GradedSpace
 from .multimap import MultiMap, contract_power, evaluate_on_vectors
-from .rings import CoefRing, Ideal, MinorEngine, RElem, RingMatrix, block_minors
+from .rings import CoefRing, Ideal, MinorEngine, RElem, RingMatrix, block_minors, degree_bound
 from .scalars import factorial_inverse
 from .structures import LInfAlgebra, LInfModule, LInfPair, pair_to_algebra
 
@@ -125,7 +125,9 @@ class TwistedComplex:
     matrices: dict[int, RingMatrix]
     # one memoized MinorEngine per differential d^j, kept while the complex
     # lives, so the jump ideals J^i_k for every k, and J^{i+1}, share the
-    # sub-minors of d^i; the matrices must not change once it is built
+    # sub-minors of d^i; all on one packing, wide enough for the product of
+    # minors of any two differentials; the matrices must not change once
+    # the first is built
     engines: dict[int, MinorEngine] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
     error = DeformationError
@@ -167,7 +169,11 @@ class TwistedComplex:
     def engine(self, j: int) -> MinorEngine:
         got = self.engines.get(j)
         if got is None:
-            got = self.engines[j] = MinorEngine(self.matrix(j))
+            if self.engines:
+                packing = next(iter(self.engines.values())).packing
+            else:
+                packing = self.ring.packing(sum(map(degree_bound, self.matrices.values())))
+            got = self.engines[j] = MinorEngine(self.matrix(j), packing)
         return got
 
     def jump_ideal(self, i: int, k: int) -> Ideal:

@@ -39,6 +39,7 @@ from .multimap import contract_power, evaluate_on_vectors
 from .rings import (
     CoefRing,
     Ideal,
+    RElem,
     RingMatrix,
     block_minor_terms,
     block_minors,
@@ -354,13 +355,16 @@ def resonance_ideal(
 
 def _binary_shadow(pair: LInfPair) -> LInfPair:
     """The pair with actions above arity 2 dropped (classical resonance of
-    the cohomology algebra); must itself satisfy the module identities."""
-    actions = {n: m for n, m in pair.module.actions.items() if n <= 2}
-    module = LInfModule(pair.algebra, pair.module.space, actions)
-    rep = module_check(module, 3)
-    if not rep.ok:
-        raise ResonanceError("binary truncation is not a module structure here")
-    return LInfPair(pair.algebra, module)
+    the cohomology algebra); must itself satisfy the module identities.
+    Built and certified on first use, then kept on the pair."""
+    if pair.binary_shadow is None:
+        actions = {n: m for n, m in pair.module.actions.items() if n <= 2}
+        module = LInfModule(pair.algebra, pair.module.space, actions)
+        rep = module_check(module, 3)
+        if not rep.ok:
+            raise ResonanceError("binary truncation is not a module structure here")
+        pair.binary_shadow = LInfPair(pair.algebra, module)
+    return pair.binary_shadow
 
 
 def binary_resonance_ideal(pair: LInfPair, i: int, k: int, **kw) -> ResonanceResult:
@@ -499,7 +503,9 @@ def tangent_cone_check(
 
     full_minors = {(rows, cols): m for rows, cols, m
                    in block_minor_terms(full.engine(i - 1), full.engine(i), size)}
-    lin_minors = {(rows, cols): full.ring.element(dict(m.terms)) for rows, cols, m
+    # a linearized s-minor is a form of degree s <= trunc: the truncated
+    # ring keeps all of its terms
+    lin_minors = {(rows, cols): RElem(full.ring, m.terms) for rows, cols, m
                   in block_minor_terms(lin.engine(i - 1), lin.engine(i), size)}
     failures: list[str] = []
     nonzero = 0

@@ -8,38 +8,54 @@ tuple -> Fraction, graded-lex ordering for display):
 * ``poly``         - Q[x_1..x_r], optionally degree-truncated at ``trunc``
                      (monomials of higher total degree are dropped eagerly).
 
+The two hot paths leave that representation for integers.  Minors run on
+packed polynomials (packed monomial int -> int coefficient): each exponent
+has a fixed-width bit field and the total degree sits above them, so a
+product of monomials is an int add and the quotient (m^N, trunc) is one
+comparison (``_Packing``, Monagan-Pearce).  Artinian ideals are dense
+integer rows over the ring's monomial basis, which each ``CoefRing`` indexes
+once together with its shift-by-variable maps.
+
 Ideal membership is decided by finite linear algebra wherever that is
 honest: always in Artinian quotients, degree-by-degree for homogeneous data
 in exact polynomial rings, and bounded-degree-solve-else-unknown otherwise.
-Every case reduces the target against the reduced echelon basis
-(``linalg.Echelon``, pivots at the smallest monomial) of a spanning set of
-products of the generators; in an Artinian ring that set is the closure of
-the generators under multiplication by the variables, so the basis spans
-the whole ideal.  That basis is unique for the ideal, so two ideals of an
-Artinian ring are equal exactly when their bases are.  The basis is built
-per call and never stored on the ``Ideal``.  No Groebner machinery is used
-or pretended.
+In an Artinian ring the ideal is the closure of the generators under
+multiplication by the variables, held as an integer row echelon form
+(``_IntSpan``: primitive rows, fraction-free reduction), and the target is
+reduced against it; two ideals are equal exactly when their echelon forms
+have the same pivots and one lies in the other.  Exact polynomial rings
+reduce the target against the reduced echelon basis (``linalg.Echelon``)
+of the bounded products of the generators.  No span is stored on the
+``Ideal``.  No Groebner machinery is used or pretended.
 
 Determinantal ideals come from ``MinorEngine``, a Laplace expansion along
-the first row that memoizes every sub-minor.  ``block_minors`` gives I_r
-of a block-diagonal matrix A (+) B, the shape of a jump ideal's
-d^{i-1} (+) d^i, from one engine per block: a minor is nonzero only when
-it takes as many rows as columns from A, and it is then det_A * det_B
-(I_r(A (+) B) = sum_{a+b=r} I_a(A) I_b(B), Bruns-Vetter).  The generators
-and their order are those of ``minors`` on the glued block.  Every
-enumeration counts its (row set, column set) pairs first and raises
-``RingError`` past ``MINOR_PAIR_BUDGET``.
+the first row that memoizes every sub-minor.  It compiles its matrix once:
+each row scaled to integers by the lcm of its denominators, each entry a
+packed polynomial, with field widths fixed from a bound on the degree of
+any minor (``degree_bound``).  Sub-minors stay packed ints, exact because
+the scaled minor is the minor times the product of its rows' scales; a
+``RElem`` is made only at the output, with that product divided back out.
+``block_minors`` gives I_r of a block-diagonal matrix A (+) B, the shape
+of a jump ideal's d^{i-1} (+) d^i, from one engine per block on one shared
+packing: a minor is nonzero only when it takes as many rows as columns
+from A, and it is then det_A * det_B (I_r(A (+) B) = sum_{a+b=r} I_a(A)
+I_b(B), Bruns-Vetter).  The generators and their order are those of
+``minors`` on the glued block.  Every enumeration counts its (row set,
+column set) pairs first and raises ``RingError`` past
+``MINOR_PAIR_BUDGET``.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import insort
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from heapq import merge
 from itertools import combinations
-from math import comb
+from math import comb, gcd, lcm, prod
 
 from .linalg import Echelon
 from .scalars import format_scalar, parse_scalar
@@ -69,6 +85,8 @@ class CoefRing:
         # shared by every caller: safe because no code mutates RElem.terms
         self._zero = RElem(self, {})
         self._one = RElem(self, {(0,) * len(varnames): Fraction(1)})
+        self._packings: dict[int, _Packing] = {}
+        self._basis_index: tuple | None = None
 
     # -- basics --------------------------------------------------------
 
@@ -137,6 +155,30 @@ class CoefRing:
             raise RingError("monomial basis requires an Artinian ring")
         bound = self.order - 1 if self.kind == "trunc_local" else (self.trunc or 0)
         return sorted(_monomials_up_to(self.nvars, bound), key=lambda m: (sum(m), m))
+
+    def _index(self) -> tuple[dict[Monomial, int], list[list[int]]]:
+        """The index of each monomial in ``monomial_basis()``, and per
+        variable x the index of x * m for each basis monomial m, or -1 when
+        the ring drops it; built once per ring, Artinian rings only."""
+        if self._basis_index is None:
+            basis = self.monomial_basis()
+            index = {m: i for i, m in enumerate(basis)}
+            shifts = [[index.get(m[:j] + (m[j] + 1,) + m[j + 1:], -1) for m in basis]
+                      for j in range(self.nvars)]
+            self._basis_index = index, shifts
+        return self._basis_index
+
+    def packing(self, bound: int) -> "_Packing":
+        """The packing wide enough for monomials of total degree <= bound,
+        shared by every caller of the same width.  In an Artinian ring no
+        product of two surviving monomials passes twice the top degree."""
+        if self.is_artinian:
+            bound = min(bound, 2 * (self.nilpotency_order() - 1))
+        width = max(bound, 1).bit_length()
+        got = self._packings.get(width)
+        if got is None:
+            got = self._packings[width] = _Packing(self, width)
+        return got
 
     def describe(self) -> str:
         if self.kind == "field":
@@ -440,33 +482,38 @@ class Ideal:
         if not self.generators:
             return False
         if self.ring.is_artinian:
-            return self._artinian_span().spans(f.terms)
+            span = self._artinian_span()
+            return not any(span.remainder(_int_vector(self.ring, f.terms)))
         return self._contains_poly(f, degree_bound)
 
-    def _artinian_span(self) -> Echelon:
-        """The ideal as a Q-subspace of the Artinian ring.
+    def _artinian_span(self) -> "_IntSpan":
+        """The ideal as a Q-subspace of the Artinian ring, in integer rows
+        over the ring's monomial basis.
 
         It is the smallest subspace that holds the generators and is closed
         under multiplication by each variable.  So every vector that enters
-        the basis is multiplied by each variable (exponents shifted, the
-        monomials the ring drops left out) and queued in turn; a product
-        already in the span adds nothing.  This takes one reduction per
-        basis vector and variable, not one per monomial and generator.
+        the basis is multiplied by each variable (its entries moved along
+        the ring's index map, the monomials the ring drops left out) and
+        queued in turn; a product already in the span adds nothing.  This
+        takes one reduction per basis vector and variable, not one per
+        monomial and generator.
         """
-        full = len(self.ring.monomial_basis())
-        n = self.ring.nvars
-        variables = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-        span = Echelon()
-        queue = [g.terms for g in self.generators]
+        index, shifts = self.ring._index()
+        full = len(index)
+        span = _IntSpan()
+        queue = [_int_vector(self.ring, g.terms) for g in self.generators]
         for vec in queue:
             added = span.add(vec)
             if added is None:
                 continue
             if len(span.rows) == full:
                 break
-            for x in variables:
-                prod = _shifted(self.ring, added, x)
-                if prod:
+            for shift in shifts:
+                prod = [0] * full
+                for i, c in enumerate(added):
+                    if c and shift[i] >= 0:
+                        prod[shift[i]] = c
+                if any(prod):
                     queue.append(prod)
         return span
 
@@ -489,11 +536,13 @@ class Ideal:
 
     def mutually_contains(self, other: "Ideal", degree_bound: int | None = None) -> bool | None:
         """Whether the two ideals are equal: True, False, or None when a
-        polynomial membership is inconclusive.  Over an Artinian ring the
-        two ideals' reduced echelon bases are compared: the basis of a
-        subspace is unique."""
+        polynomial membership is inconclusive.  Over an Artinian ring two
+        subspaces are equal when their echelon forms have the same pivots
+        (so the same dimension) and one lies in the other."""
         if self.ring.is_artinian:
-            return self._artinian_span().rows == other._artinian_span().rows
+            mine, theirs = self._artinian_span(), other._artinian_span()
+            return mine.pivots == theirs.pivots and not any(
+                any(mine.remainder(row)) for row in theirs.rows.values())
         results = [self.contains(g, degree_bound) for g in other.generators]
         results += [other.contains(g, degree_bound) for g in self.generators]
         if any(r is False for r in results):
@@ -508,6 +557,61 @@ class Ideal:
             "generators": [str(g) for g in self.generators],
             "provenance": list(self.provenance),
         }
+
+
+class _IntSpan:
+    """A Q-subspace of Q^n held as dense integer rows in echelon form:
+    ``rows`` maps each pivot to the one row whose first nonzero entry is
+    there, primitive and positive at the pivot; ``pivots`` is ascending.
+    Integer rows keep every reduction exact without a Fraction."""
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self):
+        self.rows: dict[int, list[int]] = {}
+        self.pivots: list[int] = []
+
+    def remainder(self, vec: list[int]) -> list[int]:
+        """A nonzero multiple of vec less a combination of the rows, 0 at
+        every pivot; all 0 iff vec lies in the span.  A row is 0 before its
+        pivot, so clearing the pivots in ascending order keeps the ones
+        already cleared."""
+        rows = self.rows
+        for p in self.pivots:
+            a = vec[p]
+            if a:
+                row = rows[p]
+                g = gcd(a, row[p])
+                a, b = a // g, row[p] // g
+                vec = [b * x - a * y for x, y in zip(vec, row)]
+        return vec
+
+    def add(self, vec: list[int]) -> list[int] | None:
+        """Extend the span by vec; returns the new row, which together with
+        the span before spans the span after, or None when vec was already
+        in the span."""
+        rest = self.remainder(vec)
+        pivot = next((i for i, x in enumerate(rest) if x), None)
+        if pivot is None:
+            return None
+        g = gcd(*rest)
+        if rest[pivot] < 0:
+            g = -g
+        rest = [x // g for x in rest]
+        insort(self.pivots, pivot)
+        self.rows[pivot] = rest
+        return rest
+
+
+def _int_vector(ring: CoefRing, terms: dict[Monomial, Fraction]) -> list[int]:
+    """terms over the ring's monomial basis, scaled by the lcm of their
+    denominators: a nonzero multiple of the same vector."""
+    index = ring._index()[0]
+    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
+    vec = [0] * len(index)
+    for mono, coef in terms.items():
+        vec[index[mono]] = coef.numerator * (den // coef.denominator)
+    return vec
 
 
 def _shifted(ring: CoefRing, terms: dict[Monomial, Fraction],
@@ -606,34 +710,129 @@ def block_diag(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     return out
 
 
+class _Packing:
+    """Exponent vectors packed into one int: exponent j in bits [j*width,
+    (j+1)*width), the total degree above them.  While no exponent reaches
+    2^width the product of two monomials is the sum of their ints, and the
+    product survives the ring's quotient (m^N, trunc) iff it is below
+    ``limit``."""
+
+    __slots__ = ("nvars", "width", "limit", "_unpacked")
+
+    def __init__(self, ring: CoefRing, width: int):
+        self.nvars, self.width = ring.nvars, width
+        shift = width * ring.nvars
+        if ring.kind == "trunc_local":
+            self.limit = ring.order << shift
+        elif ring.kind == "poly" and ring.trunc is not None:
+            self.limit = (ring.trunc + 1) << shift
+        else:
+            self.limit = 1 << (shift + width)
+        self._unpacked: dict[int, Monomial] = {}
+
+    def pack(self, mono: Monomial) -> int:
+        out = sum(mono)
+        for e in reversed(mono):
+            out = (out << self.width) | e
+        return out
+
+    def unpack(self, packed: int) -> Monomial:
+        got = self._unpacked.get(packed)
+        if got is None:
+            mask, w = (1 << self.width) - 1, self.width
+            got = self._unpacked[packed] = tuple((packed >> (j * w)) & mask
+                                                 for j in range(self.nvars))
+        return got
+
+    def element(self, ring: CoefRing, poly: dict[int, int], scale: int) -> RElem:
+        """The ring element poly / scale."""
+        unpack = self.unpack
+        if scale == 1 or gcd(scale, *poly.values()) == scale:
+            # int Fractions skip the normalizing gcd
+            return RElem(ring, {unpack(m): Fraction(c // scale) for m, c in poly.items()})
+        return RElem(ring, {unpack(m): Fraction(c, scale) for m, c in poly.items()})
+
+
+def _mul_into(acc: dict[int, int], f: dict[int, int], g: dict[int, int],
+              sign: int, limit: int) -> None:
+    """acc += sign * f * g, less the monomials at or past limit; leaves
+    zero coefficients in acc."""
+    get = acc.get
+    for m1, c1 in f.items():
+        c1 *= sign
+        for m2, c2 in g.items():
+            m = m1 + m2
+            if m < limit:
+                acc[m] = get(m, 0) + c1 * c2
+
+
+def _nonzero(acc: dict[int, int]) -> dict[int, int]:
+    return {m: v for m, v in acc.items() if v}
+
+
+def degree_bound(matrix: RingMatrix) -> int:
+    """The sum over rows of the largest total degree in the row: no minor,
+    and no product in its Laplace expansion, has a larger degree."""
+    return sum(max((sum(m) for e in row for m in e.terms), default=0) for row in matrix.data)
+
+
+_ONE_POLY = {0: 1}
+
+
 class MinorEngine:
-    """Laplace expansion along the first row with memoized submatrices."""
+    """Laplace expansion along the first row with memoized submatrices,
+    over the matrix compiled once to packed integer polynomials.
 
-    def __init__(self, matrix: RingMatrix):
+    Row i is scaled by the lcm ``scales[i]`` of its coefficients'
+    denominators, so ``poly(rows, cols)`` is the minor times the product of
+    the scales of its rows, exact in ints; ``minor`` divides it back out.
+    The packing is the ring's for ``degree_bound(matrix)`` unless one is
+    given: two engines whose minors are multiplied must share one.
+    """
+
+    def __init__(self, matrix: RingMatrix, packing: _Packing | None = None):
         self.matrix = matrix
-        self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], RElem] = {}
+        self.bound = degree_bound(matrix)
+        self.packing = packing or matrix.ring.packing(self.bound)
+        pack = self.packing.pack
+        self.scales: list[int] = []
+        self.entries: list[list[dict[int, int]]] = []
+        for row in matrix.data:
+            scale = reduce(lcm, (c.denominator for e in row for c in e.terms.values()), 1)
+            self.scales.append(scale)
+            self.entries.append([{pack(m): c.numerator * (scale // c.denominator)
+                                  for m, c in e.terms.items()} for e in row])
+        self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
 
-    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> RElem:
-        if len(rows) != len(cols):
-            raise RingError("minor needs equally many rows and columns")
+    def scale(self, rows: tuple[int, ...]) -> int:
+        return prod(self.scales[i] for i in rows)
+
+    def poly(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
+        """The minor times ``scale(rows)``, packed; {} when it is zero."""
         if not rows:
-            return self.matrix.ring.one
+            return _ONE_POLY
         key = (rows, cols)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        r0 = rows[0]
+        entries = self.entries[rows[0]]
         rest = rows[1:]
-        acc = self.matrix.ring.zero
+        limit = self.packing.limit
+        acc: dict[int, int] = {}
         for pos, c in enumerate(cols):
-            entry = self.matrix.data[r0][c]
+            entry = entries[c]
             if not entry:
                 continue
-            sub = self.minor(rest, cols[:pos] + cols[pos + 1:])
-            term = entry * sub
-            acc = acc + (term if pos % 2 == 0 else -term)
-        self.memo[key] = acc
+            sub = self.poly(rest, cols[:pos] + cols[pos + 1:])
+            if sub:
+                _mul_into(acc, entry, sub, -1 if pos % 2 else 1, limit)
+        acc = self.memo[key] = _nonzero(acc)
         return acc
+
+    def minor(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> RElem:
+        if len(rows) != len(cols):
+            raise RingError("minor needs equally many rows and columns")
+        return self.packing.element(self.matrix.ring, self.poly(rows, cols), self.scale(rows))
 
 
 # (row set, column set) pairs one enumeration of r-minors may visit; past
@@ -663,22 +862,38 @@ def block_minor_terms(upper: MinorEngine, lower: MinorEngine,
     if count > MINOR_PAIR_BUDGET:
         raise RingError(f"the {r}-minors span {count} (row set, column set) pairs, "
                         f"more than the budget of {MINOR_PAIR_BUDGET}")
+    ring = upper.matrix.ring
+    if lower.matrix.ring != ring:
+        raise RingError("block minors over different rings")
+    packing = upper.packing
+    need = ring.packing(upper.bound + lower.bound)
+    if lower.packing is not packing or packing.width < need.width:
+        # engines compiled apart: recompile both on one packing wide enough
+        packing = max(need, packing, lower.packing, key=lambda p: p.width)
+        upper, lower = MinorEngine(upper.matrix, packing), MinorEngine(lower.matrix, packing)
     splits = [a for a, n in pairs.items() if n]
     up_cols = {a: list(combinations(range(m_up), a)) for a in splits}
     lo_cols = {a: [(cols, tuple(m_up + j for j in cols))
                    for cols in combinations(range(m_lo), r - a)] for a in splits}
+    limit = packing.limit
     for rows, a, rows_up, rows_lo in merge(*(_row_sets(n_up, n_lo, a, r) for a in splits)):
+        scale = upper.scale(rows_up) * lower.scale(rows_lo)
         for cols_up in up_cols[a]:
-            det_up = upper.minor(rows_up, cols_up)
+            det_up = upper.poly(rows_up, cols_up)
             if not det_up:
                 continue
             for cols_lo, shifted in lo_cols[a]:
-                det_lo = lower.minor(rows_lo, cols_lo)
+                det_lo = lower.poly(rows_lo, cols_lo)
                 if not det_lo:
                     continue
-                value = det_lo if a == 0 else det_up if a == r else det_up * det_lo
+                if 0 < a < r:
+                    value = {}
+                    _mul_into(value, det_up, det_lo, 1, limit)
+                    value = _nonzero(value)
+                else:  # a 0x0 factor is not multiplied
+                    value = det_up if a else det_lo
                 if value:  # zero divisors: two nonzero factors may multiply to 0
-                    yield rows, cols_up + shifted, value
+                    yield rows, cols_up + shifted, packing.element(ring, value, scale)
 
 
 def _row_sets(n_up: int, n_lo: int, a: int, r: int) -> Iterator[tuple]:
@@ -711,5 +926,5 @@ def minors(matrix: RingMatrix, r: int) -> Ideal:
     (row subset, column subset) order.  Every pair is expanded by Laplace:
     the matrix is the upper block over an empty lower one.
     """
-    empty = RingMatrix(matrix.ring, (), ())
-    return block_minors(MinorEngine(matrix), MinorEngine(empty), r)
+    engine = MinorEngine(matrix)
+    return block_minors(engine, MinorEngine(RingMatrix(matrix.ring, (), ()), engine.packing), r)

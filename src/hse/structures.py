@@ -22,7 +22,7 @@ to zero, so that reading is rejected; both signs remain available in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .grading import GradedSpace, combine_spaces
@@ -143,6 +143,9 @@ class LInfModule:
 class LInfPair:
     algebra: LInfAlgebra
     module: LInfModule
+    # the pair with the actions above arity 2 dropped, built and certified
+    # once, on the first binary resonance ideal of the pair
+    binary_shadow: LInfPair | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.module.algebra is not self.algebra:

@@ -5,7 +5,9 @@
 pair of the glued block by Laplace, and ``tangent_cone_check`` reports what
 its all-pairs loop reported.  The references below are the all-pairs loops
 that ``minors`` and ``tangent_cone_check`` ran before they went through
-``block_minor_terms``.
+``block_minor_terms``, over ``FractionMinorEngine``, the Laplace expansion
+in ``RElem`` arithmetic that ``MinorEngine`` ran before it compiled the
+matrix to packed integer polynomials.
 """
 
 import contextlib
@@ -40,7 +42,33 @@ from hse.transfer import transfer_pair
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# -- references: the all-pairs loops ---------------------------------------
+# -- references: the Fraction Laplace expansion and the all-pairs loops -----
+
+class FractionMinorEngine:
+    """Laplace expansion along the first row with memoized submatrices, in
+    ``RElem`` arithmetic."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.memo = {}
+
+    def minor(self, rows, cols):
+        if not rows:
+            return self.matrix.ring.one
+        key = (rows, cols)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        acc = self.matrix.ring.zero
+        for pos, c in enumerate(cols):
+            entry = self.matrix.data[rows[0]][c]
+            if not entry:
+                continue
+            term = entry * self.minor(rows[1:], cols[:pos] + cols[pos + 1:])
+            acc = acc + (term if pos % 2 == 0 else -term)
+        self.memo[key] = acc
+        return acc
+
 
 def _reference_minors(matrix, r):
     ring = matrix.ring
@@ -49,7 +77,7 @@ def _reference_minors(matrix, r):
     nrows, ncols = matrix.shape()
     if r > min(nrows, ncols):
         return Ideal.zero(ring)
-    engine = MinorEngine(matrix)
+    engine = FractionMinorEngine(matrix)
     gens, prov = [], []
     for rows in combinations(range(nrows), r):
         for cols in combinations(range(ncols), r):
@@ -72,7 +100,7 @@ def _reference_tangent_cone(pair, i, k, trunc=None):
     failures, checked, nonzero = [], 0, 0
     full_block = block_diag(full.matrix(i - 1), full.matrix(i))
     lin_block = block_diag(lin.matrix(i - 1), lin.matrix(i))
-    eng_full, eng_lin = MinorEngine(full_block), MinorEngine(lin_block)
+    eng_full, eng_lin = FractionMinorEngine(full_block), FractionMinorEngine(lin_block)
     nrows, ncols = full_block.shape()
     if size <= min(nrows, ncols):
         for rows in combinations(range(nrows), size):
@@ -155,6 +183,120 @@ def test_minors_of_a_full_matrix_match_the_reference():
             _assert_same_ideal(minors(mat, r), _reference_minors(mat, r))
 
 
+# -- the packed integer kernel against the Fraction expansion ---------------
+
+KERNEL_RINGS = ("poly(u,v,w)", "poly(u,v,w, trunc=2)", "Q[x1..x3]/(m^3)", "Q[x1,x2]/(m^4)",
+                "Q[e]/(e^5)")
+
+
+def _rational_block(ring, rng, shape, monos, low=0):
+    """Random entries with denominators up to 4, so that rows carry scales;
+    with low = 1 every entry lies in the maximal ideal."""
+    nrows, ncols = shape
+    mat = RingMatrix(ring, tuple(f"r{i}" for i in range(nrows)),
+                     tuple(f"c{j}" for j in range(ncols)))
+    for i in range(nrows):
+        for j in range(ncols):
+            if rng.random() < 0.2:
+                continue
+            mat.set(i, j, ring.element({m: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                                        for m in monos if sum(m) >= low and rng.random() < 0.4}))
+    return mat
+
+
+def _assert_minor_by_minor(matrix, engine):
+    """Every minor of the engine equals the Fraction expansion's, and its
+    packed int polynomial is that minor times the scale of its rows."""
+    ref = FractionMinorEngine(matrix)
+    nrows, ncols = matrix.shape()
+    nonzero = 0
+    for r in range(min(nrows, ncols) + 1):
+        for rows in combinations(range(nrows), r):
+            for cols in combinations(range(ncols), r):
+                want = ref.minor(rows, cols)
+                assert engine.minor(rows, cols) == want, (rows, cols)
+                scaled = want * engine.scale(rows)
+                assert engine.poly(rows, cols) == {engine.packing.pack(m): int(c)
+                                                   for m, c in scaled.terms.items()}
+                nonzero += bool(want)
+    return nonzero
+
+
+@pytest.mark.parametrize("descriptor", KERNEL_RINGS)
+def test_kernel_minors_match_the_fraction_expansion(descriptor):
+    ring = parse_ring(descriptor)
+    rng = random.Random(f"kernel {descriptor}")
+    monos = ring.monomial_basis() if ring.is_artinian else rings._monomials_up_to(ring.nvars, 2)
+    nonzero = 0
+    for _ in range(10):
+        shape = (rng.randint(1, 4), rng.randint(1, 4))
+        mat = _rational_block(ring, rng, shape, monos, low=rng.choice((0, 1)))
+        nonzero += _assert_minor_by_minor(mat, MinorEngine(mat))
+    assert nonzero > 0
+
+
+@pytest.mark.parametrize("descriptor", ("Q[x1..x3]/(m^3)", "Q[x1,x2]/(m^4)", "Q[e]/(e^5)"))
+def test_block_products_that_vanish_are_dropped(descriptor):
+    """Entries in the maximal ideal: nonzero minors of the two blocks whose
+    product is 0 in the ring give no generator, as in the glued block."""
+    ring = parse_ring(descriptor)
+    rng = random.Random(f"zero divisors {descriptor}")
+    vanished = 0
+    for _ in range(8):
+        upper = _rational_block(ring, rng, (rng.randint(1, 3), rng.randint(1, 3)),
+                                ring.monomial_basis(), low=1)
+        lower = _rational_block(ring, rng, (rng.randint(1, 3), rng.randint(1, 3)),
+                                ring.monomial_basis(), low=1)
+        glued = block_diag(upper, lower)
+        ref_up, ref_lo = FractionMinorEngine(upper), FractionMinorEngine(lower)
+        for r in range(1, min(glued.shape()) + 1):
+            _assert_same_ideal(block_minors(MinorEngine(upper), MinorEngine(lower), r),
+                               _reference_minors(glued, r))
+            for a in range(1, r):
+                for rows_up in combinations(range(upper.shape()[0]), a):
+                    for cols_up in combinations(range(upper.shape()[1]), a):
+                        for rows_lo in combinations(range(lower.shape()[0]), r - a):
+                            for cols_lo in combinations(range(lower.shape()[1]), r - a):
+                                up = ref_up.minor(rows_up, cols_up)
+                                lo = ref_lo.minor(rows_lo, cols_lo)
+                                vanished += bool(up and lo and not up * lo)
+    assert vanished > 0
+
+
+def _homogeneous_rows(ring, rng, degrees, ncols):
+    """Row i holds forms of total degree degrees[i] in x, y."""
+    mat = RingMatrix(ring, tuple(f"r{i}" for i in range(len(degrees))),
+                     tuple(f"c{j}" for j in range(ncols)))
+    for i, d in enumerate(degrees):
+        for j in range(ncols):
+            exps = {0, d, rng.randint(0, d)}
+            mat.set(i, j, ring.element({(a, d - a): Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                                        for a in exps}))
+    return mat
+
+
+def test_kernel_at_the_packing_width_bound():
+    """Rows of degree 63 and 64 over poly(x, y): the 4-minors reach degree
+    255 = 2^8 - 1, the most an 8-bit exponent field holds, so a carry out
+    of x's field would show as a wrong y exponent or degree."""
+    ring = parse_ring("poly(x,y)")
+    rng = random.Random("width")
+    mat = _homogeneous_rows(ring, rng, (63, 64, 64, 64), 4)
+    engine = MinorEngine(mat)
+    assert engine.packing.width == 8
+    assert engine.minor((0, 1, 2, 3), (0, 1, 2, 3)).degree() == 255
+    _assert_minor_by_minor(mat, engine)
+    # two blocks compiled apart on 7 and 8 bits share one 8-bit packing
+    upper = _homogeneous_rows(ring, rng, (63, 64), 2)
+    lower = _homogeneous_rows(ring, rng, (64, 64), 2)
+    engines = MinorEngine(upper), MinorEngine(lower)
+    assert [e.packing.width for e in engines] == [7, 8]
+    glued = block_diag(upper, lower)
+    want = _reference_minors(glued, 4)
+    assert want.generators[0].degree() == 255
+    _assert_same_ideal(block_minors(*engines, 4), want)
+
+
 # -- the jump-ideals inputs of the benchmark --------------------------------
 
 def _heisenberg_circle():
@@ -192,8 +334,10 @@ def test_twisted_jump_ideals_match_the_glued_block():
                     want = _reference_minors(glued, dims[i] - k + 1)
                     _assert_same_ideal(complex_.jump_ideal(i, k), want)
                     compared += 1
-            # every jump ideal of the complex shared one engine per differential
+            # every jump ideal of the complex shared one engine per differential,
+            # and every engine one packing
             assert set(complex_.engines) == set(dims) | {min(dims) - 1}
+            assert len({id(e.packing) for e in complex_.engines.values()}) == 1
     assert compared > 50
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hse.cli import main
+from hse.cli import build_parser, main
 from hse.fixtures import Cdga, cdga_pair, heisenberg_cdga
 from hse.io_json import (
     ParseError,
@@ -200,6 +200,27 @@ def test_cli_usage_errors(tmp_path):
     assert main(["no-such-command"]) == 2
     # bad flag
     assert main(["fixture", "--nope"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["--name", "random", "--dims", "1,a"],
+                                  ["--name", "exterior(x)"]])
+def test_cli_fixture_bad_number_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    assert main(["fixture", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "invalid literal for int()" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_parser_is_built_once(tmp_path):
+    """Each call parses with the one cached parser, and a usage error in one
+    call leaves nothing behind for the next."""
+    build_parser.cache_clear()
+    assert main(["fixture", "--nope"]) == 2
+    rep = run_cli(tmp_path, "fixture", "--name", "heisenberg")
+    assert rep["status"] == "ok"
+    assert build_parser.cache_info().misses == 1
 
 
 def test_cli_reports_reproducible(tmp_path):

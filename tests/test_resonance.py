@@ -72,6 +72,22 @@ def test_heisenberg_two_level_resonance():
         assert s["in_locus"] == origin
 
 
+def test_binary_shadow_is_built_and_certified_once_per_pair(monkeypatch):
+    from hse import resonance
+
+    checks = []
+    check = resonance.module_check
+    monkeypatch.setattr(resonance, "module_check", lambda *a: checks.append(a) or check(*a))
+    pair = heis_pair()
+    first = binary_resonance_ideal(pair, 1, 1, n_samples=10)
+    again = binary_resonance_ideal(pair, 1, 2, n_samples=10)
+    assert len(checks) == 1
+    assert pair.binary_shadow is not None and max(pair.binary_shadow.module.actions) <= 2
+    assert first.to_json() == binary_resonance_ideal(heis_pair(), 1, 1, n_samples=10).to_json()
+    assert again.to_json() == binary_resonance_ideal(heis_pair(), 1, 2, n_samples=10).to_json()
+    assert len(checks) == 3
+
+
 def test_torus_dga_resonance_matches_h_level():
     # formal dga: the two computations mutually contain each other
     resA = dga_resonance_ideal(exterior_cdga(2).ainf(), 1, 1, n_samples=30)

@@ -232,6 +232,32 @@ def _reference_contains(ideal, f):
     return False if ring.is_artinian or homogeneous else None
 
 
+def _reference_artinian_span(ideal):
+    """The ideal as a linalg.Echelon over monomials, closed under the
+    variables: the span that contains and mutually_contains reduced
+    against before the integer echelon over the ring's monomial basis."""
+    ring = ideal.ring
+    n = ring.nvars
+    full = len(ring.monomial_basis())
+    span = linalg.Echelon()
+    queue = [g.terms for g in ideal.generators]
+    for vec in queue:
+        added = span.add(vec)
+        if added is None:
+            continue
+        if len(span.rows) == full:
+            break
+        for j in range(n):
+            prod = {}
+            for mono, coef in added.items():
+                shifted = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                if ring._keeps(shifted):
+                    prod[shifted] = coef
+            if prod:
+                queue.append(prod)
+    return span
+
+
 def _reference_mutually_contains(a, b):
     results = [_reference_contains(a, g) for g in b.generators]
     results += [_reference_contains(b, g) for g in a.generators]
@@ -266,9 +292,11 @@ def test_artinian_membership_matches_span_reference(descriptor):
         queries = [member, _random_element(R, rng, 0.4, low=1),
                    member + R.element({rng.choice(R.monomial_basis()): 1}),
                    R.one, R.zero]
+        span = _reference_artinian_span(I)
         for f in queries:
             got = I.contains(f)
             assert got == _reference_contains(I, f), (descriptor, gens, f)
+            assert got == span.spans(f.terms)
             answers["contains"].append(got)
         # pairs that differ by one generator: swapped for a random one,
         # dropped, or moved by a unit-triangular change of generators
@@ -279,6 +307,7 @@ def test_artinian_membership_matches_span_reference(descriptor):
             J = Ideal.from_list(R, other)
             got = I.mutually_contains(J)
             assert got == _reference_mutually_contains(I, J), (descriptor, gens, other)
+            assert got == (span.rows == _reference_artinian_span(J).rows)
             assert J.mutually_contains(I) == got
             answers["mutual"].append(got)
     for kind, seen in answers.items():
@@ -309,3 +338,37 @@ def test_poly_membership_matches_span_reference():
         J = Ideal.from_list(R, gens[:-1] + [member])
         assert I.mutually_contains(J) == _reference_mutually_contains(I, J)
     assert {True, False, None} <= set(answers)
+
+
+@pytest.mark.parametrize("descriptor", ARTINIAN_RINGS)
+def test_integer_span_matches_the_echelon_reference(descriptor):
+    """Rational generators and queries: the integer rows scale each vector
+    by its denominators, and the answers stay those of the Fraction span."""
+    R = parse_ring(descriptor)
+    rng = random.Random(f"integer span {descriptor}")
+    basis = R.monomial_basis()
+
+    def rational(low=1, density=0.5):
+        return R.element({m: Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for m in basis
+                          if sum(m) >= low and rng.random() < density})
+
+    answers = {"contains": set(), "mutual": set()}
+    for _ in range(25):
+        gens = [rational(low=0 if rng.random() < 0.1 else 1) for _ in range(rng.randint(1, 4))]
+        I = Ideal.from_list(R, gens)
+        span = _reference_artinian_span(I)
+        member = R.zero
+        for g in I.generators:
+            member = member + rational(low=0) * g
+        for f in (member, rational(), member + R.gen(rng.randrange(R.nvars)) ** 2, R.one):
+            got = I.contains(f)
+            assert got == span.spans(f.terms), (descriptor, gens, f)
+            answers["contains"].add(got)
+        moved = [g + gens[-1] * rational(low=0) for g in gens[:-1]] + gens[-1:]
+        for other in (moved, gens[:-1], gens + [rational()], gens + [member]):
+            J = Ideal.from_list(R, other)
+            got = I.mutually_contains(J)
+            assert got == (span.rows == _reference_artinian_span(J).rows), (descriptor, gens, other)
+            assert J.mutually_contains(I) == got
+            answers["mutual"].add(got)
+    assert answers == {"contains": {True, False}, "mutual": {True, False}}
