@@ -416,6 +416,18 @@ COMMANDS = {
 }
 
 
+def _arity(text: str) -> int:
+    """The value of --max-arity: an int >= 1, since an arity below 1 would
+    check nothing."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
@@ -430,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
         if file_arg:
             p.add_argument("file", help="structure package JSON")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-arity", dest="max_arity", type=int, default=5)
+        p.add_argument("--max-arity", dest="max_arity", type=_arity, default=5)
         p.add_argument("--ring", default=None, help='e.g. "Q[e]/(e^3)"')
         p.add_argument("--trunc", type=int, default=None)
         p.add_argument("--out", default=None)

@@ -20,7 +20,16 @@ from fractions import Fraction
 from . import linalg
 from .grading import GradedSpace
 from .multimap import MultiMap, contract_power, evaluate_on_vectors
-from .rings import CoefRing, Ideal, MinorEngine, RElem, RingMatrix, block_minors, degree_bound
+from .rings import (
+    CoefRing,
+    Ideal,
+    MinorEngine,
+    RElem,
+    RingMatrix,
+    block_minors,
+    composite_vanishes,
+    degree_bound,
+)
 from .scalars import factorial_inverse
 from .structures import LInfAlgebra, LInfModule, LInfPair, pair_to_algebra
 
@@ -161,9 +170,18 @@ class TwistedComplex:
         return RingMatrix(self.ring, rows, cols)
 
     def validate_square_zero(self) -> None:
-        for i in sorted(self.space.degrees()):
-            comp = self.matrix(i + 1).compose(self.matrix(i))
-            if not comp.is_zero():
+        """Raise ``error`` at the lowest degree i with d^{i+1} o d^i != 0.
+
+        Each differential is compiled once to packed integer polynomials, a
+        ``MinorEngine`` on the packing for the sum of their degree bounds
+        (these are not kept in ``engines``), and each composite is tested
+        exactly in ints by ``rings.composite_vanishes``; the packing's limit
+        applies the ring's quotient.  A degree with no d^{i+1} composes to
+        an empty matrix and is skipped."""
+        packing = self.ring.packing(sum(map(degree_bound, self.matrices.values())))
+        compiled = {j: MinorEngine(mat, packing) for j, mat in self.matrices.items()}
+        for i in sorted(compiled):
+            if i + 1 in compiled and not composite_vanishes(compiled[i + 1], compiled[i]):
                 raise self.error(f"twisted differential fails d^2 = 0 at degree {i}")
 
     def engine(self, j: int) -> MinorEngine:

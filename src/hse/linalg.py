@@ -11,8 +11,10 @@ one reduction per candidate.
 Dense matrices are lists of row lists of Fractions.  ``kernel_basis``,
 ``solve``, ``in_span``, ``invert`` and ``extend_to_basis`` read their
 answers off the rows of the echelon of the matrix's rows; kernel vectors
-come out in free-column order.  ``rank`` is separate: Bareiss elimination
-on integer matrices, for the rank oracle.
+come out in free-column order.  Rank is separate: ``int_rank`` is Bareiss
+elimination on integer rows, which the rank oracle calls directly on the
+integer matrices it evaluates, and ``rank`` scales each row of a rational
+matrix to integers and calls it.
 """
 
 from __future__ import annotations
@@ -100,26 +102,44 @@ def identity(n: int) -> Matrix:
     return mat
 
 
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by Bareiss elimination: after k pivot
+    steps every entry below the pivot rows is a (k+1)-minor of the input,
+    so dividing by the previous pivot is exact (Sylvester).  A row that is
+    0 in the pivot column is only rescaled, and the loop stops once every
+    row has a pivot.  The rows passed in are left unchanged."""
+    rows = [row for row in rows if any(row)]
+    n = len(rows)
+    r, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        for k in range(r, n):
+            if rows[k][c]:
+                break
+        else:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        top = rows[r]
+        p = top[c]
+        for k in range(r + 1, n):
+            q = rows[k][c]
+            if q:
+                rows[k] = [(p * x - q * y) // prev for x, y in zip(rows[k], top)]
+            else:
+                rows[k] = [p * x // prev for x in rows[k]]
+        prev, r = p, r + 1
+        if r == n:
+            break
+    return r
+
+
 def rank(mat: Matrix) -> int:
-    """Rank by Bareiss elimination on the rows scaled to integers: entries
-    stay (k+1)-minors, so dividing by the last pivot is exact (Sylvester)."""
+    """Rank over Q: each row scaled to integers by the lcm of its
+    denominators, then ``int_rank``."""
     rows = []
     for row in mat:
         den = reduce(lcm, (x.denominator for x in row), 1)
-        if any(row):
-            rows.append([x.numerator * (den // x.denominator) for x in row])
-    r, prev = 0, 1
-    for c in range(len(rows[0]) if rows else 0):
-        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top, p = rows[r], rows[r][c]
-        for k in range(r + 1, len(rows)):
-            q = rows[k][c]
-            rows[k] = [(p * x - q * y) // prev for x, y in zip(rows[k], top)]
-        prev, r = p, r + 1
-    return r
+        rows.append([x.numerator * (den // x.denominator) for x in row])
+    return int_rank(rows)
 
 
 def kernel_basis(mat: Matrix, cols: int | None = None) -> list[list[Fraction]]:

@@ -15,8 +15,12 @@ truncated matrices and uses no ring arithmetic.  Once per call it reads
 d_a on degrees i-1 and i off the actions' stored keys (for a dga, off the
 tables of d and mu) as polynomial matrices in a's coordinates
 (``_IntMatrix``), and the ideal as the echelon basis of its generators'
-Q-span; at each point n/D it evaluates both in Python ints, up to a
-nonzero factor that keeps ranks and zero patterns.
+Q-span.  The sample points are drawn as integer numerators n over one
+common denominator D (``_draws``; ``sample_points`` is their Fraction
+view).  At each distinct point the oracle evaluates both in Python ints,
+up to a nonzero factor that keeps ranks and zero patterns: the two ranks
+by ``linalg.int_rank``, the span rows one at a time up to the first that
+is nonzero.
 
 Every ideal here is a jump ideal of d^{i-1} (+) d^i and goes through
 ``rings.block_minors``: only minors that take as many rows as columns from
@@ -27,6 +31,7 @@ the complex's memoized ``MinorEngine`` per differential.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -147,7 +152,8 @@ class _IntMatrix:
     def factor(self, den: int) -> int:
         return self.scale * den ** self.top
 
-    def at(self, nums: list[int], den: int) -> list[list[int]]:
+    def _values(self, nums: list[int], den: int) -> list[int]:
+        """Each monomial at n/D, times D^top."""
         pads = [1]
         for _ in range(self.top):
             pads.append(pads[-1] * den)
@@ -157,10 +163,29 @@ class _IntMatrix:
             for j, e in factors:
                 v *= nums[j] ** e
             vals.append(v)
+        return vals
+
+    def at(self, nums: list[int], den: int) -> list[list[int]]:
+        vals = self._values(nums, den)
         out = [[0] * self.ncols for _ in range(self.nrows)]
         for r, c, lin in self.cells:
-            out[r][c] = sum(k * vals[m] for m, k in lin)
+            v = 0
+            for m, k in lin:
+                v += k * vals[m]
+            out[r][c] = v
         return out
+
+    def zero_at(self, nums: list[int], den: int) -> bool:
+        """Whether M(n/D) = 0: the cells are summed one at a time, in row
+        order, up to the first that is nonzero."""
+        vals = self._values(nums, den)
+        for _, _, lin in self.cells:
+            v = 0
+            for m, k in lin:
+                v += k * vals[m]
+            if v:
+                return False
+        return True
 
 
 def _split(coords) -> tuple[list[int], int]:
@@ -246,7 +271,7 @@ def _span_column(ideal: Ideal) -> _IntMatrix:
 
 def _twisted_dim(dim: int, below: _IntMatrix, here: _IntMatrix, nums: list[int],
                  den: int) -> int:
-    return dim - linalg.rank(below.at(nums, den)) - linalg.rank(here.at(nums, den))
+    return dim - linalg.int_rank(below.at(nums, den)) - linalg.int_rank(here.at(nums, den))
 
 
 def pointwise_twisted_matrices(
@@ -272,35 +297,59 @@ def twisted_cohomology_dim(pair: LInfPair, point: dict[str, Fraction], i: int) -
     return _twisted_dim(pair.module.space.dim(i), below, here, *_split(point.values()))
 
 
+# str(Fraction(h, 2)) for h in -6..6: every drawn coordinate is some h/2
+_HALVES = {h: str(Fraction(h, 2)) for h in range(-6, 7)}
+
+
+def _draws(n: int, count: int, seed: int) -> Iterator[tuple[tuple[int, ...], int, list[str]]]:
+    """Deterministic small-height rational points in n coordinates, each as
+    integer numerators over one common denominator plus the coordinates as
+    strings: the origin, then count nonzero points.  Each coordinate is
+    Fraction(randint(-3, 3), choice([1, 1, 2])) of random.Random(seed),
+    drawn as randrange(7) - 3 and (1, 1, 2)[randrange(3)], the same stream;
+    a point that is all zero is drawn again."""
+    yield (0,) * n, 1, ["0"] * n
+    if not n:
+        return  # no degree-1 classes: the character space is a point
+    below = random.Random(seed).randrange
+    for _ in range(count):
+        halves = (0,) * n
+        while not any(halves):
+            # twice each coordinate: 2 * num / den, with den drawn after num
+            halves = tuple([(below(7) - 3) * (2, 2, 1)[below(3)] for _ in range(n)])
+        coords = [_HALVES[h] for h in halves]
+        if any(h & 1 for h in halves):
+            yield halves, 2, coords
+        else:
+            yield tuple([h >> 1 for h in halves]), 1, coords
+
+
 def sample_points(h1: list[str], count: int, seed: int = 0) -> list[dict[str, Fraction]]:
-    """Deterministic small-height rational points, origin first."""
-    rng = random.Random(seed)
-    points = [dict.fromkeys(h1, Fraction(0))]
-    if not h1:
-        return points  # no degree-1 classes: the character space is a point
-    while len(points) < count + 1:
-        pt = {
-            lab: Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2]))
-            for lab in h1
-        }
-        if any(pt.values()):
-            points.append(pt)
-    return points
+    """Deterministic small-height rational points, origin first: the
+    Fraction view of ``_draws``."""
+    return [{lab: Fraction(x, den) for lab, x in zip(h1, nums)}
+            for nums, den, _ in _draws(len(h1), count, seed)]
 
 
 def _oracle_samples(ideal: Ideal, below: _IntMatrix, here: _IntMatrix, dim: int, k: int,
-                    points: list[dict[str, Fraction]]) -> list[dict]:
-    """At each point: whether the ideal's generators vanish, and the twisted
-    cohomology dimension from the rank oracle's d^{i-1} and d^i (dim is
-    dim M^i).  A sample is in the locus when that dimension is at least k."""
+                    labels: list[str], count: int, seed: int) -> list[dict]:
+    """At each point of ``_draws`` in the coordinates labels: whether the
+    ideal's generators vanish, and the twisted cohomology dimension from the
+    rank oracle's d^{i-1} and d^i (dim is dim M^i).  A sample is in the
+    locus when that dimension is at least k.  A point drawn again is not
+    evaluated again."""
     span = _span_column(ideal)
+    seen: dict[tuple, tuple[int, bool]] = {}
     samples = []
-    for pt in points:
-        nums, den = _split(pt.values())
-        dim_twisted = _twisted_dim(dim, below, here, nums, den)
+    for nums, den, coords in _draws(len(labels), count, seed):
+        got = seen.get((nums, den))
+        if got is None:
+            got = seen[nums, den] = (_twisted_dim(dim, below, here, nums, den),
+                                     span.zero_at(nums, den))
+        dim_twisted, vanish = got
         samples.append({
-            "point": {lab: str(c) for lab, c in pt.items()},
-            "generators_vanish": not any(row[0] for row in span.at(nums, den)),
+            "point": dict(zip(labels, coords)),
+            "generators_vanish": vanish,
             "dim_twisted": dim_twisted,
             "in_locus": dim_twisted >= k,
         })
@@ -346,7 +395,7 @@ def resonance_ideal(
     shadow = pair if not binary_only else _binary_shadow(pair)
     below, here = _pair_differentials(shadow, ucx.variables, (i - 1, i)).values()
     samples = _oracle_samples(ideal, below, here, pair.module.space.dim(i), k,
-                              sample_points(ucx.variables, n_samples, seed))
+                              ucx.variables, n_samples, seed)
     # a truncated ideal is only compared, not held to the oracle
     consistent = ucx.mode != "exact" or all(
         s["generators_vanish"] == s["in_locus"] for s in samples)
@@ -445,7 +494,7 @@ def dga_resonance_ideal(
     ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
     below, here = _dga_differentials(alg, list(h1_reps.values()), (i - 1, i)).values()
     samples = _oracle_samples(ideal, below, here, space.dim(i), k,
-                              sample_points(h1_labels, n_samples, seed))
+                              h1_labels, n_samples, seed)
     if any(s["generators_vanish"] != s["in_locus"] for s in samples):
         raise ResonanceError("dga resonance ideal disagrees with the rank oracle")
     return DgaResonance(ideal, ucx.matrices, h1_reps, i, k, size, samples)

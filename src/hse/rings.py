@@ -35,6 +35,9 @@ packed polynomial, with field widths fixed from a bound on the degree of
 any minor (``degree_bound``).  Sub-minors stay packed ints, exact because
 the scaled minor is the minor times the product of its rows' scales; a
 ``RElem`` is made only at the output, with that product divided back out.
+The d^2 = 0 check of a twisted complex multiplies two such compiled
+matrices (``composite_vanishes``), weighting each row of the inner one so
+that the row scales cancel.
 ``block_minors`` gives I_r of a block-diagonal matrix A (+) B, the shape
 of a jump ideal's d^{i-1} (+) d^i, from one engine per block on one shared
 packing: a minor is nonzero only when it takes as many rows as columns
@@ -76,6 +79,8 @@ class CoefRing:
             raise RingError("the field has no variables")
         if kind == "trunc_local" and (order is None or order < 1):
             raise RingError("truncated local ring needs a nilpotency order >= 1")
+        if trunc is not None and trunc < 0:
+            raise RingError(f"truncation degree must be >= 0, got {trunc}")
         if len(set(varnames)) != len(varnames):
             raise RingError("duplicate variable names")
         self.kind = kind
@@ -754,12 +759,12 @@ class _Packing:
 
 
 def _mul_into(acc: dict[int, int], f: dict[int, int], g: dict[int, int],
-              sign: int, limit: int) -> None:
-    """acc += sign * f * g, less the monomials at or past limit; leaves
+              factor: int, limit: int) -> None:
+    """acc += factor * f * g, less the monomials at or past limit; leaves
     zero coefficients in acc."""
     get = acc.get
     for m1, c1 in f.items():
-        c1 *= sign
+        c1 *= factor
         for m2, c2 in g.items():
             m = m1 + m2
             if m < limit:
@@ -768,6 +773,31 @@ def _mul_into(acc: dict[int, int], f: dict[int, int], g: dict[int, int],
 
 def _nonzero(acc: dict[int, int]) -> dict[int, int]:
     return {m: v for m, v in acc.items() if v}
+
+
+def composite_vanishes(a: MinorEngine, b: MinorEngine) -> bool:
+    """Whether a.matrix o b.matrix = 0 in the ring, on the engines' packed
+    entries; both must share a packing wide enough for
+    degree_bound(a.matrix) + degree_bound(b.matrix).
+
+    Row r of a is scaled by s_r and row k of b by t_k; with T the lcm of
+    the t_k, sum_k a[r][k] * b[k][c] * (T / t_k) over the packed entries is
+    s_r * T times the (r, c) entry of the composite, less the monomials the
+    ring drops.  s_r * T is a nonzero integer, so each sum is 0 exactly
+    when that entry is."""
+    total = reduce(lcm, b.scales, 1)
+    weights = [total // t for t in b.scales]
+    limit = a.packing.limit
+    columns = list(zip(*b.entries))
+    for row in a.entries:
+        for column in columns:
+            acc: dict[int, int] = {}
+            for f, g, w in zip(row, column, weights):
+                if f and g:
+                    _mul_into(acc, f, g, w, limit)
+            if any(acc.values()):
+                return False
+    return True
 
 
 def degree_bound(matrix: RingMatrix) -> int:

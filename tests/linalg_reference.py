@@ -1,10 +1,14 @@
 """The dense exact linear algebra ``hse.linalg`` had before it read every
 answer off ``linalg.Echelon``: a Gauss-Jordan ``rref`` of the whole matrix
-per call, and ``extend_to_basis`` as a full rank per candidate.  Kept as
-the references of the differential tests.
+per call, and ``extend_to_basis`` as a full rank per candidate; and the
+Bareiss ``rank`` it had before ``linalg.int_rank``, which scanned every
+column and recombined every row.  Kept as the references of the
+differential tests.
 """
 
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 from hse import linalg
 
@@ -39,6 +43,28 @@ def rref(mat):
         if r == rows:
             break
     return m, pivots
+
+
+def rank(mat):
+    """Bareiss elimination on the nonzero rows scaled to integers, over
+    every column."""
+    rows = []
+    for row in mat:
+        den = reduce(lcm, (x.denominator for x in row), 1)
+        if any(row):
+            rows.append([x.numerator * (den // x.denominator) for x in row])
+    r, prev = 0, 1
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((k for k in range(r, len(rows)) if rows[k][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top, p = rows[r], rows[r][c]
+        for k in range(r + 1, len(rows)):
+            q = rows[k][c]
+            rows[k] = [(p * x - q * y) // prev for x, y in zip(rows[k], top)]
+        prev, r = p, r + 1
+    return r
 
 
 def kernel_basis(mat, cols=None):
@@ -88,10 +114,10 @@ def extend_to_basis(spanning, candidates):
     kept so far."""
     kept = []
     current = [vec[:] for vec in spanning]
-    current_rank = linalg.rank(current) if current else 0
+    current_rank = rank(current) if current else 0
     for idx, cand in enumerate(candidates):
         trial = current + [cand[:]]
-        r = linalg.rank(trial)
+        r = rank(trial)
         if r > current_rank:
             kept.append(idx)
             current = trial

@@ -28,6 +28,7 @@ from hse.deformation import twist_module
 from hse.fixtures import Cdga, cdga_pair, exterior_cdga, heisenberg_cdga, random_cdga
 from hse.resonance import TangentConeReport, tangent_cone_check
 from hse.rings import (
+    CoefRing,
     Ideal,
     MinorEngine,
     RingError,
@@ -295,6 +296,74 @@ def test_kernel_at_the_packing_width_bound():
     want = _reference_minors(glued, 4)
     assert want.generators[0].degree() == 255
     _assert_same_ideal(block_minors(*engines, 4), want)
+
+
+# -- the packed d^2 check against RElem composition -------------------------
+
+D2_RINGS = ("poly(u,v,w)", "poly(u,v,w, trunc=2)", "Q[x1..x3]/(m^3)")
+
+
+def _koszul(ring, rng):
+    """(K1, K2) with K1 o K2 = 0: K1 = [f1/l1, f2/l2, f3/l3] and K2 sends
+    e_ij to f_i e_j - f_j e_i with row k scaled by l_k, so the rows of K2
+    carry unequal scales and each composite entry cancels only once they
+    are weighted."""
+    monos = rings._monomials_up_to(ring.nvars, 1)
+    fs = [ring.element({m: Fraction(rng.randint(-3, 3), rng.randint(1, 5)) for m in monos})
+          for _ in range(3)]
+    ls = [Fraction(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(3)]
+    k1 = RingMatrix(ring, ("o",), ("e1", "e2", "e3"), [[f * (1 / l) for f, l in zip(fs, ls)]])
+    k2 = RingMatrix(ring, ("e1", "e2", "e3"), ("e12", "e13", "e23"))
+    for col, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
+        k2.set(j, col, fs[i] * ls[j])
+        k2.set(i, col, -fs[j] * ls[i])
+    return k1, k2
+
+
+def _packed_vanishes(a, b):
+    packing = a.ring.packing(rings.degree_bound(a) + rings.degree_bound(b))
+    return rings.composite_vanishes(MinorEngine(a, packing), MinorEngine(b, packing))
+
+
+def _untruncated_zero(a, b):
+    """Whether a o b is 0 over the polynomial ring the quotient comes from."""
+    full = CoefRing("poly", a.ring.varnames)
+    rows = [[full.element(x.terms) for x in row] for row in a.data]
+    cols = [[full.element(y.terms) for y in col] for col in zip(*b.data)]
+    return all(not sum((x * y for x, y in zip(row, col)), full.zero)
+               for row in rows for col in cols)
+
+
+@pytest.mark.parametrize("descriptor", D2_RINGS)
+def test_packed_square_zero_matches_compose(descriptor):
+    """Random compositions, Koszul pairs whose composite cancels only once
+    the unequal row scales are weighted, and entries of degree >= 1 times
+    degree >= 2, whose composite vanishes in poly(trunc=2) and modulo m^3
+    only through the quotient."""
+    ring = parse_ring(descriptor)
+    rng = random.Random(f"d2 {descriptor}")
+    monos = ring.monomial_basis() if ring.is_artinian else rings._monomials_up_to(ring.nvars, 2)
+    outcomes = set()
+    for trial in range(60):
+        kind = trial % 3
+        if kind == 0:
+            a, b = _koszul(ring, rng)
+            if rng.random() < 0.3:  # one perturbed entry breaks the cancellation
+                a.set(0, 1, a[0, 1] + ring.gen(rng.randrange(ring.nvars)))
+        else:
+            low_a, low_b = ((0, 0), (1, 2))[kind - 1]
+            n = rng.randint(0, 3)
+            a = _rational_block(ring, rng, (rng.randint(0, 3), n), monos, low=low_a)
+            b = _rational_block(ring, rng, (n, rng.randint(0, 3)), monos, low=low_b)
+            b.rows = a.cols
+        want = a.compose(b).is_zero()
+        assert _packed_vanishes(a, b) == want, trial
+        outcomes.add((kind, want, _untruncated_zero(a, b)))
+    assert {(0, True, True), (0, False, False), (1, False, False)} <= outcomes
+    if ring.is_artinian:
+        assert (2, True, False) in outcomes  # a composite only the quotient kills
+    else:
+        assert (2, False, False) in outcomes
 
 
 # -- the jump-ideals inputs of the benchmark --------------------------------

@@ -7,6 +7,7 @@ from hse.deformation import (
     DeformationError,
     HomotopyWitness,
     TPoly,
+    TwistedComplex,
     construct_gauge_witness,
     def_ik_membership,
     homotopy_witness_check,
@@ -311,6 +312,49 @@ def test_builder_errors_keep_each_callers_class(targets, message):
         twist_module(pair, R, {"e": R.gen(0)}, verify=True)
     with pytest.raises(ResonanceError, match=message):
         universal_complex(pair, exact=True)
+
+
+def _line_complex(ring, entries):
+    """The complex on <a, b, c> in degrees 0, 1, 2 whose differential
+    sends each src to sum value * tgt over entries[src]."""
+    space = GradedSpace([BasisElement("a", 0), BasisElement("b", 1), BasisElement("c", 2)])
+    columns = {(src,): {tgt: parse_element(ring, v) for tgt, v in row.items()}
+               for src, row in entries.items()}
+    return TwistedComplex.from_columns(columns, space, ring)
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in range(1, 5) for q in range(1, 5)])
+def test_square_zero_check_sees_the_top_degree(p, q):
+    """d a = x^p b and d b = x^q c: d^2 a = x^(p+q) c, the top degree of the
+    packing, whose width comes from p + q (a power of two when p + q = 2, 4
+    or 8 needs one more bit)."""
+    entries = {"a": {"b": f"x^{p}"}, "b": {"c": f"x^{q}"}}
+    with pytest.raises(DeformationError, match=r"fails d\^2 = 0 at degree 0"):
+        _line_complex(parse_ring("poly(x)"), entries).validate_square_zero()
+    for top in (p + q - 1, p + q):  # the quotient decides
+        trunc = _line_complex(parse_ring(f"poly(x, trunc={top})"), entries)
+        local = _line_complex(parse_ring(f"Q[x]/(x^{top + 1})"), entries)
+        for complex_ in (trunc, local):
+            if top < p + q:
+                complex_.validate_square_zero()
+            else:
+                with pytest.raises(DeformationError, match=r"at degree 0"):
+                    complex_.validate_square_zero()
+
+
+def test_square_zero_check_weighs_unequal_row_scales():
+    """The Koszul complex of (x/2, y/3): d^1 o d^0 cancels only when the
+    rows of d^0, scaled by 2 and 3, are weighted back by 3 and 2."""
+    ring = parse_ring("poly(x,y)")
+    space = GradedSpace([BasisElement("a", 0), BasisElement("b1", 1), BasisElement("b2", 1),
+                         BasisElement("c", 2)])
+    columns = {("a",): {"b1": parse_element(ring, "1/2*x"), "b2": parse_element(ring, "1/3*y")},
+               ("b1",): {"c": parse_element(ring, "5/21*y")},
+               ("b2",): {"c": parse_element(ring, "-5/14*x")}}
+    TwistedComplex.from_columns(columns, space, ring).validate_square_zero()
+    columns[("b2",)] = {"c": parse_element(ring, "-5/21*x")}
+    with pytest.raises(DeformationError, match=r"fails d\^2 = 0 at degree 0"):
+        TwistedComplex.from_columns(columns, space, ring).validate_square_zero()
 
 
 def test_dga_path_checks_square_zero():

@@ -20,6 +20,8 @@ from hse.io_json import (
 from hse.structures import AInfAlgebra, LInfPair
 from test_deformation import NOT_SQUARE_ZERO, line_pair
 
+ROOT = Path(__file__).resolve().parent.parent
+
 
 def test_golden_heisenberg_fixture_is_stable():
     # the shipped fixture file equals the generator's output byte for byte
@@ -200,6 +202,25 @@ def test_cli_usage_errors(tmp_path):
     assert main(["no-such-command"]) == 2
     # bad flag
     assert main(["fixture", "--nope"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "heisenberg.json", "--max-arity", "-1"],
+    ["check", "heisenberg.json", "--max-arity", "0"],
+    ["transfer", "heisenberg-pair.json", "--max-arity", "-3"],
+    ["resonance", "heisenberg-pair.json", "--i", "1", "--k", "1", "--trunc", "-1"],
+])
+def test_cli_rejects_a_negative_arity_or_truncation(tmp_path, capsys, argv):
+    """An arity below 1 checks nothing and a negative truncation keeps no
+    monomial; both used to report a pass.  Each exits 2 with no report."""
+    command, name, *rest = argv
+    out = tmp_path / "out.json"
+    assert main([command, str(ROOT / "fixtures" / name), *rest, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("must be >= 1" in err) if "--max-arity" in rest else \
+        err.startswith("error: truncation degree must be >= 0")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [["--name", "random", "--dims", "1,a"],

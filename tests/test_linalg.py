@@ -4,7 +4,7 @@ of a subspace is unique, so every answer must equal the one the old dense
 ``rref`` and the rank-per-candidate loop gave (tests/linalg_reference.py):
 on random matrices, with zero rows, empty candidate lists and singular
 matrices among them, and on the cohomology splittings the transfers start
-from.
+from.  ``int_rank`` and ``rank`` must equal the old Bareiss ``rank``.
 """
 
 import json
@@ -103,6 +103,31 @@ def test_extend_to_basis_matches_rank_loop():
         assert linalg.extend_to_basis(spanning, candidates) == \
             ref.extend_to_basis(spanning, candidates)
     assert linalg.extend_to_basis([[Fraction(1), Fraction(0)]], []) == []
+
+
+def _int_matrix(rng, rows, cols):
+    """Integer rows: a random matrix scaled to integers row by row, or
+    large entries of low rank, so the exact divisions see big pivots."""
+    if rng.random() < 0.5:
+        return [[x.numerator * (6 // x.denominator) for x in row]
+                for row in _matrix(rng, rows, cols)]
+    inner = rng.randint(0, min(rows, cols))
+    a = [[rng.randint(-50, 50) for _ in range(inner)] for _ in range(rows)]
+    b = [[rng.randint(-50, 50) for _ in range(cols)] for _ in range(inner)]
+    return [[sum(a[r][t] * b[t][c] for t in range(inner)) for c in range(cols)]
+            for r in range(rows)]
+
+
+def test_rank_and_int_rank_match_the_old_rank():
+    for rng, rows, cols, mat in _cases(5, 1500):
+        assert linalg.rank(mat) == ref.rank(mat)
+        ints = _int_matrix(rng, rows, cols)
+        before = [row[:] for row in ints]
+        assert linalg.int_rank(ints) == ref.rank(ints) == linalg.rank(ints)
+        assert ints == before  # the input is left unchanged
+    for rows, cols in ((0, 0), (0, 4), (3, 0)):
+        assert linalg.int_rank([[0] * cols for _ in range(rows)]) == 0
+    assert linalg.int_rank([[0, 0], [0, 3], [0, 6], [1, 0]]) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 against the per-point loop it replaced.
 
 The oracle reads d_a on degrees i-1 and i, and the echelon basis of the
-ideal's Q-span, once per call; at each sample point it evaluates them in
-integers.  The reference below is the old loop: at every point the twisted
-matrices from the stored-key sum ``contract_power`` (or the dga's ring
-matrices evaluated entry by entry), their rank over the rationals, and
-every generator evaluated.  The sample records must be equal.  The dga
+ideal's Q-span, once per call; at each distinct sample point it evaluates
+them in integers.  The reference below is the old loop: at every point the
+twisted matrices from the stored-key sum ``contract_power`` (or the dga's
+ring matrices evaluated entry by entry), their rank over the rationals,
+and every generator evaluated.  The sample records must be equal.  The dga
 oracle's matrices, compiled from the product tables, must also equal the
-universal complex's entry by entry.
+universal complex's entry by entry.  The points are drawn as integers
+(``_draws``) and ``sample_points`` is their Fraction view; both must give
+the points of the old Fraction loop.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,6 +25,7 @@ from hse.multimap import contract_power
 from hse.resonance import (
     ResonanceError,
     _dga_differentials,
+    _draws,
     _span_column,
     _split,
     dga_resonance_ideal,
@@ -194,6 +198,53 @@ def test_pair_oracle_uses_no_ring_arithmetic(monkeypatch):
 
 def test_sample_points_without_degree_one_classes():
     assert sample_points([], 100, seed=3) == [{}]
+
+
+def ref_sample_points(h1, count, seed=0):
+    """The Fraction loop ``sample_points`` ran before ``_draws``."""
+    rng = random.Random(seed)
+    points = [dict.fromkeys(h1, Fraction(0))]
+    if not h1:
+        return points
+    while len(points) < count + 1:
+        pt = {lab: Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2])) for lab in h1}
+        if any(pt.values()):
+            points.append(pt)
+    return points
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_integer_draws_are_the_fraction_points(n):
+    """Same stream, same points: each draw is its point's numerators over
+    the lcm of its denominators, with the coordinates' strings."""
+    h1 = [f"v{j}" for j in range(n)]
+    for seed in range(150):
+        count = seed % 40
+        want = ref_sample_points(h1, count, seed)
+        assert sample_points(h1, count, seed) == want
+        draws = list(_draws(n, count, seed))
+        assert len(draws) == len(want)
+        for (nums, den, coords), pt in zip(draws, want):
+            assert (list(nums), den) == _split(pt.values())
+            assert coords == [str(c) for c in pt.values()]
+
+
+def test_each_distinct_point_is_evaluated_once(monkeypatch):
+    """h^1 = 2 repeats points among 101 draws; the oracle evaluates each
+    distinct one once and still returns every sample."""
+    evaluated = []
+    real = resonance._twisted_dim
+
+    def counting(dim, below, here, nums, den):
+        evaluated.append((nums, den))
+        return real(dim, below, here, nums, den)
+
+    monkeypatch.setattr(resonance, "_twisted_dim", counting)
+    pair = minimal_pair("heisenberg-pair")
+    res = resonance_ideal(pair, 1, 1, exact=True, seed=5)
+    distinct = {(nums, den) for nums, den, _ in _draws(2, 100, 5)}
+    assert len(res.samples) == 101
+    assert sorted(evaluated) == sorted(distinct) and len(distinct) < 101
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,12 @@ def test_truncated_arithmetic():
     assert x * x == R.zero
 
 
+def test_negative_truncation_is_refused():
+    with pytest.raises(RingError, match="truncation degree must be >= 0, got -1"):
+        CoefRing("poly", ("x1", "x2"), trunc=-1)
+    assert CoefRing("poly", ("x1", "x2"), trunc=0).monomial_basis() == [(0, 0)]
+
+
 def test_eps_square_zero():
     R = eps_ring(2)
     e = R.gen(0)
