@@ -91,7 +91,10 @@ def _emit(args, report: dict) -> None:
         lines += _text_lines(report["payload"], indent="  ")
         text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -124,6 +127,8 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise UsageError(f"no such file: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text
+        raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -533,13 +538,13 @@ def main(argv: list[str] | None = None) -> int:
     handler = COMMANDS[args.command]
     try:
         status, payload, code = handler(args)
+        _emit(args, _report(args, args.command, status, payload, started))
     except (UsageError, ParseError, RingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (StructureError, TransferError, DeformationError, ResonanceError) as exc:
         sys.stderr.write(f"check error: {exc}\n")
         return 1
-    _emit(args, _report(args, args.command, status, payload, started))
     return code
 
 

@@ -8,7 +8,8 @@ range, and the structure maps have finite arity support anyway.  The bound
 is computed up front, never guessed.  Each sum is driven by the stored keys
 of the structure maps (``multimap.contract_power``): a tail T receives a
 term only from a stored key holding T and i labels of supp w, so no input
-tuple is enumerated.
+tuple is enumerated.  A twisted complex compiles each differential once
+(``rings.MinorEngine``), for its d^2 = 0 certificate and its jump ideals.
 """
 
 from __future__ import annotations
@@ -132,11 +133,9 @@ class TwistedComplex:
     ring: CoefRing
     space: GradedSpace
     matrices: dict[int, RingMatrix]
-    # one memoized MinorEngine per differential d^j, kept while the complex
-    # lives, so the jump ideals J^i_k for every k, and J^{i+1}, share the
-    # sub-minors of d^i; all on one packing, wide enough for the product of
-    # minors of any two differentials; the matrices must not change once
-    # the first is built
+    # one memoized MinorEngine per differential d^j, all on one packing wide
+    # enough for the product of minors of any two: the d^2 check and every
+    # jump ideal read it; the matrices must not change once one is built
     engines: dict[int, MinorEngine] = field(default_factory=dict, init=False, repr=False,
                                             compare=False)
     error = DeformationError
@@ -172,16 +171,12 @@ class TwistedComplex:
     def validate_square_zero(self) -> None:
         """Raise ``error`` at the lowest degree i with d^{i+1} o d^i != 0.
 
-        Each differential is compiled once to packed integer polynomials, a
-        ``MinorEngine`` on the packing for the sum of their degree bounds
-        (these are not kept in ``engines``), and each composite is tested
-        exactly in ints by ``rings.composite_vanishes``; the packing's limit
-        applies the ring's quotient.  A degree with no d^{i+1} composes to
-        an empty matrix and is skipped."""
-        packing = self.ring.packing(sum(map(degree_bound, self.matrices.values())))
-        compiled = {j: MinorEngine(mat, packing) for j, mat in self.matrices.items()}
-        for i in sorted(compiled):
-            if i + 1 in compiled and not composite_vanishes(compiled[i + 1], compiled[i]):
+        Each composite is tested exactly in ints on the engines the minors
+        use (``rings.composite_vanishes``); a degree with no d^{i+1} is
+        skipped."""
+        for i in sorted(self.matrices):
+            if i + 1 in self.matrices and not composite_vanishes(self.engine(i + 1),
+                                                                 self.engine(i)):
                 raise self.error(f"twisted differential fails d^2 = 0 at degree {i}")
 
     def engine(self, j: int) -> MinorEngine:

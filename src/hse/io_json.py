@@ -307,12 +307,17 @@ def _parse_module(data: dict, algebra: LInfAlgebra) -> LInfModule:
 def mc_from_json(data: dict, ring=None):
     from .rings import parse_element, parse_ring
 
+    entries = data.get("entries") or {} if isinstance(data, dict) else None
+    if not isinstance(entries, dict):
+        raise ParseError("an MC element needs an object of entries, label -> element")
     if ring is None:
-        if "ring" not in data:
-            raise ParseError("MC element needs a ring descriptor")
+        if not isinstance(data.get("ring"), str):
+            raise ParseError("MC element needs a ring descriptor string")
         ring = parse_ring(data["ring"])
     omega = {}
-    for lab, text in (data.get("entries") or {}).items():
+    for lab, text in entries.items():
+        if not isinstance(text, str):
+            raise ParseError(f"MC entry at {lab!r} must be a string, got {text!r}")
         val = parse_element(ring, text)
         if val:
             omega[lab] = val

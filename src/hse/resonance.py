@@ -13,19 +13,19 @@ columns -> matrices builder and d^2 check; so is the dga-level complex
 independent exact rank oracle: it never goes through the possibly
 truncated matrices and uses no ring arithmetic.  Once per call it reads
 d_a on degrees i-1 and i off the actions' stored keys (for a dga, off the
-tables of d and mu) as polynomial matrices in a's coordinates
-(``_IntMatrix``), and the ideal as the echelon basis of its generators'
-Q-span.  The sample points are drawn as integer numerators n over one
-common denominator D (``_draws``; ``sample_points`` is their Fraction
-view).  At each distinct point the oracle evaluates both in Python ints,
-up to a nonzero factor that keeps ranks and zero patterns: the two ranks
-by ``linalg.int_rank``, the span rows one at a time up to the first that
-is nonzero.
+tables of d and mu) as polynomial matrices in a's coordinates, untruncated
+``rings.MinorEngine``s, and the ideal as the echelon basis of its
+generators' Q-span.  The sample points are drawn as integer numerators n
+over one common denominator D (``_draws``; ``sample_points`` is their
+Fraction view).  At each distinct point the oracle evaluates both in
+Python ints, each row up to a nonzero factor that keeps ranks and zero
+patterns: the two ranks by ``linalg.int_rank``, the span rows one at a
+time up to the first that is nonzero.
 
 Every ideal here is a jump ideal of d^{i-1} (+) d^i and goes through
 ``rings.block_minors``: only minors that take as many rows as columns from
 each differential are evaluated, as products of one minor of each, from
-the complex's memoized ``MinorEngine`` per differential.
+the engine per differential that the complex's d^2 check compiled.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .multimap import contract_power, evaluate_on_vectors
 from .rings import (
     CoefRing,
     Ideal,
+    MinorEngine,
     RElem,
     RingMatrix,
     block_minor_terms,
@@ -120,74 +121,6 @@ def universal_complex(
 # ---------------------------------------------------------------------------
 # rank oracle at rational points
 
-class _IntMatrix:
-    """A sparse polynomial matrix, compiled for exact integer evaluation.
-
-    Built once from terms (row, col, exponent vector, rational coefficient).
-    At a point n/D, written with one common denominator D, ``at`` returns
-    the integer matrix factor(D) * M(n/D) with factor(D) = L * D^top, where
-    L is the lcm of the coefficients' denominators and top the largest
-    total degree: each entry is sum (L*c) * prod n^e * D^(top - |e|).  The
-    factor is a nonzero constant, so rank and zero pattern are those of
-    M(n/D).
-    """
-
-    __slots__ = ("nrows", "ncols", "scale", "top", "monos", "cells")
-
-    def __init__(self, nrows: int, ncols: int, terms: list[tuple]):
-        self.nrows, self.ncols = nrows, ncols
-        self.scale = reduce(lcm, (coef.denominator for *_, coef in terms), 1)
-        self.top = max((sum(exps) for _, _, exps, _ in terms), default=0)
-        monos: dict[tuple[int, ...], int] = {}
-        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for r, c, exps, coef in terms:
-            m = monos.setdefault(exps, len(monos))
-            cells.setdefault((r, c), []).append(
-                (m, coef.numerator * (self.scale // coef.denominator)))
-        # per monomial: its nonzero (variable, exponent) pairs and D's exponent
-        self.monos = [([(j, e) for j, e in enumerate(exps) if e], self.top - sum(exps))
-                      for exps in monos]
-        self.cells = [(r, c, lin) for (r, c), lin in cells.items()]
-
-    def factor(self, den: int) -> int:
-        return self.scale * den ** self.top
-
-    def _values(self, nums: list[int], den: int) -> list[int]:
-        """Each monomial at n/D, times D^top."""
-        pads = [1]
-        for _ in range(self.top):
-            pads.append(pads[-1] * den)
-        vals = []
-        for factors, pad in self.monos:
-            v = pads[pad]
-            for j, e in factors:
-                v *= nums[j] ** e
-            vals.append(v)
-        return vals
-
-    def at(self, nums: list[int], den: int) -> list[list[int]]:
-        vals = self._values(nums, den)
-        out = [[0] * self.ncols for _ in range(self.nrows)]
-        for r, c, lin in self.cells:
-            v = 0
-            for m, k in lin:
-                v += k * vals[m]
-            out[r][c] = v
-        return out
-
-    def zero_at(self, nums: list[int], den: int) -> bool:
-        """Whether M(n/D) = 0: the cells are summed one at a time, in row
-        order, up to the first that is nonzero."""
-        vals = self._values(nums, den)
-        for _, _, lin in self.cells:
-            v = 0
-            for m, k in lin:
-                v += k * vals[m]
-            if v:
-                return False
-        return True
-
-
 def _split(coords) -> tuple[list[int], int]:
     """Numerators over one common denominator: coords = nums / den."""
     coords = list(coords)
@@ -195,28 +128,43 @@ def _split(coords) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in coords], den
 
 
-def _compile(space: GradedSpace, degrees: tuple[int, ...], entries) -> dict[int, _IntMatrix]:
+def _engine(nvars: int, rows: tuple, cols: tuple, cells: dict) -> MinorEngine:
+    """The matrix cells[(r, c)] = {exponent vector: coefficient} over an
+    untruncated Q[x_1..x_nvars], compiled; no ring arithmetic is done."""
+    ring = CoefRing("poly", tuple(f"x{j + 1}" for j in range(nvars)))
+    mat = RingMatrix(ring, rows, cols)
+    for (r, c), terms in cells.items():
+        mat.set(r, c, RElem(ring, {m: v for m, v in terms.items() if v}))
+    return MinorEngine(mat)
+
+
+def _compile(space: GradedSpace, nvars: int, degrees: tuple[int, ...],
+             entries) -> dict[int, MinorEngine]:
     """A polynomial differential on M^j for each j in degrees, from entries
     (column label, output row, exponent vector, scale): each adds scale *
     value times the monomial at (row label, column); columns of other
     degrees are skipped."""
     rows: dict[int, dict[str, int]] = {}
     cols: dict[str, tuple[int, int]] = {}
-    terms: dict[int, list[tuple]] = {}
+    cells: dict[int, dict] = {}
     for j in degrees:
         rows[j] = {e.label: r for r, e in enumerate(space.basis_of_degree(j + 1))}
         cols.update((e.label, (j, c)) for c, e in enumerate(space.basis_of_degree(j)))
-        terms[j] = []
+        cells[j] = {}
     for label, row, exps, scale in entries:
         col = cols.get(label)
         if col is not None:
             j, c = col
-            terms[j].extend((rows[j][lab], c, exps, scale * value) for lab, value in row.items())
-    return {j: _IntMatrix(len(rows[j]), space.dim(j), terms[j]) for j in degrees}
+            for lab, value in row.items():
+                cell = cells[j].setdefault((rows[j][lab], c), {})
+                cell[exps] = cell.get(exps, 0) + scale * value
+    return {j: _engine(nvars, tuple(rows[j]),
+                       tuple(e.label for e in space.basis_of_degree(j)), cells[j])
+            for j in degrees}
 
 
 def _pair_differentials(pair: LInfPair, variables: list[str],
-                        degrees: tuple[int, ...]) -> dict[int, _IntMatrix]:
+                        degrees: tuple[int, ...]) -> dict[int, MinorEngine]:
     """d_a on M^j for each j in degrees, as a polynomial matrix in the
     coordinates of a = sum_v x_v v (v in variables).
 
@@ -236,11 +184,11 @@ def _pair_differentials(pair: LInfPair, variables: list[str],
                         exps[var[lab]] += 1
                     yield key[-1], row, tuple(exps), Fraction(1, prod(map(factorial, exps)))
 
-    return _compile(pair.module.space, degrees, entries())
+    return _compile(pair.module.space, len(var), degrees, entries())
 
 
 def _dga_differentials(alg: AInfAlgebra, reps: list[dict[str, Fraction]],
-                       degrees: tuple[int, ...]) -> dict[int, _IntMatrix]:
+                       degrees: tuple[int, ...]) -> dict[int, MinorEngine]:
     """d + sum_j x_j mu(rep_j, -) on A^j for each j in degrees, read off the
     stored keys of d and mu, never through the universal complex."""
     units = [tuple(int(v == j) for v in range(len(reps))) for j in range(len(reps))]
@@ -256,20 +204,19 @@ def _dga_differentials(alg: AInfAlgebra, reps: list[dict[str, Fraction]],
                     if a in rep:
                         yield col, row, unit, rep[a]
 
-    return _compile(alg.space, degrees, entries())
+    return _compile(alg.space, len(reps), degrees, entries())
 
 
-def _span_column(ideal: Ideal) -> _IntMatrix:
+def _span_column(ideal: Ideal) -> MinorEngine:
     """The reduced echelon basis of the generators' Q-span, one row each in
     a single column.  Evaluation is linear, so every generator vanishes at a
     point exactly when every row does."""
     span = linalg.Echelon(g.terms for g in ideal.generators)
-    return _IntMatrix(len(span.rows), 1, [(r, 0, mono, coef)
-                                          for r, row in enumerate(span.rows.values())
-                                          for mono, coef in row.items()])
+    return _engine(ideal.ring.nvars, tuple(map(str, span.rows)), ("span",),
+                   {(r, 0): row for r, row in enumerate(span.rows.values())})
 
 
-def _twisted_dim(dim: int, below: _IntMatrix, here: _IntMatrix, nums: list[int],
+def _twisted_dim(dim: int, below: MinorEngine, here: MinorEngine, nums: list[int],
                  den: int) -> int:
     return dim - linalg.int_rank(below.at(nums, den)) - linalg.int_rank(here.at(nums, den))
 
@@ -279,16 +226,13 @@ def pointwise_twisted_matrices(
 ) -> dict[int, list[list[Fraction]]]:
     """Exact matrices of d_a for a rational degree-1 class a, in every
     degree; read off the actions' stored keys (``_pair_differentials``),
-    independent of any truncation, evaluated in integers and divided by the
-    common factor."""
+    independent of any truncation, evaluated in integers with each row
+    divided by its own factor."""
     _require_minimal(pair)
     nums, den = _split(point.values())
     mats = _pair_differentials(pair, list(point), tuple(pair.module.space.degrees()))
-    out: dict[int, list[list[Fraction]]] = {}
-    for j, mat in mats.items():
-        scale = mat.factor(den)
-        out[j] = [[Fraction(x, scale) for x in row] for row in mat.at(nums, den)]
-    return out
+    return {j: [[Fraction(x, scale * den ** mat.top) for x in row]
+                for scale, row in zip(mat.scales, mat.at(nums, den))] for j, mat in mats.items()}
 
 
 def twisted_cohomology_dim(pair: LInfPair, point: dict[str, Fraction], i: int) -> int:
@@ -331,7 +275,7 @@ def sample_points(h1: list[str], count: int, seed: int = 0) -> list[dict[str, Fr
             for nums, den, _ in _draws(len(h1), count, seed)]
 
 
-def _oracle_samples(ideal: Ideal, below: _IntMatrix, here: _IntMatrix, dim: int, k: int,
+def _oracle_samples(ideal: Ideal, below: MinorEngine, here: MinorEngine, dim: int, k: int,
                     labels: list[str], count: int, seed: int) -> list[dict]:
     """At each point of ``_draws`` in the coordinates labels: whether the
     ideal's generators vanish, and the twisted cohomology dimension from the

@@ -8,7 +8,7 @@ tuple -> Fraction, graded-lex ordering for display):
 * ``poly``         - Q[x_1..x_r], optionally degree-truncated at ``trunc``
                      (monomials of higher total degree are dropped eagerly).
 
-The two hot paths leave that representation for integers.  Minors run on
+The hot paths leave that representation for integers.  Matrices run on
 packed polynomials (packed monomial int -> int coefficient): each exponent
 has a fixed-width bit field and the total degree sits above them, so a
 product of monomials is an int add and the quotient (m^N, trunc) is one
@@ -28,16 +28,14 @@ reduce the target against the reduced echelon basis (``linalg.Echelon``)
 of the bounded products of the generators.  No span is stored on the
 ``Ideal``.  No Groebner machinery is used or pretended.
 
-Determinantal ideals come from ``MinorEngine``, a Laplace expansion along
-the first row that memoizes every sub-minor.  It compiles its matrix once:
-each row scaled to integers by the lcm of its denominators, each entry a
-packed polynomial, with field widths fixed from a bound on the degree of
-any minor (``degree_bound``).  Sub-minors stay packed ints, exact because
-the scaled minor is the minor times the product of its rows' scales; a
-``RElem`` is made only at the output, with that product divided back out.
-The d^2 = 0 check of a twisted complex multiplies two such compiled
-matrices (``composite_vanishes``), weighting each row of the inner one so
-that the row scales cancel.
+``MinorEngine`` is the one place a polynomial matrix becomes packed ints:
+each row scaled by the lcm of its denominators, field widths fixed from a
+bound on the degree of any minor (``degree_bound``).  Its minors are a
+Laplace expansion along the first row that memoizes every sub-minor, in
+packed ints with the row scales divided out at the output; the d^2 = 0
+check multiplies two engines (``composite_vanishes``), weighting each row
+of the inner one so that the scales cancel; the rank oracle evaluates one
+at a point n/D in ints, row r times scales[r] * D^top (``at``).
 ``block_minors`` gives I_r of a block-diagonal matrix A (+) B, the shape
 of a jump ideal's d^{i-1} (+) d^i, from one engine per block on one shared
 packing: a minor is nonzero only when it takes as many rows as columns
@@ -810,8 +808,8 @@ _ONE_POLY = {0: 1}
 
 
 class MinorEngine:
-    """Laplace expansion along the first row with memoized submatrices,
-    over the matrix compiled once to packed integer polynomials.
+    """A polynomial matrix compiled once to packed integer polynomials: its
+    minors (Laplace expansion, memoized) and its values at rational points.
 
     Row i is scaled by the lcm ``scales[i]`` of its coefficients'
     denominators, so ``poly(rows, cols)`` is the minor times the product of
@@ -833,9 +831,59 @@ class MinorEngine:
             self.entries.append([{pack(m): c.numerator * (scale // c.denominator)
                                   for m, c in e.terms.items()} for e in row])
         self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
+        shift = self.packing.width * self.packing.nvars
+        # the largest total degree of an entry, read off the packed degree field
+        self.top = max((m >> shift for row in self.entries for e in row for m in e), default=0)
+        self._cells: list[tuple[int, int, list[tuple[int, int]]]] | None = None
 
     def scale(self, rows: tuple[int, ...]) -> int:
         return prod(self.scales[i] for i in rows)
+
+    def _values(self, nums: list[int], den: int) -> list[int]:
+        """Each distinct monomial at n/D, times D^top.  Builds on first use
+        the cells in row order, (row, col, [(monomial index, coefficient)]),
+        and per monomial its (variable, exponent) pairs and D's exponent."""
+        if self._cells is None:
+            index: dict[int, int] = {}
+            self._cells = [(r, c, [(index.setdefault(m, len(index)), k) for m, k in e.items()])
+                           for r, row in enumerate(self.entries) for c, e in enumerate(row) if e]
+            shift = self.packing.width * self.packing.nvars
+            self._monos = [([(j, x) for j, x in enumerate(self.packing.unpack(m)) if x],
+                            self.top - (m >> shift)) for m in index]
+        pads = [1]
+        for _ in range(self.top):
+            pads.append(pads[-1] * den)
+        vals = []
+        for factors, pad in self._monos:
+            v = pads[pad]
+            for j, x in factors:
+                v *= nums[j] ** x
+            vals.append(v)
+        return vals
+
+    def at(self, nums: list[int], den: int) -> list[list[int]]:
+        """The matrix at the point n/D in integers: row r is scales[r] *
+        D^top times row r of M(n/D), so rank and zero pattern are those of
+        M(n/D)."""
+        vals = self._values(nums, den)
+        out = [[0] * len(self.matrix.cols) for _ in self.entries]
+        for r, c, lin in self._cells:
+            v = 0
+            for m, k in lin:
+                v += k * vals[m]
+            out[r][c] = v
+        return out
+
+    def zero_at(self, nums: list[int], den: int) -> bool:
+        """Whether M(n/D) = 0, summing the cells up to the first nonzero one."""
+        vals = self._values(nums, den)
+        for _, _, lin in self._cells:
+            v = 0
+            for m, k in lin:
+                v += k * vals[m]
+            if v:
+                return False
+        return True
 
     def poly(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
         """The minor times ``scale(rows)``, packed; {} when it is zero."""
@@ -882,7 +930,8 @@ def block_minor_terms(upper: MinorEngine, lower: MinorEngine,
     from the upper block too, and then it is det_upper * det_lower; so only
     those pairs are visited, and the lower factor only after a nonzero upper
     one.  Raises RingError, before any minor is evaluated, when the pairs to
-    visit exceed MINOR_PAIR_BUDGET.
+    visit exceed MINOR_PAIR_BUDGET, and when the two engines do not share
+    one packing wide enough for degree_bound(upper) + degree_bound(lower).
     """
     n_up, m_up = upper.matrix.shape()
     n_lo, m_lo = lower.matrix.shape()
@@ -898,9 +947,7 @@ def block_minor_terms(upper: MinorEngine, lower: MinorEngine,
     packing = upper.packing
     need = ring.packing(upper.bound + lower.bound)
     if lower.packing is not packing or packing.width < need.width:
-        # engines compiled apart: recompile both on one packing wide enough
-        packing = max(need, packing, lower.packing, key=lambda p: p.width)
-        upper, lower = MinorEngine(upper.matrix, packing), MinorEngine(lower.matrix, packing)
+        raise RingError("block minors need both engines on one packing wide enough")
     splits = [a for a, n in pairs.items() if n]
     up_cols = {a: list(combinations(range(m_up), a)) for a in splits}
     lo_cols = {a: [(cols, tuple(m_up + j for j in cols))

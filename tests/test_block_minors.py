@@ -15,6 +15,7 @@ import io
 import os
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -128,6 +129,13 @@ def _assert_same_ideal(got, want):
     assert got.to_json() == want.to_json()
 
 
+def _engines(upper, lower):
+    """Both blocks compiled on one packing wide enough for the products of
+    their minors, as a twisted complex compiles its differentials."""
+    packing = upper.ring.packing(rings.degree_bound(upper) + rings.degree_bound(lower))
+    return MinorEngine(upper, packing), MinorEngine(lower, packing)
+
+
 # -- random blocks ---------------------------------------------------------
 
 RINGS = ("Q[x1..x3]/(m^4)", "Q[e]/(e^4)", "poly(u,v,w)", "poly(u,v,w, trunc=2)")
@@ -166,7 +174,7 @@ def test_block_minors_match_the_glued_block(descriptor):
         upper = _random_block(ring, rng, up_shape, "a")
         lower = _random_block(ring, rng, lo_shape, "b")
         glued = block_diag(upper, lower)
-        engines = MinorEngine(upper), MinorEngine(lower)
+        engines = _engines(upper, lower)
         for r in range(0, min(glued.shape()) + 2):
             want = minors(glued, r)
             _assert_same_ideal(block_minors(*engines, r), want)
@@ -251,7 +259,7 @@ def test_block_products_that_vanish_are_dropped(descriptor):
         glued = block_diag(upper, lower)
         ref_up, ref_lo = FractionMinorEngine(upper), FractionMinorEngine(lower)
         for r in range(1, min(glued.shape()) + 1):
-            _assert_same_ideal(block_minors(MinorEngine(upper), MinorEngine(lower), r),
+            _assert_same_ideal(block_minors(*_engines(upper, lower), r),
                                _reference_minors(glued, r))
             for a in range(1, r):
                 for rows_up in combinations(range(upper.shape()[0]), a):
@@ -287,11 +295,17 @@ def test_kernel_at_the_packing_width_bound():
     assert engine.packing.width == 8
     assert engine.minor((0, 1, 2, 3), (0, 1, 2, 3)).degree() == 255
     _assert_minor_by_minor(mat, engine)
-    # two blocks compiled apart on 7 and 8 bits share one 8-bit packing
+    # two blocks compiled apart on 7 and 8 bits, or both on 7, are refused;
+    # their product minors need the one 8-bit packing
     upper = _homogeneous_rows(ring, rng, (63, 64), 2)
     lower = _homogeneous_rows(ring, rng, (64, 64), 2)
-    engines = MinorEngine(upper), MinorEngine(lower)
-    assert [e.packing.width for e in engines] == [7, 8]
+    apart = MinorEngine(upper), MinorEngine(lower)
+    assert [e.packing.width for e in apart] == [7, 8]
+    for refused in (apart, (apart[0], MinorEngine(lower, apart[0].packing))):
+        with pytest.raises(RingError, match="one packing wide enough"):
+            block_minors(*refused, 4)
+    engines = _engines(upper, lower)
+    assert [e.packing.width for e in engines] == [8, 8]
     glued = block_diag(upper, lower)
     want = _reference_minors(glued, 4)
     assert want.generators[0].degree() == 255
@@ -321,8 +335,7 @@ def _koszul(ring, rng):
 
 
 def _packed_vanishes(a, b):
-    packing = a.ring.packing(rings.degree_bound(a) + rings.degree_bound(b))
-    return rings.composite_vanishes(MinorEngine(a, packing), MinorEngine(b, packing))
+    return rings.composite_vanishes(*_engines(a, b))
 
 
 def _untruncated_zero(a, b):
@@ -410,6 +423,33 @@ def test_twisted_jump_ideals_match_the_glued_block():
     assert compared > 50
 
 
+def test_each_differential_is_compiled_once(monkeypatch):
+    """The d^2 check compiles each differential of a complex and every jump
+    ideal reuses that engine; the rank oracle compiles only its own d^{i-1},
+    d^i and span column."""
+    built = Counter()
+    init = MinorEngine.__init__
+
+    def counting(self, matrix, packing=None):
+        built[id(matrix)] += 1
+        init(self, matrix, packing)
+
+    monkeypatch.setattr(MinorEngine, "__init__", counting)
+    pair = transfer_pair(cdga_pair(heisenberg_cdga()), 4).pair
+    ring = parse_ring(f"Q[x1..x{pair.algebra.space.dim(1)}]/(m^3)")
+    _, complex_ = twist_module(pair, ring, _mc_element(pair, ring, random.Random(0)))
+    dims = pair.module.space.dims()
+    for i in sorted(dims):
+        for k in range(1, dims[i] + 1):
+            complex_.jump_ideal(i, k)
+    assert all(built[id(mat)] == 1 for mat in complex_.matrices.values())
+    assert sum(built.values()) == len(complex_.engines)
+    built.clear()
+    ucx = resonance.resonance_ideal(pair, 1, 1, exact=True, n_samples=5).complex
+    assert all(built[id(mat)] == 1 for mat in ucx.matrices.values())
+    assert sum(built.values()) == len(ucx.engines) + 3
+
+
 # -- the tangent-cone certificate -------------------------------------------
 
 def _resonance_pairs():
@@ -447,6 +487,7 @@ def test_tangent_cone_failures_match_the_all_pairs_loop(monkeypatch):
                     for c in range(len(row)):
                         if (r + c) % 2 == 0:
                             mat.set(r, c, row[c] + ucx.ring.gen((r + c) % ucx.ring.nvars))
+            ucx.engines.clear()  # the d^2 check compiled the matrices before
         return ucx
 
     monkeypatch.setattr(resonance, "universal_complex", perturbed)

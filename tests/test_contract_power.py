@@ -361,11 +361,16 @@ def test_contract_power_rejects_even_directions():
 
 
 def test_binary_resonance_runs_the_module_check_once(monkeypatch):
+    """The binary shadow is certified on first use and kept on the pair.
+    The pair is built here: the cached one may already hold its shadow."""
+    source, arity, weights = _SOURCES["exterior4"]()
+    pair = transfer_pair(source, arity, use_weights=weights).pair
     calls = []
     check = resonance.module_check
     monkeypatch.setattr(resonance, "module_check", lambda *a: calls.append(a) or check(*a))
-    res = binary_resonance_ideal(minimal_pair("exterior4"), 1, 2, n_samples=3)
-    assert res.consistent and len(calls) == 1
+    for k in (2, 1):
+        assert binary_resonance_ideal(pair, 1, k, n_samples=3).consistent
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

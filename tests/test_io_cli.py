@@ -204,6 +204,55 @@ def test_cli_usage_errors(tmp_path):
     assert main(["fixture", "--nope"]) == 2
 
 
+def _unreadable(tmp_path, case):
+    """argv whose input file, --mc file or --out destination cannot be used."""
+    pair = str(ROOT / "fixtures" / "heisenberg-pair.json")
+    if case == "input-directory":
+        return ["check", str(tmp_path)]
+    if case == "input-not-utf8":
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes('{"kind": "ainf", "name": "caf\u00e9"}'.encode("latin-1"))
+        return ["check", str(bad)]
+    if case == "mc-directory":
+        return ["mc-check", pair, "--mc", str(tmp_path)]
+    return ["check", pair, "--out", str(tmp_path / "missing" / "out.json")]
+
+
+@pytest.mark.parametrize("case, message", [
+    ("input-directory", "Is a directory"),
+    ("input-not-utf8", "'utf-8' codec can't decode"),
+    ("mc-directory", "Is a directory"),
+    ("out-in-missing-directory", "No such file or directory"),
+])
+def test_cli_io_errors_exit_2(tmp_path, capsys, case, message):
+    """A file that cannot be read, or a report that cannot be written, is an
+    input error: exit 2 with one error line, not a traceback."""
+    assert main(_unreadable(tmp_path, case)) == 2
+    err = capsys.readouterr().err
+    verb = "write" if case.startswith("out") else "read"
+    assert err.startswith(f"error: cannot {verb} ") and message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("mc", [
+    {"ring": "Q[e]/(e^3)", "entries": {"a.h1_0": 5}},
+    {"ring": 5, "entries": {}},
+    {"entries": {}},
+    {"ring": "Q[e]/(e^3)", "entries": ["a.x", "e"]},
+    {"ring": "Q[e]/(e^3)", "entries": "a.x"},
+    ["Q[e]/(e^3)"],
+])
+def test_cli_malformed_mc_file_exits_2(tmp_path, capsys, mc):
+    fx = tmp_path / "mc.json"
+    fx.write_text(json.dumps(mc))
+    out = tmp_path / "out.json"
+    pair = str(ROOT / "fixtures" / "heisenberg-pair.json")
+    assert main(["mc-check", pair, "--mc", str(fx), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MC" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "heisenberg.json", "--max-arity", "-1"],
     ["check", "heisenberg.json", "--max-arity", "0"],

@@ -11,10 +11,16 @@ oracle's matrices, compiled from the product tables, must also equal the
 universal complex's entry by entry.  The points are drawn as integers
 (``_draws``) and ``sample_points`` is their Fraction view; both must give
 the points of the old Fraction loop.
+
+The oracle evaluates on ``MinorEngine``, the compiled matrix the minors
+use; ``IntMatrix``, the evaluator it had before, with one scale for the
+whole matrix, is the reference for ``MinorEngine.at`` and ``zero_at``.
 """
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +32,8 @@ from hse.resonance import (
     ResonanceError,
     _dga_differentials,
     _draws,
+    _engine,
+    _pair_differentials,
     _span_column,
     _split,
     dga_resonance_ideal,
@@ -97,6 +105,91 @@ def ref_dga_samples(res, dim, points):
     return samples
 
 
+class IntMatrix:
+    """The rank oracle's evaluator before ``MinorEngine.at`` replaced it: a
+    sparse polynomial matrix, compiled for exact integer evaluation.
+
+    Built once from terms (row, col, exponent vector, rational coefficient).
+    At a point n/D, written with one common denominator D, ``at`` returns
+    the integer matrix factor(D) * M(n/D) with factor(D) = L * D^top, where
+    L is the lcm of the coefficients' denominators and top the largest
+    total degree: each entry is sum (L*c) * prod n^e * D^(top - |e|).  The
+    factor is a nonzero constant, so rank and zero pattern are those of
+    M(n/D).
+    """
+
+    __slots__ = ("nrows", "ncols", "scale", "top", "monos", "cells")
+
+    def __init__(self, nrows: int, ncols: int, terms: list[tuple]):
+        self.nrows, self.ncols = nrows, ncols
+        self.scale = reduce(lcm, (coef.denominator for *_, coef in terms), 1)
+        self.top = max((sum(exps) for _, _, exps, _ in terms), default=0)
+        monos: dict[tuple[int, ...], int] = {}
+        cells: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for r, c, exps, coef in terms:
+            m = monos.setdefault(exps, len(monos))
+            cells.setdefault((r, c), []).append(
+                (m, coef.numerator * (self.scale // coef.denominator)))
+        # per monomial: its nonzero (variable, exponent) pairs and D's exponent
+        self.monos = [([(j, e) for j, e in enumerate(exps) if e], self.top - sum(exps))
+                      for exps in monos]
+        self.cells = [(r, c, lin) for (r, c), lin in cells.items()]
+
+    def factor(self, den: int) -> int:
+        return self.scale * den ** self.top
+
+    def _values(self, nums: list[int], den: int) -> list[int]:
+        """Each monomial at n/D, times D^top."""
+        pads = [1]
+        for _ in range(self.top):
+            pads.append(pads[-1] * den)
+        vals = []
+        for factors, pad in self.monos:
+            v = pads[pad]
+            for j, e in factors:
+                v *= nums[j] ** e
+            vals.append(v)
+        return vals
+
+    def at(self, nums: list[int], den: int) -> list[list[int]]:
+        vals = self._values(nums, den)
+        out = [[0] * self.ncols for _ in range(self.nrows)]
+        for r, c, lin in self.cells:
+            v = 0
+            for m, k in lin:
+                v += k * vals[m]
+            out[r][c] = v
+        return out
+
+    def zero_at(self, nums: list[int], den: int) -> bool:
+        """Whether M(n/D) = 0: the cells are summed one at a time, in row
+        order, up to the first that is nonzero."""
+        vals = self._values(nums, den)
+        for _, _, lin in self.cells:
+            v = 0
+            for m, k in lin:
+                v += k * vals[m]
+            if v:
+                return False
+        return True
+
+
+def _terms(engine):
+    """The compiled matrix's entries as reference terms."""
+    return [(r, c, mono, coef) for r, row in enumerate(engine.matrix.data)
+            for c, entry in enumerate(row) for mono, coef in entry.terms.items()]
+
+
+def _assert_evaluates_as_reference(engine, ref, nums, den):
+    """Each row of ``engine.at`` divided by its own factor scales[r] *
+    D^top is the reference divided by its one factor: M(n/D) both ways."""
+    pad, factor = den ** engine.top, ref.factor(den)
+    got = [[Fraction(x, scale * pad) for x in row]
+           for scale, row in zip(engine.scales, engine.at(nums, den))]
+    assert got == [[Fraction(x, factor) for x in row] for row in ref.at(nums, den)]
+    assert engine.zero_at(nums, den) == ref.zero_at(nums, den)
+
+
 def _binary(pair):
     actions = {n: m for n, m in pair.module.actions.items() if n <= 2}
     return LInfPair(pair.algebra, LInfModule(pair.algebra, pair.module.space, actions))
@@ -143,9 +236,9 @@ def test_dga_samples_match_per_point_loop(name):
 @pytest.mark.parametrize("name", ["heisenberg", "torus2", "exterior4"])
 def test_dga_oracle_matrices_match_the_universal_complex(name):
     """The dga oracle compiles d + sum_j x_j mu(rep_j, -) from the tables of
-    d and mu; at each point it must be factor(D) times the universal
-    complex's matrix, entry by entry.  Sampled ranks alone do not see a
-    builder that doubles mu or drops d."""
+    d and mu; at each point each row must be its own factor scales[r] *
+    D^top times the universal complex's row, entry by entry.  Sampled ranks
+    alone do not see a builder that doubles mu or drops d."""
     cdga = {"heisenberg": heisenberg_cdga, "torus2": lambda: exterior_cdga(2),
             "exterior4": lambda: exterior_cdga(4)}[name]
     alg = cdga().ainf()
@@ -156,8 +249,9 @@ def test_dga_oracle_matrices_match_the_universal_complex(name):
         nums, den = _split(pt.values())
         for j in degrees:
             want = res.matrices[j].evaluate(list(pt.values()))
-            scale = compiled[j].factor(den)
-            assert compiled[j].at(nums, den) == [[scale * x for x in row] for row in want], j
+            pad = den ** compiled[j].top
+            assert compiled[j].at(nums, den) == [[scale * pad * x for x in row] for scale, row
+                                                 in zip(compiled[j].scales, want)], j
 
 
 def test_oracle_catches_a_wrong_ideal(monkeypatch):
@@ -283,3 +377,78 @@ def test_span_vanishing_matches_generators(gens, coords, combine):
 def test_span_vanishing_of_zero_and_unit_ideals(coords):
     assert _vanish_by_span(Ideal.zero(RING), coords)
     assert not _vanish_by_span(Ideal.unit(RING), coords)
+
+
+# ---------------------------------------------------------------------------
+# point evaluation on MinorEngine against the one-scale reference
+
+_NUMS = st.lists(st.integers(-4, 4), min_size=3, max_size=3)
+
+
+@st.composite
+def term_lists(draw):
+    """(nrows, ncols, nvars, terms): monomials drawn from a few, so cells
+    repeat them, and some cells given a term and its negative, so they are
+    zero."""
+    nrows, ncols, nvars = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 3))
+    if not nrows or not ncols:
+        return nrows, ncols, nvars, []
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=4))
+    cell = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+    terms = []
+    for (r, c), mono, coef, cancel in draw(st.lists(
+            st.tuples(cell, st.sampled_from(monos), _COEF, st.booleans()), max_size=12)):
+        terms.append((r, c, mono, coef))
+        if cancel:
+            terms.append((r, c, mono, -coef))
+    return nrows, ncols, nvars, terms
+
+
+def _engine_of(nrows, ncols, nvars, terms):
+    cells = {}
+    for r, c, mono, coef in terms:
+        cell = cells.setdefault((r, c), {})
+        cell[mono] = cell.get(mono, 0) + coef
+    return _engine(nvars, tuple(map(str, range(nrows))), tuple(map(str, range(ncols))), cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_lists(), _NUMS, st.integers(1, 3))
+def test_engine_evaluation_matches_the_reference(case, nums, den):
+    nrows, ncols, nvars, terms = case
+    engine = _engine_of(*case)
+    for point in (nums[:nvars], [0] * nvars):
+        _assert_evaluates_as_reference(engine, IntMatrix(nrows, ncols, terms), point, den)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_shapes_evaluate_to_empty_rows(shape):
+    engine = _engine_of(*shape, 2, [])
+    assert engine.at([1, -2], 2) == [[] for _ in range(shape[0])]
+    assert engine.zero_at([1, -2], 2) and engine.top == 0
+    _assert_evaluates_as_reference(engine, IntMatrix(*shape, []), [1, -2], 2)
+
+
+@pytest.mark.parametrize("name", ["heisenberg-pair", "heisenberg-pair-weighted",
+                                  "heisenberg", "torus2"])
+def test_oracle_matrices_of_the_golden_inputs_evaluate_as_reference(name):
+    """The differentials and span columns the oracle builds for the golden
+    fixtures: the two pairs through ``_pair_differentials``, the two dgas
+    through ``_dga_differentials``."""
+    if name.startswith("heisenberg-pair"):
+        pair = minimal_pair(name)
+        labels = [e.label for e in pair.algebra.space.elements if e.deg == 1]
+        engines = list(_pair_differentials(pair, labels, tuple(pair.module.space.degrees()))
+                       .values())
+        engines.append(_span_column(resonance_ideal(pair, 1, 1, trunc=3, n_samples=0).ideal))
+    else:
+        alg = (heisenberg_cdga() if name == "heisenberg" else exterior_cdga(2)).ainf()
+        res = dga_resonance_ideal(alg, 1, 1, n_samples=0)
+        labels = list(res.h1_reps)
+        engines = list(_dga_differentials(alg, list(res.h1_reps.values()),
+                                          tuple(alg.space.degrees())).values())
+        engines.append(_span_column(res.ideal))
+    for engine in engines:
+        ref = IntMatrix(*engine.matrix.shape(), _terms(engine))
+        for nums, den, _ in _draws(len(labels), 20, seed=len(name)):
+            _assert_evaluates_as_reference(engine, ref, nums, den)
