@@ -9,7 +9,7 @@ tangent-cone and resonance --trunc 3 also run at (2, 1).  The rank oracle's
 edge shapes get their own reports: resonance --exact on the weighted pair
 at i = 0 (no d^{i-1}) and i = 3 (d^i has no rows), resonance --trunc 3
 with --seed 7 (sample points other than the default ones), and
-dga-resonance at (1, 2).  Two perturbed
+dga-resonance at (1, 2).  Three perturbed
 packages in tests/golden/ give failing ``check`` reports (exit 1), and two
 dglas there give ``twist`` reports with non-abelian brackets.  The weighted
 Heisenberg cdga viewed as a dgla (tests/golden/heisenberg-dgla.json) pins
@@ -41,8 +41,11 @@ PAIRS = ("heisenberg-pair", "heisenberg-pair-weighted")
 MC_FILES = ("mc-e", "mc-m")
 # Packages in tests/golden/ with one coefficient changed (nu_2(1, x) of
 # heisenberg, the action m_2(a.1, m.x) of heisenberg-pair), so that their
-# checks fail and the report pins every violation and its order.
-PERTURBED = ("perturbed-heisenberg", "perturbed-heisenberg-pair")
+# checks fail and the report pins every violation and its order.  The
+# module package is the module of the perturbed pair with its algebra under
+# algebra_ref, the one golden input of kind "module".
+PERTURBED = ("perturbed-heisenberg", "perturbed-heisenberg-pair",
+             "perturbed-heisenberg-module")
 # linf packages in tests/golden/ (fixtures.solvable_dgla and
 # fixtures.affine_plane_dgla) with an MC element over Q[e]/(e^4) each: their
 # degree-0 parts act, so ``twist`` pins a non-abelian twist_brackets.

@@ -20,6 +20,7 @@ from pathlib import Path
 from . import io_json
 from .deformation import (
     DeformationError,
+    check_mc_shape,
     jump_ideal_pair,
     mc_check,
     tangent_space,
@@ -144,12 +145,26 @@ def _load_pair(path: str) -> LInfPair:
     raise UsageError(f"{path} does not hold a pair package")
 
 
-def _load_mc(args):
+def _load_mc(args, alg: LInfAlgebra):
+    """The --mc element; an entry outside L^1 (x) m of alg is an input error."""
     if not args.mc:
         raise UsageError("this command needs --mc FILE")
     data = _load_json(args.mc)
     ring = parse_ring(args.ring) if args.ring else None
-    return io_json.mc_from_json(data, ring)
+    ring, omega = io_json.mc_from_json(data, ring)
+    try:
+        check_mc_shape(alg, ring, omega)
+    except DeformationError as exc:
+        raise UsageError(str(exc)) from exc
+    return ring, omega
+
+
+def _mc_algebra(obj, command: str) -> LInfAlgebra:
+    """The algebra whose MC elements a linf or pair package takes."""
+    alg = obj.algebra if isinstance(obj, LInfPair) else obj
+    if not isinstance(alg, LInfAlgebra):
+        raise UsageError(f"{command} expects a linf or pair package")
+    return alg
 
 
 def _minimal_pair(obj, path: str, max_arity: int) -> tuple[LInfPair, int | None]:
@@ -291,14 +306,8 @@ def cmd_transfer(args) -> tuple[str, dict, int]:
 
 
 def cmd_mc_check(args) -> tuple[str, dict, int]:
-    obj = _load_structure(args.file)
-    if isinstance(obj, LInfPair):
-        alg = obj.algebra
-    elif isinstance(obj, LInfAlgebra):
-        alg = obj
-    else:
-        raise UsageError("mc-check expects a linf or pair package")
-    ring, omega = _load_mc(args)
+    alg = _mc_algebra(_load_structure(args.file), "mc-check")
+    ring, omega = _load_mc(args, alg)
     ok, residual = mc_check(alg, ring, omega)
     payload = {
         "ring": ring.describe(),
@@ -310,7 +319,7 @@ def cmd_mc_check(args) -> tuple[str, dict, int]:
 
 def cmd_twist(args) -> tuple[str, dict, int]:
     obj = _load_structure(args.file)
-    ring, omega = _load_mc(args)
+    ring, omega = _load_mc(args, _mc_algebra(obj, "twist"))
     if isinstance(obj, LInfAlgebra):
         twisted = twist_algebra(obj, ring, omega)
         rep = jacobi_check(twisted, args.max_arity)
@@ -320,21 +329,19 @@ def cmd_twist(args) -> tuple[str, dict, int]:
             "twisted": package_to_json(twisted),
         }
         return ("pass" if rep.ok else "fail"), payload, 0 if rep.ok else 1
-    if isinstance(obj, LInfPair):
-        twisted_actions, complex_ = twist_module(obj, ring, omega)
-        payload = {
-            "ring": ring.describe(),
-            "d_omega": {str(i): m.to_json() for i, m in sorted(complex_.matrices.items())},
-            "twisted_actions": {str(n): io_json.multimap_to_json(m)
-                                for n, m in sorted(twisted_actions.items())},
-        }
-        return "pass", payload, 0
-    raise UsageError("twist expects a linf or pair package")
+    twisted_actions, complex_ = twist_module(obj, ring, omega)
+    payload = {
+        "ring": ring.describe(),
+        "d_omega": {str(i): m.to_json() for i, m in sorted(complex_.matrices.items())},
+        "twisted_actions": {str(n): io_json.multimap_to_json(m)
+                            for n, m in sorted(twisted_actions.items())},
+    }
+    return "pass", payload, 0
 
 
 def cmd_jump_ideal(args) -> tuple[str, dict, int]:
     pair = _load_pair(args.file)
-    ring, omega = _load_mc(args)
+    ring, omega = _load_mc(args, pair.algebra)
     ideal = jump_ideal_pair(pair, ring, omega, args.i, args.k)
     member = ideal.is_zero()
     payload = {

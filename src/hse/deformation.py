@@ -42,7 +42,8 @@ class DeformationError(ValueError):
 # ---------------------------------------------------------------------------
 # Maurer-Cartan elements
 
-def _check_mc_shape(alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem]) -> None:
+def check_mc_shape(alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem]) -> None:
+    """Raise DeformationError unless every entry of omega lies in L^1 (x) m."""
     for lab, val in omega.items():
         if lab not in alg.space:
             raise DeformationError(f"unknown label {lab!r} in MC element")
@@ -63,7 +64,7 @@ def _omega_power_bound(ring: CoefRing, cap: int) -> int:
 
 
 def mc_residual(alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem]) -> dict[str, RElem]:
-    _check_mc_shape(alg, ring, omega)
+    check_mc_shape(alg, ring, omega)
     return _twist_terms(alg.brackets, ring, omega, 0).get((), {})
 
 

@@ -353,8 +353,10 @@ def adjoint_pair(alg: LInfAlgebra, prefix: str = "ad.") -> LInfPair:
 def generate_fixture(desc: FixtureDescriptor):
     """Resolve a descriptor to a structure package-like object."""
     name = desc.name
-    if name.startswith("exterior"):
-        n = int(name.removeprefix("exterior(").rstrip(")")) if "(" in name else 2
+    if name == "exterior" or (name.startswith("exterior(") and name.endswith(")")):
+        n = 2 if name == "exterior" else int(name[len("exterior("):-1])
+        if n < 0:
+            raise ValueError(f"exterior(N) needs N >= 0, got {name!r}")
         return exterior_cdga(n, desc.weights).ainf()
     if name == "torus2":
         return exterior_cdga(2, desc.weights).ainf()
@@ -366,4 +368,4 @@ def generate_fixture(desc: FixtureDescriptor):
         return random_cdga(desc.seed, desc.dims or None).ainf()
     if name == "random-pair":
         return cdga_pair(random_cdga(desc.seed, desc.dims or None))
-    raise StructureError(f"unknown fixture {name!r}")
+    raise ValueError(f"unknown fixture {name!r}")

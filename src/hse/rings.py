@@ -201,6 +201,9 @@ class CoefRing:
             self.kind, self.varnames, self.order, self.trunc
         ) == (other.kind, other.varnames, other.order, other.trunc)
 
+    def __hash__(self):
+        return hash((self.kind, self.varnames, self.order, self.trunc))
+
     def __repr__(self):
         return f"CoefRing({self.describe()})"
 

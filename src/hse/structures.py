@@ -1,6 +1,13 @@
 """A-infinity / L-infinity algebras, modules, pairs, morphisms, and their
 identity checkers.
 
+There is one identity per kind of structure: Stasheff for A-infinity
+algebras and morphisms, Jacobi for L-infinity algebras and morphisms.  An
+L-infinity module M over L is the L-infinity algebra L (+) M in which M is an
+abelian ideal (Lada-Markl), so the module identities are the Jacobi
+identities of L (+) M at the tuples whose one module label is last, and a
+module morphism g is checked as the L-infinity morphism id_L (+) g.
+
 Structure maps are stored sparsely with finite arity support; an absent
 arity is the zero map.  Checkers evaluate the defining identities exactly
 and report the full violation list (sign debugging needs more than a
@@ -23,10 +30,8 @@ to zero, so that reading is rejected; both signs remain available in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-
 from .grading import GradedSpace, combine_spaces
-from .multimap import MultiMap, antisymmetrization, block_vectors, contract
+from .multimap import MultiMap, antisymmetrization, block_vectors, contract, identity_map
 from .signs import (
     antisym_sign,
     block_permutations,
@@ -119,6 +124,9 @@ class LInfModule:
 
     ``combined`` is the disjoint union of the algebra and module bases; maps
     are stored over it with symmetry in the algebra slots only.
+    ``direct_sum`` is the algebra L (+) M, built once by ``pair_to_algebra``
+    (or handed over by ``algebra_to_module``) and kept, with the key caches
+    its checks fill.
     """
 
     def __init__(self, algebra: LInfAlgebra, space: GradedSpace, actions: dict[int, MultiMap]):
@@ -134,6 +142,7 @@ class LInfModule:
                 raise StructureError(f"action m_{n} has arity {m.arity}, shift {m.shift}")
             if n > 1 and m.symmetry != "antisym_algebra":
                 raise StructureError("module actions must be antisym in algebra slots")
+        self.direct_sum: LInfAlgebra | None = None
 
     def max_arity(self) -> int:
         return max(max(self.actions, default=0), self.algebra.max_arity())
@@ -241,51 +250,6 @@ def _linf_lhs(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
     return acc
 
 
-def _module_lhs(module: LInfModule, outer: dict[int, MultiMap],
-                T: tuple[str, ...], degs: tuple[int, ...]) -> dict:
-    """Module identity left side at T = (algebra..., module-last).
-
-    Convention split: when sigma(i) = n the inner map is the action m_i on
-    the module element and the term is rotated with the kappa sign; when
-    sigma(n) = n the inner map is the algebra bracket l_i.
-    """
-    n = len(T)
-    last = n - 1
-    acc: dict = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        m_out = outer.get(j)
-        if m_out is None:
-            continue
-        action = module.actions.get(i)
-        bracket = module.algebra.brackets.get(i)
-        for sigma in unshuffles(i, n):
-            on_module = sigma[i - 1] == last
-            m_in = action if on_module else bracket
-            if m_in is None:
-                continue
-            Ts = tuple(T[k] for k in sigma)
-            row, s0 = m_in.get_ref(Ts[:i])
-            if row is None:
-                continue
-            sign = s0 * antisym_sign(sigma, degs)
-            if (i * (j - 1)) % 2:
-                sign = -sign
-            if on_module:
-                head = sum(degs[k] for k in sigma[:i])
-                tail = sum(degs[k] for k in sigma[i:])
-                if (j - 1) % 2:
-                    sign = -sign
-                if (i + head) % 2 and tail % 2:
-                    sign = -sign
-            for mid, c in row.items():
-                key = Ts[i:] + (mid,) if on_module else (mid,) + Ts[i:]
-                out, s1 = m_out.get_ref(key)
-                if out is not None:
-                    _accumulate(acc, out, sign * s1 * c)
-    return acc
-
-
 def stasheff_residual(products: dict[int, MultiMap], space: GradedSpace,
                       T: tuple[str, ...]) -> dict:
     """Sum over p+q+r=n of (-1)^(p+qr) nu_{p+r+1}(1^p x nu_q x 1^r) at T."""
@@ -296,11 +260,6 @@ def jacobi_residual(brackets: dict[int, MultiMap], space: GradedSpace,
                     T: tuple[str, ...]) -> dict:
     """Sum over (i,j,sigma) of chi(sigma) (-1)^(i(j-1)) l_j(l_i x 1^(j-1)) at T."""
     return _linf_lhs(brackets, brackets, T, tuple([space.deg(l) for l in T]))
-
-
-def module_residual(module: LInfModule, T: tuple[str, ...]) -> dict:
-    """Module identity residual at T = (algebra..., module-last)."""
-    return _module_lhs(module, module.actions, T, tuple([module.combined.deg(l) for l in T]))
 
 
 def _consecutive(profile: tuple[int, ...]) -> list[range]:
@@ -359,34 +318,6 @@ def _linf_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
     return acc
 
 
-def _module_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
-    """Module-morphism identity over a fixed algebra (identity on L).
-
-    Left side follows the module convention split; on the right the module
-    element's block feeds the last slot of the target action and all other
-    blocks are forced to size one through the identity of L.
-    """
-    src: LInfModule = mor.source
-    tgt: LInfModule = mor.target
-    n = len(T)
-    degs = tuple([src.combined.deg(l) for l in T])
-    last = n - 1
-    acc = _module_lhs(src, mor.components, T, degs)
-    for k in range(1, n + 1):
-        comp = mor.components.get(k)
-        outer = tgt.actions.get(n - k + 1)
-        if comp is None or outer is None:
-            continue
-        for others in combinations(range(n - 1), k - 1):
-            singles = tuple(p for p in range(n - 1) if p not in others)
-            block = others + (last,)
-            vectors, sign = block_vectors(
-                [None] * len(singles) + [comp], T, degs, [(p,) for p in singles] + [block])
-            if sign:
-                contract(outer, vectors, acc, -sign * antisym_sign(singles + block, degs))
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # candidate tuples
 #
@@ -418,12 +349,6 @@ def producers(maps: dict[int, MultiMap]) -> dict[str, list[tuple[str, ...]]]:
 def sorted_in(space: GradedSpace):
     index = space.order_index
     return lambda T: tuple(sorted(T, key=index))
-
-
-def _sorted_head_in(space: GradedSpace):
-    """Module tuples: the algebra slots sorted, the module slot kept last."""
-    index = space.order_index
-    return lambda T: tuple(sorted(T[:-1], key=index)) + T[-1:]
 
 
 def _splice(found: dict, outer: dict[int, MultiMap], inner: dict, last: dict,
@@ -468,47 +393,26 @@ def _repeats_even(T: tuple[str, ...], deg: dict[str, int]) -> bool:
 
 
 def window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
-           space: GradedSpace, antisym: bool):
+           space: GradedSpace, antisym: bool, order=None):
     """(n, T) for the candidates a scan of space would visit, in its order.
 
     The window: the total input degree plus base - n is a degree of
     out_space, and with antisymmetric slots no even label repeats.  Within
-    an arity the tuples come in basis order.
+    an arity the tuples come in basis order, of order(T) when given.
     """
     deg = {e.label: e.deg for e in space.elements}
     index = space.order_index
     out_degs = out_space.degrees()
+    if order is None:
+        key = lambda T: [index(l) for l in T]
+    else:
+        key = lambda T: [index(l) for l in order(T)]
     for n in range(1, max_arity + 1):
         sums = {d - (base - n) for d in out_degs}
         kept = [T for T in found.get(n, ())
                 if all(l in deg for l in T) and sum(deg[l] for l in T) in sums
                 and not (antisym and _repeats_even(T, deg))]
-        kept.sort(key=lambda T: [index(l) for l in T])
-        for T in kept:
-            yield n, T
-
-
-def _module_window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
-                   module: LInfModule):
-    """``window`` for tuples (algebra..., module-last) of a module: ordered
-    by the module label, then by the algebra labels; at arity one every
-    module label is visited."""
-    alg = {e.label: e.deg for e in module.algebra.space.elements}
-    mod = {e.label: e.deg for e in module.space.elements}
-    index = module.combined.order_index
-    out_degs = out_space.degrees()
-    for n in range(1, max_arity + 1):
-        sums = {d - (base - n) for d in out_degs}
-        kept = []
-        for T in found.get(n, ()):
-            head, xi = T[:-1], T[-1]
-            if xi not in mod or not all(l in alg for l in head):
-                continue
-            if n > 1 and (sum(alg[l] for l in head) + mod[xi] not in sums
-                          or _repeats_even(head, alg)):
-                continue
-            kept.append(T)
-        kept.sort(key=lambda T: (index(T[-1]), [index(l) for l in T[:-1]]))
+        kept.sort(key=key)
         for T in kept:
             yield n, T
 
@@ -534,51 +438,72 @@ def stasheff_check(alg: AInfAlgebra, max_arity: int) -> CheckReport:
                    lambda T: stasheff_residual(alg.products, alg.space, T))
 
 
-def jacobi_check(alg: LInfAlgebra, max_arity: int) -> CheckReport:
+def _jacobi_candidates(alg: LInfAlgebra, max_arity: int) -> dict:
     found: dict = {}
     brackets = producers(alg.brackets)
     _splice(found, alg.brackets, brackets, brackets, max_arity, sorted_in(alg.space))
-    visits = window(found, max_arity, 3, alg.space, alg.space, True)
+    return found
+
+
+def _morphism_candidates(mor: InfMorphism, max_arity: int) -> dict:
+    src, tgt = mor.source, mor.target
+    if mor.kind == "ainf":
+        maps, target, canon = src.products, tgt.products, tuple
+    else:
+        maps, target, canon = src.brackets, tgt.brackets, sorted_in(src.space)
+    found: dict = {}
+    inner = producers(maps)
+    _splice(found, mor.components, inner, inner, max_arity, canon)
+    concatenate(found, target, producers(mor.components), max_arity, canon)
+    return found
+
+
+def _module_tuples(found: dict, module: LInfModule) -> dict:
+    """The candidates of an L (+) M identity whose one module label is last."""
+    mod = set(module.space.labels())
+    return {n: [T for T in tuples if T[-1] in mod and mod.isdisjoint(T[:-1])]
+            for n, tuples in found.items()}
+
+
+def _module_first(T: tuple[str, ...]) -> tuple[str, ...]:
+    """Module tuples are visited by the module label, then the algebra labels."""
+    return T[-1:] + T[:-1]
+
+
+def jacobi_check(alg: LInfAlgebra, max_arity: int) -> CheckReport:
+    visits = window(_jacobi_candidates(alg, max_arity), max_arity, 3, alg.space, alg.space, True)
     return _report("jacobi", max_arity, visits,
                    lambda T: jacobi_residual(alg.brackets, alg.space, T))
 
 
 def module_check(module: LInfModule, max_arity: int) -> CheckReport:
-    found: dict = {}
-    _splice(found, module.actions, producers(module.algebra.brackets),
-            producers(module.actions), max_arity, _sorted_head_in(module.combined))
-    visits = _module_window(found, max_arity, 3, module.space, module)
-    return _report("module", max_arity, visits, lambda T: module_residual(module, T))
+    """The Jacobi identity of L (+) M at the tuples (algebra..., module)."""
+    alg = _direct_sum(module)
+    found = _module_tuples(_jacobi_candidates(alg, max_arity), module)
+    visits = window(found, max_arity, 3, module.space, alg.space, True, _module_first)
+    return _report("module", max_arity, visits,
+                   lambda T: jacobi_residual(alg.brackets, alg.space, T))
 
 
 def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:
-    found: dict = {}
-    components = producers(mor.components)
+    """A module morphism g over L is checked as the L-infinity morphism
+    id_L (+) g of the algebras L (+) M, at the tuples (algebra..., module)."""
     src, tgt = mor.source, mor.target
-    if mor.kind == "ainf":
-        products = producers(src.products)
-        _splice(found, mor.components, products, products, max_arity, tuple)
-        concatenate(found, tgt.products, components, max_arity, tuple)
-        visits = window(found, max_arity, 2, tgt.space, src.space, False)
-        residual = _ainf_morphism_residual
-    elif mor.kind == "linf":
-        canon = sorted_in(src.space)
-        brackets = producers(src.brackets)
-        _splice(found, mor.components, brackets, brackets, max_arity, canon)
-        concatenate(found, tgt.brackets, components, max_arity, canon)
-        visits = window(found, max_arity, 2, tgt.space, src.space, True)
-        residual = _linf_morphism_residual
-    else:
-        if src.algebra is not tgt.algebra:
-            raise StructureError("module morphism endpoints must share the algebra")
-        canon = _sorted_head_in(src.combined)
-        _splice(found, mor.components, producers(src.algebra.brackets),
-                producers(src.actions), max_arity, canon)
-        # the right side m'(1 x ... x 1 x g): a g key fills the module slot
-        _splice(found, tgt.actions, {}, components, max_arity, canon)
-        visits = _module_window(found, max_arity, 2, tgt.space, src)
-        residual = _module_morphism_residual
-    return _report(f"morphism-{mor.kind}", max_arity, visits, lambda T: residual(mor, T))
+    if mor.kind != "module":
+        residual = _ainf_morphism_residual if mor.kind == "ainf" else _linf_morphism_residual
+        visits = window(_morphism_candidates(mor, max_arity), max_arity, 2, tgt.space,
+                        src.space, mor.kind == "linf")
+        return _report(f"morphism-{mor.kind}", max_arity, visits, lambda T: residual(mor, T))
+    if src.algebra is not tgt.algebra:
+        raise StructureError("module morphism endpoints must share the algebra")
+    src_alg, src_emb = pair_to_algebra(LInfPair(src.algebra, src))
+    tgt_alg, tgt_emb = pair_to_algebra(LInfPair(tgt.algebra, tgt))
+    ident = InfMorphism("linf", src.algebra, src.algebra, {1: identity_map(src.algebra.space)})
+    lifted = morphism_pair_to_algebra(ident, mor, src_emb, tgt_emb, src_alg, tgt_alg)
+    found = _module_tuples(_morphism_candidates(lifted, max_arity), src)
+    visits = window(found, max_arity, 2, tgt.space, src_alg.space, True, _module_first)
+    return _report("morphism-module", max_arity, visits,
+                   lambda T: _linf_morphism_residual(lifted, T))
 
 
 # ---------------------------------------------------------------------------
@@ -625,30 +550,32 @@ def pair_to_algebra(pair: LInfPair) -> tuple[LInfAlgebra, PairEmbedding]:
     Stored canonically: all-algebra entries are the brackets, entries with
     the module element last are the actions; every other ordering follows by
     graded antisymmetry, which reproduces exactly the displayed sign
-    (-1)^(n - i + |xi_i| sum |a_k|) of the construction.
+    (-1)^(n - i + |xi_i| sum |a_k|) of the construction.  The algebra is
+    built once per module and kept on it (``LInfModule.direct_sum``).
     """
     alg = pair.algebra
     mod = pair.module
-    combined = mod.combined
-    maps: dict[int, MultiMap] = {}
-    arities = set(alg.brackets) | set(mod.actions)
-    for n in arities:
-        j = MultiMap(combined, combined, n, 2 - n, "antisym")
-        ln = alg.brackets.get(n)
-        if ln is not None:
-            for key, row in ln.entries():
-                for lab, c in row.items():
-                    j.add(key, lab, c)
-        mn = mod.actions.get(n)
-        if mn is not None:
-            for key, row in mn.entries():
-                for lab, c in row.items():
-                    j.add(key, lab, c)
-        maps[n] = j
     emb = PairEmbedding(
         tuple(alg.space.labels()), tuple(mod.space.labels()), alg.space, mod.space
     )
-    return LInfAlgebra(combined, maps), emb
+    return _direct_sum(mod), emb
+
+
+def _direct_sum(mod: LInfModule) -> LInfAlgebra:
+    """L (+) M of a module, built on first use and kept on the module."""
+    if mod.direct_sum is None:
+        combined = mod.combined
+        maps: dict[int, MultiMap] = {}
+        for n in set(mod.algebra.brackets) | set(mod.actions):
+            j = MultiMap(combined, combined, n, 2 - n, "antisym")
+            for part in (mod.algebra.brackets.get(n), mod.actions.get(n)):
+                if part is not None:
+                    for key, row in part.entries():
+                        for lab, c in row.items():
+                            j.add(key, lab, c)
+            maps[n] = j
+        mod.direct_sum = LInfAlgebra(combined, maps)
+    return mod.direct_sum
 
 
 def algebra_to_module(alg: LInfAlgebra, emb: PairEmbedding) -> LInfPair:
@@ -692,6 +619,8 @@ def algebra_to_module(alg: LInfAlgebra, emb: PairEmbedding) -> LInfPair:
             actions[n] = mn
     algebra = LInfAlgebra(base_alg_space, brackets)
     module = LInfModule(algebra, base_mod_space, actions)
+    if alg.space.labels() == module.combined.labels():
+        module.direct_sum = alg  # alg is exactly the L (+) M of the split pair
     return LInfPair(algebra, module)
 
 
@@ -703,16 +632,11 @@ def morphism_pair_to_algebra(
     comps: dict[int, MultiMap] = {}
     for n in set(f.components) | set(g.components):
         mm = MultiMap(src_alg.space, tgt_alg.space, n, 1 - n, "antisym")
-        fn = f.components.get(n)
-        if fn is not None:
-            for key, row in fn.entries():
-                for lab, c in row.items():
-                    mm.add(key, lab, c)
-        gn = g.components.get(n)
-        if gn is not None:
-            for key, row in gn.entries():
-                for lab, c in row.items():
-                    mm.add(key, lab, c)
+        for part in (f.components.get(n), g.components.get(n)):
+            if part is not None:
+                for key, row in part.entries():
+                    for lab, c in row.items():
+                        mm.add(key, lab, c)
         comps[n] = mm
     return InfMorphism("linf", src_alg, tgt_alg, comps)
 

@@ -241,16 +241,21 @@ def test_cli_io_errors_exit_2(tmp_path, capsys, case, message):
     {"ring": "Q[e]/(e^3)", "entries": ["a.x", "e"]},
     {"ring": "Q[e]/(e^3)", "entries": "a.x"},
     ["Q[e]/(e^3)"],
+    # entries outside L^1 (x) m: an unknown label, degree 0, a constant term
+    {"ring": "Q[e]/(e^3)", "entries": {"a.nope": "e"}},
+    {"ring": "Q[e]/(e^3)", "entries": {"a.1": "e"}},
+    {"ring": "Q[e]/(e^3)", "entries": {"a.x": "1+e"}},
 ])
 def test_cli_malformed_mc_file_exits_2(tmp_path, capsys, mc):
     fx = tmp_path / "mc.json"
     fx.write_text(json.dumps(mc))
     out = tmp_path / "out.json"
     pair = str(ROOT / "fixtures" / "heisenberg-pair.json")
-    assert main(["mc-check", pair, "--mc", str(fx), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "MC" in err and "Traceback" not in err
-    assert not out.exists()
+    for command in (["mc-check"], ["twist"], ["jump-ideal", "--i", "1", "--k", "1"]):
+        assert main([command[0], pair, *command[1:], "--mc", str(fx), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "MC" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,6 +284,22 @@ def test_cli_fixture_bad_number_exits_2(tmp_path, capsys, argv):
     assert main(["fixture", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "invalid literal for int()" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    ("bogus", "unknown fixture 'bogus'"),
+    ("exteriorxyz", "unknown fixture 'exteriorxyz'"),
+    ("exterior(-1)", "needs N >= 0"),
+])
+def test_cli_unknown_fixture_name_exits_2(tmp_path, capsys, name, message):
+    """Only exterior and exterior(N) with N >= 0 name an exterior algebra; any
+    other name is a usage error, not a failed check or an empty algebra."""
+    out = tmp_path / "out.json"
+    assert main(["fixture", "--name", name, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad fixture descriptor: ") and message in err
     assert "Traceback" not in err
     assert not out.exists()
 

@@ -54,6 +54,16 @@ def test_parse_ring_descriptors():
     assert P2.varnames == ("a", "b") and P2.trunc is None
 
 
+def test_rings_and_ideals_hash_consistently_with_equality():
+    R = parse_ring("Q[e]/(e^3)")
+    same = CoefRing("trunc_local", ("e",), order=3)
+    assert R == same and hash(R) == hash(same)
+    assert len({R, same, parse_ring("Q[e]/(e^4)"), parse_ring("poly(e)")}) == 3
+    unit = Ideal.unit(R)
+    assert hash(unit) == hash(Ideal.unit(same))
+    assert {unit: 1}[Ideal.unit(same)] == 1
+
+
 def test_element_string_roundtrip():
     R = parse_ring("poly(x,y)")
     f = R.element({(2, 0): Fraction(1, 2), (1, 1): Fraction(-3), (0, 0): Fraction(4)})

@@ -8,6 +8,7 @@ import pytest
 
 from hse.fixtures import (
     adjoint_pair,
+    affine_plane_dgla,
     cdga_pair,
     exterior_cdga,
     heisenberg_cdga,
@@ -233,7 +234,9 @@ def test_antisymmetrize_rejects_broken_input():
 # left-hand sides were shared and the morphism right-hand sides moved onto
 # ``multimap.contract``.  Each checker runs with its residual wrapped so that
 # every tuple it visits is also evaluated by the reference, and the two
-# residual dicts must be equal.  The inputs carry one perturbed coefficient,
+# residual dicts must be equal.  Modules and module morphisms are checked
+# through L (+) M, so there the wrapped residuals are the Jacobi and the
+# L-infinity morphism residuals, held to the hand-written module ones.  The inputs carry one perturbed coefficient,
 # and every residual kind must produce a nonzero residual somewhere, so the
 # comparison cannot pass on zeros alone.
 
@@ -652,6 +655,8 @@ def test_jacobi_residual_matches_reference(monkeypatch):
 
 
 def test_module_residual_matches_reference(monkeypatch):
+    # module_check evaluates the Jacobi residual of L (+) M; at every tuple
+    # it visits that must be the module residual written out by hand
     seen = []
     pairs = [cdga_pair(random_cdga(seed)) for seed in SEEDS]
     pairs += [adjoint_pair(solvable_dgla()), adjoint_pair(heisenberg_lie_dgla())]
@@ -660,7 +665,8 @@ def test_module_residual_matches_reference(monkeypatch):
         mod = pair.module
         actions = {**mod.actions, 2: _perturbed(mod.actions[2], rng)}
         bad = LInfModule(pair.algebra, mod.space, actions)
-        seen += _compare(monkeypatch, "module_residual", ref_module_residual,
+        seen += _compare(monkeypatch, "jacobi_residual",
+                         lambda brackets, space, T: ref_module_residual(bad, T),
                          lambda: module_check(bad, 4))
     assert seen and any(seen) and not all(seen)
 
@@ -712,7 +718,9 @@ def test_linf_morphism_residual_matches_reference(monkeypatch):
 
 
 def test_module_morphism_residual_matches_reference(monkeypatch):
-    # perturbed identities plus a random g_2 over a fixed algebra
+    # perturbed identities plus a random g_2 over a fixed algebra; the check
+    # evaluates the L-infinity morphism residual of id_L (+) g, which at every
+    # tuple it visits must be the module-morphism residual written out by hand
     seen = []
     pairs = [cdga_pair(random_cdga(seed)) for seed in SEEDS]
     pairs += [adjoint_pair(solvable_dgla())]
@@ -727,8 +735,9 @@ def test_module_morphism_residual_matches_reference(monkeypatch):
             2: _random_component(rng, mod.combined, mod.space, 2, "antisym_algebra", keys),
         }
         bad = InfMorphism("module", mod, mod, comps)
-        seen += _compare(monkeypatch, "_module_morphism_residual",
-                         ref_module_morphism_residual, lambda: morphism_check(bad, 3))
+        seen += _compare(monkeypatch, "_linf_morphism_residual",
+                         lambda lifted, T: ref_module_morphism_residual(bad, T),
+                         lambda: morphism_check(bad, 3))
     assert seen and any(seen) and not all(seen)
 
 
@@ -835,7 +844,7 @@ def ref_jacobi_check(alg: LInfAlgebra, max_arity: int):
 def ref_module_check(module: LInfModule, max_arity: int):
     return _scan("module", max_arity,
                  lambda n: _module_tuples(module, n, _window_sums(module.space, 3 - n)),
-                 lambda T: structures.module_residual(module, T))
+                 lambda T: ref_module_residual(module, T))
 
 
 def ref_morphism_check(mor: InfMorphism, max_arity: int):
@@ -848,7 +857,7 @@ def ref_morphism_check(mor: InfMorphism, max_arity: int):
         residual = structures._linf_morphism_residual
     else:
         tuples = lambda n: _module_tuples(mor.source, n, sums(n))
-        residual = structures._module_morphism_residual
+        residual = ref_module_morphism_residual
     return _scan(f"morphism-{mor.kind}", max_arity, tuples, lambda T: residual(mor, T))
 
 
@@ -943,4 +952,34 @@ def test_support_driven_checkers_match_exhaustive_scan():
     # every kind fails somewhere, so equal reports are not equal empty lists
     assert sorted(violated) == sorted(
         ["stasheff", "jacobi", "module", "ainf", "linf", "module-morphism"])
+    assert all(violated.values()), violated
+
+
+def test_module_checks_through_direct_sum_match_the_module_identities():
+    """module_check and the module morphism check run through L (+) M; their
+    reports are byte-equal to the exhaustive scans of the module identities
+    written out by hand, on randomly perturbed cdga, adjoint and transferred
+    pairs and random module morphisms between perturbed modules."""
+    rng = random.Random(15)
+    pairs = [cdga_pair(random_cdga(seed)) for seed in range(3, 6)]
+    pairs += [adjoint_pair(alg) for alg in
+              (solvable_dgla(), heisenberg_lie_dgla(), affine_plane_dgla())]
+    pairs += [transfer_pair(cdga_pair(heisenberg_cdga()), 4).pair,
+              transfer_pair(_golden_package("heisenberg-pair-weighted.json"), 4).pair,
+              transfer_pair(cdga_pair(random_cdga(6)), 3).pair]
+    violated = {"module": 0, "module-morphism": 0}
+    for pair in pairs:
+        for _ in range(2):
+            mod = _perturbed_module(pair.module, rng)
+            got, want = module_check(mod, 4), ref_module_check(mod, 4)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+            violated["module"] += len(want.violations)
+            keys = [head + (xi,) for xi in mod.space.labels()
+                    for head in _sorted_keys(rng, pair.algebra.space, 1)[:2]]
+            g = {1: _identity_like(mod.combined, mod.space, "none", rng),
+                 2: _random_component(rng, mod.combined, mod.space, 2, "antisym_algebra", keys)}
+            mor = InfMorphism("module", mod, mod, g)
+            got, want = morphism_check(mor, 3), ref_morphism_check(mor, 3)
+            assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+            violated["module-morphism"] += len(want.violations)
     assert all(violated.values()), violated
