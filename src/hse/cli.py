@@ -191,9 +191,7 @@ def cmd_fixture(args) -> tuple[str, dict, int]:
         dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else ()
         obj = generate_fixture(FixtureDescriptor(
             name=args.name, seed=args.seed or 0, dims=dims, weights=args.weights))
-    except StructureError:
-        raise
-    except ValueError as exc:  # a number in --dims or in the name that is not one
+    except ValueError as exc:  # a bad number, an unknown name, or dims random_cdga cannot build
         raise UsageError(f"bad fixture descriptor: {exc}") from exc
     payload = package_to_json(obj)
     return "ok", payload, 0

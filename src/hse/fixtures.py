@@ -43,7 +43,7 @@ class Cdga:
     """
 
     def __init__(self, gens: list[tuple[str, int, int | None]], max_degree: int,
-                 differentials: dict[str, list[tuple[Fraction, tuple[int, ...]]]] | None = None):
+                 differentials: dict[str, list[tuple[int | Fraction, tuple[int, ...]]]] | None = None):
         # gens: (name, degree, weight or None)
         self.gens = gens
         self.max_degree = max_degree
@@ -77,7 +77,7 @@ class Cdga:
             return "1"
         return "".join(self.gens[i][0] for i in mono)
 
-    def multiply_monos(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[Fraction, tuple[int, ...]] | None:
+    def multiply_monos(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
         """Graded-commutative product of two monomials, or None if it dies."""
         merged = list(a) + list(b)
         sign = 1
@@ -96,7 +96,7 @@ class Cdga:
         mono = tuple(arr)
         if mono not in self._monoset:
             return None
-        return Fraction(sign), mono
+        return sign, mono
 
     def product_map(self) -> MultiMap:
         mm = MultiMap(self.space, self.space, 2, 0)
@@ -118,8 +118,8 @@ class Cdga:
                 mm.add((self.label(mono),), self.label(target), coef)
         return mm
 
-    def _d_mono(self, mono: tuple[int, ...]) -> list[tuple[Fraction, tuple[int, ...]]]:
-        out: list[tuple[Fraction, tuple[int, ...]]] = []
+    def _d_mono(self, mono: tuple[int, ...]) -> list[tuple[int | Fraction, tuple[int, ...]]]:
+        out: list[tuple[int | Fraction, tuple[int, ...]]] = []
         for pos, gi in enumerate(mono):
             dg = self.differentials.get(self.gens[gi][0])
             if not dg:
@@ -136,9 +136,9 @@ class Cdga:
                     c2, m2 = left
                     out.append((coef * sign * c2, m2))
         # merge duplicates
-        acc: dict[tuple[int, ...], Fraction] = {}
+        acc: dict[tuple[int, ...], int | Fraction] = {}
         for c, m in out:
-            acc[m] = acc.get(m, Fraction(0)) + c
+            acc[m] = acc.get(m, 0) + c
         return [(c, m) for m, c in acc.items() if c]
 
     def _mono_times(self, dmono: tuple[int, ...], rest: tuple[int, ...], pos: int):
@@ -178,7 +178,7 @@ def heisenberg_cdga(weights: bool = False) -> Cdga:
         ("y", 1, 1 if weights else None),
         ("z", 1, 2 if weights else None),
     ]
-    return Cdga(gens, 3, {"z": [(Fraction(1), (0, 1))]})
+    return Cdga(gens, 3, {"z": [(1, (0, 1))]})
 
 
 def weight_zero_offender_cdga() -> Cdga:
@@ -200,7 +200,7 @@ def random_cdga(seed: int, dims: tuple[int, ...] | None = None) -> Cdga:
     max_degree = (len(dims) - 1) if dims else 3
     names = [f"g{i}" for i in range(1, k + 1)]
     gens = [(name, 1, None) for name in names]
-    differentials: dict[str, list[tuple[Fraction, tuple[int, ...]]]] = {}
+    differentials: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
     if k >= 3 and max_degree >= 2:
         n_closed = rng.randint(2, k - 1)
         pair_pool = list(combinations(range(n_closed), 2))
@@ -208,7 +208,7 @@ def random_cdga(seed: int, dims: tuple[int, ...] | None = None) -> Cdga:
             terms = []
             while not terms:
                 terms = [
-                    (Fraction(c), pair)
+                    (c, pair)
                     for pair in pair_pool
                     for c in [rng.choice([-2, -1, 0, 1, 1, 2])]
                     if c
@@ -294,7 +294,7 @@ def heisenberg_lie_dgla() -> LInfAlgebra:
         BasisElement("E", 0), BasisElement("F", 0), BasisElement("Z", 0),
     ])
     l2 = MultiMap(space, space, 2, 0, "antisym")
-    l2.add(("E", "F"), "Z", Fraction(1))
+    l2.add(("E", "F"), "Z", 1)
     return LInfAlgebra(space, {2: l2})
 
 
@@ -302,7 +302,7 @@ def solvable_dgla() -> LInfAlgebra:
     """Two-dimensional dgla with [e, f] = f, e in degree 0 and f in degree 1."""
     space = GradedSpace([BasisElement("e", 0), BasisElement("f", 1)])
     l2 = MultiMap(space, space, 2, 0, "antisym")
-    l2.add(("e", "f"), "f", Fraction(1))
+    l2.add(("e", "f"), "f", 1)
     return LInfAlgebra(space, {2: l2})
 
 
@@ -314,9 +314,9 @@ def affine_plane_dgla() -> LInfAlgebra:
         BasisElement("f1", 1), BasisElement("f2", 1),
     ])
     l2 = MultiMap(space, space, 2, 0, "antisym")
-    l2.add(("e1", "f1"), "f1", Fraction(1))
-    l2.add(("e1", "f2"), "f2", Fraction(1))
-    l2.add(("e2", "f1"), "f2", Fraction(1))
+    l2.add(("e1", "f1"), "f1", 1)
+    l2.add(("e1", "f2"), "f2", 1)
+    l2.add(("e2", "f1"), "f2", 1)
     return LInfAlgebra(space, {2: l2})
 
 

@@ -113,7 +113,7 @@ def multimap_to_json(mm: MultiMap) -> dict:
     }
 
 
-def _parse_coef(value, what: str) -> Fraction:
+def _parse_coef(value, what: str) -> int | Fraction:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ParseError(f"{what} must be a rational string, got {value!r}")
     try:

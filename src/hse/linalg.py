@@ -6,9 +6,12 @@ pivot of each row is its smallest key (a column index here, a monomial in
 ``rings``).  That basis is unique for the subspace, so two spans are equal
 exactly when their rows are, and every answer read off it is canonical.
 Vectors are added one at a time, so extending a basis by candidates costs
-one reduction per candidate.
+one reduction per candidate.  Input coefficients may be ints or Fractions
+(a structure table stores integral values as ints); each new row is
+normalized by dividing through a Fraction, so rows and every answer read
+off them come back as Fractions, never floats.
 
-Dense matrices are lists of row lists of Fractions.  ``kernel_basis``,
+Dense matrices are lists of row lists of rationals.  ``kernel_basis``,
 ``solve``, ``in_span``, ``invert`` and ``extend_to_basis`` read their
 answers off the rows of the echelon of the matrix's rows; kernel vectors
 come out in free-column order.  Rank is separate: ``int_rank`` is Bareiss
@@ -71,7 +74,7 @@ class Echelon:
         if not rest:
             return None
         pivot = min(rest)
-        inv = 1 / rest[pivot]
+        inv = _ONE / rest[pivot]  # a Fraction even when the entry is an int
         new = {key: c * inv for key, c in rest.items()}
         for row in self.rows.values():
             coef = row.get(pivot)

@@ -2,10 +2,13 @@
 
 A MultiMap of arity n and shift s sends degree-(d_1, ..., d_n) inputs to
 degree d_1 + ... + d_n + s.  The coefficient table maps input label tuples
-to sparse output vectors; zero entries are never stored.  Coefficients are
-usually Fractions but any commutative-ring element type with +, *, unary -
-and truthiness works (the deformation modules feed ring elements through
-the same code).
+to sparse output vectors; zero entries are never stored.  Rational
+coefficients are stored in the one form of ``scalars.canonical``: an int
+when integral, else a Fraction with denominator > 1.  ``add`` and
+``scaled``, the only writers of a table, enforce it.  Any commutative-ring
+element type with +, *, unary - and truthiness works too and is stored as
+it comes (the deformation modules feed ring elements through the same
+code).
 
 Symmetry handling:
 
@@ -50,6 +53,7 @@ from itertools import groupby
 from math import factorial, prod
 
 from .grading import GradedSpace
+from .scalars import canonical
 from .signs import all_permutations, antisym_sign, sort_with_sign
 
 SYMMETRIES = ("none", "antisym", "antisym_algebra")
@@ -92,7 +96,7 @@ class MultiMap:
         row = self.table.setdefault(ckey, {})
         total = row.get(out_label, 0) + coef
         if total:
-            row[out_label] = total
+            row[out_label] = canonical(total)
         else:
             row.pop(out_label, None)
             if not row:
@@ -152,7 +156,7 @@ class MultiMap:
         out = MultiMap(self.space_in, self.space_out, self.arity, self.shift, self.symmetry)
         if factor:
             for key, row in self.table.items():
-                out.table[key] = {lab: factor * c for lab, c in row.items()}
+                out.table[key] = {lab: canonical(factor * c) for lab, c in row.items()}
         return out
 
     def plus(self, other: "MultiMap") -> "MultiMap":
@@ -200,7 +204,7 @@ class MultiMap:
 def identity_map(space: GradedSpace) -> MultiMap:
     mm = MultiMap(space, space, 1, 0)
     for e in space.elements:
-        mm.add((e.label,), e.label, Fraction(1))
+        mm.add((e.label,), e.label, 1)
     return mm
 
 

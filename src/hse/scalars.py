@@ -1,29 +1,37 @@
 """Exact rational scalars and their wire format.
 
-Every coefficient in the engine is a ``fractions.Fraction``: arbitrary
-precision, always in lowest terms with positive denominator, so arithmetic
-never rounds and string round-trips are lossless.
+Every coefficient stored in a ``MultiMap`` is in one scalar form: a Python
+``int`` when the value is integral, otherwise a ``fractions.Fraction`` with
+denominator > 1 (lowest terms, positive denominator).  Arithmetic never
+rounds either way, and on the integral constants that dominate transferred
+structures it runs on ints, without a gcd per operation.  An int and the
+integral Fraction of the same value compare, hash and print alike
+(``str(Fraction(3)) == "3"``), so reports do not depend on the form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Scalar = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+def canonical(c):
+    """The stored form of c: the numerator of a Fraction whose denominator
+    is 1; every other value (ints, non-integral Fractions, ring elements)
+    passes through unchanged."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
 
 
-def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact rational."""
+def parse_scalar(text: str) -> int | Fraction:
+    """Parse "p/q" or "p" into an exact rational in canonical form."""
     try:
-        return Fraction(text.strip())
+        return canonical(Fraction(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational scalar: {text!r}") from exc
 
 
-def format_scalar(value: Fraction) -> str:
+def format_scalar(value: int | Fraction) -> str:
     """Render as "p/q", or "p" when the denominator is 1."""
     if value.denominator == 1:
         return str(value.numerator)

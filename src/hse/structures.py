@@ -496,10 +496,10 @@ def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:
         return _report(f"morphism-{mor.kind}", max_arity, visits, lambda T: residual(mor, T))
     if src.algebra is not tgt.algebra:
         raise StructureError("module morphism endpoints must share the algebra")
-    src_alg, src_emb = pair_to_algebra(LInfPair(src.algebra, src))
-    tgt_alg, tgt_emb = pair_to_algebra(LInfPair(tgt.algebra, tgt))
+    src_alg, _ = pair_to_algebra(LInfPair(src.algebra, src))
+    tgt_alg, _ = pair_to_algebra(LInfPair(tgt.algebra, tgt))
     ident = InfMorphism("linf", src.algebra, src.algebra, {1: identity_map(src.algebra.space)})
-    lifted = morphism_pair_to_algebra(ident, mor, src_emb, tgt_emb, src_alg, tgt_alg)
+    lifted = morphism_pair_to_algebra(ident, mor, src_alg, tgt_alg)
     found = _module_tuples(_morphism_candidates(lifted, max_arity), src)
     visits = window(found, max_arity, 2, tgt.space, src_alg.space, True, _module_first)
     return _report("morphism-module", max_arity, visits,
@@ -625,8 +625,7 @@ def algebra_to_module(alg: LInfAlgebra, emb: PairEmbedding) -> LInfPair:
 
 
 def morphism_pair_to_algebra(
-    f: InfMorphism, g: InfMorphism, src_emb: PairEmbedding, tgt_emb: PairEmbedding,
-    src_alg: LInfAlgebra, tgt_alg: LInfAlgebra,
+    f: InfMorphism, g: InfMorphism, src_alg: LInfAlgebra, tgt_alg: LInfAlgebra,
 ) -> InfMorphism:
     """(f (+) g): components are f on all-algebra tuples, g with module last."""
     comps: dict[int, MultiMap] = {}

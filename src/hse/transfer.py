@@ -94,7 +94,7 @@ class TransferDiagram:
         hd = postcompose(self.h, self.d_big)
         side = dh.plus(hd)
         ident = identity_map(self.big)
-        if not ident.plus(gf.scaled(Fraction(-1))).equals(side):
+        if not ident.plus(gf.scaled(-1)).equals(side):
             raise TransferError("homotopy identity id - gf = dh + hd fails")
 
 
@@ -320,7 +320,7 @@ class KernelCache:
                         continue
                     term = tensor_compose(outer, inners)
                 sign = -1 if theta_exponent(profile) % 2 else 1
-                p_n = p_n.plus(term.scaled(Fraction(sign)))
+                p_n = p_n.plus(term.scaled(sign))
         self.p[n] = p_n
         self.hp[n] = postcompose(diagram.h, p_n)
 
@@ -352,7 +352,7 @@ class KernelCache:
                     term = tensor_compose(outer, inners)
                     exp = n + profile[i - 1] + theta_exponent(profile)
                     sign = -1 if exp % 2 else 1
-                    q_n = q_n.plus(term.scaled(Fraction(sign)))
+                    q_n = q_n.plus(term.scaled(sign))
         self.q[n] = q_n
         self.hq[n] = postcompose(diagram.h, q_n)
         self.gfq[n] = postcompose(self._gf, q_n)
@@ -368,7 +368,7 @@ class KernelCache:
                     continue
                 term = tensor_compose(hp_k, inners2)
                 sign = -1 if theta_exponent(profile) % 2 else 1
-                pp_n = pp_n.plus(term.scaled(Fraction(sign)))
+                pp_n = pp_n.plus(term.scaled(sign))
         self.psiphi[n] = pp_n
 
 
@@ -410,7 +410,7 @@ def transfer_ainf(
     # into the convention enforced by morphism_check (validated empirically
     # at all computed arities, see the transfer tests).
     for n in range(2, max_arity + 1):
-        comp_sign = Fraction(-1 if (n - 1) % 2 else 1)
+        comp_sign = -1 if (n - 1) % 2 else 1
         p_n = cache.p[n]
         if not p_n.is_zero():
             png = tensor_compose(p_n, [diagram.g] * n)  # g has degree 0: no signs

@@ -211,7 +211,7 @@ def test_criterion_04_pair_roundtrips():
                 g_comps[k] = gk
         f = InfMorphism("linf", pair.algebra, pair.algebra, f_comps)
         g = InfMorphism("module", pair.module, pair.module, g_comps)
-        fg = morphism_pair_to_algebra(f, g, emb, emb, combined, combined)
+        fg = morphism_pair_to_algebra(f, g, combined, combined)
         f2, g2 = morphism_algebra_to_pair(fg, emb, emb, pair, pair)
         for k in f_comps:
             ok = ok and f2.components[k].equals(f_comps[k])

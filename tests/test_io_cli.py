@@ -288,6 +288,18 @@ def test_cli_fixture_bad_number_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dims, generated", [("0,5", "(1, 5)"), ("1,9,9,9", "(1, 9, 36, 84)")])
+def test_cli_fixture_unsatisfiable_dims_exits_2(tmp_path, capsys, dims, generated):
+    """Dims that random_cdga cannot generate are a usage error, not a failed check."""
+    out = tmp_path / "out.json"
+    for name in ("random", "random-pair"):
+        assert main(["fixture", "--name", name, "--dims", dims, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad fixture descriptor: unsatisfiable dims: ")
+        assert f"generated {generated}" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("name, message", [
     ("bogus", "unknown fixture 'bogus'"),
     ("exteriorxyz", "unknown fixture 'exteriorxyz'"),

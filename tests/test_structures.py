@@ -209,7 +209,7 @@ def test_pair_morphism_roundtrip_and_check():
         g1.add((e.label,), e.label, Fraction(1))
     f = InfMorphism("linf", pair.algebra, pair.algebra, {1: f1})
     g = InfMorphism("module", pair.module, pair.module, {1: g1})
-    fg = morphism_pair_to_algebra(f, g, emb, emb, combined, combined)
+    fg = morphism_pair_to_algebra(f, g, combined, combined)
     rep = morphism_check(fg, 3)
     assert rep.ok, rep.first().describe()
     f2, g2 = morphism_algebra_to_pair(fg, emb, emb, pair, pair)
