@@ -5,11 +5,13 @@ Zariski tangent-space computation for the jump functors.
 All sums of the shape sum_n (1/n!) map_n(omega, ..., omega, -) are finite:
 the entries of omega lie in the maximal ideal, so nilpotency bounds the
 range, and the structure maps have finite arity support anyway.  The bound
-is computed up front, never guessed.  Each sum is driven by the stored keys
-of the structure maps (``multimap.contract_power``): a tail T receives a
-term only from a stored key holding T and i labels of supp w, so no input
-tuple is enumerated.  A twisted complex compiles each differential once
-(``rings.MinorEngine``), for its d^2 = 0 certificate and its jump ideals.
+is computed up front, never guessed.  Every such sum, the Maurer-Cartan
+residual, the twisted maps and both components of a homotopy witness, is
+driven by the stored keys of the structure maps
+(``multimap.contract_power``): a tail T receives a term only from a stored
+key holding T and i labels of supp w, so no input tuple is enumerated.  A
+twisted complex compiles each differential once (``rings.MinorEngine``),
+for its d^2 = 0 certificate and its jump ideals.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .grading import GradedSpace
-from .multimap import MultiMap, contract_power, evaluate_on_vectors
+from .multimap import MultiMap, contract_power
 from .rings import (
     CoefRing,
     Ideal,
@@ -31,7 +33,6 @@ from .rings import (
     composite_vanishes,
     degree_bound,
 )
-from .scalars import factorial_inverse
 from .structures import LInfAlgebra, LInfModule, LInfPair, pair_to_algebra
 
 
@@ -89,13 +90,13 @@ def mc_check(alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem]) -> tuple
 
 def twist_brackets(
     brackets: dict[int, MultiMap], space: GradedSpace, ring: CoefRing,
-    omega: dict[str, RElem], symmetry: str = "antisym",
+    omega: dict[str, RElem],
 ) -> dict[int, MultiMap]:
     """l^w_n = sum_i (1/i!) l_{i+n}(w^i, -): same basis, ring coefficients."""
     out: dict[int, MultiMap] = {}
     for n in range(1, max(brackets, default=0) + 1):
         acc = _twist_terms(brackets, ring, omega, n)
-        table = _table_from(acc, MultiMap(space, space, n, 2 - n, symmetry))
+        table = _table_from(acc, MultiMap(space, space, n, 2 - n, "antisym"))
         if not table.is_zero():
             out[n] = table
     return out
@@ -116,7 +117,7 @@ def twist_algebra(
         ok, res = mc_check(alg, ring, omega)
         if not ok:
             raise DeformationError(f"not a Maurer-Cartan element; residual {_fmt_vec(res)}")
-    brackets = twist_brackets(alg.brackets, alg.space, ring, omega, "antisym")
+    brackets = twist_brackets(alg.brackets, alg.space, ring, omega)
     return LInfAlgebra(alg.space, brackets)
 
 
@@ -209,19 +210,18 @@ def twist_module(
 ) -> tuple[dict[int, MultiMap], TwistedComplex]:
     """Twisted module structure maps and the twisted complex (M (x) A, d_w).
 
-    Verifies that (w, 0) is Maurer-Cartan in the pair algebra L (+) M, that
-    d_w is the restriction to M of the twisted differential of L (+) M (read
-    off that algebra's own tables, where the module slot is one more label
-    to leave out), and that d_w squares to zero.
+    Verifies that w is Maurer-Cartan in L, which makes (w, 0) Maurer-Cartan
+    in the pair algebra L (+) M: no stored key of L (+) M with a module slot
+    lies in supp w, so the two residuals are the same sum.  Also verifies
+    that d_w is the restriction to M of the twisted differential of L (+) M
+    (read off that algebra's own tables, where the module slot is one more
+    label to leave out), and that d_w squares to zero.
     """
     if verify:
         ok, res = mc_check(pair.algebra, ring, omega)
         if not ok:
             raise DeformationError(f"not Maurer-Cartan; residual {_fmt_vec(res)}")
         combined, _ = pair_to_algebra(pair)
-        ok2, res2 = mc_check(combined, ring, dict(omega))
-        if not ok2:
-            raise DeformationError("(omega, 0) fails Maurer-Cartan in L (+) M")
 
     module = pair.module
     twisted: dict[int, MultiMap] = {}
@@ -348,34 +348,31 @@ def _witness_terms(alg: LInfAlgebra, ring: CoefRing, witness: HomotopyWitness):
     """The two components of sum (1/n!) l_n(z, ..., z) in L (x) m[t,dt].
 
     Terms with two dt slots die; a dt factor in slot i crosses the odd
-    degree-1 elements in slots i+1..n, contributing (-1)^(n-i).
+    degree-1 elements in slots i+1..n, contributing (-1)^(n-i), and moving
+    the even z'' from slot i to the last slot gives (-1)^(n-i) again.  So
+    the dt-component is sum_n (1/(n-1)!) l_n(z'^(n-1), z''): the stored-key
+    sum with one-label tails T, contracted with z''.
     """
     bound = _omega_power_bound(ring, alg.max_arity())
     tz = witness.t_part
-    dz = witness.dt_part
+    one = TPoly.const(ring, ring.one)
     even_acc: dict[tuple, dict[str, TPoly]] = {}
-    odd_acc: dict[str, TPoly] = {}
-    zero_t = TPoly(ring)
-
-    def bump(acc, lab, val):
-        s = acc.get(lab, zero_t) + val
-        if s:
-            acc[lab] = s
-        else:
-            acc.pop(lab, None)
-
+    tails: dict[tuple, dict[str, TPoly]] = {}
     for n in range(1, bound + 1):
         ln = alg.brackets.get(n)
-        if ln is None:
-            continue
-        contract_power(ln, tz, n, even_acc, TPoly.const(ring, ring.one))
-        inv = factorial_inverse(n)
-        for i in range(1, n + 1):
-            vecs = [tz] * (i - 1) + [dz] + [tz] * (n - i)
-            res = evaluate_on_vectors(ln, vecs)
-            sign = -1 if (n - i) % 2 else 1
-            for lab, v in res.items():
-                bump(odd_acc, lab, v * (inv * sign))
+        if ln is not None:
+            contract_power(ln, tz, n, even_acc, one)
+            contract_power(ln, tz, n - 1, tails, one)
+    odd_acc: dict[str, TPoly] = {}
+    for (lab,), vec in tails.items():
+        z = witness.dt_part.get(lab)
+        if z is not None:
+            for out, v in vec.items():
+                total = odd_acc.get(out, TPoly(ring)) + v * z
+                if total:
+                    odd_acc[out] = total
+                else:
+                    odd_acc.pop(out, None)
     return even_acc.get((), {}), odd_acc
 
 

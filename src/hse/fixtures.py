@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .grading import BasisElement, GradedSpace, combine_spaces, prefix_space
 from .multimap import MultiMap
@@ -24,6 +25,11 @@ from .structures import (
     StructureError,
     module_check,
 )
+
+
+# the largest basis a descriptor may ask for: the product table is quadratic
+# in it, and exterior(8), with 256 elements, takes about a second to build
+MAX_FIXTURE_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -189,7 +195,8 @@ def weight_zero_offender_cdga() -> Cdga:
 
 def random_cdga(seed: int, dims: tuple[int, ...] | None = None) -> Cdga:
     """Seeded two-layer cdga; dims, when given, must match the generated
-    monomial dimensions (raises otherwise).
+    monomial dimensions C(k, d) of k degree-1 generators, and their sum may
+    not pass MAX_FIXTURE_DIM (both checked before anything is built).
 
     With three or more generators the split is biased so that at least one
     generator carries a nonzero differential (nonformal, Massey-bearing
@@ -198,6 +205,13 @@ def random_cdga(seed: int, dims: tuple[int, ...] | None = None) -> Cdga:
     rng = random.Random(seed)
     k = dims[1] if dims and len(dims) > 1 else rng.choice([3, 3, 2])
     max_degree = (len(dims) - 1) if dims else 3
+    if dims is not None:
+        actual = tuple(comb(max(k, 0), d) for d in range(len(dims)))
+        if actual != tuple(dims):
+            raise StructureError(f"unsatisfiable dims: requested {dims}, generated {actual}")
+        if sum(dims) > MAX_FIXTURE_DIM:
+            raise StructureError(f"dims {dims} give {sum(dims)} basis elements, "
+                                 f"over the cap of {MAX_FIXTURE_DIM}")
     names = [f"g{i}" for i in range(1, k + 1)]
     gens = [(name, 1, None) for name in names]
     differentials: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
@@ -214,12 +228,7 @@ def random_cdga(seed: int, dims: tuple[int, ...] | None = None) -> Cdga:
                     if c
                 ]
             differentials[names[gi]] = terms
-    alg = Cdga(gens, max_degree, differentials)
-    if dims is not None:
-        actual = tuple(alg.space.dim(d) for d in range(len(dims)))
-        if actual != tuple(dims):
-            raise StructureError(f"unsatisfiable dims: requested {dims}, generated {actual}")
-    return alg
+    return Cdga(gens, max_degree, differentials)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +366,9 @@ def generate_fixture(desc: FixtureDescriptor):
         n = 2 if name == "exterior" else int(name[len("exterior("):-1])
         if n < 0:
             raise ValueError(f"exterior(N) needs N >= 0, got {name!r}")
+        if 2 ** min(n, 64) > MAX_FIXTURE_DIM:
+            raise ValueError(f"{name} has 2^{n} basis elements, "
+                             f"over the cap of {MAX_FIXTURE_DIM}")
         return exterior_cdga(n, desc.weights).ainf()
     if name == "torus2":
         return exterior_cdga(2, desc.weights).ainf()

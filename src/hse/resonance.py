@@ -51,7 +51,7 @@ from .rings import (
     block_minors,
 )
 from .structures import AInfAlgebra, LInfModule, LInfPair, module_check
-from .transfer import TransferError, cohomology_splitting, transfer_pair, vanishing_bound
+from .transfer import TransferError, cohomology_splitting, vanishing_bound
 
 
 class ResonanceError(ValueError):
@@ -518,27 +518,6 @@ def tangent_cone_check(
     (rows_up, cols_up), (rows_lo, cols_lo) = full.matrix(i - 1).shape(), full.matrix(i).shape()
     checked = comb(rows_up + rows_lo, size) * comb(cols_up + cols_lo, size)
     return TangentConeReport(i, k, size, checked, nonzero, not failures, failures)
-
-
-def canonical_minimal_pair(alg: AInfAlgebra, max_arity: int) -> LInfPair:
-    """The minimal pair on (H, H) of a commutative dga, via pair transfer."""
-    from .fixtures import ainf_cdga_pair
-
-    return transfer_pair(ainf_cdga_pair(alg), max_arity).pair
-
-
-def tangent_cone_check_dga(
-    alg: AInfAlgebra, i: int, k: int, max_arity: int | None = None,
-) -> TangentConeReport:
-    """Pipeline form: canonical minimal pair of the dga, then the
-    minor-by-minor certificate at (i, k)."""
-    if max_arity is None:
-        # minors of size s only see entry degrees up to s, i.e. arities s + 1
-        diagram = cohomology_splitting(alg.space, alg.products.get(1))
-        size_hint = max(diagram.small.dim(i) - k + 1, 1)
-        max_arity = max(size_hint + 1, 3)
-    pair = canonical_minimal_pair(alg, max_arity)
-    return tangent_cone_check(pair, i, k)
 
 
 # ---------------------------------------------------------------------------

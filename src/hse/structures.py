@@ -6,7 +6,10 @@ algebras and morphisms, Jacobi for L-infinity algebras and morphisms.  An
 L-infinity module M over L is the L-infinity algebra L (+) M in which M is an
 abelian ideal (Lada-Markl), so the module identities are the Jacobi
 identities of L (+) M at the tuples whose one module label is last, and a
-module morphism g is checked as the L-infinity morphism id_L (+) g.
+module morphism g is checked as the L-infinity morphism id_L (+) g.  A
+pair is certified by one Jacobi pass of L (+) M, which
+``split_pair_report`` splits into L's Jacobi report (the tuples with no
+module label) and M's module report (the rest).
 
 Structure maps are stored sparsely with finite arity support; an absent
 arity is the zero map.  Checkers evaluate the defining identities exactly
@@ -29,7 +32,7 @@ to zero, so that reading is rejected; both signs remain available in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from .grading import GradedSpace, combine_spaces
 from .multimap import MultiMap, antisymmetrization, block_vectors, contract, identity_map
 from .signs import (
@@ -393,26 +396,22 @@ def _repeats_even(T: tuple[str, ...], deg: dict[str, int]) -> bool:
 
 
 def window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
-           space: GradedSpace, antisym: bool, order=None):
+           space: GradedSpace, antisym: bool):
     """(n, T) for the candidates a scan of space would visit, in its order.
 
     The window: the total input degree plus base - n is a degree of
     out_space, and with antisymmetric slots no even label repeats.  Within
-    an arity the tuples come in basis order, of order(T) when given.
+    an arity the tuples come in basis order.
     """
     deg = {e.label: e.deg for e in space.elements}
     index = space.order_index
     out_degs = out_space.degrees()
-    if order is None:
-        key = lambda T: [index(l) for l in T]
-    else:
-        key = lambda T: [index(l) for l in order(T)]
     for n in range(1, max_arity + 1):
         sums = {d - (base - n) for d in out_degs}
         kept = [T for T in found.get(n, ())
                 if all(l in deg for l in T) and sum(deg[l] for l in T) in sums
                 and not (antisym and _repeats_even(T, deg))]
-        kept.sort(key=key)
+        kept.sort(key=lambda T: [index(l) for l in T])
         for T in kept:
             yield n, T
 
@@ -438,13 +437,6 @@ def stasheff_check(alg: AInfAlgebra, max_arity: int) -> CheckReport:
                    lambda T: stasheff_residual(alg.products, alg.space, T))
 
 
-def _jacobi_candidates(alg: LInfAlgebra, max_arity: int) -> dict:
-    found: dict = {}
-    brackets = producers(alg.brackets)
-    _splice(found, alg.brackets, brackets, brackets, max_arity, sorted_in(alg.space))
-    return found
-
-
 def _morphism_candidates(mor: InfMorphism, max_arity: int) -> dict:
     src, tgt = mor.source, mor.target
     if mor.kind == "ainf":
@@ -458,52 +450,66 @@ def _morphism_candidates(mor: InfMorphism, max_arity: int) -> dict:
     return found
 
 
-def _module_tuples(found: dict, module: LInfModule) -> dict:
-    """The candidates of an L (+) M identity whose one module label is last."""
-    mod = set(module.space.labels())
-    return {n: [T for T in tuples if T[-1] in mod and mod.isdisjoint(T[:-1])]
-            for n, tuples in found.items()}
-
-
 def _module_first(T: tuple[str, ...]) -> tuple[str, ...]:
-    """Module tuples are visited by the module label, then the algebra labels."""
+    """Module tuples are reported by the module label, then the algebra labels."""
     return T[-1:] + T[:-1]
 
 
+def split_pair_report(rep: CheckReport, module: LInfModule) -> tuple[CheckReport, CheckReport]:
+    """The algebra and module halves of a report on L (+) M (or on id_L (+) g).
+
+    Every module label of ``module.combined`` comes after every algebra
+    label, so no candidate of L (+) M has two module labels and a module
+    label is always last.  The algebra half keeps the tuples with no module
+    label, in order; the module half, named "module", takes the rest,
+    re-sorted by the module label first within each arity.
+    """
+    mod = set(module.space.labels())
+    index = module.combined.order_index
+    algebra = [v for v in rep.violations if v.inputs[-1] not in mod]
+    acting = sorted((v for v in rep.violations if v.inputs[-1] in mod),
+                    key=lambda v: (v.arity, [index(l) for l in _module_first(v.inputs)]))
+    return (replace(rep, ok=not algebra, violations=tuple(algebra)),
+            CheckReport("module", not acting, rep.max_arity, tuple(acting)))
+
+
 def jacobi_check(alg: LInfAlgebra, max_arity: int) -> CheckReport:
-    visits = window(_jacobi_candidates(alg, max_arity), max_arity, 3, alg.space, alg.space, True)
+    found: dict = {}
+    brackets = producers(alg.brackets)
+    _splice(found, alg.brackets, brackets, brackets, max_arity, sorted_in(alg.space))
+    visits = window(found, max_arity, 3, alg.space, alg.space, True)
     return _report("jacobi", max_arity, visits,
                    lambda T: jacobi_residual(alg.brackets, alg.space, T))
 
 
+def pair_check(module: LInfModule, max_arity: int) -> tuple[CheckReport, CheckReport]:
+    """The Jacobi report of L and the module report of M, from one Jacobi
+    pass of L (+) M."""
+    return split_pair_report(jacobi_check(_direct_sum(module), max_arity), module)
+
+
 def module_check(module: LInfModule, max_arity: int) -> CheckReport:
-    """The Jacobi identity of L (+) M at the tuples (algebra..., module)."""
-    alg = _direct_sum(module)
-    found = _module_tuples(_jacobi_candidates(alg, max_arity), module)
-    visits = window(found, max_arity, 3, module.space, alg.space, True, _module_first)
-    return _report("module", max_arity, visits,
-                   lambda T: jacobi_residual(alg.brackets, alg.space, T))
+    """The Jacobi identity of L (+) M at the tuples (algebra..., module): the
+    module half of ``pair_check``."""
+    return pair_check(module, max_arity)[1]
 
 
 def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:
     """A module morphism g over L is checked as the L-infinity morphism
-    id_L (+) g of the algebras L (+) M, at the tuples (algebra..., module)."""
+    id_L (+) g of the algebras L (+) M: the module half of that report (at
+    the tuples with no module label its residual is 0)."""
     src, tgt = mor.source, mor.target
-    if mor.kind != "module":
-        residual = _ainf_morphism_residual if mor.kind == "ainf" else _linf_morphism_residual
-        visits = window(_morphism_candidates(mor, max_arity), max_arity, 2, tgt.space,
-                        src.space, mor.kind == "linf")
-        return _report(f"morphism-{mor.kind}", max_arity, visits, lambda T: residual(mor, T))
-    if src.algebra is not tgt.algebra:
-        raise StructureError("module morphism endpoints must share the algebra")
-    src_alg, _ = pair_to_algebra(LInfPair(src.algebra, src))
-    tgt_alg, _ = pair_to_algebra(LInfPair(tgt.algebra, tgt))
-    ident = InfMorphism("linf", src.algebra, src.algebra, {1: identity_map(src.algebra.space)})
-    lifted = morphism_pair_to_algebra(ident, mor, src_alg, tgt_alg)
-    found = _module_tuples(_morphism_candidates(lifted, max_arity), src)
-    visits = window(found, max_arity, 2, tgt.space, src_alg.space, True, _module_first)
-    return _report("morphism-module", max_arity, visits,
-                   lambda T: _linf_morphism_residual(lifted, T))
+    if mor.kind == "module":
+        if src.algebra is not tgt.algebra:
+            raise StructureError("module morphism endpoints must share the algebra")
+        ident = InfMorphism("linf", src.algebra, src.algebra, {1: identity_map(src.algebra.space)})
+        lifted = morphism_pair_to_algebra(ident, mor, _direct_sum(src), _direct_sum(tgt))
+        acting = split_pair_report(morphism_check(lifted, max_arity), src)[1]
+        return replace(acting, name="morphism-module")
+    residual = _ainf_morphism_residual if mor.kind == "ainf" else _linf_morphism_residual
+    visits = window(_morphism_candidates(mor, max_arity), max_arity, 2, tgt.space,
+                    src.space, mor.kind == "linf")
+    return _report(f"morphism-{mor.kind}", max_arity, visits, lambda T: residual(mor, T))
 
 
 # ---------------------------------------------------------------------------

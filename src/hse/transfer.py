@@ -645,7 +645,9 @@ def transfer_pair(pair: LInfPair, max_arity: int, use_weights: bool | None = Non
     The splitting is performed blockwise (the pair differential is block
     diagonal), the combined algebra is transferred with the partition
     recursion, and the module structure maps are read back off the
-    transferred algebra.  Module and Jacobi checks certify the output.
+    transferred algebra.  The one Jacobi pass of the transferred L (+) M
+    certifies the output; ``structures.split_pair_report`` splits it into
+    the Jacobi report of L and the module report of M.
     """
     combined, emb = pair_to_algebra(pair)
     diag_a = cohomology_splitting(pair.algebra.space, pair.algebra.brackets.get(1),
@@ -709,15 +711,6 @@ class VanishingBound:
     n0_empirical: int
     offenders: list[str]
     detail: str
-
-    def to_json(self) -> dict:
-        return {
-            "certified": self.certified,
-            "n0_theoretical": self.n0_theoretical,
-            "n0_empirical": self.n0_empirical,
-            "offenders": self.offenders,
-            "detail": self.detail,
-        }
 
 
 def vanishing_bound(pair: LInfPair) -> VanishingBound:

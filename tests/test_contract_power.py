@@ -25,6 +25,7 @@ from hse.deformation import (
     TPoly,
     _omega_power_bound,
     _witness_terms,
+    construct_gauge_witness,
     mc_residual,
     twist_brackets,
     twist_module,
@@ -38,6 +39,7 @@ from hse.fixtures import (
     random_cdga,
     solvable_dgla,
 )
+from hse.grading import BasisElement, GradedSpace
 from hse.io_json import parse_structure
 from hse.multimap import MultiMap, contract, contract_power, evaluate_on_vectors
 from hse.resonance import (
@@ -47,6 +49,7 @@ from hse.resonance import (
     universal_complex,
 )
 from hse.rings import CoefRing, RElem, parse_ring
+from hse.structures import LInfAlgebra
 from hse.scalars import factorial_inverse
 from hse.transfer import transfer_pair
 from linalg_reference import rref
@@ -169,6 +172,24 @@ def ref_twist_module_tables(pair, ring, omega):
         if not table.is_zero():
             out[n] = table
     return out
+
+
+def ref_witness_terms(alg, ring, witness):
+    """Both components of sum (1/n!) l_n(z, ..., z) in L (x) m[t,dt], the
+    dt-component summed slot by slot: a dt factor in slot i crosses the odd
+    degree-1 elements in slots i+1..n, contributing (-1)^(n-i)."""
+    tz, dz = witness.t_part, witness.dt_part
+    even, odd = {}, {}
+    for n in range(1, _omega_power_bound(ring, alg.max_arity()) + 1):
+        ln = alg.brackets.get(n)
+        if ln is None:
+            continue
+        _ref_add(even, evaluate_on_vectors(ln, [tz] * n), factorial_inverse(n), TPoly(ring))
+        for i in range(1, n + 1):
+            res = evaluate_on_vectors(ln, [tz] * (i - 1) + [dz] + [tz] * (n - i))
+            sign = -1 if (n - i) % 2 else 1
+            _ref_add(odd, res, factorial_inverse(n) * sign, TPoly(ring))
+    return even, odd
 
 
 def ref_twisted_columns(module, ring, omega):
@@ -308,26 +329,69 @@ def test_nonabelian_twisting_matches_sorted_tuple_scan(alg):
     _assert_tables_equal(tables, ref_twist_module_tables(pair, ring, omega))
 
 
-@pytest.mark.parametrize("alg", [solvable_dgla(), affine_plane_dgla(),
-                                 minimal_pair("h3-arity9").algebra],
-                         ids=["solvable", "affine-plane", "h3-arity9"])
-def test_witness_t_component_matches_label_scan(alg):
-    ring = parse_ring("Q[e]/(e^4)")
-    rng = random.Random(len(alg.space))
+def _random_witness(alg, ring, rng):
     parts = []
     for deg in (1, 0):
         labels = [e.label for e in alg.space.elements if e.deg == deg]
         coefs = [_random_omega(ring, labels, rng) for _ in range(3)]
         parts.append({lab: TPoly(ring, {k: c[lab] for k, c in enumerate(coefs) if lab in c})
                       for lab in labels})
-    witness = HomotopyWitness(ring, *parts)
-    want = {}
-    for n in range(1, _omega_power_bound(ring, alg.max_arity()) + 1):
-        ln = alg.brackets.get(n)
-        if ln is not None:
-            res = evaluate_on_vectors(ln, [witness.t_part] * n)
-            _ref_add(want, res, factorial_inverse(n), TPoly(ring))
-    assert _witness_terms(alg, ring, witness)[0] == want
+    return HomotopyWitness(ring, *parts)
+
+
+@pytest.mark.parametrize("alg", [solvable_dgla(), affine_plane_dgla(),
+                                 minimal_pair("h3-arity9").algebra],
+                         ids=["solvable", "affine-plane", "h3-arity9"])
+def test_witness_t_component_matches_label_scan(alg):
+    ring = parse_ring("Q[e]/(e^4)")
+    witness = _random_witness(alg, ring, random.Random(len(alg.space)))
+    assert _witness_terms(alg, ring, witness)[0] == ref_witness_terms(alg, ring, witness)[0]
+
+
+def _random_linf(rng):
+    """Random graded-antisymmetric brackets l1..l4 on degrees 0, 1, 2; the
+    witness sums are linear in the brackets, so no Jacobi identity is needed."""
+    space = GradedSpace([BasisElement(f"{name}{j}", deg)
+                         for name, deg, count in (("a", 0, 2), ("b", 1, 3), ("c", 2, 2))
+                         for j in range(rng.randint(1, count))])
+    brackets = {}
+    for n in range(1, 5):
+        ln = MultiMap(space, space, n, 2 - n, "antisym")
+        for _ in range(8):
+            key = tuple(sorted(rng.choices(space.labels(), k=n), key=space.order_index))
+            if any(a == b and space.deg(a) % 2 == 0 for a, b in zip(key, key[1:])):
+                continue
+            outs = [e.label for e in space.elements
+                    if e.deg == sum(map(space.deg, key)) + 2 - n]
+            if outs:
+                ln.add(key, rng.choice(outs), Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 2)))
+        brackets[n] = ln
+    return LInfAlgebra(space, brackets)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_witness_terms_match_the_slot_by_slot_sum(seed):
+    """The dt-component through ``contract_power`` (z'' moved to the last
+    slot) equals the slot-by-slot sum, on random brackets l1..l4."""
+    rng = random.Random(seed)
+    ring = parse_ring("Q[e]/(e^5)" if seed % 2 else "Q[x1,x2]/(m^4)")
+    alg = _random_linf(rng)
+    witness = _random_witness(alg, ring, rng)
+    even, odd = ref_witness_terms(alg, ring, witness)
+    assert _witness_terms(alg, ring, witness) == (even, odd)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("alg", [solvable_dgla(), affine_plane_dgla()],
+                         ids=["solvable", "affine-plane"])
+def test_gauge_flow_witness_terms_match_the_slot_by_slot_sum(alg, seed):
+    rng = random.Random(seed)
+    ring = parse_ring("Q[e]/(e^4)")
+    labels = lambda deg: [e.label for e in alg.space.elements if e.deg == deg]
+    omega = _random_omega(ring, labels(1), rng)
+    lam = _random_omega(ring, labels(0), rng)
+    witness, _ = construct_gauge_witness(alg, ring, omega, lam)
+    assert _witness_terms(alg, ring, witness) == ref_witness_terms(alg, ring, witness)
 
 
 def test_twist_module_verify_compares_d_w_with_the_pair_algebra(monkeypatch):

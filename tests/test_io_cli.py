@@ -4,11 +4,13 @@ import io
 import json
 import signal
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hse import structures
 from hse.cli import build_parser, main
 from hse.fixtures import Cdga, cdga_pair, heisenberg_cdga
 from hse.io_json import (
@@ -298,6 +300,57 @@ def test_cli_fixture_unsatisfiable_dims_exits_2(tmp_path, capsys, dims, generate
         assert err.startswith("error: bad fixture descriptor: unsatisfiable dims: ")
         assert f"generated {generated}" in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--name", "exterior(40)"], "exterior(40) has 2^40 basis elements, over the cap of 256"),
+    (["--name", "exterior(9)"], "exterior(9) has 2^9 basis elements, over the cap of 256"),
+    (["--name", "random", "--dims", "1,40,780"],
+     "dims (1, 40, 780) give 821 basis elements, over the cap of 256"),
+    (["--name", "random-pair", "--dims", "1,300"],
+     "dims (1, 300) give 301 basis elements, over the cap of 256"),
+])
+def test_cli_fixture_refuses_oversized_descriptors(tmp_path, capsys, argv, message):
+    """A descriptor whose basis passes the cap is refused before anything is
+    built (exterior(N) has 2^N elements; random dims must be C(k, d))."""
+    out = tmp_path / "out.json"
+    started = time.perf_counter()
+    assert main(["fixture", *argv, "--out", str(out)]) == 2
+    assert time.perf_counter() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad fixture descriptor: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["check"], ["transfer", "--max-arity", "5"]])
+def test_cli_certifies_a_pair_with_one_jacobi_pass(tmp_path, monkeypatch, command):
+    """check and transfer on a pair run one Jacobi pass of L (+) M, whose
+    report is split into the jacobi and module reports, and no module pass."""
+    passes = []
+    real = structures._report
+
+    def spy(name, max_arity, visits, residual):
+        passes.append(name)
+        return real(name, max_arity, visits, residual)
+
+    monkeypatch.setattr(structures, "_report", spy)
+    rep = run_cli(tmp_path, command[0], str(ROOT / "fixtures" / "heisenberg-pair.json"),
+                  *command[1:])
+    assert passes == ["jacobi"]
+    checks = rep["payload"]["checks"] if command == ["check"] else \
+        list(rep["payload"]["metadata"]["checks"].values())
+    assert [(c["check"], c["ok"]) for c in checks] == [("jacobi", True), ("module", True)]
+
+
+def test_cli_check_identities_pick_from_the_one_pair_pass(tmp_path):
+    pair = str(ROOT / "tests" / "golden" / "perturbed-heisenberg-module.json")
+    both = run_cli(tmp_path, "check", pair, expect=1)["payload"]["checks"]
+    for name, report in zip(("jacobi", "module"), both):
+        rep = run_cli(tmp_path, "check", pair, "--identities", name,
+                      expect=0 if report["ok"] else 1)
+        assert rep["payload"]["checks"] == [report]
+    assert main(["check", pair, "--identities", "stasheff"]) == 2
 
 
 @pytest.mark.parametrize("name, message", [

@@ -12,12 +12,10 @@ from hse.fixtures import (
 from hse.resonance import (
     ResonanceError,
     binary_resonance_ideal,
-    canonical_minimal_pair,
     dga_resonance_ideal,
     resonance_ideal,
     subtorus_hypothesis_check,
     tangent_cone_check,
-    tangent_cone_check_dga,
     universal_complex,
 )
 from hse.multimap import MultiMap, evaluate_on_vectors
@@ -197,11 +195,12 @@ def test_tangent_cone_certificate_heisenberg():
 
 
 def test_tangent_cone_certificate_formal_and_random():
-    rep = tangent_cone_check_dga(exterior_cdga(2).ainf(), 1, 1)
+    """A cdga is certified on its minimal pair, the route ``hse tangent-cone``
+    takes for a dga package."""
+    rep = tangent_cone_check(torus_pair(), 1, 1)
     assert rep.ok and rep.nonzero_linear > 0
     for seed in (0, 3):
-        alg = random_cdga(seed).ainf()
-        rep = tangent_cone_check_dga(alg, 1, 1, max_arity=5)
+        rep = tangent_cone_check(transfer_pair(cdga_pair(random_cdga(seed)), 5).pair, 1, 1)
         assert rep.ok, rep.failures[:2]
 
 
