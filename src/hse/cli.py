@@ -112,8 +112,11 @@ def _text_lines(obj, indent="") -> list[str]:
                 lines.append(f"{indent}{key}: {val}")
     elif isinstance(obj, list):
         for val in obj[:20]:
-            if isinstance(val, (dict, list)):
-                lines.extend(_text_lines(val, indent + "  "))
+            if isinstance(val, (dict, list)) and val:
+                sub = _text_lines(val, indent + "  ")
+                if isinstance(val, dict):  # "- " marks where each element starts
+                    sub[0] = f"{indent}- {sub[0][len(indent) + 2:]}"
+                lines.extend(sub)
             else:
                 lines.append(f"{indent}- {val}")
         if len(obj) > 20:

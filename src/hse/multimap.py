@@ -162,12 +162,8 @@ class MultiMap:
     def plus(self, other: "MultiMap") -> "MultiMap":
         if (self.arity, self.shift, self.symmetry) != (other.arity, other.shift, other.symmetry):
             raise ValueError("cannot add maps of different arity/shift/symmetry")
-        out = MultiMap(self.space_in, self.space_out, self.arity, self.shift, self.symmetry)
-        for src in (self, other):
-            for key, row in src.table.items():
-                for lab, c in row.items():
-                    out.add(key, lab, c)
-        return out
+        return add_tables(MultiMap(self.space_in, self.space_out, self.arity, self.shift,
+                                   self.symmetry), self, other)
 
     def equals(self, other: "MultiMap") -> bool:
         if self.arity != other.arity:
@@ -199,6 +195,17 @@ class MultiMap:
                 if self.space_out.weight(lab) != w_in:
                     bad.append(f"{key} -> {lab}")
         return bad
+
+
+def add_tables(out: MultiMap, *parts: MultiMap | None) -> MultiMap:
+    """Add every stored entry of each part, in order, into out (a None part
+    adds nothing) and return out."""
+    for part in parts:
+        if part is not None:
+            for key, row in part.table.items():
+                for lab, c in row.items():
+                    out.add(key, lab, c)
+    return out
 
 
 def identity_map(space: GradedSpace) -> MultiMap:

@@ -2,14 +2,16 @@
 identity checkers.
 
 There is one identity per kind of structure: Stasheff for A-infinity
-algebras and morphisms, Jacobi for L-infinity algebras and morphisms.  An
-L-infinity module M over L is the L-infinity algebra L (+) M in which M is an
-abelian ideal (Lada-Markl), so the module identities are the Jacobi
-identities of L (+) M at the tuples whose one module label is last, and a
-module morphism g is checked as the L-infinity morphism id_L (+) g.  A
-pair is certified by one Jacobi pass of L (+) M, which
-``split_pair_report`` splits into L's Jacobi report (the tuples with no
-module label) and M's module report (the rest).
+algebras and morphisms, Jacobi for L-infinity algebras and morphisms.  Both
+operads share one residual loop and one checker, which read where the inner
+map sits, which block orderings a morphism sums over and with which signs
+from the two-entry table ``OPERADS``.  An L-infinity module M over L is the
+L-infinity algebra L (+) M in which M is an abelian ideal (Lada-Markl), so
+the module identities are the Jacobi identities of L (+) M at the tuples
+whose one module label is last, and a module morphism g is checked as the
+L-infinity morphism id_L (+) g.  A pair is certified by one Jacobi pass of
+L (+) M, which ``split_pair_report`` splits into L's Jacobi report (the
+tuples with no module label) and M's module report (the rest).
 
 Structure maps are stored sparsely with finite arity support; an absent
 arity is the zero map.  Checkers evaluate the defining identities exactly
@@ -33,8 +35,12 @@ to zero, so that reading is rejected; both signs remain available in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from itertools import accumulate
+from typing import Callable, NamedTuple
 from .grading import GradedSpace, combine_spaces
-from .multimap import MultiMap, antisymmetrization, block_vectors, contract, identity_map
+from .multimap import (
+    MultiMap, add_tables, antisymmetrization, block_vectors, contract, identity_map)
 from .signs import (
     antisym_sign,
     block_permutations,
@@ -185,11 +191,69 @@ class InfMorphism:
 # ---------------------------------------------------------------------------
 # residuals
 #
-# Each identity has one left-hand-side helper, shared by the structure's own
-# checker (outer maps = the structure's maps) and by its morphism twin (outer
-# maps = the morphism components).  The left-hand sides look up one stored
-# row per term directly; the morphism right-hand sides are block partitions
-# evaluated with ``block_vectors`` and ``contract``.
+# Both operads' identities have one shape.  The left-hand side sums
+# outer_{n+1-q}(inner_q inserted into T) over the operad's insertions; a
+# morphism identity subtracts target_k(f_{i_1} x ... x f_{i_k}) over the
+# operad's block orderings.  The operads differ only in data, kept side by
+# side in ``OPERADS``:
+#
+#   A-oo: inner_q at slot p of T, with (-1)^(p+qr); blocks consecutive.
+#   L-oo: inner_q at the first q slots of T o sigma per (q, n-q)-unshuffle
+#         sigma, with chi(sigma) (-1)^(q(j-1)); blocks over every
+#         permutation keeping order inside blocks and increasing block
+#         minima, with chi(sigma).
+#
+# A permutation is stored as None when it is the identity, so such terms
+# skip the permute and the chi lookup.  Morphism blocks carry
+# -(-1)^epsilon(profile).  The left-hand sides look up one stored row per
+# term; the right-hand sides are evaluated with ``block_vectors`` and
+# ``contract``.
+
+def _perm(sigma: tuple[int, ...]):
+    return None if sigma == tuple(range(len(sigma))) else sigma
+
+
+@lru_cache(maxsize=None)
+def _ainf_insertions(n: int, q: int) -> tuple:
+    return tuple((None, p, -1 if (p + q * (n - q - p)) % 2 else 1) for p in range(n - q + 1))
+
+
+@lru_cache(maxsize=None)
+def _linf_insertions(n: int, q: int) -> tuple:
+    sign = -1 if (q * (n - q)) % 2 else 1
+    return tuple((_perm(sigma), 0, sign) for sigma in unshuffles(q, n))
+
+
+def _blocks(sigma: tuple[int, ...], profile: tuple[int, ...]) -> tuple:
+    starts = (0, *accumulate(profile))
+    return tuple(sigma[a:b] for a, b in zip(starts, starts[1:]))
+
+
+@lru_cache(maxsize=None)
+def _ainf_orderings(profile: tuple[int, ...], n: int) -> tuple:
+    sign = 1 if epsilon_exponent(profile) % 2 else -1
+    return ((None, _blocks(tuple(range(n)), profile), sign),)
+
+
+@lru_cache(maxsize=None)
+def _linf_orderings(profile: tuple[int, ...], n: int) -> tuple:
+    return tuple((_perm(sigma), _blocks(sigma, profile), 1 if eps % 2 else -1)
+                 for sigma, eps in block_permutations(profile, n, min_first=True))
+
+
+class Operad(NamedTuple):
+    """Where an identity of the operad reads its maps, and with which signs."""
+    maps: str  # the structure attribute holding the operations
+    antisym: bool  # graded antisymmetric slots: candidates sorted, no even repeats
+    insertions: Callable  # (n, q) -> (sigma, p, sign): inner_q at slot p of T o sigma
+    orderings: Callable  # (profile, n) -> (sigma, blocks, sign): a morphism's blocks
+
+
+OPERADS = {
+    "ainf": Operad("products", False, _ainf_insertions, _ainf_orderings),
+    "linf": Operad("brackets", True, _linf_insertions, _linf_orderings),
+}
+
 
 def _accumulate(acc: dict, vec: dict, factor) -> None:
     for lab, c in vec.items():
@@ -200,54 +264,29 @@ def _accumulate(acc: dict, vec: dict, factor) -> None:
             acc.pop(lab, None)
 
 
-def _ainf_lhs(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
-              T: tuple[str, ...], degs: tuple[int, ...]) -> dict:
-    """Sum over p+q+r=n of (-1)^(p+qr) outer_{p+r+1}(1^p x inner_q x 1^r) at T."""
+def _lhs(op: Operad, outer: dict[int, MultiMap], inner: dict[int, MultiMap],
+         T: tuple[str, ...], degs: tuple[int, ...]) -> dict:
+    """Sum over the insertions of inner_q into outer_{n+1-q} at T."""
     n = len(T)
     acc: dict = {}
     for q in range(1, n + 1):
         m_in = inner.get(q)
-        if m_in is None:
-            continue
-        for p in range(0, n - q + 1):
-            r = n - q - p
-            m_out = outer.get(p + r + 1)
-            if m_out is None:
-                continue
-            row, s0 = m_in.get_ref(T[p:p + q])
-            if row is None:
-                continue
-            sign = -s0 if (p + q * r) % 2 else s0
-            if q % 2 and sum(degs[:p]) % 2:
-                sign = -sign  # inner_q crossing the first p inputs
-            for mid, c in row.items():
-                out, s1 = m_out.get_ref(T[:p] + (mid,) + T[p + q:])
-                if out is not None:
-                    _accumulate(acc, out, sign * s1 * c)
-    return acc
-
-
-def _linf_lhs(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
-              T: tuple[str, ...], degs: tuple[int, ...]) -> dict:
-    """Sum over (i,j,sigma) of chi(sigma) (-1)^(i(j-1)) outer_j(inner_i x 1^(j-1)) at T."""
-    n = len(T)
-    acc: dict = {}
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        m_in = inner.get(i)
-        m_out = outer.get(j)
+        m_out = outer.get(n + 1 - q)
         if m_in is None or m_out is None:
             continue
-        for sigma in unshuffles(i, n):
-            Ts = tuple(T[k] for k in sigma)
-            row, s0 = m_in.get_ref(Ts[:i])
+        for sigma, p, sign in op.insertions(n, q):
+            Ts = T if sigma is None else tuple([T[k] for k in sigma])
+            row, s0 = m_in.get_ref(Ts[p:p + q])
             if row is None:
                 continue
-            sign = s0 * antisym_sign(sigma, degs)
-            if (i * (j - 1)) % 2:
-                sign = -sign
+            sign *= s0
+            if sigma is not None:
+                sign *= antisym_sign(sigma, degs)
+            if q % 2 and sum(degs[:p]) % 2:
+                sign = -sign  # inner_q crossing the first p inputs
+            head, tail = Ts[:p], Ts[p + q:]
             for mid, c in row.items():
-                out, s1 = m_out.get_ref((mid,) + Ts[i:])
+                out, s1 = m_out.get_ref(head + (mid,) + tail)
                 if out is not None:
                     _accumulate(acc, out, sign * s1 * c)
     return acc
@@ -256,68 +295,36 @@ def _linf_lhs(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
 def stasheff_residual(products: dict[int, MultiMap], space: GradedSpace,
                       T: tuple[str, ...]) -> dict:
     """Sum over p+q+r=n of (-1)^(p+qr) nu_{p+r+1}(1^p x nu_q x 1^r) at T."""
-    return _ainf_lhs(products, products, T, tuple([space.deg(l) for l in T]))
+    return _lhs(OPERADS["ainf"], products, products, T, tuple([space.deg(l) for l in T]))
 
 
 def jacobi_residual(brackets: dict[int, MultiMap], space: GradedSpace,
                     T: tuple[str, ...]) -> dict:
     """Sum over (i,j,sigma) of chi(sigma) (-1)^(i(j-1)) l_j(l_i x 1^(j-1)) at T."""
-    return _linf_lhs(brackets, brackets, T, tuple([space.deg(l) for l in T]))
+    return _lhs(OPERADS["linf"], brackets, brackets, T, tuple([space.deg(l) for l in T]))
 
 
-def _consecutive(profile: tuple[int, ...]) -> list[range]:
-    blocks, start = [], 0
-    for size in profile:
-        blocks.append(range(start, start + size))
-        start += size
-    return blocks
-
-
-def _ainf_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
-    """f(1^p x nu_q x 1^r) terms minus nu'_k(f_{i_1} x ... x f_{i_k}) at T."""
-    src: AInfAlgebra = mor.source
-    tgt: AInfAlgebra = mor.target
+def _morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
+    """f(inner inserted) terms minus target_k(f_{i_1} x ... x f_{i_k}) at T."""
+    op = OPERADS[mor.kind]
+    source, target = getattr(mor.source, op.maps), getattr(mor.target, op.maps)
     n = len(T)
-    degs = tuple([src.space.deg(l) for l in T])
-    acc = _ainf_lhs(mor.components, src.products, T, degs)
+    degs = tuple([mor.source.space.deg(l) for l in T])
+    acc = _lhs(op, mor.components, source, T, degs)
     for k in range(1, n + 1):
-        target_map = tgt.products.get(k)
+        target_map = target.get(k)
         if target_map is None:
             continue
         for profile in _compositions(n, k):
             comps = [mor.components.get(i) for i in profile]
             if any(c is None for c in comps):
                 continue
-            vectors, sign = block_vectors(comps, T, degs, _consecutive(profile))
-            if sign:
-                if epsilon_exponent(profile) % 2 == 0:
-                    sign = -sign
-                contract(target_map, vectors, acc, sign)
-    return acc
-
-
-def _linf_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
-    """f(l_i x 1) terms minus l'_j over block partitions with increasing minima."""
-    src: LInfAlgebra = mor.source
-    tgt: LInfAlgebra = mor.target
-    n = len(T)
-    degs = tuple([src.space.deg(l) for l in T])
-    acc = _linf_lhs(mor.components, src.brackets, T, degs)
-    for j in range(1, n + 1):
-        target_map = tgt.brackets.get(j)
-        if target_map is None:
-            continue
-        for profile in _compositions(n, j):
-            comps = [mor.components.get(kt) for kt in profile]
-            if any(c is None for c in comps):
-                continue
-            spans = _consecutive(profile)
-            for sigma, eps in block_permutations(profile, n, min_first=True):
-                blocks = [sigma[b.start:b.stop] for b in spans]
-                vectors, sign = block_vectors(comps, T, degs, blocks)
-                if sign:
-                    sign *= antisym_sign(sigma, degs)
-                    contract(target_map, vectors, acc, sign if eps % 2 else -sign)
+            for sigma, blocks, sign in op.orderings(profile, n):
+                vectors, s = block_vectors(comps, T, degs, blocks)
+                if s:
+                    if sigma is not None:
+                        s *= antisym_sign(sigma, degs)
+                    contract(target_map, vectors, acc, s * sign)
     return acc
 
 
@@ -354,16 +361,15 @@ def sorted_in(space: GradedSpace):
     return lambda T: tuple(sorted(T, key=index))
 
 
-def _splice(found: dict, outer: dict[int, MultiMap], inner: dict, last: dict,
+def _splice(found: dict, outer: dict[int, MultiMap], inner: dict,
             max_arity: int, canon) -> None:
     """Add canon(K[:p] + I + K[p+1:]) for each stored key K of an outer map,
-    slot p and key I producing K[p], taken from ``last`` for the final slot
-    and from ``inner`` for the others."""
+    slot p and key I of ``inner`` producing K[p]."""
     for m in outer.values():
         for K in m.table:
             end = len(K) - 1
             for p, mid in enumerate(K):
-                for I in (last if p == end else inner).get(mid, ()):
+                for I in inner.get(mid, ()):
                     n = end + len(I)
                     if n <= max_arity:
                         found.setdefault(n, set()).add(canon(K[:p] + I + K[p + 1:]))
@@ -428,26 +434,35 @@ def _report(name: str, max_arity: int, visits, residual) -> CheckReport:
     return CheckReport(name, not violations, max_arity, tuple(violations))
 
 
+def _check(name: str, op: Operad, outer: dict[int, MultiMap], source, target,
+           max_arity: int, residual) -> CheckReport:
+    """Evaluate residual at every candidate in the degree window.
+
+    The candidates are the keys of the outer maps with one slot replaced by
+    a key of the source's maps and, for a morphism identity (``target``
+    given), the keys of the target's maps with every slot replaced by an
+    outer key.  A structure identity has shift 3 - n, a morphism identity
+    2 - n.
+    """
+    space = source.space
+    canon = sorted_in(space) if op.antisym else tuple
+    found: dict = {}
+    _splice(found, outer, producers(getattr(source, op.maps)), max_arity, canon)
+    if target is not None:
+        concatenate(found, getattr(target, op.maps), producers(outer), max_arity, canon)
+    out_space = space if target is None else target.space
+    visits = window(found, max_arity, 3 if target is None else 2, out_space, space, op.antisym)
+    return _report(name, max_arity, visits, residual)
+
+
 def stasheff_check(alg: AInfAlgebra, max_arity: int) -> CheckReport:
-    found: dict = {}
-    products = producers(alg.products)
-    _splice(found, alg.products, products, products, max_arity, tuple)
-    visits = window(found, max_arity, 3, alg.space, alg.space, False)
-    return _report("stasheff", max_arity, visits,
-                   lambda T: stasheff_residual(alg.products, alg.space, T))
+    return _check("stasheff", OPERADS["ainf"], alg.products, alg, None, max_arity,
+                  lambda T: stasheff_residual(alg.products, alg.space, T))
 
 
-def _morphism_candidates(mor: InfMorphism, max_arity: int) -> dict:
-    src, tgt = mor.source, mor.target
-    if mor.kind == "ainf":
-        maps, target, canon = src.products, tgt.products, tuple
-    else:
-        maps, target, canon = src.brackets, tgt.brackets, sorted_in(src.space)
-    found: dict = {}
-    inner = producers(maps)
-    _splice(found, mor.components, inner, inner, max_arity, canon)
-    concatenate(found, target, producers(mor.components), max_arity, canon)
-    return found
+def jacobi_check(alg: LInfAlgebra, max_arity: int) -> CheckReport:
+    return _check("jacobi", OPERADS["linf"], alg.brackets, alg, None, max_arity,
+                  lambda T: jacobi_residual(alg.brackets, alg.space, T))
 
 
 def _module_first(T: tuple[str, ...]) -> tuple[str, ...]:
@@ -471,15 +486,6 @@ def split_pair_report(rep: CheckReport, module: LInfModule) -> tuple[CheckReport
                     key=lambda v: (v.arity, [index(l) for l in _module_first(v.inputs)]))
     return (replace(rep, ok=not algebra, violations=tuple(algebra)),
             CheckReport("module", not acting, rep.max_arity, tuple(acting)))
-
-
-def jacobi_check(alg: LInfAlgebra, max_arity: int) -> CheckReport:
-    found: dict = {}
-    brackets = producers(alg.brackets)
-    _splice(found, alg.brackets, brackets, brackets, max_arity, sorted_in(alg.space))
-    visits = window(found, max_arity, 3, alg.space, alg.space, True)
-    return _report("jacobi", max_arity, visits,
-                   lambda T: jacobi_residual(alg.brackets, alg.space, T))
 
 
 def pair_check(module: LInfModule, max_arity: int) -> tuple[CheckReport, CheckReport]:
@@ -506,10 +512,8 @@ def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:
         lifted = morphism_pair_to_algebra(ident, mor, _direct_sum(src), _direct_sum(tgt))
         acting = split_pair_report(morphism_check(lifted, max_arity), src)[1]
         return replace(acting, name="morphism-module")
-    residual = _ainf_morphism_residual if mor.kind == "ainf" else _linf_morphism_residual
-    visits = window(_morphism_candidates(mor, max_arity), max_arity, 2, tgt.space,
-                    src.space, mor.kind == "linf")
-    return _report(f"morphism-{mor.kind}", max_arity, visits, lambda T: residual(mor, T))
+    return _check(f"morphism-{mor.kind}", OPERADS[mor.kind], mor.components, src, tgt,
+                  max_arity, lambda T: _morphism_residual(mor, T))
 
 
 # ---------------------------------------------------------------------------
@@ -573,13 +577,8 @@ def _direct_sum(mod: LInfModule) -> LInfAlgebra:
         combined = mod.combined
         maps: dict[int, MultiMap] = {}
         for n in set(mod.algebra.brackets) | set(mod.actions):
-            j = MultiMap(combined, combined, n, 2 - n, "antisym")
-            for part in (mod.algebra.brackets.get(n), mod.actions.get(n)):
-                if part is not None:
-                    for key, row in part.entries():
-                        for lab, c in row.items():
-                            j.add(key, lab, c)
-            maps[n] = j
+            maps[n] = add_tables(MultiMap(combined, combined, n, 2 - n, "antisym"),
+                                 mod.algebra.brackets.get(n), mod.actions.get(n))
         mod.direct_sum = LInfAlgebra(combined, maps)
     return mod.direct_sum
 
@@ -636,13 +635,8 @@ def morphism_pair_to_algebra(
     """(f (+) g): components are f on all-algebra tuples, g with module last."""
     comps: dict[int, MultiMap] = {}
     for n in set(f.components) | set(g.components):
-        mm = MultiMap(src_alg.space, tgt_alg.space, n, 1 - n, "antisym")
-        for part in (f.components.get(n), g.components.get(n)):
-            if part is not None:
-                for key, row in part.entries():
-                    for lab, c in row.items():
-                        mm.add(key, lab, c)
-        comps[n] = mm
+        comps[n] = add_tables(MultiMap(src_alg.space, tgt_alg.space, n, 1 - n, "antisym"),
+                              f.components.get(n), g.components.get(n))
     return InfMorphism("linf", src_alg, tgt_alg, comps)
 
 

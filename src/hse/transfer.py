@@ -38,6 +38,7 @@ from . import linalg
 from .grading import BasisElement, GradedSpace, combine_spaces
 from .multimap import (
     MultiMap,
+    add_tables,
     block_vectors,
     contract,
     identity_map,
@@ -125,12 +126,7 @@ def cohomology_splitting(
     Any arity-1 map on space (an A-infinity nu_1, an L-infinity l_1, a
     module's m_1) or None for zero is copied once into a plain differential.
     """
-    d = MultiMap(space, space, 1, 1)
-    if differential is not None:
-        for key, row in differential.entries():
-            for lab, c in row.items():
-                d.add(key, lab, c)
-    differential = d
+    differential = add_tables(MultiMap(space, space, 1, 1), differential)
     weighted = space.weighted if use_weights is None else (use_weights and space.weighted)
     if use_weights and not space.weighted:
         raise TransferError("weights required but the space carries none")
@@ -572,11 +568,7 @@ def transfer_linf(
     g_producers, canon = producers({1: diagram.g}), sorted_in(small)
     brackets: dict[int, MultiMap] = {}
     if not diagram.d_small.is_zero():
-        l1 = MultiMap(small, small, 1, 1, "antisym")
-        for key, row in diagram.d_small.entries():
-            for lab, c in row.items():
-                l1.add(key, lab, c)
-        brackets[1] = l1
+        brackets[1] = add_tables(MultiMap(small, small, 1, 1, "antisym"), diagram.d_small)
     for n in range(2, max_arity + 1):
         p_n = cache.p[n]
         if p_n.is_zero():
@@ -621,12 +613,7 @@ def _direct_sum_diagrams(a: TransferDiagram, b: TransferDiagram) -> TransferDiag
     small = combine_spaces(a.small, b.small)
 
     def merge(x: MultiMap, y: MultiMap, s_in, s_out, shift) -> MultiMap:
-        out = MultiMap(s_in, s_out, 1, shift)
-        for src in (x, y):
-            for key, row in src.table.items():
-                for lab, c in row.items():
-                    out.add(key, lab, c)
-        return out
+        return add_tables(MultiMap(s_in, s_out, 1, shift), x, y)
 
     return TransferDiagram(
         big, small,

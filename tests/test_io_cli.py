@@ -353,6 +353,39 @@ def test_cli_check_identities_pick_from_the_one_pair_pass(tmp_path):
     assert main(["check", pair, "--identities", "stasheff"]) == 2
 
 
+def _text_report(tmp_path, *argv, expect):
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--format", "text", "--out", str(out)]) == expect
+    return out.read_text(encoding="utf-8").splitlines()
+
+
+def test_cli_text_format_marks_each_report_and_cuts_long_lists(tmp_path):
+    lines = _text_report(tmp_path, "check", str(ROOT / "fixtures" / "heisenberg-pair.json"),
+                         expect=0)
+    assert lines[0] == "check: pass"
+    # each report of the list starts with its own "- " line
+    assert [l for l in lines if l.lstrip().startswith("- ")] == [
+        "    - check: jacobi", "    - check: module"]
+    assert lines.count("      ok: True") == 2
+    lines = _text_report(tmp_path, "check", str(ROOT / "tests" / "golden" /
+                                                 "perturbed-heisenberg.json"), expect=1)
+    assert lines[0] == "check: fail"
+    # exterior(5) has 32 basis elements: the first 20 are printed, then the cut
+    lines = _text_report(tmp_path, "fixture", "--name", "exterior(5)", expect=0)
+    cut = lines.index("      ... (32 items)")
+    assert lines[cut - 61] == "    basis:"
+    assert sum(l.startswith("      - label: ") for l in lines[cut - 60:cut]) == 20
+
+
+def test_cli_timing_adds_only_the_timing_key(tmp_path):
+    argv = ["check", str(ROOT / "fixtures" / "heisenberg-pair.json")]
+    plain = run_cli(tmp_path, *argv)
+    timed = run_cli(tmp_path, *argv, "--timing")
+    assert set(timed) - set(plain) == {"timing_seconds"} and set(plain) < set(timed)
+    assert isinstance(timed["timing_seconds"], float) and timed["timing_seconds"] >= 0
+    assert (timed["status"], timed["payload"]) == (plain["status"], plain["payload"])
+
+
 @pytest.mark.parametrize("name, message", [
     ("bogus", "unknown fixture 'bogus'"),
     ("exteriorxyz", "unknown fixture 'exteriorxyz'"),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hse.fixtures import (
+    Cdga,
     adjoint_pair,
     affine_plane_dgla,
     cdga_pair,
@@ -683,7 +684,7 @@ def test_ainf_morphism_residual_matches_reference(monkeypatch):
             k = max(mor.components)
             comps = {**mor.components, k: _perturbed(mor.components[k], rng)}
             bad = InfMorphism("ainf", mor.source, mor.target, comps)
-            seen += _compare(monkeypatch, "_ainf_morphism_residual",
+            seen += _compare(monkeypatch, "_morphism_residual",
                              ref_ainf_morphism_residual, lambda: morphism_check(bad, 3))
     assert seen and any(seen) and not all(seen)
 
@@ -702,7 +703,7 @@ def test_linf_morphism_residual_matches_reference(monkeypatch):
         phi = antisymmetrize_morphism(res.phi, src_l, tgt_l)
         comps = {**phi.components, 1: _perturbed(phi.components[1], rng)}
         bad = InfMorphism("linf", src_l, tgt_l, comps)
-        seen += _compare(monkeypatch, "_linf_morphism_residual",
+        seen += _compare(monkeypatch, "_morphism_residual",
                          ref_linf_morphism_residual, lambda: morphism_check(bad, 3))
 
         combined = pair_to_algebra(cdga_pair(alg))[0]
@@ -712,7 +713,7 @@ def test_linf_morphism_residual_matches_reference(monkeypatch):
             2: _random_component(rng, space, space, 2, "antisym", _sorted_keys(rng, space, 2)),
         }
         bad = InfMorphism("linf", combined, combined, comps)
-        seen += _compare(monkeypatch, "_linf_morphism_residual",
+        seen += _compare(monkeypatch, "_morphism_residual",
                          ref_linf_morphism_residual, lambda: morphism_check(bad, 3))
     assert seen and any(seen) and not all(seen)
 
@@ -735,10 +736,36 @@ def test_module_morphism_residual_matches_reference(monkeypatch):
             2: _random_component(rng, mod.combined, mod.space, 2, "antisym_algebra", keys),
         }
         bad = InfMorphism("module", mod, mod, comps)
-        seen += _compare(monkeypatch, "_linf_morphism_residual",
+        seen += _compare(monkeypatch, "_morphism_residual",
                          lambda lifted, T: ref_module_morphism_residual(bad, T),
                          lambda: morphism_check(bad, 3))
     assert seen and any(seen) and not all(seen)
+
+
+def h3_times_h3() -> Cdga:
+    """H_3 x H_3 = Lambda(x1, y1, z1, x2, y2, z2), dz1 = x1y1, dz2 = x2y2,
+    weights 1, 1, 2: its minimal model has a nonzero 4-ary product."""
+    gens = [(f"{g}{i}", 1, w) for i in (1, 2) for g, w in (("x", 1), ("y", 1), ("z", 2))]
+    return Cdga(gens, 6, {"z1": [(1, (0, 1))], "z2": [(1, (3, 4))]})
+
+
+def test_residuals_match_reference_at_arity_five_on_h3_times_h3(monkeypatch):
+    # the A-infinity transfer of H_3 x H_3 fails Stasheff at arity 5 and its
+    # phi and psi fail from arity 3 (an open sign defect); however many
+    # violations there are, engine and reference agree at every tuple visited
+    # (once that defect is fixed, a perturbed coefficient must supply them)
+    alg = h3_times_h3()
+    res = transfer_ainf(cohomology_splitting(alg.space, alg.differential_map()), alg.ainf(), 5)
+    reports = []
+    seen = _compare(monkeypatch, "stasheff_residual", ref_stasheff_residual,
+                    lambda: reports.append(stasheff_check(res.algebra, 5)))
+    assert any(seen) and not all(seen)
+    assert any(v.arity == 5 for v in reports[-1].violations)
+    for mor in (res.phi, res.psi):
+        seen = _compare(monkeypatch, "_morphism_residual", ref_ainf_morphism_residual,
+                        lambda: reports.append(morphism_check(mor, 4)))
+        assert any(seen) and not all(seen)
+        assert any(v.arity == 4 for v in reports[-1].violations)
 
 
 # ---------------------------------------------------------------------------
@@ -851,10 +878,10 @@ def ref_morphism_check(mor: InfMorphism, max_arity: int):
     sums = lambda n: _window_sums(mor.target.space, 2 - n)
     if mor.kind == "ainf":
         tuples = lambda n: iter_tuples(mor.source.space, n, sums(n))
-        residual = structures._ainf_morphism_residual
+        residual = structures._morphism_residual
     elif mor.kind == "linf":
         tuples = lambda n: iter_sorted_tuples(mor.source.space, n, sums(n))
-        residual = structures._linf_morphism_residual
+        residual = structures._morphism_residual
     else:
         tuples = lambda n: _module_tuples(mor.source, n, sums(n))
         residual = ref_module_morphism_residual
