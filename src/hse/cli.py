@@ -504,7 +504,39 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     common(sub.add_parser("subtorus-check", help="weight vanishing hypothesis"))
+    # per command: option string -> (dest, takes a value), for _echo
+    parser.command_options = {
+        name: {s: (a.dest, a.nargs != 0) for a in p._actions for s in a.option_strings}
+        for name, p in sub.choices.items()
+    }
     return parser
+
+
+# Options that choose where and how a report is written, not what it holds
+_PRESENTATION = ("out", "format", "timing")
+
+
+def _echo(argv: list[str], options: dict[str, tuple[str, bool]]) -> list[str]:
+    """argv less every token argparse consumed for --out, --format and
+    --timing, however spelled: "--opt value", "--opt=value" or a unique
+    prefix of --opt.  config_hash digests this echo, so the hash names the
+    computation only."""
+    echo = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":  # the rest is positional
+            echo.append(token)
+            echo.extend(tokens)
+            break
+        name, eq, _ = token.partition("=")
+        if name.startswith("--"):
+            found = [name] if name in options else [s for s in options if s.startswith(name)]
+            if len(found) == 1 and options[found[0]][0] in _PRESENTATION:
+                if options[found[0]][1] and not eq:
+                    next(tokens, None)  # the option's value
+                continue
+        echo.append(token)
+    return echo
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -514,20 +546,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    # --out names the destination, not the computation: keep it out of the echo
-    echo = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token == "--out":
-            skip = True
-            continue
-        if token.startswith("--out="):
-            continue
-        echo.append(token)
-    args._echo = echo
+    args._echo = _echo(argv, parser.command_options[args.command])
     started = time.time()
     handler = COMMANDS[args.command]
     try:

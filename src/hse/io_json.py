@@ -16,6 +16,12 @@ with the module's algebra_ref implied.  Parsing validates degree shifts,
 weight compatibility, and (for antisymmetric maps) that keys are canonical,
 with element-level diagnostics.  Serialization is canonical: sorted keys,
 stable entry order, so parse -> serialize -> parse is byte-stable.
+
+Every report and package is written by ``dumps``, whose output is exactly
+``json.dumps(data, indent=2, sort_keys=True) + "\\n"``.  It encodes plain
+dicts with str keys, lists, tuples, str, int, finite float, bool and None
+itself, because ``indent`` makes ``json`` fall back to its pure-Python
+encoder; any other value goes to that stdlib call unchanged.
 """
 
 from __future__ import annotations
@@ -131,6 +137,13 @@ def _coef_str(c) -> str:
 def multimap_from_json(
     data: dict, space_in: GradedSpace, space_out: GradedSpace, where: str,
 ) -> MultiMap:
+    """A validated map, read in one pass over its entries.
+
+    Each entry's checks run in a fixed order, and the first failure is raised
+    with the entry (and output) it names.  Degrees and weights are looked up
+    in dicts built once per call, each distinct coefficient string is parsed
+    once, and each key is canonicalized once (``MultiMap.add`` finds it in
+    the map's cache)."""
     _as_dict(data, where)
     if "arity" not in data or "shift" not in data:
         raise ParseError(f"{where}: arity/shift missing")
@@ -142,6 +155,12 @@ def multimap_from_json(
     if symmetry not in SYMMETRIES:
         raise ParseError(f"{where}: unknown 'symmetry' {symmetry!r}")
     mm = MultiMap(space_in, space_out, arity, shift, symmetry)
+    deg_in = {e.label: e.deg for e in space_in.elements}
+    deg_out = {e.label: e.deg for e in space_out.elements}
+    weighted = space_in.weighted and space_out.weighted
+    weight_in = {e.label: e.weight for e in space_in.elements}
+    weight_out = {e.label: e.weight for e in space_out.elements}
+    coefs: dict[str, int | Fraction] = {}
     seen: set[tuple[str, ...]] = set()
     for entry in _as_list(data.get("entries", []), f"{where}: 'entries'"):
         _as_dict(entry, f"{where}: entry")
@@ -151,33 +170,33 @@ def multimap_from_json(
         if len(key) != arity:
             raise ParseError(f"{where}: entry {key} has arity {len(key)}, expected {arity}")
         for lab in key:
-            if lab not in space_in:
+            if lab not in deg_in:
                 raise ParseError(f"{where}: unknown input label {lab!r} in {key}")
-        ckey, sign = mm._canonical(key)
-        if symmetry != "none" and (ckey != key or sign != 1):
+        if mm._canonical(key) != (key, 1):
             raise ParseError(
                 f"{where}: entry {key} is not in canonical (sorted) order for a "
                 f"{symmetry} map; store the sorted representative only")
-        if ckey in seen:
+        if key in seen:
             raise ParseError(f"{where}: duplicate entry at {key}")
-        seen.add(ckey)
-        in_deg = sum(space_in.deg(l) for l in key)
-        in_weight = (
-            sum(space_in.weight(l) for l in key)
-            if space_in.weighted else None
-        )
+        seen.add(key)
+        in_deg = sum(deg_in[l] for l in key)
+        in_weight = sum(weight_in[l] for l in key) if weighted else None
         for out in _as_list(entry.get("out", []), f"{where}: 'out' at {key}"):
             _as_dict(out, f"{where}: output at {key}")
             lab = out.get("label")
-            if not isinstance(lab, str) or lab not in space_out:
+            if not isinstance(lab, str) or lab not in deg_out:
                 raise ParseError(f"{where}: unknown output label {lab!r} at {key}")
-            coef = _parse_coef(out.get("coef", "0"), f"{where}: 'coef' at {key} -> {lab}")
-            if space_out.deg(lab) != in_deg + shift:
+            raw = out.get("coef", "0")
+            coef = coefs.get(raw) if type(raw) is str else None
+            if coef is None:
+                coef = _parse_coef(raw, f"{where}: 'coef' at {key} -> {lab}")
+                if type(raw) is str:
+                    coefs[raw] = coef
+            if deg_out[lab] != in_deg + shift:
                 raise ParseError(
                     f"{where}: entry {key} -> {lab} violates the degree shift "
-                    f"({in_deg} + {shift} != {space_out.deg(lab)})")
-            if in_weight is not None and space_out.weighted and \
-                    space_out.weight(lab) != in_weight:
+                    f"({in_deg} + {shift} != {deg_out[lab]})")
+            if weighted and weight_out[lab] != in_weight:
                 raise ParseError(
                     f"{where}: entry {key} -> {lab} violates weight additivity")
             mm.add(key, lab, coef)
@@ -356,5 +375,82 @@ def witness_from_json(data: dict):
     return ring, HomotopyWitness(ring, part(data.get("t_part")), part(data.get("dt_part")))
 
 
+# -- reports -------------------------------------------------------------------
+
+class _Unsupported(Exception):
+    """A value the report writer leaves to the json module."""
+
+
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
 def dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(data, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    ``_encode`` writes the plain values (strings escaped by ``json``'s own
+    ``encode_basestring_ascii``, numbers by ``int.__repr__`` and
+    ``float.__repr__``).  Any other value, a cycle or a too deep nesting
+    sends the whole call to ``json.dumps``, so its result and its errors are
+    the stdlib's.
+    """
+    try:
+        return _encode(data, "\n") + "\n"
+    except (_Unsupported, RecursionError):
+        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """The indented encoding of a container, or of a scalar via ``_scalar``;
+    newline carries the indent of the line value starts on."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        for k in value:
+            if type(k) is not str:
+                raise _Unsupported
+        inner = newline + "  "
+        items = []
+        for k in sorted(value):
+            v = value[k]
+            kv = type(v)
+            if kv is str:
+                items.append(_quote(k) + ": " + _quote(v))
+            elif kv is dict or kv is list or kv is tuple:
+                items.append(_quote(k) + ": " + _encode(v, inner))
+            else:
+                items.append(_quote(k) + ": " + _scalar(v))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = []
+        for v in value:
+            kv = type(v)
+            if kv is str:
+                items.append(_quote(v))
+            elif kv is dict or kv is list or kv is tuple:
+                items.append(_encode(v, inner))
+            else:
+                items.append(_scalar(v))
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _scalar(value)
+
+
+def _scalar(value) -> str:
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is float and -_INF < value < _INF:
+        return float.__repr__(value)
+    raise _Unsupported

@@ -103,21 +103,37 @@ class MultiMap:
                 del self.table[ckey]
 
     def _canonical(self, key: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
+        """(stored key, sign) with map(key) = sign * map(stored key).
+
+        A key whose antisymmetric part is already in strictly increasing
+        basis order is its own stored key with sign +1: the sort is the
+        identity and no label repeats.  Most keys arrive so (the kernel's
+        candidates, package entries), and only the others are sorted.
+        """
         if self.symmetry == "none":
             return key, 1
         cached = self._canon_cache.get(key)
         if cached is not None:
             return cached
         space = self.space_in
-        if self.symmetry == "antisym":
-            part = key
-            tail: tuple[str, ...] = ()
-        else:
-            part = key[:-1]
-            tail = key[-1:]
+        part = key if self.symmetry == "antisym" else key[:-1]
+        order = space.order_index
+        prev = -1
+        try:
+            for lab in part:
+                i = order(lab)
+                if i <= prev:
+                    break
+                prev = i
+            else:
+                result = (key, 1)
+                self._canon_cache[key] = result
+                return result
+        except KeyError:
+            pass  # an unknown label: the sort below names it
         degs = tuple(space.deg(l) for l in part)
-        sorted_part, sign = sort_with_sign(part, degs, space.order_index)
-        result = (sorted_part + tail, sign)
+        sorted_part, sign = sort_with_sign(part, degs, order)
+        result = (sorted_part + key[len(part):], sign)
         self._canon_cache[key] = result
         return result
 

@@ -376,9 +376,10 @@ def _splice(found: dict, outer: dict[int, MultiMap], inner: dict,
 
 
 def concatenate(found: dict, target: dict[int, MultiMap], producers: dict,
-                max_arity: int, canon) -> None:
+                max_arity: int, canon, exact: bool = False) -> None:
     """Add canon(J_1 + ... + J_k) for each stored key K of a target map and
-    keys J_t producing K[t]."""
+    keys J_t producing K[t]; with ``exact`` only the unions of max_arity
+    labels, the others are dropped before ``canon`` sorts them."""
     for m in target.values():
         for K in m.table:
             slots = [producers.get(mid) for mid in K]
@@ -388,7 +389,8 @@ def concatenate(found: dict, target: dict[int, MultiMap], producers: dict,
 
             def rec(t: int, chunks: tuple[str, ...], room: int) -> None:
                 if t == k:
-                    found.setdefault(max_arity - room, set()).add(canon(chunks))
+                    if not (exact and room):
+                        found.setdefault(max_arity - room, set()).add(canon(chunks))
                     return
                 for J in slots[t]:
                     if len(J) <= room - (k - 1 - t):

@@ -500,9 +500,8 @@ class LInfKernelCache:
         big = self.diagram.big
         outer = {k: m for k, m in self.brackets.items() if 2 <= k <= n}
         found: dict = {}
-        concatenate(found, outer, self._producers, n, sorted_in(big))
-        # found also holds the shorter unions; p_n reads arity n only
-        return [T for _, T in window({n: found.get(n, ())}, n, 2, big, big, True)]
+        concatenate(found, outer, self._producers, n, sorted_in(big), exact=True)
+        return [T for _, T in window(found, n, 2, big, big, True)]
 
     def _evaluate(self, T: tuple[str, ...], degs: tuple[int, ...]) -> dict[str, Fraction]:
         """p_n(T) as the sum over set partitions of T into >= 2 blocks.

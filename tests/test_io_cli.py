@@ -5,6 +5,7 @@ import json
 import signal
 import tempfile
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -613,3 +614,299 @@ def test_check_never_raises_on_mutated_fixtures(data):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(["check", str(path)])
     assert code in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# every ParseError of multimap_from_json, with its full message
+
+def _map_space():
+    from hse.grading import BasisElement, GradedSpace
+
+    return GradedSpace([
+        BasisElement("e", 0, 0), BasisElement("x", 1, 1), BasisElement("y", 1, 1),
+        BasisElement("z", 2, 2), BasisElement("u", 2, 1),
+    ])
+
+
+def _map_data(symmetry="antisym"):
+    return {"arity": 2, "shift": 0, "symmetry": symmetry,
+            "entries": [{"in": ["x", "y"], "out": [{"label": "z", "coef": "1"}]}]}
+
+
+def _set(path, value):
+    """A mutation of _map_data: set (or, for value None, delete) one field."""
+    def apply(data):
+        *head, last = path
+        target = data
+        for step in head:
+            target = target[step]
+        if value is None:
+            del target[last]
+        else:
+            target[last] = value
+    return apply
+
+
+def _append_entry(entry):
+    return lambda data: data["entries"].append(entry)
+
+
+XY = "('x', 'y')"
+
+
+@pytest.mark.parametrize("mutate, symmetry, message", [
+    (_set(["arity"], None), "antisym", "map 2: arity/shift missing"),
+    (_set(["shift"], None), "antisym", "map 2: arity/shift missing"),
+    (_set(["arity"], "two"), "antisym", "map 2: 'arity' must be an integer, got 'two'"),
+    (_set(["arity"], True), "antisym", "map 2: 'arity' must be an integer, got True"),
+    (_set(["arity"], 0), "antisym", "map 2: 'arity' must be >= 1, got 0"),
+    (_set(["shift"], 1.5), "antisym", "map 2: 'shift' must be an integer, got 1.5"),
+    (_set(["symmetry"], "sym"), "antisym", "map 2: unknown 'symmetry' 'sym'"),
+    (_set(["entries"], {}), "antisym", "map 2: 'entries' must be a list, got {}"),
+    (_set(["entries", 0], 3), "antisym", "map 2: entry must be an object, got 3"),
+    (_set(["entries", 0, "in"], "xy"), "antisym",
+     "map 2: entry 'in' must be a list, got 'xy'"),
+    (_set(["entries", 0, "in"], ["x", 1]), "antisym",
+     "map 2: entry 'in' must list labels, got ['x', 1]"),
+    (_set(["entries", 0, "in"], ["x"]), "antisym",
+     "map 2: entry ('x',) has arity 1, expected 2"),
+    (_set(["entries", 0, "in"], ["x", "q"]), "antisym",
+     "map 2: unknown input label 'q' in ('x', 'q')"),
+    (_set(["entries", 0, "in"], ["y", "x"]), "antisym",
+     "map 2: entry ('y', 'x') is not in canonical (sorted) order for a antisym "
+     "map; store the sorted representative only"),
+    # a repeated even label: the antisymmetric map vanishes there
+    (_set(["entries", 0, "in"], ["e", "e"]), "antisym",
+     "map 2: entry ('e', 'e') is not in canonical (sorted) order for a antisym "
+     "map; store the sorted representative only"),
+    # a module map sorts all slots but the last
+    (lambda data: data.update(arity=3, entries=[{"in": ["y", "x", "e"]}]), "antisym_algebra",
+     "map 2: entry ('y', 'x', 'e') is not in canonical (sorted) order for a "
+     "antisym_algebra map; store the sorted representative only"),
+    (_append_entry({"in": ["x", "y"], "out": []}), "antisym",
+     f"map 2: duplicate entry at {XY}"),
+    # without symmetry any order is stored as given, and only equal keys clash
+    (lambda data: data["entries"].extend([{"in": ["y", "x"]}, {"in": ["y", "x"]}]), "none",
+     "map 2: duplicate entry at ('y', 'x')"),
+    (_set(["entries", 0, "out"], "z"), "antisym",
+     f"map 2: 'out' at {XY} must be a list, got 'z'"),
+    (_set(["entries", 0, "out", 0], "z"), "antisym",
+     f"map 2: output at {XY} must be an object, got 'z'"),
+    (_set(["entries", 0, "out", 0, "label"], "q"), "antisym",
+     f"map 2: unknown output label 'q' at {XY}"),
+    (_set(["entries", 0, "out", 0, "label"], 5), "antisym",
+     f"map 2: unknown output label 5 at {XY}"),
+    (_set(["entries", 0, "out", 0, "label"], None), "antisym",
+     f"map 2: unknown output label None at {XY}"),
+    (_set(["entries", 0, "out", 0, "coef"], True), "antisym",
+     f"map 2: 'coef' at {XY} -> z must be a rational string, got True"),
+    (_set(["entries", 0, "out", 0, "coef"], 0.5), "antisym",
+     f"map 2: 'coef' at {XY} -> z must be a rational string, got 0.5"),
+    (_set(["entries", 0, "out", 0, "coef"], "1/0"), "antisym",
+     f"map 2: 'coef' at {XY} -> z: not a rational scalar: '1/0'"),
+    (_set(["entries", 0, "out", 0, "coef"], "two"), "antisym",
+     f"map 2: 'coef' at {XY} -> z: not a rational scalar: 'two'"),
+    (_set(["entries", 0, "out", 0, "label"], "x"), "antisym",
+     f"map 2: entry {XY} -> x violates the degree shift (2 + 0 != 1)"),
+    (_set(["shift"], -1), "antisym",
+     f"map 2: entry {XY} -> z violates the degree shift (2 + -1 != 2)"),
+    (_set(["entries", 0, "out", 0, "label"], "u"), "antisym",
+     f"map 2: entry {XY} -> u violates weight additivity"),
+])
+def test_multimap_from_json_error_messages(mutate, symmetry, message):
+    from hse.io_json import multimap_from_json
+
+    data = _map_data(symmetry)
+    mutate(data)
+    space = _map_space()
+    with pytest.raises(ParseError) as exc:
+        multimap_from_json(data, space, space, "map 2")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("outs, message", [
+    # the coefficient is parsed before the degree and weight checks
+    ([{"label": "x", "coef": "oops"}],
+     f"map 2: 'coef' at {XY} -> x: not a rational scalar: 'oops'"),
+    # the degree shift is checked before weight additivity
+    ([{"label": "e", "coef": "1"}],
+     f"map 2: entry {XY} -> e violates the degree shift (2 + 0 != 0)"),
+    # outputs are checked in order, so the first bad one is named
+    ([{"label": "z", "coef": "1"}, {"label": "u", "coef": "1"},
+      {"label": "q", "coef": "1"}],
+     f"map 2: entry {XY} -> u violates weight additivity"),
+    # a repeated good coefficient string is read again for the next output
+    ([{"label": "z", "coef": "1/2"}, {"label": "z", "coef": "1/2"},
+      {"label": "z", "coef": True}],
+     f"map 2: 'coef' at {XY} -> z must be a rational string, got True"),
+])
+def test_multimap_from_json_checks_outputs_in_order(outs, message):
+    from hse.io_json import multimap_from_json
+
+    data = _map_data()
+    data["entries"][0]["out"] = outs
+    space = _map_space()
+    with pytest.raises(ParseError) as exc:
+        multimap_from_json(data, space, space, "map 2")
+    assert str(exc.value) == message
+
+
+def test_multimap_from_json_accumulates_repeated_outputs():
+    """Repeated (key, label) outputs add up through MultiMap.add, and a sum of
+    zero stores nothing; integer and string coefficients parse alike."""
+    from hse.io_json import multimap_from_json
+
+    space = _map_space()
+    data = _map_data()
+    data["entries"][0]["out"] = [
+        {"label": "z", "coef": "1/2"}, {"label": "z", "coef": 1}, {"label": "z", "coef": "1/2"}]
+    data["entries"].append({"in": ["e", "x"], "out": [
+        {"label": "x", "coef": "3"}, {"label": "x", "coef": -3}]})
+    mm = multimap_from_json(data, space, space, "map 2")
+    assert mm.table == {("x", "y"): {"z": 2}}
+    assert type(mm.table[("x", "y")]["z"]) is int
+
+
+# ---------------------------------------------------------------------------
+# the report writer against json.dumps(..., indent=2, sort_keys=True)
+
+def _stdlib_dumps(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def _outcome(fn, data):
+    """The text fn writes, or the type and message of what it raises."""
+    try:
+        return fn(data)
+    except Exception as exc:  # noqa: BLE001  (the stdlib's own errors are compared)
+        return type(exc), str(exc)
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-10**40, 10**40),
+    st.floats(allow_nan=True, allow_infinity=True),
+    # non-ASCII, control characters, surrogates, quotes and backslashes
+    st.text(), st.text(alphabet=st.characters(max_codepoint=0x7f)),
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", " ", "\ud800", "\U0001f600"]),
+)
+_json_keys = st.one_of(st.text(max_size=6), st.integers(-3, 3), st.floats(), st.booleans(),
+                       st.none())
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(st.text(max_size=6), inner, max_size=4),
+        # non-str keys, some in one dict with keys of another type
+        st.dictionaries(_json_keys, inner, max_size=3),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_json_values)
+def test_dumps_matches_the_stdlib_on_any_value(data):
+    assert _outcome(dumps, data) == _outcome(_stdlib_dumps, data)
+
+
+@pytest.mark.parametrize("data", [
+    {}, [], (), {"a": {}}, {"a": [[], {}, ()]}, [[[]]],
+    {"a": float("nan")}, [float("inf"), float("-inf")], -0.0, 1e300, 5e-324,
+    10**100, -(2**70), {"b": 1, "a": True, "c": None, "d": False},
+    {1: "x", 2: "y"}, {True: 1, None: 2}, {"x": 1, 2: 3}, {1.5: 0, 0.5: 1},
+    {"é": "\x07", "\U0001f600": "\ud83d"}, ("a", ("b",)),
+    object(), {"a": {1, 2}}, [Fraction(1, 2)], {"a": "x" * 3}, b"bytes",
+    [10**5000],  # past the int string limit: both raise the same ValueError
+])
+def test_dumps_matches_the_stdlib_on_edge_values(data):
+    assert _outcome(dumps, data) == _outcome(_stdlib_dumps, data)
+
+
+def test_dumps_leaves_subclasses_and_cycles_to_the_stdlib():
+    import collections
+    import enum
+
+    class Color(enum.IntEnum):
+        RED = 1
+
+    class Tag(str):
+        pass
+
+    for data in [collections.OrderedDict(b=1, a=2), [Color.RED], {"k": Tag("v")},
+                 {Tag("k"): 1}, [True, 1, 1.0]]:
+        assert _outcome(dumps, data) == _outcome(_stdlib_dumps, data)
+    loop: list = []
+    loop.append(loop)
+    assert _outcome(dumps, loop) == (ValueError, "Circular reference detected")
+
+
+def test_dumps_matches_the_stdlib_on_every_golden_report():
+    golden = sorted((ROOT / "tests" / "golden").glob("*.out"))
+    assert len(golden) >= 70
+    for path in golden:
+        text = path.read_text(encoding="utf-8")
+        data = json.loads(text)
+        assert dumps(data) == _stdlib_dumps(data) == text, path.name
+
+
+def test_dumps_matches_the_stdlib_on_a_bench_round(tmp_path, monkeypatch):
+    """Every report one transfer-deep and one transfer-wide round write."""
+    import importlib.util
+    import sys
+
+    from hse import cli
+
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    written = []
+
+    def checked(data):
+        text = dumps(data)
+        assert text == _stdlib_dumps(data)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "dumps", checked)
+    for name in ("transfer-deep", "transfer-wide"):
+        workload = workloads.build(name, 1, tmp_path / name)
+        for job in workload.jobs:
+            code, status, _ = job.run()
+            assert (code, status) == (0, "pass"), job.name
+    assert len(written) == 12 and max(len(t) for t in written) > 20_000
+
+
+# ---------------------------------------------------------------------------
+# config_hash names the computation, not where or how the report is written
+
+def test_config_hash_ignores_out_format_and_timing(tmp_path, monkeypatch):
+    from hse import cli
+
+    hashes = []
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(cli, "_emit", lambda args, report: hashes.append(report["config_hash"]))
+    out = str(tmp_path / "r.json")
+    spellings = [
+        [], ["--timing"], ["--tim"], ["--format", "text"], ["--format=json"],
+        ["--fo", "text"], ["--format", "text", "--format", "json"], ["--out", out],
+        ["--ou=" + out], ["--o", out, "--ti", "--form=text"],
+    ]
+    for extra in spellings:
+        assert main(["check", "fixtures/heisenberg.json", *extra]) == 0, extra
+        assert main(["check", *extra, "fixtures/heisenberg.json"]) == 0, extra
+    assert len(hashes) == 2 * len(spellings) and len(set(hashes)) == 1
+    # an option of the computation still changes it
+    assert main(["check", "fixtures/heisenberg.json", "--max-arity", "4", "--timing"]) == 0
+    assert main(["check", "fixtures/heisenberg.json", "--trunc", "3"]) == 0
+    assert len(set(hashes)) == 3
+
+
+def test_config_hash_of_check_heisenberg_is_the_golden_one(tmp_path, monkeypatch):
+    golden = json.loads((ROOT / "tests" / "golden" / "check-heisenberg.out").read_text())
+    monkeypatch.chdir(ROOT)
+    rep = run_cli(tmp_path, "check", "fixtures/heisenberg.json", "--timing", "--format", "json")
+    assert rep["config_hash"] == golden["config_hash"]

@@ -110,3 +110,59 @@ def test_antisym_lookup_respects_random_permutations(data):
     sign = antisym_sign(sigma, degs)
     expected = {"w": Fraction(3) * sign}
     assert mm.get(permuted) == expected
+
+
+# ---------------------------------------------------------------------------
+# MultiMap._canonical: the sorted-key path against sort_with_sign
+
+# odd and even labels interleaved in basis order; the module label comes last
+CANON_SPACE = GradedSpace([
+    BasisElement("o0", 1), BasisElement("e0", 0), BasisElement("o1", 3),
+    BasisElement("e1", 2), BasisElement("o2", 1), BasisElement("m", 2),
+])
+CANON_LABELS = [e.label for e in CANON_SPACE.elements]
+
+
+def _reference_canonical(key, symmetry):
+    from hse.signs import sort_with_sign
+
+    part = key if symmetry == "antisym" else key[:-1]
+    degs = tuple(CANON_SPACE.deg(l) for l in part)
+    sorted_part, sign = sort_with_sign(part, degs, CANON_SPACE.order_index)
+    return sorted_part + key[len(part):], sign
+
+
+def _assert_canonical_matches(key, symmetry):
+    mm = MultiMap(CANON_SPACE, CANON_SPACE, len(key), 0, symmetry)
+    expected = _reference_canonical(key, symmetry)
+    assert mm._canonical(key) == expected
+    assert mm._canonical(key) == expected  # the cached answer too
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from(["antisym", "antisym_algebra"]),
+       st.lists(st.sampled_from(CANON_LABELS), min_size=1, max_size=6),
+       st.booleans())
+def test_canonical_matches_sort_with_sign(symmetry, labels, presort):
+    """Random keys, sorted or not, with repeated odd and even labels."""
+    if presort:
+        labels = sorted(labels, key=CANON_SPACE.order_index)
+    if symmetry == "antisym_algebra" and len(labels) < 2:
+        labels = labels + ["m"]
+    _assert_canonical_matches(tuple(labels), symmetry)
+
+
+def test_canonical_sorted_keys_with_repeats():
+    """Keys already in basis order: a repeated even label gives sign 0, a
+    repeated odd label sign +1, and only distinct labels take the fast path."""
+    for key in [("e0", "e0"), ("o0", "e0", "e0"), ("o0", "o0"), ("o0", "o0", "e1"),
+                ("o0", "e0", "o1", "e1", "o2", "m"), ("e1",), ("e0", "e1", "e1", "m")]:
+        _assert_canonical_matches(key, "antisym")
+        _assert_canonical_matches(key + ("m",), "antisym_algebra")
+    mm = MultiMap(CANON_SPACE, CANON_SPACE, 2, 0, "antisym")
+    assert mm._canonical(("e0", "e0")) == (("e0", "e0"), 0)
+    assert mm._canonical(("o0", "o0")) == (("o0", "o0"), 1)
+    mod = MultiMap(CANON_SPACE, CANON_SPACE, 3, 0, "antisym_algebra")
+    assert mod._canonical(("e1", "e1", "m")) == (("e1", "e1", "m"), 0)
+    # the module slot is never sorted in
+    assert mod._canonical(("o1", "o0", "e0")) == (("o0", "o1", "e0"), 1)
