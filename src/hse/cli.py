@@ -210,8 +210,9 @@ def cmd_check(args) -> tuple[str, dict, int]:
     else:  # a module or a pair: both reports come from one Jacobi pass of L (+) M
         module = obj if isinstance(obj, LInfModule) else obj.module
         names, run = {"jacobi", "module"}, lambda n: pair_check(module, n)
-    if wanted is not None and names.isdisjoint(wanted):
-        raise UsageError(f"no identity named {args.identities!r} applies to this package")
+    unknown = [name for name in wanted or () if name not in names]
+    if unknown:
+        raise UsageError(f"no identity named {','.join(unknown)!r} applies to this package")
     reports = [rep.to_json() for rep in run(args.max_arity) if wanted is None or rep.name in wanted]
     ok = all(r["ok"] for r in reports)
     return ("pass" if ok else "fail"), {"checks": reports}, 0 if ok else 1

@@ -390,7 +390,7 @@ def homotopy_witness_check(
             return False, f"dt-part label {lab!r} not in degree 0"
     for part in (witness.t_part, witness.dt_part):
         for lab, poly in part.items():
-            for k, v in poly.c.items():
+            for v in poly.c.values():
                 if v.constant_term():
                     return False, f"witness coefficient at {lab!r} leaves the maximal ideal"
 
@@ -428,8 +428,7 @@ def construct_gauge_witness(
             raise DeformationError("gauge direction must sit in degree 0")
         if v.constant_term():
             raise DeformationError("gauge direction must lie in the maximal ideal")
-    ok, res = mc_check(alg, ring, omega)
-    if not ok:
+    if not mc_check(alg, ring, omega)[0]:
         raise DeformationError("gauge flow needs a Maurer-Cartan start point")
 
     t_part: dict[str, TPoly] = {

@@ -4,11 +4,10 @@ A MultiMap of arity n and shift s sends degree-(d_1, ..., d_n) inputs to
 degree d_1 + ... + d_n + s.  The coefficient table maps input label tuples
 to sparse output vectors; zero entries are never stored.  Rational
 coefficients are stored in the one form of ``scalars.canonical``: an int
-when integral, else a Fraction with denominator > 1.  ``add`` and
-``scaled``, the only writers of a table, enforce it.  Any commutative-ring
-element type with +, *, unary - and truthiness works too and is stored as
-it comes (the deformation modules feed ring elements through the same
-code).
+when integral, else a Fraction with denominator > 1.  ``add``, the only
+writer of a table, enforces it.  Any commutative-ring element type with
++, *, unary - and truthiness works too and is stored as it comes (the
+deformation modules feed ring elements through the same code).
 
 Symmetry handling:
 
@@ -33,6 +32,9 @@ applies the Koszul crossing rule: a map of odd shift passing inputs of odd
 total degree in the earlier blocks contributes -1.  ``tensor_compose``
 stays table-driven: it composes whole tables by walking the outer map's
 stored keys, where an input-driven contraction would scan input tuples.
+Like ``contract``, the compositions ``tensor_compose`` and ``postcompose``
+add scale * the composite into an output map, so a signed sum of
+composites (a transfer kernel, a homotopy residual) fills one map in place.
 
 Symmetric powers.  Twisting by a degree-1 element w needs
 sum_i (1/i!) m(w^i, T); ``contract_power`` reads it off the stored keys of
@@ -168,19 +170,6 @@ class MultiMap:
 
     # -- algebra -----------------------------------------------------------
 
-    def scaled(self, factor) -> "MultiMap":
-        out = MultiMap(self.space_in, self.space_out, self.arity, self.shift, self.symmetry)
-        if factor:
-            for key, row in self.table.items():
-                out.table[key] = {lab: canonical(factor * c) for lab, c in row.items()}
-        return out
-
-    def plus(self, other: "MultiMap") -> "MultiMap":
-        if (self.arity, self.shift, self.symmetry) != (other.arity, other.shift, other.symmetry):
-            raise ValueError("cannot add maps of different arity/shift/symmetry")
-        return add_tables(MultiMap(self.space_in, self.space_out, self.arity, self.shift,
-                                   self.symmetry), self, other)
-
     def equals(self, other: "MultiMap") -> bool:
         if self.arity != other.arity:
             return False
@@ -231,91 +220,82 @@ def identity_map(space: GradedSpace) -> MultiMap:
     return mm
 
 
-def postcompose(linear: MultiMap, mm: MultiMap) -> MultiMap:
-    """linear o mm for arity-1 linear; no signs arise at the output."""
+def postcompose(linear: MultiMap, mm: MultiMap, out: MultiMap | None = None,
+                scale=1) -> MultiMap:
+    """Add scale * (linear o mm) into out (a new map when None) and return
+    it; linear has arity 1, so no signs arise at the output."""
     if linear.arity != 1:
         raise ValueError("postcompose needs an arity-1 map")
-    out = MultiMap(mm.space_in, linear.space_out, mm.arity, mm.shift + linear.shift, mm.symmetry)
+    if out is None:
+        out = MultiMap(mm.space_in, linear.space_out, mm.arity, mm.shift + linear.shift,
+                       mm.symmetry)
     for key, row in mm.table.items():
         for mid, c in row.items():
             for lab, d in linear.get((mid,)).items():
-                out.add(key, lab, c * d)
+                out.add(key, lab, scale * c * d)
     return out
 
 
-def tensor_compose(outer: MultiMap, inners: list[MultiMap | None]) -> MultiMap:
-    """outer o (M_1 x ... x M_k) with None meaning an identity slot.
+def tensor_compose(outer: MultiMap, inners: list[MultiMap | None],
+                   out: MultiMap | None = None, scale=1) -> MultiMap:
+    """Add scale * outer o (M_1 x ... x M_k) into out (a new map when None)
+    and return it; None means an identity slot.
 
     Evaluation follows the Koszul rule: the factor in slot t crosses the raw
     inputs of the earlier slots, contributing (-1)^(shift_t * deg) per
     crossed input of odd degree.  The outer map must have symmetry "none";
     antisymmetric outers are consumed by the unshuffle machinery instead.
+    An empty outer or inner table adds nothing.
     """
     if outer.symmetry != "none":
         raise ValueError("tensor_compose requires a plain (non-symmetric) outer map")
     if len(inners) != outer.arity:
         raise ValueError("slot count mismatch")
+    if any(m is not None and m.symmetry != "none" for m in inners):
+        raise ValueError("inner maps must be plain tables")
 
-    space_in = None
-    for m in inners:
-        if m is not None:
-            space_in = m.space_in
-            break
-    if space_in is None:
-        raise ValueError("all-identity tensor_compose is pointless; use the outer map")
-    for m in inners:
-        if m is not None and m.symmetry != "none":
-            raise ValueError("inner maps must be plain tables")
-
-    arities = [1 if m is None else m.arity for m in inners]
     shifts = [0 if m is None else m.shift for m in inners]
-    total_arity = sum(arities)
-    total_shift = outer.shift + sum(shifts)
+    if out is None:
+        space_in = next((m.space_in for m in inners if m is not None), outer.space_in)
+        total_arity = sum(1 if m is None else m.arity for m in inners)
+        out = MultiMap(space_in, outer.space_out, total_arity, outer.shift + sum(shifts))
+    if not outer.table or not all(m is None or m.table for m in inners):
+        return out
+    if all(m is None for m in inners):  # scale * outer
+        for key, row in outer.table.items():
+            for lab, c in row.items():
+                out.add(key, lab, scale * c)
+        return out
 
-    # index inner tables by output label
-    indexed: list[dict[str, list[tuple[tuple[str, ...], object]]] | None] = []
+    deg_in = out.space_in.deg
+    # index inner tables by output label: (input chunk, coefficient, chunk degree parity)
+    indexed: list[dict[str, list[tuple[tuple[str, ...], object, int]]] | None] = []
     for m in inners:
         if m is None:
             indexed.append(None)
             continue
-        by_out: dict[str, list[tuple[tuple[str, ...], object]]] = {}
+        by_out: dict[str, list[tuple[tuple[str, ...], object, int]]] = {}
         for key, row in m.table.items():
+            odd = sum(deg_in(l) for l in key) & 1
             for lab, c in row.items():
-                by_out.setdefault(lab, []).append((key, c))
+                by_out.setdefault(lab, []).append((key, c, odd))
         indexed.append(by_out)
 
-    result = MultiMap(space_in, outer.space_out, total_arity, total_shift)
-    deg_in = space_in.deg
-
     for okey, orow in outer.table.items():
-        # choices[t]: list of (input chunk, coefficient) producing okey[t]
-        choices = []
-        ok = True
-        for t, mid_label in enumerate(okey):
-            if indexed[t] is None:
-                choices.append([((mid_label,), 1)])
-            else:
-                opts = indexed[t].get(mid_label)
-                if not opts:
-                    ok = False
-                    break
-                choices.append(opts)
-        if not ok:
-            continue
-
-        def expand(t: int, chunks: tuple[tuple[str, ...], ...], coef, odd_prefix: int):
-            if t == len(choices):
-                key = tuple(lab for chunk in chunks for lab in chunk)
+        # (inputs so far, coefficient, their degree parity), grown slot by slot
+        partial = [((), scale, 0)]
+        for index, mid, shift in zip(indexed, okey, shifts):
+            opts = [((mid,), 1, deg_in(mid) & 1)] if index is None else index.get(mid)
+            if not opts:
+                break
+            partial = [(labels + chunk, -coef * c if shift & 1 and odd else coef * c,
+                        odd ^ chunk_odd)
+                       for labels, coef, odd in partial for chunk, c, chunk_odd in opts]
+        else:
+            for key, coef, _ in partial:
                 for lab, c in orow.items():
-                    result.add(key, lab, coef * c)
-                return
-            for chunk, c in choices[t]:
-                sign = -1 if (shifts[t] % 2 and odd_prefix % 2) else 1
-                chunk_odd = sum(deg_in(l) for l in chunk) % 2
-                expand(t + 1, chunks + (chunk,), coef * c * sign, odd_prefix + chunk_odd)
-
-        expand(0, (), 1, 0)
-    return result
+                    out.add(key, lab, coef * c)
+    return out
 
 
 def compose_multimaps(outer: MultiMap, inner: MultiMap, slot: int) -> MultiMap:

@@ -406,8 +406,6 @@ def parse_element(ring: CoefRing, text: str) -> RElem:
     text = text.strip()
     if not text or text == "0":
         return ring.zero
-    total = ring.zero
-    pos = 0
     out_terms: dict[Monomial, Fraction] = {}
     for chunk in _TERM_RE.findall(text.replace(" ", "")):
         if not chunk:

@@ -14,6 +14,14 @@ same composition shapes over block partitions with increasing minima; its
 global sign convention is frozen below and certified by the Jacobi checker
 on every output (an output failing Jacobi aborts, it is never returned).
 
+Each table is one map filled by accumulation: every profile adds its
+signed term into p_n, q_n or (psi phi)_n through
+``tensor_compose(outer, inners, out, scale)``, the transferred products and
+morphism components are scaled as they are composed, and the diagram check
+accumulates each identity into one residual map.  The splitting walks its
+(degree, weight) blocks once: a block takes its boundaries from the
+co-exact part of the block one degree below, which that order puts first.
+
 The L-infinity p_n is a sum over trees (Kadeishvili; Loday-Vallette,
 Algebraic Operads, 10.3) whose root is a bracket l_k and whose other
 vertices are earlier h p_s.  A term is nonzero only when every vertex value
@@ -82,20 +90,16 @@ class TransferDiagram:
     blocks: list[dict] = field(default_factory=list)
 
     def validate(self) -> None:
-        fd = postcompose(self.f, self.d_big)
-        df = postcompose(self.d_small, self.f)
-        if not fd.equals(df):
+        """f and g are chain maps and id - gf = dh + hd: each identity is one
+        residual, accumulated in one map, that must vanish."""
+        if not postcompose(self.f, self.d_big, postcompose(self.d_small, self.f), -1).is_zero():
             raise TransferError("f is not a chain map")
-        gd = postcompose(self.d_big, self.g)
-        dg = postcompose(self.g, self.d_small)
-        if not gd.equals(dg):
+        if not postcompose(self.d_big, self.g, postcompose(self.g, self.d_small), -1).is_zero():
             raise TransferError("g is not a chain map")
-        gf = postcompose(self.g, self.f)
-        dh = postcompose(self.d_big, self.h)
-        hd = postcompose(self.h, self.d_big)
-        side = dh.plus(hd)
-        ident = identity_map(self.big)
-        if not ident.plus(gf.scaled(-1)).equals(side):
+        residual = identity_map(self.big)
+        for outer, inner in ((self.g, self.f), (self.d_big, self.h), (self.h, self.d_big)):
+            postcompose(outer, inner, residual, -1)
+        if not residual.is_zero():
             raise TransferError("homotopy identity id - gf = dh + hd fails")
 
 
@@ -148,52 +152,38 @@ def cohomology_splitting(
         blocks.setdefault(_block_key(e, weighted), []).append(e)
 
     h_elements: list[BasisElement] = []
-    f_map = MultiMap(space, None, 1, 0)  # space_out patched after H is known
-    g_entries: list[tuple[str, dict]] = []
+    # f's target and g's source are the cohomology, known once every block is split
+    f_map = MultiMap(space, None, 1, 0)
+    g_map = MultiMap(None, space, 1, 0)
     h_map = MultiMap(space, space, 1, -1)
     block_meta: list[dict] = []
+    # (labels, co-exact vectors) per block: block (deg - 1, w) comes before (deg, w)
+    coexact: dict[tuple, tuple[list[str], list[list[Fraction]]]] = {}
 
-    per_block: dict[tuple, dict] = {}
     for key in sorted(blocks, key=lambda k: (k[0], k[1] if k[1] is not None else 0)):
         deg, weight = key
-        elems = blocks[key]
-        labels = [e.label for e in elems]
-        target = blocks.get((deg + 1, weight), [])
-        tlabels = [e.label for e in target]
-        mat = linalg.zeros(len(tlabels), len(labels))
+        labels = [e.label for e in blocks[key]]
+        dim = len(labels)
+        tlabels = [e.label for e in blocks.get((deg + 1, weight), [])]
+        mat = linalg.zeros(len(tlabels), dim)
         for j, lab in enumerate(labels):
             for out, c in differential.get((lab,)).items():
                 if out in tlabels:
                     mat[tlabels.index(out)][j] = c
-                elif target:
+                elif tlabels:
                     raise TransferError(f"differential leaves the block at {lab} -> {out}")
-        kernel = linalg.kernel_basis(mat, len(labels)) if labels else []
-        per_block[key] = {
-            "elems": elems, "labels": labels, "matrix": mat, "kernel": kernel,
-        }
-
-    for key in sorted(per_block, key=lambda k: (k[0], k[1] if k[1] is not None else 0)):
-        deg, weight = key
-        data = per_block[key]
-        labels = data["labels"]
-        kernel = data["kernel"]
-        dim = len(labels)
+        kernel = linalg.kernel_basis(mat, dim)
 
         # boundaries: images of the co-exact part one degree below
-        below = per_block.get((deg - 1, weight))
+        below_labels, b_preimages = coexact.get((deg - 1, weight), ([], []))
         b_vectors: list[list[Fraction]] = []
-        b_preimages: list[list[Fraction]] = []
-        if below is not None:
-            for kappa in below["k_vectors"]:
-                image = [Fraction(0)] * dim
-                for j, c in enumerate(kappa):
-                    if not c:
-                        continue
-                    src = below["labels"][j]
+        for kappa in b_preimages:
+            image = [Fraction(0)] * dim
+            for src, c in zip(below_labels, kappa):
+                if c:
                     for out, coef in differential.get((src,)).items():
                         image[labels.index(out)] += c * coef
-                b_vectors.append(image)
-                b_preimages.append(kappa)
+            b_vectors.append(image)
 
         kept = linalg.extend_to_basis(b_vectors, kernel)
         h_vectors = [kernel[i] for i in kept]
@@ -205,7 +195,7 @@ def cohomology_splitting(
         candidates = std[::-1] if variant else std
         kept_std = linalg.extend_to_basis([v[:] for v in kernel], candidates)
         k_vectors = [candidates[i] for i in kept_std]
-        data["k_vectors"] = k_vectors
+        coexact[key] = (labels, k_vectors)
 
         # record cohomology basis elements
         wtag = f"w{weight}" if weighted and weight is not None else ""
@@ -213,31 +203,26 @@ def cohomology_splitting(
         for lab in h_labels:
             h_elements.append(BasisElement(lab, deg, weight if weighted else None))
 
-        if dim == 0:
-            block_meta.append({"deg": deg, "weight": weight, "dim": 0, "h_labels": []})
-            continue
-
         # change of basis [H | B | K] and its inverse
         basis_cols = h_vectors + b_vectors + k_vectors
         P = [[basis_cols[c][r] for c in range(dim)] for r in range(dim)]
         P_inv = linalg.invert(P)
 
-        nh, nb = len(h_vectors), len(b_vectors)
+        nh = len(h_vectors)
         for j, lab in enumerate(labels):
             for t in range(nh):
                 if P_inv[t][j]:
                     f_map.add((lab,), h_labels[t], P_inv[t][j])
-            for t in range(nb):
+            for t, kappa in enumerate(b_preimages):
                 c = P_inv[nh + t][j]
                 if not c:
                     continue
-                below_labels = per_block[(deg - 1, weight)]["labels"]
-                for jj, coef in enumerate(b_preimages[t]):
+                for below_lab, coef in zip(below_labels, kappa):
                     if coef:
-                        h_map.add((lab,), below_labels[jj], c * coef)
-        for t, hv in enumerate(h_vectors):
-            entries = {labels[j]: hv[j] for j in range(dim) if hv[j]}
-            g_entries.append((h_labels[t], entries))
+                        h_map.add((lab,), below_lab, c * coef)
+        for h_lab, hv in zip(h_labels, h_vectors):
+            for lab, c in zip(labels, hv):
+                g_map.add((h_lab,), lab, c)
 
         block_meta.append({
             "deg": deg, "weight": weight, "dim": dim, "h_labels": h_labels,
@@ -245,11 +230,7 @@ def cohomology_splitting(
         })
 
     small = GradedSpace(h_elements)
-    f_map.space_out = small
-    g_map = MultiMap(small, space, 1, 0)
-    for h_lab, entries in g_entries:
-        for lab, c in entries.items():
-            g_map.add((h_lab,), lab, c)
+    f_map.space_out = g_map.space_in = small
     d_small = MultiMap(small, small, 1, 1)
     diagram = TransferDiagram(space, small, differential, d_small, f_map, g_map, h_map, block_meta)
     diagram.validate()
@@ -277,8 +258,17 @@ def arity_vacuity_bound(space: GradedSpace, max_probe: int = 16) -> int | None:
 # ---------------------------------------------------------------------------
 # A-infinity transfer
 
+# (-1)^theta of a composition profile: the A-infinity kernels' sign, and the
+# global sign of the L-infinity partition recursion on its block profile,
+# frozen after calibration against the Jacobi certificate.
+def _profile_sign(profile: tuple[int, ...]) -> int:
+    return -1 if theta_exponent(profile) % 2 else 1
+
+
 class KernelCache:
-    """Arity-keyed memo tables for p, h.p, q, h.q, gf.q and (psi phi)."""
+    """Arity-keyed memo tables for p, h.p, q, h.q, gf.q and (psi phi); each
+    p_n, q_n and (psi phi)_n is one map, each composition profile adding its
+    signed term into it."""
 
     def __init__(self, diagram: TransferDiagram, mu: dict[int, MultiMap]):
         self.diagram = diagram
@@ -292,7 +282,6 @@ class KernelCache:
         gf = postcompose(diagram.g, diagram.f)
         self.gfq: dict[int, MultiMap] = {1: gf}
         self.psiphi: dict[int, MultiMap] = {1: gf}
-        self._gf = gf
 
     def ensure(self, n: int) -> None:
         for m in range(2, n + 1):
@@ -308,15 +297,8 @@ class KernelCache:
             if outer is None:
                 continue
             for profile in compositions(n, k):
-                if all(r == 1 for r in profile):
-                    term = outer
-                else:
-                    inners = [None if r == 1 else self.hp[r] for r in profile]
-                    if any(m is not None and m.is_zero() for m in inners):
-                        continue
-                    term = tensor_compose(outer, inners)
-                sign = -1 if theta_exponent(profile) % 2 else 1
-                p_n = p_n.plus(term.scaled(sign))
+                inners = [None if r == 1 else self.hp[r] for r in profile]
+                tensor_compose(outer, inners, p_n, _profile_sign(profile))
         self.p[n] = p_n
         self.hp[n] = postcompose(diagram.h, p_n)
 
@@ -326,45 +308,22 @@ class KernelCache:
             if outer is None:
                 continue
             for i in range(1, k + 1):
-                rest = n - (k - i)
-                if rest < i:
-                    continue
-                for profile in compositions(rest, i):
-                    inners: list[MultiMap | None] = []
-                    ok = True
-                    for t in range(i - 1):
-                        m = self.psiphi[profile[t]]
-                        if m.is_zero():
-                            ok = False
-                            break
-                        inners.append(m)
-                    if not ok:
-                        continue
-                    hq_m = self.hq[profile[i - 1]]
-                    if hq_m.is_zero():
-                        continue
-                    inners.append(hq_m)
-                    inners.extend([None] * (k - i))
-                    term = tensor_compose(outer, inners)
-                    exp = n + profile[i - 1] + theta_exponent(profile)
-                    sign = -1 if exp % 2 else 1
-                    q_n = q_n.plus(term.scaled(sign))
+                for profile in compositions(n - (k - i), i):
+                    inners = [self.psiphi[r] for r in profile[:-1]]
+                    inners += [self.hq[profile[-1]]] + [None] * (k - i)
+                    sign = _profile_sign(profile) * (-1) ** (n + profile[-1])
+                    tensor_compose(outer, inners, q_n, sign)
         self.q[n] = q_n
         self.hq[n] = postcompose(diagram.h, q_n)
-        self.gfq[n] = postcompose(self._gf, q_n)
+        self.gfq[n] = postcompose(self.gfq[1], q_n)
 
-        pp_n = self.gfq[n]
+        pp_n = add_tables(MultiMap(big, big, n, 1 - n), self.gfq[n])
         for k in range(2, n + 1):
-            hp_k = self.hp.get(k)
-            if hp_k is None or hp_k.is_zero():
+            hp_k = self.hp[k]
+            if hp_k.is_zero():
                 continue
             for profile in compositions(n, k):
-                inners2 = [self.gfq[r] for r in profile]
-                if any(m.is_zero() for m in inners2):
-                    continue
-                term = tensor_compose(hp_k, inners2)
-                sign = -1 if theta_exponent(profile) % 2 else 1
-                pp_n = pp_n.plus(term.scaled(sign))
+                tensor_compose(hp_k, [self.gfq[r] for r in profile], pp_n, _profile_sign(profile))
         self.psiphi[n] = pp_n
 
 
@@ -395,35 +354,23 @@ def transfer_ainf(
     cache = KernelCache(diagram, source.products)
     cache.ensure(max_arity)
 
-    products: dict[int, MultiMap] = {}
+    products: dict[int, MultiMap] = {1: diagram.d_small}
     psi_comps: dict[int, MultiMap] = {1: diagram.g}
     phi_comps: dict[int, MultiMap] = {1: diagram.f}
     homotopy: dict[int, MultiMap] = {1: diagram.h}
-    if not diagram.d_small.is_zero():
-        products[1] = diagram.d_small
     # The morphism components of the source recursion satisfy the identity in
     # its homotopy-side convention; rescaling by (-1)^(n-1) translates them
     # into the convention enforced by morphism_check (validated empirically
-    # at all computed arities, see the transfer tests).
+    # at all computed arities, see the transfer tests).  AInfAlgebra and
+    # InfMorphism drop the components that vanish.
     for n in range(2, max_arity + 1):
         comp_sign = -1 if (n - 1) % 2 else 1
-        p_n = cache.p[n]
-        if not p_n.is_zero():
-            png = tensor_compose(p_n, [diagram.g] * n)  # g has degree 0: no signs
-            nu = postcompose(diagram.f, png)
-            if not nu.is_zero():
-                products[n] = nu
-            psi_n = postcompose(diagram.h, png).scaled(comp_sign)
-            if not psi_n.is_zero():
-                psi_comps[n] = psi_n
-        q_n = cache.q[n]
-        if not q_n.is_zero():
-            phi_n = postcompose(diagram.f, q_n).scaled(comp_sign)
-            if not phi_n.is_zero():
-                phi_comps[n] = phi_n
-            H_n = cache.hq[n]
-            if not H_n.is_zero():
-                homotopy[n] = H_n
+        png = tensor_compose(cache.p[n], [diagram.g] * n)  # g has degree 0: no signs
+        products[n] = postcompose(diagram.f, png)
+        psi_comps[n] = postcompose(diagram.h, png, scale=comp_sign)
+        phi_comps[n] = postcompose(diagram.f, cache.q[n], scale=comp_sign)
+        if not cache.hq[n].is_zero():
+            homotopy[n] = cache.hq[n]
 
     small_alg = AInfAlgebra(diagram.small, products)
     phi = InfMorphism("ainf", source, small_alg, phi_comps)
@@ -439,12 +386,6 @@ def transfer_ainf(
 
 # ---------------------------------------------------------------------------
 # L-infinity transfer
-
-# Global sign for the partition recursion, frozen after calibration against
-# the Jacobi certificate: the A-infinity theta exponent on the block profile.
-def _linf_profile_sign(profile: tuple[int, ...]) -> int:
-    return -1 if theta_exponent(profile) % 2 else 1
-
 
 class LInfKernelCache:
     """Arity-keyed p-kernels of the L-infinity tree recursion, built from
@@ -521,7 +462,7 @@ class LInfKernelCache:
                     vectors, sign = block_vectors(maps, T, degs, blocks)
                     if sign:
                         perm = tuple(i for b in blocks for i in b)
-                        sign *= _linf_profile_sign(profile) * antisym_sign(perm, degs)
+                        sign *= _profile_sign(profile) * antisym_sign(perm, degs)
                         contract(outer, vectors, acc, sign)
                 return
             if len(blocks) == self._max_blocks:
@@ -635,7 +576,7 @@ def transfer_pair(pair: LInfPair, max_arity: int, use_weights: bool | None = Non
     certifies the output; ``structures.split_pair_report`` splits it into
     the Jacobi report of L and the module report of M.
     """
-    combined, emb = pair_to_algebra(pair)
+    combined, _ = pair_to_algebra(pair)
     diag_a = cohomology_splitting(pair.algebra.space, pair.algebra.brackets.get(1),
                                   use_weights, label_prefix="a.")
     diag_m = cohomology_splitting(pair.module.space, pair.module.actions.get(1),

@@ -354,6 +354,19 @@ def test_cli_check_identities_pick_from_the_one_pair_pass(tmp_path):
     assert main(["check", pair, "--identities", "stasheff"]) == 2
 
 
+@pytest.mark.parametrize("fixture, identities, named", [
+    ("heisenberg.json", "stasheff,bogus", "bogus"),
+    ("heisenberg.json", "jacobi", "jacobi"),
+    ("heisenberg-pair.json", "module,stasheff", "stasheff"),
+    ("heisenberg-pair.json", "bogus,jacobi,stasheff", "bogus,stasheff"),
+])
+def test_cli_check_refuses_every_inapplicable_identity(capsys, fixture, identities, named):
+    """Any listed name that no report of the package carries exits 2, named."""
+    assert main(["check", str(ROOT / "fixtures" / fixture), "--identities", identities]) == 2
+    err = capsys.readouterr().err
+    assert f"no identity named {named!r} applies to this package" in err
+
+
 def _text_report(tmp_path, *argv, expect):
     out = tmp_path / "out.txt"
     assert main([*argv, "--format", "text", "--out", str(out)]) == expect

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import linalg_reference as ref
+import transfer_reference as transfer_ref
 from hse import linalg
 from hse.fixtures import Cdga
 from hse.io_json import parse_structure
@@ -178,3 +179,14 @@ def test_splittings_match_rank_loop_reference(name, monkeypatch):
     want = [_snapshot(cohomology_splitting(space, d, weights, variant=variant))
             for space, d, variant, weights in runs]
     assert got == want
+
+
+@pytest.mark.parametrize("name", SPLIT_INPUTS)
+def test_one_pass_splitting_matches_two_pass_reference(name):
+    for space, d in _complexes(name):
+        for variant in (0, 1):
+            for weights in (None, False):
+                got = _snapshot(cohomology_splitting(space, d, weights, variant=variant))
+                want = _snapshot(transfer_ref.cohomology_splitting(space, d, weights,
+                                                                   variant=variant))
+                assert got == want, (variant, weights)

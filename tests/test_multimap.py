@@ -4,7 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from hse.fixtures import heisenberg_cdga
 from hse.grading import BasisElement, GradedSpace
-from hse.multimap import MultiMap, evaluate_on_vectors, identity_map, tensor_compose
+from hse.multimap import (
+    MultiMap,
+    evaluate_on_vectors,
+    identity_map,
+    postcompose,
+    tensor_compose,
+)
 from hse.scalars import format_scalar, parse_scalar
 
 
@@ -62,6 +68,22 @@ def test_tensor_compose_crossing_signs():
     # slot-2 factor crosses slot-1 input: sign (-1)^{deg}
     assert comp.get(("x", "xy")) == {lab: -c for lab, c in mu2.get(("x", "z")).items()}
     assert comp.get(("1", "xy")) == mu2.get(("1", "z"))
+
+
+def test_compositions_add_scale_times_the_composite_into_out():
+    alg = heisenberg_cdga()
+    mu2 = alg.product_map()
+    h = MultiMap(alg.space, alg.space, 1, -1)
+    h.add(("xy",), "z", Fraction(1))
+    assert tensor_compose(mu2, [None, None]).table == mu2.table
+    comp = tensor_compose(mu2, [None, h])
+    out = tensor_compose(mu2, [None, h], tensor_compose(mu2, [None, h]), -3)
+    assert out.table == {key: {lab: -2 * c for lab, c in row.items()}
+                         for key, row in comp.table.items()}
+    assert tensor_compose(mu2, [None, h], out, 2).is_zero()
+    assert tensor_compose(mu2, [None, MultiMap(alg.space, alg.space, 1, -1)], comp) is comp
+    assert not postcompose(h, mu2).is_zero()
+    assert postcompose(h, mu2, postcompose(h, mu2), -1).is_zero()
 
 
 def test_evaluate_on_vectors_bilinearity():

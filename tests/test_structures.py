@@ -20,7 +20,7 @@ from hse.fixtures import (
 from hse import structures
 from hse.grading import BasisElement, GradedSpace
 from hse.io_json import parse_structure
-from hse.multimap import MultiMap
+from hse.multimap import MultiMap, add_tables
 from hse.signs import antisym_sign, compositions as _compositions, unshuffles
 from hse.structures import (
     AInfAlgebra,
@@ -579,7 +579,7 @@ def ref_module_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
 
 def _perturbed(mm: MultiMap, rng: random.Random) -> MultiMap:
     """A copy of mm with one stored coefficient raised by one."""
-    out = mm.scaled(Fraction(1))
+    out = add_tables(MultiMap(mm.space_in, mm.space_out, mm.arity, mm.shift, mm.symmetry), mm)
     key = rng.choice(sorted(out.table))
     out.add(key, rng.choice(sorted(out.table[key])), Fraction(1))
     return out

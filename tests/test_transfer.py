@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -18,7 +19,14 @@ from hse.fixtures import (
 )
 from hse.grading import BasisElement, GradedSpace
 from hse.io_json import parse_structure
-from hse.multimap import MultiMap, compose_multimaps, contract, identity_map, postcompose
+from hse.multimap import (
+    MultiMap,
+    add_tables,
+    compose_multimaps,
+    contract,
+    identity_map,
+    postcompose,
+)
 from hse.signs import antisym_sign
 from hse.structures import (
     LInfAlgebra,
@@ -34,7 +42,7 @@ from hse.transfer import (
     LInfKernelCache,
     TransferError,
     _direct_sum_diagrams,
-    _linf_profile_sign,
+    _profile_sign,
     arity_vacuity_bound,
     cohomology_splitting,
     is_quasi_isomorphism,
@@ -44,7 +52,9 @@ from hse.transfer import (
     vanishing_bound,
 )
 from hse import linalg
-from test_structures import iter_sorted_tuples
+import transfer_reference as ref
+from test_scalar_form import heisenberg_circle
+from test_structures import h3_times_h3, iter_sorted_tuples
 
 
 def heis_diagram():
@@ -362,6 +372,65 @@ def test_scaling_smoke_dim16_pipeline():
     assert pres.certificate.ok and module_check(pres.pair.module, 3).ok
 
 
+def _copy(mm: MultiMap) -> MultiMap:
+    return add_tables(MultiMap(mm.space_in, mm.space_out, mm.arity, mm.shift, mm.symmetry), mm)
+
+
+def test_validate_refuses_each_broken_identity():
+    # Heisenberg: d z = xy, so f(xy) breaks f d = d f, g(h1_0) = x + z
+    # breaks d g = g d, and h(xy) = 2z breaks id - gf = dh + hd at xy
+    _, diag = heis_diagram()
+    diag.validate()
+    f, g, h = _copy(diag.f), _copy(diag.g), _copy(diag.h)
+    f.add(("xy",), "h2_0", 1)
+    g.add(("h1_0",), "z", 1)
+    h.add(("xy",), "z", 1)
+    for broken, message in (
+        (replace(diag, f=f), "f is not a chain map"),
+        (replace(diag, g=g), "g is not a chain map"),
+        (replace(diag, h=h), "homotopy identity id - gf = dh + hd fails"),
+    ):
+        with pytest.raises(TransferError) as err:
+            broken.validate()
+        assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the in-place A-infinity assembly against the per-profile reference
+
+AINF_INPUTS = [
+    pytest.param(lambda: exterior_cdga(3), 6, id="exterior3"),
+    pytest.param(lambda: exterior_cdga(4), 6, id="exterior4"),
+    pytest.param(heisenberg_cdga, 6, id="heisenberg"),
+] + [
+    pytest.param(lambda c=c: heisenberg_circle(c), 6, id=f"heisenberg-circle-{c}")
+    for c in (2, -3)
+] + [
+    pytest.param(lambda s=s: random_cdga(s, dims=(1, 3, 3, 1)), 5, id=f"random-{s}")
+    for s in range(10)
+] + [
+    # item 1's input: equal tables, and its arity-5 Stasheff failure stays
+    # (test_structures.test_residuals_match_reference_at_arity_five_on_h3_times_h3)
+    pytest.param(h3_times_h3, 5, id="h3xh3"),
+]
+
+
+@pytest.mark.parametrize("build, max_arity", AINF_INPUTS)
+def test_ainf_transfer_matches_per_profile_reference(build, max_arity):
+    alg = build()
+    diag = cohomology_splitting(alg.space, alg.differential_map())
+    res = transfer_ainf(diag, alg.ainf(), max_arity)
+    c = res.cache
+    algebra, phi, psi, homotopy, cache = ref.transfer_ainf(diag, alg.ainf(), max_arity)
+    got = [c.p, c.hp, c.q, c.hq, c.gfq, c.psiphi, res.algebra.products, res.phi.components,
+           res.psi.components, res.homotopy]
+    want = [cache.p, cache.hp, cache.q, cache.hq, cache.gfq, cache.psiphi, algebra.products,
+            phi.components, psi.components, homotopy]
+    assert [{n: _ordered_table(m) for n, m in family.items()} for family in got] == \
+        [{n: _ordered_table(m) for n, m in family.items()} for family in want]
+    assert not all(p_n.is_zero() for p_n in c.p.values())
+
+
 # ---------------------------------------------------------------------------
 # the support-driven L-infinity kernel against the exhaustive scan
 
@@ -400,7 +469,7 @@ class ExhaustiveLInfKernelCache(LInfKernelCache):
         sums = {d - (2 - n) for d in big.degrees()}
         partitions = [
             (part, self.brackets[len(part)],
-             _linf_profile_sign(tuple(len(b) for b in part)),
+             _profile_sign(tuple(len(b) for b in part)),
              tuple(i for b in part for i in b))
             for part in _ordered_partitions(n)
             if len(part) in self.brackets
