@@ -4,12 +4,13 @@ A permutation is a tuple ``sigma`` of length n over 0..n-1; applying it to a
 tuple T yields ``(T[sigma[0]], ..., T[sigma[n-1]])``, matching the classical
 notation (a_{sigma(1)}, ..., a_{sigma(n)}).
 
-Two signs coexist on purpose.  ``koszul_sign`` is the pure Koszul product:
-each transposition of adjacent entries of degrees d, e contributes
+Three signs coexist on purpose.  ``koszul_sign`` is the pure Koszul
+product: each transposition of adjacent entries of degrees d, e contributes
 (-1)^(d*e).  ``antisym_sign`` multiplies in the ordinary signature; that is
 the sign under which the commutator bracket of a graded-commutative algebra
 antisymmetrizes to zero, and it is the convention used by every
-antisymmetric structure map in this package.
+antisymmetric structure map in this package.  ``suspension_sign`` reads a
+map on A as one on its suspension sA and back, for the homotopy transfer.
 """
 
 from __future__ import annotations
@@ -142,12 +143,11 @@ def compositions(n: int, k: int):
             yield (first,) + rest
 
 
-def theta_exponent(profile: tuple[int, ...]) -> int:
-    """The p-kernel sign exponent sum_{i<j} r_i (r_j + 1)."""
-    k = len(profile)
-    return sum(
-        profile[i] * (profile[j] + 1) for i in range(k) for j in range(i + 1, k)
-    )
+def suspension_sign(degrees: tuple[int, ...]) -> int:
+    """(-1)^(sum_i (n-i)|x_i|) for degrees |x_1..x_n| in A: the entries of a
+    map on A and of its suspension on sA share keys and differ by this sign
+    (s^(x n) crossing the inputs); n - i is odd at i = n-1, n-3, ..."""
+    return -1 if sum(degrees[-2::-2]) & 1 else 1
 
 
 def sort_with_sign(labels: tuple[str, ...], degrees: tuple[int, ...], order_index) -> tuple[tuple[str, ...], int]:

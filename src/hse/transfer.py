@@ -3,57 +3,54 @@ p-/q-kernel recursion for A-infinity structures, the partition (tree)
 recursion for L-infinity structures, pair transfer through the L (+) M
 algebra, and the weight-based vanishing bound.
 
-The A-infinity kernels follow the explicit recursion
+The A-infinity kernels run on the suspension sA (Markl; Loday-Vallette,
+Algebraic Operads, 10.3), where b_k = suspend(mu_k) has degree 1 and
+``signs.suspension_sign`` converts a table entrywise in either direction:
 
-    p_n = sum over compositions (r_1..r_k) of n, k >= 2, of
-          (-1)^theta  mu_k((h p_{r_1}) x ... x (h p_{r_k})),   h p_1 := id
+    P_n = sum over compositions (r_1..r_k) of n, k >= 2, of
+          b_k(HP_{r_1} x ... x HP_{r_k}),   HP_1 = id, HP_r = -h P_r,
+    Q_n = sum over k, i and compositions (r_1..r_i) of n - (k - i) of
+          b_k(PF_{r_1} x ... x PF_{r_{i-1}} x (-h) Q_{r_i} x id^(k-i)),  Q_1 = id,
 
-with theta = sum_{i<j} r_i (r_j + 1), and the q-kernels the companion
-recursion with scratch maps (psi phi)_m.  The L-infinity recursion sums the
-same composition shapes over block partitions with increasing minima; its
-global sign convention is frozen below and certified by the Jacobi checker
-on every output (an output failing Jacobi aborts, it is never returned).
+with (psi phi)_n = PF_n = gf Q_n + sum over k >= 2 of HP_k(gf Q_{r_1} x ...
+x gf Q_{r_k}).  HP_r, Q_r and PF_r have degree 0 on sA, so the one sign is
+the Koszul crossing of the odd (-h) Q_r.  Each table is one map that every
+profile adds its term into through ``tensor_compose(outer, inners, out)``.
+The splitting walks its (degree, weight) blocks once: a block takes its
+boundaries from the co-exact part of the block one degree below.
 
-Each table is one map filled by accumulation: every profile adds its
-signed term into p_n, q_n or (psi phi)_n through
-``tensor_compose(outer, inners, out, scale)``, the transferred products and
-morphism components are scaled as they are composed, and the diagram check
-accumulates each identity into one residual map.  The splitting walks its
-(degree, weight) blocks once: a block takes its boundaries from the
-co-exact part of the block one degree below, which that order puts first.
-
-The L-infinity p_n is a sum over trees (Kadeishvili; Loday-Vallette,
-Algebraic Operads, 10.3) whose root is a bracket l_k and whose other
-vertices are earlier h p_s.  A term is nonzero only when every vertex value
-is, so both L-infinity enumerations draw their input tuples from stored
-keys through the checkers' enumerator (``structures.producers``,
-``concatenate`` and ``window``): ``LInfKernelCache`` concatenates, over the
-stored keys of l_k, per slot the label itself or an h p_s key producing it
-(one tree level deep, since h p_s already sums the deeper levels), and
-``transfer_linf`` concatenates, over the stored keys of p_n, per slot a
-small label whose g-row holds it.  On the Heisenberg pair at arity 6 no
-tuple survives, where a scan tried each of 7,435 sorted tuples against 31
-partitions.
+The L-infinity p_n is the same sum on sL, over trees (Kadeishvili) whose
+root is a bracket l_k and whose other vertices are earlier h p_s; Jacobi
+certifies every output, and a failing one is never returned.  A term is
+nonzero only when every vertex value is, so both L-infinity enumerations
+draw their input tuples from stored keys through the checkers' enumerator
+(``structures.producers``, ``concatenate`` and ``window``):
+``LInfKernelCache`` concatenates, over the stored keys of l_k, per slot the
+label itself or an h p_s key producing it (one tree level deep, since
+h p_s already sums the deeper levels), and ``transfer_linf`` concatenates,
+over the stored keys of p_n, per slot a small label whose g-row holds it.
+On the Heisenberg pair at arity 6 no tuple survives, where a scan tried
+each of 7,435 sorted tuples against 31 partitions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from . import linalg
 from .grading import BasisElement, GradedSpace, combine_spaces
 from .multimap import (
     MultiMap,
     add_tables,
-    block_vectors,
     contract,
     identity_map,
     postcompose,
     tensor_compose,
 )
-from .signs import antisym_sign, compositions, theta_exponent
+from .signs import compositions, koszul_sign, suspension_sign
 from .structures import (
     AInfAlgebra,
     CheckReport,
@@ -258,28 +255,34 @@ def arity_vacuity_bound(space: GradedSpace, max_probe: int = 16) -> int | None:
 # ---------------------------------------------------------------------------
 # A-infinity transfer
 
-# (-1)^theta of a composition profile: the A-infinity kernels' sign, and the
-# global sign of the L-infinity partition recursion on its block profile,
-# frozen after calibration against the Jacobi certificate.
-def _profile_sign(profile: tuple[int, ...]) -> int:
-    return -1 if theta_exponent(profile) % 2 else 1
+def _suspend(mm: MultiMap, space_in: GradedSpace, space_out: GradedSpace, shift: int,
+             base: GradedSpace, scale=1) -> MultiMap:
+    """scale * mm across the suspension, either way: the same keys on (space_in,
+    space_out), each entry times ``suspension_sign`` of its degrees in base (on A)."""
+    out = MultiMap(space_in, space_out, mm.arity, shift)
+    for key, row in mm.table.items():
+        sign = scale * suspension_sign(tuple(base.deg(l) for l in key))
+        for lab, c in row.items():
+            out.add(key, lab, sign * c)
+    return out
 
 
 class KernelCache:
-    """Arity-keyed memo tables for p, h.p, q, h.q, gf.q and (psi phi); each
-    p_n, q_n and (psi phi)_n is one map, each composition profile adding its
-    signed term into it."""
+    """Arity-keyed memo tables on sA (``space``: the degrees of A minus one) of
+    b_k, P_n (``p``), -h P_n (``hp``), Q_n (``q``), -h Q_n (``hq``), gf Q_n
+    (``gfq``) and (psi phi)_n (``psiphi``)."""
 
     def __init__(self, diagram: TransferDiagram, mu: dict[int, MultiMap]):
         self.diagram = diagram
-        self.mu = mu
         big = diagram.big
-        ident = identity_map(big)
+        self.space = space = GradedSpace([replace(e, deg=e.deg - 1) for e in big])
+        self.b = {k: _suspend(m, space, space, 1, big) for k, m in mu.items() if k >= 2}
+        ident = identity_map(space)
         self.p: dict[int, MultiMap] = {}
         self.hp: dict[int, MultiMap] = {1: ident}
         self.q: dict[int, MultiMap] = {1: ident}
-        self.hq: dict[int, MultiMap] = {1: diagram.h}
-        gf = postcompose(diagram.g, diagram.f)
+        self.hq: dict[int, MultiMap] = {1: _suspend(diagram.h, space, space, -1, big, -1)}
+        gf = _suspend(postcompose(diagram.g, diagram.f), space, space, 0, big)
         self.gfq: dict[int, MultiMap] = {1: gf}
         self.psiphi: dict[int, MultiMap] = {1: gf}
 
@@ -289,41 +292,33 @@ class KernelCache:
                 self._build(m)
 
     def _build(self, n: int) -> None:
-        diagram, mu = self.diagram, self.mu
-        big = diagram.big
-        p_n = MultiMap(big, big, n, 2 - n)
-        for k in range(2, n + 1):
-            outer = mu.get(k)
-            if outer is None:
-                continue
+        space, minus_h = self.space, self.hq[1]
+        outers = [(k, self.b[k]) for k in range(2, n + 1) if k in self.b]
+        p_n = MultiMap(space, space, n, 1)
+        for k, outer in outers:
             for profile in compositions(n, k):
-                inners = [None if r == 1 else self.hp[r] for r in profile]
-                tensor_compose(outer, inners, p_n, _profile_sign(profile))
+                tensor_compose(outer, [None if r == 1 else self.hp[r] for r in profile], p_n)
         self.p[n] = p_n
-        self.hp[n] = postcompose(diagram.h, p_n)
+        self.hp[n] = postcompose(minus_h, p_n)
 
-        q_n = MultiMap(big, big, n, 1 - n)
-        for k in range(2, n + 1):
-            outer = mu.get(k)
-            if outer is None:
-                continue
+        q_n = MultiMap(space, space, n, 0)
+        for k, outer in outers:
             for i in range(1, k + 1):
                 for profile in compositions(n - (k - i), i):
                     inners = [self.psiphi[r] for r in profile[:-1]]
                     inners += [self.hq[profile[-1]]] + [None] * (k - i)
-                    sign = _profile_sign(profile) * (-1) ** (n + profile[-1])
-                    tensor_compose(outer, inners, q_n, sign)
+                    tensor_compose(outer, inners, q_n)
         self.q[n] = q_n
-        self.hq[n] = postcompose(diagram.h, q_n)
+        self.hq[n] = postcompose(minus_h, q_n)
         self.gfq[n] = postcompose(self.gfq[1], q_n)
 
-        pp_n = add_tables(MultiMap(big, big, n, 1 - n), self.gfq[n])
+        pp_n = add_tables(MultiMap(space, space, n, 0), self.gfq[n])
         for k in range(2, n + 1):
             hp_k = self.hp[k]
             if hp_k.is_zero():
                 continue
             for profile in compositions(n, k):
-                tensor_compose(hp_k, [self.gfq[r] for r in profile], pp_n, _profile_sign(profile))
+                tensor_compose(hp_k, [self.gfq[r] for r in profile], pp_n)
         self.psiphi[n] = pp_n
 
 
@@ -343,10 +338,10 @@ def transfer_ainf(
 ) -> AInfTransfer:
     """Push an A-infinity structure across a transfer diagram.
 
-    Produces the small-side products nu_n = f p_n g^n along with the two
-    morphisms phi_n = f q_n (big to small, first component f) and
-    psi_n = h p_n g^n (small to big, first component g) and the homotopy
-    components H_n = h q_n.
+    Produces, read back from sA, the small-side products
+    nu_n = suspend(f P_n g^n), the morphisms phi_n = suspend(f Q_n) (big to
+    small, first component f) and psi_n = suspend(-h P_n g^n) (small to big,
+    first component g), and the homotopy components H_n = suspend(-h Q_n).
     """
     if diagram.big is not source.space:
         if set(diagram.big.labels()) != set(source.space.labels()):
@@ -354,23 +349,18 @@ def transfer_ainf(
     cache = KernelCache(diagram, source.products)
     cache.ensure(max_arity)
 
-    products: dict[int, MultiMap] = {1: diagram.d_small}
+    big, small, f = diagram.big, diagram.small, diagram.f
+    products: dict[int, MultiMap] = {1: diagram.d_small}  # the structures drop zero maps
     psi_comps: dict[int, MultiMap] = {1: diagram.g}
-    phi_comps: dict[int, MultiMap] = {1: diagram.f}
+    phi_comps: dict[int, MultiMap] = {1: f}
     homotopy: dict[int, MultiMap] = {1: diagram.h}
-    # The morphism components of the source recursion satisfy the identity in
-    # its homotopy-side convention; rescaling by (-1)^(n-1) translates them
-    # into the convention enforced by morphism_check (validated empirically
-    # at all computed arities, see the transfer tests).  AInfAlgebra and
-    # InfMorphism drop the components that vanish.
     for n in range(2, max_arity + 1):
-        comp_sign = -1 if (n - 1) % 2 else 1
         png = tensor_compose(cache.p[n], [diagram.g] * n)  # g has degree 0: no signs
-        products[n] = postcompose(diagram.f, png)
-        psi_comps[n] = postcompose(diagram.h, png, scale=comp_sign)
-        phi_comps[n] = postcompose(diagram.f, cache.q[n], scale=comp_sign)
+        products[n] = _suspend(postcompose(f, png), small, small, 2 - n, small)
+        psi_comps[n] = _suspend(postcompose(diagram.h, png, scale=-1), small, big, 1 - n, small)
+        phi_comps[n] = _suspend(postcompose(f, cache.q[n]), big, small, 1 - n, big)
         if not cache.hq[n].is_zero():
-            homotopy[n] = cache.hq[n]
+            homotopy[n] = _suspend(cache.hq[n], big, big, -n, big)
 
     small_alg = AInfAlgebra(diagram.small, products)
     phi = InfMorphism("ainf", source, small_alg, phi_comps)
@@ -447,23 +437,25 @@ class LInfKernelCache:
     def _evaluate(self, T: tuple[str, ...], degs: tuple[int, ...]) -> dict[str, Fraction]:
         """p_n(T) as the sum over set partitions of T into >= 2 blocks.
 
-        Each block takes the smallest remaining input plus a subset of the
-        rest (by size, then lexicographically), so the partitions come in a
-        fixed order and ``acc`` fills in a fixed order too."""
+        On sL a partition adds kappa b_k(block values), kappa the Koszul sign
+        of the block shuffle on the degrees d - 1 and -h P_|B| the value of a
+        block of two or more inputs.  Read on L through s = ``suspension_sign``
+        it is s(d_T) kappa s(e_1..e_k) prod_|B|>=2 -s(d_B) l_k, with e_B =
+        sum_B d_i + 1 - |B|.  Each block takes the smallest remaining input
+        plus a subset of the rest (by size, then lexicographically), so
+        ``acc`` fills in a fixed order."""
         acc: dict[str, Fraction] = {}
-        blocks: list[tuple[int, ...]] = []
+        shifted, s_T = tuple(d - 1 for d in degs), suspension_sign(degs)
+        blocks: list[tuple] = []  # (inputs, slot vector, value degree, sign)
 
         def grow(remaining: tuple[int, ...]) -> None:
             if not remaining:
                 outer = self.brackets.get(len(blocks)) if len(blocks) >= 2 else None
                 if outer is not None:
-                    profile = tuple(len(b) for b in blocks)
-                    maps = [None if len(b) == 1 else self.hp[len(b)] for b in blocks]
-                    vectors, sign = block_vectors(maps, T, degs, blocks)
-                    if sign:
-                        perm = tuple(i for b in blocks for i in b)
-                        sign *= _profile_sign(profile) * antisym_sign(perm, degs)
-                        contract(outer, vectors, acc, sign)
+                    perm = tuple(i for b in blocks for i in b[0])
+                    sign = s_T * koszul_sign(perm, shifted) * prod(b[3] for b in blocks)
+                    sign *= suspension_sign(tuple(b[2] for b in blocks))
+                    contract(outer, [b[1] for b in blocks], acc, sign)
                 return
             if len(blocks) == self._max_blocks:
                 return
@@ -474,9 +466,15 @@ class LInfKernelCache:
                 if inner is None:
                     continue
                 for extra in combinations(rest, size_minus_one):
-                    if extra and tuple(T[i] for i in (head,) + extra) not in inner.table:
-                        continue
-                    blocks.append((head,) + extra)
+                    block = (head,) + extra
+                    if extra:  # T is sorted, so the block is a stored key as it is
+                        row = inner.table.get(tuple(T[i] for i in block))
+                        if row is None:
+                            continue
+                        bd = tuple(degs[i] for i in block)
+                        blocks.append((block, row, sum(bd) - len(extra), -suspension_sign(bd)))
+                    else:
+                        blocks.append((block, {T[head]: 1}, degs[head], 1))
                     grow(tuple(x for x in rest if x not in extra))
                     blocks.pop()
 
@@ -526,10 +524,11 @@ def transfer_linf(
     result = LInfAlgebra(small, brackets)
     certificate = jacobi_check(result, max_arity)
     if not certificate.ok:
+        given = jacobi_check(source, max_arity)  # only on failure: blame the input or the engine
         raise TransferError(
-            "transferred L-infinity structure fails Jacobi (sign convention bug): "
-            + certificate.first().describe()
-        )
+            "input fails Jacobi: " + given.first().describe() if not given.ok else
+            "transferred L-infinity structure fails Jacobi (engine defect): "
+            + certificate.first().describe())
     meta = {"max_arity": max_arity, "arity_bound": arity_vacuity_bound(small)}
     return LInfTransfer(result, diagram, cache, certificate, meta)
 

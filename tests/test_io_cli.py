@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import signal
@@ -22,6 +23,7 @@ from hse.io_json import (
 )
 from hse.structures import AInfAlgebra, LInfPair
 from test_deformation import NOT_SQUARE_ZERO, line_pair
+from test_structures import h3_times_h3
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -494,6 +496,49 @@ def test_cli_exact_resonance_transfers_to_n0_plus_one(tmp_path):
     payload = rep["payload"]
     assert payload["n0"] == 8
     assert payload["arity_reached"] >= payload["n0"] + 1
+
+
+def _tables_sha256(payload: dict) -> str:
+    """SHA-256 of a report's tables: its payload without the metadata."""
+    tables = {key: value for key, value in payload.items() if key != "metadata"}
+    return hashlib.sha256(dumps(tables).encode("utf-8")).hexdigest()
+
+
+def test_cli_h3_times_h3_end_to_end(tmp_path):
+    # the first input with nu_4 != 0: the A-infinity and pair transfers to
+    # arity 6, the exact resonance ideal and the tangent cone at (1, 1) all
+    # pass; the --emit all reports (560 KB and 175 KB) are pinned by hash
+    alg = h3_times_h3()
+    ainf, pair = tmp_path / "h3xh3.json", tmp_path / "h3xh3-pair.json"
+    ainf.write_text(dumps(package_to_json(alg.ainf())))
+    pair.write_text(dumps(package_to_json(cdga_pair(alg))))
+    rep = run_cli(tmp_path, "transfer", str(ainf), "--max-arity", "6")
+    assert rep["status"] == "pass"
+    assert {"4", "5", "6"} & set(rep["payload"]["structure"]["maps"]) == {"4"}
+    assert _tables_sha256(rep["payload"]) == (
+        "4c4733b70646522de01462146006dda2955edec0963e9c03bd510e2a657fdee0")
+    rep = run_cli(tmp_path, "transfer", str(pair), "--max-arity", "6")
+    assert rep["status"] == "pass"
+    assert all(check["ok"] for check in rep["payload"]["metadata"]["checks"].values())
+    assert _tables_sha256(rep["payload"]) == (
+        "a5a4b8b2e90806229c19d7414250d9340846b9bcfa4cad36be6cf70a23fd352d")
+    rep = run_cli(tmp_path, "resonance", str(pair), "--i", "1", "--k", "1", "--exact")
+    assert rep["status"] == "pass"
+    assert rep["payload"]["arity_reached"] >= rep["payload"]["n0"] + 1
+    assert rep["payload"]["sample_oracle_consistent"]
+    rep = run_cli(tmp_path, "tangent-cone", str(pair), "--i", "1", "--k", "1")
+    assert rep["status"] == "pass" and rep["payload"]["ok"] and not rep["payload"]["failures"]
+
+
+def test_cli_transfer_blames_an_input_that_fails_jacobi(tmp_path, capsys):
+    # the perturbed pair fails its own module identity, so the transfer's
+    # Jacobi failure is reported as the input's, without a traceback
+    fx = ROOT / "tests" / "golden" / "perturbed-heisenberg-pair.json"
+    out = tmp_path / "out.json"
+    assert main(["transfer", str(fx), "--max-arity", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("check error: input fails Jacobi: arity 3 at ")
+    assert "Traceback" not in err and "engine defect" not in err
 
 
 def _set_coef(value):

@@ -750,20 +750,25 @@ def h3_times_h3() -> Cdga:
 
 
 def test_residuals_match_reference_at_arity_five_on_h3_times_h3(monkeypatch):
-    # the A-infinity transfer of H_3 x H_3 fails Stasheff at arity 5 and its
-    # phi and psi fail from arity 3 (an open sign defect); however many
-    # violations there are, engine and reference agree at every tuple visited
-    # (once that defect is fixed, a perturbed coefficient must supply them)
+    # H_3 x H_3 is the first input with nu_4 != 0, and its transfer passes
+    # every certificate; one perturbed coefficient of nu_4, phi_3 and psi_3
+    # supplies violations at arities 5 and 4, and engine and reference agree
+    # at every tuple visited
     alg = h3_times_h3()
     res = transfer_ainf(cohomology_splitting(alg.space, alg.differential_map()), alg.ainf(), 5)
+    rng = random.Random(0)
+    products = {**res.algebra.products, 4: _perturbed(res.algebra.products[4], rng)}
+    bad = AInfAlgebra(res.algebra.space, products)
     reports = []
     seen = _compare(monkeypatch, "stasheff_residual", ref_stasheff_residual,
-                    lambda: reports.append(stasheff_check(res.algebra, 5)))
+                    lambda: reports.append(stasheff_check(bad, 5)))
     assert any(seen) and not all(seen)
     assert any(v.arity == 5 for v in reports[-1].violations)
     for mor in (res.phi, res.psi):
+        comps = {**mor.components, 3: _perturbed(mor.components[3], rng)}
+        bad_mor = InfMorphism("ainf", mor.source, mor.target, comps)
         seen = _compare(monkeypatch, "_morphism_residual", ref_ainf_morphism_residual,
-                        lambda: reports.append(morphism_check(mor, 4)))
+                        lambda: reports.append(morphism_check(bad_mor, 4)))
         assert any(seen) and not all(seen)
         assert any(v.arity == 4 for v in reports[-1].violations)
 

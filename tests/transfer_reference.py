@@ -4,6 +4,12 @@ and summed by copying (``MultiMap.plus`` of ``MultiMap.scaled``), products
 and morphism components scaled by copying, and a cohomology splitting that
 walked its blocks twice.  The compositions are the ones it called, which
 returned a fresh map.  Kept as the references of the differential tests.
+
+Its kernels run on A itself, with the sign (-1)^theta of a composition
+profile and morphism components rescaled by (-1)^(n-1).  On every input
+whose transferred nu_4 vanishes that agrees with the suspension form of
+``hse.transfer``; H_3 x H_3, the first input with nu_4 != 0, tells them
+apart, and there the reference fails Stasheff at arity 5.
 """
 
 from fractions import Fraction
@@ -12,9 +18,15 @@ from hse import linalg
 from hse.grading import BasisElement, GradedSpace
 from hse.multimap import MultiMap, add_tables, identity_map
 from hse.scalars import canonical
-from hse.signs import compositions, theta_exponent
+from hse.signs import compositions
 from hse.structures import AInfAlgebra, InfMorphism
 from hse.transfer import TransferDiagram, TransferError
+
+
+def theta_exponent(profile):
+    """The p-kernel sign exponent sum_{i<j} r_i (r_j + 1) of the kernels on A."""
+    k = len(profile)
+    return sum(profile[i] * (profile[j] + 1) for i in range(k) for j in range(i + 1, k))
 
 
 def _scaled(mm, factor):
