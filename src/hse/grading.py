@@ -31,7 +31,8 @@ class GradedSpace:
             raise ValueError("either all basis elements carry weights or none")
         self.elements = elements
         self._by_label = {e.label: e for e in elements}
-        self._order = {e.label: i for i, e in enumerate(elements)}
+        # label -> position in the basis: a sort key, read on every hot path
+        self.order_index = {e.label: i for i, e in enumerate(elements)}.__getitem__
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -57,9 +58,6 @@ class GradedSpace:
 
     def weight(self, label: str) -> int | None:
         return self.element(label).weight
-
-    def order_index(self, label: str) -> int:
-        return self._order[label]
 
     def labels(self) -> list[str]:
         return [e.label for e in self.elements]

@@ -19,19 +19,16 @@ Symmetry handling:
   last, which is the module slot; the stored keys have the leading slots
   sorted.
 
-Contraction.  The L-infinity transfer kernel, the right-hand sides of the
-morphism identities, the universal twisted differential and every
-evaluation on coefficient vectors contract a table against per-slot sparse
-vectors: at each vertex of a transfer tree (Loday-Vallette, Algebraic
-Operads, 10.3) the outer map eats the values of the blocks below it.
-``contract`` is that one kernel: it adds scale * mm(v_1, ..., v_n) into an
-accumulator, reading each stored row in place.  ``block_vectors`` builds
-the slot vectors of one block partition -- a slot is a raw input or a
-map's stored row at the inputs of its block -- and is the one place that
-applies the Koszul crossing rule: a map of odd shift passing inputs of odd
-total degree in the earlier blocks contributes -1.  ``tensor_compose``
-stays table-driven: it composes whole tables by walking the outer map's
-stored keys, where an input-driven contraction would scan input tuples.
+Contraction.  The L-infinity transfer kernel, the universal twisted
+differential and every evaluation on coefficient vectors contract a table
+against per-slot sparse vectors: at each vertex of a transfer tree
+(Loday-Vallette, Algebraic Operads, 10.3) the outer map eats the values of
+the blocks below it.  ``contract`` is that one kernel: it adds
+scale * mm(v_1, ..., v_n) into an accumulator, reading each stored row in
+place.  ``tensor_compose`` stays table-driven: it composes whole tables by
+walking the outer map's stored keys, where an input-driven contraction
+would scan input tuples; the identity checkers of ``structures`` walk
+stored keys the same way.
 Like ``contract``, the compositions ``tensor_compose`` and ``postcompose``
 add scale * the composite into an output map, so a signed sum of
 composites (a transfer kernel, a homotopy residual) fills one map in place.
@@ -429,33 +426,6 @@ def _power(w: dict[str, object], S: tuple[str, ...], scale):
     for lab in S:
         scale = scale * w[lab]
     return scale * Fraction(1, mult) if mult > 1 else scale
-
-
-def block_vectors(maps: list[MultiMap | None], T: tuple[str, ...], degs: tuple[int, ...],
-                  blocks) -> tuple[list[dict[str, object]], int]:
-    """Slot vectors of outer(M_1(T[B_1]), ..., M_k(T[B_k])) and their sign.
-
-    ``maps[t]`` is None for a raw input (its block holds one index) and
-    otherwise a map whose stored row at the labels of block t fills slot t.
-    The sign collects the rows' canonicalization signs and the Koszul
-    crossing rule: a map of odd shift crossing the inputs of the earlier
-    blocks, of odd total degree, contributes -1.  The sign is 0 when some
-    block value is zero.  Rows are returned in place; do not mutate them.
-    """
-    vectors: list[dict[str, object]] = []
-    sign = 1
-    odd = 0
-    for m, block in zip(maps, blocks):
-        if m is None:
-            vectors.append({T[block[0]]: 1})
-        else:
-            row, s0 = m.get_ref(tuple(T[i] for i in block))
-            if row is None:
-                return [], 0
-            sign *= -s0 if m.shift % 2 and odd else s0
-            vectors.append(row)
-        odd ^= sum(degs[i] for i in block) & 1
-    return vectors, sign
 
 
 def evaluate_on_vectors(mm: MultiMap, vectors: list[dict[str, object]]):

@@ -155,20 +155,18 @@ def sort_with_sign(labels: tuple[str, ...], degrees: tuple[int, ...], order_inde
 
     Returns sign 0 when the tuple repeats an even-degree label: a graded
     antisymmetric map vanishes there.  Repeated odd labels are fine (their
-    transposition sign is +1 under antisym_sign).
+    transposition sign is +1 under antisym_sign).  With S the sorted tuple,
+    map(labels) = sign * map(S): the sort swaps each inverted pair once, and
+    a swap of entries of degrees d, e gives -(-1)^(d*e).
     """
-    n = len(labels)
-    idx = sorted(range(n), key=lambda i: (order_index(labels[i]), i))
-    seen: set[str] = set()
-    for lab, deg in zip(labels, degrees):
-        if lab in seen and deg % 2 == 0:
-            return tuple(labels[i] for i in idx), 0
-        seen.add(lab)
-    # With S the sorted tuple, labels = S o tau where tau[i] is the position
-    # of i in idx; then map(labels) = antisym_sign(tau, degs(S)) * map(S).
-    tau = [0] * n
-    for pos, i in enumerate(idx):
-        tau[i] = pos
-    sorted_labels = tuple(labels[i] for i in idx)
-    sorted_degrees = tuple(degrees[i] for i in idx)
-    return sorted_labels, antisym_sign(tuple(tau), sorted_degrees)
+    idx = list(map(order_index, labels))
+    sign = 1
+    for j in range(1, len(idx)):
+        b, e = idx[j], degrees[j]
+        for i in range(j):
+            if b < idx[i]:
+                if not degrees[i] & e & 1:
+                    sign = -sign
+            elif b == idx[i] and not e & 1:
+                sign = 0
+    return tuple(sorted(labels, key=order_index)), sign

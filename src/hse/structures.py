@@ -3,9 +3,9 @@ identity checkers.
 
 There is one identity per kind of structure: Stasheff for A-infinity
 algebras and morphisms, Jacobi for L-infinity algebras and morphisms.  Both
-operads share one residual loop and one checker, which read where the inner
-map sits, which block orderings a morphism sums over and with which signs
-from the two-entry table ``OPERADS``.  An L-infinity module M over L is the
+operads share one term walk and one checker; they differ in where the inner
+map sits, how a term's tuple is ordered and with which signs.  An
+L-infinity module M over L is the
 L-infinity algebra L (+) M in which M is an abelian ideal (Lada-Markl), so
 the module identities are the Jacobi identities of L (+) M at the tuples
 whose one module label is last, and a module morphism g is checked as the
@@ -17,13 +17,13 @@ Structure maps are stored sparsely with finite arity support; an absent
 arity is the zero map.  Checkers evaluate the defining identities exactly
 and report the full violation list (sign debugging needs more than a
 boolean).  A term of an identity is nonzero only when each map it reads has
-a stored row at its inputs, so a tuple with a nonzero residual is reached
-from the stored keys: an outer key with one slot replaced by an inner key
-producing that slot's label, or a morphism's target key with every slot
-replaced by a component key producing it.  The checkers evaluate exactly
-those candidates that lie in the degree window (output degree populated),
-in basis order, and a residual anywhere else is identically zero; the
-violation lists are those of a scan over every basis tuple in the window.
+a stored row at its inputs, so the checkers walk the stored keys once,
+term by term: an inner key producing a label that an outer key holds at
+some slot, or a morphism's target key with a component key producing each
+slot.  Each term adds its signed row into the residual of the tuple it
+lands on, and the nonzero residuals in the degree window (output degree
+populated), in basis order, are the violation list of a scan over every
+basis tuple in the window.
 
 The antisymmetric convention throughout is signature times Koszul sign
 (``signs.antisym_sign``).  Under the pure-Koszul reading of the sign chi the
@@ -35,19 +35,12 @@ to zero, so that reading is rejected; both signs remain available in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import accumulate
-from typing import Callable, NamedTuple
+from fractions import Fraction
+from itertools import groupby
+from math import factorial, prod
 from .grading import GradedSpace, combine_spaces
-from .multimap import (
-    MultiMap, add_tables, antisymmetrization, block_vectors, contract, identity_map)
-from .signs import (
-    antisym_sign,
-    block_permutations,
-    compositions as _compositions,
-    epsilon_exponent,
-    unshuffles,
-)
+from .multimap import MultiMap, add_tables, antisymmetrization, identity_map
+from .signs import sort_with_sign
 
 
 # ---------------------------------------------------------------------------
@@ -191,280 +184,168 @@ class InfMorphism:
 # ---------------------------------------------------------------------------
 # residuals
 #
-# Both operads' identities have one shape.  The left-hand side sums
-# outer_{n+1-q}(inner_q inserted into T) over the operad's insertions; a
-# morphism identity subtracts target_k(f_{i_1} x ... x f_{i_k}) over the
-# operad's block orderings.  The operads differ only in data, kept side by
-# side in ``OPERADS``:
+# Both operads' identities have one shape (Markl's tree sums; Loday-Vallette,
+# Algebraic Operads, 10.3).  The left-hand side sums outer_{n+1-q}(inner_q
+# inserted into T); a morphism identity subtracts target_k(f_{i_1} x ... x
+# f_{i_k}) over block orderings.  A term is nonzero only when every map it
+# reads has a stored row at its inputs, so one walk over the stored keys
+# visits each nonzero term once and adds it into the residual of the tuple
+# it lands on:
 #
-#   A-oo: inner_q at slot p of T, with (-1)^(p+qr); blocks consecutive.
-#   L-oo: inner_q at the first q slots of T o sigma per (q, n-q)-unshuffle
-#         sigma, with chi(sigma) (-1)^(q(j-1)); blocks over every
-#         permutation keeping order inside blocks and increasing block
-#         minima, with chi(sigma).
+#   structure terms: an inner key I, a label of its row and an outer key K
+#     holding that label at slot p add the signed row_K at K[:p] + I + K[p+1:];
+#   morphism right-hand sides: a target key K and, per slot t, a component
+#     key J_t whose row holds K[t] add the signed row_K at J_1 + ... + J_k.
 #
-# A permutation is stored as None when it is the identity, so such terms
-# skip the permute and the chi lookup.  Morphism blocks carry
-# -(-1)^epsilon(profile).  The left-hand sides look up one stored row per
-# term; the right-hand sides are evaluated with ``block_vectors`` and
-# ``contract``.
+# A-oo signs: (-1)^(p+qr) and inner_q crossing the first p inputs on the
+# left; -(-1)^epsilon(profile) and each f_|J| of odd shift crossing the
+# inputs before it on the right.  L-oo: the inner map takes the first q
+# slots of T o sigma over the (q, n-q)-unshuffles sigma, with chi(sigma)
+# (-1)^(q(n-q)), and the right-hand side runs over unordered block
+# partitions; a term lands on its tuple sorted into basis order, with its
+# antisym sign.  Where that tuple T repeats an odd label, one term stands for
+# several index-level ones: prod_l C(m_T(l), m_I(l)) unshuffles on the left,
+# and prod_l m_T(l)! / prod_t m_J_t(l)! block partitions over prod_x m_K(x)!
+# orderings of K's slots on the right.
 
-def _perm(sigma: tuple[int, ...]):
-    return None if sigma == tuple(range(len(sigma))) else sigma
-
-
-@lru_cache(maxsize=None)
-def _ainf_insertions(n: int, q: int) -> tuple:
-    return tuple((None, p, -1 if (p + q * (n - q - p)) % 2 else 1) for p in range(n - q + 1))
-
-
-@lru_cache(maxsize=None)
-def _linf_insertions(n: int, q: int) -> tuple:
-    sign = -1 if (q * (n - q)) % 2 else 1
-    return tuple((_perm(sigma), 0, sign) for sigma in unshuffles(q, n))
+def _repeats(T: tuple[str, ...]) -> int:
+    """prod over the labels l of a sorted T of m_T(l)!."""
+    if len(set(T)) == len(T):
+        return 1
+    return prod(factorial(len(list(run))) for _, run in groupby(T))
 
 
-def _blocks(sigma: tuple[int, ...], profile: tuple[int, ...]) -> tuple:
-    starts = (0, *accumulate(profile))
-    return tuple(sigma[a:b] for a, b in zip(starts, starts[1:]))
-
-
-@lru_cache(maxsize=None)
-def _ainf_orderings(profile: tuple[int, ...], n: int) -> tuple:
-    sign = 1 if epsilon_exponent(profile) % 2 else -1
-    return ((None, _blocks(tuple(range(n)), profile), sign),)
-
-
-@lru_cache(maxsize=None)
-def _linf_orderings(profile: tuple[int, ...], n: int) -> tuple:
-    return tuple((_perm(sigma), _blocks(sigma, profile), 1 if eps % 2 else -1)
-                 for sigma, eps in block_permutations(profile, n, min_first=True))
-
-
-class Operad(NamedTuple):
-    """Where an identity of the operad reads its maps, and with which signs."""
-    maps: str  # the structure attribute holding the operations
-    antisym: bool  # graded antisymmetric slots: candidates sorted, no even repeats
-    insertions: Callable  # (n, q) -> (sigma, p, sign): inner_q at slot p of T o sigma
-    orderings: Callable  # (profile, n) -> (sigma, blocks, sign): a morphism's blocks
-
-
-OPERADS = {
-    "ainf": Operad("products", False, _ainf_insertions, _ainf_orderings),
-    "linf": Operad("brackets", True, _linf_insertions, _linf_orderings),
-}
-
-
-def _accumulate(acc: dict, vec: dict, factor) -> None:
-    for lab, c in vec.items():
-        total = acc.get(lab, 0) + factor * c
-        if total:
-            acc[lab] = total
-        else:
-            acc.pop(lab, None)
-
-
-def _lhs(op: Operad, outer: dict[int, MultiMap], inner: dict[int, MultiMap],
-         T: tuple[str, ...], degs: tuple[int, ...]) -> dict:
-    """Sum over the insertions of inner_q into outer_{n+1-q} at T."""
-    n = len(T)
-    acc: dict = {}
-    for q in range(1, n + 1):
-        m_in = inner.get(q)
-        m_out = outer.get(n + 1 - q)
-        if m_in is None or m_out is None:
-            continue
-        for sigma, p, sign in op.insertions(n, q):
-            Ts = T if sigma is None else tuple([T[k] for k in sigma])
-            row, s0 = m_in.get_ref(Ts[p:p + q])
-            if row is None:
-                continue
-            sign *= s0
-            if sigma is not None:
-                sign *= antisym_sign(sigma, degs)
-            if q % 2 and sum(degs[:p]) % 2:
-                sign = -sign  # inner_q crossing the first p inputs
-            head, tail = Ts[:p], Ts[p + q:]
-            for mid, c in row.items():
-                out, s1 = m_out.get_ref(head + (mid,) + tail)
-                if out is not None:
-                    _accumulate(acc, out, sign * s1 * c)
-    return acc
-
-
-def stasheff_residual(products: dict[int, MultiMap], space: GradedSpace,
-                      T: tuple[str, ...]) -> dict:
-    """Sum over p+q+r=n of (-1)^(p+qr) nu_{p+r+1}(1^p x nu_q x 1^r) at T."""
-    return _lhs(OPERADS["ainf"], products, products, T, tuple([space.deg(l) for l in T]))
-
-
-def jacobi_residual(brackets: dict[int, MultiMap], space: GradedSpace,
-                    T: tuple[str, ...]) -> dict:
-    """Sum over (i,j,sigma) of chi(sigma) (-1)^(i(j-1)) l_j(l_i x 1^(j-1)) at T."""
-    return _lhs(OPERADS["linf"], brackets, brackets, T, tuple([space.deg(l) for l in T]))
-
-
-def _morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
-    """f(inner inserted) terms minus target_k(f_{i_1} x ... x f_{i_k}) at T."""
-    op = OPERADS[mor.kind]
-    source, target = getattr(mor.source, op.maps), getattr(mor.target, op.maps)
-    n = len(T)
-    degs = tuple([mor.source.space.deg(l) for l in T])
-    acc = _lhs(op, mor.components, source, T, degs)
-    for k in range(1, n + 1):
-        target_map = target.get(k)
-        if target_map is None:
-            continue
-        for profile in _compositions(n, k):
-            comps = [mor.components.get(i) for i in profile]
-            if any(c is None for c in comps):
-                continue
-            for sigma, blocks, sign in op.orderings(profile, n):
-                vectors, s = block_vectors(comps, T, degs, blocks)
-                if s:
-                    if sigma is not None:
-                        s *= antisym_sign(sigma, degs)
-                    contract(target_map, vectors, acc, s * sign)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# candidate tuples
-#
-# A residual term is nonzero only when every map it reads has a stored row
-# at its inputs.  A left-hand-side term outer(1 x inner x 1) at T reads a
-# stored key K of the outer map whose slot p holds a label produced by a
-# stored key I of the inner map, so T is K with slot p replaced by I.  A
-# morphism right-hand side target(f x ... x f) at T reads a stored key K of
-# the target map and, per slot t, a stored key J_t of a component whose row
-# holds K[t], so T is J_1 + ... + J_k.  In the antisymmetric slots the
-# candidate is sorted into basis order.  Every tuple where a residual is
-# nonzero is a candidate; the checkers evaluate the residual only there.
-#
-# ``producers``, ``concatenate`` and ``window`` are the one stored-key
-# candidate enumerator of the package: the L-infinity transfer
-# (``transfer.LInfKernelCache`` for p_n, ``transfer.transfer_linf`` for l_n)
-# draws its input tuples from them too.
-
-def producers(maps: dict[int, MultiMap]) -> dict[str, list[tuple[str, ...]]]:
-    """Output label -> the stored keys (of every arity) whose row holds it."""
-    index: dict[str, list[tuple[str, ...]]] = {}
-    for m in maps.values():
-        for key, row in m.table.items():
-            for lab in row:
-                index.setdefault(lab, []).append(key)
-    return index
-
-
-def sorted_in(space: GradedSpace):
-    index = space.order_index
-    return lambda T: tuple(sorted(T, key=index))
-
-
-def _splice(found: dict, outer: dict[int, MultiMap], inner: dict,
-            max_arity: int, canon) -> None:
-    """Add canon(K[:p] + I + K[p+1:]) for each stored key K of an outer map,
-    slot p and key I of ``inner`` producing K[p]."""
-    for m in outer.values():
-        for K in m.table:
-            end = len(K) - 1
-            for p, mid in enumerate(K):
-                for I in inner.get(mid, ()):
-                    n = end + len(I)
-                    if n <= max_arity:
-                        found.setdefault(n, set()).add(canon(K[:p] + I + K[p + 1:]))
-
-
-def concatenate(found: dict, target: dict[int, MultiMap], producers: dict,
-                max_arity: int, canon, exact: bool = False) -> None:
-    """Add canon(J_1 + ... + J_k) for each stored key K of a target map and
-    keys J_t producing K[t]; with ``exact`` only the unions of max_arity
-    labels, the others are dropped before ``canon`` sorts them."""
-    for m in target.values():
-        for K in m.table:
-            slots = [producers.get(mid) for mid in K]
-            if not all(slots):
-                continue
-            k = len(K)
-
-            def rec(t: int, chunks: tuple[str, ...], room: int) -> None:
-                if t == k:
-                    if not (exact and room):
-                        found.setdefault(max_arity - room, set()).add(canon(chunks))
-                    return
-                for J in slots[t]:
-                    if len(J) <= room - (k - 1 - t):
-                        rec(t + 1, chunks + J, room - len(J))
-
-            rec(0, (), max_arity)
-
-
-def _repeats_even(T: tuple[str, ...], deg: dict[str, int]) -> bool:
-    return any(a == b and deg[a] % 2 == 0 for a, b in zip(T, T[1:]))
-
-
-def window(found: dict, max_arity: int, base: int, out_space: GradedSpace,
-           space: GradedSpace, antisym: bool):
-    """(n, T) for the candidates a scan of space would visit, in its order.
-
-    The window: the total input degree plus base - n is a degree of
-    out_space, and with antisymmetric slots no even label repeats.  Within
-    an arity the tuples come in basis order.
-    """
+def _residuals(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
+               target: dict[int, MultiMap] | None, space: GradedSpace,
+               antisym: bool, max_arity: int) -> dict:
+    """Tuple -> its residual (cancelled entries kept as zeros) up to max_arity:
+    inner inserted into outer, minus target of outer's blocks when target is
+    given (outer then holds a morphism's components)."""
     deg = {e.label: e.deg for e in space.elements}
-    index = space.order_index
-    out_degs = out_space.degrees()
-    for n in range(1, max_arity + 1):
-        sums = {d - (base - n) for d in out_degs}
-        kept = [T for T in found.get(n, ())
-                if all(l in deg for l in T) and sum(deg[l] for l in T) in sums
-                and not (antisym and _repeats_even(T, deg))]
-        kept.sort(key=lambda T: [index(l) for l in T])
-        for T in kept:
-            yield n, T
+    order = space.order_index
+    res: dict = {}
+
+    def land(chunks: tuple[str, ...]) -> tuple:
+        """(chunks in basis order, their antisym sign, prod m_T(l)!)"""
+        T, sign = sort_with_sign(chunks, tuple([deg[l] for l in chunks]), order)
+        return T, sign, _repeats(T)
+
+    def add(T: tuple[str, ...], coef, row: dict) -> None:
+        vec = res.get(T)
+        if vec is None:
+            res[T] = {lab: coef * c for lab, c in row.items()}
+        else:
+            for lab, c in row.items():
+                vec[lab] = vec.get(lab, 0) + coef * c
+
+    # label -> (arity of K, K[:p], the rest of K, (sign for even q, for odd
+    # q), prod m_rest(l)!, row_K) per outer key K and slot p holding it
+    slots: dict[str, list] = {}
+    for m_out in outer.values():
+        for K, row in m_out.table.items():
+            n_out = len(K)
+            odd = 0  # the degree parity of K[:p]
+            for p, mid in enumerate(K):
+                if not antisym:
+                    # (-1)^(p+qr) with r = n_out-1-p, and for odd q the crossing of K[:p]
+                    signs = (-1 if p & 1 else 1, -1 if (n_out - 1 + odd) & 1 else 1)
+                    slots.setdefault(mid, []).append((n_out, K[:p], K[p + 1:], signs, 1, row))
+                elif not (p and mid == K[p - 1]):  # a repeated odd label leaves one rest
+                    # the sign of (mid,) + rest -> K, times (-1)^(q(n-q)) with n-q = n_out-1
+                    s = -1 if (p + odd * deg[mid]) & 1 else 1
+                    signs = (s, -s if (n_out - 1) & 1 else s)
+                    rest = K[:p] + K[p + 1:]
+                    slots.setdefault(mid, []).append((n_out, (), rest, signs, _repeats(rest), row))
+                odd ^= deg[mid] & 1
+    for q, m_in in inner.items():
+        odd_q = q & 1
+        for I, row_I in m_in.table.items():
+            m_I = _repeats(I) if antisym else 1
+            for mid, c in row_I.items():
+                for n_out, head, rest, signs, m_rest, row in slots.get(mid, ()):
+                    if n_out + q > max_arity + 1:
+                        continue
+                    if not antisym:
+                        add(head + I + rest, signs[odd_q] * c, row)
+                        continue
+                    T, sign, m_T = land(I + rest)
+                    if sign:
+                        sign *= signs[odd_q] if m_T == 1 else signs[odd_q] * (m_T // (m_I * m_rest))
+                        add(T, sign * c, row)
+    if target is None:
+        return res
+
+    # label -> (J, coefficient, |J|, the degree parity of J, prod m_J(l)!) per component key J
+    makers: dict[str, list] = {}
+    for m_f in outer.values():
+        for J, row in m_f.table.items():
+            info = (len(J), sum(deg[l] for l in J) & 1, _repeats(J) if antisym else 1)
+            for lab, c in row.items():
+                makers.setdefault(lab, []).append((J, c, *info))
+    for k, m_t in target.items():
+        for K, row in m_t.table.items():
+            options = [makers.get(lab) for lab in K]
+            if not all(options):
+                continue
+            # (inputs so far, coefficient, their degree parity, prod m_J!), slot
+            # by slot; f_|J| of even |J| flips the sign past odd inputs and,
+            # in epsilon, before an odd number of later slots
+            partial = [((), -1, 0, 1)]
+            for t, opts in enumerate(options):
+                later = k - 1 - t
+                room = max_arity - later
+                partial = [(T + J, -coef * c if (odd ^ later) & 1 and not size & 1 else coef * c,
+                            odd ^ parity, m * m_J)
+                           for T, coef, odd, m in partial
+                           for J, c, size, parity, m_J in opts if len(T) + size <= room]
+            if not antisym:
+                for T, coef, _, _ in partial:
+                    add(T, coef, row)
+                continue
+            m_K = _repeats(K)
+            for chunks, coef, _, m in partial:
+                T, sign, m_T = land(chunks)
+                if sign:
+                    weight = sign * m_T // m if m_K == 1 else Fraction(sign * m_T // m, m_K)
+                    add(T, coef if weight == 1 else coef * weight, row)
+    return res
 
 
 # ---------------------------------------------------------------------------
 # checkers
 
-def _report(name: str, max_arity: int, visits, residual) -> CheckReport:
+def _check(name: str, antisym: bool, outer: dict[int, MultiMap], source, target,
+           max_arity: int) -> CheckReport:
+    """The nonzero residuals in the degree window, by arity and then basis
+    order: those of a scan over every basis tuple in the window.
+
+    The window: the total input degree plus base - n is a degree of the
+    output space, base 3 for a structure identity and 2 for a morphism
+    identity (``target`` given).
+    """
+    maps = "brackets" if antisym else "products"
+    space = source.space
+    res = _residuals(outer, getattr(source, maps), target and getattr(target, maps),
+                     space, antisym, max_arity)
+    base, out_space = (3, space) if target is None else (2, target.space)
+    out_degs = set(out_space.degrees())
+    deg = {e.label: e.deg for e in space.elements}
     violations = []
-    for n, T in visits:
-        res = residual(T)
-        if res:
-            violations.append(Violation(n, T, res))
+    for T, vec in res.items():
+        vec = {lab: c for lab, c in vec.items() if c}
+        if vec and all(l in deg for l in T) and sum(deg[l] for l in T) + base - len(T) in out_degs:
+            violations.append(Violation(len(T), T, vec))
+    index = space.order_index
+    violations.sort(key=lambda v: (v.arity, [index(l) for l in v.inputs]))
     return CheckReport(name, not violations, max_arity, tuple(violations))
 
 
-def _check(name: str, op: Operad, outer: dict[int, MultiMap], source, target,
-           max_arity: int, residual) -> CheckReport:
-    """Evaluate residual at every candidate in the degree window.
-
-    The candidates are the keys of the outer maps with one slot replaced by
-    a key of the source's maps and, for a morphism identity (``target``
-    given), the keys of the target's maps with every slot replaced by an
-    outer key.  A structure identity has shift 3 - n, a morphism identity
-    2 - n.
-    """
-    space = source.space
-    canon = sorted_in(space) if op.antisym else tuple
-    found: dict = {}
-    _splice(found, outer, producers(getattr(source, op.maps)), max_arity, canon)
-    if target is not None:
-        concatenate(found, getattr(target, op.maps), producers(outer), max_arity, canon)
-    out_space = space if target is None else target.space
-    visits = window(found, max_arity, 3 if target is None else 2, out_space, space, op.antisym)
-    return _report(name, max_arity, visits, residual)
-
-
 def stasheff_check(alg: AInfAlgebra, max_arity: int) -> CheckReport:
-    return _check("stasheff", OPERADS["ainf"], alg.products, alg, None, max_arity,
-                  lambda T: stasheff_residual(alg.products, alg.space, T))
+    return _check("stasheff", False, alg.products, alg, None, max_arity)
 
 
 def jacobi_check(alg: LInfAlgebra, max_arity: int) -> CheckReport:
-    return _check("jacobi", OPERADS["linf"], alg.brackets, alg, None, max_arity,
-                  lambda T: jacobi_residual(alg.brackets, alg.space, T))
+    return _check("jacobi", True, alg.brackets, alg, None, max_arity)
 
 
 def _module_first(T: tuple[str, ...]) -> tuple[str, ...]:
@@ -476,7 +357,7 @@ def split_pair_report(rep: CheckReport, module: LInfModule) -> tuple[CheckReport
     """The algebra and module halves of a report on L (+) M (or on id_L (+) g).
 
     Every module label of ``module.combined`` comes after every algebra
-    label, so no candidate of L (+) M has two module labels and a module
+    label, so no violation of L (+) M has two module labels and a module
     label is always last.  The algebra half keeps the tuples with no module
     label, in order; the module half, named "module", takes the rest,
     re-sorted by the module label first within each arity.
@@ -514,8 +395,8 @@ def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:
         lifted = morphism_pair_to_algebra(ident, mor, _direct_sum(src), _direct_sum(tgt))
         acting = split_pair_report(morphism_check(lifted, max_arity), src)[1]
         return replace(acting, name="morphism-module")
-    return _check(f"morphism-{mor.kind}", OPERADS[mor.kind], mor.components, src, tgt,
-                  max_arity, lambda T: _morphism_residual(mor, T))
+    return _check(f"morphism-{mor.kind}", mor.kind == "linf", mor.components, src, tgt,
+                  max_arity)
 
 
 # ---------------------------------------------------------------------------

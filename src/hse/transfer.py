@@ -23,12 +23,12 @@ The L-infinity p_n is the same sum on sL, over trees (Kadeishvili) whose
 root is a bracket l_k and whose other vertices are earlier h p_s; Jacobi
 certifies every output, and a failing one is never returned.  A term is
 nonzero only when every vertex value is, so both L-infinity enumerations
-draw their input tuples from stored keys through the checkers' enumerator
-(``structures.producers``, ``concatenate`` and ``window``):
-``LInfKernelCache`` concatenates, over the stored keys of l_k, per slot the
-label itself or an h p_s key producing it (one tree level deep, since
-h p_s already sums the deeper levels), and ``transfer_linf`` concatenates,
-over the stored keys of p_n, per slot a small label whose g-row holds it.
+draw their input tuples from stored keys (``producers``, ``concatenate``
+and ``window`` below): ``LInfKernelCache`` concatenates, over the stored
+keys of l_k, per slot the label itself or an h p_s key producing it (one
+tree level deep, since h p_s already sums the deeper levels), and
+``transfer_linf`` concatenates, over the stored keys of p_n, per slot a
+small label whose g-row holds it.
 On the Heisenberg pair at arity 6 no tuple survives, where a scan tried
 each of 7,435 sorted tuples against 31 partitions.
 """
@@ -59,12 +59,8 @@ from .structures import (
     LInfPair,
     PairEmbedding,
     algebra_to_module,
-    concatenate,
     jacobi_check,
     pair_to_algebra,
-    producers,
-    sorted_in,
-    window,
 )
 
 
@@ -376,6 +372,75 @@ def transfer_ainf(
 
 # ---------------------------------------------------------------------------
 # L-infinity transfer
+#
+# A tree term is nonzero only when every vertex has a stored row at its
+# inputs, so the input tuples where p_n or l_n can be nonzero are the stored
+# keys K of the root map with every slot t replaced by a stored key J_t
+# producing K[t], J_1 + ... + J_k sorted into basis order.
+
+def producers(maps: dict[int, MultiMap]) -> dict[str, list[tuple[str, ...]]]:
+    """Output label -> the stored keys (of every arity) whose row holds it."""
+    index: dict[str, list[tuple[str, ...]]] = {}
+    for m in maps.values():
+        for key, row in m.table.items():
+            for lab in row:
+                index.setdefault(lab, []).append(key)
+    return index
+
+
+def sorted_in(space: GradedSpace):
+    index = space.order_index
+    return lambda T: tuple(sorted(T, key=index))
+
+
+def concatenate(found: dict, target: dict[int, MultiMap], producers: dict,
+                max_arity: int, canon, exact: bool = False) -> None:
+    """Add canon(J_1 + ... + J_k) for each stored key K of a target map and
+    keys J_t producing K[t]; with ``exact`` only the unions of max_arity
+    labels, the others are dropped before ``canon`` sorts them."""
+    for m in target.values():
+        for K in m.table:
+            slots = [producers.get(mid) for mid in K]
+            if not all(slots):
+                continue
+            k = len(K)
+
+            def rec(t: int, chunks: tuple[str, ...], room: int) -> None:
+                if t == k:
+                    if not (exact and room):
+                        found.setdefault(max_arity - room, set()).add(canon(chunks))
+                    return
+                for J in slots[t]:
+                    if len(J) <= room - (k - 1 - t):
+                        rec(t + 1, chunks + J, room - len(J))
+
+            rec(0, (), max_arity)
+
+
+def _repeats_even(T: tuple[str, ...], deg: dict[str, int]) -> bool:
+    return any(a == b and deg[a] % 2 == 0 for a, b in zip(T, T[1:]))
+
+
+def window(found: dict, max_arity: int, space: GradedSpace):
+    """(n, T) for the sorted candidates a scan of space would visit, in its
+    order.
+
+    The window of a map of shift 2 - n on space: the total input degree
+    plus 2 - n is a degree of space, and no even label repeats.  Within an
+    arity the tuples come in basis order.
+    """
+    deg = {e.label: e.deg for e in space.elements}
+    index = space.order_index
+    degrees = space.degrees()
+    for n in range(1, max_arity + 1):
+        sums = {d - (2 - n) for d in degrees}
+        kept = [T for T in found.get(n, ())
+                if all(l in deg for l in T) and sum(deg[l] for l in T) in sums
+                and not _repeats_even(T, deg)]
+        kept.sort(key=lambda T: [index(l) for l in T])
+        for T in kept:
+            yield n, T
+
 
 class LInfKernelCache:
     """Arity-keyed p-kernels of the L-infinity tree recursion, built from
@@ -389,9 +454,9 @@ class LInfKernelCache:
     h p_|B| whose row holds its slot of M.  So the multiset unions over
     stored keys M of one block per slot (the label itself, or an h p_s key
     producing it) cover every input tuple where p_n can be nonzero; only
-    those candidates are evaluated, through the checkers' ``concatenate``
-    and ``window``, so the tables fill in the same order as a scan over
-    every sorted tuple in the degree window would.
+    those candidates are evaluated, through ``concatenate`` and
+    ``window``, so the tables fill in the same order as a scan over every
+    sorted tuple in the degree window would.
     Per candidate the partitions grow block by block and a block without a
     stored h p row at its inputs is dropped before any sign is computed.
     """
@@ -432,7 +497,7 @@ class LInfKernelCache:
         outer = {k: m for k, m in self.brackets.items() if 2 <= k <= n}
         found: dict = {}
         concatenate(found, outer, self._producers, n, sorted_in(big), exact=True)
-        return [T for _, T in window(found, n, 2, big, big, True)]
+        return [T for _, T in window(found, n, big)]
 
     def _evaluate(self, T: tuple[str, ...], degs: tuple[int, ...]) -> dict[str, Fraction]:
         """p_n(T) as the sum over set partitions of T into >= 2 blocks.
@@ -514,7 +579,7 @@ def transfer_linf(
         ln = MultiMap(small, small, n, 2 - n, "antisym")
         found: dict = {}
         concatenate(found, {n: p_n}, g_producers, n, canon)
-        for _, S in window(found, n, 2, small, small, True):
+        for _, S in window(found, n, small):
             acc = contract(p_n, [diagram.g.get((s,)) for s in S], {})
             for big_lab, c in acc.items():
                 for out_lab, c2 in diagram.f.get((big_lab,)).items():

@@ -1,8 +1,10 @@
 """Source hygiene of ``src/hse``, by the standard ``ast`` module alone: no
 module imports a name it never uses (``__init__.py`` re-exports are
-exempt), and no function binds a local by plain assignment, tuple
-unpacking or a ``for`` target that nothing reads.  A name starting with
-an underscore is a deliberate discard.
+exempt), no function binds a local by plain assignment, tuple unpacking
+or a ``for`` target that nothing reads, and no module defines a private
+function, class or constant (a top-level ``_name``) that no module of the
+package reads.  A local starting with an underscore is a deliberate
+discard.
 """
 
 import ast
@@ -85,6 +87,68 @@ def unused_locals(source: str) -> list[str]:
                         found.append(f"line {name.lineno}: {name.id} in "
                                      f"{getattr(func, 'name', 'lambda')}")
     return found
+
+
+def unused_private(sources: dict[str, str]) -> list[str]:
+    """Top-level ``_name`` functions, classes and constants of the modules
+    (name -> source) that none of them reads: as a name, as an attribute
+    or in an import."""
+    read: set[str] = set()
+    defined = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read |= _loaded(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name for target in targets for name in _bound_names(target)]
+            else:
+                continue
+            for name in names:
+                label = getattr(name, "name", None) or name.id
+                if label.startswith("_") and not label.startswith("__"):
+                    defined.append((module, name.lineno, label))
+    return [f"{module} line {line}: {label}" for module, line, label in defined
+            if label not in read]
+
+
+def test_the_private_checker_finds_what_it_names():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def _dead():\n"
+            "    return 0\n"
+            "class _Gone:\n"
+            "    pass\n"
+            "def _called_elsewhere():\n"
+            "    return _helper()\n"
+            "def _imported():\n"
+            "    return 1\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "from .a import _imported\n"
+            "def run():\n"
+            "    return a._called_elsewhere()\n"
+        ),
+    }
+    assert unused_private(sources) == [
+        "a.py line 2: _UNUSED", "a.py line 5: _dead", "a.py line 7: _Gone"]
+
+
+def test_no_unread_private_definitions_in_src():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unused_private(sources) == []
 
 
 def test_the_checker_finds_what_it_names():

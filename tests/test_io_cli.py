@@ -331,13 +331,13 @@ def test_cli_certifies_a_pair_with_one_jacobi_pass(tmp_path, monkeypatch, comman
     """check and transfer on a pair run one Jacobi pass of L (+) M, whose
     report is split into the jacobi and module reports, and no module pass."""
     passes = []
-    real = structures._report
+    real = structures._check
 
-    def spy(name, max_arity, visits, residual):
+    def spy(name, *args):
         passes.append(name)
-        return real(name, max_arity, visits, residual)
+        return real(name, *args)
 
-    monkeypatch.setattr(structures, "_report", spy)
+    monkeypatch.setattr(structures, "_check", spy)
     rep = run_cli(tmp_path, command[0], str(ROOT / "fixtures" / "heisenberg-pair.json"),
                   *command[1:])
     assert passes == ["jacobi"]

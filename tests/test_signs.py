@@ -9,6 +9,7 @@ from hse.signs import (
     identity_perm,
     koszul_sign,
     perm_sign,
+    sort_with_sign,
     unshuffles,
     all_permutations,
 )
@@ -45,6 +46,26 @@ def test_koszul_cocycle(n, data):
     composed = tuple(tau[sigma[i]] for i in range(n))
     tau_degs = [degs[tau[i]] for i in range(n)]
     assert koszul_sign(composed, degs) == koszul_sign(sigma, tau_degs) * koszul_sign(tau, degs)
+
+
+@given(st.lists(st.integers(0, 5), min_size=0, max_size=7), st.data())
+def test_sort_with_sign_matches_the_antisym_sign_of_its_sort(picks, data):
+    # labels "l0".."l5" with drawn degrees (negative ones too), in a drawn
+    # basis order; the reference sorts stably and reads antisym_sign of the
+    # permutation, 0 where an even label repeats
+    degree = data.draw(st.lists(st.integers(-2, 3), min_size=6, max_size=6))
+    order = data.draw(st.permutations(range(6)))
+    labels = tuple(f"l{i}" for i in picks)
+    degs = tuple(degree[i] for i in picks)
+    index = lambda lab: order[int(lab[1:])]
+    idx = sorted(range(len(labels)), key=lambda i: (index(labels[i]), i))
+    tau = [0] * len(labels)
+    for pos, i in enumerate(idx):
+        tau[i] = pos
+    want = antisym_sign(tuple(tau), tuple(degs[i] for i in idx))
+    if any(picks.count(i) > 1 and degree[i] % 2 == 0 for i in picks):
+        want = 0
+    assert sort_with_sign(labels, degs, index) == (tuple(labels[i] for i in idx), want)
 
 
 def test_unshuffle_counts():

@@ -26,10 +26,10 @@ from hse.structures import (
     LInfAlgebra,
     jacobi_check,
     morphism_check,
-    sorted_in,
     stasheff_check,
 )
-from hse.transfer import cohomology_splitting, transfer_ainf, transfer_linf, transfer_pair
+from hse.transfer import (
+    cohomology_splitting, sorted_in, transfer_ainf, transfer_linf, transfer_pair)
 from test_structures import h3_times_h3
 
 
@@ -126,28 +126,26 @@ def two_step_cdga(seed: int) -> Cdga:
     return Cdga(gens, a + b, d)
 
 
-def _certify_ainf(source: AInfAlgebra, max_arity: int, morphisms=("phi", "psi")):
+def _certify_ainf(source: AInfAlgebra, max_arity: int):
     diag = cohomology_splitting(source.space, source.products.get(1))
     res = transfer_ainf(diag, source, max_arity)
     reports = [stasheff_check(res.algebra, max_arity)]
-    reports += [morphism_check(getattr(res, name), max_arity) for name in morphisms]
+    reports += [morphism_check(mor, max_arity) for mor in (res.phi, res.psi)]
     for report in reports:
         assert report.ok, (report.name, report.first().describe())
     return res
 
 
-def _certify_both_routes(alg: Cdga, max_arity: int, morphisms=("phi", "psi")) -> None:
-    _certify_ainf(alg.ainf(), max_arity, morphisms)
+def _certify_both_routes(alg: Cdga, max_arity: int) -> None:
+    _certify_ainf(alg.ainf(), max_arity)
     # transfer_pair raises unless one Jacobi pass of L (+) M (Jacobi and module) holds
     assert transfer_pair(cdga_pair(alg), max_arity).certificate.ok
 
 
 def test_dim128_cdga_passes_both_routes_at_arity_five():
-    # phi passes here too, but its check at arity 5 takes about 6 s on a
-    # 2-core VM, so the suite keeps Stasheff, psi and the pair certificate
     alg = dim128_cdga()
     assert len(alg.space) == 128
-    _certify_both_routes(alg, 5, morphisms=("psi",))
+    _certify_both_routes(alg, 5)
 
 
 @pytest.mark.parametrize("seed", range(6))
