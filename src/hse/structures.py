@@ -194,8 +194,9 @@ class InfMorphism:
 #
 #   structure terms: an inner key I, a label of its row and an outer key K
 #     holding that label at slot p add the signed row_K at K[:p] + I + K[p+1:];
-#   morphism right-hand sides: a target key K and, per slot t, a component
-#     key J_t whose row holds K[t] add the signed row_K at J_1 + ... + J_k.
+#   morphism right-hand sides (``morphism_terms``): a target key K and, per
+#     slot t, a component key J_t whose row holds K[t] add the signed row_K
+#     at J_1 + ... + J_k.
 #
 # A-oo signs: (-1)^(p+qr) and inner_q crossing the first p inputs on the
 # left; -(-1)^epsilon(profile) and each f_|J| of odd shift crossing the
@@ -207,12 +208,85 @@ class InfMorphism:
 # several index-level ones: prod_l C(m_T(l), m_I(l)) unshuffles on the left,
 # and prod_l m_T(l)! / prod_t m_J_t(l)! block partitions over prod_x m_K(x)!
 # orderings of K's slots on the right.
+#
+# The L-oo transfer is the same right-hand side, so ``transfer`` calls
+# ``morphism_terms`` too: its kernel p_n is the walk over the brackets l_2..l_n
+# with the components id and -h p_r, and its read-back l_n is f applied to
+# the walk over p_n with the one component g.
 
 def _repeats(T: tuple[str, ...]) -> int:
     """prod over the labels l of a sorted T of m_T(l)!."""
     if len(set(T)) == len(T):
         return 1
     return prod(factorial(len(list(run))) for _, run in groupby(T))
+
+
+def _add_row(res: dict, T: tuple[str, ...], coef, row: dict) -> None:
+    vec = res.get(T)
+    if vec is None:
+        res[T] = {lab: coef * c for lab, c in row.items()}
+    else:
+        for lab, c in row.items():
+            vec[lab] = vec.get(lab, 0) + coef * c
+
+
+def _lander(space: GradedSpace):
+    """chunks -> (chunks in basis order, their antisym sign, prod m_T(l)!)."""
+    deg = {e.label: e.deg for e in space.elements}
+    order = space.order_index
+
+    def land(chunks: tuple[str, ...]) -> tuple:
+        T, sign = sort_with_sign(chunks, tuple([deg[l] for l in chunks]), order)
+        return T, sign, _repeats(T)
+
+    return land
+
+
+def morphism_terms(components: dict[int, MultiMap], target: dict[int, MultiMap],
+                   space: GradedSpace, antisym: bool, max_arity: int, exact: bool = False,
+                   res: dict | None = None, scale=1) -> dict:
+    """Tuple -> scale * sum of target_k(f_{|J_1|} x ... x f_{|J_k|}), added into
+    res (cancelled entries kept as zeros): the right-hand side of a morphism
+    identity whose components take their inputs from space, over the tuples
+    of at most max_arity inputs, or exactly max_arity with ``exact``."""
+    deg = {e.label: e.deg for e in space.elements}
+    res = {} if res is None else res
+    # label -> (J, coefficient, |J|, the degree parity of J, prod m_J(l)!) per component key J
+    makers: dict[str, list] = {}
+    for m_f in components.values():
+        for J, row in m_f.table.items():
+            info = (len(J), sum(deg[l] for l in J) & 1, _repeats(J) if antisym else 1)
+            for lab, c in row.items():
+                makers.setdefault(lab, []).append((J, c, *info))
+    land = _lander(space)
+    for k, m_t in target.items():
+        for K, row in m_t.table.items():
+            options = [makers.get(lab) for lab in K]
+            if not all(options):
+                continue
+            # (inputs so far, coefficient, their degree parity, prod m_J!), slot
+            # by slot; f_|J| of even |J| flips the sign past odd inputs and,
+            # in epsilon, before an odd number of later slots
+            partial = [((), scale, 0, 1)]
+            for t, opts in enumerate(options):
+                later = k - 1 - t
+                room = max_arity - later
+                least = room if exact and not later else 0
+                partial = [(T + J, -coef * c if (odd ^ later) & 1 and not size & 1 else coef * c,
+                            odd ^ parity, m * m_J)
+                           for T, coef, odd, m in partial
+                           for J, c, size, parity, m_J in opts if least <= len(T) + size <= room]
+            if not antisym:
+                for T, coef, _, _ in partial:
+                    _add_row(res, T, coef, row)
+                continue
+            m_K = _repeats(K)
+            for chunks, coef, _, m in partial:
+                T, sign, m_T = land(chunks)
+                if sign:
+                    weight = sign * m_T // m if m_K == 1 else Fraction(sign * m_T // m, m_K)
+                    _add_row(res, T, coef if weight == 1 else coef * weight, row)
+    return res
 
 
 def _residuals(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
@@ -222,21 +296,8 @@ def _residuals(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
     inner inserted into outer, minus target of outer's blocks when target is
     given (outer then holds a morphism's components)."""
     deg = {e.label: e.deg for e in space.elements}
-    order = space.order_index
+    land = _lander(space)
     res: dict = {}
-
-    def land(chunks: tuple[str, ...]) -> tuple:
-        """(chunks in basis order, their antisym sign, prod m_T(l)!)"""
-        T, sign = sort_with_sign(chunks, tuple([deg[l] for l in chunks]), order)
-        return T, sign, _repeats(T)
-
-    def add(T: tuple[str, ...], coef, row: dict) -> None:
-        vec = res.get(T)
-        if vec is None:
-            res[T] = {lab: coef * c for lab, c in row.items()}
-        else:
-            for lab, c in row.items():
-                vec[lab] = vec.get(lab, 0) + coef * c
 
     # label -> (arity of K, K[:p], the rest of K, (sign for even q, for odd
     # q), prod m_rest(l)!, row_K) per outer key K and slot p holding it
@@ -266,49 +327,15 @@ def _residuals(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
                     if n_out + q > max_arity + 1:
                         continue
                     if not antisym:
-                        add(head + I + rest, signs[odd_q] * c, row)
+                        _add_row(res, head + I + rest, signs[odd_q] * c, row)
                         continue
                     T, sign, m_T = land(I + rest)
                     if sign:
                         sign *= signs[odd_q] if m_T == 1 else signs[odd_q] * (m_T // (m_I * m_rest))
-                        add(T, sign * c, row)
+                        _add_row(res, T, sign * c, row)
     if target is None:
         return res
-
-    # label -> (J, coefficient, |J|, the degree parity of J, prod m_J(l)!) per component key J
-    makers: dict[str, list] = {}
-    for m_f in outer.values():
-        for J, row in m_f.table.items():
-            info = (len(J), sum(deg[l] for l in J) & 1, _repeats(J) if antisym else 1)
-            for lab, c in row.items():
-                makers.setdefault(lab, []).append((J, c, *info))
-    for k, m_t in target.items():
-        for K, row in m_t.table.items():
-            options = [makers.get(lab) for lab in K]
-            if not all(options):
-                continue
-            # (inputs so far, coefficient, their degree parity, prod m_J!), slot
-            # by slot; f_|J| of even |J| flips the sign past odd inputs and,
-            # in epsilon, before an odd number of later slots
-            partial = [((), -1, 0, 1)]
-            for t, opts in enumerate(options):
-                later = k - 1 - t
-                room = max_arity - later
-                partial = [(T + J, -coef * c if (odd ^ later) & 1 and not size & 1 else coef * c,
-                            odd ^ parity, m * m_J)
-                           for T, coef, odd, m in partial
-                           for J, c, size, parity, m_J in opts if len(T) + size <= room]
-            if not antisym:
-                for T, coef, _, _ in partial:
-                    add(T, coef, row)
-                continue
-            m_K = _repeats(K)
-            for chunks, coef, _, m in partial:
-                T, sign, m_T = land(chunks)
-                if sign:
-                    weight = sign * m_T // m if m_K == 1 else Fraction(sign * m_T // m, m_K)
-                    add(T, coef if weight == 1 else coef * weight, row)
-    return res
+    return morphism_terms(outer, target, space, antisym, max_arity, res=res, scale=-1)
 
 
 # ---------------------------------------------------------------------------

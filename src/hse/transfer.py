@@ -1,7 +1,8 @@
 """Homotopy transfer: deterministic cohomology splittings, the memoized
-p-/q-kernel recursion for A-infinity structures, the partition (tree)
-recursion for L-infinity structures, pair transfer through the L (+) M
-algebra, and the weight-based vanishing bound.
+p-/q-kernel recursion for A-infinity structures, the tree sum for
+L-infinity structures, pair transfer through the L (+) M algebra, a check
+that a diagram splits its source's complex, and the weight-based
+vanishing bound.
 
 The A-infinity kernels run on the suspension sA (Markl; Loday-Vallette,
 Algebraic Operads, 10.3), where b_k = suspend(mu_k) has degree 1 and
@@ -19,38 +20,31 @@ profile adds its term into through ``tensor_compose(outer, inners, out)``.
 The splitting walks its (degree, weight) blocks once: a block takes its
 boundaries from the co-exact part of the block one degree below.
 
-The L-infinity p_n is the same sum on sL, over trees (Kadeishvili) whose
-root is a bracket l_k and whose other vertices are earlier h p_s; Jacobi
-certifies every output, and a failing one is never returned.  A term is
-nonzero only when every vertex value is, so both L-infinity enumerations
-draw their input tuples from stored keys (``producers``, ``concatenate``
-and ``window`` below): ``LInfKernelCache`` concatenates, over the stored
-keys of l_k, per slot the label itself or an h p_s key producing it (one
-tree level deep, since h p_s already sums the deeper levels), and
-``transfer_linf`` concatenates, over the stored keys of p_n, per slot a
-small label whose g-row holds it.
-On the Heisenberg pair at arity 6 no tuple survives, where a scan tried
-each of 7,435 sorted tuples against 31 partitions.
+The L-infinity p_n sums trees (Kadeishvili) whose root is a bracket l_k and
+whose other vertices are earlier -h p_r: the right-hand side of an
+L-infinity morphism identity over block partitions, with the components
+id and -h p_r.  So the kernel is the morphism checker's own walk over the
+stored keys (``structures.morphism_terms``), with its signs and no sign
+rule of its own, and l_n = f p_n g^n is f applied to the same walk over
+p_n with the one component g.  Jacobi certifies every output, and a
+failing one is never returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import combinations
-from math import prod
 
 from . import linalg
 from .grading import BasisElement, GradedSpace, combine_spaces
 from .multimap import (
     MultiMap,
     add_tables,
-    contract,
     identity_map,
     postcompose,
     tensor_compose,
 )
-from .signs import compositions, koszul_sign, suspension_sign
+from .signs import compositions, suspension_sign
 from .structures import (
     AInfAlgebra,
     CheckReport,
@@ -60,6 +54,7 @@ from .structures import (
     PairEmbedding,
     algebra_to_module,
     jacobi_check,
+    morphism_terms,
     pair_to_algebra,
 )
 
@@ -230,6 +225,16 @@ def cohomology_splitting(
     return diagram
 
 
+def _require_source(diagram: TransferDiagram, space: GradedSpace,
+                    differential: MultiMap | None) -> None:
+    """A transfer's diagram must split its source's own complex: the labels of
+    space and, as d_big, the source's arity-1 map (zero when absent)."""
+    if set(diagram.big.labels()) != set(space.labels()):
+        raise TransferError("diagram and structure live on different spaces")
+    if not (diagram.d_big.is_zero() if differential is None else diagram.d_big.equals(differential)):
+        raise TransferError("diagram differential is not the structure's arity-1 map")
+
+
 # ---------------------------------------------------------------------------
 # arity bound
 
@@ -339,9 +344,7 @@ def transfer_ainf(
     small, first component f) and psi_n = suspend(-h P_n g^n) (small to big,
     first component g), and the homotopy components H_n = suspend(-h Q_n).
     """
-    if diagram.big is not source.space:
-        if set(diagram.big.labels()) != set(source.space.labels()):
-            raise TransferError("diagram and structure live on different spaces")
+    _require_source(diagram, source.space, source.products.get(1))
     cache = KernelCache(diagram, source.products)
     cache.ensure(max_arity)
 
@@ -372,93 +375,25 @@ def transfer_ainf(
 
 # ---------------------------------------------------------------------------
 # L-infinity transfer
-#
-# A tree term is nonzero only when every vertex has a stored row at its
-# inputs, so the input tuples where p_n or l_n can be nonzero are the stored
-# keys K of the root map with every slot t replaced by a stored key J_t
-# producing K[t], J_1 + ... + J_k sorted into basis order.
 
-def producers(maps: dict[int, MultiMap]) -> dict[str, list[tuple[str, ...]]]:
-    """Output label -> the stored keys (of every arity) whose row holds it."""
-    index: dict[str, list[tuple[str, ...]]] = {}
-    for m in maps.values():
-        for key, row in m.table.items():
-            for lab in row:
-                index.setdefault(lab, []).append(key)
-    return index
-
-
-def sorted_in(space: GradedSpace):
-    index = space.order_index
-    return lambda T: tuple(sorted(T, key=index))
-
-
-def concatenate(found: dict, target: dict[int, MultiMap], producers: dict,
-                max_arity: int, canon, exact: bool = False) -> None:
-    """Add canon(J_1 + ... + J_k) for each stored key K of a target map and
-    keys J_t producing K[t]; with ``exact`` only the unions of max_arity
-    labels, the others are dropped before ``canon`` sorts them."""
-    for m in target.values():
-        for K in m.table:
-            slots = [producers.get(mid) for mid in K]
-            if not all(slots):
-                continue
-            k = len(K)
-
-            def rec(t: int, chunks: tuple[str, ...], room: int) -> None:
-                if t == k:
-                    if not (exact and room):
-                        found.setdefault(max_arity - room, set()).add(canon(chunks))
-                    return
-                for J in slots[t]:
-                    if len(J) <= room - (k - 1 - t):
-                        rec(t + 1, chunks + J, room - len(J))
-
-            rec(0, (), max_arity)
-
-
-def _repeats_even(T: tuple[str, ...], deg: dict[str, int]) -> bool:
-    return any(a == b and deg[a] % 2 == 0 for a, b in zip(T, T[1:]))
-
-
-def window(found: dict, max_arity: int, space: GradedSpace):
-    """(n, T) for the sorted candidates a scan of space would visit, in its
-    order.
-
-    The window of a map of shift 2 - n on space: the total input degree
-    plus 2 - n is a degree of space, and no even label repeats.  Within an
-    arity the tuples come in basis order.
-    """
-    deg = {e.label: e.deg for e in space.elements}
-    index = space.order_index
-    degrees = space.degrees()
-    for n in range(1, max_arity + 1):
-        sums = {d - (2 - n) for d in degrees}
-        kept = [T for T in found.get(n, ())
-                if all(l in deg for l in T) and sum(deg[l] for l in T) in sums
-                and not _repeats_even(T, deg)]
-        kept.sort(key=lambda T: [index(l) for l in T])
-        for T in kept:
-            yield n, T
+def _filled(out: MultiMap, terms: dict) -> MultiMap:
+    """out with every nonzero entry of a tuple -> row dict added in."""
+    for T, row in terms.items():
+        for lab, c in row.items():
+            out.add(T, lab, c)
+    return out
 
 
 class LInfKernelCache:
-    """Arity-keyed p-kernels of the L-infinity tree recursion, built from
-    table supports.
+    """Arity-keyed p-kernels of the L-infinity transfer on L, and their
+    -h p_n (``hp``, with hp_1 = id, as in ``KernelCache``).
 
-    p_n(T) sums, over set partitions of T into k >= 2 blocks (k a bracket
-    arity), the outer bracket l_k on the block values, where a block of one
-    input is the input itself and a larger block B is h p_|B| (T[B]).  A
-    nonzero term therefore has a stored key M of some l_k whose slots are
-    the block values, and each block of size >= 2 is a stored key of
-    h p_|B| whose row holds its slot of M.  So the multiset unions over
-    stored keys M of one block per slot (the label itself, or an h p_s key
-    producing it) cover every input tuple where p_n can be nonzero; only
-    those candidates are evaluated, through ``concatenate`` and
-    ``window``, so the tables fill in the same order as a scan over every
-    sorted tuple in the degree window would.
-    Per candidate the partitions grow block by block and a block without a
-    stored h p row at its inputs is dropped before any sign is computed.
+    p_n(T) sums, over the partitions of T into k >= 2 blocks (k a bracket
+    arity), l_k on the block values, where a one-input block is the input
+    itself and a larger block B is -h p_|B| (T[B]): the right-hand side of
+    an L-infinity morphism identity with the components hp, so
+    ``structures.morphism_terms`` walks it over the stored keys of l_2..l_n
+    and of hp, with the morphism checker's signs and weights.
     """
 
     def __init__(self, diagram: TransferDiagram, brackets: dict[int, MultiMap]):
@@ -466,9 +401,6 @@ class LInfKernelCache:
         self.brackets = brackets
         self.p: dict[int, MultiMap] = {}
         self.hp: dict[int, MultiMap] = {1: identity_map(diagram.big)}
-        # label -> the one-input block (label,) and the stored h p_s keys whose row holds it
-        self._producers = {lab: [(lab,)] for lab in diagram.big.labels()}
-        self._max_blocks = max((k for k in brackets if k >= 2), default=1)
 
     def ensure(self, n: int) -> None:
         for m in range(2, n + 1):
@@ -477,74 +409,11 @@ class LInfKernelCache:
 
     def _build(self, n: int) -> None:
         big = self.diagram.big
-        p_n = MultiMap(big, big, n, 2 - n, "antisym")
-        for T in self._candidates(n):
-            degs = tuple(big.deg(l) for l in T)
-            for lab, c in self._evaluate(T, degs).items():
-                if c:
-                    p_n.add(T, lab, c)
-        self.p[n] = p_n
-        hp_n = postcompose(self.diagram.h, p_n)
-        self.hp[n] = hp_n
-        for key, row in hp_n.table.items():
-            for mid in row:
-                self._producers[mid].append(key)
-
-    def _candidates(self, n: int) -> list[tuple[str, ...]]:
-        """Sorted n-tuples that some tree with nonzero vertex values reaches,
-        in basis order within the degree window."""
-        big = self.diagram.big
         outer = {k: m for k, m in self.brackets.items() if 2 <= k <= n}
-        found: dict = {}
-        concatenate(found, outer, self._producers, n, sorted_in(big), exact=True)
-        return [T for _, T in window(found, n, big)]
-
-    def _evaluate(self, T: tuple[str, ...], degs: tuple[int, ...]) -> dict[str, Fraction]:
-        """p_n(T) as the sum over set partitions of T into >= 2 blocks.
-
-        On sL a partition adds kappa b_k(block values), kappa the Koszul sign
-        of the block shuffle on the degrees d - 1 and -h P_|B| the value of a
-        block of two or more inputs.  Read on L through s = ``suspension_sign``
-        it is s(d_T) kappa s(e_1..e_k) prod_|B|>=2 -s(d_B) l_k, with e_B =
-        sum_B d_i + 1 - |B|.  Each block takes the smallest remaining input
-        plus a subset of the rest (by size, then lexicographically), so
-        ``acc`` fills in a fixed order."""
-        acc: dict[str, Fraction] = {}
-        shifted, s_T = tuple(d - 1 for d in degs), suspension_sign(degs)
-        blocks: list[tuple] = []  # (inputs, slot vector, value degree, sign)
-
-        def grow(remaining: tuple[int, ...]) -> None:
-            if not remaining:
-                outer = self.brackets.get(len(blocks)) if len(blocks) >= 2 else None
-                if outer is not None:
-                    perm = tuple(i for b in blocks for i in b[0])
-                    sign = s_T * koszul_sign(perm, shifted) * prod(b[3] for b in blocks)
-                    sign *= suspension_sign(tuple(b[2] for b in blocks))
-                    contract(outer, [b[1] for b in blocks], acc, sign)
-                return
-            if len(blocks) == self._max_blocks:
-                return
-            head, rest = remaining[0], remaining[1:]
-            for size_minus_one in range(len(rest) + 1):
-                # h p_n is not built yet, so no block takes all n inputs
-                inner = self.hp.get(size_minus_one + 1)
-                if inner is None:
-                    continue
-                for extra in combinations(rest, size_minus_one):
-                    block = (head,) + extra
-                    if extra:  # T is sorted, so the block is a stored key as it is
-                        row = inner.table.get(tuple(T[i] for i in block))
-                        if row is None:
-                            continue
-                        bd = tuple(degs[i] for i in block)
-                        blocks.append((block, row, sum(bd) - len(extra), -suspension_sign(bd)))
-                    else:
-                        blocks.append((block, {T[head]: 1}, degs[head], 1))
-                    grow(tuple(x for x in rest if x not in extra))
-                    blocks.pop()
-
-        grow(tuple(range(len(T))))
-        return acc
+        p_n = _filled(MultiMap(big, big, n, 2 - n, "antisym"),
+                      morphism_terms(self.hp, outer, big, True, n, exact=True))
+        self.p[n] = p_n
+        self.hp[n] = postcompose(self.diagram.h, p_n, scale=-1)
 
 
 @dataclass
@@ -562,28 +431,19 @@ def transfer_linf(
     """Transfer an L-infinity structure; the Jacobi pass on the output is the
     correctness certificate and failure aborts with the first violation.
 
-    l_n(S) = f p_n(g s_1, ..., g s_n) is nonzero only when some stored key
-    of p_n has, in each slot, a label in the g-row of some s_t, so the
-    candidates are those keys with every slot replaced by such an s_t."""
+    l_n = f p_n(g x ... x g): f applied to ``structures.morphism_terms`` over
+    the stored keys of p_n with the one component g."""
+    _require_source(diagram, source.space, source.brackets.get(1))
     cache = LInfKernelCache(diagram, source.brackets)
     cache.ensure(max_arity)
-    small = diagram.small
-    g_producers, canon = producers({1: diagram.g}), sorted_in(small)
+    small, big = diagram.small, diagram.big
     brackets: dict[int, MultiMap] = {}
     if not diagram.d_small.is_zero():
         brackets[1] = add_tables(MultiMap(small, small, 1, 1, "antisym"), diagram.d_small)
     for n in range(2, max_arity + 1):
-        p_n = cache.p[n]
-        if p_n.is_zero():
-            continue
-        ln = MultiMap(small, small, n, 2 - n, "antisym")
-        found: dict = {}
-        concatenate(found, {n: p_n}, g_producers, n, canon)
-        for _, S in window(found, n, small):
-            acc = contract(p_n, [diagram.g.get((s,)) for s in S], {})
-            for big_lab, c in acc.items():
-                for out_lab, c2 in diagram.f.get((big_lab,)).items():
-                    ln.add(S, out_lab, c * c2)
+        pg_n = _filled(MultiMap(small, big, n, 2 - n, "antisym"),
+                       morphism_terms({1: diagram.g}, {n: cache.p[n]}, small, True, n))
+        ln = postcompose(diagram.f, pg_n)
         if not ln.is_zero():
             brackets[n] = ln
     result = LInfAlgebra(small, brackets)
@@ -634,8 +494,8 @@ def transfer_pair(pair: LInfPair, max_arity: int, use_weights: bool | None = Non
     """Minimal L-infinity pair on cohomology via the L (+) M route.
 
     The splitting is performed blockwise (the pair differential is block
-    diagonal), the combined algebra is transferred with the partition
-    recursion, and the module structure maps are read back off the
+    diagonal), the combined algebra is transferred through
+    ``transfer_linf``, and the module structure maps are read back off the
     transferred algebra.  The one Jacobi pass of the transferred L (+) M
     certifies the output; ``structures.split_pair_report`` splits it into
     the Jacobi report of L and the module report of M.

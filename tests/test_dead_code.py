@@ -1,16 +1,20 @@
 """Source hygiene of ``src/hse``, by the standard ``ast`` module alone: no
 module imports a name it never uses (``__init__.py`` re-exports are
 exempt), no function binds a local by plain assignment, tuple unpacking
-or a ``for`` target that nothing reads, and no module defines a private
+or a ``for`` target that nothing reads, no module defines a private
 function, class or constant (a top-level ``_name``) that no module of the
-package reads.  A local starting with an underscore is a deliberate
+package reads, and no module defines a public function or class outside
+``hse.__all__`` that no module of the package, the tests, the bench or the
+scripts reads.  A local starting with an underscore is a deliberate
 discard.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hse"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hse"
+READERS = ("tests", "bench", "scripts")
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
@@ -89,6 +93,35 @@ def unused_locals(source: str) -> list[str]:
     return found
 
 
+def _read(tree: ast.AST) -> set[str]:
+    """Names tree reads: as a name, as an attribute or in an import."""
+    read = _loaded(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unused_public(sources: dict[str, str], readers: dict[str, str],
+                  exported: set[str]) -> list[str]:
+    """Top-level public functions and classes of the modules (name ->
+    source) outside exported that neither they nor the readers read."""
+    read: set[str] = set()
+    for source in readers.values():
+        read |= _read(ast.parse(source))
+    defined = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        read |= _read(tree)
+        defined += [(module, node.lineno, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in exported]
+    return [f"{module} line {line}: {name}" for module, line, name in defined
+            if name not in read]
+
+
 def unused_private(sources: dict[str, str]) -> list[str]:
     """Top-level ``_name`` functions, classes and constants of the modules
     (name -> source) that none of them reads: as a name, as an attribute
@@ -97,12 +130,7 @@ def unused_private(sources: dict[str, str]) -> list[str]:
     defined = []
     for module, source in sources.items():
         tree = ast.parse(source)
-        read |= _loaded(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+        read |= _read(tree)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node]
@@ -149,6 +177,47 @@ def test_the_private_checker_finds_what_it_names():
 def test_no_unread_private_definitions_in_src():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unused_private(sources) == []
+
+
+def test_the_public_checker_finds_what_it_names():
+    sources = {
+        "a.py": (
+            "def exported():\n"
+            "    return helper()\n"
+            "def helper():\n"
+            "    return 1\n"
+            "def orphan():\n"
+            "    return 2\n"
+            "class Orphan:\n"
+            "    pass\n"
+            "def tested():\n"
+            "    return 3\n"
+            "class Base:\n"
+            "    pass\n"
+            "LIMIT = 4\n"
+        ),
+    }
+    readers = {
+        "test_a.py": (
+            "from hse.a import tested\n"
+            "import hse.a as a\n"
+            "class Derived(a.Base):\n"
+            "    pass\n"
+            "def test_it():\n"
+            "    assert tested() == 3\n"
+        ),
+    }
+    assert unused_public(sources, readers, {"exported"}) == [
+        "a.py line 5: orphan", "a.py line 7: Orphan"]
+
+
+def test_no_unread_public_definitions_in_src():
+    import hse
+
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    readers = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for folder in READERS for path in sorted((ROOT / folder).glob("*.py"))}
+    assert unused_public(sources, readers, set(hse.__all__)) == []
 
 
 def test_the_checker_finds_what_it_names():

@@ -28,8 +28,7 @@ from hse.structures import (
     morphism_check,
     stasheff_check,
 )
-from hse.transfer import (
-    cohomology_splitting, sorted_in, transfer_ainf, transfer_linf, transfer_pair)
+from hse.transfer import cohomology_splitting, transfer_ainf, transfer_linf, transfer_pair
 from test_structures import h3_times_h3
 
 
@@ -155,6 +154,11 @@ def test_two_step_nilpotent_sweep_passes_both_routes_at_arity_five(seed):
     _certify_both_routes(alg, 5)
 
 
+def sorted_in(space: GradedSpace):
+    index = space.order_index
+    return lambda T: tuple(sorted(T, key=index))
+
+
 def _transported(mm: MultiMap, space: GradedSpace, N: dict) -> MultiMap:
     """L mm (L^-1)^(x n) for L = id + N, N a label map with N o N = 0, so
     L^-1 = id - N; the inputs are those whose L^-1 reaches a stored key."""
@@ -204,9 +208,14 @@ def test_disguised_h3_times_h3_passes_the_ainf_route_at_arity_five():
     assert 5 in res.phi.components and 5 in res.homotopy
 
 
-def test_disguised_h3_times_h3_passes_the_linf_route_at_arity_five():
+def disguised_h3_times_h3_linf() -> LInfAlgebra:
+    """The transferred L (+) M of H_3 x H_3 in disguise: l_1 to l_4, h != 0."""
     combined = transfer_pair(cdga_pair(h3_times_h3()), 5).combined
-    source = LInfAlgebra(*_disguised(combined.space, combined.brackets, "antisym"))
+    return LInfAlgebra(*_disguised(combined.space, combined.brackets, "antisym"))
+
+
+def test_disguised_h3_times_h3_passes_the_linf_route_at_arity_five():
+    source = disguised_h3_times_h3_linf()
     assert {3, 4} <= set(source.brackets) and jacobi_check(source, 5).ok
     diag = cohomology_splitting(source.space, source.brackets[1])
     assert not diag.h.is_zero()

@@ -54,6 +54,7 @@ from hse import linalg
 import transfer_reference as ref
 from test_scalar_form import heisenberg_circle
 from test_structures import h3_times_h3, iter_sorted_tuples
+from test_suspension import disguised_h3_times_h3_linf
 
 
 def heis_diagram():
@@ -402,6 +403,45 @@ def test_validate_refuses_each_broken_identity():
         assert str(err.value) == message
 
 
+def _linf_transfer_of_another_complex(wrong_labels: bool):
+    """transfer_linf on a diagram for other labels (the Heisenberg dgla's, on
+    the exterior(3) pair's L (+) M), or for the Heisenberg pair's L (+) M
+    with its l_1 dropped."""
+    if wrong_labels:
+        dgla = heisenberg_lie_dgla()
+        diagram = cohomology_splitting(dgla.space, dgla.brackets.get(1))
+        source, _ = pair_to_algebra(cdga_pair(exterior_cdga(3)))
+    else:
+        source, _ = pair_to_algebra(cdga_pair(heisenberg_cdga()))
+        assert 1 in source.brackets
+        diagram = cohomology_splitting(source.space, None)
+    return transfer_linf(diagram, source, 4)
+
+
+def _ainf_transfer_of_another_complex(wrong_labels: bool):
+    """transfer_ainf on the Heisenberg cdga with exterior(2)'s diagram, or
+    with the diagram of its space under the zero differential."""
+    alg = heisenberg_cdga()
+    other = exterior_cdga(2).space if wrong_labels else alg.space
+    return transfer_ainf(cohomology_splitting(other, None), alg.ainf(), 4)
+
+
+@pytest.mark.parametrize("transfer", [_linf_transfer_of_another_complex,
+                                      _ainf_transfer_of_another_complex], ids=["linf", "ainf"])
+@pytest.mark.parametrize("wrong_labels, message", [
+    (True, "diagram and structure live on different spaces"),
+    (False, "diagram differential is not the structure's arity-1 map"),
+], ids=["other-labels", "wrong-differential"])
+def test_transfers_refuse_a_diagram_of_another_complex(transfer, wrong_labels, message):
+    # without the check the linf cases returned structures that passed Jacobi
+    # on the wrong complex (for the Heisenberg pair a 16-dimensional "minimal
+    # model"; the true one has 12 classes), and the ainf zero-differential
+    # case one of dimension 8 (the cohomology has 6)
+    with pytest.raises(TransferError) as err:
+        transfer(wrong_labels)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the in-place A-infinity assembly against the per-profile reference
 
@@ -557,15 +597,20 @@ def _ordered_table(mm: MultiMap):
     return [(key, list(row.items())) for key, row in mm.table.items()]
 
 
-def _assert_kernels_agree(pair, max_arity: int) -> None:
-    diagram, brackets = _pair_kernel_inputs(pair)
+def _mapping(mm: MultiMap) -> dict:
+    """key -> row: the L-infinity tables fill in walk order, and no report
+    reads that order (reports sort keys and labels)."""
+    return {key: dict(row) for key, row in mm.table.items()}
+
+
+def _assert_kernels_agree(diagram, brackets, max_arity: int) -> None:
     fast = LInfKernelCache(diagram, brackets)
     slow = ExhaustiveLInfKernelCache(diagram, brackets)
     fast.ensure(max_arity)
     slow.ensure(max_arity)
     assert sorted(fast.p) == sorted(slow.p) == list(range(2, max_arity + 1))
     for n in range(2, max_arity + 1):
-        assert _ordered_table(fast.p[n]) == _ordered_table(slow.p[n]), n
+        assert _mapping(fast.p[n]) == _mapping(slow.p[n]), n
 
 
 def _golden_pair(name: str):
@@ -577,20 +622,33 @@ def _golden_pair(name: str):
     ("heisenberg-pair-weighted.json", 5),
 ])
 def test_linf_kernel_matches_exhaustive_on_golden_pairs(name, max_arity):
-    _assert_kernels_agree(_golden_pair(name), max_arity)
+    _assert_kernels_agree(*_pair_kernel_inputs(_golden_pair(name)), max_arity)
 
 
 def test_linf_kernel_matches_exhaustive_on_exterior3():
-    _assert_kernels_agree(cdga_pair(exterior_cdga(3)), 5)
+    _assert_kernels_agree(*_pair_kernel_inputs(cdga_pair(exterior_cdga(3))), 5)
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_linf_kernel_matches_exhaustive_on_random_pairs(seed):
-    _assert_kernels_agree(cdga_pair(random_cdga(seed, dims=(1, 3, 3, 1))), 5)
+    _assert_kernels_agree(*_pair_kernel_inputs(cdga_pair(random_cdga(seed, dims=(1, 3, 3, 1)))), 5)
+
+
+def test_linf_kernel_matches_exhaustive_on_a_source_with_higher_brackets():
+    # every cdga pair's L (+) M has only l_1 and l_2; the disguised H_3 x H_3
+    # has l_3 and l_4 and h != 0, so p_3 has a partition into three blocks
+    source = disguised_h3_times_h3_linf()
+    assert {3, 4} <= set(source.brackets)
+    diagram = cohomology_splitting(source.space, source.brackets[1])
+    assert not diagram.h.is_zero()
+    _assert_kernels_agree(diagram, source.brackets, 3)
+    without_l3 = LInfKernelCache(diagram, {k: m for k, m in source.brackets.items() if k != 3})
+    without_l3.ensure(3)
+    assert without_l3.p[3].is_zero()  # every term of p_3 there is l_3 on three blocks
 
 
 # ---------------------------------------------------------------------------
-# the stored-key l_n candidates of transfer_linf against the sorted-tuple scan
+# the l_n read-back of transfer_linf against the sorted-tuple scan
 
 def ref_transferred_brackets(res) -> dict[int, MultiMap]:
     """The l_n loop transfer_linf ran before its candidates came from the
@@ -632,10 +690,10 @@ def _heisenberg5_pair():
 def test_transferred_brackets_match_sorted_tuple_scan(build, max_arity):
     diagram, brackets = _pair_kernel_inputs(build())
     res = transfer_linf(diagram, LInfAlgebra(diagram.big, brackets), max_arity)
-    got = {n: _ordered_table(m) for n, m in res.algebra.brackets.items() if n >= 2}
-    want = {n: _ordered_table(m) for n, m in ref_transferred_brackets(res).items()}
+    got = {n: _mapping(m) for n, m in res.algebra.brackets.items() if n >= 2}
+    want = {n: _mapping(m) for n, m in ref_transferred_brackets(res).items()}
     assert 2 in want  # the unit acts, so the comparison is never between empty tables
-    assert list(got) == list(want)
+    assert sorted(got) == sorted(want)
     for n in want:
         assert got[n] == want[n], n
 
