@@ -13,19 +13,24 @@ columns -> matrices builder and d^2 check; so is the dga-level complex
 independent exact rank oracle: it never goes through the possibly
 truncated matrices and uses no ring arithmetic.  Once per call it reads
 d_a on degrees i-1 and i off the actions' stored keys (for a dga, off the
-tables of d and mu) as polynomial matrices in a's coordinates, untruncated
-``rings.MinorEngine``s, and the ideal as the echelon basis of its
-generators' Q-span.  The sample points are drawn as integer numerators n
-over one common denominator D (``_draws``; ``sample_points`` is their
-Fraction view).  At each distinct point the oracle evaluates both in
-Python ints, each row up to a nonzero factor that keeps ranks and zero
-patterns: the two ranks by ``linalg.int_rank``, the span rows one at a
-time up to the first that is nonzero.
+tables of d and mu) as polynomial matrices in a's coordinates, takes the
+ideal as the echelon basis of its generators' Q-span (generators that are
+multiples of each other reduced once), and compiles the three into one
+evaluator (``_Evaluator``) with one monomial table.  The sample points are
+drawn as integer numerators n over one common denominator D (``_draws``;
+``sample_points`` is their Fraction view).  Each distinct point is one
+pass in Python ints: every monomial of the table once, as
+n^e * D^(top - |e|), then the two matrices and the span column, each a
+nonzero multiple of its value at n/D that keeps ranks and zero patterns;
+the two ranks by ``linalg.int_rank``.
 
 Every ideal here is a jump ideal of d^{i-1} (+) d^i and goes through
 ``rings.block_minors``: only minors that take as many rows as columns from
 each differential are evaluated, as products of one minor of each, from
-the engine per differential that the complex's d^2 check compiled.
+the engine per differential that the complex's d^2 check compiled.  The
+tangent-cone certificate reads the same packed enumeration
+(``rings.block_minor_terms``) and compares the minors as packed ints,
+making ring elements only to word a failure.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, gcd, lcm, prod
 
 from . import linalg
 from .deformation import TwistedComplex
@@ -44,7 +49,6 @@ from .multimap import contract_power, evaluate_on_vectors
 from .rings import (
     CoefRing,
     Ideal,
-    MinorEngine,
     RElem,
     RingMatrix,
     block_minor_terms,
@@ -128,25 +132,90 @@ def _split(coords) -> tuple[list[int], int]:
     return [x.numerator * (den // x.denominator) for x in coords], den
 
 
-def _engine(nvars: int, rows: tuple, cols: tuple, cells: dict) -> MinorEngine:
-    """The matrix cells[(r, c)] = {exponent vector: coefficient} over an
-    untruncated Q[x_1..x_nvars], compiled; no ring arithmetic is done."""
-    ring = CoefRing("poly", tuple(f"x{j + 1}" for j in range(nvars)))
-    mat = RingMatrix(ring, rows, cols)
-    for (r, c), terms in cells.items():
-        mat.set(r, c, RElem(ring, {m: v for m, v in terms.items() if v}))
-    return MinorEngine(mat)
+_Cells = dict[tuple[int, int], dict[tuple[int, ...], Fraction]]
 
 
-def _compile(space: GradedSpace, nvars: int, degrees: tuple[int, ...],
-             entries) -> dict[int, MinorEngine]:
-    """A polynomial differential on M^j for each j in degrees, from entries
-    (column label, output row, exponent vector, scale): each adds scale *
-    value times the monomial at (row label, column); columns of other
-    degrees are skipped."""
+class _Evaluator:
+    """Polynomial matrices over the same variables, compiled together for
+    exact evaluation at rational points in Python ints; no ring arithmetic
+    is done.
+
+    Each matrix is given as (nrows, ncols, cells), cells[(r, c)] =
+    {exponent vector: coefficient}, and its coefficients are scaled by the
+    lcm ``scales[t]`` of their denominators.  All of them share one
+    monomial table: at a point n/D, written with one common denominator,
+    ``values`` computes each distinct monomial once, as n^e * D^(top - |e|)
+    with top the largest total degree of any of the matrices.  So
+    ``matrix(t, vals)`` is scales[t] * D^top times M_t(n/D), a nonzero
+    multiple with the rank and zero pattern of M_t(n/D)."""
+
+    __slots__ = ("shapes", "scales", "terms", "top", "monos")
+
+    def __init__(self, matrices):
+        index: dict[tuple[int, ...], int] = {}
+        self.shapes: list[tuple[int, int]] = []
+        self.scales: list[int] = []
+        # per matrix: (row, col, monomial index, coefficient), each cell's
+        # terms adjacent
+        self.terms: list[list[tuple[int, int, int, int]]] = []
+        for nrows, ncols, cells in matrices:
+            scale = reduce(lcm, (k.denominator for terms in cells.values()
+                                 for k in terms.values()), 1)
+            self.shapes.append((nrows, ncols))
+            self.scales.append(scale)
+            self.terms.append([(r, c, index.setdefault(m, len(index)),
+                                k.numerator * (scale // k.denominator))
+                               for (r, c), terms in cells.items()
+                               for m, k in terms.items() if k])
+        self.top = max(map(sum, index), default=0)
+        # per monomial: D's exponent and its variables, each as often as
+        # its exponent
+        self.monos = [(self.top - sum(m), [j for j, x in enumerate(m) for _ in range(x)])
+                      for m in index]
+
+    def values(self, nums: list[int], den: int) -> list[int]:
+        """Each monomial of the table at n/D, times D^top."""
+        pads = [1]
+        for _ in range(self.top):
+            pads.append(pads[-1] * den)
+        vals = []
+        for pad, factors in self.monos:
+            v = pads[pad]
+            for j in factors:
+                v *= nums[j]
+            vals.append(v)
+        return vals
+
+    def matrix(self, t: int, vals: list[int]) -> list[list[int]]:
+        """Matrix t at the point of vals, as integer rows."""
+        nrows, ncols = self.shapes[t]
+        out = [[0] * ncols for _ in range(nrows)]
+        for r, c, m, k in self.terms[t]:
+            out[r][c] += k * vals[m]
+        return out
+
+    def vanishes(self, t: int, vals: list[int]) -> bool:
+        """Whether matrix t is 0 at the point of vals, summed cell by cell
+        (the terms of a cell are adjacent) up to the first nonzero one."""
+        cell, value = None, 0
+        for r, c, m, k in self.terms[t]:
+            if (r, c) != cell:
+                if value:
+                    return False
+                cell, value = (r, c), 0
+            value += k * vals[m]
+        return not value
+
+
+def _compile(space: GradedSpace, degrees: tuple[int, ...],
+             entries) -> dict[int, tuple[int, int, _Cells]]:
+    """A polynomial differential on M^j for each j in degrees, as (rows,
+    columns, cells), from entries (column label, output row, exponent
+    vector, scale): each adds scale * value times the monomial at (row
+    label, column); columns of other degrees are skipped."""
     rows: dict[int, dict[str, int]] = {}
     cols: dict[str, tuple[int, int]] = {}
-    cells: dict[int, dict] = {}
+    cells: dict[int, _Cells] = {}
     for j in degrees:
         rows[j] = {e.label: r for r, e in enumerate(space.basis_of_degree(j + 1))}
         cols.update((e.label, (j, c)) for c, e in enumerate(space.basis_of_degree(j)))
@@ -158,13 +227,11 @@ def _compile(space: GradedSpace, nvars: int, degrees: tuple[int, ...],
             for lab, value in row.items():
                 cell = cells[j].setdefault((rows[j][lab], c), {})
                 cell[exps] = cell.get(exps, 0) + scale * value
-    return {j: _engine(nvars, tuple(rows[j]),
-                       tuple(e.label for e in space.basis_of_degree(j)), cells[j])
-            for j in degrees}
+    return {j: (len(rows[j]), space.dim(j), cells[j]) for j in degrees}
 
 
 def _pair_differentials(pair: LInfPair, variables: list[str],
-                        degrees: tuple[int, ...]) -> dict[int, MinorEngine]:
+                        degrees: tuple[int, ...]) -> dict[int, tuple[int, int, _Cells]]:
     """d_a on M^j for each j in degrees, as a polynomial matrix in the
     coordinates of a = sum_v x_v v (v in variables).
 
@@ -184,11 +251,11 @@ def _pair_differentials(pair: LInfPair, variables: list[str],
                         exps[var[lab]] += 1
                     yield key[-1], row, tuple(exps), Fraction(1, prod(map(factorial, exps)))
 
-    return _compile(pair.module.space, len(var), degrees, entries())
+    return _compile(pair.module.space, degrees, entries())
 
 
 def _dga_differentials(alg: AInfAlgebra, reps: list[dict[str, Fraction]],
-                       degrees: tuple[int, ...]) -> dict[int, MinorEngine]:
+                       degrees: tuple[int, ...]) -> dict[int, tuple[int, int, _Cells]]:
     """d + sum_j x_j mu(rep_j, -) on A^j for each j in degrees, read off the
     stored keys of d and mu, never through the universal complex."""
     units = [tuple(int(v == j) for v in range(len(reps))) for j in range(len(reps))]
@@ -204,21 +271,39 @@ def _dga_differentials(alg: AInfAlgebra, reps: list[dict[str, Fraction]],
                     if a in rep:
                         yield col, row, unit, rep[a]
 
-    return _compile(alg.space, len(reps), degrees, entries())
+    return _compile(alg.space, degrees, entries())
 
 
-def _span_column(ideal: Ideal) -> MinorEngine:
+def _primitive(terms: dict[tuple[int, ...], Fraction]) -> tuple:
+    """The polynomial's primitive integer vector, sorted by monomial, with a
+    positive first coefficient: two polynomials share it exactly when one
+    is a nonzero rational multiple of the other."""
+    if len(terms) == 1:
+        (mono,) = terms
+        return ((mono, 1),)
+    items = sorted(terms.items())
+    den = reduce(lcm, (c.denominator for _, c in items), 1)
+    nums = [c.numerator * (den // c.denominator) for _, c in items]
+    g = gcd(*nums)
+    if nums[0] < 0:
+        g = -g
+    return tuple((m, x // g) for (m, _), x in zip(items, nums))
+
+
+def _span_column(ideal: Ideal) -> tuple[int, int, _Cells]:
     """The reduced echelon basis of the generators' Q-span, one row each in
     a single column.  Evaluation is linear, so every generator vanishes at a
-    point exactly when every row does."""
-    span = linalg.Echelon(g.terms for g in ideal.generators)
-    return _engine(ideal.ring.nvars, tuple(map(str, span.rows)), ("span",),
-                   {(r, 0): row for r, row in enumerate(span.rows.values())})
+    point exactly when every row does.  Generators that are rational
+    multiples of each other span one line, so only one of each is reduced."""
+    keys = dict.fromkeys(_primitive(g.terms) for g in ideal.generators if g)
+    span = linalg.Echelon(dict(key) for key in keys)
+    return len(span.rows), 1, {(r, 0): row for r, row in enumerate(span.rows.values())}
 
 
-def _twisted_dim(dim: int, below: MinorEngine, here: MinorEngine, nums: list[int],
-                 den: int) -> int:
-    return dim - linalg.int_rank(below.at(nums, den)) - linalg.int_rank(here.at(nums, den))
+def _twisted_dim(dim: int, ev: _Evaluator, vals: list[int]) -> int:
+    """dim less the ranks of the evaluator's matrices 0 and 1 (d^{i-1} and
+    d^i) at the point of vals."""
+    return dim - linalg.int_rank(ev.matrix(0, vals)) - linalg.int_rank(ev.matrix(1, vals))
 
 
 def pointwise_twisted_matrices(
@@ -226,19 +311,21 @@ def pointwise_twisted_matrices(
 ) -> dict[int, list[list[Fraction]]]:
     """Exact matrices of d_a for a rational degree-1 class a, in every
     degree; read off the actions' stored keys (``_pair_differentials``),
-    independent of any truncation, evaluated in integers with each row
+    independent of any truncation, evaluated in integers with each matrix
     divided by its own factor."""
     _require_minimal(pair)
     nums, den = _split(point.values())
     mats = _pair_differentials(pair, list(point), tuple(pair.module.space.degrees()))
-    return {j: [[Fraction(x, scale * den ** mat.top) for x in row]
-                for scale, row in zip(mat.scales, mat.at(nums, den))] for j, mat in mats.items()}
+    ev = _Evaluator(mats.values())
+    vals, pad = ev.values(nums, den), den ** ev.top
+    return {j: [[Fraction(x, ev.scales[t] * pad) for x in row] for row in ev.matrix(t, vals)]
+            for t, j in enumerate(mats)}
 
 
 def twisted_cohomology_dim(pair: LInfPair, point: dict[str, Fraction], i: int) -> int:
     _require_minimal(pair)
-    below, here = _pair_differentials(pair, list(point), (i - 1, i)).values()
-    return _twisted_dim(pair.module.space.dim(i), below, here, *_split(point.values()))
+    ev = _Evaluator(_pair_differentials(pair, list(point), (i - 1, i)).values())
+    return _twisted_dim(pair.module.space.dim(i), ev, ev.values(*_split(point.values())))
 
 
 # str(Fraction(h, 2)) for h in -6..6: every drawn coordinate is some h/2
@@ -275,21 +362,22 @@ def sample_points(h1: list[str], count: int, seed: int = 0) -> list[dict[str, Fr
             for nums, den, _ in _draws(len(h1), count, seed)]
 
 
-def _oracle_samples(ideal: Ideal, below: MinorEngine, here: MinorEngine, dim: int, k: int,
+def _oracle_samples(ideal: Ideal, below: tuple, here: tuple, dim: int, k: int,
                     labels: list[str], count: int, seed: int) -> list[dict]:
     """At each point of ``_draws`` in the coordinates labels: whether the
     ideal's generators vanish, and the twisted cohomology dimension from the
     rank oracle's d^{i-1} and d^i (dim is dim M^i).  A sample is in the
-    locus when that dimension is at least k.  A point drawn again is not
-    evaluated again."""
-    span = _span_column(ideal)
+    locus when that dimension is at least k.  The two differentials and the
+    span column share one evaluator, so each distinct point is one pass over
+    its monomial table; a point drawn again is not evaluated again."""
+    ev = _Evaluator((below, here, _span_column(ideal)))
     seen: dict[tuple, tuple[int, bool]] = {}
     samples = []
     for nums, den, coords in _draws(len(labels), count, seed):
         got = seen.get((nums, den))
         if got is None:
-            got = seen[nums, den] = (_twisted_dim(dim, below, here, nums, den),
-                                     span.zero_at(nums, den))
+            vals = ev.values(nums, den)
+            got = seen[nums, den] = _twisted_dim(dim, ev, vals), ev.vanishes(2, vals)
         dim_twisted, vanish = got
         samples.append({
             "point": dict(zip(labels, coords)),
@@ -494,25 +582,33 @@ def tangent_cone_check(
         if any(entry.constant_term() for row in full.matrix(j).data for entry in row):
             raise ResonanceError("universal matrix has constant entries on a minimal pair")
 
-    full_minors = {(rows, cols): m for rows, cols, m
+    # packed minors compared as ints: the degree-s part of poly_full /
+    # scale_full against poly_lin / scale_lin, monomial by monomial (a
+    # linearized s-minor is a form of degree s <= trunc: the truncated ring
+    # keeps all of its terms)
+    f_pack, l_pack = full.engine(i - 1).packing, lin.engine(i - 1).packing
+    full_minors = {(rows, cols): (poly, scale) for rows, cols, poly, scale
                    in block_minor_terms(full.engine(i - 1), full.engine(i), size)}
-    # a linearized s-minor is a form of degree s <= trunc: the truncated
-    # ring keeps all of its terms
-    lin_minors = {(rows, cols): RElem(full.ring, m.terms) for rows, cols, m
+    lin_minors = {(rows, cols): (poly, scale) for rows, cols, poly, scale
                   in block_minor_terms(lin.engine(i - 1), lin.engine(i), size)}
     failures: list[str] = []
     nonzero = 0
     for rows, cols in sorted(full_minors.keys() | lin_minors.keys()):
-        m_full = full_minors.get((rows, cols), full.ring.zero)
-        m_lin = lin_minors.get((rows, cols), full.ring.zero)
-        got = m_full.homogeneous_part(size)
-        if got != m_lin:
+        p_full, s_full = full_minors.get((rows, cols), ({}, 1))
+        p_lin, s_lin = lin_minors.get((rows, cols), ({}, 1))
+        part = {m: c for m, c in p_full.items() if m >> f_pack.shift == size}
+        if ({f_pack.unpack(m): c * s_lin for m, c in part.items()}
+                != {l_pack.unpack(m): c * s_full for m, c in p_lin.items()}):
+            m_lin = RElem(full.ring, l_pack.element(lin.ring, p_lin, s_lin).terms)
+            got = f_pack.element(full.ring, part, s_full)
             failures.append(
                 f"rows {rows} cols {cols}: degree-{size} part {got} != linearized {m_lin}")
             continue
-        if m_lin:
+        if p_lin:
             nonzero += 1
-            if m_full.initial_form() != m_lin:
+            # the degree-s part is the linearized minor, so the initial
+            # form is too exactly when no term has a lower degree
+            if any(m >> f_pack.shift < size for m in p_full):
                 failures.append(
                     f"rows {rows} cols {cols}: initial form is not the linearized minor")
     (rows_up, cols_up), (rows_lo, cols_lo) = full.matrix(i - 1).shape(), full.matrix(i).shape()

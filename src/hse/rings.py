@@ -34,8 +34,7 @@ bound on the degree of any minor (``degree_bound``).  Its minors are a
 Laplace expansion along the first row that memoizes every sub-minor, in
 packed ints with the row scales divided out at the output; the d^2 = 0
 check multiplies two engines (``composite_vanishes``), weighting each row
-of the inner one so that the scales cancel; the rank oracle evaluates one
-at a point n/D in ints, row r times scales[r] * D^top (``at``).
+of the inner one so that the scales cancel.
 ``block_minors`` gives I_r of a block-diagonal matrix A (+) B, the shape
 of a jump ideal's d^{i-1} (+) d^i, from one engine per block on one shared
 packing: a minor is nonzero only when it takes as many rows as columns
@@ -721,11 +720,12 @@ class _Packing:
     product survives the ring's quotient (m^N, trunc) iff it is below
     ``limit``."""
 
-    __slots__ = ("nvars", "width", "limit", "_unpacked")
+    __slots__ = ("nvars", "width", "shift", "limit", "_unpacked")
 
     def __init__(self, ring: CoefRing, width: int):
         self.nvars, self.width = ring.nvars, width
-        shift = width * ring.nvars
+        # a packed monomial's total degree is packed >> shift
+        self.shift = shift = width * ring.nvars
         if ring.kind == "trunc_local":
             self.limit = ring.order << shift
         elif ring.kind == "poly" and ring.trunc is not None:
@@ -809,8 +809,8 @@ _ONE_POLY = {0: 1}
 
 
 class MinorEngine:
-    """A polynomial matrix compiled once to packed integer polynomials: its
-    minors (Laplace expansion, memoized) and its values at rational points.
+    """A polynomial matrix compiled once to packed integer polynomials, for
+    its minors (Laplace expansion, memoized).
 
     Row i is scaled by the lcm ``scales[i]`` of its coefficients'
     denominators, so ``poly(rows, cols)`` is the minor times the product of
@@ -832,59 +832,9 @@ class MinorEngine:
             self.entries.append([{pack(m): c.numerator * (scale // c.denominator)
                                   for m, c in e.terms.items()} for e in row])
         self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
-        shift = self.packing.width * self.packing.nvars
-        # the largest total degree of an entry, read off the packed degree field
-        self.top = max((m >> shift for row in self.entries for e in row for m in e), default=0)
-        self._cells: list[tuple[int, int, list[tuple[int, int]]]] | None = None
 
     def scale(self, rows: tuple[int, ...]) -> int:
         return prod(self.scales[i] for i in rows)
-
-    def _values(self, nums: list[int], den: int) -> list[int]:
-        """Each distinct monomial at n/D, times D^top.  Builds on first use
-        the cells in row order, (row, col, [(monomial index, coefficient)]),
-        and per monomial its (variable, exponent) pairs and D's exponent."""
-        if self._cells is None:
-            index: dict[int, int] = {}
-            self._cells = [(r, c, [(index.setdefault(m, len(index)), k) for m, k in e.items()])
-                           for r, row in enumerate(self.entries) for c, e in enumerate(row) if e]
-            shift = self.packing.width * self.packing.nvars
-            self._monos = [([(j, x) for j, x in enumerate(self.packing.unpack(m)) if x],
-                            self.top - (m >> shift)) for m in index]
-        pads = [1]
-        for _ in range(self.top):
-            pads.append(pads[-1] * den)
-        vals = []
-        for factors, pad in self._monos:
-            v = pads[pad]
-            for j, x in factors:
-                v *= nums[j] ** x
-            vals.append(v)
-        return vals
-
-    def at(self, nums: list[int], den: int) -> list[list[int]]:
-        """The matrix at the point n/D in integers: row r is scales[r] *
-        D^top times row r of M(n/D), so rank and zero pattern are those of
-        M(n/D)."""
-        vals = self._values(nums, den)
-        out = [[0] * len(self.matrix.cols) for _ in self.entries]
-        for r, c, lin in self._cells:
-            v = 0
-            for m, k in lin:
-                v += k * vals[m]
-            out[r][c] = v
-        return out
-
-    def zero_at(self, nums: list[int], den: int) -> bool:
-        """Whether M(n/D) = 0, summing the cells up to the first nonzero one."""
-        vals = self._values(nums, den)
-        for _, _, lin in self._cells:
-            v = 0
-            for m, k in lin:
-                v += k * vals[m]
-            if v:
-                return False
-        return True
 
     def poly(self, rows: tuple[int, ...], cols: tuple[int, ...]) -> dict[int, int]:
         """The minor times ``scale(rows)``, packed; {} when it is zero."""
@@ -921,10 +871,12 @@ class MinorEngine:
 MINOR_PAIR_BUDGET = 10 ** 6
 
 
-def block_minor_terms(upper: MinorEngine, lower: MinorEngine,
-                      r: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], RElem]]:
-    """(rows, cols, minor) for every nonzero r-minor of upper (+) lower, in
-    (row subset, column subset) order, with indices into the glued block.
+def block_minor_terms(upper: MinorEngine, lower: MinorEngine, r: int
+                      ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], dict[int, int], int]]:
+    """(rows, cols, poly, scale) for every nonzero r-minor of upper (+)
+    lower, in (row subset, column subset) order, with indices into the
+    glued block: the minor is poly / scale, poly packed on the engines'
+    shared packing (``_Packing.element`` makes it a ring element).
 
     A minor of a block-diagonal matrix that takes a rows from the upper
     block and r - a from the lower one is zero unless it takes a columns
@@ -971,7 +923,7 @@ def block_minor_terms(upper: MinorEngine, lower: MinorEngine,
                 else:  # a 0x0 factor is not multiplied
                     value = det_up if a else det_lo
                 if value:  # zero divisors: two nonzero factors may multiply to 0
-                    yield rows, cols_up + shifted, packing.element(ring, value, scale)
+                    yield rows, cols_up + shifted, value, scale
 
 
 def _row_sets(n_up: int, n_lo: int, a: int, r: int) -> Iterator[tuple]:
@@ -990,9 +942,10 @@ def block_minors(upper: MinorEngine, lower: MinorEngine, r: int) -> Ideal:
         return Ideal.unit(ring)
     row_labels = upper.matrix.rows + lower.matrix.rows
     col_labels = upper.matrix.cols + lower.matrix.cols
+    element = upper.packing.element
     gens, prov = [], []
-    for rows, cols, value in block_minor_terms(upper, lower, r):
-        gens.append(value)
+    for rows, cols, value, scale in block_minor_terms(upper, lower, r):
+        gens.append(element(ring, value, scale))
         prov.append("rows[" + ",".join(row_labels[i] for i in rows) + "] x cols["
                     + ",".join(col_labels[j] for j in cols) + "]")
     return Ideal(ring, tuple(gens), tuple(prov))

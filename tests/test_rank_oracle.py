@@ -12,9 +12,10 @@ universal complex's entry by entry.  The points are drawn as integers
 (``_draws``) and ``sample_points`` is their Fraction view; both must give
 the points of the old Fraction loop.
 
-The oracle evaluates on ``MinorEngine``, the compiled matrix the minors
-use; ``IntMatrix``, the evaluator it had before, with one scale for the
-whole matrix, is the reference for ``MinorEngine.at`` and ``zero_at``.
+The oracle evaluates d^{i-1}, d^i and the span column on one
+``_Evaluator``, one monomial table for all three; ``IntMatrix``, the
+evaluator it had for each matrix alone, is the reference for
+``_Evaluator.matrix`` and ``vanishes``.
 """
 
 import random
@@ -30,9 +31,9 @@ from hse.fixtures import exterior_cdga, heisenberg_cdga
 from hse.multimap import contract_power
 from hse.resonance import (
     ResonanceError,
+    _Evaluator,
     _dga_differentials,
     _draws,
-    _engine,
     _pair_differentials,
     _span_column,
     _split,
@@ -106,8 +107,9 @@ def ref_dga_samples(res, dim, points):
 
 
 class IntMatrix:
-    """The rank oracle's evaluator before ``MinorEngine.at`` replaced it: a
-    sparse polynomial matrix, compiled for exact integer evaluation.
+    """The rank oracle's evaluator for one matrix alone, before one
+    monomial table served all of them: a sparse polynomial matrix, compiled
+    for exact integer evaluation.
 
     Built once from terms (row, col, exponent vector, rational coefficient).
     At a point n/D, written with one common denominator D, ``at`` returns
@@ -174,20 +176,21 @@ class IntMatrix:
         return True
 
 
-def _terms(engine):
-    """The compiled matrix's entries as reference terms."""
-    return [(r, c, mono, coef) for r, row in enumerate(engine.matrix.data)
-            for c, entry in enumerate(row) for mono, coef in entry.terms.items()]
+def _reference(matrix):
+    """The reference for one (rows, columns, cells) matrix."""
+    nrows, ncols, cells = matrix
+    return IntMatrix(nrows, ncols, [(r, c, mono, coef) for (r, c), terms in cells.items()
+                                    for mono, coef in terms.items() if coef])
 
 
-def _assert_evaluates_as_reference(engine, ref, nums, den):
-    """Each row of ``engine.at`` divided by its own factor scales[r] *
-    D^top is the reference divided by its one factor: M(n/D) both ways."""
-    pad, factor = den ** engine.top, ref.factor(den)
-    got = [[Fraction(x, scale * pad) for x in row]
-           for scale, row in zip(engine.scales, engine.at(nums, den))]
-    assert got == [[Fraction(x, factor) for x in row] for row in ref.at(nums, den)]
-    assert engine.zero_at(nums, den) == ref.zero_at(nums, den)
+def _assert_evaluates_as_reference(ev, t, ref, nums, den):
+    """Matrix t of ``ev`` divided by its factor scales[t] * D^top is the
+    reference divided by its own factor: M(n/D) both ways."""
+    vals = ev.values(nums, den)
+    factor = ev.scales[t] * den ** ev.top
+    got = [[Fraction(x, factor) for x in row] for row in ev.matrix(t, vals)]
+    assert got == [[Fraction(x, ref.factor(den)) for x in row] for row in ref.at(nums, den)]
+    assert ev.vanishes(t, vals) == ref.zero_at(nums, den)
 
 
 def _binary(pair):
@@ -236,22 +239,22 @@ def test_dga_samples_match_per_point_loop(name):
 @pytest.mark.parametrize("name", ["heisenberg", "torus2", "exterior4"])
 def test_dga_oracle_matrices_match_the_universal_complex(name):
     """The dga oracle compiles d + sum_j x_j mu(rep_j, -) from the tables of
-    d and mu; at each point each row must be its own factor scales[r] *
-    D^top times the universal complex's row, entry by entry.  Sampled ranks
+    d and mu; at each point each matrix must be its own factor scales[t] *
+    D^top times the universal complex's, entry by entry.  Sampled ranks
     alone do not see a builder that doubles mu or drops d."""
     cdga = {"heisenberg": heisenberg_cdga, "torus2": lambda: exterior_cdga(2),
             "exterior4": lambda: exterior_cdga(4)}[name]
     alg = cdga().ainf()
     res = dga_resonance_ideal(alg, 1, 1, n_samples=5)
     degrees = tuple(alg.space.degrees())
-    compiled = _dga_differentials(alg, list(res.h1_reps.values()), degrees)
+    ev = _Evaluator(_dga_differentials(alg, list(res.h1_reps.values()), degrees).values())
     for pt in sample_points(list(res.h1_reps), 20, seed=1):
         nums, den = _split(pt.values())
-        for j in degrees:
+        vals = ev.values(nums, den)
+        for t, j in enumerate(degrees):
             want = res.matrices[j].evaluate(list(pt.values()))
-            pad = den ** compiled[j].top
-            assert compiled[j].at(nums, den) == [[scale * pad * x for x in row] for scale, row
-                                                 in zip(compiled[j].scales, want)], j
+            factor = ev.scales[t] * den ** ev.top
+            assert ev.matrix(t, vals) == [[factor * x for x in row] for row in want], j
 
 
 def test_oracle_catches_a_wrong_ideal(monkeypatch):
@@ -325,15 +328,16 @@ def test_integer_draws_are_the_fraction_points(n):
 
 def test_each_distinct_point_is_evaluated_once(monkeypatch):
     """h^1 = 2 repeats points among 101 draws; the oracle evaluates each
-    distinct one once and still returns every sample."""
+    distinct one once, one pass over the monomial table its differentials
+    and span column share, and still returns every sample."""
     evaluated = []
-    real = resonance._twisted_dim
+    real = _Evaluator.values
 
-    def counting(dim, below, here, nums, den):
+    def counting(self, nums, den):
         evaluated.append((nums, den))
-        return real(dim, below, here, nums, den)
+        return real(self, nums, den)
 
-    monkeypatch.setattr(resonance, "_twisted_dim", counting)
+    monkeypatch.setattr(_Evaluator, "values", counting)
     pair = minimal_pair("heisenberg-pair")
     res = resonance_ideal(pair, 1, 1, exact=True, seed=5)
     distinct = {(nums, den) for nums, den, _ in _draws(2, 100, 5)}
@@ -358,16 +362,31 @@ _POLYS = st.lists(st.tuples(_EXPS, _COEF), max_size=4).map(_poly)
 
 
 def _vanish_by_span(ideal, coords):
-    return not any(row[0] for row in _span_column(ideal).at(*_split(coords)))
+    ev = _Evaluator([_span_column(ideal)])
+    vals = ev.values(*_split(coords))
+    vanish = not any(row[0] for row in ev.matrix(0, vals))
+    assert ev.vanishes(0, vals) == vanish
+    return vanish
+
+
+_SCALARS = st.sampled_from([Fraction(-1), Fraction(2), Fraction(-3, 2), Fraction(1, 3)])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_POLYS, max_size=5), st.lists(_COORD, min_size=3, max_size=3),
-       st.booleans())
-def test_span_vanishing_matches_generators(gens, coords, combine):
+       st.booleans(), st.lists(_SCALARS, max_size=3), _EXPS, st.lists(_COEF, max_size=3))
+def test_span_vanishing_matches_generators(gens, coords, combine, multiples, mono, coefs):
+    """Dependent generators, nonzero multiples of one generator and
+    single-term generators on one monomial all span no more than their
+    distinct lines: the span column has one row per dimension of the span."""
     if combine and len(gens) >= 2:
         gens.append(gens[0] * 2 - gens[1])  # a dependent generator
+    if gens:
+        gens.extend(gens[0] * c for c in multiples)
+    gens.extend(RING.element({mono: c}) for c in coefs if c)
     ideal = Ideal.from_list(RING, gens)
+    nrows, _, _ = _span_column(ideal)
+    assert nrows == len(linalg.Echelon(g.terms for g in ideal.generators).rows)
     for point in (coords, [Fraction(0)] * 3):
         assert _vanish_by_span(ideal, point) == all(g.evaluate(point) == 0
                                                      for g in ideal.generators)
@@ -380,7 +399,7 @@ def test_span_vanishing_of_zero_and_unit_ideals(coords):
 
 
 # ---------------------------------------------------------------------------
-# point evaluation on MinorEngine against the one-scale reference
+# point evaluation on one shared monomial table against the per-matrix reference
 
 _NUMS = st.lists(st.integers(-4, 4), min_size=3, max_size=3)
 
@@ -404,29 +423,39 @@ def term_lists(draw):
     return nrows, ncols, nvars, terms
 
 
-def _engine_of(nrows, ncols, nvars, terms):
+def _cells_of(nrows, ncols, terms):
     cells = {}
     for r, c, mono, coef in terms:
         cell = cells.setdefault((r, c), {})
         cell[mono] = cell.get(mono, 0) + coef
-    return _engine(nvars, tuple(map(str, range(nrows))), tuple(map(str, range(ncols))), cells)
+    return nrows, ncols, cells
 
 
 @settings(max_examples=300, deadline=None)
-@given(term_lists(), _NUMS, st.integers(1, 3))
-def test_engine_evaluation_matches_the_reference(case, nums, den):
+@given(term_lists(), st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=3),
+       _NUMS, st.integers(1, 3))
+def test_engine_evaluation_matches_the_reference(case, others, nums, den):
+    """The drawn matrix shares its evaluator with a few single-cell
+    matrices of other degrees, so the table's top and its monomials are
+    not the drawn matrix's own."""
     nrows, ncols, nvars, terms = case
-    engine = _engine_of(*case)
+    matrices = [(nrows, ncols, terms)]
+    for degree, col in others:
+        mono = (degree,) + (0,) * (nvars - 1) if nvars else ()
+        matrices.append((1, col + 1, [(0, col, mono, Fraction(-2, 3))]))
+    ev = _Evaluator([_cells_of(*m) for m in matrices])
     for point in (nums[:nvars], [0] * nvars):
-        _assert_evaluates_as_reference(engine, IntMatrix(nrows, ncols, terms), point, den)
+        for t, m in enumerate(matrices):
+            _assert_evaluates_as_reference(ev, t, IntMatrix(*m), point, den)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_empty_shapes_evaluate_to_empty_rows(shape):
-    engine = _engine_of(*shape, 2, [])
-    assert engine.at([1, -2], 2) == [[] for _ in range(shape[0])]
-    assert engine.zero_at([1, -2], 2) and engine.top == 0
-    _assert_evaluates_as_reference(engine, IntMatrix(*shape, []), [1, -2], 2)
+    ev = _Evaluator([_cells_of(*shape, [])])
+    vals = ev.values([1, -2], 2)
+    assert ev.matrix(0, vals) == [[] for _ in range(shape[0])]
+    assert ev.vanishes(0, vals) and ev.top == 0
+    _assert_evaluates_as_reference(ev, 0, IntMatrix(*shape, []), [1, -2], 2)
 
 
 @pytest.mark.parametrize("name", ["heisenberg-pair", "heisenberg-pair-weighted",
@@ -438,17 +467,18 @@ def test_oracle_matrices_of_the_golden_inputs_evaluate_as_reference(name):
     if name.startswith("heisenberg-pair"):
         pair = minimal_pair(name)
         labels = [e.label for e in pair.algebra.space.elements if e.deg == 1]
-        engines = list(_pair_differentials(pair, labels, tuple(pair.module.space.degrees()))
-                       .values())
-        engines.append(_span_column(resonance_ideal(pair, 1, 1, trunc=3, n_samples=0).ideal))
+        matrices = list(_pair_differentials(pair, labels, tuple(pair.module.space.degrees()))
+                        .values())
+        matrices.append(_span_column(resonance_ideal(pair, 1, 1, trunc=3, n_samples=0).ideal))
     else:
         alg = (heisenberg_cdga() if name == "heisenberg" else exterior_cdga(2)).ainf()
         res = dga_resonance_ideal(alg, 1, 1, n_samples=0)
         labels = list(res.h1_reps)
-        engines = list(_dga_differentials(alg, list(res.h1_reps.values()),
-                                          tuple(alg.space.degrees())).values())
-        engines.append(_span_column(res.ideal))
-    for engine in engines:
-        ref = IntMatrix(*engine.matrix.shape(), _terms(engine))
+        matrices = list(_dga_differentials(alg, list(res.h1_reps.values()),
+                                           tuple(alg.space.degrees())).values())
+        matrices.append(_span_column(res.ideal))
+    ev = _Evaluator(matrices)
+    for t, matrix in enumerate(matrices):
+        ref = _reference(matrix)
         for nums, den, _ in _draws(len(labels), 20, seed=len(name)):
-            _assert_evaluates_as_reference(engine, ref, nums, den)
+            _assert_evaluates_as_reference(ev, t, ref, nums, den)
