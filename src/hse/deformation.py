@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .grading import GradedSpace
-from .multimap import MultiMap, contract_power
+from .multimap import MultiMap, add_rows, contract_power
 from .rings import (
     CoefRing,
     Ideal,
@@ -96,17 +96,10 @@ def twist_brackets(
     out: dict[int, MultiMap] = {}
     for n in range(1, max(brackets, default=0) + 1):
         acc = _twist_terms(brackets, ring, omega, n)
-        table = _table_from(acc, MultiMap(space, space, n, 2 - n, "antisym"))
+        table = add_rows(MultiMap(space, space, n, 2 - n, "antisym"), acc)
         if not table.is_zero():
             out[n] = table
     return out
-
-
-def _table_from(acc: dict[tuple, dict[str, RElem]], table: MultiMap) -> MultiMap:
-    for T, vec in acc.items():
-        for lab, v in vec.items():
-            table.add(T, lab, v)
-    return table
 
 
 def twist_algebra(
@@ -231,7 +224,7 @@ def twist_module(
         if n == 1:
             columns = acc
         symmetry = "antisym_algebra" if n > 1 else "none"
-        table = _table_from(acc, MultiMap(module.combined, module.space, n, 2 - n, symmetry))
+        table = add_rows(MultiMap(module.combined, module.space, n, 2 - n, symmetry), acc)
         if not table.is_zero():
             twisted[n] = table
 

@@ -234,6 +234,17 @@ def random_cdga(seed: int, dims: tuple[int, ...] | None = None) -> Cdga:
 # ---------------------------------------------------------------------------
 # pairs and dglas
 
+def _relabeled(out: MultiMap, mm: MultiMap, key_prefixes: tuple[str, ...],
+               prefix: str) -> MultiMap:
+    """out with every entry of mm added under prefixed labels: slot t of a
+    key gains key_prefixes[t], an output label gains prefix."""
+    for key, row in mm.entries():
+        key = tuple(p + lab for p, lab in zip(key_prefixes, key))
+        for lab, c in row.items():
+            out.add(key, prefix + lab, c)
+    return out
+
+
 def cdga_zero_bracket_dgla(alg: Cdga, prefix: str = "a.") -> LInfAlgebra:
     """A cdga viewed as a dgla: the commutator bracket vanishes, so only the
     differential survives."""
@@ -241,11 +252,7 @@ def cdga_zero_bracket_dgla(alg: Cdga, prefix: str = "a.") -> LInfAlgebra:
     d = alg.differential_map()
     brackets: dict[int, MultiMap] = {}
     if not d.is_zero():
-        l1 = MultiMap(space, space, 1, 1, "antisym")
-        for key, row in d.entries():
-            for lab, c in row.items():
-                l1.add((prefix + key[0],), prefix + lab, c)
-        brackets[1] = l1
+        brackets[1] = _relabeled(MultiMap(space, space, 1, 1, "antisym"), d, (prefix,), prefix)
     return LInfAlgebra(space, brackets)
 
 
@@ -267,27 +274,16 @@ def ainf_cdga_pair(alg: AInfAlgebra) -> LInfPair:
     d = alg.products.get(1)
     brackets: dict[int, MultiMap] = {}
     if d is not None:
-        l1 = MultiMap(a_space, a_space, 1, 1, "antisym")
-        for key, row in d.entries():
-            for lab, c in row.items():
-                l1.add(("a." + key[0],), "a." + lab, c)
-        brackets[1] = l1
+        brackets[1] = _relabeled(MultiMap(a_space, a_space, 1, 1, "antisym"), d, ("a.",), "a.")
     algebra = LInfAlgebra(a_space, brackets)
     combined = combine_spaces(a_space, m_space)
     actions: dict[int, MultiMap] = {}
     if d is not None:
-        m1 = MultiMap(combined, m_space, 1, 1, "none")
-        for key, row in d.entries():
-            for lab, c in row.items():
-                m1.add(("m." + key[0],), "m." + lab, c)
-        actions[1] = m1
+        actions[1] = _relabeled(MultiMap(combined, m_space, 1, 1, "none"), d, ("m.",), "m.")
     prod = alg.products.get(2)
     if prod is not None:
-        m2 = MultiMap(combined, m_space, 2, 0, "antisym_algebra")
-        for key, row in prod.entries():
-            for lab, c in row.items():
-                m2.add(("a." + key[0], "m." + key[1]), "m." + lab, c)
-        actions[2] = m2
+        actions[2] = _relabeled(MultiMap(combined, m_space, 2, 0, "antisym_algebra"), prod,
+                                ("a.", "m."), "m.")
     module = LInfModule(algebra, m_space, actions)
     rep = module_check(module, 3)
     if not rep.ok:
@@ -338,11 +334,7 @@ def adjoint_pair(alg: LInfAlgebra, prefix: str = "ad.") -> LInfPair:
     actions: dict[int, MultiMap] = {}
     l1 = alg.brackets.get(1)
     if l1 is not None:
-        m1 = MultiMap(combined, mod_space, 1, 1, "none")
-        for key, row in l1.entries():
-            for lab, c in row.items():
-                m1.add((prefix + key[0],), prefix + lab, c)
-        actions[1] = m1
+        actions[1] = _relabeled(MultiMap(combined, mod_space, 1, 1, "none"), l1, (prefix,), prefix)
     l2 = alg.brackets.get(2)
     if l2 is not None:
         m2 = MultiMap(combined, mod_space, 2, 0, "antisym_algebra")

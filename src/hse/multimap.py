@@ -19,19 +19,16 @@ Symmetry handling:
   last, which is the module slot; the stored keys have the leading slots
   sorted.
 
-Contraction.  The L-infinity transfer kernel, the universal twisted
-differential and every evaluation on coefficient vectors contract a table
-against per-slot sparse vectors: at each vertex of a transfer tree
-(Loday-Vallette, Algebraic Operads, 10.3) the outer map eats the values of
-the blocks below it.  ``contract`` is that one kernel: it adds
-scale * mm(v_1, ..., v_n) into an accumulator, reading each stored row in
-place.  ``tensor_compose`` stays table-driven: it composes whole tables by
-walking the outer map's stored keys, where an input-driven contraction
-would scan input tuples; the identity checkers of ``structures`` walk
-stored keys the same way.
-Like ``contract``, the compositions ``tensor_compose`` and ``postcompose``
-add scale * the composite into an output map, so a signed sum of
-composites (a transfer kernel, a homotopy residual) fills one map in place.
+Contraction.  ``contract`` adds scale * mm(v_1, ..., v_n) into an
+accumulator for per-slot sparse vectors, reading each stored row in place;
+``evaluate_on_vectors`` is built on it.  ``tensor_compose`` is table-driven:
+it composes whole tables by walking the outer map's stored keys, where an
+input-driven contraction would scan input tuples; the identity checkers and
+the transfer kernels of ``structures.morphism_terms`` walk stored keys the
+same way.  Like ``contract``, the compositions ``tensor_compose`` and
+``postcompose`` add scale * the composite into an output map, so a signed
+sum of composites (a transfer's Q_n, a homotopy residual) fills one map in
+place.
 
 Symmetric powers.  Twisting by a degree-1 element w needs
 sum_i (1/i!) m(w^i, T); ``contract_power`` reads it off the stored keys of
@@ -199,14 +196,22 @@ class MultiMap:
         return bad
 
 
+def add_rows(out: MultiMap, rows: dict) -> MultiMap:
+    """Add every entry of a tuple -> row dict (a table, or a walk's or a
+    contraction's accumulator) into out and return out; zero entries add
+    nothing."""
+    for key, row in rows.items():
+        for lab, c in row.items():
+            out.add(key, lab, c)
+    return out
+
+
 def add_tables(out: MultiMap, *parts: MultiMap | None) -> MultiMap:
     """Add every stored entry of each part, in order, into out (a None part
     adds nothing) and return out."""
     for part in parts:
         if part is not None:
-            for key, row in part.table.items():
-                for lab, c in row.items():
-                    out.add(key, lab, c)
+            add_rows(out, part.table)
     return out
 
 
@@ -257,11 +262,6 @@ def tensor_compose(outer: MultiMap, inners: list[MultiMap | None],
         total_arity = sum(1 if m is None else m.arity for m in inners)
         out = MultiMap(space_in, outer.space_out, total_arity, outer.shift + sum(shifts))
     if not outer.table or not all(m is None or m.table for m in inners):
-        return out
-    if all(m is None for m in inners):  # scale * outer
-        for key, row in outer.table.items():
-            for lab, c in row.items():
-                out.add(key, lab, scale * c)
         return out
 
     deg_in = out.space_in.deg

@@ -421,7 +421,10 @@ def parse_element(ring: CoefRing, text: str) -> RElem:
             if not factor:
                 raise RingError(f"empty factor in {text!r}")
             if re.fullmatch(r"\d+(/\d+)?", factor):
-                coef *= parse_scalar(factor)
+                try:
+                    coef *= parse_scalar(factor)
+                except ValueError as exc:
+                    raise RingError(f"bad scalar factor {factor!r} in {text!r}") from exc
                 continue
             m = re.fullmatch(r"([A-Za-z]\w*)(?:\^(\d+))?", factor)
             if not m or m.group(1) not in ring.varnames:

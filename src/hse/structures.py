@@ -209,10 +209,11 @@ class InfMorphism:
 # and prod_l m_T(l)! / prod_t m_J_t(l)! block partitions over prod_x m_K(x)!
 # orderings of K's slots on the right.
 #
-# The L-oo transfer is the same right-hand side, so ``transfer`` calls
-# ``morphism_terms`` too: its kernel p_n is the walk over the brackets l_2..l_n
-# with the components id and -h p_r, and its read-back l_n is f applied to
-# the walk over p_n with the one component g.
+# Both transfers' trees are the same right-hand side, so ``transfer`` calls
+# ``morphism_terms`` too, keyed by small tuples: its kernel p_n is the walk
+# over the brackets (on sA the b_k) with the components g and -h p_r, and
+# l_n = f p_n is read off it with no second walk.  On sA (psi phi)_n is the
+# walk over g and the -h P_k with the components f Q_r.
 
 def _repeats(T: tuple[str, ...]) -> int:
     """prod over the labels l of a sorted T of m_T(l)!."""
@@ -248,34 +249,44 @@ def morphism_terms(components: dict[int, MultiMap], target: dict[int, MultiMap],
     """Tuple -> scale * sum of target_k(f_{|J_1|} x ... x f_{|J_k|}), added into
     res (cancelled entries kept as zeros): the right-hand side of a morphism
     identity whose components take their inputs from space, over the tuples
-    of at most max_arity inputs, or exactly max_arity with ``exact``."""
+    of at most max_arity inputs, or exactly max_arity with ``exact``.
+
+    A component's sign comes from its shift: a morphism's f_r has shift
+    1 - r, a transfer's -h p_r on L too, and every map on sA has shift 0,
+    so the A-infinity transfer walks take no sign."""
     deg = {e.label: e.deg for e in space.elements}
     res = {} if res is None else res
-    # label -> (J, coefficient, |J|, the degree parity of J, prod m_J(l)!) per component key J
+    # label -> (J, coefficient, |J|, the degree parity of J, prod m_J(l)!, odd shift)
+    # per component key J
     makers: dict[str, list] = {}
     for m_f in components.values():
+        odd_shift = m_f.shift & 1
         for J, row in m_f.table.items():
-            info = (len(J), sum(deg[l] for l in J) & 1, _repeats(J) if antisym else 1)
+            info = (len(J), sum(deg[l] for l in J) & 1, _repeats(J) if antisym else 1, odd_shift)
             for lab, c in row.items():
                 makers.setdefault(lab, []).append((J, c, *info))
+    longest = max((len(J) for m_f in components.values() for J in m_f.table), default=0)
     land = _lander(space)
     for k, m_t in target.items():
+        if exact and k * longest < max_arity:
+            continue  # k slots cannot take max_arity inputs
         for K, row in m_t.table.items():
             options = [makers.get(lab) for lab in K]
             if not all(options):
                 continue
             # (inputs so far, coefficient, their degree parity, prod m_J!), slot
-            # by slot; f_|J| of even |J| flips the sign past odd inputs and,
-            # in epsilon, before an odd number of later slots
+            # by slot; a component of odd shift flips the sign past odd inputs
+            # and, in epsilon, before an odd number of later slots
             partial = [((), scale, 0, 1)]
             for t, opts in enumerate(options):
                 later = k - 1 - t
                 room = max_arity - later
                 least = room if exact and not later else 0
-                partial = [(T + J, -coef * c if (odd ^ later) & 1 and not size & 1 else coef * c,
+                partial = [(T + J, -coef * c if shift_odd and (odd ^ later) & 1 else coef * c,
                             odd ^ parity, m * m_J)
                            for T, coef, odd, m in partial
-                           for J, c, size, parity, m_J in opts if least <= len(T) + size <= room]
+                           for J, c, size, parity, m_J, shift_odd in opts
+                           if least <= len(T) + size <= room]
             if not antisym:
                 for T, coef, _, _ in partial:
                     _add_row(res, T, coef, row)

@@ -4,30 +4,37 @@ L-infinity structures, pair transfer through the L (+) M algebra, a check
 that a diagram splits its source's complex, and the weight-based
 vanishing bound.
 
-The A-infinity kernels run on the suspension sA (Markl; Loday-Vallette,
-Algebraic Operads, 10.3), where b_k = suspend(mu_k) has degree 1 and
-``signs.suspension_sign`` converts a table entrywise in either direction:
+Every leaf of a transfer tree is a g-image and its root is f
+(Loday-Vallette, Algebraic Operads, 10.3), so both p-kernels are keyed by
+small tuples: P_n(S) is the tree sum at gS, with HP_1 = g and HP_r = -h P_r
+as the components below the root.  That sum is the right-hand side of a
+morphism identity, so each kernel is one ``structures.morphism_terms`` walk
+over the stored keys, with that walk's signs and no sign rule of its own.
+
+The A-infinity kernels run on the suspensions sA and sH (Markl;
+Loday-Vallette 10.3), where b_k = suspend(mu_k) has degree 1,
+``signs.suspension_sign`` converts a table entrywise in either direction
+and every component has shift 0, so the walks take no sign:
 
     P_n = sum over compositions (r_1..r_k) of n, k >= 2, of
-          b_k(HP_{r_1} x ... x HP_{r_k}),   HP_1 = id, HP_r = -h P_r,
+          b_k(HP_{r_1} x ... x HP_{r_k}),
     Q_n = sum over k, i and compositions (r_1..r_i) of n - (k - i) of
           b_k(PF_{r_1} x ... x PF_{r_{i-1}} x (-h) Q_{r_i} x id^(k-i)),  Q_1 = id,
 
-with (psi phi)_n = PF_n = gf Q_n + sum over k >= 2 of HP_k(gf Q_{r_1} x ...
-x gf Q_{r_k}).  HP_r, Q_r and PF_r have degree 0 on sA, so the one sign is
-the Koszul crossing of the odd (-h) Q_r.  Each table is one map that every
-profile adds its term into through ``tensor_compose(outer, inners, out)``.
-The splitting walks its (degree, weight) blocks once: a block takes its
-boundaries from the co-exact part of the block one degree below.
+with (psi phi)_n = PF_n = g f Q_n + sum over k >= 2 of HP_k(f Q_{r_1} x ...
+x f Q_{r_k}), the walk over HP_1..HP_n with the components f Q_r.  Q_n
+keeps big inputs in its fixed slots, so it stays a sum of
+``tensor_compose(outer, inners, out)`` into one map, whose one sign is the
+Koszul crossing of the odd (-h) Q_r.  Each output is one table read off a
+kernel: nu_n = f P_n, psi_n = HP_n, phi_n = f Q_n and H_n = -h Q_n.
 
 The L-infinity p_n sums trees (Kadeishvili) whose root is a bracket l_k and
-whose other vertices are earlier -h p_r: the right-hand side of an
-L-infinity morphism identity over block partitions, with the components
-id and -h p_r.  So the kernel is the morphism checker's own walk over the
-stored keys (``structures.morphism_terms``), with its signs and no sign
-rule of its own, and l_n = f p_n g^n is f applied to the same walk over
-p_n with the one component g.  Jacobi certifies every output, and a
-failing one is never returned.
+whose other vertices are g and earlier -h p_r, over block partitions, and
+l_n = f p_n.  Jacobi certifies every output, and a failing one is never
+returned.
+
+The splitting walks its (degree, weight) blocks once: a block takes its
+boundaries from the co-exact part of the block one degree below.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from . import linalg
 from .grading import BasisElement, GradedSpace, combine_spaces
 from .multimap import (
     MultiMap,
+    add_rows,
     add_tables,
     identity_map,
     postcompose,
@@ -268,24 +276,30 @@ def _suspend(mm: MultiMap, space_in: GradedSpace, space_out: GradedSpace, shift:
     return out
 
 
+def _suspended(space: GradedSpace) -> GradedSpace:
+    return GradedSpace([replace(e, deg=e.deg - 1) for e in space])
+
+
 class KernelCache:
-    """Arity-keyed memo tables on sA (``space``: the degrees of A minus one) of
-    b_k, P_n (``p``), -h P_n (``hp``), Q_n (``q``), -h Q_n (``hq``), gf Q_n
-    (``gfq``) and (psi phi)_n (``psiphi``)."""
+    """Arity-keyed memo tables on sA (``space``: the degrees of A minus one)
+    and sH (``small``) of b_k, P_n on sH (``p``), HP_n = -h P_n (``hp``, with
+    HP_1 = g), Q_n (``q``), -h Q_n (``hq``), f Q_n (``fq``) and (psi phi)_n
+    (``psiphi``)."""
 
     def __init__(self, diagram: TransferDiagram, mu: dict[int, MultiMap]):
         self.diagram = diagram
         big = diagram.big
-        self.space = space = GradedSpace([replace(e, deg=e.deg - 1) for e in big])
+        self.space = space = _suspended(big)
+        self.small = small = _suspended(diagram.small)
         self.b = {k: _suspend(m, space, space, 1, big) for k, m in mu.items() if k >= 2}
-        ident = identity_map(space)
+        g = _suspend(diagram.g, small, space, 0, diagram.small)
+        f = _suspend(diagram.f, space, small, 0, big)
         self.p: dict[int, MultiMap] = {}
-        self.hp: dict[int, MultiMap] = {1: ident}
-        self.q: dict[int, MultiMap] = {1: ident}
+        self.hp: dict[int, MultiMap] = {1: g}
+        self.q: dict[int, MultiMap] = {1: identity_map(space)}
         self.hq: dict[int, MultiMap] = {1: _suspend(diagram.h, space, space, -1, big, -1)}
-        gf = _suspend(postcompose(diagram.g, diagram.f), space, space, 0, big)
-        self.gfq: dict[int, MultiMap] = {1: gf}
-        self.psiphi: dict[int, MultiMap] = {1: gf}
+        self.fq: dict[int, MultiMap] = {1: f}
+        self.psiphi: dict[int, MultiMap] = {1: postcompose(g, f)}
 
     def ensure(self, n: int) -> None:
         for m in range(2, n + 1):
@@ -293,17 +307,15 @@ class KernelCache:
                 self._build(m)
 
     def _build(self, n: int) -> None:
-        space, minus_h = self.space, self.hq[1]
-        outers = [(k, self.b[k]) for k in range(2, n + 1) if k in self.b]
-        p_n = MultiMap(space, space, n, 1)
-        for k, outer in outers:
-            for profile in compositions(n, k):
-                tensor_compose(outer, [None if r == 1 else self.hp[r] for r in profile], p_n)
+        space, small, minus_h = self.space, self.small, self.hq[1]
+        outers = {k: self.b[k] for k in range(2, n + 1) if k in self.b}
+        p_n = add_rows(MultiMap(small, space, n, 1),
+                       morphism_terms(self.hp, outers, small, False, n, exact=True))
         self.p[n] = p_n
         self.hp[n] = postcompose(minus_h, p_n)
 
         q_n = MultiMap(space, space, n, 0)
-        for k, outer in outers:
+        for k, outer in outers.items():
             for i in range(1, k + 1):
                 for profile in compositions(n - (k - i), i):
                     inners = [self.psiphi[r] for r in profile[:-1]]
@@ -311,16 +323,9 @@ class KernelCache:
                     tensor_compose(outer, inners, q_n)
         self.q[n] = q_n
         self.hq[n] = postcompose(minus_h, q_n)
-        self.gfq[n] = postcompose(self.gfq[1], q_n)
-
-        pp_n = add_tables(MultiMap(space, space, n, 0), self.gfq[n])
-        for k in range(2, n + 1):
-            hp_k = self.hp[k]
-            if hp_k.is_zero():
-                continue
-            for profile in compositions(n, k):
-                tensor_compose(hp_k, [self.gfq[r] for r in profile], pp_n)
-        self.psiphi[n] = pp_n
+        self.fq[n] = postcompose(self.fq[1], q_n)
+        self.psiphi[n] = add_rows(MultiMap(space, space, n, 0),
+                                  morphism_terms(self.fq, self.hp, space, False, n, exact=True))
 
 
 @dataclass
@@ -339,25 +344,24 @@ def transfer_ainf(
 ) -> AInfTransfer:
     """Push an A-infinity structure across a transfer diagram.
 
-    Produces, read back from sA, the small-side products
-    nu_n = suspend(f P_n g^n), the morphisms phi_n = suspend(f Q_n) (big to
-    small, first component f) and psi_n = suspend(-h P_n g^n) (small to big,
+    Produces, each read back from one table on sA and sH, the small-side
+    products nu_n = suspend(f P_n), the morphisms phi_n = suspend(f Q_n) (big
+    to small, first component f) and psi_n = suspend(-h P_n) (small to big,
     first component g), and the homotopy components H_n = suspend(-h Q_n).
     """
     _require_source(diagram, source.space, source.products.get(1))
     cache = KernelCache(diagram, source.products)
     cache.ensure(max_arity)
 
-    big, small, f = diagram.big, diagram.small, diagram.f
+    big, small = diagram.big, diagram.small
     products: dict[int, MultiMap] = {1: diagram.d_small}  # the structures drop zero maps
     psi_comps: dict[int, MultiMap] = {1: diagram.g}
-    phi_comps: dict[int, MultiMap] = {1: f}
+    phi_comps: dict[int, MultiMap] = {1: diagram.f}
     homotopy: dict[int, MultiMap] = {1: diagram.h}
     for n in range(2, max_arity + 1):
-        png = tensor_compose(cache.p[n], [diagram.g] * n)  # g has degree 0: no signs
-        products[n] = _suspend(postcompose(f, png), small, small, 2 - n, small)
-        psi_comps[n] = _suspend(postcompose(diagram.h, png, scale=-1), small, big, 1 - n, small)
-        phi_comps[n] = _suspend(postcompose(f, cache.q[n]), big, small, 1 - n, big)
+        products[n] = _suspend(postcompose(cache.fq[1], cache.p[n]), small, small, 2 - n, small)
+        psi_comps[n] = _suspend(cache.hp[n], small, big, 1 - n, small)
+        phi_comps[n] = _suspend(cache.fq[n], big, small, 1 - n, big)
         if not cache.hq[n].is_zero():
             homotopy[n] = _suspend(cache.hq[n], big, big, -n, big)
 
@@ -376,22 +380,15 @@ def transfer_ainf(
 # ---------------------------------------------------------------------------
 # L-infinity transfer
 
-def _filled(out: MultiMap, terms: dict) -> MultiMap:
-    """out with every nonzero entry of a tuple -> row dict added in."""
-    for T, row in terms.items():
-        for lab, c in row.items():
-            out.add(T, lab, c)
-    return out
-
-
 class LInfKernelCache:
-    """Arity-keyed p-kernels of the L-infinity transfer on L, and their
-    -h p_n (``hp``, with hp_1 = id, as in ``KernelCache``).
+    """Arity-keyed p-kernels of the L-infinity transfer, keyed by tuples of
+    the small side with values on L, and their -h p_n (``hp``, with
+    hp_1 = g, as in ``KernelCache``).
 
-    p_n(T) sums, over the partitions of T into k >= 2 blocks (k a bracket
-    arity), l_k on the block values, where a one-input block is the input
-    itself and a larger block B is -h p_|B| (T[B]): the right-hand side of
-    an L-infinity morphism identity with the components hp, so
+    p_n(S) sums, over the partitions of S into k >= 2 blocks (k a bracket
+    arity), l_k on the block values, where a one-input block {s} is g s and
+    a larger block B is -h p_|B| (S[B]): the right-hand side of an
+    L-infinity morphism identity with the components hp, so
     ``structures.morphism_terms`` walks it over the stored keys of l_2..l_n
     and of hp, with the morphism checker's signs and weights.
     """
@@ -400,7 +397,7 @@ class LInfKernelCache:
         self.diagram = diagram
         self.brackets = brackets
         self.p: dict[int, MultiMap] = {}
-        self.hp: dict[int, MultiMap] = {1: identity_map(diagram.big)}
+        self.hp: dict[int, MultiMap] = {1: diagram.g}
 
     def ensure(self, n: int) -> None:
         for m in range(2, n + 1):
@@ -408,10 +405,10 @@ class LInfKernelCache:
                 self._build(m)
 
     def _build(self, n: int) -> None:
-        big = self.diagram.big
+        small, big = self.diagram.small, self.diagram.big
         outer = {k: m for k, m in self.brackets.items() if 2 <= k <= n}
-        p_n = _filled(MultiMap(big, big, n, 2 - n, "antisym"),
-                      morphism_terms(self.hp, outer, big, True, n, exact=True))
+        p_n = add_rows(MultiMap(small, big, n, 2 - n, "antisym"),
+                       morphism_terms(self.hp, outer, small, True, n, exact=True))
         self.p[n] = p_n
         self.hp[n] = postcompose(self.diagram.h, p_n, scale=-1)
 
@@ -431,19 +428,16 @@ def transfer_linf(
     """Transfer an L-infinity structure; the Jacobi pass on the output is the
     correctness certificate and failure aborts with the first violation.
 
-    l_n = f p_n(g x ... x g): f applied to ``structures.morphism_terms`` over
-    the stored keys of p_n with the one component g."""
+    l_n = f p_n, with p_n keyed by small tuples (``LInfKernelCache``)."""
     _require_source(diagram, source.space, source.brackets.get(1))
     cache = LInfKernelCache(diagram, source.brackets)
     cache.ensure(max_arity)
-    small, big = diagram.small, diagram.big
+    small = diagram.small
     brackets: dict[int, MultiMap] = {}
     if not diagram.d_small.is_zero():
         brackets[1] = add_tables(MultiMap(small, small, 1, 1, "antisym"), diagram.d_small)
     for n in range(2, max_arity + 1):
-        pg_n = _filled(MultiMap(small, big, n, 2 - n, "antisym"),
-                       morphism_terms({1: diagram.g}, {n: cache.p[n]}, small, True, n))
-        ln = postcompose(diagram.f, pg_n)
+        ln = postcompose(diagram.f, cache.p[n])
         if not ln.is_zero():
             brackets[n] = ln
     result = LInfAlgebra(small, brackets)

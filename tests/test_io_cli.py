@@ -263,6 +263,20 @@ def test_cli_malformed_mc_file_exits_2(tmp_path, capsys, mc):
         assert not out.exists()
 
 
+def test_cli_mc_entry_with_a_zero_denominator_exits_2(tmp_path, capsys):
+    """"1/0*e" used to escape parse_element as a ValueError: a traceback and
+    exit 1, the code of a failed check."""
+    fx = tmp_path / "mc.json"
+    fx.write_text(json.dumps({"ring": "Q[e]/(e^3)", "entries": {"a.h1_0": "1/0*e"}}))
+    out = tmp_path / "out.json"
+    pair = str(ROOT / "fixtures" / "heisenberg-pair.json")
+    for command in (["mc-check"], ["twist"], ["jump-ideal", "--i", "1", "--k", "1"]):
+        assert main([command[0], pair, *command[1:], "--mc", str(fx), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad scalar factor '1/0' in '1/0*e'\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "heisenberg.json", "--max-arity", "-1"],
     ["check", "heisenberg.json", "--max-arity", "0"],

@@ -76,6 +76,8 @@ def test_compositions_add_scale_times_the_composite_into_out():
     h = MultiMap(alg.space, alg.space, 1, -1)
     h.add(("xy",), "z", Fraction(1))
     assert tensor_compose(mu2, [None, None]).table == mu2.table
+    assert tensor_compose(mu2, [None, None], scale=-3).table == {
+        key: {lab: -3 * c for lab, c in row.items()} for key, row in mu2.table.items()}
     comp = tensor_compose(mu2, [None, h])
     out = tensor_compose(mu2, [None, h], tensor_compose(mu2, [None, h]), -3)
     assert out.table == {key: {lab: -2 * c for lab, c in row.items()}

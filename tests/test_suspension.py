@@ -199,9 +199,14 @@ def _disguised(space: GradedSpace, maps: dict, symmetry: str):
     return big, out
 
 
-def test_disguised_h3_times_h3_passes_the_ainf_route_at_arity_five():
+def disguised_h3_times_h3_ainf() -> AInfAlgebra:
+    """The minimal model of H_3 x H_3 to arity 5 in disguise: nu_1 to nu_4, h != 0."""
     minimal = _minimal_model(h3_times_h3(), 5).algebra
-    source = AInfAlgebra(*_disguised(minimal.space, minimal.products, "none"))
+    return AInfAlgebra(*_disguised(minimal.space, minimal.products, "none"))
+
+
+def test_disguised_h3_times_h3_passes_the_ainf_route_at_arity_five():
+    source = disguised_h3_times_h3_ainf()
     assert {3, 4} <= set(source.products) and stasheff_check(source, 5).ok
     res = _certify_ainf(source, 5)
     assert not res.diagram.h.is_zero()

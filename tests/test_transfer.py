@@ -2,6 +2,7 @@ import json
 import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from hse.multimap import (
     contract,
     identity_map,
     postcompose,
+    tensor_compose,
 )
 from hse.signs import koszul_sign, suspension_sign
 from hse.structures import (
@@ -54,7 +56,7 @@ from hse import linalg
 import transfer_reference as ref
 from test_scalar_form import heisenberg_circle
 from test_structures import h3_times_h3, iter_sorted_tuples
-from test_suspension import disguised_h3_times_h3_linf
+from test_suspension import disguised_h3_times_h3_ainf, disguised_h3_times_h3_linf
 
 
 def heis_diagram():
@@ -105,17 +107,21 @@ def test_splitting_rejects_weight_violation():
 
 
 def test_p2_is_mu2():
-    # P_2 = b_2, the suspension of mu_2: the keys of mu_2, each entry times
-    # the suspension sign of its inputs' degrees in A
+    # b_2 is the suspension of mu_2: the keys of mu_2, each entry times the
+    # suspension sign of its inputs' degrees in A; P_2 is b_2 at g-images
     alg, diag = heis_diagram()
     cache = KernelCache(diag, alg.ainf().products)
     cache.ensure(2)
     mu2 = alg.product_map()
-    assert list(cache.p[2].table) == list(mu2.table)
+    b2 = cache.b[2]
+    assert list(b2.table) == list(mu2.table)
     for key, row in mu2.table.items():
         sign = suspension_sign(tuple(alg.space.deg(l) for l in key))
-        assert cache.p[2].table[key] == {lab: sign * c for lab, c in row.items()}
+        assert b2.table[key] == {lab: sign * c for lab, c in row.items()}
     assert any(suspension_sign(tuple(alg.space.deg(l) for l in key)) == -1 for key in mu2.table)
+    assert set(cache.p[2].space_in.labels()) == set(diag.small.labels())
+    assert _mapping(cache.p[2]) == _mapping(tensor_compose(b2, [diag.g, diag.g]))
+    assert not cache.p[2].is_zero()
 
 
 def test_q1_is_identity_and_formal_q_vanishes():
@@ -124,11 +130,13 @@ def test_q1_is_identity_and_formal_q_vanishes():
     cache = KernelCache(diag, alg.ainf().products)
     cache.ensure(4)
     assert cache.q[1].equals(identity_map(diag.big))
+    assert cache.hp[1].equals(diag.g) and cache.fq[1].equals(diag.f)
     for n in (2, 3, 4):
-        assert cache.q[n].is_zero()
-        assert cache.p[n].equals(cache.psiphi[n]) or cache.psiphi[n].equals(
-            cache.gfq[n])  # (psi phi)_m collapses to gf q_m = q_m = 0 for m >= 2
-    # h = 0 kills every p_n with an internal h, so p_n = mu_n = 0 for n >= 3
+        # f Q_n = Q_n = 0, and h = 0 kills every -h P_k, so (psi phi)_n = 0
+        assert cache.q[n].is_zero() and cache.fq[n].is_zero()
+        assert cache.hp[n].is_zero() and cache.psiphi[n].is_zero()
+    # h = 0 kills every P_n with an internal h, so P_n = b_n(g^n) = 0 for n >= 3
+    assert not cache.p[2].is_zero()
     assert cache.p[3].is_zero() and cache.p[4].is_zero()
 
 
@@ -461,16 +469,42 @@ AINF_INPUTS = [
 @pytest.mark.parametrize("build, max_arity", AINF_INPUTS)
 def test_ainf_transfer_matches_per_profile_reference(build, max_arity):
     # the kernels on sA against the reference's kernels on A: nu, phi, psi
-    # and H agree entry for entry, in insertion order
+    # and H agree entry for entry, as mappings (no report reads the order)
     alg = build()
     diag = cohomology_splitting(alg.space, alg.differential_map())
     res = transfer_ainf(diag, alg.ainf(), max_arity)
     algebra, phi, psi, homotopy, _ = ref.transfer_ainf(diag, alg.ainf(), max_arity)
     got = [res.algebra.products, res.phi.components, res.psi.components, res.homotopy]
     want = [algebra.products, phi.components, psi.components, homotopy]
-    assert [{n: _ordered_table(m) for n, m in family.items()} for family in got] == \
-        [{n: _ordered_table(m) for n, m in family.items()} for family in want]
+    assert [{n: _mapping(m) for n, m in family.items()} for family in got] == \
+        [{n: _mapping(m) for n, m in family.items()} for family in want]
     assert not all(p_n.is_zero() for p_n in res.cache.p.values())
+
+
+def _nonzero_mappings(maps: dict) -> dict:
+    return {n: _mapping(m) for n, m in maps.items() if not m.is_zero()}
+
+
+@pytest.mark.parametrize("build, max_arity", AINF_INPUTS + [
+    pytest.param(h3_times_h3, 6, id="h3xh3"),
+    pytest.param(disguised_h3_times_h3_ainf, 5, id="disguised-h3xh3"),
+])
+def test_ainf_kernels_match_per_composition_reference(build, max_arity):
+    # P_n on small tuples is the reference's big-keyed P_n at g-images, and
+    # (psi phi)_n, Q_n, nu, phi, psi and H agree with the reference's
+    source = build()
+    source = source.ainf() if isinstance(source, Cdga) else source
+    diag = cohomology_splitting(source.space, source.products.get(1))
+    res = transfer_ainf(diag, source, max_arity)
+    products, phi, psi, homotopy, cache = ref.suspended_transfer_ainf(diag, source, max_arity)
+    for n in range(2, max_arity + 1):
+        assert _mapping(res.cache.p[n]) == _mapping(tensor_compose(cache.p[n], [diag.g] * n)), n
+        assert _mapping(res.cache.psiphi[n]) == _mapping(cache.psiphi[n]), n
+        assert _mapping(res.cache.q[n]) == _mapping(cache.q[n]), n
+    assert _nonzero_mappings(res.algebra.products) == _nonzero_mappings(products)
+    assert _nonzero_mappings(res.phi.components) == _nonzero_mappings(phi)
+    assert _nonzero_mappings(res.psi.components) == _nonzero_mappings(psi)
+    assert _nonzero_mappings(res.homotopy) == _nonzero_mappings(homotopy)
 
 
 def test_ainf_transfer_of_h3_times_h3_passes_at_arity_six():
@@ -530,8 +564,10 @@ def _partition_sign(partition, degs) -> int:
 
 
 class ExhaustiveLInfKernelCache(LInfKernelCache):
-    """Reference kernel: every degree-feasible sorted tuple times every set
-    partition into >= 2 blocks, with no use of the table supports."""
+    """Reference kernel: every degree-feasible sorted tuple of L times every
+    set partition into >= 2 blocks, with no use of the table supports.  Its
+    p_n is keyed by tuples of L, a one-input block being the input itself;
+    ``_at_g_images`` reads it at the kernel's small tuples."""
 
     def _build(self, n: int) -> None:
         big = self.diagram.big
@@ -593,81 +629,33 @@ def _pair_kernel_inputs(pair):
     return _direct_sum_diagrams(res.algebra_diagram, res.module_diagram), combined.brackets
 
 
-def _ordered_table(mm: MultiMap):
-    return [(key, list(row.items())) for key, row in mm.table.items()]
-
-
 def _mapping(mm: MultiMap) -> dict:
     """key -> row: the L-infinity tables fill in walk order, and no report
     reads that order (reports sort keys and labels)."""
     return {key: dict(row) for key, row in mm.table.items()}
 
 
-def _assert_kernels_agree(diagram, brackets, max_arity: int) -> None:
+def _at_g_images(p_n: MultiMap, diagram) -> MultiMap:
+    """An L-keyed p_n read at g-images: p_n(g s_1, ..., g s_n) at every
+    sorted small tuple in the degree window, by contraction."""
+    small, n = diagram.small, p_n.arity
+    out = MultiMap(small, diagram.big, n, p_n.shift, "antisym")
+    for S in iter_sorted_tuples(small, n, {d - p_n.shift for d in diagram.big.degrees()}):
+        for lab, c in contract(p_n, [diagram.g.get((s,)) for s in S], {}).items():
+            out.add(S, lab, c)
+    return out
+
+
+def _assert_kernels_agree(diagram, brackets, slow, max_arity: int) -> None:
     fast = LInfKernelCache(diagram, brackets)
-    slow = ExhaustiveLInfKernelCache(diagram, brackets)
     fast.ensure(max_arity)
-    slow.ensure(max_arity)
     assert sorted(fast.p) == sorted(slow.p) == list(range(2, max_arity + 1))
     for n in range(2, max_arity + 1):
-        assert _mapping(fast.p[n]) == _mapping(slow.p[n]), n
+        assert _mapping(fast.p[n]) == _mapping(_at_g_images(slow.p[n], diagram)), n
 
 
 def _golden_pair(name: str):
     return parse_structure(json.loads((FIXTURES / name).read_text(encoding="utf-8")))
-
-
-@pytest.mark.parametrize("name, max_arity", [
-    ("heisenberg-pair.json", 6),
-    ("heisenberg-pair-weighted.json", 5),
-])
-def test_linf_kernel_matches_exhaustive_on_golden_pairs(name, max_arity):
-    _assert_kernels_agree(*_pair_kernel_inputs(_golden_pair(name)), max_arity)
-
-
-def test_linf_kernel_matches_exhaustive_on_exterior3():
-    _assert_kernels_agree(*_pair_kernel_inputs(cdga_pair(exterior_cdga(3))), 5)
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_linf_kernel_matches_exhaustive_on_random_pairs(seed):
-    _assert_kernels_agree(*_pair_kernel_inputs(cdga_pair(random_cdga(seed, dims=(1, 3, 3, 1)))), 5)
-
-
-def test_linf_kernel_matches_exhaustive_on_a_source_with_higher_brackets():
-    # every cdga pair's L (+) M has only l_1 and l_2; the disguised H_3 x H_3
-    # has l_3 and l_4 and h != 0, so p_3 has a partition into three blocks
-    source = disguised_h3_times_h3_linf()
-    assert {3, 4} <= set(source.brackets)
-    diagram = cohomology_splitting(source.space, source.brackets[1])
-    assert not diagram.h.is_zero()
-    _assert_kernels_agree(diagram, source.brackets, 3)
-    without_l3 = LInfKernelCache(diagram, {k: m for k, m in source.brackets.items() if k != 3})
-    without_l3.ensure(3)
-    assert without_l3.p[3].is_zero()  # every term of p_3 there is l_3 on three blocks
-
-
-# ---------------------------------------------------------------------------
-# the l_n read-back of transfer_linf against the sorted-tuple scan
-
-def ref_transferred_brackets(res) -> dict[int, MultiMap]:
-    """The l_n loop transfer_linf ran before its candidates came from the
-    stored keys of p_n: f p_n(g s_1, ..., g s_n) at every sorted small tuple
-    in the degree window."""
-    diagram = res.diagram
-    small = diagram.small
-    out = {}
-    for n, p_n in sorted(res.cache.p.items()):
-        ln = MultiMap(small, small, n, 2 - n, "antisym")
-        sums = {d - (2 - n) for d in small.degrees()}
-        for S in iter_sorted_tuples(small, n, sums):
-            acc = contract(p_n, [diagram.g.get((s,)) for s in S], {})
-            for big_lab, c in acc.items():
-                for out_lab, c2 in diagram.f.get((big_lab,)).items():
-                    ln.add(S, out_lab, c * c2)
-        if not ln.is_zero():
-            out[n] = ln
-    return out
 
 
 def _heisenberg5_pair():
@@ -677,21 +665,83 @@ def _heisenberg5_pair():
     return cdga_pair(Cdga(gens, 5, {"z": [(one, (0, 1)), (one, (2, 3))]}))
 
 
-@pytest.mark.parametrize("build, max_arity", [
-    pytest.param(lambda: _golden_pair("heisenberg-pair.json"), 6, id="heisenberg-pair"),
-    pytest.param(lambda: _golden_pair("heisenberg-pair-weighted.json"), 5,
-                 id="heisenberg-pair-weighted"),
-    pytest.param(lambda: cdga_pair(exterior_cdga(3)), 5, id="exterior3"),
-    pytest.param(_heisenberg5_pair, 4, id="heisenberg5"),
-] + [
-    pytest.param(lambda s=s: cdga_pair(random_cdga(s, dims=(1, 3, 3, 1))), 5, id=f"random-{s}")
-    for s in range(20)
+LINF_PAIRS = {
+    "heisenberg-pair": lambda: _golden_pair("heisenberg-pair.json"),
+    "heisenberg-pair-weighted": lambda: _golden_pair("heisenberg-pair-weighted.json"),
+    "exterior3": lambda: cdga_pair(exterior_cdga(3)),
+    "heisenberg5": _heisenberg5_pair,
+    **{f"random-{s}": lambda s=s: cdga_pair(random_cdga(s, dims=(1, 3, 3, 1))) for s in range(20)},
+}
+
+
+@lru_cache(maxsize=None)
+def _exhaustive(name: str, max_arity: int):
+    """(diagram, brackets, exhaustive kernel to max_arity) of a pair's L (+) M,
+    built once for the kernel test and the bracket test that share it."""
+    diagram, brackets = _pair_kernel_inputs(LINF_PAIRS[name]())
+    slow = ExhaustiveLInfKernelCache(diagram, brackets)
+    slow.ensure(max_arity)
+    return diagram, brackets, slow
+
+
+@pytest.mark.parametrize("name, max_arity", [
+    ("heisenberg-pair.json", 6),
+    ("heisenberg-pair-weighted.json", 5),
 ])
-def test_transferred_brackets_match_sorted_tuple_scan(build, max_arity):
-    diagram, brackets = _pair_kernel_inputs(build())
+def test_linf_kernel_matches_exhaustive_on_golden_pairs(name, max_arity):
+    _assert_kernels_agree(*_exhaustive(name.removesuffix(".json"), max_arity), max_arity)
+
+
+def test_linf_kernel_matches_exhaustive_on_exterior3():
+    _assert_kernels_agree(*_exhaustive("exterior3", 5), 5)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_linf_kernel_matches_exhaustive_on_random_pairs(seed):
+    _assert_kernels_agree(*_exhaustive(f"random-{seed}", 5), 5)
+
+
+def test_linf_kernel_matches_exhaustive_on_a_source_with_higher_brackets():
+    # every cdga pair's L (+) M has only l_1 and l_2; the disguised H_3 x H_3
+    # has l_3 and l_4 and h != 0, so p_3 has a partition into three blocks
+    source = disguised_h3_times_h3_linf()
+    assert {3, 4} <= set(source.brackets)
+    diagram = cohomology_splitting(source.space, source.brackets[1])
+    assert not diagram.h.is_zero()
+    slow = ExhaustiveLInfKernelCache(diagram, source.brackets)
+    slow.ensure(3)
+    _assert_kernels_agree(diagram, source.brackets, slow, 3)
+    without_l3 = LInfKernelCache(diagram, {k: m for k, m in source.brackets.items() if k != 3})
+    without_l3.ensure(3)
+    assert without_l3.p[3].is_zero()  # every term of p_3 there is l_3 on three blocks
+
+
+# ---------------------------------------------------------------------------
+# the l_n read-back of transfer_linf against the sorted-tuple scan
+
+def ref_transferred_brackets(diagram, slow) -> dict[int, MultiMap]:
+    """f p_n(g s_1, ..., g s_n) at every sorted small tuple in the degree
+    window, p_n the exhaustive kernel's: the l_n loop transfer_linf ran
+    before its candidates came from stored keys."""
+    out = {}
+    for n, p_n in sorted(slow.p.items()):
+        ln = postcompose(diagram.f, _at_g_images(p_n, diagram))
+        if not ln.is_zero():
+            out[n] = ln
+    return out
+
+
+@pytest.mark.parametrize("name, max_arity", [
+    pytest.param("heisenberg-pair", 6, id="heisenberg-pair"),
+    pytest.param("heisenberg-pair-weighted", 5, id="heisenberg-pair-weighted"),
+    pytest.param("exterior3", 5, id="exterior3"),
+    pytest.param("heisenberg5", 4, id="heisenberg5"),
+] + [pytest.param(f"random-{s}", 5, id=f"random-{s}") for s in range(20)])
+def test_transferred_brackets_match_sorted_tuple_scan(name, max_arity):
+    diagram, brackets, slow = _exhaustive(name, max_arity)
     res = transfer_linf(diagram, LInfAlgebra(diagram.big, brackets), max_arity)
     got = {n: _mapping(m) for n, m in res.algebra.brackets.items() if n >= 2}
-    want = {n: _mapping(m) for n, m in ref_transferred_brackets(res).items()}
+    want = {n: _mapping(m) for n, m in ref_transferred_brackets(diagram, slow).items()}
     assert 2 in want  # the unit acts, so the comparison is never between empty tables
     assert sorted(got) == sorted(want)
     for n in want:

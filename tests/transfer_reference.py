@@ -10,17 +10,25 @@ profile and morphism components rescaled by (-1)^(n-1).  On every input
 whose transferred nu_4 vanishes that agrees with the suspension form of
 ``hse.transfer``; H_3 x H_3, the first input with nu_4 != 0, tells them
 apart, and there the reference fails Stasheff at arity 5.
+
+``SuspendedKernelCache`` and ``suspended_transfer_ainf`` are the suspension
+form as ``hse.transfer`` ran it before its kernels were keyed by small
+tuples: P_n and (psi phi)_n one ``tensor_compose`` per composition profile,
+P_n keyed by big tuples with an identity leaf, and the outputs read back
+through P_n g^n.
 """
 
 from fractions import Fraction
 
-from hse import linalg
+from dataclasses import replace
+
+from hse import linalg, multimap
 from hse.grading import BasisElement, GradedSpace
 from hse.multimap import MultiMap, add_tables, identity_map
 from hse.scalars import canonical
 from hse.signs import compositions
 from hse.structures import AInfAlgebra, InfMorphism
-from hse.transfer import TransferDiagram, TransferError
+from hse.transfer import TransferDiagram, TransferError, _suspend
 
 
 def theta_exponent(profile):
@@ -385,3 +393,77 @@ def transfer_ainf(diagram, source, max_arity):
     phi = InfMorphism("ainf", source, small_alg, phi_comps)
     psi = InfMorphism("ainf", small_alg, source, psi_comps)
     return small_alg, phi, psi, homotopy, cache
+
+
+# ---------------------------------------------------------------------------
+# the per-composition kernels on sA
+
+class SuspendedKernelCache:
+    """Arity-keyed memo tables on sA of b_k, P_n, -h P_n (``hp``, with
+    hp_1 = id), Q_n, -h Q_n, gf Q_n (``gfq``) and (psi phi)_n, every P_n and
+    (psi phi)_n term one ``tensor_compose`` per composition profile."""
+
+    def __init__(self, diagram, mu):
+        self.diagram = diagram
+        big = diagram.big
+        self.space = space = GradedSpace([replace(e, deg=e.deg - 1) for e in big])
+        self.b = {k: _suspend(m, space, space, 1, big) for k, m in mu.items() if k >= 2}
+        ident = identity_map(space)
+        self.p = {}
+        self.hp = {1: ident}
+        self.q = {1: ident}
+        self.hq = {1: _suspend(diagram.h, space, space, -1, big, -1)}
+        gf = _suspend(multimap.postcompose(diagram.g, diagram.f), space, space, 0, big)
+        self.gfq = {1: gf}
+        self.psiphi = {1: gf}
+
+    def ensure(self, n):
+        for m in range(2, n + 1):
+            if m not in self.p:
+                self._build(m)
+
+    def _build(self, n):
+        space, minus_h = self.space, self.hq[1]
+        outers = [(k, self.b[k]) for k in range(2, n + 1) if k in self.b]
+        p_n = MultiMap(space, space, n, 1)
+        for k, outer in outers:
+            for profile in compositions(n, k):
+                multimap.tensor_compose(outer, [None if r == 1 else self.hp[r] for r in profile], p_n)
+        self.p[n] = p_n
+        self.hp[n] = multimap.postcompose(minus_h, p_n)
+
+        q_n = MultiMap(space, space, n, 0)
+        for k, outer in outers:
+            for i in range(1, k + 1):
+                for profile in compositions(n - (k - i), i):
+                    inners = [self.psiphi[r] for r in profile[:-1]]
+                    inners += [self.hq[profile[-1]]] + [None] * (k - i)
+                    multimap.tensor_compose(outer, inners, q_n)
+        self.q[n] = q_n
+        self.hq[n] = multimap.postcompose(minus_h, q_n)
+        self.gfq[n] = multimap.postcompose(self.gfq[1], q_n)
+
+        pp_n = add_tables(MultiMap(space, space, n, 0), self.gfq[n])
+        for k in range(2, n + 1):
+            hp_k = self.hp[k]
+            if hp_k.is_zero():
+                continue
+            for profile in compositions(n, k):
+                multimap.tensor_compose(hp_k, [self.gfq[r] for r in profile], pp_n)
+        self.psiphi[n] = pp_n
+
+
+def suspended_transfer_ainf(diagram, source, max_arity):
+    """(products, phi, psi, homotopy, cache): each component family as a
+    dict of maps, nu_n and psi_n read back through P_n g^n."""
+    cache = SuspendedKernelCache(diagram, source.products)
+    cache.ensure(max_arity)
+    big, small, f = diagram.big, diagram.small, diagram.f
+    products, psi, phi, homotopy = {}, {1: diagram.g}, {1: f}, {1: diagram.h}
+    for n in range(2, max_arity + 1):
+        png = multimap.tensor_compose(cache.p[n], [diagram.g] * n)  # g has degree 0: no signs
+        products[n] = _suspend(multimap.postcompose(f, png), small, small, 2 - n, small)
+        psi[n] = _suspend(multimap.postcompose(diagram.h, png, scale=-1), small, big, 1 - n, small)
+        phi[n] = _suspend(multimap.postcompose(f, cache.q[n]), big, small, 1 - n, big)
+        homotopy[n] = _suspend(cache.hq[n], big, big, -n, big)
+    return products, phi, psi, homotopy, cache
