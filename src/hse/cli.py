@@ -170,20 +170,30 @@ def _mc_algebra(obj, command: str) -> LInfAlgebra:
     return alg
 
 
-def _minimal_pair(obj, path: str, max_arity: int) -> tuple[LInfPair, int | None]:
-    """The minimal pair of a package and the arity it was transferred to;
-    None when the package already is a minimal pair and no transfer ran."""
+def _transfer_source(obj, path: str) -> LInfPair | None:
+    """The pair a package's minimal pair is transferred from; None when the
+    package already is a minimal pair."""
     if isinstance(obj, LInfPair):
-        if 1 in obj.algebra.brackets or 1 in obj.module.actions:
-            return transfer_pair(obj, max_arity).pair, max_arity
-        return obj, None
+        return obj if 1 in obj.algebra.brackets or 1 in obj.module.actions else None
     if isinstance(obj, AInfAlgebra):
-        return transfer_pair(ainf_cdga_pair(obj), max_arity).pair, max_arity
+        return ainf_cdga_pair(obj)
     raise UsageError(f"{path}: need a pair (or commutative dga) package")
 
 
 def _require_minimal_pair(path: str, args) -> LInfPair:
-    return _minimal_pair(_load_structure(path), path, args.max_arity)[0]
+    obj = _load_structure(path)
+    source = _transfer_source(obj, path)
+    return obj if source is None else transfer_pair(source, args.max_arity).pair
+
+
+def _cohomology_shell(pair: LInfPair) -> LInfPair:
+    """The spaces the transfer of pair lands on, with no maps: all that the
+    weight hypothesis and its n0 read."""
+    small = [cohomology_splitting(space, d.get(1), label_prefix=prefix).small
+             for space, d, prefix in ((pair.algebra.space, pair.algebra.brackets, "a."),
+                                      (pair.module.space, pair.module.actions, "m."))]
+    algebra = LInfAlgebra(small[0], {})
+    return LInfPair(algebra, LInfModule(algebra, small[1], {}))
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -248,55 +258,33 @@ def _weights_flag(args, space) -> bool | None:
 
 def cmd_transfer(args) -> tuple[str, dict, int]:
     obj = _load_structure(args.file)
-    payload: dict = {}
     if isinstance(obj, AInfAlgebra):
         diagram = cohomology_splitting(
             obj.space, obj.products.get(1),
             use_weights=_weights_flag(args, obj.space))
         res = transfer_ainf(diagram, obj, args.max_arity)
-        checks = {
-            "stasheff": stasheff_check(res.algebra, args.max_arity).to_json(),
-        }
-        payload["metadata"] = {**res.metadata, "checks": checks}
-        if args.emit in ("structure", "all"):
-            payload["structure"] = package_to_json(res.algebra)
-        if args.emit in ("morphisms", "all"):
-            payload["phi"] = {str(n): io_json.multimap_to_json(m)
-                              for n, m in sorted(res.phi.components.items())}
-            payload["psi"] = {str(n): io_json.multimap_to_json(m)
-                              for n, m in sorted(res.psi.components.items())}
-            payload["homotopy"] = {str(n): io_json.multimap_to_json(m)
-                                   for n, m in sorted(res.homotopy.items())}
-        ok = checks["stasheff"]["ok"]
-        return ("pass" if ok else "fail"), payload, 0 if ok else 1
-    if isinstance(obj, LInfAlgebra):
+        reports, structure = [stasheff_check(res.algebra, args.max_arity)], res.algebra
+    elif isinstance(obj, LInfAlgebra):
         diagram = cohomology_splitting(
             obj.space, obj.brackets.get(1), use_weights=_weights_flag(args, obj.space))
         res = transfer_linf(diagram, obj, args.max_arity)
-        payload["metadata"] = {
-            **res.metadata,
-            "checks": {"jacobi": res.certificate.to_json()},
-        }
-        if args.emit in ("structure", "all"):
-            payload["structure"] = package_to_json(res.algebra)
-        ok = res.certificate.ok
-        return ("pass" if ok else "fail"), payload, 0 if ok else 1
-    if isinstance(obj, LInfPair):
+        reports, structure = [res.certificate], res.algebra
+    elif isinstance(obj, LInfPair):
         res = transfer_pair(obj, args.max_arity,
                             use_weights=_weights_flag(args, obj.algebra.space))
-        jac_rep, mod_rep = split_pair_report(res.certificate, res.pair.module)
-        payload["metadata"] = {
-            **res.metadata,
-            "checks": {
-                "jacobi": jac_rep.to_json(),
-                "module": mod_rep.to_json(),
-            },
-        }
-        if args.emit in ("structure", "all"):
-            payload["structure"] = package_to_json(res.pair)
-        ok = res.certificate.ok
-        return ("pass" if ok else "fail"), payload, 0 if ok else 1
-    raise UsageError("transfer expects an ainf, linf, or pair package")
+        reports, structure = split_pair_report(res.certificate, res.pair.module), res.pair
+    else:
+        raise UsageError("transfer expects an ainf, linf, or pair package")
+    payload: dict = {"metadata": {**res.metadata,
+                                  "checks": {rep.name: rep.to_json() for rep in reports}}}
+    if args.emit in ("structure", "all"):
+        payload["structure"] = package_to_json(structure)
+    if isinstance(obj, AInfAlgebra) and args.emit in ("morphisms", "all"):
+        for name, maps in (("phi", res.phi.components), ("psi", res.psi.components),
+                           ("homotopy", res.homotopy)):
+            payload[name] = {str(n): io_json.multimap_to_json(m) for n, m in sorted(maps.items())}
+    ok = all(rep.ok for rep in reports)
+    return ("pass" if ok else "fail"), payload, 0 if ok else 1
 
 
 def cmd_mc_check(args) -> tuple[str, dict, int]:
@@ -356,7 +344,9 @@ def cmd_tangent_space(args) -> tuple[str, dict, int]:
 def cmd_resonance(args) -> tuple[str, dict, int]:
     """Exact mode sums the universal complex through arity n0 + 1, so a pair
     the command transfers itself is transferred at least that far; the
-    payload records the arity reached (null for an already minimal pair)."""
+    payload records the arity reached (null for an already minimal pair).
+    n0 reads only the cohomology spaces, so it fixes that arity before the
+    one transfer, which runs first even when the hypothesis fails."""
     if not args.exact:
         if args.trunc is None:
             raise UsageError("resonance needs --trunc D or --exact")
@@ -365,15 +355,17 @@ def cmd_resonance(args) -> tuple[str, dict, int]:
         ok = res.consistent
         return ("pass" if ok else "fail"), res.to_json(), 0 if ok else 1
     obj = _load_structure(args.file)
-    pair, reached = _minimal_pair(obj, args.file, args.max_arity)
-    rep = subtorus_hypothesis_check(pair)
+    source = _transfer_source(obj, args.file)
+    pair, reached = obj, None
+    rep = subtorus_hypothesis_check(obj if source is None else _cohomology_shell(source))
+    if source is not None:
+        reached = max(args.max_arity, rep.n0 + 1) if rep.certified else args.max_arity
+        pair = transfer_pair(source, reached).pair
     if not rep.certified:
         raise UsageError(
             "--exact needs the weight hypothesis; run subtorus-check "
             f"(offenders: {rep.offenders[:3]})")
     n0 = rep.n0
-    if reached is not None and reached < n0 + 1:
-        pair, reached = _minimal_pair(obj, args.file, n0 + 1)
     res = resonance_ideal(pair, args.i, args.k, n0=n0, seed=args.seed or 0)
     payload = {**res.to_json(), "n0": n0, "arity_reached": reached}
     ok = res.consistent

@@ -21,14 +21,12 @@ Symmetry handling:
 
 Contraction.  ``contract`` adds scale * mm(v_1, ..., v_n) into an
 accumulator for per-slot sparse vectors, reading each stored row in place;
-``evaluate_on_vectors`` is built on it.  ``tensor_compose`` is table-driven:
-it composes whole tables by walking the outer map's stored keys, where an
-input-driven contraction would scan input tuples; the identity checkers and
-the transfer kernels of ``structures.morphism_terms`` walk stored keys the
-same way.  Like ``contract``, the compositions ``tensor_compose`` and
-``postcompose`` add scale * the composite into an output map, so a signed
-sum of composites (a transfer's Q_n, a homotopy residual) fills one map in
-place.
+``evaluate_on_vectors`` is built on it.  Whole tables compose by one walk
+over the stored keys, ``morphism_terms``: per target key K, slot t takes a
+key J_t of its component set producing K[t] (an identity slot, K[t] itself)
+and the signed row_K lands on J_1 + ... + J_k.  The identity checkers, both
+transfers' kernels and ``tensor_compose`` are that walk.  It and
+``postcompose`` add scale * the composite into an output map in place.
 
 Symmetric powers.  Twisting by a degree-1 element w needs
 sum_i (1/i!) m(w^i, T); ``contract_power`` reads it off the stored keys of
@@ -238,6 +236,115 @@ def postcompose(linear: MultiMap, mm: MultiMap, out: MultiMap | None = None,
     return out
 
 
+def _repeats(T: tuple[str, ...]) -> int:
+    """prod over the labels l of a sorted T of m_T(l)!."""
+    if len(set(T)) == len(T):
+        return 1
+    return prod(factorial(len(list(run))) for _, run in groupby(T))
+
+
+def _add_row(res: dict, T: tuple[str, ...], coef, row: dict) -> None:
+    vec = res.get(T)
+    if vec is None:
+        res[T] = {lab: coef * c for lab, c in row.items()}
+    else:
+        for lab, c in row.items():
+            vec[lab] = vec.get(lab, 0) + coef * c
+
+
+def _lander(space: GradedSpace):
+    """chunks -> (chunks in basis order, their antisym sign, prod m_T(l)!)."""
+    deg = {e.label: e.deg for e in space.elements}
+    order = space.order_index
+
+    def land(chunks: tuple[str, ...]) -> tuple:
+        T, sign = sort_with_sign(chunks, tuple([deg[l] for l in chunks]), order)
+        return T, sign, _repeats(T)
+
+    return land
+
+
+def uniform_plan(components: dict[int, MultiMap], target: dict[int, MultiMap]) -> dict:
+    """The plan of a morphism identity's right-hand side: for each target
+    arity k, the components in all k slots, with scale 1."""
+    return {k: [((components,) * k, 1)] for k in target}
+
+
+def morphism_terms(plans: dict[int, list], target: dict[int, MultiMap], space: GradedSpace,
+                   antisym: bool, max_arity: int, exact: bool = False,
+                   res: dict | None = None, scale=1) -> dict:
+    """Tuple -> scale * the sum over plans of target_k(M_1 x ... x M_k), added
+    into res (cancelled entries kept as zeros), over the tuples of at most
+    max_arity inputs from space, or exactly max_arity with ``exact``.
+
+    ``plans[k]`` lists (slots, plan scale) for target_k, where slot t holds
+    the component set (arity -> map) that fills it, or None for identity.
+    A component of odd shift in slot t flips the sign past the odd inputs
+    before it and, in epsilon, when k-1-t is odd.  A morphism's f_r has
+    shift 1 - r, a transfer's -h p_r on L too, and on sA every map but
+    -h Q_r has shift 0."""
+    deg = {e.label: e.deg for e in space.elements}
+    res = {} if res is None else res
+    # id(component set) -> label -> (J, coefficient, |J|, the degree parity
+    # of J, prod m_J(l)!, odd shift) per key J of the set producing the label
+    indexes: dict[int, dict[str, list]] = {}
+
+    def index(components: dict[int, MultiMap] | None) -> dict[str, list]:
+        makers = indexes.get(id(components))
+        if makers is not None:
+            return makers
+        if components is None:
+            makers = {lab: [((lab,), 1, 1, d & 1, 1, 0)] for lab, d in deg.items()}
+        else:
+            makers = {}
+            for m_f in components.values():
+                odd_shift = m_f.shift & 1
+                for J, row in m_f.table.items():
+                    info = (len(J), sum(deg[l] for l in J) & 1, _repeats(J) if antisym else 1,
+                            odd_shift)
+                    for lab, c in row.items():
+                        makers.setdefault(lab, []).append((J, c, *info))
+        indexes[id(components)] = makers
+        return makers
+
+    land = _lander(space) if antisym else None
+    for k, m_t in target.items():
+        spines = []  # a plan can fill exactly max_arity inputs only if its longest keys can
+        for slots, plan_scale in plans.get(k, ()):
+            sizes = [1 if s is None else max((m.arity for m in s.values() if m.table), default=0)
+                     for s in slots]
+            if all(sizes) and not (exact and sum(sizes) < max_arity):
+                spines.append(([index(s) for s in slots], plan_scale * scale))
+        for K, row in m_t.table.items() if spines else ():
+            for makers, start in spines:
+                options = [by_label.get(lab) for by_label, lab in zip(makers, K)]
+                if not all(options):
+                    continue
+                # (inputs so far, coefficient, their degree parity, prod m_J!),
+                # slot by slot
+                partial = [((), start, 0, 1)]
+                for t, opts in enumerate(options):
+                    later = k - 1 - t
+                    room = max_arity - later
+                    least = room if exact and not later else 0
+                    partial = [(T + J, -coef * c if shift_odd and (odd ^ later) & 1 else coef * c,
+                                odd ^ parity, m * m_J)
+                               for T, coef, odd, m in partial
+                               for J, c, size, parity, m_J, shift_odd in opts
+                               if least <= len(T) + size <= room]
+                if not antisym:
+                    for T, coef, _, _ in partial:
+                        _add_row(res, T, coef, row)
+                    continue
+                m_K = _repeats(K)
+                for chunks, coef, _, m in partial:
+                    T, sign, m_T = land(chunks)
+                    if sign:
+                        weight = sign * m_T // m if m_K == 1 else Fraction(sign * m_T // m, m_K)
+                        _add_row(res, T, coef if weight == 1 else coef * weight, row)
+    return res
+
+
 def tensor_compose(outer: MultiMap, inners: list[MultiMap | None],
                    out: MultiMap | None = None, scale=1) -> MultiMap:
     """Add scale * outer o (M_1 x ... x M_k) into out (a new map when None)
@@ -247,7 +354,8 @@ def tensor_compose(outer: MultiMap, inners: list[MultiMap | None],
     inputs of the earlier slots, contributing (-1)^(shift_t * deg) per
     crossed input of odd degree.  The outer map must have symmetry "none";
     antisymmetric outers are consumed by the unshuffle machinery instead.
-    An empty outer or inner table adds nothing.
+    An empty outer or inner table adds nothing.  The walk's epsilon is
+    cancelled by the plan scale (-1)^(k-1-t) per odd-shift inner in slot t.
     """
     if outer.symmetry != "none":
         raise ValueError("tensor_compose requires a plain (non-symmetric) outer map")
@@ -256,43 +364,17 @@ def tensor_compose(outer: MultiMap, inners: list[MultiMap | None],
     if any(m is not None and m.symmetry != "none" for m in inners):
         raise ValueError("inner maps must be plain tables")
 
-    shifts = [0 if m is None else m.shift for m in inners]
+    k = outer.arity
+    total_arity = sum(1 if m is None else m.arity for m in inners)
     if out is None:
         space_in = next((m.space_in for m in inners if m is not None), outer.space_in)
-        total_arity = sum(1 if m is None else m.arity for m in inners)
-        out = MultiMap(space_in, outer.space_out, total_arity, outer.shift + sum(shifts))
-    if not outer.table or not all(m is None or m.table for m in inners):
-        return out
-
-    deg_in = out.space_in.deg
-    # index inner tables by output label: (input chunk, coefficient, chunk degree parity)
-    indexed: list[dict[str, list[tuple[tuple[str, ...], object, int]]] | None] = []
-    for m in inners:
-        if m is None:
-            indexed.append(None)
-            continue
-        by_out: dict[str, list[tuple[tuple[str, ...], object, int]]] = {}
-        for key, row in m.table.items():
-            odd = sum(deg_in(l) for l in key) & 1
-            for lab, c in row.items():
-                by_out.setdefault(lab, []).append((key, c, odd))
-        indexed.append(by_out)
-
-    for okey, orow in outer.table.items():
-        # (inputs so far, coefficient, their degree parity), grown slot by slot
-        partial = [((), scale, 0)]
-        for index, mid, shift in zip(indexed, okey, shifts):
-            opts = [((mid,), 1, deg_in(mid) & 1)] if index is None else index.get(mid)
-            if not opts:
-                break
-            partial = [(labels + chunk, -coef * c if shift & 1 and odd else coef * c,
-                        odd ^ chunk_odd)
-                       for labels, coef, odd in partial for chunk, c, chunk_odd in opts]
-        else:
-            for key, coef, _ in partial:
-                for lab, c in orow.items():
-                    out.add(key, lab, coef * c)
-    return out
+        out = MultiMap(space_in, outer.space_out, total_arity,
+                       outer.shift + sum(m.shift for m in inners if m is not None))
+    epsilon = sum(k - 1 - t for t, m in enumerate(inners) if m is not None and m.shift & 1)
+    slots = tuple(None if m is None else {m.arity: m} for m in inners)
+    plan = {k: [(slots, -1 if epsilon & 1 else 1)]}
+    return add_rows(out, morphism_terms(plan, {k: outer}, out.space_in, False, total_arity,
+                                        exact=True, scale=scale))
 
 
 def compose_multimaps(outer: MultiMap, inner: MultiMap, slot: int) -> MultiMap:

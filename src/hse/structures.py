@@ -35,12 +35,18 @@ to zero, so that reading is rejected; both signs remain available in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
-from itertools import groupby
-from math import factorial, prod
 from .grading import GradedSpace, combine_spaces
-from .multimap import MultiMap, add_tables, antisymmetrization, identity_map
-from .signs import sort_with_sign
+from .multimap import (
+    MultiMap,
+    _add_row,
+    _lander,
+    _repeats,
+    add_tables,
+    antisymmetrization,
+    identity_map,
+    morphism_terms,
+    uniform_plan,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +200,9 @@ class InfMorphism:
 #
 #   structure terms: an inner key I, a label of its row and an outer key K
 #     holding that label at slot p add the signed row_K at K[:p] + I + K[p+1:];
-#   morphism right-hand sides (``morphism_terms``): a target key K and, per
-#     slot t, a component key J_t whose row holds K[t] add the signed row_K
-#     at J_1 + ... + J_k.
+#   morphism right-hand sides (``multimap.morphism_terms`` on the
+#     ``uniform_plan``): a target key K and, per slot t, a component key J_t
+#     whose row holds K[t] add the signed row_K at J_1 + ... + J_k.
 #
 # A-oo signs: (-1)^(p+qr) and inner_q crossing the first p inputs on the
 # left; -(-1)^epsilon(profile) and each f_|J| of odd shift crossing the
@@ -209,96 +215,12 @@ class InfMorphism:
 # and prod_l m_T(l)! / prod_t m_J_t(l)! block partitions over prod_x m_K(x)!
 # orderings of K's slots on the right.
 #
-# Both transfers' trees are the same right-hand side, so ``transfer`` calls
-# ``morphism_terms`` too, keyed by small tuples: its kernel p_n is the walk
-# over the brackets (on sA the b_k) with the components g and -h p_r, and
-# l_n = f p_n is read off it with no second walk.  On sA (psi phi)_n is the
-# walk over g and the -h P_k with the components f Q_r.
-
-def _repeats(T: tuple[str, ...]) -> int:
-    """prod over the labels l of a sorted T of m_T(l)!."""
-    if len(set(T)) == len(T):
-        return 1
-    return prod(factorial(len(list(run))) for _, run in groupby(T))
-
-
-def _add_row(res: dict, T: tuple[str, ...], coef, row: dict) -> None:
-    vec = res.get(T)
-    if vec is None:
-        res[T] = {lab: coef * c for lab, c in row.items()}
-    else:
-        for lab, c in row.items():
-            vec[lab] = vec.get(lab, 0) + coef * c
-
-
-def _lander(space: GradedSpace):
-    """chunks -> (chunks in basis order, their antisym sign, prod m_T(l)!)."""
-    deg = {e.label: e.deg for e in space.elements}
-    order = space.order_index
-
-    def land(chunks: tuple[str, ...]) -> tuple:
-        T, sign = sort_with_sign(chunks, tuple([deg[l] for l in chunks]), order)
-        return T, sign, _repeats(T)
-
-    return land
-
-
-def morphism_terms(components: dict[int, MultiMap], target: dict[int, MultiMap],
-                   space: GradedSpace, antisym: bool, max_arity: int, exact: bool = False,
-                   res: dict | None = None, scale=1) -> dict:
-    """Tuple -> scale * sum of target_k(f_{|J_1|} x ... x f_{|J_k|}), added into
-    res (cancelled entries kept as zeros): the right-hand side of a morphism
-    identity whose components take their inputs from space, over the tuples
-    of at most max_arity inputs, or exactly max_arity with ``exact``.
-
-    A component's sign comes from its shift: a morphism's f_r has shift
-    1 - r, a transfer's -h p_r on L too, and every map on sA has shift 0,
-    so the A-infinity transfer walks take no sign."""
-    deg = {e.label: e.deg for e in space.elements}
-    res = {} if res is None else res
-    # label -> (J, coefficient, |J|, the degree parity of J, prod m_J(l)!, odd shift)
-    # per component key J
-    makers: dict[str, list] = {}
-    for m_f in components.values():
-        odd_shift = m_f.shift & 1
-        for J, row in m_f.table.items():
-            info = (len(J), sum(deg[l] for l in J) & 1, _repeats(J) if antisym else 1, odd_shift)
-            for lab, c in row.items():
-                makers.setdefault(lab, []).append((J, c, *info))
-    longest = max((len(J) for m_f in components.values() for J in m_f.table), default=0)
-    land = _lander(space)
-    for k, m_t in target.items():
-        if exact and k * longest < max_arity:
-            continue  # k slots cannot take max_arity inputs
-        for K, row in m_t.table.items():
-            options = [makers.get(lab) for lab in K]
-            if not all(options):
-                continue
-            # (inputs so far, coefficient, their degree parity, prod m_J!), slot
-            # by slot; a component of odd shift flips the sign past odd inputs
-            # and, in epsilon, before an odd number of later slots
-            partial = [((), scale, 0, 1)]
-            for t, opts in enumerate(options):
-                later = k - 1 - t
-                room = max_arity - later
-                least = room if exact and not later else 0
-                partial = [(T + J, -coef * c if shift_odd and (odd ^ later) & 1 else coef * c,
-                            odd ^ parity, m * m_J)
-                           for T, coef, odd, m in partial
-                           for J, c, size, parity, m_J, shift_odd in opts
-                           if least <= len(T) + size <= room]
-            if not antisym:
-                for T, coef, _, _ in partial:
-                    _add_row(res, T, coef, row)
-                continue
-            m_K = _repeats(K)
-            for chunks, coef, _, m in partial:
-                T, sign, m_T = land(chunks)
-                if sign:
-                    weight = sign * m_T // m if m_K == 1 else Fraction(sign * m_T // m, m_K)
-                    _add_row(res, T, coef if weight == 1 else coef * weight, row)
-    return res
-
+# That walk lives in ``multimap`` and takes its component sets per slot, so
+# every kernel of both transfers is one call of it: p_n is the walk over the
+# brackets (on sA the b_k) with the components g and -h p_r, and l_n = f p_n
+# is read off it with no second walk.  On sA (psi phi)_n is the walk over g
+# and the -h P_k with the components f Q_r, and Q_n the walk over the b_k
+# with (psi phi) before a spine slot, -h Q at it and identities after it.
 
 def _residuals(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
                target: dict[int, MultiMap] | None, space: GradedSpace,
@@ -346,7 +268,8 @@ def _residuals(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
                         _add_row(res, T, sign * c, row)
     if target is None:
         return res
-    return morphism_terms(outer, target, space, antisym, max_arity, res=res, scale=-1)
+    return morphism_terms(uniform_plan(outer, target), target, space, antisym, max_arity,
+                          res=res, scale=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ Every leaf of a transfer tree is a g-image and its root is f
 (Loday-Vallette, Algebraic Operads, 10.3), so both p-kernels are keyed by
 small tuples: P_n(S) is the tree sum at gS, with HP_1 = g and HP_r = -h P_r
 as the components below the root.  That sum is the right-hand side of a
-morphism identity, so each kernel is one ``structures.morphism_terms`` walk
+morphism identity, so each kernel is one ``multimap.morphism_terms`` walk
 over the stored keys, with that walk's signs and no sign rule of its own.
 
 The A-infinity kernels run on the suspensions sA and sH (Markl;
@@ -22,11 +22,12 @@ and every component has shift 0, so the walks take no sign:
           b_k(PF_{r_1} x ... x PF_{r_{i-1}} x (-h) Q_{r_i} x id^(k-i)),  Q_1 = id,
 
 with (psi phi)_n = PF_n = g f Q_n + sum over k >= 2 of HP_k(f Q_{r_1} x ...
-x f Q_{r_k}), the walk over HP_1..HP_n with the components f Q_r.  Q_n
-keeps big inputs in its fixed slots, so it stays a sum of
-``tensor_compose(outer, inners, out)`` into one map, whose one sign is the
-Koszul crossing of the odd (-h) Q_r.  Each output is one table read off a
-kernel: nu_n = f P_n, psi_n = HP_n, phi_n = f Q_n and H_n = -h Q_n.
+x f Q_{r_k}), the walk over HP_1..HP_n with the components f Q_r.  Q_n is
+one walk over the b_k too, with a plan per spine slot t: PF in the slots
+before t, -h Q at t and identities after it.  Its one sign is the Koszul
+crossing of the odd -h Q_r, so the plan scale (-1)^(k-1-t) cancels the
+walk's epsilon.  Each output is one table read off a kernel: nu_n = f P_n,
+psi_n = HP_n, phi_n = f Q_n and H_n = -h Q_n.
 
 The L-infinity p_n sums trees (Kadeishvili) whose root is a bracket l_k and
 whose other vertices are g and earlier -h p_r, over block partitions, and
@@ -49,10 +50,11 @@ from .multimap import (
     add_rows,
     add_tables,
     identity_map,
+    morphism_terms,
     postcompose,
-    tensor_compose,
+    uniform_plan,
 )
-from .signs import compositions, suspension_sign
+from .signs import suspension_sign
 from .structures import (
     AInfAlgebra,
     CheckReport,
@@ -62,7 +64,6 @@ from .structures import (
     PairEmbedding,
     algebra_to_module,
     jacobi_check,
-    morphism_terms,
     pair_to_algebra,
 )
 
@@ -310,22 +311,22 @@ class KernelCache:
         space, small, minus_h = self.space, self.small, self.hq[1]
         outers = {k: self.b[k] for k in range(2, n + 1) if k in self.b}
         p_n = add_rows(MultiMap(small, space, n, 1),
-                       morphism_terms(self.hp, outers, small, False, n, exact=True))
+                       morphism_terms(uniform_plan(self.hp, outers), outers, small, False, n,
+                                      exact=True))
         self.p[n] = p_n
         self.hp[n] = postcompose(minus_h, p_n)
 
-        q_n = MultiMap(space, space, n, 0)
-        for k, outer in outers.items():
-            for i in range(1, k + 1):
-                for profile in compositions(n - (k - i), i):
-                    inners = [self.psiphi[r] for r in profile[:-1]]
-                    inners += [self.hq[profile[-1]]] + [None] * (k - i)
-                    tensor_compose(outer, inners, q_n)
+        # spine t of b_k: (psi phi) before it, -h Q at it, id after it
+        spines = {k: [((self.psiphi,) * t + (self.hq,) + (None,) * (k - 1 - t),
+                       -1 if (k - 1 - t) & 1 else 1) for t in range(k)] for k in outers}
+        q_n = add_rows(MultiMap(space, space, n, 0),
+                       morphism_terms(spines, outers, space, False, n, exact=True))
         self.q[n] = q_n
         self.hq[n] = postcompose(minus_h, q_n)
         self.fq[n] = postcompose(self.fq[1], q_n)
         self.psiphi[n] = add_rows(MultiMap(space, space, n, 0),
-                                  morphism_terms(self.fq, self.hp, space, False, n, exact=True))
+                                  morphism_terms(uniform_plan(self.fq, self.hp), self.hp, space,
+                                                 False, n, exact=True))
 
 
 @dataclass
@@ -389,7 +390,7 @@ class LInfKernelCache:
     arity), l_k on the block values, where a one-input block {s} is g s and
     a larger block B is -h p_|B| (S[B]): the right-hand side of an
     L-infinity morphism identity with the components hp, so
-    ``structures.morphism_terms`` walks it over the stored keys of l_2..l_n
+    ``multimap.morphism_terms`` walks it over the stored keys of l_2..l_n
     and of hp, with the morphism checker's signs and weights.
     """
 
@@ -408,7 +409,8 @@ class LInfKernelCache:
         small, big = self.diagram.small, self.diagram.big
         outer = {k: m for k, m in self.brackets.items() if 2 <= k <= n}
         p_n = add_rows(MultiMap(small, big, n, 2 - n, "antisym"),
-                       morphism_terms(self.hp, outer, small, True, n, exact=True))
+                       morphism_terms(uniform_plan(self.hp, outer), outer, small, True, n,
+                                      exact=True))
         self.p[n] = p_n
         self.hp[n] = postcompose(self.diagram.h, p_n, scale=-1)
 

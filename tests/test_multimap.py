@@ -12,6 +12,7 @@ from hse.multimap import (
     tensor_compose,
 )
 from hse.scalars import format_scalar, parse_scalar
+import transfer_reference as ref
 
 
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**9))
@@ -68,6 +69,13 @@ def test_tensor_compose_crossing_signs():
     # slot-2 factor crosses slot-1 input: sign (-1)^{deg}
     assert comp.get(("x", "xy")) == {lab: -c for lab, c in mu2.get(("x", "z")).items()}
     assert comp.get(("1", "xy")) == mu2.get(("1", "z"))
+    # h in the first of two slots crosses nothing: the walk's epsilon for the
+    # one later slot is cancelled by the plan scale, so mu2's own sign stays
+    first = tensor_compose(mu2, [h, None])
+    assert first.get(("xy", "x")) == mu2.get(("z", "x")) != {}
+    h.add(("x",), "1", Fraction(1))
+    for inners in ([h, None], [None, h], [h, h]):
+        assert tensor_compose(mu2, inners).table == ref.tensor_compose(mu2, inners).table
 
 
 def test_compositions_add_scale_times_the_composite_into_out():

@@ -27,7 +27,6 @@ from hse.multimap import (
     contract,
     identity_map,
     postcompose,
-    tensor_compose,
 )
 from hse.signs import koszul_sign, suspension_sign
 from hse.structures import (
@@ -52,7 +51,7 @@ from hse.transfer import (
     transfer_pair,
     vanishing_bound,
 )
-from hse import linalg
+from hse import linalg, multimap, transfer
 import transfer_reference as ref
 from test_scalar_form import heisenberg_circle
 from test_structures import h3_times_h3, iter_sorted_tuples
@@ -120,7 +119,7 @@ def test_p2_is_mu2():
         assert b2.table[key] == {lab: sign * c for lab, c in row.items()}
     assert any(suspension_sign(tuple(alg.space.deg(l) for l in key)) == -1 for key in mu2.table)
     assert set(cache.p[2].space_in.labels()) == set(diag.small.labels())
-    assert _mapping(cache.p[2]) == _mapping(tensor_compose(b2, [diag.g, diag.g]))
+    assert _mapping(cache.p[2]) == _mapping(ref.tensor_compose(b2, [diag.g, diag.g]))
     assert not cache.p[2].is_zero()
 
 
@@ -363,6 +362,16 @@ def test_compose_multimaps_identity_and_arity():
     # crossing an odd argument flips: z * dz = z * xy = +xyz, signed -1
     assert comp.get(("z", "z")) == {"xyz": Fraction(-1)}
     assert comp.get(("x", "z")) == {}  # x * xy = 0
+    # an odd-shift inner in a slot that is not last, against the reference
+    h = MultiMap(alg.space, alg.space, 1, -1)
+    h.add(("xy",), "z", Fraction(1))
+    h.add(("x",), "1", Fraction(1))
+    for slot in (1, 2):
+        inners = [None, None]
+        inners[slot - 1] = h
+        assert _mapping(compose_multimaps(mu2, h, slot)) == _mapping(ref.tensor_compose(mu2, inners))
+    # in slot 1, h crosses no input: (xy, x) -> z * x = -xz, mu2's own sign
+    assert compose_multimaps(mu2, h, 1).get(("xy", "x")) == mu2.get(("z", "x")) != {}
 
 
 def test_vanishing_bound_binary_only_pair_has_empirical_one():
@@ -498,13 +507,27 @@ def test_ainf_kernels_match_per_composition_reference(build, max_arity):
     res = transfer_ainf(diag, source, max_arity)
     products, phi, psi, homotopy, cache = ref.suspended_transfer_ainf(diag, source, max_arity)
     for n in range(2, max_arity + 1):
-        assert _mapping(res.cache.p[n]) == _mapping(tensor_compose(cache.p[n], [diag.g] * n)), n
+        assert _mapping(res.cache.p[n]) == _mapping(ref.tensor_compose(cache.p[n], [diag.g] * n)), n
         assert _mapping(res.cache.psiphi[n]) == _mapping(cache.psiphi[n]), n
         assert _mapping(res.cache.q[n]) == _mapping(cache.q[n]), n
     assert _nonzero_mappings(res.algebra.products) == _nonzero_mappings(products)
     assert _nonzero_mappings(res.phi.components) == _nonzero_mappings(phi)
     assert _nonzero_mappings(res.psi.components) == _nonzero_mappings(psi)
     assert _nonzero_mappings(res.homotopy) == _nonzero_mappings(homotopy)
+
+
+def test_ainf_kernels_build_without_tensor_compose(monkeypatch):
+    # every A-infinity kernel, Q_n included, is one stored-key walk: none
+    # builds through tensor_compose any more
+    def refuse(*args, **kwargs):
+        raise AssertionError("a transfer kernel called tensor_compose")
+
+    monkeypatch.setattr(multimap, "tensor_compose", refuse)
+    assert "tensor_compose" not in vars(transfer)
+    alg = heisenberg_circle(1)
+    diag = cohomology_splitting(alg.space, alg.differential_map())
+    res = transfer_ainf(diag, alg.ainf(), 6)
+    assert not res.cache.q[2].is_zero() and 3 in res.algebra.products
 
 
 def test_ainf_transfer_of_h3_times_h3_passes_at_arity_six():

@@ -13,9 +13,11 @@ apart, and there the reference fails Stasheff at arity 5.
 
 ``SuspendedKernelCache`` and ``suspended_transfer_ainf`` are the suspension
 form as ``hse.transfer`` ran it before its kernels were keyed by small
-tuples: P_n and (psi phi)_n one ``tensor_compose`` per composition profile,
-P_n keyed by big tuples with an identity leaf, and the outputs read back
-through P_n g^n.
+tuples: P_n, Q_n and (psi phi)_n one ``tensor_compose`` per composition
+profile, P_n keyed by big tuples with an identity leaf, and the outputs
+read back through P_n g^n.  Their compositions are this module's
+``tensor_compose``, summed by copying, so they share no kernel code with
+the stored-key walk of ``hse.multimap`` that they are compared against.
 """
 
 from fractions import Fraction
@@ -398,6 +400,14 @@ def transfer_ainf(diagram, source, max_arity):
 # ---------------------------------------------------------------------------
 # the per-composition kernels on sA
 
+def _plus_composite(acc, outer, inners):
+    """acc + outer o (inners) by this module's ``tensor_compose``; with every
+    slot an identity the composite is outer itself."""
+    if all(m is None for m in inners):
+        return _plus(acc, outer)
+    return _plus(acc, tensor_compose(outer, inners))
+
+
 class SuspendedKernelCache:
     """Arity-keyed memo tables on sA of b_k, P_n, -h P_n (``hp``, with
     hp_1 = id), Q_n, -h Q_n, gf Q_n (``gfq``) and (psi phi)_n, every P_n and
@@ -428,7 +438,7 @@ class SuspendedKernelCache:
         p_n = MultiMap(space, space, n, 1)
         for k, outer in outers:
             for profile in compositions(n, k):
-                multimap.tensor_compose(outer, [None if r == 1 else self.hp[r] for r in profile], p_n)
+                p_n = _plus_composite(p_n, outer, [None if r == 1 else self.hp[r] for r in profile])
         self.p[n] = p_n
         self.hp[n] = multimap.postcompose(minus_h, p_n)
 
@@ -438,7 +448,7 @@ class SuspendedKernelCache:
                 for profile in compositions(n - (k - i), i):
                     inners = [self.psiphi[r] for r in profile[:-1]]
                     inners += [self.hq[profile[-1]]] + [None] * (k - i)
-                    multimap.tensor_compose(outer, inners, q_n)
+                    q_n = _plus_composite(q_n, outer, inners)
         self.q[n] = q_n
         self.hq[n] = multimap.postcompose(minus_h, q_n)
         self.gfq[n] = multimap.postcompose(self.gfq[1], q_n)
@@ -449,7 +459,7 @@ class SuspendedKernelCache:
             if hp_k.is_zero():
                 continue
             for profile in compositions(n, k):
-                multimap.tensor_compose(hp_k, [self.gfq[r] for r in profile], pp_n)
+                pp_n = _plus_composite(pp_n, hp_k, [self.gfq[r] for r in profile])
         self.psiphi[n] = pp_n
 
 
@@ -461,7 +471,7 @@ def suspended_transfer_ainf(diagram, source, max_arity):
     big, small, f = diagram.big, diagram.small, diagram.f
     products, psi, phi, homotopy = {}, {1: diagram.g}, {1: f}, {1: diagram.h}
     for n in range(2, max_arity + 1):
-        png = multimap.tensor_compose(cache.p[n], [diagram.g] * n)  # g has degree 0: no signs
+        png = tensor_compose(cache.p[n], [diagram.g] * n)  # g has degree 0: no signs
         products[n] = _suspend(multimap.postcompose(f, png), small, small, 2 - n, small)
         psi[n] = _suspend(multimap.postcompose(diagram.h, png, scale=-1), small, big, 1 - n, small)
         phi[n] = _suspend(multimap.postcompose(f, cache.q[n]), big, small, 1 - n, big)
