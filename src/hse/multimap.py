@@ -24,7 +24,9 @@ accumulator for per-slot sparse vectors, reading each stored row in place;
 ``evaluate_on_vectors`` is built on it.  Whole tables compose by one walk
 over the stored keys, ``morphism_terms``: per target key K, slot t takes a
 key J_t of its component set producing K[t] (an identity slot, K[t] itself)
-and the signed row_K lands on J_1 + ... + J_k.  The identity checkers, both
+and the signed row_K lands on J_1 + ... + J_k.  Both sides of every
+identity the checkers evaluate (an identity's left-hand side is one plan
+per outer slot, with the inner maps there and identities elsewhere), both
 transfers' kernels and ``tensor_compose`` are that walk.  It and
 ``postcompose`` add scale * the composite into an output map in place.
 
@@ -282,66 +284,104 @@ def morphism_terms(plans: dict[int, list], target: dict[int, MultiMap], space: G
     A component of odd shift in slot t flips the sign past the odd inputs
     before it and, in epsilon, when k-1-t is odd.  A morphism's f_r has
     shift 1 - r, a transfer's -h p_r on L too, and on sA every map but
-    -h Q_r has shift 0."""
-    deg = {e.label: e.deg for e in space.elements}
+    -h Q_r has shift 0.  An identity slot passes K[t] with no sign, so each
+    run of them joins the inputs before the next component slot (a trailing
+    run follows the last one), a term lands from its last component slot,
+    and a plan of identities alone lands K itself.
+    """
+    odd_deg = {e.label: e.deg & 1 for e in space.elements}
     res = {} if res is None else res
-    # id(component set) -> label -> (J, coefficient, |J|, the degree parity
-    # of J, prod m_J(l)!, odd shift) per key J of the set producing the label
+    # the sets filling a component slot before a plan's last one: only their
+    # keys' degree parities are read
+    headed = {id(s) for k_plans in plans.values() for slots, _ in k_plans
+              for s in [s for s in slots if s is not None][:-1]}
+    # id(component set) -> label -> (arity, odd shift, [(J, coefficient, the
+    # degree parity of J, prod m_J(l)!)]) per map of the set, over its keys J
+    # producing the label
     indexes: dict[int, dict[str, list]] = {}
 
-    def index(components: dict[int, MultiMap] | None) -> dict[str, list]:
+    def index(components: dict[int, MultiMap]) -> dict[str, list]:
         makers = indexes.get(id(components))
-        if makers is not None:
-            return makers
-        if components is None:
-            makers = {lab: [((lab,), 1, 1, d & 1, 1, 0)] for lab, d in deg.items()}
-        else:
-            makers = {}
+        if makers is None:
+            makers = indexes[id(components)] = {}
+            tracked = id(components) in headed
             for m_f in components.values():
-                odd_shift = m_f.shift & 1
+                found: dict[str, list] = {}
                 for J, row in m_f.table.items():
-                    info = (len(J), sum(deg[l] for l in J) & 1, _repeats(J) if antisym else 1,
-                            odd_shift)
+                    info = (sum(map(odd_deg.__getitem__, J)) & 1 if tracked else 0,
+                            _repeats(J) if antisym else 1)
                     for lab, c in row.items():
-                        makers.setdefault(lab, []).append((J, c, *info))
-        indexes[id(components)] = makers
+                        found.setdefault(lab, []).append((J, c, *info))
+                for lab, keys in found.items():
+                    makers.setdefault(lab, []).append((m_f.arity, m_f.shift & 1, keys))
         return makers
 
     land = _lander(space) if antisym else None
     for k, m_t in target.items():
-        spines = []  # a plan can fill exactly max_arity inputs only if its longest keys can
+        # per plan: its component slots but the last, and the last, each as
+        # (t, the start s of the identity run K[s:t] before it, k-1-t, the
+        # room for the inputs before that run and t's own, makers), and the
+        # seed of its terms; the plans of identities alone add up to `whole`
+        spines, whole = [], 0
         for slots, plan_scale in plans.get(k, ()):
             sizes = [1 if s is None else max((m.arity for m in s.values() if m.table), default=0)
                      for s in slots]
-            if all(sizes) and not (exact and sum(sizes) < max_arity):
-                spines.append(([index(s) for s in slots], plan_scale * scale))
-        for K, row in m_t.table.items() if spines else ():
-            for makers, start in spines:
-                options = [by_label.get(lab) for by_label, lab in zip(makers, K)]
-                if not all(options):
+            if not all(sizes) or sum(sizes) < max_arity and exact:
+                continue
+            steps, end = [], 0
+            for t, s in enumerate(slots):
+                if s is not None:
+                    steps.append((t, end, k - 1 - t, max_arity - (k - 1 - t) - (t - end), index(s)))
+                    end = t + 1
+            if steps:
+                spines.append((steps[:-1], steps[-1], (((), plan_scale * scale, 0, 1),)))
+            elif k <= max_arity:
+                whole += plan_scale
+        for K, row in m_t.table.items() if spines or whole else ():
+            if whole:
+                _add_row(res, K, whole * scale, row)
+            m_K = _repeats(K) if antisym else 1
+            for heads, (last, end, later, room, makers), partial in spines:
+                opts = makers.get(K[last])
+                if not opts:
                     continue
                 # (inputs so far, coefficient, their degree parity, prod m_J!),
-                # slot by slot
-                partial = [((), start, 0, 1)]
-                for t, opts in enumerate(options):
-                    later = k - 1 - t
-                    room = max_arity - later
-                    least = room if exact and not later else 0
-                    partial = [(T + J, -coef * c if shift_odd and (odd ^ later) & 1 else coef * c,
-                                odd ^ parity, m * m_J)
-                               for T, coef, odd, m in partial
-                               for J, c, size, parity, m_J, shift_odd in opts
-                               if least <= len(T) + size <= room]
-                if not antisym:
-                    for T, coef, _, _ in partial:
-                        _add_row(res, T, coef, row)
-                    continue
-                m_K = _repeats(K)
-                for chunks, coef, _, m in partial:
-                    T, sign, m_T = land(chunks)
-                    if sign:
-                        weight = sign * m_T // m if m_K == 1 else Fraction(sign * m_T // m, m_K)
-                        _add_row(res, T, coef if weight == 1 else coef * weight, row)
+                # component slot by component slot
+                for t, start, later_t, room_t, by_label in heads:
+                    gap = K[start:t]
+                    gap_odd = sum(map(odd_deg.__getitem__, gap)) & 1
+                    grown = []
+                    for T, coef, odd, m in partial:
+                        for size, shift_odd, keys in by_label.get(K[t], ()):
+                            if len(T) + size <= room_t:
+                                flip = shift_odd and (odd ^ gap_odd ^ later_t) & 1
+                                coef_J = -coef if flip else coef
+                                grown += [(T + gap + J, coef_J * c, odd ^ gap_odd ^ parity, m * m_J)
+                                          for J, c, parity, m_J in keys]
+                    partial = grown
+                gap, tail = K[end:last], K[last + 1:]
+                for T, coef, odd, m in partial:
+                    head = T + gap
+                    hi = room - len(T)
+                    lo = hi if exact else 0
+                    for size, shift_odd, keys in opts:
+                        if not lo <= size <= hi:
+                            continue
+                        coef_J = coef
+                        if shift_odd and (odd + later + sum(map(odd_deg.__getitem__, gap))) & 1:
+                            coef_J = -coef
+                        if not antisym:
+                            for J, c, _, _ in keys:
+                                _add_row(res, head + J + tail, coef_J * c, row)
+                            continue
+                        for J, c, _, m_J in keys:
+                            S, sign, m_S = land(head + J + tail)
+                            if sign:
+                                weight = sign * m_S // (m * m_J)
+                                if m_K != 1:
+                                    weight = Fraction(weight, m_K)
+                                _add_row(res, S, coef_J * c if weight == 1 else coef_J * c * weight,
+                                         row)
     return res
 
 
@@ -352,10 +392,10 @@ def tensor_compose(outer: MultiMap, inners: list[MultiMap | None],
 
     Evaluation follows the Koszul rule: the factor in slot t crosses the raw
     inputs of the earlier slots, contributing (-1)^(shift_t * deg) per
-    crossed input of odd degree.  The outer map must have symmetry "none";
-    antisymmetric outers are consumed by the unshuffle machinery instead.
-    An empty outer or inner table adds nothing.  The walk's epsilon is
-    cancelled by the plan scale (-1)^(k-1-t) per odd-shift inner in slot t.
+    crossed input of odd degree.  The outer map must have symmetry "none":
+    the walk lands its keys unsorted, as plain tables.  An empty outer or
+    inner table adds nothing.  The walk's epsilon is cancelled by the plan
+    scale (-1)^(k-1-t) per odd-shift inner in slot t.
     """
     if outer.symmetry != "none":
         raise ValueError("tensor_compose requires a plain (non-symmetric) outer map")

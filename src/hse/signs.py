@@ -21,10 +21,6 @@ from itertools import combinations, permutations
 Permutation = tuple[int, ...]
 
 
-def identity_perm(n: int) -> Permutation:
-    return tuple(range(n))
-
-
 @lru_cache(maxsize=None)
 def perm_sign(sigma: Permutation) -> int:
     """Ordinary signature via inversion count."""
@@ -129,18 +125,6 @@ def block_permutations(
 @lru_cache(maxsize=None)
 def all_permutations(n: int) -> tuple[Permutation, ...]:
     return tuple(permutations(range(n)))
-
-
-def compositions(n: int, k: int):
-    """Ordered compositions of n into k positive parts."""
-    if k < 1 or k > n:
-        return
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in compositions(n - first, k - 1):
-            yield (first,) + rest
 
 
 def suspension_sign(degrees: tuple[int, ...]) -> int:

@@ -17,13 +17,13 @@ Structure maps are stored sparsely with finite arity support; an absent
 arity is the zero map.  Checkers evaluate the defining identities exactly
 and report the full violation list (sign debugging needs more than a
 boolean).  A term of an identity is nonzero only when each map it reads has
-a stored row at its inputs, so the checkers walk the stored keys once,
-term by term: an inner key producing a label that an outer key holds at
-some slot, or a morphism's target key with a component key producing each
-slot.  Each term adds its signed row into the residual of the tuple it
-lands on, and the nonzero residuals in the degree window (output degree
-populated), in basis order, are the violation list of a scan over every
-basis tuple in the window.
+a stored row at its inputs, so both sides of every identity are one walk
+over the stored keys (``multimap.morphism_terms``), term by term: an outer
+key with an inner key producing its label at one slot, or a morphism's
+target key with a component key producing each slot.  Each term adds its
+signed row into the residual of the tuple it lands on, and the nonzero
+residuals in the degree window (output degree populated), in basis order,
+are the violation list of a scan over every basis tuple in the window.
 
 The antisymmetric convention throughout is signature times Koszul sign
 (``signs.antisym_sign``).  Under the pure-Koszul reading of the sign chi the
@@ -38,9 +38,6 @@ from dataclasses import dataclass, field, replace
 from .grading import GradedSpace, combine_spaces
 from .multimap import (
     MultiMap,
-    _add_row,
-    _lander,
-    _repeats,
     add_tables,
     antisymmetrization,
     identity_map,
@@ -194,26 +191,33 @@ class InfMorphism:
 # Algebraic Operads, 10.3).  The left-hand side sums outer_{n+1-q}(inner_q
 # inserted into T); a morphism identity subtracts target_k(f_{i_1} x ... x
 # f_{i_k}) over block orderings.  A term is nonzero only when every map it
-# reads has a stored row at its inputs, so one walk over the stored keys
-# visits each nonzero term once and adds it into the residual of the tuple
-# it lands on:
+# reads has a stored row at its inputs, so both sides are the one walk over
+# the stored keys, ``multimap.morphism_terms``, which visits each nonzero
+# term once and adds it into the residual of the tuple it lands on:
 #
-#   structure terms: an inner key I, a label of its row and an outer key K
-#     holding that label at slot p add the signed row_K at K[:p] + I + K[p+1:];
-#   morphism right-hand sides (``multimap.morphism_terms`` on the
-#     ``uniform_plan``): a target key K and, per slot t, a component key J_t
-#     whose row holds K[t] add the signed row_K at J_1 + ... + J_k.
+#   the left-hand side walks outer_k on k spine plans, plan p holding the
+#     inner maps at slot p, identities elsewhere, and scale (-1)^p: an outer
+#     key K and an inner key I producing K[p] add the signed row_K at
+#     K[:p] + I + K[p+1:];
+#   a morphism's right-hand side walks the target on the ``uniform_plan`` at
+#     scale -1: a target key K and, per slot t, a component key J_t
+#     producing K[t] add the signed row_K at J_1 + ... + J_k.
 #
-# A-oo signs: (-1)^(p+qr) and inner_q crossing the first p inputs on the
-# left; -(-1)^epsilon(profile) and each f_|J| of odd shift crossing the
-# inputs before it on the right.  L-oo: the inner map takes the first q
-# slots of T o sigma over the (q, n-q)-unshuffles sigma, with chi(sigma)
-# (-1)^(q(n-q)), and the right-hand side runs over unordered block
-# partitions; a term lands on its tuple sorted into basis order, with its
-# antisym sign.  Where that tuple T repeats an odd label, one term stands for
-# several index-level ones: prod_l C(m_T(l), m_I(l)) unshuffles on the left,
-# and prod_l m_T(l)! / prod_t m_J_t(l)! block partitions over prod_x m_K(x)!
-# orderings of K's slots on the right.
+# The walk signs a map of odd shift in slot t by the inputs it crosses and
+# by (-1)^(k-1-t), its part of epsilon.  A-oo: with the plan scale that is
+# (-1)^(p+qr) and inner_q crossing the first p inputs on the left, and
+# -(-1)^epsilon(profile) with each f_|J| of odd shift crossing the inputs
+# before it on the right.  L-oo: a term lands on its tuple T sorted into
+# basis order, with its antisym sign, which gives the left-hand side's sum
+# over the (q, n-q)-unshuffles sigma with chi(sigma) (-1)^(q(n-q)) and the
+# right-hand side's sum over unordered block partitions.  Where T repeats an
+# odd label one term stands for several index-level ones, weighted by
+# m_T / (prod_t m_J_t * m_K) with m_X = prod_l m_X(l)! (an identity slot's
+# key counts 1): prod_l m_T(l)! / prod_t m_J_t(l)! block partitions over
+# the m_K orderings of K's slots.  On the left the m_K(x) spine plans at
+# the copies of a label x of K land alike, so together they weigh
+# m_T / (m_I * m_rest), rest being K less one x: prod_l C(m_T(l), m_I(l))
+# unshuffles.
 #
 # That walk lives in ``multimap`` and takes its component sets per slot, so
 # every kernel of both transfers is one call of it: p_n is the walk over the
@@ -228,44 +232,9 @@ def _residuals(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
     """Tuple -> its residual (cancelled entries kept as zeros) up to max_arity:
     inner inserted into outer, minus target of outer's blocks when target is
     given (outer then holds a morphism's components)."""
-    deg = {e.label: e.deg for e in space.elements}
-    land = _lander(space)
-    res: dict = {}
-
-    # label -> (arity of K, K[:p], the rest of K, (sign for even q, for odd
-    # q), prod m_rest(l)!, row_K) per outer key K and slot p holding it
-    slots: dict[str, list] = {}
-    for m_out in outer.values():
-        for K, row in m_out.table.items():
-            n_out = len(K)
-            odd = 0  # the degree parity of K[:p]
-            for p, mid in enumerate(K):
-                if not antisym:
-                    # (-1)^(p+qr) with r = n_out-1-p, and for odd q the crossing of K[:p]
-                    signs = (-1 if p & 1 else 1, -1 if (n_out - 1 + odd) & 1 else 1)
-                    slots.setdefault(mid, []).append((n_out, K[:p], K[p + 1:], signs, 1, row))
-                elif not (p and mid == K[p - 1]):  # a repeated odd label leaves one rest
-                    # the sign of (mid,) + rest -> K, times (-1)^(q(n-q)) with n-q = n_out-1
-                    s = -1 if (p + odd * deg[mid]) & 1 else 1
-                    signs = (s, -s if (n_out - 1) & 1 else s)
-                    rest = K[:p] + K[p + 1:]
-                    slots.setdefault(mid, []).append((n_out, (), rest, signs, _repeats(rest), row))
-                odd ^= deg[mid] & 1
-    for q, m_in in inner.items():
-        odd_q = q & 1
-        for I, row_I in m_in.table.items():
-            m_I = _repeats(I) if antisym else 1
-            for mid, c in row_I.items():
-                for n_out, head, rest, signs, m_rest, row in slots.get(mid, ()):
-                    if n_out + q > max_arity + 1:
-                        continue
-                    if not antisym:
-                        _add_row(res, head + I + rest, signs[odd_q] * c, row)
-                        continue
-                    T, sign, m_T = land(I + rest)
-                    if sign:
-                        sign *= signs[odd_q] if m_T == 1 else signs[odd_q] * (m_T // (m_I * m_rest))
-                        _add_row(res, T, sign * c, row)
+    spines = {k: [((None,) * p + (inner,) + (None,) * (k - 1 - p), -1 if p & 1 else 1)
+                  for p in range(k)] for k in outer}
+    res = morphism_terms(spines, outer, space, antisym, max_arity)
     if target is None:
         return res
     return morphism_terms(uniform_plan(outer, target), target, space, antisym, max_arity,

@@ -6,7 +6,9 @@ function, class or constant (a top-level ``_name``) that no module of the
 package reads, and no module defines a public function or class outside
 ``hse.__all__`` that no module of the package, the tests, the bench or the
 scripts reads.  A local starting with an underscore is a deliberate
-discard.
+discard.  No module imports an underscore name from another module of the
+package, or reads one off a package module it imports: a private name
+stays with the module that defines it.
 """
 
 import ast
@@ -145,6 +147,51 @@ def unused_private(sources: dict[str, str]) -> list[str]:
                     defined.append((module, name.lineno, label))
     return [f"{module} line {line}: {label}" for module, line, label in defined
             if label not in read]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names the module imports from a module of the package
+    (``from .m import _x``, ``from hse.m import _x``, ``from . import _m``),
+    or reads as attributes of a package module it imports (``m._x`` after
+    ``from . import m``)."""
+    tree = ast.parse(source)
+    found, modules = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "hse"):
+            for alias in node.names:
+                if alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append(f"line {node.lineno}: {alias.name}")
+                if not node.module or node.module == "hse":
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")
+                and not node.attr.startswith("__")):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_the_private_import_checker_finds_what_it_names():
+    source = (
+        "from __future__ import annotations\n"
+        "from . import linalg, _shared\n"
+        "from .multimap import MultiMap, _repeats\n"
+        "from hse.signs import _koszul_core\n"
+        "from .grading import __all__\n"
+        "from os import _exit\n"
+        "def f(x):\n"
+        "    return linalg._private(x), linalg.public(x), x._own\n"
+    )
+    assert private_imports(source) == [
+        "line 2: _shared", "line 3: _repeats", "line 4: _koszul_core",
+        "line 8: linalg._private"]
+
+
+def test_no_private_names_cross_modules_in_src():
+    found = [f"{path.name} {problem}" for path in sorted(SRC.glob("*.py"))
+             for problem in private_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def test_the_private_checker_finds_what_it_names():

@@ -12,6 +12,7 @@ from hse.multimap import (
     tensor_compose,
 )
 from hse.scalars import format_scalar, parse_scalar
+from hse.transfer import cohomology_splitting, transfer_ainf
 import transfer_reference as ref
 
 
@@ -76,6 +77,25 @@ def test_tensor_compose_crossing_signs():
     h.add(("x",), "1", Fraction(1))
     for inners in ([h, None], [None, h], [h, h]):
         assert tensor_compose(mu2, inners).table == ref.tensor_compose(mu2, inners).table
+
+
+def test_tensor_compose_identity_runs_at_the_head_between_and_at_the_tail():
+    # the walk folds each run of identity slots into the inputs before the
+    # next component slot and appends a trailing run after the last one
+    alg = heisenberg_cdga()
+    diagram = cohomology_splitting(alg.space, alg.differential_map())
+    products = transfer_ainf(diagram, alg.ainf(), 3).algebra.products
+    nu2, nu3 = products[2], products[3]
+    small = nu3.space_in
+    h = MultiMap(small, small, 1, -1)
+    for i, a in enumerate(small.elements):
+        for j, b in enumerate(small.elements):
+            if b.deg == a.deg - 1:
+                h.add((a.label,), b.label, Fraction(i + 2 * j + 1))
+    for inners in ([None, h, None], [h, None, h], [None, h, nu2], [h, None, None]):
+        comp = tensor_compose(nu3, inners)
+        assert not comp.is_zero(), inners
+        assert comp.table == ref.tensor_compose(nu3, inners).table, inners
 
 
 def test_compositions_add_scale_times_the_composite_into_out():

@@ -21,7 +21,7 @@ from hse import structures
 from hse.grading import BasisElement, GradedSpace
 from hse.io_json import parse_structure
 from hse.multimap import MultiMap, add_tables
-from hse.signs import antisym_sign, compositions as _compositions, unshuffles
+from hse.signs import antisym_sign, unshuffles
 from hse.structures import (
     AInfAlgebra,
     InfMorphism,
@@ -40,6 +40,8 @@ from hse.structures import (
     stasheff_check,
 )
 from hse.transfer import cohomology_splitting, transfer_ainf, transfer_pair
+import residuals_reference
+from transfer_reference import compositions
 
 
 def test_heisenberg_dims():
@@ -384,7 +386,7 @@ def ref_ainf_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
         target_map = tgt.products.get(k)
         if target_map is None:
             continue
-        for comp_profile in _compositions(n, k):
+        for comp_profile in compositions(n, k):
             comps = [mor.components.get(i) for i in comp_profile]
             if any(c is None for c in comps):
                 continue
@@ -452,7 +454,7 @@ def ref_linf_morphism_residual(mor: InfMorphism, T: tuple[str, ...]) -> dict:
         target_map = tgt.brackets.get(j)
         if target_map is None:
             continue
-        for profile in _compositions(n, j):
+        for profile in compositions(n, j):
             comps = [mor.components.get(kt) for kt in profile]
             if any(c is None for c in comps):
                 continue
@@ -748,6 +750,78 @@ def test_residuals_match_reference_at_arity_five_on_h3_times_h3():
         got = morphism_check(bad_mor, 4)
         assert _same_report(got, ref_morphism_check(bad_mor, 4, weights=True))
         assert any(v.arity == 4 for v in got.violations)
+
+
+# ---------------------------------------------------------------------------
+# both sides on the one walk against the checkers' own left-hand walk
+#
+# ``structures._residuals`` runs an identity's left-hand side as spine plans
+# of ``multimap.morphism_terms``; ``residuals_reference`` is the walk of
+# inner_q into outer_k with the operadic sign table it replaced.  Their
+# nonzero residuals must be equal mappings, on valid inputs and with one
+# coefficient perturbed, where they must also be nonempty.
+
+def _nonzero(res: dict) -> dict:
+    out = {}
+    for T, vec in res.items():
+        vec = {lab: c for lab, c in vec.items() if c}
+        if vec:
+            out[T] = vec
+    return out
+
+
+def _walk_cases():
+    """(label, outer, inner, target, space, antisym, max arity, perturbed)."""
+    rng = random.Random(1)
+    cases = []
+
+    def add(label, outer, inner, target, space, antisym, arity):
+        # perturb the highest map below the arity, so that a map of arity at
+        # least two meets it in a term of the check
+        cases.append((label, outer, inner, target, space, antisym, arity, False))
+        k = max(k for k in outer if k < arity)
+        bad = {**outer, k: _perturbed(outer[k], rng)}
+        cases.append((label, bad, bad if inner is outer else inner, target, space, antisym,
+                      arity, True))
+
+    cdgas = {"heisenberg": heisenberg_cdga(), "exterior4": exterior_cdga(4)}
+    cdgas.update({f"random{s}": random_cdga(s, dims=(1, 3, 3, 1)) for s in range(4)})
+    algebras = {label: alg.ainf() for label, alg in cdgas.items()}
+    algebras["torus2"] = _golden_package("torus2.json")
+    for label, alg in algebras.items():
+        add(label, alg.products, alg.products, None, alg.space, False, 6)
+    h3h3 = h3_times_h3()
+    nu = transfer_ainf(cohomology_splitting(h3h3.space, h3h3.differential_map()),
+                       h3h3.ainf(), 5).algebra
+    add("h3xh3-a5", nu.products, nu.products, None, nu.space, False, 5)
+    combined = {
+        "heisenberg-pair": pair_to_algebra(_golden_package("heisenberg-pair.json"))[0],
+        "h3xh3-pair-a5": pair_to_algebra(transfer_pair(cdga_pair(h3h3), 5).pair)[0],
+    }
+    for label, alg in combined.items():
+        arity = 5 if label.endswith("a5") else 6
+        add(label, alg.brackets, alg.brackets, None, alg.space, True, arity)
+    for label in ("heisenberg", "exterior4", "random0"):
+        alg = cdgas[label]
+        res = transfer_ainf(cohomology_splitting(alg.space, alg.differential_map()),
+                            alg.ainf(), 4)
+        for name, mor in (("phi", res.phi), ("psi", res.psi)):
+            add(f"{label}-{name}", mor.components, mor.source.products, mor.target.products,
+                mor.source.space, False, 4)
+    return cases
+
+
+def test_residuals_on_the_one_walk_match_the_inner_into_outer_walk():
+    repeated = {False: 0, True: 0}
+    for label, outer, inner, target, space, antisym, arity, perturbed in _walk_cases():
+        got = _nonzero(structures._residuals(outer, inner, target, space, antisym, arity))
+        want = _nonzero(residuals_reference.residuals(outer, inner, target, space, antisym,
+                                                      arity))
+        assert got == want, (label, perturbed)
+        assert bool(got) == perturbed, (label, perturbed)
+        repeated[antisym] += sum(len(set(T)) < len(T) for T in got)
+    # both operads meet a tuple repeating a label, where the walk's weights act
+    assert all(repeated.values()), repeated
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ filled in place: A-infinity kernels built one map per composition profile
 and summed by copying (``MultiMap.plus`` of ``MultiMap.scaled``), products
 and morphism components scaled by copying, and a cohomology splitting that
 walked its blocks twice.  The compositions are the ones it called, which
-returned a fresh map.  Kept as the references of the differential tests.
+returned a fresh map, and ``compositions`` enumerates the profiles its
+kernels summed over.  Kept as the references of the differential tests.
 
 Its kernels run on A itself, with the sign (-1)^theta of a composition
 profile and morphism components rescaled by (-1)^(n-1).  On every input
@@ -28,9 +29,20 @@ from hse import linalg, multimap
 from hse.grading import BasisElement, GradedSpace
 from hse.multimap import MultiMap, add_tables, identity_map
 from hse.scalars import canonical
-from hse.signs import compositions
 from hse.structures import AInfAlgebra, InfMorphism
 from hse.transfer import TransferDiagram, TransferError, _suspend
+
+
+def compositions(n: int, k: int):
+    """Ordered compositions of n into k positive parts."""
+    if k < 1 or k > n:
+        return
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(1, n - k + 2):
+        for rest in compositions(n - first, k - 1):
+            yield (first,) + rest
 
 
 def theta_exponent(profile):
@@ -68,8 +80,8 @@ def tensor_compose(outer: MultiMap, inners: list[MultiMap | None]) -> MultiMap:
 
     Evaluation follows the Koszul rule: the factor in slot t crosses the raw
     inputs of the earlier slots, contributing (-1)^(shift_t * deg) per
-    crossed input of odd degree.  The outer map must have symmetry "none";
-    antisymmetric outers are consumed by the unshuffle machinery instead.
+    crossed input of odd degree.  The outer map must have symmetry "none":
+    the composite's keys are left unsorted, as plain tables.
     """
     if outer.symmetry != "none":
         raise ValueError("tensor_compose requires a plain (non-symmetric) outer map")
