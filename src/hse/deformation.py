@@ -93,10 +93,17 @@ def twist_brackets(
     omega: dict[str, RElem],
 ) -> dict[int, MultiMap]:
     """l^w_n = sum_i (1/i!) l_{i+n}(w^i, -): same basis, ring coefficients."""
+    return _twisted(brackets, space, space, ring, omega, lambda n: "antisym")
+
+
+def _twisted(maps: dict[int, MultiMap], space_in: GradedSpace, space_out: GradedSpace,
+             ring: CoefRing, omega: dict[str, RElem], symmetry_of) -> dict[int, MultiMap]:
+    """The nonzero twisted tables sum_i (1/i!) maps[i + n](w^i, -) by arity
+    n, each of shift 2 - n and symmetry symmetry_of(n)."""
     out: dict[int, MultiMap] = {}
-    for n in range(1, max(brackets, default=0) + 1):
-        acc = _twist_terms(brackets, ring, omega, n)
-        table = add_rows(MultiMap(space, space, n, 2 - n, "antisym"), acc)
+    for n in range(1, max(maps, default=0) + 1):
+        acc = _twist_terms(maps, ring, omega, n)
+        table = add_rows(MultiMap(space_in, space_out, n, 2 - n, symmetry_of(n)), acc)
         if not table.is_zero():
             out[n] = table
     return out
@@ -217,17 +224,9 @@ def twist_module(
         combined, _ = pair_to_algebra(pair)
 
     module = pair.module
-    twisted: dict[int, MultiMap] = {}
-    columns: dict[tuple, dict[str, RElem]] = {}
-    for n in range(1, max(module.actions, default=0) + 1):
-        acc = _twist_terms(module.actions, ring, omega, n)
-        if n == 1:
-            columns = acc
-        symmetry = "antisym_algebra" if n > 1 else "none"
-        table = add_rows(MultiMap(module.combined, module.space, n, 2 - n, symmetry), acc)
-        if not table.is_zero():
-            twisted[n] = table
-
+    twisted = _twisted(module.actions, module.combined, module.space, ring, omega,
+                       lambda n: "antisym_algebra" if n > 1 else "none")
+    columns = twisted[1].table if 1 in twisted else {}
     complex_ = TwistedComplex.from_columns(columns, module.space, ring)
     if verify:
         whole = _twist_terms(combined.brackets, ring, omega, 1)

@@ -243,13 +243,11 @@ def parse_structure(data: dict):
     kind = data["kind"]
     if kind == "ainf":
         space = space_from_json(data.get("space", {}))
-        products = _parse_maps(data, space, space, expected_symmetry="none",
-                               shift_of=lambda n: 2 - n)
+        products = _parse_maps(data, space, space, lambda n: "none")
         return AInfAlgebra(space, products)
     if kind == "linf":
         space = space_from_json(data.get("space", {}))
-        brackets = _parse_maps(data, space, space, expected_symmetry="antisym",
-                               shift_of=lambda n: 2 - n)
+        brackets = _parse_maps(data, space, space, lambda n: "antisym")
         return LInfAlgebra(space, brackets)
     if kind == "module":
         algebra = parse_structure(data.get("algebra_ref") or {})
@@ -265,23 +263,26 @@ def parse_structure(data: dict):
     raise ParseError(f"unknown structure kind {kind!r}")
 
 
-def _parse_maps(data, space_in, space_out, expected_symmetry, shift_of):
+def _parse_maps(data, space_in, space_out, symmetry_of, where=""):
+    """The nonzero maps of a package's 'maps' by arity n, each checked to
+    have symmetry symmetry_of(n) and shift 2 - n; where prefixes every
+    error."""
     maps = {}
-    for key, raw in _as_dict(data.get("maps") or {}, "'maps'").items():
+    for key, raw in _as_dict(data.get("maps") or {}, f"{where}'maps'").items():
         try:
             n = int(key)
         except ValueError as exc:
-            raise ParseError(f"map key {key!r} is not an arity") from exc
-        _as_dict(raw, f"map {key}")
-        if raw.get("symmetry", expected_symmetry) != expected_symmetry:
-            raise ParseError(f"map {key}: expected symmetry {expected_symmetry}")
-        raw = dict(raw)
-        raw.setdefault("symmetry", expected_symmetry)
-        mm = multimap_from_json(raw, space_in, space_out, where=f"map {key}")
-        if mm.shift != shift_of(n) or mm.arity != n:
+            raise ParseError(f"{where}map key {key!r} is not an arity") from exc
+        symmetry = symmetry_of(n)
+        raw = dict(_as_dict(raw, f"{where}map {key}"))
+        raw.setdefault("symmetry", symmetry)
+        if raw["symmetry"] != symmetry:
+            raise ParseError(f"{where}map {key}: expected symmetry {symmetry}")
+        mm = multimap_from_json(raw, space_in, space_out, where=f"{where}map {key}")
+        if mm.shift != 2 - n or mm.arity != n:
             raise ParseError(
-                f"map {key}: arity/shift ({mm.arity}, {mm.shift}) do not match "
-                f"({n}, {shift_of(n)})")
+                f"{where}map {key}: arity/shift ({mm.arity}, {mm.shift}) do not match "
+                f"({n}, {2 - n})")
         if not mm.is_zero():
             maps[n] = mm
     return maps
@@ -293,31 +294,18 @@ def _parse_module(data: dict, algebra: LInfAlgebra) -> LInfModule:
         combined = combine_spaces(algebra.space, space)
     except ValueError as exc:
         raise ParseError(f"module 'space': {exc}") from exc
-    actions = {}
-    for key, raw in _as_dict(data.get("maps") or {}, "module 'maps'").items():
-        try:
-            n = int(key)
-        except ValueError as exc:
-            raise ParseError(f"module map key {key!r} is not an arity") from exc
-        symmetry = "antisym_algebra" if n > 1 else "none"
-        raw = dict(_as_dict(raw, f"module map {key}"))
-        raw.setdefault("symmetry", symmetry)
-        if raw["symmetry"] != symmetry:
-            raise ParseError(f"module map {key}: expected symmetry {symmetry}")
-        mm = multimap_from_json(raw, combined, space, where=f"module map {key}")
-        if mm.arity != n or mm.shift != 2 - n:
-            raise ParseError(f"module map {key}: wrong arity or shift")
+    actions = _parse_maps(data, combined, space,
+                          lambda n: "antisym_algebra" if n > 1 else "none", "module ")
+    for n, mm in actions.items():
         for entry_key in mm.table:
             if any(lab not in algebra.space for lab in entry_key[:-1]):
                 raise ParseError(
-                    f"module map {key}: algebra slots of {entry_key} must hold "
+                    f"module map {n}: algebra slots of {entry_key} must hold "
                     "algebra labels")
             if entry_key[-1] not in space:
                 raise ParseError(
-                    f"module map {key}: last slot of {entry_key} must hold a "
+                    f"module map {n}: last slot of {entry_key} must hold a "
                     "module label")
-        if not mm.is_zero():
-            actions[n] = mm
     return LInfModule(algebra, space, actions)
 
 

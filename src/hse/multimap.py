@@ -19,38 +19,42 @@ Symmetry handling:
   last, which is the module slot; the stored keys have the leading slots
   sorted.
 
-Contraction.  ``contract`` adds scale * mm(v_1, ..., v_n) into an
-accumulator for per-slot sparse vectors, reading each stored row in place;
-``evaluate_on_vectors`` is built on it.  Whole tables compose by one walk
-over the stored keys, ``morphism_terms``: per target key K, slot t takes a
-key J_t of its component set producing K[t] (an identity slot, K[t] itself)
-and the signed row_K lands on J_1 + ... + J_k.  Both sides of every
-identity the checkers evaluate (an identity's left-hand side is one plan
-per outer slot, with the inner maps there and identities elsewhere), both
-transfers' kernels and ``tensor_compose`` are that walk.  It and
-``postcompose`` add scale * the composite into an output map in place.
+Composition.  Whole tables compose by one walk over the stored keys,
+``morphism_terms``: per target key K, slot t takes a key J_t of its
+component set producing K[t] (an identity slot, K[t] itself) and the signed
+row_K lands on J_1 + ... + J_k.  Both sides of every identity the checkers
+evaluate (an identity's left-hand side is one plan per outer slot, with the
+inner maps there and identities elsewhere), both transfers' kernels and
+``tensor_compose`` are that walk.  It and ``postcompose`` add scale * the
+composite into an output map in place.  ``evaluate_on_vectors`` reads a map
+at per-slot vectors one input tuple at a time; no engine code calls it.
 
-Symmetric powers.  Twisting by a degree-1 element w needs
-sum_i (1/i!) m(w^i, T); ``contract_power`` reads it off the stored keys of
-m, never enumerating the |supp w|^i label tuples.  Odd labels commute
-under the antisymmetric sign ((-1)(-1) = +1), which is why they may repeat
-in a stored key K, and why the i!/prod_l mult_S(l)! orderings of the
-w-slots that give one sub-multiset S of K carry the same sign.  So S
-contributes sign * prod_{s in S} w[s] / prod_l mult_S(l)! * row_K, with
-(K, sign) = canonical(S + T): the multiplicity rule, applied only there.
-The sign is counted from the even labels each s passes, so no permuted
-key enters a map's canonicalization cache.
+Symmetric sums read each stored key once.  Odd labels commute under the
+antisymmetric sign ((-1)(-1) = +1), which is why they may repeat in a
+stored key K, and why all the orderings of K's labels that a sum visits
+carry one sign; so K is weighted by their number, m_K = prod_l mult_K(l)!
+(``_repeats``): the multiplicity rule.
+
+* ``antisymmetrization`` (l(S) = sum_sigma chi(sigma) nu(S_sigma)) adds
+  m_U * row_U at each stored key U of nu; ``add`` applies the sign (0 when
+  an even label repeats).
+* Twisting by a degree-1 element w needs sum_i (1/i!) m(w^i, T);
+  ``contract_power`` reads it off the stored keys of m, never enumerating
+  the |supp w|^i label tuples: a sub-multiset S of K in the w-slots
+  contributes sign * prod_{s in S} w[s] / m_S * row_K, with
+  (K, sign) = canonical(S + T).  The sign is counted from the even labels
+  each s passes, so no permuted key enters a map's canonicalization cache.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from math import factorial, prod
 
 from .grading import GradedSpace
 from .scalars import canonical
-from .signs import all_permutations, antisym_sign, sort_with_sign
+from .signs import sort_with_sign
 
 SYMMETRIES = ("none", "antisym", "antisym_algebra")
 
@@ -432,54 +436,20 @@ def compose_multimaps(outer: MultiMap, inner: MultiMap, slot: int) -> MultiMap:
 
 
 def antisymmetrization(nu: MultiMap) -> MultiMap:
-    """Sum over all permutations with the antisym sign: the A-oo to L-oo functor
-    on one component, l(a_1..a_n) = sum_sigma chi(sigma) nu(a_{sigma(1)}..a_{sigma(n)})."""
-    space = nu.space_in
-    out = MultiMap(space, nu.space_out, nu.arity, nu.shift, "antisym")
-    n = nu.arity
-    for sigma in all_permutations(n):
-        inverse = [0] * n
-        for pos, i in enumerate(sigma):
-            inverse[i] = pos
-        for ukey, row in nu.table.items():
-            # T with (T[sigma[0]], ..) = ukey, i.e. T[sigma[p]] = ukey[p]
-            T = tuple(ukey[inverse[i]] for i in range(n))
-            degs = tuple(space.deg(l) for l in T)
-            sign = antisym_sign(sigma, degs)
-            for lab, c in row.items():
-                out.add(T, lab, sign * c)
-    return out
+    """The A-oo to L-oo functor on one component,
+    l(a_1..a_n) = sum_sigma chi(sigma) nu(a_{sigma(1)}..a_{sigma(n)}).
 
-
-def contract(mm: MultiMap, vectors: list[dict[str, object]], acc: dict, scale=1) -> dict:
-    """Add scale * mm(v_1, ..., v_n) into acc and return acc.
-
-    The vectors map labels to coefficients that are even/central (no Koszul
-    signs arise from them).  Each stored row is read in place with
-    ``get_ref`` and entries that cancel are dropped from acc.
+    By the multiplicity rule each stored key U of nu adds m_U * row_U at U:
+    the m_U = prod_l mult_U(l)! permutations that reorder the sorted labels
+    of U into U share one sign, which ``add`` applies (0 when an even label
+    repeats).
     """
-    n = len(vectors)
-    get_ref = mm.get_ref
-
-    def rec(t: int, labels: tuple[str, ...], coef) -> None:
-        if t == n:
-            row, sign = get_ref(labels)
-            if row is None:
-                return
-            if sign == -1:
-                coef = -coef
-            for lab, c in row.items():
-                total = acc.get(lab, 0) + coef * c
-                if total:
-                    acc[lab] = total
-                else:
-                    acc.pop(lab, None)
-            return
-        for lab, c in vectors[t].items():
-            rec(t + 1, labels + (lab,), coef * c)
-
-    rec(0, (), scale)
-    return acc
+    out = MultiMap(nu.space_in, nu.space_out, nu.arity, nu.shift, "antisym")
+    for U, row in nu.table.items():
+        m_U = _repeats(sorted(U))
+        for lab, c in row.items():
+            out.add(U, lab, m_U * c)
+    return out
 
 
 def contract_power(mm: MultiMap, w: dict[str, object], i: int, acc: dict, scale=1) -> dict:
@@ -544,18 +514,25 @@ def _sub_multisets(head: tuple[str, ...], w: dict, i: int, deg) -> list[tuple[tu
 
 
 def _power(w: dict[str, object], S: tuple[str, ...], scale):
-    mult = prod(factorial(len(list(group))) for _, group in groupby(S))
+    mult = _repeats(S)
     for lab in S:
         scale = scale * w[lab]
     return scale * Fraction(1, mult) if mult > 1 else scale
 
 
-def evaluate_on_vectors(mm: MultiMap, vectors: list[dict[str, object]]):
-    """Evaluate on coefficient vectors (labels -> even ring elements).
+def evaluate_on_vectors(mm: MultiMap, vectors: list[dict[str, object]]) -> dict:
+    """mm(v_1, ..., v_n) on coefficient vectors (labels -> even ring elements),
+    one input tuple per choice of a label in each slot; zero entries dropped.
 
     The coefficients must be even/central, so no Koszul signs arise from
     them; this matches l_n^A = l_n (x) id_A for the ring-tensored structures.
     """
     if len(vectors) != mm.arity:
         raise ValueError("vector count mismatch")
-    return contract(mm, vectors, {})
+    acc: dict[str, object] = {}
+    for choice in product(*(v.items() for v in vectors)):
+        row, sign = mm.get_ref(tuple(lab for lab, _ in choice))
+        coef = prod((c for _, c in choice), start=sign)
+        for lab, c in (row or {}).items():
+            acc[lab] = acc.get(lab, 0) + coef * c
+    return {lab: v for lab, v in acc.items() if v}

@@ -45,7 +45,7 @@ from math import comb, factorial, gcd, lcm, prod
 from . import linalg
 from .deformation import TwistedComplex
 from .grading import GradedSpace
-from .multimap import contract_power, evaluate_on_vectors
+from .multimap import compose_multimaps, contract_power
 from .rings import (
     CoefRing,
     Ideal,
@@ -488,6 +488,8 @@ def dga_resonance_ideal(
     Requires A^0 to be spanned by a single unit-like class with zero
     differential, so degree-1 cocycles represent H^1 on the nose; the
     entries are affine-linear in the variables and everything is exact.
+    Column col is d(col) + sum_j x_j mu(g v_j, col), read off d's table and
+    the composite mu o (g (x) id); the rank oracle reads mu's keys on its own.
     """
     if set(alg.products) - {1, 2}:
         raise ResonanceError("dga-level resonance expects an honest dga (nu_1, nu_2 only)")
@@ -507,18 +509,17 @@ def dga_resonance_ideal(
     varnames = tuple(f"x{j + 1}" for j in range(len(h1_labels)))
     ring = CoefRing("poly", varnames)
 
+    mu_g = compose_multimaps(mu, diagram.g, 1).table if mu is not None else {}
     columns: dict[tuple, dict[str, object]] = {}
     for col in space.labels():
         entries = columns[(col,)] = {}
         if d is not None:
-            for lab, c in d.get((col,)).items():
+            for lab, c in d.table.get((col,), {}).items():
                 entries[lab] = entries.get(lab, ring.zero) + ring.element(c)
-        if mu is not None:
-            for j, v in enumerate(h1_labels):
-                res = evaluate_on_vectors(mu, [h1_reps[v], {col: Fraction(1)}])
-                xj = ring.gen(j)
-                for lab, c in res.items():
-                    entries[lab] = entries.get(lab, ring.zero) + xj * c
+        for j, v in enumerate(h1_labels):
+            xj = ring.gen(j)
+            for lab, c in mu_g.get((v, col), {}).items():
+                entries[lab] = entries.get(lab, ring.zero) + xj * c
     ucx = UniversalComplex.from_columns(columns, space, ring, h1_labels, "exact", 2)
     ucx.validate_square_zero()
 

@@ -354,7 +354,6 @@ def antisymmetrize_morphism(
     permutations with the antisym sign, between the antisymmetrized
     endpoints."""
     comps = {k: antisymmetrization(m) for k, m in mor.components.items()}
-    comps = {k: m for k, m in comps.items() if not m.is_zero()}
     return InfMorphism("linf", source_l, target_l, comps)
 
 

@@ -41,7 +41,7 @@ from hse.fixtures import (
 )
 from hse.grading import BasisElement, GradedSpace
 from hse.io_json import parse_structure
-from hse.multimap import MultiMap, contract, contract_power, evaluate_on_vectors
+from hse.multimap import MultiMap, contract_power, evaluate_on_vectors
 from hse.resonance import (
     binary_resonance_ideal,
     pointwise_twisted_matrices,
@@ -109,7 +109,8 @@ def ref_universal_entries(pair, ring, arity_cap):
             if m_map is None:
                 continue
             n = arity - 1
-            contract(m_map, [w_univ] * n + [{xi.label: 1}], acc, factorial_inverse(n))
+            _ref_add(acc, evaluate_on_vectors(m_map, [w_univ] * n + [{xi.label: 1}]),
+                     factorial_inverse(n), ring.zero)
         for lab, val in acc.items():
             if val:
                 out[xi.label, lab] = val

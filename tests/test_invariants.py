@@ -3,6 +3,7 @@ relations that tie several subsystems together."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from hse.deformation import jump_ideal_pair, sample_mc, twist_module
 from hse.fixtures import (
@@ -14,11 +15,15 @@ from hse.fixtures import (
     random_cdga,
     solvable_dgla,
 )
+from hse.grading import BasisElement, GradedSpace
 from hse.io_json import dumps, package_to_json
+from hse.multimap import MultiMap
 from hse.rings import Ideal, parse_ring, reduce_to_order
 from hse.structures import (
+    AInfAlgebra,
     antisymmetrize,
     antisymmetrize_morphism,
+    jacobi_check,
     morphism_check,
 )
 from hse.transfer import (
@@ -28,22 +33,47 @@ from hse.transfer import (
 )
 
 
+def _odd_tensor_dga() -> AInfAlgebra:
+    """T(a, b, c)/(words of length >= 4) with a, b, c of degree 1 and
+    dc = ab: not graded-commutative, so its brackets do not vanish above
+    arity 1, and keys repeat odd labels."""
+    words = ["".join(w) for n in range(4) for w in product("abc", repeat=n)]
+    label = lambda w: w or "1"
+    space = GradedSpace([BasisElement(label(w), len(w)) for w in words])
+    d = MultiMap(space, space, 1, 1)
+    mult = MultiMap(space, space, 2, 0)
+    for w in words:
+        for pos, x in enumerate(w):
+            if x == "c" and len(w) < 3:
+                d.add((label(w),), w[:pos] + "ab" + w[pos + 1:], -1 if pos % 2 else 1)
+        for v in words:
+            if len(w) + len(v) < 4:
+                mult.add((label(w), label(v)), label(w + v), 1)
+    return AInfAlgebra(space, {1: d, 2: mult})
+
+
 def test_antisymmetrize_is_functorial_on_transfer_morphisms():
-    # checking the transferred morphisms before and after the functor agrees
-    for seed in (0, 2, 7):
-        alg = random_cdga(seed)
-        diagram = cohomology_splitting(alg.space, alg.differential_map())
-        res = transfer_ainf(diagram, alg.ainf(), 4)
+    # checking the transferred morphisms before and after the functor agrees;
+    # the random cdgas are graded-commutative, so only the tensor dga has
+    # brackets above arity 1 (transferred to arity 5)
+    inputs = [(random_cdga(seed).ainf(), 4) for seed in (0, 2, 7)] + [(_odd_tensor_dga(), 5)]
+    for alg, arity in inputs:
+        diagram = cohomology_splitting(alg.space, alg.products.get(1))
+        res = transfer_ainf(diagram, alg, arity)
         assert morphism_check(res.phi, 4).ok
         assert morphism_check(res.psi, 4).ok
-        src_l = antisymmetrize(alg.ainf())
+        src_l = antisymmetrize(alg)
         tgt_l = antisymmetrize(res.algebra)
+        for lalg, at in ((src_l, 4), (tgt_l, arity)):
+            rep = jacobi_check(lalg, at)
+            assert rep.ok, rep.first().describe()
         phi_l = antisymmetrize_morphism(res.phi, src_l, tgt_l)
         psi_l = antisymmetrize_morphism(res.psi, tgt_l, src_l)
         rep_phi = morphism_check(phi_l, 4)
         rep_psi = morphism_check(psi_l, 4)
         assert rep_phi.ok, rep_phi.first().describe()
         assert rep_psi.ok, rep_psi.first().describe()
+    assert 2 in src_l.brackets and 3 in tgt_l.brackets  # the tensor dga's survive
 
 
 def test_pair_weak_equivalence_flag():
@@ -54,8 +84,6 @@ def test_pair_weak_equivalence_flag():
     assert is_quasi_isomorphism(diagram.g, small_diag, diagram)
     res = transfer_ainf(diagram, alg.ainf(), 2)
     # psi_1 = g is one; the zero map between the same complexes is not
-    from hse.multimap import MultiMap
-
     zero = MultiMap(diagram.small, alg.space, 1, 0)
     assert not is_quasi_isomorphism(zero, small_diag, diagram)
 

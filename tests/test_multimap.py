@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from hse.multimap import (
     tensor_compose,
 )
 from hse.scalars import format_scalar, parse_scalar
+from hse.structures import AInfAlgebra, InfMorphism, antisymmetrize, antisymmetrize_morphism
 from hse.transfer import cohomology_splitting, transfer_ainf
 import transfer_reference as ref
 
@@ -218,3 +221,77 @@ def test_canonical_sorted_keys_with_repeats():
     assert mod._canonical(("e1", "e1", "m")) == (("e1", "e1", "m"), 0)
     # the module slot is never sorted in
     assert mod._canonical(("o1", "o0", "e0")) == (("o0", "o1", "e0"), 1)
+
+
+# ---------------------------------------------------------------------------
+# antisymmetrization: the one pass over stored keys against the documented
+# sum over permutations
+
+# odd and even labels interleaved in basis order
+ANTI_SPACE = GradedSpace([
+    BasisElement("e0", 0), BasisElement("o0", 1), BasisElement("o1", 1),
+    BasisElement("e1", 2), BasisElement("o2", 3),
+])
+
+
+def ref_antisymmetrization(nu: MultiMap) -> dict:
+    """Sorted S -> l(S) = sum_sigma chi(sigma) nu(S_sigma), the nonzero rows
+    over every sorted tuple S of nu's input labels, with nu read by ``get``
+    at each of the n! reorderings S_sigma."""
+    from hse.signs import all_permutations, antisym_sign
+
+    space, n = nu.space_in, nu.arity
+    out = {}
+    for S in combinations_with_replacement(space.labels(), n):
+        degs = tuple(space.deg(l) for l in S)
+        acc = {}
+        for sigma in all_permutations(n):
+            sign = antisym_sign(sigma, degs)
+            for lab, c in nu.get(tuple(S[i] for i in sigma)).items():
+                acc[lab] = acc.get(lab, 0) + sign * c
+        acc = {lab: c for lab, c in acc.items() if c}
+        if acc:
+            out[S] = acc
+    return out
+
+
+def _random_plain_table(rng: random.Random, arity: int, shift: int) -> MultiMap:
+    """A plain table of degree shift `shift` on ANTI_SPACE: keys drawn with
+    repetition, so repeated odd and even labels both occur."""
+    labels = ANTI_SPACE.labels()
+    mm = MultiMap(ANTI_SPACE, ANTI_SPACE, arity, shift)
+    for _ in range(12):
+        key = tuple(rng.choice(labels) for _ in range(arity))
+        want = sum(ANTI_SPACE.deg(l) for l in key) + shift
+        outs = [e.label for e in ANTI_SPACE.basis_of_degree(want)]
+        if outs:
+            mm.add(key, rng.choice(outs), Fraction(rng.randint(-3, 3), rng.choice([1, 1, 2])))
+    return mm
+
+
+def _rows(mm: MultiMap) -> dict:
+    return {key: dict(row) for key, row in mm.table.items()}
+
+
+def test_antisymmetrization_matches_the_sum_over_permutations():
+    """Seeded random plain tables of arities 1-4, as the products of an
+    A-infinity structure and as the components of a morphism: the one pass
+    over stored keys equals the per-permutation sum at every sorted tuple."""
+    rng = random.Random(0)
+    repeated_odd = 0
+    for _ in range(6):
+        products = {n: _random_plain_table(rng, n, 2 - n) for n in range(1, 5)}
+        components = {k: _random_plain_table(rng, k, 1 - k) for k in range(1, 5)}
+        repeated_odd += sum(
+            any(key.count(l) > 1 and ANTI_SPACE.deg(l) % 2 for l in key)
+            for mm in (*products.values(), *components.values()) for key in mm.table)
+        alg = AInfAlgebra(ANTI_SPACE, products)
+        lalg = antisymmetrize(alg)
+        for n, nu in products.items():
+            assert _rows(lalg.brackets.get(n, MultiMap(ANTI_SPACE, ANTI_SPACE, n, 2 - n))) \
+                == ref_antisymmetrization(nu), n
+        mor_l = antisymmetrize_morphism(InfMorphism("ainf", alg, alg, components), lalg, lalg)
+        for k, f in components.items():
+            assert _rows(mor_l.components.get(k, MultiMap(ANTI_SPACE, ANTI_SPACE, k, 1 - k))) \
+                == ref_antisymmetrization(f), k
+    assert repeated_odd

@@ -92,21 +92,25 @@ def test_antisymmetrize_kills_commutative_products():
 
 
 def test_antisymmetrize_commutator_rule_noncommutative():
-    # free associative algebra on one odd generator, truncated above deg 2
-    space = GradedSpace([BasisElement("1", 0), BasisElement("a", 1), BasisElement("aa", 2)])
+    # free associative algebra on two odd generators, truncated above deg 2
+    words = ["1", "a", "b", "aa", "ab", "ba", "bb"]
+    space = GradedSpace([BasisElement(w, 0 if w == "1" else len(w)) for w in words])
     prod = MultiMap(space, space, 2, 0)
-    for lab in ("1", "a", "aa"):
-        prod.add(("1", lab), lab, Fraction(1))
-        if lab != "1":
-            prod.add((lab, "1"), lab, Fraction(1))
-    prod.add(("a", "a"), "aa", Fraction(1))
+    for u in words:
+        for v in words:
+            uv = (u + v).replace("1", "") or "1"
+            if uv in words:
+                prod.add((u, v), uv, Fraction(1))
     alg = AInfAlgebra(space, {2: prod})
     assert stasheff_check(alg, 3).ok
     lalg = antisymmetrize(alg)
     # l2(a,a) = aa - (-1)^{1*1} aa = 2 aa
     assert lalg.brackets[2].get(("a", "a")) == {"aa": Fraction(2)}
+    # l2(a,b) = ab - (-1)^{1*1} ba = ab + ba, each ordering once
+    assert lalg.brackets[2].get(("a", "b")) == {"ab": 1, "ba": 1}
     # l2(1,a) = 1a - a1 = 0
     assert lalg.brackets[2].get(("1", "a")) == {}
+    assert jacobi_check(lalg, 3).ok
 
 
 def test_antisymmetrize_heisenberg_passes_jacobi():

@@ -19,7 +19,7 @@ import pytest
 
 from hse.fixtures import Cdga, cdga_pair, heisenberg_cdga
 from hse.grading import BasisElement, GradedSpace
-from hse.multimap import MultiMap, contract, tensor_compose
+from hse.multimap import MultiMap, evaluate_on_vectors, tensor_compose
 from hse.signs import suspension_sign
 from hse.structures import (
     AInfAlgebra,
@@ -170,7 +170,7 @@ def _transported(mm: MultiMap, space: GradedSpace, N: dict) -> MultiMap:
     out = MultiMap(space, space, mm.arity, mm.shift, mm.symmetry)
     for xs in sorted(inputs, key=lambda T: [space.order_index(l) for l in T]):
         vectors = [{x: 1, N[x]: -1} if x in N else {x: 1} for x in xs]
-        for lab, c in contract(mm, vectors, {}).items():
+        for lab, c in evaluate_on_vectors(mm, vectors).items():
             out.add(xs, lab, c)
             if lab in N:
                 out.add(xs, N[lab], c)

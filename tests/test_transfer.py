@@ -24,7 +24,7 @@ from hse.multimap import (
     MultiMap,
     add_tables,
     compose_multimaps,
-    contract,
+    evaluate_on_vectors,
     identity_map,
     postcompose,
 )
@@ -612,7 +612,7 @@ class ExhaustiveLInfKernelCache(LInfKernelCache):
 
     def _expand(self, acc, outer, partition, T, factor) -> None:
         """The hand-written tree evaluation the kernel had before it moved
-        onto ``multimap.contract``.  On sL every block value has degree 0,
+        onto a shared contraction kernel.  On sL every block value has degree 0,
         so no block adds a crossing sign."""
         blocks = list(partition)
 
@@ -664,7 +664,7 @@ def _at_g_images(p_n: MultiMap, diagram) -> MultiMap:
     small, n = diagram.small, p_n.arity
     out = MultiMap(small, diagram.big, n, p_n.shift, "antisym")
     for S in iter_sorted_tuples(small, n, {d - p_n.shift for d in diagram.big.degrees()}):
-        for lab, c in contract(p_n, [diagram.g.get((s,)) for s in S], {}).items():
+        for lab, c in evaluate_on_vectors(p_n, [diagram.g.get((s,)) for s in S]).items():
             out.add(S, lab, c)
     return out
 
