@@ -1,23 +1,24 @@
 """Exact linear algebra over the rationals, on one reduced echelon form.
 
 ``Echelon`` is the package's one Gauss-Jordan eliminator: a Q-subspace
-held as its reduced echelon basis of sparse vectors key -> Fraction.  The
+held as its reduced echelon basis of sparse vectors key -> scalar.  The
 pivot of each row is its smallest key (a column index here, a monomial in
 ``rings``).  That basis is unique for the subspace, so two spans are equal
 exactly when their rows are, and every answer read off it is canonical.
 Vectors are added one at a time, so extending a basis by candidates costs
-one reduction per candidate.  Input coefficients may be ints or Fractions
-(a structure table stores integral values as ints); each new row is
-normalized by dividing through a Fraction, so rows and every answer read
-off them come back as Fractions, never floats.
+one reduction per candidate.  Coefficients are in the package's scalar
+form (``scalars.canonical``): an int when integral, else a Fraction.  Every
+entry a reduction computes is put back in that form, and a new row is
+divided by its pivot only when the pivot is not 1; a -1 pivot negates it.
+So int rows with unit pivots stay ints, and no answer is ever a float.
 
 Dense matrices are lists of row lists of rationals.  ``kernel_basis``,
-``solve``, ``in_span``, ``invert`` and ``extend_to_basis`` read their
-answers off the rows of the echelon of the matrix's rows; kernel vectors
-come out in free-column order.  Rank is separate: ``int_rank`` is Bareiss
-elimination on integer rows, which the rank oracle calls directly on the
-integer matrices it evaluates, and ``rank`` scales each row of a rational
-matrix to integers and calls it.
+``solve`` and ``in_span`` read their answers off the rows of the echelon
+of the matrix's rows, in scalar form; kernel vectors come out in
+free-column order.  Rank is separate: ``int_rank`` is Bareiss elimination
+on integer rows, which the rank oracle calls directly on the integer
+matrices it evaluates, and ``rank`` scales each row of a rational matrix
+to integers and calls it.
 """
 
 from __future__ import annotations
@@ -26,15 +27,14 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-Matrix = list[list[Fraction]]
+from .scalars import canonical
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Matrix = list[list[Fraction]]
 
 
 class Echelon:
     """Reduced echelon basis of a Q-subspace, as sparse vectors key ->
-    Fraction: ``rows`` maps each pivot to the one row with coefficient 1
+    scalar: ``rows`` maps each pivot to the one row with coefficient 1
     there, which is its smallest key, and every row is 0 at every other
     pivot."""
 
@@ -53,14 +53,8 @@ class Echelon:
         out = dict(vec)
         for pivot, coef in vec.items():
             row = rows.get(pivot)
-            if row is None:
-                continue
-            for key, value in row.items():
-                v = out.get(key, _ZERO) - coef * value
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+            if row is not None:
+                _subtract(out, coef, row)
         return out
 
     def spans(self, vec: dict) -> bool:
@@ -74,35 +68,36 @@ class Echelon:
         if not rest:
             return None
         pivot = min(rest)
-        inv = _ONE / rest[pivot]  # a Fraction even when the entry is an int
-        new = {key: c * inv for key, c in rest.items()}
+        p = rest[pivot]
+        if p == 1:
+            new = dict(rest)
+        elif p == -1:
+            new = {key: -c for key, c in rest.items()}
+        else:
+            inv = 1 / Fraction(p)
+            new = {key: canonical(c * inv) for key, c in rest.items()}
         for row in self.rows.values():
             coef = row.get(pivot)
-            if coef is None:
-                continue
-            for key, value in new.items():
-                v = row.get(key, _ZERO) - coef * value
-                if v:
-                    row[key] = v
-                else:
-                    del row[key]
+            if coef is not None:
+                _subtract(row, coef, new)
         self.rows[pivot] = new
         return rest
 
 
-def _sparse(vec: list[Fraction]) -> dict[int, Fraction]:
-    return {i: x for i, x in enumerate(vec) if x}
+def _subtract(out: dict, coef, row: dict) -> None:
+    """out -= coef * row in place, in scalar form, dropping zeros."""
+    for key, value in row.items():
+        v = out.get(key, 0) - coef * value
+        if not v:
+            del out[key]
+        elif type(v) is Fraction and v.denominator == 1:
+            out[key] = v.numerator
+        else:
+            out[key] = v
 
 
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[_ZERO] * cols for _ in range(rows)]
-
-
-def identity(n: int) -> Matrix:
-    mat = zeros(n, n)
-    for i in range(n):
-        mat[i][i] = _ONE
-    return mat
+def _sparse(vec: list) -> dict:
+    return {i: canonical(x) for i, x in enumerate(vec) if x}
 
 
 def int_rank(rows: list[list[int]]) -> int:
@@ -158,10 +153,10 @@ def kernel_basis(mat: Matrix, cols: int | None = None) -> list[list[Fraction]]:
     for free in range(cols):
         if free in rows:
             continue
-        vec = [_ZERO] * cols
-        vec[free] = _ONE
+        vec = [0] * cols
+        vec[free] = 1
         for pivot, row in rows.items():
-            vec[pivot] = -row.get(free, _ZERO)
+            vec[pivot] = -row.get(free, 0)
         basis.append(vec)
     return basis
 
@@ -173,30 +168,10 @@ def solve(mat: Matrix, rhs: list[Fraction]) -> list[Fraction] | None:
     rows = Echelon(_sparse(row + [b]) for row, b in zip(mat, rhs)).rows
     if cols in rows:
         return None
-    x = [_ZERO] * cols
+    x = [0] * cols
     for pivot, row in rows.items():
-        x[pivot] = row.get(cols, _ZERO)
+        x[pivot] = row.get(cols, 0)
     return x
-
-
-def extend_to_basis(spanning: list[list[Fraction]], candidates: list[list[Fraction]]) -> list[int]:
-    """Indices of candidates that greedily extend span(spanning) to a larger space.
-
-    Deterministic: candidates are tried in order, each kept iff it is not
-    in the span of spanning and the candidates kept before it.
-    """
-    span = Echelon(map(_sparse, spanning))
-    return [i for i, cand in enumerate(candidates) if span.add(_sparse(cand)) is not None]
-
-
-def invert(mat: Matrix) -> Matrix:
-    """The inverse, read off the echelon of [mat | identity]: it has pivots
-    0..n-1 exactly when mat is invertible, and then rows [identity | inverse]."""
-    n = len(mat)
-    rows = Echelon(_sparse(row + unit) for row, unit in zip(mat, identity(n))).rows
-    if any(pivot >= n for pivot in rows):
-        raise ValueError("matrix not invertible")
-    return [[rows[r].get(n + c, _ZERO) for c in range(n)] for r in range(n)]
 
 
 def in_span(vectors: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:

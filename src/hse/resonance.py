@@ -45,7 +45,7 @@ from math import comb, factorial, gcd, lcm, prod
 from . import linalg
 from .deformation import TwistedComplex
 from .grading import GradedSpace
-from .multimap import compose_multimaps, contract_power
+from .multimap import MultiMap, add_rows, compose_multimaps, contract_power
 from .rings import (
     CoefRing,
     Ideal,
@@ -489,7 +489,8 @@ def dga_resonance_ideal(
     differential, so degree-1 cocycles represent H^1 on the nose; the
     entries are affine-linear in the variables and everything is exact.
     Column col is d(col) + sum_j x_j mu(g v_j, col), read off d's table and
-    the composite mu o (g (x) id); the rank oracle reads mu's keys on its own.
+    the composite mu o (g (x) id) with g restricted to H^1; the rank oracle
+    reads mu's keys on its own.
     """
     if set(alg.products) - {1, 2}:
         raise ResonanceError("dga-level resonance expects an honest dga (nu_1, nu_2 only)")
@@ -509,7 +510,9 @@ def dga_resonance_ideal(
     varnames = tuple(f"x{j + 1}" for j in range(len(h1_labels)))
     ring = CoefRing("poly", varnames)
 
-    mu_g = compose_multimaps(mu, diagram.g, 1).table if mu is not None else {}
+    # only the keys (v, col) with v in H^1 are read, so g is restricted to H^1
+    g1 = add_rows(MultiMap(diagram.small, space, 1, 0), {(v,): row for v, row in h1_reps.items()})
+    mu_g = compose_multimaps(mu, g1, 1).table if mu is not None else {}
     columns: dict[tuple, dict[str, object]] = {}
     for col in space.labels():
         entries = columns[(col,)] = {}

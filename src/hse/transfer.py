@@ -35,7 +35,11 @@ l_n = f p_n.  Jacobi certifies every output, and a failing one is never
 returned.
 
 The splitting walks its (degree, weight) blocks once: a block takes its
-boundaries from the co-exact part of the block one degree below.
+boundaries from the co-exact part of the block one degree below.  Each
+block is read off the reduced echelon R of its differential's rows: the
+co-exact part K is the unit vectors at R's pivots, and f and h at a free
+column are coordinates in [H | B] (harmonic part, boundaries) of the cocycle
+R gives there; no matrix is inverted.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from .multimap import (
     postcompose,
     uniform_plan,
 )
+from .scalars import canonical
 from .signs import suspension_sign
 from .structures import (
     AInfAlgebra,
@@ -114,15 +119,20 @@ def cohomology_splitting(
     """Split a finite complex as harmonic (+) exact (+) co-exact parts.
 
     Deterministic: within each (degree, weight) block the basis is taken in
-    (weight, label) order, the harmonic complement of the boundaries inside
-    the cocycles is chosen by greedy pivoting over the echelonized kernel,
-    and the co-exact part by greedy pivoting over the standard basis.  The
-    small side is the cohomology with zero differential; when weights are
-    present all three maps preserve them.
+    (weight, label) order, and the block is read off the reduced echelon R
+    of its differential's rows, columns in candidate order.  The co-exact
+    part K is the unit vectors at R's pivots, the standard vectors a greedy
+    pass keeps over the cocycles.  The harmonic part H is the kernel basis
+    vectors a greedy pass keeps over the boundaries B.  A cocycle is fixed
+    by its free coordinates, so one elimination of H and B there gives the
+    H- and B-coordinates of u_i = e_i - sum_p R_p[i] e_p, which are f and h
+    at each free column i; both vanish at a pivot.  The small side is the
+    cohomology with zero differential; with weights all three maps keep them.
 
     A nonzero ``variant`` shears the harmonic representatives by boundaries
-    and reverses the co-exact pivoting order: a genuinely different valid
-    splitting, used to test splitting-independence of invariants.
+    and reverses the candidate order: a genuinely different valid splitting,
+    used to test splitting-independence of invariants; the kernel basis
+    stays that of the label order.
 
     Any arity-1 map on space (an A-infinity nu_1, an L-infinity l_1, a
     module's m_1) or None for zero is copied once into a plain differential.
@@ -154,45 +164,43 @@ def cohomology_splitting(
     g_map = MultiMap(None, space, 1, 0)
     h_map = MultiMap(space, space, 1, -1)
     block_meta: list[dict] = []
-    # (labels, co-exact vectors) per block: block (deg - 1, w) comes before (deg, w)
-    coexact: dict[tuple, tuple[list[str], list[list[Fraction]]]] = {}
+    # the co-exact labels per block: block (deg - 1, w) comes before (deg, w)
+    coexact: dict[tuple, list[str]] = {}
 
     for key in sorted(blocks, key=lambda k: (k[0], k[1] if k[1] is not None else 0)):
         deg, weight = key
         labels = [e.label for e in blocks[key]]
         dim = len(labels)
-        tlabels = [e.label for e in blocks.get((deg + 1, weight), [])]
-        mat = linalg.zeros(len(tlabels), dim)
-        for j, lab in enumerate(labels):
+        # vectors are keyed by position in the candidate order of the labels
+        cols = labels[::-1] if variant else labels
+        pos = {lab: i for i, lab in enumerate(cols)}
+        targets = {e.label: t for t, e in enumerate(blocks.get((deg + 1, weight), []))}
+        d_rows: list[dict] = [{} for _ in targets]
+        for i, lab in enumerate(cols):
             for out, c in differential.get((lab,)).items():
-                if out in tlabels:
-                    mat[tlabels.index(out)][j] = c
-                elif tlabels:
-                    raise TransferError(f"differential leaves the block at {lab} -> {out}")
-        kernel = linalg.kernel_basis(mat, dim)
+                d_rows[targets[out]][i] = c
+        reduced = linalg.Echelon(d_rows).rows
+        # u_i = e_i - sum_p R_p[i] e_p for each free position i spans the cocycles
+        kernel = {i: {i: 1} for i in range(dim) if i not in reduced}
+        for p, row in reduced.items():
+            for i, c in row.items():
+                if i != p:
+                    kernel[i][p] = -c
+        if variant:  # the kernel basis of the label order: pivots at the largest labels
+            by_label = linalg.Echelon(kernel.values()).rows
+            kernel = {i: by_label[i] for i in sorted(by_label, reverse=True)}
 
         # boundaries: images of the co-exact part one degree below
-        below_labels, b_preimages = coexact.get((deg - 1, weight), ([], []))
-        b_vectors: list[list[Fraction]] = []
-        for kappa in b_preimages:
-            image = [Fraction(0)] * dim
-            for src, c in zip(below_labels, kappa):
-                if c:
-                    for out, coef in differential.get((src,)).items():
-                        image[labels.index(out)] += c * coef
-            b_vectors.append(image)
-
-        kept = linalg.extend_to_basis(b_vectors, kernel)
-        h_vectors = [kernel[i] for i in kept]
+        below = coexact.get((deg - 1, weight), [])
+        b_vectors = [{pos[out]: c for out, c in differential.get((lab,)).items()}
+                     for lab in below]
+        span = linalg.Echelon(b_vectors)
+        h_vectors = [v for v in kernel.values() if span.add(v) is not None]
         if variant and b_vectors:
-            h_vectors = [
-                [a + b for a, b in zip(v, b_vectors[0])] for v in h_vectors
-            ]
-        std = linalg.identity(dim)
-        candidates = std[::-1] if variant else std
-        kept_std = linalg.extend_to_basis([v[:] for v in kernel], candidates)
-        k_vectors = [candidates[i] for i in kept_std]
-        coexact[key] = (labels, k_vectors)
+            shear = b_vectors[0]
+            h_vectors = [{i: canonical(c) for i in v.keys() | shear.keys()
+                          if (c := v.get(i, 0) + shear.get(i, 0))} for v in h_vectors]
+        coexact[key] = [cols[p] for p in sorted(reduced)]
 
         # record cohomology basis elements
         wtag = f"w{weight}" if weighted and weight is not None else ""
@@ -200,30 +208,27 @@ def cohomology_splitting(
         for lab in h_labels:
             h_elements.append(BasisElement(lab, deg, weight if weighted else None))
 
-        # change of basis [H | B | K] and its inverse
-        basis_cols = h_vectors + b_vectors + k_vectors
-        P = [[basis_cols[c][r] for c in range(dim)] for r in range(dim)]
-        P_inv = linalg.invert(P)
-
+        # a cocycle is fixed by its free coordinates, so [H | B] on them, with a
+        # marker dim + t per column, reduces to rows e_i | (H, B)-coordinates of u_i
+        coords = linalg.Echelon(
+            {**{i: c for i, c in v.items() if i not in reduced}, dim + t: 1}
+            for t, v in enumerate(h_vectors + b_vectors)).rows
         nh = len(h_vectors)
-        for j, lab in enumerate(labels):
-            for t in range(nh):
-                if P_inv[t][j]:
-                    f_map.add((lab,), h_labels[t], P_inv[t][j])
-            for t, kappa in enumerate(b_preimages):
-                c = P_inv[nh + t][j]
-                if not c:
-                    continue
-                for below_lab, coef in zip(below_labels, kappa):
-                    if coef:
-                        h_map.add((lab,), below_lab, c * coef)
+        for lab in labels:
+            row = coords.get(pos[lab])
+            if row is None:  # a co-exact position: f and h vanish there
+                continue
+            for t, h_lab in enumerate(h_labels):
+                f_map.add((lab,), h_lab, row.get(dim + t, 0))
+            for t, below_lab in enumerate(below, dim + nh):
+                h_map.add((lab,), below_lab, row.get(t, 0))
         for h_lab, hv in zip(h_labels, h_vectors):
-            for lab, c in zip(labels, hv):
-                g_map.add((h_lab,), lab, c)
+            for i in sorted(hv, reverse=bool(variant)):
+                g_map.add((h_lab,), cols[i], hv[i])
 
         block_meta.append({
             "deg": deg, "weight": weight, "dim": dim, "h_labels": h_labels,
-            "pivots": [labels[dim - 1 - i if variant else i] for i in kept_std],
+            "pivots": coexact[key],
         })
 
     small = GradedSpace(h_elements)
@@ -250,14 +255,26 @@ def _require_source(diagram: TransferDiagram, space: GradedSpace,
 def arity_vacuity_bound(space: GradedSpace, max_probe: int = 16) -> int | None:
     """Smallest arity n for which no input tuple can produce output in the
     degree window under a shift of 2-n, or None when no such n exists
-    (degree-0 classes usually prevent one)."""
-    degs = sorted({e.deg for e in space.elements})
+    (degree-0 classes usually prevent one).
+
+    The sums of n degrees are the bits of one int: bit b stands for the sum
+    b + n * lo, lo the least degree, and one more input shifts it by d - lo
+    for each degree d.  An output degree s + 2 - n is a degree d when bit
+    b of the sums meets bit b + k of the degrees, k = (n - 1)(lo - 1) + 1."""
+    degs = {e.deg for e in space.elements}
     if not degs:
         return 2
-    reachable = {0}
+    lo = min(degs)
+    steps = [d - lo for d in degs]
+    window = sum(1 << step for step in steps)
+    sums = 1
     for n in range(1, max_probe + 1):
-        reachable = {r + d for r in reachable for d in degs}
-        if n >= 2 and not ({s + 2 - n for s in reachable} & set(degs)):
+        grown = 0
+        for step in steps:
+            grown |= sums << step
+        sums = grown
+        k = (n - 1) * (lo - 1) + 1
+        if n >= 2 and not ((sums << k) & window if k >= 0 else sums & (window << -k)):
             return n
     return None
 

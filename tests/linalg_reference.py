@@ -1,6 +1,8 @@
 """The dense exact linear algebra ``hse.linalg`` had before it read every
 answer off ``linalg.Echelon``: a Gauss-Jordan ``rref`` of the whole matrix
-per call, and ``extend_to_basis`` as a full rank per candidate; and the
+per call, ``extend_to_basis`` as a full rank per candidate and ``invert``
+off the ``rref`` of [mat | identity], which the cohomology splitting called
+before it read each block off one echelon of its differential; and the
 Bareiss ``rank`` it had before ``linalg.int_rank``, which scanned every
 column and recombined every row.  Kept as the references of the
 differential tests.
@@ -10,10 +12,16 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from hse import linalg
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def zeros(rows, cols):
+    return [[_ZERO] * cols for _ in range(rows)]
+
+
+def identity(n):
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def rref(mat):
@@ -127,7 +135,7 @@ def extend_to_basis(spanning, candidates):
 
 def invert(mat):
     n = len(mat)
-    aug = [mat[i][:] + linalg.identity(n)[i] for i in range(n)]
+    aug = [row[:] + unit for row, unit in zip(mat, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix not invertible")

@@ -1,10 +1,12 @@
-"""``hse.linalg`` reads kernels, solves, inverses and basis extensions off
-one reduced echelon form (``linalg.Echelon``).  The reduced echelon basis
-of a subspace is unique, so every answer must equal the one the old dense
-``rref`` and the rank-per-candidate loop gave (tests/linalg_reference.py):
-on random matrices, with zero rows, empty candidate lists and singular
-matrices among them, and on the cohomology splittings the transfers start
-from.  ``int_rank`` and ``rank`` must equal the old Bareiss ``rank``.
+"""``hse.linalg`` reads kernels and solves off one reduced echelon form
+(``linalg.Echelon``).  The reduced echelon basis of a subspace is unique,
+so every answer must equal the one the old dense ``rref`` gave
+(tests/linalg_reference.py), on random matrices with zero rows and
+singular matrices among them, and come back in the package's scalar form.
+The cohomology splittings the transfers start from must equal their
+definitions on the reference's eliminations: the rank-per-candidate loop
+and the inverse of [H | B | K].  ``int_rank`` and ``rank`` must equal the
+old Bareiss ``rank``.
 """
 
 import json
@@ -16,9 +18,11 @@ import pytest
 
 import linalg_reference as ref
 import transfer_reference as transfer_ref
+from test_structures import h3_times_h3
 from hse import linalg
-from hse.fixtures import Cdga
+from hse.fixtures import Cdga, exterior_cdga, random_cdga
 from hse.io_json import parse_structure
+from hse.scalars import canonical
 from hse.structures import AInfAlgebra, LInfAlgebra, LInfPair
 from hse.transfer import cohomology_splitting
 
@@ -79,31 +83,25 @@ def test_solve_and_in_span_match_reference():
         assert linalg.in_span(vectors, rhs) == ref.in_span(vectors, rhs)
 
 
-def test_invert_matches_reference():
-    singular = 0
-    for rng, _, _, _ in _cases(3, 600):
-        n = rng.randint(0, 6)
-        mat = _matrix(rng, n, n)
-        try:
-            want = ref.invert(mat)
-        except ValueError:
-            singular += 1
-            with pytest.raises(ValueError, match="not invertible"):
-                linalg.invert(mat)
-        else:
-            assert linalg.invert(mat) == want
-    assert singular > 100
+def _scalar_form(values) -> bool:
+    """Every value an int when integral, else a Fraction with denominator > 1."""
+    return all(type(x) is int or (type(x) is Fraction and x.denominator > 1)
+               for x in values)
 
 
-def test_extend_to_basis_matches_rank_loop():
-    for rng, rows, cols, mat in _cases(4, 800):
-        split = rng.randint(0, rows)
-        spanning, candidates = mat[:split], mat[split:]
-        if candidates and rng.random() < 0.3:
-            candidates = candidates + [candidates[0], [Fraction(0)] * cols]
-        assert linalg.extend_to_basis(spanning, candidates) == \
-            ref.extend_to_basis(spanning, candidates)
-    assert linalg.extend_to_basis([[Fraction(1), Fraction(0)]], []) == []
+def test_answers_are_in_scalar_form():
+    for rng, rows, cols, mat in _cases(6, 800):
+        kernel = linalg.kernel_basis(mat, cols)
+        assert kernel == ref.kernel_basis(mat, cols)
+        rhs = [_entry(rng) for _ in range(rows)]
+        x = linalg.solve(mat, rhs)
+        assert x == ref.solve(mat, rhs)
+        vectors = [[mat[r][c] for r in range(rows)] for c in range(cols)]
+        coefs = linalg.in_span(vectors, rhs)
+        assert coefs == ref.in_span(vectors, rhs)
+        span = linalg.Echelon({c: canonical(v) for c, v in enumerate(row) if v} for row in mat)
+        for answer in (*kernel, x or [], coefs or [], *map(dict.values, span.rows.values())):
+            assert _scalar_form(answer), answer
 
 
 def _int_matrix(rng, rows, cols):
@@ -141,8 +139,21 @@ def _heisenberg(n):
     return Cdga(gens, 2 * n + 1, {"z": [(Fraction(1), (i, n + i)) for i in range(n)]})
 
 
+_BUILT = {
+    # dz = 3xy: the boundary 3xy gives a pivot of 3 in the block of degree 2
+    "heisenberg-3xy": lambda: Cdga([("x", 1, 1), ("y", 1, 1), ("z", 1, 2)], 3,
+                                   {"z": [(3, (0, 1))]}),
+    "exterior4": lambda: exterior_cdga(4),
+    "H_3xH_3": h3_times_h3,
+    **{f"random-cdga-{s}": (lambda s=s: random_cdga(s, dims=(1, 3, 3, 1))) for s in range(6)},
+}
+
+
 def _complexes(name):
     """(space, differential) for every complex a transfer of name splits."""
+    if name in _BUILT:
+        alg = _BUILT[name]()
+        return [(alg.space, alg.differential_map())]
     if name.startswith("H_"):
         alg = _heisenberg((int(name[2:]) - 1) // 2)
         return [(alg.space, alg.differential_map())]
@@ -165,20 +176,59 @@ def _snapshot(diagram):
 
 
 SPLIT_INPUTS = ["heisenberg", "torus2", "heisenberg-pair", "heisenberg-pair-weighted",
-                "heisenberg-dgla", "H_5", "H_7"]
+                "heisenberg-dgla", "H_5", "H_7", *_BUILT]
+
+
+def _blocks(space, weighted):
+    """The labels of each (degree, weight) block, in (weight, label) order."""
+    blocks = {}
+    for e in sorted(space.elements, key=lambda e: (e.deg, e.weight or 0, e.label)):
+        blocks.setdefault((e.deg, e.weight if weighted else None), []).append(e.label)
+    return blocks
 
 
 @pytest.mark.parametrize("name", SPLIT_INPUTS)
-def test_splittings_match_rank_loop_reference(name, monkeypatch):
-    runs = [(space, d, variant, weights) for space, d in _complexes(name)
-            for variant in (0, 1) for weights in (None, False)]
-    got = [_snapshot(cohomology_splitting(space, d, weights, variant=variant))
-           for space, d, variant, weights in runs]
-    for fn in ("kernel_basis", "extend_to_basis", "invert"):
-        monkeypatch.setattr(linalg, fn, getattr(ref, fn))
-    want = [_snapshot(cohomology_splitting(space, d, weights, variant=variant))
-            for space, d, variant, weights in runs]
-    assert got == want
+def test_splittings_match_rank_loop_reference(name):
+    # each block by its definition, on the reference's eliminations: K the
+    # standard vectors (reversed under the variant) that the rank loop keeps
+    # over the cocycles, H the kernel vectors it keeps over the boundaries
+    # d(K below), sheared by the first boundary under the variant, and f and
+    # h the H- and B-coordinates of each label in [H | B | K]
+    for space, d in _complexes(name):
+        for variant in (0, 1):
+            for weights in (None, False):
+                diagram = cohomology_splitting(space, d, weights, variant=variant)
+                d_big, f, g, h = diagram.d_big, diagram.f, diagram.g, diagram.h
+                blocks = _blocks(space, space.weighted and weights is None)
+                for meta in diagram.blocks:
+                    deg, weight = meta["deg"], meta["weight"]
+                    labels = blocks[(deg, weight)]
+                    dim = len(labels)
+                    mat = [[d_big.get((lab,)).get(t, 0) for lab in labels]
+                           for t in blocks.get((deg + 1, weight), [])]
+                    kernel = ref.kernel_basis(mat, dim)
+                    std = ref.identity(dim)
+                    cols, candidates = (labels[::-1], std[::-1]) if variant else (labels, std)
+                    k_labels = [cols[i] for i in ref.extend_to_basis(kernel, candidates)]
+                    assert meta["pivots"] == k_labels
+                    below = blocks.get((deg - 1, weight), [])
+                    below_k = next((m["pivots"] for m in diagram.blocks
+                                    if (m["deg"], m["weight"]) == (deg - 1, weight)), [])
+                    b_vectors = [[d_big.get((lab,)).get(t, 0) for t in labels] for lab in below_k]
+                    h_vectors = [kernel[i] for i in ref.extend_to_basis(b_vectors, kernel)]
+                    if variant and b_vectors:
+                        h_vectors = [[a + b for a, b in zip(v, b_vectors[0])] for v in h_vectors]
+                    assert [[g.get((t,)).get(lab, 0) for lab in labels]
+                            for t in meta["h_labels"]] == h_vectors
+                    k_vectors = [[int(lab == k) for lab in labels] for k in k_labels]
+                    basis = h_vectors + b_vectors + k_vectors
+                    for j, lab in enumerate(labels):
+                        coords = ref.in_span(basis, [int(i == j) for i in range(dim)])
+                        nh = len(h_vectors)
+                        assert [f.get((lab,)).get(t, 0) for t in meta["h_labels"]] == coords[:nh]
+                        assert [h.get((lab,)).get(t, 0) for t in below_k] == \
+                            coords[nh:nh + len(b_vectors)]
+                        assert set(h.get((lab,))) <= set(below)
 
 
 @pytest.mark.parametrize("name", SPLIT_INPUTS)

@@ -142,12 +142,16 @@ def test_linalg_on_int_input_stays_exact():
     assert basis == [[Fraction(-1, 2), Fraction(-1, 3), 1]]
     assert _exact(basis[0])
 
-    inv = linalg.invert([[2, 1], [1, 1]])
-    assert inv == [[1, -1], [-1, 2]]
-    assert _exact(x for row in inv for x in row)
-    inv = linalg.invert([[3, 0], [0, 2]])
-    assert inv == [[Fraction(1, 3), 0], [0, Fraction(1, 2)]]
-    assert _exact(x for row in inv for x in row)
+    # pivots 1 and -1 leave int rows as ints; after a division by the pivot
+    # 2, an integral entry of a reduction goes back to an int
+    span = linalg.Echelon([{0: 1, 1: 2}, {0: 1, 1: 1, 2: 5}])
+    assert span.rows == {0: {0: 1, 2: 10}, 1: {1: 1, 2: -5}}
+    assert all(type(c) is int for row in span.rows.values() for c in row.values())
+    span.add({2: 2, 3: 1})
+    assert span.rows == {0: {0: 1, 3: -5}, 1: {1: 1, 3: Fraction(5, 2)},
+                         2: {2: 1, 3: Fraction(1, 2)}}
+    assert type(span.rows[0][3]) is int and type(span.rows[2][2]) is int
 
-    candidates = [[4, 0, 0], [1, 3, 0], [0, 6, 0], [5, 5, 7]]
-    assert linalg.extend_to_basis([[2, 0, 0]], candidates) == [1, 3]
+    x = linalg.solve([[1, 1], [1, -1]], [4, 2])
+    assert x == [3, 1] and all(type(c) is int for c in x)
+    assert linalg.solve([[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]

@@ -1,4 +1,5 @@
 import json
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -337,6 +338,22 @@ def test_arity_vacuity_bound():
     # unit class present: no finite bound
     alg = heisenberg_cdga()
     assert arity_vacuity_bound(alg.space) is None
+
+
+def test_arity_vacuity_bound_matches_the_set_loop():
+    # the bitmask of reachable sums against the reference's growing sets, on
+    # seeded random degree sets with negative degrees among them
+    rng = random.Random(11)
+    found = set()
+    for _ in range(3000):
+        degs = rng.sample(range(-4, 7), rng.randint(1, 5))
+        space = GradedSpace([BasisElement(f"e{d}", d) for d in degs])
+        for max_probe in (16, rng.randint(1, 6)):
+            got = arity_vacuity_bound(space, max_probe)
+            assert got == ref.arity_vacuity_bound(space, max_probe), (degs, max_probe)
+            found.add(got)
+    assert arity_vacuity_bound(GradedSpace([])) == ref.arity_vacuity_bound(GradedSpace([])) == 2
+    assert None in found and len(found) > 3
 
 
 def test_vanishing_bound_weighted_heisenberg():

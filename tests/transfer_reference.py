@@ -2,9 +2,11 @@
 filled in place: A-infinity kernels built one map per composition profile
 and summed by copying (``MultiMap.plus`` of ``MultiMap.scaled``), products
 and morphism components scaled by copying, and a cohomology splitting that
-walked its blocks twice.  The compositions are the ones it called, which
-returned a fresh map, and ``compositions`` enumerates the profiles its
-kernels summed over.  Kept as the references of the differential tests.
+walked its blocks twice, extended bases greedily and read f and h off the
+inverse of [H | B | K], on the eliminations of ``linalg_reference``.  The
+compositions are the ones it called, which returned a fresh map, and
+``compositions`` enumerates the profiles its kernels summed over.  Kept as
+the references of the differential tests.
 
 Its kernels run on A itself, with the sign (-1)^theta of a composition
 profile and morphism components rescaled by (-1)^(n-1).  On every input
@@ -25,7 +27,8 @@ from fractions import Fraction
 
 from dataclasses import replace
 
-from hse import linalg, multimap
+import linalg_reference
+from hse import multimap
 from hse.grading import BasisElement, GradedSpace
 from hse.multimap import MultiMap, add_tables, identity_map
 from hse.scalars import canonical
@@ -188,14 +191,14 @@ def cohomology_splitting(space, differential, use_weights=None, label_prefix="",
         labels = [e.label for e in elems]
         target = blocks.get((deg + 1, weight), [])
         tlabels = [e.label for e in target]
-        mat = linalg.zeros(len(tlabels), len(labels))
+        mat = linalg_reference.zeros(len(tlabels), len(labels))
         for j, lab in enumerate(labels):
             for out, c in differential.get((lab,)).items():
                 if out in tlabels:
                     mat[tlabels.index(out)][j] = c
                 elif target:
                     raise TransferError(f"differential leaves the block at {lab} -> {out}")
-        kernel = linalg.kernel_basis(mat, len(labels)) if labels else []
+        kernel = linalg_reference.kernel_basis(mat, len(labels)) if labels else []
         per_block[key] = {
             "elems": elems, "labels": labels, "matrix": mat, "kernel": kernel,
         }
@@ -222,15 +225,15 @@ def cohomology_splitting(space, differential, use_weights=None, label_prefix="",
                 b_vectors.append(image)
                 b_preimages.append(kappa)
 
-        kept = linalg.extend_to_basis(b_vectors, kernel)
+        kept = linalg_reference.extend_to_basis(b_vectors, kernel)
         h_vectors = [kernel[i] for i in kept]
         if variant and b_vectors:
             h_vectors = [
                 [a + b for a, b in zip(v, b_vectors[0])] for v in h_vectors
             ]
-        std = linalg.identity(dim)
+        std = linalg_reference.identity(dim)
         candidates = std[::-1] if variant else std
-        kept_std = linalg.extend_to_basis([v[:] for v in kernel], candidates)
+        kept_std = linalg_reference.extend_to_basis([v[:] for v in kernel], candidates)
         k_vectors = [candidates[i] for i in kept_std]
         data["k_vectors"] = k_vectors
 
@@ -245,7 +248,7 @@ def cohomology_splitting(space, differential, use_weights=None, label_prefix="",
 
         basis_cols = h_vectors + b_vectors + k_vectors
         P = [[basis_cols[c][r] for c in range(dim)] for r in range(dim)]
-        P_inv = linalg.invert(P)
+        P_inv = linalg_reference.invert(P)
 
         nh, nb = len(h_vectors), len(b_vectors)
         for j, lab in enumerate(labels):
@@ -279,6 +282,19 @@ def cohomology_splitting(space, differential, use_weights=None, label_prefix="",
     diagram = TransferDiagram(space, small, differential, d_small, f_map, g_map, h_map, block_meta)
     diagram.validate()
     return diagram
+
+
+def arity_vacuity_bound(space, max_probe=16):
+    """The bound grown as sets of reachable degree sums, one probe at a time."""
+    degs = sorted({e.deg for e in space.elements})
+    if not degs:
+        return 2
+    reachable = {0}
+    for n in range(1, max_probe + 1):
+        reachable = {r + d for r in reachable for d in degs}
+        if n >= 2 and not ({s + 2 - n for s in reachable} & set(degs)):
+            return n
+    return None
 
 
 class KernelCache:
