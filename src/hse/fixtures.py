@@ -5,6 +5,10 @@ Random cdgas are built quotient-free from a two-layer generator pattern:
 closed degree-1 generators, plus generators whose differential is a random
 combination of products of closed ones.  d^2 = 0 and associativity then
 hold by construction, no completion step needed.
+
+A product of monomials is their sorted concatenation, its sign read off the
+inverted pairs of odd generators as in ``signs``; d is the Leibniz rule
+through that product, which needs |dg| = |g| + 1.
 """
 
 from __future__ import annotations
@@ -63,6 +67,15 @@ class Cdga:
         self.space = GradedSpace(elements)
         self.differentials = differentials or {}
         self._monoset = set(self.monomials)
+        # the Leibniz sign of differential_map needs |dg| = |g| + 1
+        degree = {name: deg for name, deg, _ in gens}
+        for name, terms in self.differentials.items():
+            if name not in degree:
+                raise StructureError(f"differential of an unknown generator {name!r}")
+            for _, dmono in terms:
+                if (got := sum(gens[i][1] for i in dmono)) != degree[name] + 1:
+                    raise StructureError(f"d{name} has the term {self.label(dmono)} of degree "
+                                         f"{got}, not {degree[name] + 1}")
 
     def _enumerate_monomials(self) -> list[tuple[int, ...]]:
         # odd generators square to zero; even ones repeat within the window
@@ -79,88 +92,46 @@ class Cdga:
         return sorted(monos, key=lambda m: (sum(self.gens[k][1] for k in m), m))
 
     def label(self, mono: tuple[int, ...]) -> str:
-        if not mono:
-            return "1"
-        return "".join(self.gens[i][0] for i in mono)
+        return "".join(self.gens[i][0] for i in mono) or "1"
 
     def multiply_monos(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-        """Graded-commutative product of two monomials, or None if it dies."""
-        merged = list(a) + list(b)
-        sign = 1
-        # bubble-sort by generator index, tracking odd crossings
-        arr = merged[:]
-        degof = lambda i: self.gens[i][1]
-        for i in range(len(arr)):
-            for j in range(len(arr) - 1, i, -1):
-                if arr[j - 1] > arr[j]:
-                    if degof(arr[j - 1]) % 2 and degof(arr[j]) % 2:
-                        sign = -sign
-                    arr[j - 1], arr[j] = arr[j], arr[j - 1]
-        for u, v in zip(arr, arr[1:]):
-            if u == v and degof(u) % 2:
-                return None  # odd square
-        mono = tuple(arr)
+        """Graded-commutative product of two monomials: the sorted a + b, with
+        -1 per inverted pair of odd generators in a + b, or None when an odd
+        generator repeats or the degree passes the window."""
+        mono = tuple(sorted(a + b))
         if mono not in self._monoset:
             return None
-        return sign, mono
+        odd = [i for i in a + b if self.gens[i][1] % 2]
+        flips = sum(i > j for i, j in combinations(odd, 2))
+        return (-1 if flips % 2 else 1), mono
 
     def product_map(self) -> MultiMap:
         mm = MultiMap(self.space, self.space, 2, 0)
         for a in self.monomials:
             for b in self.monomials:
-                res = self.multiply_monos(a, b)
-                if res is None:
-                    continue
-                coef, mono = res
-                mm.add((self.label(a), self.label(b)), self.label(mono), coef)
+                if (res := self.multiply_monos(a, b)) is not None:
+                    mm.add((self.label(a), self.label(b)), self.label(res[1]), res[0])
         return mm
 
     def differential_map(self) -> MultiMap:
-        """Extend the generator differentials by the graded Leibniz rule."""
+        """Extend the generator differentials by the graded Leibniz rule:
+        d(head g tail) = (-1)^(|head| |g|) dg (head tail), as d crosses head
+        and dg, of degree |g| + 1, moves back past it."""
         mm = MultiMap(self.space, self.space, 1, 1)
         for mono in self.monomials:
-            image = self._d_mono(mono)
-            for coef, target in image:
-                mm.add((self.label(mono),), self.label(target), coef)
+            image: dict[tuple[int, ...], int | Fraction] = {}
+            head_deg = 0
+            for pos, gi in enumerate(mono):
+                name, deg, _ = self.gens[gi]
+                sign = -1 if head_deg * deg % 2 else 1
+                for coef, dmono in self.differentials.get(name, ()):
+                    if (res := self.multiply_monos(dmono, mono[:pos] + mono[pos + 1:])) is not None:
+                        image[res[1]] = image.get(res[1], 0) + coef * sign * res[0]
+                head_deg += deg
+            for target, c in image.items():
+                if c:
+                    mm.add((self.label(mono),), self.label(target), c)
         return mm
-
-    def _d_mono(self, mono: tuple[int, ...]) -> list[tuple[int | Fraction, tuple[int, ...]]]:
-        out: list[tuple[int | Fraction, tuple[int, ...]]] = []
-        for pos, gi in enumerate(mono):
-            dg = self.differentials.get(self.gens[gi][0])
-            if not dg:
-                continue
-            # Leibniz sign: d crosses the first `pos` factors
-            sign = 1
-            for k in mono[:pos]:
-                if self.gens[k][1] % 2:
-                    sign = -sign
-            rest = mono[:pos] + mono[pos + 1:]
-            for coef, dmono in dg:
-                left = self._mono_times(dmono, rest, pos)
-                if left is not None:
-                    c2, m2 = left
-                    out.append((coef * sign * c2, m2))
-        # merge duplicates
-        acc: dict[tuple[int, ...], int | Fraction] = {}
-        for c, m in out:
-            acc[m] = acc.get(m, 0) + c
-        return [(c, m) for m, c in acc.items() if c]
-
-    def _mono_times(self, dmono: tuple[int, ...], rest: tuple[int, ...], pos: int):
-        # product dmono * rest, but dmono replaces position `pos`; reuse the
-        # commutative multiply after splitting rest around pos
-        head = rest[:pos]
-        tail = rest[pos:]
-        first = self.multiply_monos(head, dmono)
-        if first is None:
-            return None
-        c1, m1 = first
-        second = self.multiply_monos(m1, tail)
-        if second is None:
-            return None
-        c2, m2 = second
-        return c1 * c2, m2
 
     def ainf(self) -> AInfAlgebra:
         products = {2: self.product_map()}
@@ -245,15 +216,21 @@ def _relabeled(out: MultiMap, mm: MultiMap, key_prefixes: tuple[str, ...],
     return out
 
 
-def cdga_zero_bracket_dgla(alg: Cdga, prefix: str = "a.") -> LInfAlgebra:
+def _zero_bracket_dgla(space: GradedSpace, d: MultiMap | None) -> LInfAlgebra:
+    """A commutative dga on space with differential d (None for zero) as a
+    dgla on "a."-labels: the commutator bracket vanishes, so only d survives
+    (the structure drops a zero map)."""
+    a_space = prefix_space(space, "a.")
+    brackets: dict[int, MultiMap] = {}
+    if d is not None:
+        brackets[1] = _relabeled(MultiMap(a_space, a_space, 1, 1, "antisym"), d, ("a.",), "a.")
+    return LInfAlgebra(a_space, brackets)
+
+
+def cdga_zero_bracket_dgla(alg: Cdga) -> LInfAlgebra:
     """A cdga viewed as a dgla: the commutator bracket vanishes, so only the
     differential survives."""
-    space = prefix_space(alg.space, prefix)
-    d = alg.differential_map()
-    brackets: dict[int, MultiMap] = {}
-    if not d.is_zero():
-        brackets[1] = _relabeled(MultiMap(space, space, 1, 1, "antisym"), d, (prefix,), prefix)
-    return LInfAlgebra(space, brackets)
+    return _zero_bracket_dgla(alg.space, alg.differential_map())
 
 
 def cdga_pair(alg: Cdga) -> LInfPair:
@@ -269,14 +246,10 @@ def ainf_cdga_pair(alg: AInfAlgebra) -> LInfPair:
     """
     if set(alg.products) - {1, 2}:
         raise StructureError("pair construction expects a dga (nu_1, nu_2 only)")
-    a_space = prefix_space(alg.space, "a.")
-    m_space = prefix_space(alg.space, "m.")
     d = alg.products.get(1)
-    brackets: dict[int, MultiMap] = {}
-    if d is not None:
-        brackets[1] = _relabeled(MultiMap(a_space, a_space, 1, 1, "antisym"), d, ("a.",), "a.")
-    algebra = LInfAlgebra(a_space, brackets)
-    combined = combine_spaces(a_space, m_space)
+    algebra = _zero_bracket_dgla(alg.space, d)
+    m_space = prefix_space(alg.space, "m.")
+    combined = combine_spaces(algebra.space, m_space)
     actions: dict[int, MultiMap] = {}
     if d is not None:
         actions[1] = _relabeled(MultiMap(combined, m_space, 1, 1, "none"), d, ("m.",), "m.")
@@ -325,10 +298,11 @@ def affine_plane_dgla() -> LInfAlgebra:
     return LInfAlgebra(space, {2: l2})
 
 
-def adjoint_pair(alg: LInfAlgebra, prefix: str = "ad.") -> LInfPair:
-    """A dgla acting on a relabeled copy of itself by the bracket."""
+def adjoint_pair(alg: LInfAlgebra) -> LInfPair:
+    """A dgla acting on a copy of itself, labels prefixed "ad.", by the bracket."""
     if alg.max_arity() > 2:
         raise StructureError("adjoint pair fixture expects a dgla")
+    prefix = "ad."
     mod_space = prefix_space(alg.space, prefix)
     combined = combine_spaces(alg.space, mod_space)
     actions: dict[int, MultiMap] = {}
@@ -352,8 +326,16 @@ def adjoint_pair(alg: LInfAlgebra, prefix: str = "ad.") -> LInfPair:
 # descriptor dispatch
 
 def generate_fixture(desc: FixtureDescriptor):
-    """Resolve a descriptor to a structure package-like object."""
+    """Resolve a descriptor to a structure package-like object; a flag the
+    named fixture does not read is refused, not dropped."""
     name = desc.name
+    if name in ("random", "random-pair"):
+        if desc.weights:
+            raise ValueError(f"{name} carries no weights")
+        alg = random_cdga(desc.seed, desc.dims or None)
+        return alg.ainf() if name == "random" else cdga_pair(alg)
+    if desc.dims:
+        raise ValueError(f"dims apply to random and random-pair only, not {name!r}")
     if name == "exterior" or (name.startswith("exterior(") and name.endswith(")")):
         n = 2 if name == "exterior" else int(name[len("exterior("):-1])
         if n < 0:
@@ -368,8 +350,4 @@ def generate_fixture(desc: FixtureDescriptor):
         return heisenberg_cdga(desc.weights).ainf()
     if name == "heisenberg-pair":
         return cdga_pair(heisenberg_cdga(desc.weights))
-    if name == "random":
-        return random_cdga(desc.seed, desc.dims or None).ainf()
-    if name == "random-pair":
-        return cdga_pair(random_cdga(desc.seed, desc.dims or None))
     raise ValueError(f"unknown fixture {name!r}")

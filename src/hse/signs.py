@@ -5,8 +5,9 @@ tuple T yields ``(T[sigma[0]], ..., T[sigma[n-1]])``, matching the classical
 notation (a_{sigma(1)}, ..., a_{sigma(n)}).
 
 Three signs coexist on purpose.  ``koszul_sign`` is the pure Koszul
-product: each transposition of adjacent entries of degrees d, e contributes
-(-1)^(d*e).  ``antisym_sign`` multiplies in the ordinary signature; that is
+product: each inverted pair of entries of degrees d, e contributes
+(-1)^(d*e), as any sort swaps each inverted pair exactly once.
+``antisym_sign`` multiplies in the ordinary signature; that is
 the sign under which the commutator bracket of a graded-commutative algebra
 antisymmetrizes to zero, and it is the convention used by every
 antisymmetric structure map in this package.  ``suspension_sign`` reads a
@@ -23,42 +24,31 @@ Permutation = tuple[int, ...]
 
 @lru_cache(maxsize=None)
 def perm_sign(sigma: Permutation) -> int:
-    """Ordinary signature via inversion count."""
-    inv = 0
-    n = len(sigma)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigma[i] > sigma[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+    """Ordinary signature: -1 per inverted pair."""
+    return -1 if sum(a > b for a, b in combinations(sigma, 2)) % 2 else 1
 
 
 @lru_cache(maxsize=None)
 def _koszul_core(sigma: Permutation, degrees: tuple[int, ...], signed: bool = False) -> int:
-    """The Koszul sign of sigma on `degrees`, times the signature if signed.
+    """The Koszul sign of sigma on `degrees`, times the signature if signed:
+    a factor (-1)^(d_a d_b) per inverted pair a > b of sigma, with one more
+    -1 per pair when signed.
 
     Memoized on the tuples callers already hold, so a repeated call costs one
     lookup; only the parities of the degrees enter the computation.
     """
-    parities = [d % 2 for d in degrees]
-    seq = list(sigma)
-    sign = perm_sign(sigma) if signed else 1
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1, i, -1):
-            if seq[j - 1] > seq[j]:
-                if parities[seq[j - 1]] and parities[seq[j]]:
-                    sign = -sign
-                seq[j - 1], seq[j] = seq[j], seq[j - 1]
-    return sign
+    flips = sum(degrees[a] * degrees[b] + signed
+                for a, b in combinations(sigma, 2) if a > b)
+    return -1 if flips % 2 else 1
 
 
 def koszul_sign(sigma: Permutation, degrees: list[int] | tuple[int, ...]) -> int:
     """Koszul sign of sigma on elements whose original degrees are `degrees`.
 
     Defined by a_{sigma(1)} x ... x a_{sigma(n)} = sign * (a_1 x ... x a_n):
-    bubble the permuted sequence back to identity, each adjacent swap of
-    entries with original indices u, v contributing (-1)^(deg_u * deg_v).
-    Independent of the chosen decomposition; only parities matter.
+    sorting the permuted sequence back to identity swaps each inverted pair
+    of original indices u > v once, contributing (-1)^(deg_u * deg_v).
+    Only parities matter.
     """
     if len(degrees) != len(sigma):
         raise ValueError("degree list length does not match permutation arity")

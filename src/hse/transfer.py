@@ -58,7 +58,6 @@ from .multimap import (
     postcompose,
     uniform_plan,
 )
-from .scalars import canonical
 from .signs import suspension_sign
 from .structures import (
     AInfAlgebra,
@@ -85,18 +84,17 @@ class TransferDiagram:
     big: GradedSpace
     small: GradedSpace
     d_big: MultiMap
-    d_small: MultiMap
     f: MultiMap
     g: MultiMap
     h: MultiMap
     blocks: list[dict] = field(default_factory=list)
 
     def validate(self) -> None:
-        """f and g are chain maps and id - gf = dh + hd: each identity is one
-        residual, accumulated in one map, that must vanish."""
-        if not postcompose(self.f, self.d_big, postcompose(self.d_small, self.f), -1).is_zero():
+        """f d = 0 and d g = 0 (chain maps to and from H, whose differential
+        is zero) and id - gf = dh + hd: each a residual that must vanish."""
+        if not postcompose(self.f, self.d_big).is_zero():
             raise TransferError("f is not a chain map")
-        if not postcompose(self.d_big, self.g, postcompose(self.g, self.d_small), -1).is_zero():
+        if not postcompose(self.d_big, self.g).is_zero():
             raise TransferError("g is not a chain map")
         residual = identity_map(self.big)
         for outer, inner in ((self.g, self.f), (self.d_big, self.h), (self.h, self.d_big)):
@@ -114,7 +112,6 @@ def cohomology_splitting(
     differential: MultiMap | None,
     use_weights: bool | None = None,
     label_prefix: str = "",
-    variant: int = 0,
 ) -> TransferDiagram:
     """Split a finite complex as harmonic (+) exact (+) co-exact parts.
 
@@ -128,11 +125,6 @@ def cohomology_splitting(
     H- and B-coordinates of u_i = e_i - sum_p R_p[i] e_p, which are f and h
     at each free column i; both vanish at a pivot.  The small side is the
     cohomology with zero differential; with weights all three maps keep them.
-
-    A nonzero ``variant`` shears the harmonic representatives by boundaries
-    and reverses the candidate order: a genuinely different valid splitting,
-    used to test splitting-independence of invariants; the kernel basis
-    stays that of the label order.
 
     Any arity-1 map on space (an A-infinity nu_1, an L-infinity l_1, a
     module's m_1) or None for zero is copied once into a plain differential.
@@ -171,12 +163,11 @@ def cohomology_splitting(
         deg, weight = key
         labels = [e.label for e in blocks[key]]
         dim = len(labels)
-        # vectors are keyed by position in the candidate order of the labels
-        cols = labels[::-1] if variant else labels
-        pos = {lab: i for i, lab in enumerate(cols)}
+        # vectors are keyed by position in the label order
+        pos = {lab: i for i, lab in enumerate(labels)}
         targets = {e.label: t for t, e in enumerate(blocks.get((deg + 1, weight), []))}
         d_rows: list[dict] = [{} for _ in targets]
-        for i, lab in enumerate(cols):
+        for i, lab in enumerate(labels):
             for out, c in differential.get((lab,)).items():
                 d_rows[targets[out]][i] = c
         reduced = linalg.Echelon(d_rows).rows
@@ -186,9 +177,6 @@ def cohomology_splitting(
             for i, c in row.items():
                 if i != p:
                     kernel[i][p] = -c
-        if variant:  # the kernel basis of the label order: pivots at the largest labels
-            by_label = linalg.Echelon(kernel.values()).rows
-            kernel = {i: by_label[i] for i in sorted(by_label, reverse=True)}
 
         # boundaries: images of the co-exact part one degree below
         below = coexact.get((deg - 1, weight), [])
@@ -196,11 +184,7 @@ def cohomology_splitting(
                      for lab in below]
         span = linalg.Echelon(b_vectors)
         h_vectors = [v for v in kernel.values() if span.add(v) is not None]
-        if variant and b_vectors:
-            shear = b_vectors[0]
-            h_vectors = [{i: canonical(c) for i in v.keys() | shear.keys()
-                          if (c := v.get(i, 0) + shear.get(i, 0))} for v in h_vectors]
-        coexact[key] = [cols[p] for p in sorted(reduced)]
+        coexact[key] = [labels[p] for p in sorted(reduced)]
 
         # record cohomology basis elements
         wtag = f"w{weight}" if weighted and weight is not None else ""
@@ -214,8 +198,8 @@ def cohomology_splitting(
             {**{i: c for i, c in v.items() if i not in reduced}, dim + t: 1}
             for t, v in enumerate(h_vectors + b_vectors)).rows
         nh = len(h_vectors)
-        for lab in labels:
-            row = coords.get(pos[lab])
+        for i, lab in enumerate(labels):
+            row = coords.get(i)
             if row is None:  # a co-exact position: f and h vanish there
                 continue
             for t, h_lab in enumerate(h_labels):
@@ -223,8 +207,8 @@ def cohomology_splitting(
             for t, below_lab in enumerate(below, dim + nh):
                 h_map.add((lab,), below_lab, row.get(t, 0))
         for h_lab, hv in zip(h_labels, h_vectors):
-            for i in sorted(hv, reverse=bool(variant)):
-                g_map.add((h_lab,), cols[i], hv[i])
+            for i in sorted(hv):
+                g_map.add((h_lab,), labels[i], hv[i])
 
         block_meta.append({
             "deg": deg, "weight": weight, "dim": dim, "h_labels": h_labels,
@@ -233,8 +217,7 @@ def cohomology_splitting(
 
     small = GradedSpace(h_elements)
     f_map.space_out = g_map.space_in = small
-    d_small = MultiMap(small, small, 1, 1)
-    diagram = TransferDiagram(space, small, differential, d_small, f_map, g_map, h_map, block_meta)
+    diagram = TransferDiagram(space, small, differential, f_map, g_map, h_map, block_meta)
     diagram.validate()
     return diagram
 
@@ -372,7 +355,7 @@ def transfer_ainf(
     cache.ensure(max_arity)
 
     big, small = diagram.big, diagram.small
-    products: dict[int, MultiMap] = {1: diagram.d_small}  # the structures drop zero maps
+    products: dict[int, MultiMap] = {}
     psi_comps: dict[int, MultiMap] = {1: diagram.g}
     phi_comps: dict[int, MultiMap] = {1: diagram.f}
     homotopy: dict[int, MultiMap] = {1: diagram.h}
@@ -453,8 +436,6 @@ def transfer_linf(
     cache.ensure(max_arity)
     small = diagram.small
     brackets: dict[int, MultiMap] = {}
-    if not diagram.d_small.is_zero():
-        brackets[1] = add_tables(MultiMap(small, small, 1, 1, "antisym"), diagram.d_small)
     for n in range(2, max_arity + 1):
         ln = postcompose(diagram.f, cache.p[n])
         if not ln.is_zero():
@@ -495,7 +476,6 @@ def _direct_sum_diagrams(a: TransferDiagram, b: TransferDiagram) -> TransferDiag
     return TransferDiagram(
         big, small,
         merge(a.d_big, b.d_big, big, big, 1),
-        merge(a.d_small, b.d_small, small, small, 1),
         merge(a.f, b.f, big, small, 0),
         merge(a.g, b.g, small, big, 0),
         merge(a.h, b.h, big, big, -1),

@@ -341,6 +341,23 @@ def test_cli_fixture_refuses_oversized_descriptors(tmp_path, capsys, argv, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--name", "random-pair", "--dims", "1,2,1", "--weights"], "random-pair carries no weights"),
+    (["--name", "random", "--weights"], "random carries no weights"),
+    (["--name", "torus2", "--dims", "5,5"], "dims apply to random and random-pair only"),
+    (["--name", "exterior(3)", "--dims", "1,3,3,1"], "dims apply to random and random-pair only"),
+])
+def test_cli_fixture_refuses_a_flag_the_fixture_does_not_read(tmp_path, capsys, argv, message):
+    """A random cdga has no weights and only a random cdga takes dims: the
+    flag is a usage error, not a package built without it."""
+    out = tmp_path / "out.json"
+    assert main(["fixture", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad fixture descriptor: ") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [["check"], ["transfer", "--max-arity", "5"]])
 def test_cli_certifies_a_pair_with_one_jacobi_pass(tmp_path, monkeypatch, command):
     """check and transfer on a pair run one Jacobi pass of L (+) M, whose

@@ -284,8 +284,10 @@ def test_pair_transfer_on_genuine_dgla_pair():
 def test_splitting_independence_of_rank_invariants():
     alg = heisenberg_cdga()
     invariants = []
-    for variant in (0, 1):
-        diag = cohomology_splitting(alg.space, alg.differential_map(), variant=variant)
+    # the engine's splitting and the reference's sheared one (reversed
+    # candidates, harmonic representatives moved by a boundary)
+    for diag in (cohomology_splitting(alg.space, alg.differential_map()),
+                 ref.cohomology_splitting(alg.space, alg.differential_map(), variant=1)):
         diag.validate()
         res = transfer_ainf(diag, alg.ainf(), 3)
         nu2 = res.algebra.products.get(2)

@@ -158,6 +158,10 @@ def _block_key(e, weighted):
 
 
 def cohomology_splitting(space, differential, use_weights=None, label_prefix="", variant=0):
+    """The splitting by greedy extension and [H | B | K]^-1.  A nonzero
+    variant reverses the candidate order of K and shears each harmonic
+    representative by the first boundary: a second valid splitting, for the
+    tests that invariants do not depend on the splitting."""
     differential = add_tables(MultiMap(space, space, 1, 1), differential)
     weighted = space.weighted if use_weights is None else (use_weights and space.weighted)
     if use_weights and not space.weighted:
@@ -278,8 +282,7 @@ def cohomology_splitting(space, differential, use_weights=None, label_prefix="",
     for h_lab, entries in g_entries:
         for lab, c in entries.items():
             g_map.add((h_lab,), lab, c)
-    d_small = MultiMap(small, small, 1, 1)
-    diagram = TransferDiagram(space, small, differential, d_small, f_map, g_map, h_map, block_meta)
+    diagram = TransferDiagram(space, small, differential, f_map, g_map, h_map, block_meta)
     diagram.validate()
     return diagram
 
@@ -397,8 +400,6 @@ def transfer_ainf(diagram, source, max_arity):
     psi_comps = {1: diagram.g}
     phi_comps = {1: diagram.f}
     homotopy = {1: diagram.h}
-    if not diagram.d_small.is_zero():
-        products[1] = diagram.d_small
     for n in range(2, max_arity + 1):
         comp_sign = -1 if (n - 1) % 2 else 1
         p_n = cache.p[n]
