@@ -203,7 +203,7 @@ def cmd_fixture(args) -> tuple[str, dict, int]:
     try:
         dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else ()
         obj = generate_fixture(FixtureDescriptor(
-            name=args.name, seed=args.seed or 0, dims=dims, weights=args.weights))
+            name=args.name, seed=args.seed, dims=dims, weights=args.weights))
     except ValueError as exc:  # a bad number, an unknown name, or dims random_cdga cannot build
         raise UsageError(f"bad fixture descriptor: {exc}") from exc
     payload = package_to_json(obj)

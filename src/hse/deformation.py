@@ -109,14 +109,11 @@ def _twisted(maps: dict[int, MultiMap], space_in: GradedSpace, space_out: Graded
     return out
 
 
-def twist_algebra(
-    alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem], verify: bool = True,
-) -> LInfAlgebra:
+def twist_algebra(alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem]) -> LInfAlgebra:
     """The twisted L-infinity structure on L (x) A for an MC element."""
-    if verify:
-        ok, res = mc_check(alg, ring, omega)
-        if not ok:
-            raise DeformationError(f"not a Maurer-Cartan element; residual {_fmt_vec(res)}")
+    ok, res = mc_check(alg, ring, omega)
+    if not ok:
+        raise DeformationError(f"not a Maurer-Cartan element; residual {_fmt_vec(res)}")
     brackets = twist_brackets(alg.brackets, alg.space, ring, omega)
     return LInfAlgebra(alg.space, brackets)
 
@@ -205,9 +202,8 @@ def twisted_differential(
         _twist_terms(module.actions, ring, omega, 1), module.space, ring)
 
 
-def twist_module(
-    pair: LInfPair, ring: CoefRing, omega: dict[str, RElem], verify: bool = True,
-) -> tuple[dict[int, MultiMap], TwistedComplex]:
+def twist_module(pair: LInfPair, ring: CoefRing,
+                 omega: dict[str, RElem]) -> tuple[dict[int, MultiMap], TwistedComplex]:
     """Twisted module structure maps and the twisted complex (M (x) A, d_w).
 
     Verifies that w is Maurer-Cartan in L, which makes (w, 0) Maurer-Cartan
@@ -215,42 +211,34 @@ def twist_module(
     lies in supp w, so the two residuals are the same sum.  Also verifies
     that d_w is the restriction to M of the twisted differential of L (+) M
     (read off that algebra's own tables, where the module slot is one more
-    label to leave out), and that d_w squares to zero.
+    label to leave out), and that d_w squares to zero.  These certificates
+    always run: a twist that fails one is never returned.
     """
-    if verify:
-        ok, res = mc_check(pair.algebra, ring, omega)
-        if not ok:
-            raise DeformationError(f"not Maurer-Cartan; residual {_fmt_vec(res)}")
-        combined, _ = pair_to_algebra(pair)
-
+    ok, res = mc_check(pair.algebra, ring, omega)
+    if not ok:
+        raise DeformationError(f"not Maurer-Cartan; residual {_fmt_vec(res)}")
     module = pair.module
     twisted = _twisted(module.actions, module.combined, module.space, ring, omega,
                        lambda n: "antisym_algebra" if n > 1 else "none")
     columns = twisted[1].table if 1 in twisted else {}
     complex_ = TwistedComplex.from_columns(columns, module.space, ring)
-    if verify:
-        whole = _twist_terms(combined.brackets, ring, omega, 1)
-        for xi in module.space.labels():
-            if whole.get((xi,), {}) != columns.get((xi,), {}):
-                raise DeformationError("twisted differential mismatch with L (+) M")
-        complex_.validate_square_zero()
+    whole = _twist_terms(pair_to_algebra(pair).brackets, ring, omega, 1)
+    for xi in module.space.labels():
+        if whole.get((xi,), {}) != columns.get((xi,), {}):
+            raise DeformationError("twisted differential mismatch with L (+) M")
+    complex_.validate_square_zero()
     return twisted, complex_
 
 
-def jump_ideal_pair(
-    pair: LInfPair, ring: CoefRing, omega: dict[str, RElem], i: int, k: int,
-    verify: bool = True,
-) -> Ideal:
-    _, complex_ = twist_module(pair, ring, omega, verify=verify)
-    return complex_.jump_ideal(i, k)
+def jump_ideal_pair(pair: LInfPair, ring: CoefRing, omega: dict[str, RElem],
+                    i: int, k: int) -> Ideal:
+    return twist_module(pair, ring, omega)[1].jump_ideal(i, k)
 
 
-def def_ik_membership(
-    pair: LInfPair, ring: CoefRing, omega: dict[str, RElem], i: int, k: int,
-    verify: bool = True,
-) -> bool:
+def def_ik_membership(pair: LInfPair, ring: CoefRing, omega: dict[str, RElem],
+                      i: int, k: int) -> bool:
     """omega lies in Def^i_k iff the jump ideal of the twisted complex is 0."""
-    return jump_ideal_pair(pair, ring, omega, i, k, verify=verify).is_zero()
+    return jump_ideal_pair(pair, ring, omega, i, k).is_zero()
 
 
 # ---------------------------------------------------------------------------

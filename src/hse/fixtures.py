@@ -39,7 +39,7 @@ MAX_FIXTURE_DIM = 256
 @dataclass(frozen=True)
 class FixtureDescriptor:
     name: str
-    seed: int = 0
+    seed: int | None = None
     dims: tuple[int, ...] = ()
     weights: bool = False
 
@@ -107,8 +107,12 @@ class Cdga:
 
     def product_map(self) -> MultiMap:
         mm = MultiMap(self.space, self.space, 2, 0)
-        for a in self.monomials:
-            for b in self.monomials:
+        # the monomials are in degree order: a row stops where it leaves the window
+        deg = [e.deg for e in self.space.elements]
+        for a, deg_a in zip(self.monomials, deg):
+            for b, deg_b in zip(self.monomials, deg):
+                if deg_a + deg_b > self.max_degree:
+                    break
                 if (res := self.multiply_monos(a, b)) is not None:
                     mm.add((self.label(a), self.label(b)), self.label(res[1]), res[0])
         return mm
@@ -332,10 +336,12 @@ def generate_fixture(desc: FixtureDescriptor):
     if name in ("random", "random-pair"):
         if desc.weights:
             raise ValueError(f"{name} carries no weights")
-        alg = random_cdga(desc.seed, desc.dims or None)
+        alg = random_cdga(desc.seed or 0, desc.dims or None)
         return alg.ainf() if name == "random" else cdga_pair(alg)
     if desc.dims:
         raise ValueError(f"dims apply to random and random-pair only, not {name!r}")
+    if desc.seed is not None:
+        raise ValueError(f"a seed applies to random and random-pair only, not {name!r}")
     if name == "exterior" or (name.startswith("exterior(") and name.endswith(")")):
         n = 2 if name == "exterior" else int(name[len("exterior("):-1])
         if n < 0:

@@ -2,6 +2,8 @@
 machinery built on them: L-infinity resonance ideals of minimal pairs, the
 classical resonance of a finite dga, the tangent-cone certificate relating
 the two, and the weight-based hypothesis check that switches on exact mode.
+Binary resonance and the tangent cone's linear complex are those of the
+binary shadow: the actions above arity 2 dropped, certified as a module.
 
 The universal element w = sum_j e_j (x) x_j pairs the degree-1 cohomology
 basis with polynomial variables; the universal differential interpolates
@@ -85,7 +87,6 @@ def universal_complex(
     trunc: int | None = None,
     exact: bool = False,
     n0: int | None = None,
-    binary_only: bool = False,
 ) -> UniversalComplex:
     """d_univ(eta) = sum_n (1/n!) (m_{n+1} (x) id)(w_univ^n, eta).
 
@@ -102,8 +103,6 @@ def universal_complex(
     ring = CoefRing("poly", varnames, trunc=trunc)
 
     arity_cap = max(pair.module.actions, default=1)
-    if binary_only:
-        arity_cap = min(arity_cap, 2)
     if n0 is not None:
         # n0 counts w-factors, so arities up to n0 + 1 may contribute
         arity_cap = min(arity_cap, n0 + 1)
@@ -416,16 +415,15 @@ class ResonanceResult:
 def resonance_ideal(
     pair: LInfPair, i: int, k: int,
     trunc: int | None = None, exact: bool = False, n0: int | None = None,
-    binary_only: bool = False, n_samples: int = 100, seed: int = 0,
+    n_samples: int = 100, seed: int = 0,
 ) -> ResonanceResult:
     """Jump ideal of the universal twisted complex, with a sampled locus
     description cross-checked against the exact pointwise rank oracle."""
-    ucx = universal_complex(pair, trunc=trunc, exact=exact, n0=n0, binary_only=binary_only)
+    ucx = universal_complex(pair, trunc=trunc, exact=exact, n0=n0)
     size = pair.module.space.dim(i) - k + 1
     ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
 
-    shadow = pair if not binary_only else _binary_shadow(pair)
-    below, here = _pair_differentials(shadow, ucx.variables, (i - 1, i)).values()
+    below, here = _pair_differentials(pair, ucx.variables, (i - 1, i)).values()
     samples = _oracle_samples(ideal, below, here, pair.module.space.dim(i), k,
                               ucx.variables, n_samples, seed)
     # a truncated ideal is only compared, not held to the oracle
@@ -449,9 +447,11 @@ def _binary_shadow(pair: LInfPair) -> LInfPair:
 
 
 def binary_resonance_ideal(pair: LInfPair, i: int, k: int, **kw) -> ResonanceResult:
-    """Classical resonance of the cohomology algebra: only m_2 enters, so
-    the universal matrix is linear and the computation is exact."""
-    return resonance_ideal(pair, i, k, exact=True, binary_only=True, **kw)
+    """Classical resonance of the cohomology algebra: the resonance ideal of
+    the binary shadow, where only m_2 enters, so the universal matrix is
+    linear and the computation is exact."""
+    _require_minimal(pair)
+    return resonance_ideal(_binary_shadow(pair), i, k, exact=True, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +568,9 @@ def tangent_cone_check(
     A nonzero linearized minor is then the initial form of the matching
     generator (entries have no constant terms, so nothing of lower degree
     can appear); zero linearized minors impose no equation.  The truncation
-    is auto-raised to reach degree s.  Only the minors that take as many
+    is auto-raised to reach degree s.  The linearized matrix is the
+    universal matrix of the binary shadow, so a pair whose m_2 breaks the
+    arity-3 module identity is refused.  Only the minors that take as many
     rows as columns from each differential are evaluated, on both sides; at
     every other pair both are 0, and ``checked`` still counts every pair.
     """
@@ -579,7 +581,7 @@ def tangent_cone_check(
     if trunc is None or trunc < size:
         trunc = size  # the degree-s parts only see entries of degree <= s
     full = universal_complex(pair, trunc=trunc)
-    lin = universal_complex(pair, exact=True, binary_only=True)
+    lin = universal_complex(_binary_shadow(pair), exact=True)
 
     # constant terms would break the initial-form argument
     for j in (i - 1, i):

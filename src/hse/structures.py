@@ -127,8 +127,9 @@ class LInfAlgebra:
 class LInfModule:
     """Actions m_n on (n-1) algebra slots and one final module slot.
 
-    ``combined`` is the disjoint union of the algebra and module bases; maps
-    are stored over it with symmetry in the algebra slots only.
+    ``space`` is the one record of the L (+) M split: ``combined`` is the
+    algebra basis, then it; maps are stored over that, antisymmetric in the
+    algebra slots only.
     ``direct_sum`` is the algebra L (+) M, built once by ``pair_to_algebra``
     (or handed over by ``algebra_to_module``) and kept, with the key caches
     its checks fill.
@@ -158,7 +159,7 @@ class LInfPair:
     algebra: LInfAlgebra
     module: LInfModule
     # the pair with the actions above arity 2 dropped, built and certified
-    # once, on the first binary resonance ideal of the pair
+    # once, on the first binary resonance ideal or tangent cone of the pair
     binary_shadow: LInfPair | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -332,19 +333,9 @@ def morphism_check(mor: InfMorphism, max_arity: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 # constructions
 
-def antisymmetrize(alg: AInfAlgebra, check_arity: int | None = None) -> LInfAlgebra:
+def antisymmetrize(alg: AInfAlgebra) -> LInfAlgebra:
     """The A-oo to L-oo functor: l_n = sum over permutations of chi . nu_n."""
-    if check_arity is not None:
-        rep = stasheff_check(alg, check_arity)
-        if not rep.ok:
-            raise StructureError(f"antisymmetrize: input fails Stasheff: {rep.first().describe()}")
-    brackets = {n: antisymmetrization(m) for n, m in alg.products.items()}
-    out = LInfAlgebra(alg.space, brackets)
-    if check_arity is not None:
-        rep = jacobi_check(out, check_arity)
-        if not rep.ok:
-            raise StructureError(f"antisymmetrize: output fails Jacobi: {rep.first().describe()}")
-    return out
+    return LInfAlgebra(alg.space, {n: antisymmetrization(m) for n, m in alg.products.items()})
 
 
 def antisymmetrize_morphism(
@@ -357,16 +348,7 @@ def antisymmetrize_morphism(
     return InfMorphism("linf", source_l, target_l, comps)
 
 
-@dataclass(frozen=True)
-class PairEmbedding:
-    """Bookkeeping for an L (+) M algebra: which labels form each block."""
-    algebra_labels: tuple[str, ...]
-    module_labels: tuple[str, ...]
-    algebra_space: GradedSpace
-    module_space: GradedSpace
-
-
-def pair_to_algebra(pair: LInfPair) -> tuple[LInfAlgebra, PairEmbedding]:
+def pair_to_algebra(pair: LInfPair) -> LInfAlgebra:
     """The canonical L-infinity structure on L (+) M.
 
     Stored canonically: all-algebra entries are the brackets, entries with
@@ -375,12 +357,7 @@ def pair_to_algebra(pair: LInfPair) -> tuple[LInfAlgebra, PairEmbedding]:
     (-1)^(n - i + |xi_i| sum |a_k|) of the construction.  The algebra is
     built once per module and kept on it (``LInfModule.direct_sum``).
     """
-    alg = pair.algebra
-    mod = pair.module
-    emb = PairEmbedding(
-        tuple(alg.space.labels()), tuple(mod.space.labels()), alg.space, mod.space
-    )
-    return _direct_sum(mod), emb
+    return _direct_sum(pair.module)
 
 
 def _direct_sum(mod: LInfModule) -> LInfAlgebra:
@@ -395,14 +372,17 @@ def _direct_sum(mod: LInfModule) -> LInfAlgebra:
     return mod.direct_sum
 
 
-def algebra_to_module(alg: LInfAlgebra, emb: PairEmbedding) -> LInfPair:
-    """Recover the pair from an L (+) M algebra; errors if the splitting is
-    not respected (mixed entries that cannot belong to a pair structure)."""
-    alg_set = set(emb.algebra_labels)
-    mod_set = set(emb.module_labels)
+def algebra_to_module(alg: LInfAlgebra, module_space: GradedSpace) -> LInfPair:
+    """Recover the pair from an L (+) M algebra whose module labels are those
+    of ``module_space`` (the algebra labels are the rest of ``alg.space``);
+    errors if the splitting is not respected (mixed entries that cannot
+    belong to a pair structure)."""
+    mod_set = set(module_space.labels())
+    if missing := mod_set.difference(alg.space.labels()):
+        raise StructureError(f"module labels missing from L (+) M: {sorted(missing)}")
     brackets: dict[int, MultiMap] = {}
     actions: dict[int, MultiMap] = {}
-    base_alg_space = alg.space.restricted_to(alg_set)
+    base_alg_space = GradedSpace([e for e in alg.space.elements if e.label not in mod_set])
     base_mod_space = alg.space.restricted_to(mod_set)
 
     for n, j in alg.brackets.items():
@@ -422,7 +402,7 @@ def algebra_to_module(alg: LInfAlgebra, emb: PairEmbedding) -> LInfPair:
                     raise StructureError(
                         f"splitting not respected: canonical key {key} has interior module slot")
                 for lab, c in row.items():
-                    if lab in alg_set:
+                    if lab not in mod_set:
                         raise StructureError(
                             f"splitting not respected: module input {key} hits algebra output {lab}")
                     mn.add(key, lab, c)
@@ -453,12 +433,11 @@ def morphism_pair_to_algebra(
 
 
 def morphism_algebra_to_pair(
-    mor: InfMorphism, src_emb: PairEmbedding, tgt_emb: PairEmbedding,
-    src_pair: LInfPair, tgt_pair: LInfPair,
+    mor: InfMorphism, src_pair: LInfPair, tgt_pair: LInfPair,
 ) -> tuple[InfMorphism, InfMorphism]:
     """Split an L (+) M morphism back into its algebra and module components."""
-    src_mod_set = set(src_emb.module_labels)
-    tgt_mod_set = set(tgt_emb.module_labels)
+    src_mod_set = set(src_pair.module.space.labels())
+    tgt_mod_set = set(tgt_pair.module.space.labels())
     f_comps: dict[int, MultiMap] = {}
     g_comps: dict[int, MultiMap] = {}
     for n, comp in mor.components.items():

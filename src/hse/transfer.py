@@ -65,7 +65,6 @@ from .structures import (
     InfMorphism,
     LInfAlgebra,
     LInfPair,
-    PairEmbedding,
     algebra_to_module,
     jacobi_check,
     pair_to_algebra,
@@ -458,10 +457,8 @@ def transfer_linf(
 @dataclass
 class PairTransfer:
     pair: LInfPair
-    embedding: PairEmbedding
     algebra_diagram: TransferDiagram
     module_diagram: TransferDiagram
-    combined: LInfAlgebra
     certificate: CheckReport
     metadata: dict
 
@@ -491,9 +488,9 @@ def transfer_pair(pair: LInfPair, max_arity: int, use_weights: bool | None = Non
     ``transfer_linf``, and the module structure maps are read back off the
     transferred algebra.  The one Jacobi pass of the transferred L (+) M
     certifies the output; ``structures.split_pair_report`` splits it into
-    the Jacobi report of L and the module report of M.
+    the Jacobi report of L and the module report of M.  That L (+) M stays
+    on the output pair's module: ``pair_to_algebra`` returns it, not a copy.
     """
-    combined, _ = pair_to_algebra(pair)
     diag_a = cohomology_splitting(pair.algebra.space, pair.algebra.brackets.get(1),
                                   use_weights, label_prefix="a.")
     diag_m = cohomology_splitting(pair.module.space, pair.module.actions.get(1),
@@ -501,19 +498,12 @@ def transfer_pair(pair: LInfPair, max_arity: int, use_weights: bool | None = Non
     diagram = _direct_sum_diagrams(diag_a, diag_m)
     diagram.validate()
 
-    transferred = transfer_linf(diagram, combined, max_arity)
-    emb_small = PairEmbedding(
-        tuple(diag_a.small.labels()), tuple(diag_m.small.labels()),
-        diag_a.small, diag_m.small,
-    )
-    small_pair = algebra_to_module(transferred.algebra, emb_small)
+    transferred = transfer_linf(diagram, pair_to_algebra(pair), max_arity)
     meta = dict(transferred.metadata)
     meta["algebra_blocks"] = diag_a.blocks
     meta["module_blocks"] = diag_m.blocks
-    return PairTransfer(
-        small_pair, emb_small, diag_a, diag_m, transferred.algebra,
-        transferred.certificate, meta,
-    )
+    return PairTransfer(algebra_to_module(transferred.algebra, diag_m.small), diag_a, diag_m,
+                        transferred.certificate, meta)
 
 
 # ---------------------------------------------------------------------------

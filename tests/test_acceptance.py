@@ -175,8 +175,7 @@ def test_criterion_04_pair_roundtrips():
     pairs.append(adjoint_pair(affine_plane_dgla()))
     assert len(pairs) == 25
     for pair in pairs:
-        combined, emb = pair_to_algebra(pair)
-        back = algebra_to_module(combined, emb)
+        back = algebra_to_module(pair_to_algebra(pair), pair.module.space)
         for n, mm in pair.module.actions.items():
             ok = ok and back.module.actions[n].equals(mm)
         for n, mm in pair.algebra.brackets.items():
@@ -185,7 +184,7 @@ def test_criterion_04_pair_roundtrips():
 
     # component recovery for 25 random raw morphisms on the Heisenberg pair
     pair = cdga_pair(heisenberg_cdga())
-    combined, emb = pair_to_algebra(pair)
+    combined = pair_to_algebra(pair)
     for _ in range(25):
         f_comps, g_comps = {}, {}
         for k in (1, 2):
@@ -212,7 +211,7 @@ def test_criterion_04_pair_roundtrips():
         f = InfMorphism("linf", pair.algebra, pair.algebra, f_comps)
         g = InfMorphism("module", pair.module, pair.module, g_comps)
         fg = morphism_pair_to_algebra(f, g, combined, combined)
-        f2, g2 = morphism_algebra_to_pair(fg, emb, emb, pair, pair)
+        f2, g2 = morphism_algebra_to_pair(fg, pair, pair)
         for k in f_comps:
             ok = ok and f2.components[k].equals(f_comps[k])
         for k in g_comps:

@@ -98,7 +98,7 @@ def _reference_tangent_cone(pair, i, k, trunc=None):
     if trunc is None or trunc < size:
         trunc = size
     full = resonance.universal_complex(pair, trunc=trunc)
-    lin = resonance.universal_complex(pair, exact=True, binary_only=True)
+    lin = resonance.universal_complex(resonance._binary_shadow(pair), exact=True)
     failures, checked, nonzero = [], 0, 0
     full_block = block_diag(full.matrix(i - 1), full.matrix(i))
     lin_block = block_diag(lin.matrix(i - 1), lin.matrix(i))

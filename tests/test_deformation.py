@@ -309,7 +309,7 @@ def test_builder_errors_keep_each_callers_class(targets, message):
     pair = line_pair(targets)
     R = parse_ring("Q[t]/(t^3)")
     with pytest.raises(DeformationError, match=message):
-        twist_module(pair, R, {"e": R.gen(0)}, verify=True)
+        twist_module(pair, R, {"e": R.gen(0)})
     with pytest.raises(ResonanceError, match=message):
         universal_complex(pair, exact=True)
 

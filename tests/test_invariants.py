@@ -123,7 +123,7 @@ def test_jump_ideal_functorial_under_ring_quotients():
         for i in (0, 1):
             for k in range(0, pair.module.space.dim(i) + 2):
                 I3 = jump_ideal_pair(pair, R3, omega3, i, k)
-                I2 = jump_ideal_pair(pair, R2, omega2, i, k, verify=False)
+                I2 = jump_ideal_pair(pair, R2, omega2, i, k)
                 pushed = Ideal.from_list(
                     R2, [reduce_to_order(g, R2) for g in I3.generators])
                 assert I2.mutually_contains(pushed) is True, (i, k)
@@ -148,7 +148,7 @@ def test_twisted_module_matches_pair_twist_route():
     from hse.deformation import twist_brackets
     from hse.structures import pair_to_algebra
 
-    combined, emb = pair_to_algebra(pair)
+    combined = pair_to_algebra(pair)
     twisted_combined = twist_brackets(combined.brackets, combined.space, R, dict(omega))
     _, complex_ = twist_module(pair, R, omega)
     j1 = twisted_combined.get(1)

@@ -70,7 +70,7 @@ def test_parse_rejects_noncanonical_antisym_key():
     pair = cdga_pair(heisenberg_cdga())
     from hse.structures import pair_to_algebra
 
-    combined, _ = pair_to_algebra(pair)
+    combined = pair_to_algebra(pair)
     data = package_to_json(combined)
     for entry in data["maps"]["2"]["entries"]:
         if len(set(entry["in"])) == 2:
@@ -346,10 +346,13 @@ def test_cli_fixture_refuses_oversized_descriptors(tmp_path, capsys, argv, messa
     (["--name", "random", "--weights"], "random carries no weights"),
     (["--name", "torus2", "--dims", "5,5"], "dims apply to random and random-pair only"),
     (["--name", "exterior(3)", "--dims", "1,3,3,1"], "dims apply to random and random-pair only"),
+    (["--name", "heisenberg", "--seed", "5"], "a seed applies to random and random-pair only"),
+    (["--name", "heisenberg", "--seed", "0"], "a seed applies to random and random-pair only"),
 ])
 def test_cli_fixture_refuses_a_flag_the_fixture_does_not_read(tmp_path, capsys, argv, message):
-    """A random cdga has no weights and only a random cdga takes dims: the
-    flag is a usage error, not a package built without it."""
+    """A random cdga has no weights and only a random cdga takes dims or a
+    seed (even seed 0): the flag is a usage error, not a package built
+    without it."""
     out = tmp_path / "out.json"
     assert main(["fixture", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err

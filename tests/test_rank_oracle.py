@@ -216,11 +216,11 @@ def test_resonance_samples_match_per_point_loop(name):
     rep = subtorus_hypothesis_check(pair)
     n0 = rep.n0 if rep.certified else 2
     n_samples = 100 if name in ORACLE_PAIRS[:5] else 30
-    modes = ({"exact": True}, {"n0": n0}, {"trunc": 3}, {"exact": True, "binary_only": True})
+    modes = ((pair, {"exact": True}), (pair, {"n0": n0}), (pair, {"trunc": 3}),
+             (_binary(pair), {"exact": True}))
     for i, k in _grid(pair.module.space):
-        for seed, kw in enumerate(modes):
-            res = resonance_ideal(pair, i, k, n_samples=n_samples, seed=seed, **kw)
-            shadow = _binary(pair) if kw.get("binary_only") else pair
+        for seed, (shadow, kw) in enumerate(modes):
+            res = resonance_ideal(shadow, i, k, n_samples=n_samples, seed=seed, **kw)
             points = sample_points(res.complex.variables, n_samples, seed)
             assert res.samples == ref_oracle_samples(shadow, res.ideal, i, k, points), (i, k, kw)
 

@@ -18,8 +18,12 @@ from hse.resonance import (
     tangent_cone_check,
     universal_complex,
 )
+from hse.cli import main
+from hse.grading import BasisElement, GradedSpace, combine_spaces
+from hse.io_json import dumps, package_to_json
 from hse.multimap import MultiMap, evaluate_on_vectors
 from hse.rings import CoefRing, Ideal, RingMatrix, parse_ring
+from hse.structures import LInfAlgebra, LInfModule, LInfPair, module_check
 from hse.transfer import cohomology_splitting, transfer_pair
 
 
@@ -84,6 +88,37 @@ def test_binary_shadow_is_built_and_certified_once_per_pair(monkeypatch):
     assert first.to_json() == binary_resonance_ideal(heis_pair(), 1, 1, n_samples=10).to_json()
     assert again.to_json() == binary_resonance_ideal(heis_pair(), 1, 2, n_samples=10).to_json()
     assert len(checks) == 3
+
+
+def l2_acting_pair():
+    """L = <e1, e2> in degree 1 and <f> in degree 2 with l_2(e1, e2) = f, on
+    M = <u> in degree 0 and <v> in degree 2 with m_2(f, u) = v alone.  No
+    action of H^1 is stored, so the universal complex is zero, but m_2
+    breaks the arity-3 module identity: at (e1, e2, u) it reads
+    m_2(l_2(e1, e2), u) = v."""
+    alg_space = GradedSpace([BasisElement("e1", 1), BasisElement("e2", 1), BasisElement("f", 2)])
+    l2 = MultiMap(alg_space, alg_space, 2, 0, "antisym")
+    l2.add(("e1", "e2"), "f", Fraction(1))
+    alg = LInfAlgebra(alg_space, {2: l2})
+    space = GradedSpace([BasisElement("u", 0), BasisElement("v", 2)])
+    m2 = MultiMap(combine_spaces(alg_space, space), space, 2, 0, "antisym_algebra")
+    m2.add(("f", "u"), "v", Fraction(1))
+    return LInfPair(alg, LInfModule(alg, space, {2: m2}))
+
+
+def test_tangent_cone_refuses_a_binary_action_that_is_not_a_module(tmp_path, capsys):
+    pair = l2_acting_pair()
+    assert not module_check(pair.module, 3).ok
+    ucx = universal_complex(pair, trunc=1)
+    assert not any(entry for mat in ucx.matrices.values() for row in mat.data for entry in row)
+    with pytest.raises(ResonanceError, match="binary truncation is not a module structure"):
+        tangent_cone_check(pair, 0, 1)
+    fx = tmp_path / "pair.json"
+    fx.write_text(dumps(package_to_json(l2_acting_pair())))
+    assert main(["tangent-cone", str(fx), "--i", "0", "--k", "1",
+                 "--out", str(tmp_path / "out.json")]) == 1
+    err = capsys.readouterr().err
+    assert "binary truncation is not a module structure" in err and "Traceback" not in err
 
 
 def test_torus_dga_resonance_matches_h_level():

@@ -17,7 +17,7 @@ import pytest
 from hse import linalg, scalars
 from hse.fixtures import Cdga, cdga_pair, random_cdga
 from hse.io_json import dumps, multimap_to_json, package_to_json
-from hse.structures import morphism_check, module_check, stasheff_check
+from hse.structures import morphism_check, module_check, pair_to_algebra, stasheff_check
 from hse.transfer import cohomology_splitting, transfer_ainf, transfer_pair
 
 MAX_ARITY = 5
@@ -59,7 +59,7 @@ def transfer_everything(alg: Cdga) -> tuple[dict, str]:
             **_maps("nu", res.algebra.products), **_maps("phi", res.phi.components),
             **_maps("psi", res.psi.components), **_maps("H", res.homotopy),
             **_maps("l", pair.pair.algebra.brackets), **_maps("m", pair.pair.module.actions),
-            **_maps("combined", pair.combined.brackets)}
+            **_maps("combined", pair_to_algebra(pair.pair).brackets)}
     report = dumps({
         "checks": [stasheff_check(res.algebra, MAX_ARITY).to_json(),
                    morphism_check(res.phi, MAX_ARITY).to_json(),

@@ -26,6 +26,7 @@ from hse.structures import (
     LInfAlgebra,
     jacobi_check,
     morphism_check,
+    pair_to_algebra,
     stasheff_check,
 )
 from hse.transfer import cohomology_splitting, transfer_ainf, transfer_linf, transfer_pair
@@ -215,7 +216,7 @@ def test_disguised_h3_times_h3_passes_the_ainf_route_at_arity_five():
 
 def disguised_h3_times_h3_linf() -> LInfAlgebra:
     """The transferred L (+) M of H_3 x H_3 in disguise: l_1 to l_4, h != 0."""
-    combined = transfer_pair(cdga_pair(h3_times_h3()), 5).combined
+    combined = pair_to_algebra(transfer_pair(cdga_pair(h3_times_h3()), 5).pair)
     return LInfAlgebra(*_disguised(combined.space, combined.brackets, "antisym"))
 
 

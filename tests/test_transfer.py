@@ -274,6 +274,22 @@ def test_transfer_pair_certificates_and_recovered_action():
     assert 3 in res.pair.module.actions  # the Massey action survives
 
 
+@pytest.mark.parametrize("build", [lambda: _golden_pair("heisenberg-pair.json"),
+                                   lambda: cdga_pair(h3_times_h3())],
+                         ids=["heisenberg-pair", "h3xh3"])
+def test_transferred_pair_keeps_the_transferred_direct_sum(monkeypatch, build):
+    """pair_to_algebra of the output pair is the L (+) M that transfer_linf
+    returned and the Jacobi pass certified: the same object, not rebuilt."""
+    outputs = []
+    real = transfer.transfer_linf
+    monkeypatch.setattr(transfer, "transfer_linf",
+                        lambda *a: outputs.append(real(*a)) or outputs[-1])
+    res = transfer_pair(build(), 5)
+    assert len(outputs) == 1 and res.pair.module.direct_sum is outputs[0].algebra
+    assert pair_to_algebra(res.pair) is outputs[0].algebra
+    assert res.certificate is outputs[0].certificate
+
+
 def test_pair_transfer_on_genuine_dgla_pair():
     pair = adjoint_pair(solvable_dgla())
     res = transfer_pair(pair, 4)
@@ -446,9 +462,9 @@ def _linf_transfer_of_another_complex(wrong_labels: bool):
     if wrong_labels:
         dgla = heisenberg_lie_dgla()
         diagram = cohomology_splitting(dgla.space, dgla.brackets.get(1))
-        source, _ = pair_to_algebra(cdga_pair(exterior_cdga(3)))
+        source = pair_to_algebra(cdga_pair(exterior_cdga(3)))
     else:
-        source, _ = pair_to_algebra(cdga_pair(heisenberg_cdga()))
+        source = pair_to_algebra(cdga_pair(heisenberg_cdga()))
         assert 1 in source.brackets
         diagram = cohomology_splitting(source.space, None)
     return transfer_linf(diagram, source, 4)
@@ -667,7 +683,7 @@ class ExhaustiveLInfKernelCache(LInfKernelCache):
 def _pair_kernel_inputs(pair):
     """The diagram and brackets transfer_pair feeds its L-infinity kernel."""
     res = transfer_pair(pair, 2)
-    combined, _ = pair_to_algebra(pair)
+    combined = pair_to_algebra(pair)
     return _direct_sum_diagrams(res.algebra_diagram, res.module_diagram), combined.brackets
 
 
