@@ -51,9 +51,11 @@ from .structures import (
 from .transfer import (
     TransferError,
     cohomology_splitting,
+    pair_splitting,
     transfer_ainf,
     transfer_linf,
     transfer_pair,
+    transfer_pair_along,
 )
 
 
@@ -186,14 +188,13 @@ def _require_minimal_pair(path: str, args) -> LInfPair:
     return obj if source is None else transfer_pair(source, args.max_arity).pair
 
 
-def _cohomology_shell(pair: LInfPair) -> LInfPair:
-    """The spaces the transfer of pair lands on, with no maps: all that the
-    weight hypothesis and its n0 read."""
-    small = [cohomology_splitting(space, d.get(1), label_prefix=prefix).small
-             for space, d, prefix in ((pair.algebra.space, pair.algebra.brackets, "a."),
-                                      (pair.module.space, pair.module.actions, "m."))]
-    algebra = LInfAlgebra(small[0], {})
-    return LInfPair(algebra, LInfModule(algebra, small[1], {}))
+def _cohomology_shell(splitting) -> LInfPair:
+    """The spaces a pair's transfer along splitting (its
+    ``pair_splitting``) lands on, with no maps: all that the weight
+    hypothesis and its n0 read."""
+    diag_a, diag_m = splitting
+    algebra = LInfAlgebra(diag_a.small, {})
+    return LInfPair(algebra, LInfModule(algebra, diag_m.small, {}))
 
 
 # -- subcommand bodies ---------------------------------------------------------
@@ -346,7 +347,8 @@ def cmd_resonance(args) -> tuple[str, dict, int]:
     the command transfers itself is transferred at least that far; the
     payload records the arity reached (null for an already minimal pair).
     n0 reads only the cohomology spaces, so it fixes that arity before the
-    one transfer, which runs first even when the hypothesis fails."""
+    one transfer, which runs first even when the hypothesis fails; both read
+    one splitting of the pair."""
     if not args.exact:
         if args.trunc is None:
             raise UsageError("resonance needs --trunc D or --exact")
@@ -357,10 +359,13 @@ def cmd_resonance(args) -> tuple[str, dict, int]:
     obj = _load_structure(args.file)
     source = _transfer_source(obj, args.file)
     pair, reached = obj, None
-    rep = subtorus_hypothesis_check(obj if source is None else _cohomology_shell(source))
-    if source is not None:
+    if source is None:
+        rep = subtorus_hypothesis_check(obj)
+    else:
+        splitting = pair_splitting(source)
+        rep = subtorus_hypothesis_check(_cohomology_shell(splitting))
         reached = max(args.max_arity, rep.n0 + 1) if rep.certified else args.max_arity
-        pair = transfer_pair(source, reached).pair
+        pair = transfer_pair_along(source, splitting, reached).pair
     if not rep.certified:
         raise UsageError(
             "--exact needs the weight hypothesis; run subtorus-check "

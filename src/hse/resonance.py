@@ -11,25 +11,32 @@ every constant twisted differential (a stored-key sum,
 ``multimap.contract_power``).  The universal complex is a
 ``deformation.TwistedComplex`` over Q[x_1..x_n], built by the same
 columns -> matrices builder and d^2 check; so is the dga-level complex
-(A (x) O, d + a.).  Evaluation at a rational point is kept as an
-independent exact rank oracle: it never goes through the possibly
-truncated matrices and uses no ring arithmetic.  Once per call it reads
-d_a on degrees i-1 and i off the actions' stored keys (for a dga, off the
-tables of d and mu) as polynomial matrices in a's coordinates, takes the
-ideal as the echelon basis of its generators' Q-span (generators that are
-multiples of each other reduced once), and compiles the three into one
-evaluator (``_Evaluator``) with one monomial table.  The sample points are
-drawn as integer numerators n over one common denominator D (``_draws``;
-``sample_points`` is their Fraction view).  Each distinct point is one
-pass in Python ints: every monomial of the table once, as
-n^e * D^(top - |e|), then the two matrices and the span column, each a
-nonzero multiple of its value at n/D that keeps ranks and zero patterns;
-the two ranks by ``linalg.int_rank``.
+(A (x) O, d + a.).  What a structure determines is built on first use and
+kept on it (``_kept``, the structure's ``memo``): a pair's universal
+complex per (trunc, arity cap), certified d^2 = 0 once, with the minors
+its engines memoize, and a dga's H^1 representatives and complex.
+Evaluation at a rational point is kept as an independent exact rank
+oracle: it never goes through the possibly truncated matrices and uses no
+ring arithmetic.  Once per structure and degree i it reads d_a on degrees
+i-1 and i off the actions' stored keys (for a dga, off the tables of d
+and mu) as polynomial matrices in a's coordinates and compiles them into
+one evaluator (``_Evaluator``) with one monomial table (``_Oracle``).  The
+sample points are drawn once per (coordinates, count, seed) as integer
+numerators n over one common denominator D (``_draws``; ``sample_points``
+is their Fraction view).  Each distinct point is one pass in Python ints,
+done once per structure and degree: every monomial of the table once, as
+n^e * D^(top - |e|), then the two matrices, each a nonzero multiple of
+its value at n/D that keeps its rank; the two ranks by ``linalg.int_rank``.
+Each call takes its ideal as the echelon basis of its generators' Q-span
+(generators that are multiples of each other reduced once), evaluates
+that column on its own evaluator at every distinct point, and compares
+its zero pattern with the kept ranks.
 
 Every ideal here is a jump ideal of d^{i-1} (+) d^i and goes through
 ``rings.block_minors``: only minors that take as many rows as columns from
 each differential are evaluated, as products of one minor of each, from
-the engine per differential that the complex's d^2 check compiled.  The
+the engine per differential that the complex's d^2 check compiled, so
+the jump ideals of one structure share sub-minors across calls.  The
 tangent-cone certificate reads the same packed enumeration
 (``rings.block_minor_terms``) and compares the minors as packed ints,
 making ring elements only to word a failure.
@@ -38,10 +45,10 @@ making ring elements only to word a failure.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import comb, factorial, gcd, lcm, prod
 
 from . import linalg
@@ -82,6 +89,15 @@ def _require_minimal(pair: LInfPair) -> None:
         raise ResonanceError("universal complexes need a minimal pair (zero differentials)")
 
 
+def _kept(owner: LInfPair | AInfAlgebra, key, build: Callable[[], object]):
+    """What owner determines under key: built (and certified) on first use,
+    then kept on owner's ``memo``, so it lives and dies with owner."""
+    got = owner.memo.get(key)
+    if got is None:
+        got = owner.memo[key] = build()
+    return got
+
+
 def universal_complex(
     pair: LInfPair,
     trunc: int | None = None,
@@ -94,21 +110,29 @@ def universal_complex(
     weight argument, or the caller asserting the stored arity support is
     complete (exact=True).  Otherwise a truncation degree must be given and
     entries are computed mod degrees > trunc.
+
+    The complex is decided by trunc and the arity cap alone, so it is built
+    and checked (d^2 = 0) once per pair and (trunc, arity cap), then kept on
+    the pair with the minors its engines memoize; it must not be changed.
     """
     _require_minimal(pair)
     if not exact and n0 is None and trunc is None:
         raise ResonanceError("need a truncation degree or an exactness certificate")
-    h1 = [e.label for e in pair.algebra.space.elements if e.deg == 1]
-    varnames = tuple(f"x{j + 1}" for j in range(len(h1)))
-    ring = CoefRing("poly", varnames, trunc=trunc)
-
     arity_cap = max(pair.module.actions, default=1)
     if n0 is not None:
         # n0 counts w-factors, so arities up to n0 + 1 may contribute
         arity_cap = min(arity_cap, n0 + 1)
     if trunc is not None:
         arity_cap = min(arity_cap, trunc + 1)
+    return _kept(pair, ("complex", trunc, arity_cap),
+                 lambda: _build_universal_complex(pair, trunc, arity_cap))
 
+
+def _build_universal_complex(pair: LInfPair, trunc: int | None,
+                             arity_cap: int) -> UniversalComplex:
+    h1 = [e.label for e in pair.algebra.space.elements if e.deg == 1]
+    varnames = tuple(f"x{j + 1}" for j in range(len(h1)))
+    ring = CoefRing("poly", varnames, trunc=trunc)
     w_univ = dict(zip(h1, ring.gens()))
     acc: dict[tuple, dict[str, object]] = {}
     for arity in range(2, arity_cap + 1):
@@ -305,6 +329,27 @@ def _twisted_dim(dim: int, ev: _Evaluator, vals: list[int]) -> int:
     return dim - linalg.int_rank(ev.matrix(0, vals)) - linalg.int_rank(ev.matrix(1, vals))
 
 
+class _Oracle:
+    """The rank oracle of one degree i of a structure: d^{i-1} and d^i (a
+    ``_compile`` result) on one evaluator, and the twisted dimension at
+    each point it was asked for, by (numerators, denominator); dim is dim
+    M^i.  Kept on the structure, so a point is evaluated once however many
+    ideals of degree i are checked there."""
+
+    __slots__ = ("ev", "dim", "dims")
+
+    def __init__(self, differentials: dict[int, tuple[int, int, _Cells]], dim: int):
+        self.ev = _Evaluator(differentials.values())
+        self.dim = dim
+        self.dims: dict[tuple[tuple[int, ...], int], int] = {}
+
+    def twisted_dim(self, nums: tuple[int, ...], den: int) -> int:
+        got = self.dims.get((nums, den))
+        if got is None:
+            got = self.dims[nums, den] = _twisted_dim(self.dim, self.ev, self.ev.values(nums, den))
+        return got
+
+
 def pointwise_twisted_matrices(
     pair: LInfPair, point: dict[str, Fraction]
 ) -> dict[int, list[list[Fraction]]]:
@@ -331,27 +376,33 @@ def twisted_cohomology_dim(pair: LInfPair, point: dict[str, Fraction], i: int) -
 _HALVES = {h: str(Fraction(h, 2)) for h in range(-6, 7)}
 
 
-def _draws(n: int, count: int, seed: int) -> Iterator[tuple[tuple[int, ...], int, list[str]]]:
+_Draw = tuple[tuple[int, ...], int, tuple[str, ...]]
+
+
+@lru_cache(maxsize=64)
+def _draws(n: int, count: int, seed: int) -> tuple[_Draw, ...]:
     """Deterministic small-height rational points in n coordinates, each as
     integer numerators over one common denominator plus the coordinates as
     strings: the origin, then count nonzero points.  Each coordinate is
     Fraction(randint(-3, 3), choice([1, 1, 2])) of random.Random(seed),
     drawn as randrange(7) - 3 and (1, 1, 2)[randrange(3)], the same stream;
-    a point that is all zero is drawn again."""
-    yield (0,) * n, 1, ["0"] * n
+    a point that is all zero is drawn again.  Drawn once per (n, count,
+    seed)."""
+    draws = [((0,) * n, 1, ("0",) * n)]
     if not n:
-        return  # no degree-1 classes: the character space is a point
+        return tuple(draws)  # no degree-1 classes: the character space is a point
     below = random.Random(seed).randrange
     for _ in range(count):
         halves = (0,) * n
         while not any(halves):
             # twice each coordinate: 2 * num / den, with den drawn after num
             halves = tuple([(below(7) - 3) * (2, 2, 1)[below(3)] for _ in range(n)])
-        coords = [_HALVES[h] for h in halves]
+        coords = tuple([_HALVES[h] for h in halves])
         if any(h & 1 for h in halves):
-            yield halves, 2, coords
+            draws.append((halves, 2, coords))
         else:
-            yield tuple([h >> 1 for h in halves]), 1, coords
+            draws.append((tuple([h >> 1 for h in halves]), 1, coords))
+    return tuple(draws)
 
 
 def sample_points(h1: list[str], count: int, seed: int = 0) -> list[dict[str, Fraction]]:
@@ -361,22 +412,21 @@ def sample_points(h1: list[str], count: int, seed: int = 0) -> list[dict[str, Fr
             for nums, den, _ in _draws(len(h1), count, seed)]
 
 
-def _oracle_samples(ideal: Ideal, below: tuple, here: tuple, dim: int, k: int,
+def _oracle_samples(ideal: Ideal, oracle: _Oracle, k: int,
                     labels: list[str], count: int, seed: int) -> list[dict]:
     """At each point of ``_draws`` in the coordinates labels: whether the
     ideal's generators vanish, and the twisted cohomology dimension from the
-    rank oracle's d^{i-1} and d^i (dim is dim M^i).  A sample is in the
-    locus when that dimension is at least k.  The two differentials and the
-    span column share one evaluator, so each distinct point is one pass over
-    its monomial table; a point drawn again is not evaluated again."""
-    ev = _Evaluator((below, here, _span_column(ideal)))
+    rank oracle of the ideal's degree.  A sample is in the locus when that
+    dimension is at least k.  The span column is evaluated once per
+    distinct point, and the oracle keeps each point's dimension."""
+    span = _Evaluator((_span_column(ideal),))
     seen: dict[tuple, tuple[int, bool]] = {}
     samples = []
     for nums, den, coords in _draws(len(labels), count, seed):
         got = seen.get((nums, den))
         if got is None:
-            vals = ev.values(nums, den)
-            got = seen[nums, den] = _twisted_dim(dim, ev, vals), ev.vanishes(2, vals)
+            got = seen[nums, den] = (oracle.twisted_dim(nums, den),
+                                     span.vanishes(0, span.values(nums, den)))
         dim_twisted, vanish = got
         samples.append({
             "point": dict(zip(labels, coords)),
@@ -423,9 +473,9 @@ def resonance_ideal(
     size = pair.module.space.dim(i) - k + 1
     ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
 
-    below, here = _pair_differentials(pair, ucx.variables, (i - 1, i)).values()
-    samples = _oracle_samples(ideal, below, here, pair.module.space.dim(i), k,
-                              ucx.variables, n_samples, seed)
+    oracle = _kept(pair, ("oracle", i), lambda: _Oracle(
+        _pair_differentials(pair, ucx.variables, (i - 1, i)), pair.module.space.dim(i)))
+    samples = _oracle_samples(ideal, oracle, k, ucx.variables, n_samples, seed)
     # a truncated ideal is only compared, not held to the oracle
     consistent = ucx.mode != "exact" or all(
         s["generators_vanish"] == s["in_locus"] for s in samples)
@@ -436,14 +486,15 @@ def _binary_shadow(pair: LInfPair) -> LInfPair:
     """The pair with actions above arity 2 dropped (classical resonance of
     the cohomology algebra); must itself satisfy the module identities.
     Built and certified on first use, then kept on the pair."""
-    if pair.binary_shadow is None:
-        actions = {n: m for n, m in pair.module.actions.items() if n <= 2}
-        module = LInfModule(pair.algebra, pair.module.space, actions)
-        rep = module_check(module, 3)
-        if not rep.ok:
-            raise ResonanceError("binary truncation is not a module structure here")
-        pair.binary_shadow = LInfPair(pair.algebra, module)
-    return pair.binary_shadow
+    return _kept(pair, "binary shadow", lambda: _build_binary_shadow(pair))
+
+
+def _build_binary_shadow(pair: LInfPair) -> LInfPair:
+    actions = {n: m for n, m in pair.module.actions.items() if n <= 2}
+    module = LInfModule(pair.algebra, pair.module.space, actions)
+    if not module_check(module, 3).ok:
+        raise ResonanceError("binary truncation is not a module structure here")
+    return LInfPair(pair.algebra, module)
 
 
 def binary_resonance_ideal(pair: LInfPair, i: int, k: int, **kw) -> ResonanceResult:
@@ -490,8 +541,25 @@ def dga_resonance_ideal(
     entries are affine-linear in the variables and everything is exact.
     Column col is d(col) + sum_j x_j mu(g v_j, col), read off d's table and
     the composite mu o (g (x) id) with g restricted to H^1; the rank oracle
-    reads mu's keys on its own.
+    reads mu's keys on its own.  The H^1 representatives, the complex and
+    each degree's oracle are built once and kept on alg; the result shares
+    the first two, which must not be changed.
     """
+    reps, ucx = _kept(alg, "dga complex", lambda: _dga_complex(alg))
+    space = alg.space
+    size = space.dim(i) - k + 1
+    ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
+    oracle = _kept(alg, ("oracle", i), lambda: _Oracle(
+        _dga_differentials(alg, list(reps.values()), (i - 1, i)), space.dim(i)))
+    samples = _oracle_samples(ideal, oracle, k, ucx.variables, n_samples, seed)
+    if any(s["generators_vanish"] != s["in_locus"] for s in samples):
+        raise ResonanceError("dga resonance ideal disagrees with the rank oracle")
+    return DgaResonance(ideal, ucx.matrices, reps, i, k, size, samples)
+
+
+def _dga_complex(alg: AInfAlgebra) -> tuple[dict[str, dict[str, Fraction]], UniversalComplex]:
+    """The H^1 representatives of a finite connected dga, by label, and its
+    universal complex, checked (d^2 = 0)."""
     if set(alg.products) - {1, 2}:
         raise ResonanceError("dga-level resonance expects an honest dga (nu_1, nu_2 only)")
     space = alg.space
@@ -525,15 +593,7 @@ def dga_resonance_ideal(
                 entries[lab] = entries.get(lab, ring.zero) + xj * c
     ucx = UniversalComplex.from_columns(columns, space, ring, h1_labels, "exact", 2)
     ucx.validate_square_zero()
-
-    size = space.dim(i) - k + 1
-    ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
-    below, here = _dga_differentials(alg, list(h1_reps.values()), (i - 1, i)).values()
-    samples = _oracle_samples(ideal, below, here, space.dim(i), k,
-                              h1_labels, n_samples, seed)
-    if any(s["generators_vanish"] != s["in_locus"] for s in samples):
-        raise ResonanceError("dga resonance ideal disagrees with the rank oracle")
-    return DgaResonance(ideal, ucx.matrices, h1_reps, i, k, size, samples)
+    return h1_reps, ucx
 
 
 # ---------------------------------------------------------------------------

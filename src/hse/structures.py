@@ -103,6 +103,10 @@ class AInfAlgebra:
                 raise StructureError(f"product nu_{n} has arity {m.arity}, shift {m.shift}")
             if m.symmetry != "none":
                 raise StructureError("A-infinity products carry no symmetry flag")
+        # what dga resonance reads off the algebra (``resonance._kept``):
+        # its H^1 representatives and dga complex, and per degree the rank
+        # oracle, built on first use and kept
+        self.memo: dict = {}
 
     def max_arity(self) -> int:
         return max(self.products, default=0)
@@ -158,9 +162,11 @@ class LInfModule:
 class LInfPair:
     algebra: LInfAlgebra
     module: LInfModule
-    # the pair with the actions above arity 2 dropped, built and certified
-    # once, on the first binary resonance ideal or tangent cone of the pair
-    binary_shadow: LInfPair | None = field(default=None, init=False, repr=False, compare=False)
+    # what the pair determines for resonance (``resonance._kept``), built
+    # and certified on first use and kept: the binary shadow, the universal
+    # complex per (trunc, arity cap) with its minor memos, and per degree
+    # the rank oracle with the twisted dimension of each point drawn
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.module.algebra is not self.algebra:

@@ -484,17 +484,32 @@ def transfer_pair(pair: LInfPair, max_arity: int, use_weights: bool | None = Non
     """Minimal L-infinity pair on cohomology via the L (+) M route.
 
     The splitting is performed blockwise (the pair differential is block
-    diagonal), the combined algebra is transferred through
-    ``transfer_linf``, and the module structure maps are read back off the
-    transferred algebra.  The one Jacobi pass of the transferred L (+) M
-    certifies the output; ``structures.split_pair_report`` splits it into
-    the Jacobi report of L and the module report of M.  That L (+) M stays
-    on the output pair's module: ``pair_to_algebra`` returns it, not a copy.
+    diagonal, ``pair_splitting``), the combined algebra is transferred
+    through ``transfer_linf``, and the module structure maps are read back
+    off the transferred algebra.  The one Jacobi pass of the transferred
+    L (+) M certifies the output; ``structures.split_pair_report`` splits
+    it into the Jacobi report of L and the module report of M.  That
+    L (+) M stays on the output pair's module: ``pair_to_algebra`` returns
+    it, not a copy.
     """
-    diag_a = cohomology_splitting(pair.algebra.space, pair.algebra.brackets.get(1),
-                                  use_weights, label_prefix="a.")
-    diag_m = cohomology_splitting(pair.module.space, pair.module.actions.get(1),
-                                  use_weights, label_prefix="m.")
+    return transfer_pair_along(pair, pair_splitting(pair, use_weights), max_arity)
+
+
+def pair_splitting(pair: LInfPair,
+                   use_weights: bool | None = None) -> tuple[TransferDiagram, TransferDiagram]:
+    """The splittings of the pair's algebra (labels a.*) and module (m.*)
+    that ``transfer_pair`` transfers along; their small sides are the
+    cohomology spaces of the transferred pair."""
+    return (cohomology_splitting(pair.algebra.space, pair.algebra.brackets.get(1),
+                                 use_weights, label_prefix="a."),
+            cohomology_splitting(pair.module.space, pair.module.actions.get(1),
+                                 use_weights, label_prefix="m."))
+
+
+def transfer_pair_along(pair: LInfPair, splitting: tuple[TransferDiagram, TransferDiagram],
+                        max_arity: int) -> PairTransfer:
+    """``transfer_pair`` along splitting, the pair's ``pair_splitting``."""
+    diag_a, diag_m = splitting
     diagram = _direct_sum_diagrams(diag_a, diag_m)
     diagram.validate()
 

@@ -16,6 +16,7 @@ import os
 import random
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -476,19 +477,24 @@ def test_tangent_cone_matches_the_all_pairs_loop():
 
 def test_tangent_cone_failures_match_the_all_pairs_loop(monkeypatch):
     """A linear term added to the truncated complex breaks the certificate;
-    both loops report the same failures in the same order."""
+    both loops report the same failures in the same order.  The complex is
+    kept on the pair, so each call perturbs a copy of it: the same
+    perturbation every time, compiled afresh."""
     build = resonance.universal_complex
 
     def perturbed(pair, trunc=None, **kw):
         ucx = build(pair, trunc=trunc, **kw)
-        if ucx.mode == "truncated":
-            for mat in ucx.matrices.values():
-                for r, row in enumerate(mat.data):
-                    for c in range(len(row)):
-                        if (r + c) % 2 == 0:
-                            mat.set(r, c, row[c] + ucx.ring.gen((r + c) % ucx.ring.nvars))
-            ucx.engines.clear()  # the d^2 check compiled the matrices before
-        return ucx
+        if ucx.mode != "truncated":
+            return ucx
+        matrices = {}
+        for j, mat in ucx.matrices.items():
+            data = [list(row) for row in mat.data]
+            for r, row in enumerate(data):
+                for c in range(len(row)):
+                    if (r + c) % 2 == 0:
+                        row[c] = row[c] + ucx.ring.gen((r + c) % ucx.ring.nvars)
+            matrices[j] = RingMatrix(ucx.ring, mat.rows, mat.cols, data)
+        return replace(ucx, matrices=matrices)
 
     monkeypatch.setattr(resonance, "universal_complex", perturbed)
     failed = 0

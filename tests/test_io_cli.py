@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hse import cli, structures
+from hse import cli, structures, transfer
 from hse.cli import build_parser, main
 from hse.fixtures import Cdga, cdga_pair, heisenberg_cdga
 from hse.io_json import (
@@ -22,7 +22,7 @@ from hse.io_json import (
     parse_structure,
 )
 from hse.structures import AInfAlgebra, LInfPair
-from hse.transfer import transfer_pair
+from hse.transfer import cohomology_splitting, transfer_pair_along
 from test_deformation import NOT_SQUARE_ZERO, line_pair
 from test_structures import h3_times_h3
 
@@ -527,25 +527,35 @@ def test_cli_transfer_linf_package(tmp_path):
 def test_cli_exact_resonance_transfers_to_n0_plus_one(tmp_path, monkeypatch, capsys):
     # n0 reads only the cohomology spaces, so the one transfer goes straight
     # to max(--max-arity, n0 + 1); an input failing both the transfer and the
-    # weight hypothesis still exits 1 from the transfer
-    arities = []
+    # weight hypothesis still exits 1 from the transfer.  n0 and the transfer
+    # read one splitting: each cohomology (algebra, module) is split once
+    arities, splits = [], []
 
-    def counting(pair, max_arity, *rest):
+    def counting(pair, splitting, max_arity):
         arities.append(max_arity)
-        return transfer_pair(pair, max_arity, *rest)
+        return transfer_pair_along(pair, splitting, max_arity)
 
-    monkeypatch.setattr(cli, "transfer_pair", counting)
+    def splitting(space, *rest, **kw):
+        splits.append(space)
+        return cohomology_splitting(space, *rest, **kw)
+
+    monkeypatch.setattr(cli, "transfer_pair_along", counting)
+    monkeypatch.setattr(transfer, "cohomology_splitting", splitting)
     fx = ROOT / "fixtures" / "heisenberg-pair-weighted.json"
     for argv, reached in (((), 9), (("--max-arity", "3"), 9), (("--max-arity", "11"), 11)):
         arities.clear()
+        splits.clear()
         rep = run_cli(tmp_path, "resonance", str(fx), "--i", "1", "--k", "1", "--exact", *argv)
         assert rep["status"] == "pass"
         assert (rep["payload"]["n0"], rep["payload"]["arity_reached"]) == (8, reached)
         assert arities == [reached]
+        assert len(splits) == 2
     arities.clear()
+    splits.clear()
     fx = ROOT / "tests" / "golden" / "perturbed-heisenberg-pair.json"
     assert main(["resonance", str(fx), "--i", "1", "--k", "1", "--exact"]) == 1
     assert arities == [5]
+    assert len(splits) == 2
     assert capsys.readouterr().err.startswith("check error: input fails Jacobi: arity 3 at ")
 
 

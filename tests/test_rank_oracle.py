@@ -1,19 +1,20 @@
 """The sampled rank oracle of ``resonance_ideal`` and ``dga_resonance_ideal``
 against the per-point loop it replaced.
 
-The oracle reads d_a on degrees i-1 and i, and the echelon basis of the
-ideal's Q-span, once per call; at each distinct sample point it evaluates
-them in integers.  The reference below is the old loop: at every point the
-twisted matrices from the stored-key sum ``contract_power`` (or the dga's
-ring matrices evaluated entry by entry), their rank over the rationals,
-and every generator evaluated.  The sample records must be equal.  The dga
-oracle's matrices, compiled from the product tables, must also equal the
-universal complex's entry by entry.  The points are drawn as integers
+The oracle reads d_a on degrees i-1 and i once per structure and degree,
+and the echelon basis of the ideal's Q-span once per call; at each
+distinct sample point it evaluates them in integers.  The reference below
+is the old loop: at every point the twisted matrices from the stored-key
+sum ``contract_power`` (or the dga's ring matrices evaluated entry by
+entry), their rank over the rationals, and every generator evaluated.
+The sample records must be equal.  The dga oracle's matrices, compiled
+from the product tables, must also equal the universal complex's entry
+by entry.  The points are drawn as integers
 (``_draws``) and ``sample_points`` is their Fraction view; both must give
 the points of the old Fraction loop.
 
-The oracle evaluates d^{i-1}, d^i and the span column on one
-``_Evaluator``, one monomial table for all three; ``IntMatrix``, the
+The oracle evaluates d^{i-1} and d^i on one ``_Evaluator``, one monomial
+table for both, and the span column on its own; ``IntMatrix``, the
 evaluator it had for each matrix alone, is the reference for
 ``_Evaluator.matrix`` and ``vanishes``.
 """
@@ -323,26 +324,36 @@ def test_integer_draws_are_the_fraction_points(n):
         assert len(draws) == len(want)
         for (nums, den, coords), pt in zip(draws, want):
             assert (list(nums), den) == _split(pt.values())
-            assert coords == [str(c) for c in pt.values()]
+            assert coords == tuple(str(c) for c in pt.values())
 
 
 def test_each_distinct_point_is_evaluated_once(monkeypatch):
-    """h^1 = 2 repeats points among 101 draws; the oracle evaluates each
-    distinct one once, one pass over the monomial table its differentials
-    and span column share, and still returns every sample."""
-    evaluated = []
+    """h^1 = 2 repeats points among 101 draws.  The oracle of degree i is
+    kept on the pair, so across the k grid at one i the ranks at each
+    distinct point are computed once, on the first call; each call still
+    evaluates its own span column once per distinct point and returns
+    every sample."""
+    ranked, spanned = [], []
     real = _Evaluator.values
 
     def counting(self, nums, den):
-        evaluated.append((nums, den))
+        # the oracle's evaluator holds d^{i-1} and d^i, a span column's one
+        (ranked if len(self.shapes) == 2 else spanned).append((nums, den))
         return real(self, nums, den)
 
     monkeypatch.setattr(_Evaluator, "values", counting)
-    pair = minimal_pair("heisenberg-pair")
-    res = resonance_ideal(pair, 1, 1, exact=True, seed=5)
+    kept = minimal_pair("heisenberg-pair")
+    pair = LInfPair(kept.algebra, kept.module)  # nothing kept on it yet
     distinct = {(nums, den) for nums, den, _ in _draws(2, 100, 5)}
-    assert len(res.samples) == 101
-    assert sorted(evaluated) == sorted(distinct) and len(distinct) < 101
+    assert len(distinct) < 101
+    dim = pair.module.space.dim(1)
+    assert dim > 1
+    for k in range(1, dim + 1):
+        spanned.clear()
+        res = resonance_ideal(pair, 1, k, exact=True, seed=5)
+        assert len(res.samples) == 101
+        assert sorted(spanned) == sorted(distinct), k
+    assert sorted(ranked) == sorted(distinct)
 
 
 # ---------------------------------------------------------------------------
