@@ -33,7 +33,7 @@ from .rings import (
     composite_vanishes,
     degree_bound,
 )
-from .structures import LInfAlgebra, LInfModule, LInfPair, pair_to_algebra
+from .structures import LInfAlgebra, LInfPair, pair_to_algebra
 
 
 class DeformationError(ValueError):
@@ -192,14 +192,6 @@ class TwistedComplex:
         """J^i_k = I_{dim M^i - k + 1} of d^{i-1} (+) d^i, from the minors of
         the two differentials."""
         return block_minors(self.engine(i - 1), self.engine(i), self.space.dim(i) - k + 1)
-
-
-def twisted_differential(
-    module: LInfModule, ring: CoefRing, omega: dict[str, RElem]
-) -> TwistedComplex:
-    """d_w(xi) = sum_n (1/n!) m_{n+1}(w^n, xi) as matrices per degree."""
-    return TwistedComplex.from_columns(
-        _twist_terms(module.actions, ring, omega, 1), module.space, ring)
 
 
 def twist_module(pair: LInfPair, ring: CoefRing,

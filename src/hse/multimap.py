@@ -287,11 +287,12 @@ def morphism_terms(plans: dict[int, list], target: dict[int, MultiMap], space: G
     the component set (arity -> map) that fills it, or None for identity.
     A component of odd shift in slot t flips the sign past the odd inputs
     before it and, in epsilon, when k-1-t is odd.  A morphism's f_r has
-    shift 1 - r, a transfer's -h p_r on L too, and on sA every map but
-    -h Q_r has shift 0.  An identity slot passes K[t] with no sign, so each
-    run of them joins the inputs before the next component slot (a trailing
-    run follows the last one), a term lands from its last component slot,
-    and a plan of identities alone lands K itself.
+    shift 1 - r, as have a transfer's -h p_r and (psi phi)_r, and the
+    A-infinity transfer's -h Q_r has shift -r; all of them act on A or L
+    itself.  An identity slot passes K[t] with no sign, so each run of them
+    joins the inputs before the next component slot (a trailing run follows
+    the last one), a term lands from its last component slot, and a plan of
+    identities alone lands K itself.
     """
     odd_deg = {e.label: e.deg & 1 for e in space.elements}
     res = {} if res is None else res

@@ -19,8 +19,9 @@ Evaluation at a rational point is kept as an independent exact rank
 oracle: it never goes through the possibly truncated matrices and uses no
 ring arithmetic.  Once per structure and degree i it reads d_a on degrees
 i-1 and i off the actions' stored keys (for a dga, off the tables of d
-and mu) as polynomial matrices in a's coordinates and compiles them into
-one evaluator (``_Evaluator``) with one monomial table (``_Oracle``).  The
+and mu, and requires them to equal the kept complex's matrices) as
+polynomial matrices in a's coordinates and compiles them into one
+evaluator (``_Evaluator``) with one monomial table (``_Oracle``).  The
 sample points are drawn once per (coordinates, count, seed) as integer
 numerators n over one common denominator D (``_draws``; ``sample_points``
 is their Fraction view).  Each distinct point is one pass in Python ints,
@@ -541,20 +542,36 @@ def dga_resonance_ideal(
     entries are affine-linear in the variables and everything is exact.
     Column col is d(col) + sum_j x_j mu(g v_j, col), read off d's table and
     the composite mu o (g (x) id) with g restricted to H^1; the rank oracle
-    reads mu's keys on its own.  The H^1 representatives, the complex and
+    reads mu's keys on its own, and its matrices must equal the complex's
+    when it is built.  The H^1 representatives, the complex and
     each degree's oracle are built once and kept on alg; the result shares
     the first two, which must not be changed.
     """
     reps, ucx = _kept(alg, "dga complex", lambda: _dga_complex(alg))
-    space = alg.space
-    size = space.dim(i) - k + 1
+    size = alg.space.dim(i) - k + 1
     ideal = block_minors(ucx.engine(i - 1), ucx.engine(i), size)
-    oracle = _kept(alg, ("oracle", i), lambda: _Oracle(
-        _dga_differentials(alg, list(reps.values()), (i - 1, i)), space.dim(i)))
+    oracle = _kept(alg, ("oracle", i), lambda: _dga_oracle(alg, reps, ucx, i))
     samples = _oracle_samples(ideal, oracle, k, ucx.variables, n_samples, seed)
     if any(s["generators_vanish"] != s["in_locus"] for s in samples):
         raise ResonanceError("dga resonance ideal disagrees with the rank oracle")
     return DgaResonance(ideal, ucx.matrices, reps, i, k, size, samples)
+
+
+def _dga_oracle(alg: AInfAlgebra, reps: dict[str, dict[str, Fraction]],
+                ucx: UniversalComplex, i: int) -> _Oracle:
+    """The rank oracle of degree i of a dga.  It reads d and mu on its own,
+    and its d^{i-1} and d^i must equal the complex's, entry by entry as
+    {monomial: coefficient}: the sampled loci alone cannot tell the complex
+    from one whose mu term is rescaled."""
+    differentials = _dga_differentials(alg, list(reps.values()), (i - 1, i))
+    for j, (_, _, cells) in differentials.items():
+        got = {rc: nonzero for rc, terms in cells.items()
+               if (nonzero := {m: c for m, c in terms.items() if c})}
+        want = {(r, c): v.terms for r, row in enumerate(ucx.matrix(j).data)
+                for c, v in enumerate(row) if v}
+        if got != want:
+            raise ResonanceError(f"dga complex disagrees with the rank oracle's d^{j}")
+    return _Oracle(differentials, alg.space.dim(i))
 
 
 def _dga_complex(alg: AInfAlgebra) -> tuple[dict[str, dict[str, Fraction]], UniversalComplex]:

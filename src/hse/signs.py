@@ -4,14 +4,15 @@ A permutation is a tuple ``sigma`` of length n over 0..n-1; applying it to a
 tuple T yields ``(T[sigma[0]], ..., T[sigma[n-1]])``, matching the classical
 notation (a_{sigma(1)}, ..., a_{sigma(n)}).
 
-Three signs coexist on purpose.  ``koszul_sign`` is the pure Koszul
+Two signs coexist on purpose.  ``koszul_sign`` is the pure Koszul
 product: each inverted pair of entries of degrees d, e contributes
 (-1)^(d*e), as any sort swaps each inverted pair exactly once.
 ``antisym_sign`` multiplies in the ordinary signature; that is
 the sign under which the commutator bracket of a graded-commutative algebra
 antisymmetrizes to zero, and it is the convention used by every
-antisymmetric structure map in this package.  ``suspension_sign`` reads a
-map on A as one on its suspension sA and back, for the homotopy transfer.
+antisymmetric structure map in this package.  No map is read on a
+suspension: the homotopy transfer runs on A and L themselves, with the
+signs of ``multimap.morphism_terms``.
 """
 
 from __future__ import annotations
@@ -115,13 +116,6 @@ def block_permutations(
 @lru_cache(maxsize=None)
 def all_permutations(n: int) -> tuple[Permutation, ...]:
     return tuple(permutations(range(n)))
-
-
-def suspension_sign(degrees: tuple[int, ...]) -> int:
-    """(-1)^(sum_i (n-i)|x_i|) for degrees |x_1..x_n| in A: the entries of a
-    map on A and of its suspension on sA share keys and differ by this sign
-    (s^(x n) crossing the inputs); n - i is odd at i = n-1, n-3, ..."""
-    return -1 if sum(degrees[-2::-2]) & 1 else 1
 
 
 def sort_with_sign(labels: tuple[str, ...], degrees: tuple[int, ...], order_index) -> tuple[tuple[str, ...], int]:

@@ -227,11 +227,12 @@ class InfMorphism:
 # unshuffles.
 #
 # That walk lives in ``multimap`` and takes its component sets per slot, so
-# every kernel of both transfers is one call of it: p_n is the walk over the
-# brackets (on sA the b_k) with the components g and -h p_r, and l_n = f p_n
-# is read off it with no second walk.  On sA (psi phi)_n is the walk over g
-# and the -h P_k with the components f Q_r, and Q_n the walk over the b_k
-# with (psi phi) before a spine slot, -h Q at it and identities after it.
+# every kernel of both transfers is one call of it, on the source itself
+# with this section's signs: p_n is the walk over the brackets or products
+# with the components g and -h p_r, and l_n or nu_n = f p_n is read off it
+# with no second walk.  (psi phi)_n is the walk over g and the -h p_k with
+# the components f Q_r, and Q_n the walk over the products with (psi phi)
+# before a spine slot, -h Q at it and identities after it.
 
 def _residuals(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
                target: dict[int, MultiMap] | None, space: GradedSpace,

@@ -1,38 +1,38 @@
-"""Homotopy transfer: deterministic cohomology splittings, the memoized
-p-/q-kernel recursion for A-infinity structures, the tree sum for
-L-infinity structures, pair transfer through the L (+) M algebra, a check
-that a diagram splits its source's complex, and the weight-based
-vanishing bound.
+"""Homotopy transfer: deterministic cohomology splittings, one memoized
+tree-sum kernel for A-infinity and L-infinity structures with the
+A-infinity q-kernels on top of it, pair transfer through the L (+) M
+algebra, a check that a diagram splits its source's complex, and the
+weight-based vanishing bound.
 
 Every leaf of a transfer tree is a g-image and its root is f
-(Loday-Vallette, Algebraic Operads, 10.3), so both p-kernels are keyed by
-small tuples: P_n(S) is the tree sum at gS, with HP_1 = g and HP_r = -h P_r
-as the components below the root.  That sum is the right-hand side of a
-morphism identity, so each kernel is one ``multimap.morphism_terms`` walk
-over the stored keys, with that walk's signs and no sign rule of its own.
+(Loday-Vallette, Algebraic Operads, 10.3), so the p-kernels of both
+transfers are keyed by small tuples: p_n(S) is the tree sum at gS, with
+hp_1 = g and hp_r = -h p_r as the components below the root.  That sum is
+the right-hand side of a morphism identity, so ``KernelCache`` builds each
+p_n as one ``multimap.morphism_terms`` walk over the stored keys of the
+structure maps, on A for products and on L for brackets, with the signs
+the checkers use (Markl's tree formulas) and no sign rule of its own:
 
-The A-infinity kernels run on the suspensions sA and sH (Markl;
-Loday-Vallette 10.3), where b_k = suspend(mu_k) has degree 1,
-``signs.suspension_sign`` converts a table entrywise in either direction
-and every component has shift 0, so the walks take no sign:
+    p_n = sum over the cuts of n inputs into k >= 2 blocks of
+          m_k(hp_{r_1} x ... x hp_{r_k}),
 
-    P_n = sum over compositions (r_1..r_k) of n, k >= 2, of
-          b_k(HP_{r_1} x ... x HP_{r_k}),
-    Q_n = sum over k, i and compositions (r_1..r_i) of n - (k - i) of
-          b_k(PF_{r_1} x ... x PF_{r_{i-1}} x (-h) Q_{r_i} x id^(k-i)),  Q_1 = id,
+consecutive blocks for an A-infinity mu_k, unordered ones for an
+L-infinity l_k.  The transferred structure is m'_n = f p_n, and hp is the
+quasi-isomorphism psi from it back to the source.  ``AInfKernelCache``
+adds, on A, the other half of the A-infinity transfer:
 
-with (psi phi)_n = PF_n = g f Q_n + sum over k >= 2 of HP_k(f Q_{r_1} x ...
-x f Q_{r_k}), the walk over HP_1..HP_n with the components f Q_r.  Q_n is
-one walk over the b_k too, with a plan per spine slot t: PF in the slots
-before t, -h Q at t and identities after it.  Its one sign is the Koszul
-crossing of the odd -h Q_r, so the plan scale (-1)^(k-1-t) cancels the
-walk's epsilon.  Each output is one table read off a kernel: nu_n = f P_n,
-psi_n = HP_n, phi_n = f Q_n and H_n = -h Q_n.
+    Q_n = sum over k, t and compositions (r_0..r_t) of n - (k - 1 - t) of
+          (-1)^t mu_k(PF_{r_0} x ... x PF_{r_{t-1}} x (-h) Q_{r_t} x id^(k-1-t)),
+          Q_1 = id,
 
-The L-infinity p_n sums trees (Kadeishvili) whose root is a bracket l_k and
-whose other vertices are g and earlier -h p_r, over block partitions, and
-l_n = f p_n.  Jacobi certifies every output, and a failing one is never
-returned.
+with PF_n = (-1)^(n-1) (psi phi)_n and (psi phi)_n = sum over k of
+hp_k(f Q_{r_1} x ... x f Q_{r_k}), the walk over hp with the components
+f Q_r.  Q_n is one walk over the mu_k too, with a plan per spine slot t:
+PF in the slots before t, -h Q at t and identities after it, and the
+(-1)^t as its plan scale, on top of the walk's own signs.  Each output
+is one table read off a kernel: nu_n = f p_n, psi_n = hp_n, phi_n = f Q_n
+and H_n = -h Q_n.  Jacobi certifies every L-infinity output, and a failing
+one is never returned.
 
 The splitting walks its (degree, weight) blocks once: a block takes its
 boundaries from the co-exact part of the block one degree below.  Each
@@ -44,7 +44,7 @@ R gives there; no matrix is inverted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -58,7 +58,6 @@ from .multimap import (
     postcompose,
     uniform_plan,
 )
-from .signs import suspension_sign
 from .structures import (
     AInfAlgebra,
     CheckReport,
@@ -262,71 +261,79 @@ def arity_vacuity_bound(space: GradedSpace, max_probe: int = 16) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# A-infinity transfer
-
-def _suspend(mm: MultiMap, space_in: GradedSpace, space_out: GradedSpace, shift: int,
-             base: GradedSpace, scale=1) -> MultiMap:
-    """scale * mm across the suspension, either way: the same keys on (space_in,
-    space_out), each entry times ``suspension_sign`` of its degrees in base (on A)."""
-    out = MultiMap(space_in, space_out, mm.arity, shift)
-    for key, row in mm.table.items():
-        sign = scale * suspension_sign(tuple(base.deg(l) for l in key))
-        for lab, c in row.items():
-            out.add(key, lab, sign * c)
-    return out
-
-
-def _suspended(space: GradedSpace) -> GradedSpace:
-    return GradedSpace([replace(e, deg=e.deg - 1) for e in space])
-
+# transfer kernels
 
 class KernelCache:
-    """Arity-keyed memo tables on sA (``space``: the degrees of A minus one)
-    and sH (``small``) of b_k, P_n on sH (``p``), HP_n = -h P_n (``hp``, with
-    HP_1 = g), Q_n (``q``), -h Q_n (``hq``), f Q_n (``fq``) and (psi phi)_n
-    (``psiphi``)."""
+    """Arity-keyed p-kernels of a transfer, keyed by tuples of the small
+    side with values on the big one, and their -h p_n (``hp``, with
+    hp_1 = g), for the structure maps of arity >= 2 of an A-infinity
+    algebra (``antisym`` False) or an L-infinity one (True).
 
-    def __init__(self, diagram: TransferDiagram, mu: dict[int, MultiMap]):
+    p_n(S) sums, over the cuts of S into k >= 2 blocks, m_k on the block
+    values, where a one-input block {s} is g s and a larger block B is
+    -h p_|B| (S[B]): one ``multimap.morphism_terms`` walk of the
+    ``uniform_plan`` of hp, with the checkers' signs and weights.
+    """
+
+    def __init__(self, diagram: TransferDiagram, maps: dict[int, MultiMap], antisym: bool):
         self.diagram = diagram
-        big = diagram.big
-        self.space = space = _suspended(big)
-        self.small = small = _suspended(diagram.small)
-        self.b = {k: _suspend(m, space, space, 1, big) for k, m in mu.items() if k >= 2}
-        g = _suspend(diagram.g, small, space, 0, diagram.small)
-        f = _suspend(diagram.f, space, small, 0, big)
+        self.maps = {k: m for k, m in maps.items() if k >= 2}
+        self.antisym = antisym
         self.p: dict[int, MultiMap] = {}
-        self.hp: dict[int, MultiMap] = {1: g}
-        self.q: dict[int, MultiMap] = {1: identity_map(space)}
-        self.hq: dict[int, MultiMap] = {1: _suspend(diagram.h, space, space, -1, big, -1)}
-        self.fq: dict[int, MultiMap] = {1: f}
-        self.psiphi: dict[int, MultiMap] = {1: postcompose(g, f)}
+        self.hp: dict[int, MultiMap] = {1: diagram.g}
 
     def ensure(self, n: int) -> None:
         for m in range(2, n + 1):
             if m not in self.p:
                 self._build(m)
 
+    def _outers(self, n: int) -> dict[int, MultiMap]:
+        return {k: m for k, m in self.maps.items() if k <= n}
+
     def _build(self, n: int) -> None:
-        space, small, minus_h = self.space, self.small, self.hq[1]
-        outers = {k: self.b[k] for k in range(2, n + 1) if k in self.b}
-        p_n = add_rows(MultiMap(small, space, n, 1),
-                       morphism_terms(uniform_plan(self.hp, outers), outers, small, False, n,
-                                      exact=True))
+        small, big = self.diagram.small, self.diagram.big
+        outers = self._outers(n)
+        p_n = add_rows(MultiMap(small, big, n, 2 - n, "antisym" if self.antisym else "none"),
+                       morphism_terms(uniform_plan(self.hp, outers), outers, small, self.antisym,
+                                      n, exact=True))
         self.p[n] = p_n
-        self.hp[n] = postcompose(minus_h, p_n)
+        self.hp[n] = postcompose(self.diagram.h, p_n, scale=-1)
 
-        # spine t of b_k: (psi phi) before it, -h Q at it, id after it
+
+class AInfKernelCache(KernelCache):
+    """The A-infinity kernels on A: p_n and hp_n, and Q_n (``q``), -h Q_n
+    (``hq``, with hq_1 = -h), f Q_n (``fq``) and PF_n = (-1)^(n-1)
+    (psi phi)_n (``psiphi``), each one walk (the module docstring); PF_n
+    takes its sign through the walk's scale."""
+
+    def __init__(self, diagram: TransferDiagram, products: dict[int, MultiMap]):
+        super().__init__(diagram, products, False)
+        big = diagram.big
+        self.q: dict[int, MultiMap] = {1: identity_map(big)}
+        self.hq: dict[int, MultiMap] = {1: postcompose(diagram.h, self.q[1], scale=-1)}
+        self.fq: dict[int, MultiMap] = {1: diagram.f}
+        self.psiphi: dict[int, MultiMap] = {1: postcompose(diagram.g, diagram.f)}
+
+    def _build(self, n: int) -> None:
+        super()._build(n)
+        big, f, h = self.diagram.big, self.diagram.f, self.diagram.h
+        outers = self._outers(n)
+        # spine t of mu_k: (psi phi) before it, -h Q at it, id after it
         spines = {k: [((self.psiphi,) * t + (self.hq,) + (None,) * (k - 1 - t),
-                       -1 if (k - 1 - t) & 1 else 1) for t in range(k)] for k in outers}
-        q_n = add_rows(MultiMap(space, space, n, 0),
-                       morphism_terms(spines, outers, space, False, n, exact=True))
+                       -1 if t & 1 else 1) for t in range(k)] for k in outers}
+        q_n = add_rows(MultiMap(big, big, n, 1 - n),
+                       morphism_terms(spines, outers, big, False, n, exact=True))
         self.q[n] = q_n
-        self.hq[n] = postcompose(minus_h, q_n)
-        self.fq[n] = postcompose(self.fq[1], q_n)
-        self.psiphi[n] = add_rows(MultiMap(space, space, n, 0),
-                                  morphism_terms(uniform_plan(self.fq, self.hp), self.hp, space,
-                                                 False, n, exact=True))
+        self.hq[n] = postcompose(h, q_n, scale=-1)
+        self.fq[n] = postcompose(f, q_n)
+        self.psiphi[n] = add_rows(MultiMap(big, big, n, 1 - n),
+                                  morphism_terms(uniform_plan(self.fq, self.hp), self.hp, big,
+                                                 False, n, exact=True,
+                                                 scale=-1 if (n - 1) & 1 else 1))
 
+
+# ---------------------------------------------------------------------------
+# A-infinity transfer
 
 @dataclass
 class AInfTransfer:
@@ -335,7 +342,7 @@ class AInfTransfer:
     psi: InfMorphism
     homotopy: dict[int, MultiMap]
     diagram: TransferDiagram
-    cache: KernelCache
+    cache: AInfKernelCache
     metadata: dict
 
 
@@ -344,30 +351,25 @@ def transfer_ainf(
 ) -> AInfTransfer:
     """Push an A-infinity structure across a transfer diagram.
 
-    Produces, each read back from one table on sA and sH, the small-side
-    products nu_n = suspend(f P_n), the morphisms phi_n = suspend(f Q_n) (big
-    to small, first component f) and psi_n = suspend(-h P_n) (small to big,
-    first component g), and the homotopy components H_n = suspend(-h Q_n).
+    Produces, each one table of ``AInfKernelCache``, the small-side products
+    nu_n = f p_n, the morphisms phi_n = f Q_n (big to small, first
+    component f) and psi_n = -h p_n (small to big, first component g), and
+    the homotopy components H_n = -h Q_n.
     """
     _require_source(diagram, source.space, source.products.get(1))
-    cache = KernelCache(diagram, source.products)
+    cache = AInfKernelCache(diagram, source.products)
     cache.ensure(max_arity)
 
-    big, small = diagram.big, diagram.small
     products: dict[int, MultiMap] = {}
-    psi_comps: dict[int, MultiMap] = {1: diagram.g}
-    phi_comps: dict[int, MultiMap] = {1: diagram.f}
     homotopy: dict[int, MultiMap] = {1: diagram.h}
     for n in range(2, max_arity + 1):
-        products[n] = _suspend(postcompose(cache.fq[1], cache.p[n]), small, small, 2 - n, small)
-        psi_comps[n] = _suspend(cache.hp[n], small, big, 1 - n, small)
-        phi_comps[n] = _suspend(cache.fq[n], big, small, 1 - n, big)
+        products[n] = postcompose(diagram.f, cache.p[n])
         if not cache.hq[n].is_zero():
-            homotopy[n] = _suspend(cache.hq[n], big, big, -n, big)
+            homotopy[n] = cache.hq[n]
 
     small_alg = AInfAlgebra(diagram.small, products)
-    phi = InfMorphism("ainf", source, small_alg, phi_comps)
-    psi = InfMorphism("ainf", small_alg, source, psi_comps)
+    phi = InfMorphism("ainf", source, small_alg, cache.fq)
+    psi = InfMorphism("ainf", small_alg, source, cache.hp)
     meta = {
         "max_arity": max_arity,
         "arity_bound": arity_vacuity_bound(diagram.small),
@@ -380,45 +382,11 @@ def transfer_ainf(
 # ---------------------------------------------------------------------------
 # L-infinity transfer
 
-class LInfKernelCache:
-    """Arity-keyed p-kernels of the L-infinity transfer, keyed by tuples of
-    the small side with values on L, and their -h p_n (``hp``, with
-    hp_1 = g, as in ``KernelCache``).
-
-    p_n(S) sums, over the partitions of S into k >= 2 blocks (k a bracket
-    arity), l_k on the block values, where a one-input block {s} is g s and
-    a larger block B is -h p_|B| (S[B]): the right-hand side of an
-    L-infinity morphism identity with the components hp, so
-    ``multimap.morphism_terms`` walks it over the stored keys of l_2..l_n
-    and of hp, with the morphism checker's signs and weights.
-    """
-
-    def __init__(self, diagram: TransferDiagram, brackets: dict[int, MultiMap]):
-        self.diagram = diagram
-        self.brackets = brackets
-        self.p: dict[int, MultiMap] = {}
-        self.hp: dict[int, MultiMap] = {1: diagram.g}
-
-    def ensure(self, n: int) -> None:
-        for m in range(2, n + 1):
-            if m not in self.p:
-                self._build(m)
-
-    def _build(self, n: int) -> None:
-        small, big = self.diagram.small, self.diagram.big
-        outer = {k: m for k, m in self.brackets.items() if 2 <= k <= n}
-        p_n = add_rows(MultiMap(small, big, n, 2 - n, "antisym"),
-                       morphism_terms(uniform_plan(self.hp, outer), outer, small, True, n,
-                                      exact=True))
-        self.p[n] = p_n
-        self.hp[n] = postcompose(self.diagram.h, p_n, scale=-1)
-
-
 @dataclass
 class LInfTransfer:
     algebra: LInfAlgebra
     diagram: TransferDiagram
-    cache: LInfKernelCache
+    cache: KernelCache
     certificate: CheckReport
     metadata: dict
 
@@ -429,9 +397,9 @@ def transfer_linf(
     """Transfer an L-infinity structure; the Jacobi pass on the output is the
     correctness certificate and failure aborts with the first violation.
 
-    l_n = f p_n, with p_n keyed by small tuples (``LInfKernelCache``)."""
+    l_n = f p_n, with p_n keyed by small tuples (``KernelCache``)."""
     _require_source(diagram, source.space, source.brackets.get(1))
-    cache = LInfKernelCache(diagram, source.brackets)
+    cache = KernelCache(diagram, source.brackets, True)
     cache.ensure(max_arity)
     small = diagram.small
     brackets: dict[int, MultiMap] = {}

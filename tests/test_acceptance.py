@@ -17,7 +17,7 @@ from hse.deformation import (
     jump_ideal_pair,
     sample_mc,
     tangent_space,
-    twisted_differential,
+    twist_module,
 )
 from hse.fixtures import (
     adjoint_pair,
@@ -380,7 +380,7 @@ def test_criterion_10_differential_tests():
                 omega = sample_mc(pair.algebra, ring, rng)
                 if omega is None:
                     continue
-                twisted_differential(pair.module, ring, omega).validate_square_zero()
+                twist_module(pair, ring, omega)  # checks MC, L (+) M and d^2 = 0
                 count += 1
         if count == 0:
             break

@@ -49,7 +49,7 @@ from hse.resonance import (
     universal_complex,
 )
 from hse.rings import CoefRing, RElem, parse_ring
-from hse.structures import LInfAlgebra
+from hse.structures import LInfAlgebra, LInfPair
 from hse.scalars import factorial_inverse
 from hse.transfer import transfer_pair
 from linalg_reference import rref
@@ -227,14 +227,17 @@ _PAIRS = {}
 
 
 def minimal_pair(name):
-    """Minimal pairs by name, each transferred once and then reused."""
+    """Minimal pairs by name, each transferred once; every call returns a new
+    pair over the kept maps, so no resonance state kept on a pair passes
+    from one test to another."""
     if name not in _PAIRS:
         if name.startswith("random-"):
             source, arity, weights = cdga_pair(random_cdga(int(name[7:]), (1, 3, 3, 1))), 4, False
         else:
             source, arity, weights = _SOURCES[name]()
         _PAIRS[name] = transfer_pair(source, arity, use_weights=weights).pair
-    return _PAIRS[name]
+    kept = _PAIRS[name]
+    return LInfPair(kept.algebra, kept.module)
 
 
 NAMED = list(_SOURCES)

@@ -8,7 +8,9 @@ package reads, and no module defines a public function or class outside
 scripts reads.  A local starting with an underscore is a deliberate
 discard.  No module imports an underscore name from another module of the
 package, or reads one off a package module it imports: a private name
-stays with the module that defines it.
+stays with the module that defines it.  Nor does a reference of the
+differential tests (``tests/*_reference.py``), so a reference never
+borrows a private helper of the code it checks.
 """
 
 import ast
@@ -190,6 +192,12 @@ def test_the_private_import_checker_finds_what_it_names():
 
 def test_no_private_names_cross_modules_in_src():
     found = [f"{path.name} {problem}" for path in sorted(SRC.glob("*.py"))
+             for problem in private_imports(path.read_text(encoding="utf-8"))]
+    assert found == []
+
+
+def test_no_reference_imports_a_private_name_of_the_package():
+    found = [f"{path.name} {problem}" for path in sorted((ROOT / "tests").glob("*_reference.py"))
              for problem in private_imports(path.read_text(encoding="utf-8"))]
     assert found == []
 

@@ -17,7 +17,6 @@ from hse.deformation import (
     tangent_space,
     twist_algebra,
     twist_module,
-    twisted_differential,
 )
 from hse.fixtures import (
     cdga_pair,

@@ -342,8 +342,7 @@ def test_each_distinct_point_is_evaluated_once(monkeypatch):
         return real(self, nums, den)
 
     monkeypatch.setattr(_Evaluator, "values", counting)
-    kept = minimal_pair("heisenberg-pair")
-    pair = LInfPair(kept.algebra, kept.module)  # nothing kept on it yet
+    pair = minimal_pair("heisenberg-pair")  # a new pair: nothing kept on it yet
     distinct = {(nums, den) for nums, den, _ in _draws(2, 100, 5)}
     assert len(distinct) < 101
     dim = pair.module.space.dim(1)

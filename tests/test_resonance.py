@@ -21,7 +21,8 @@ from hse.resonance import (
 from hse.cli import main
 from hse.grading import BasisElement, GradedSpace, combine_spaces
 from hse.io_json import dumps, package_to_json
-from hse.multimap import MultiMap, evaluate_on_vectors
+from hse import resonance
+from hse.multimap import MultiMap, add_tables, evaluate_on_vectors
 from hse.rings import CoefRing, Ideal, RingMatrix, parse_ring
 from hse.structures import LInfAlgebra, LInfModule, LInfPair, module_check
 from hse.transfer import cohomology_splitting, transfer_pair
@@ -188,6 +189,25 @@ def test_dga_matrices_match_degree_by_degree_build(name):
         assert (got[m].rows, got[m].cols) == (mat.rows, mat.cols), m
         assert [[e.terms for e in row] for row in got[m].data] == \
             [[e.terms for e in row] for row in mat.data], m
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "torus2", "exterior4", "random0"])
+@pytest.mark.parametrize("i, k", [(1, 1), (1, 2), (2, 1)])
+def test_dga_complex_with_doubled_mu_is_refused(monkeypatch, name, i, k):
+    # a dga complex built with mu o (g (x) id) doubled keeps every sampled
+    # locus (it rescales the variables), so only the oracle's entrywise
+    # check sees it
+    real = resonance.compose_multimaps
+
+    def doubled(outer, inner, slot):
+        out = real(outer, inner, slot)
+        return add_tables(MultiMap(out.space_in, out.space_out, out.arity, out.shift), out, out)
+
+    alg = DGAS[name]().ainf()
+    assert dga_resonance_ideal(alg, i, k, n_samples=20).samples
+    monkeypatch.setattr(resonance, "compose_multimaps", doubled)
+    with pytest.raises(ResonanceError, match="disagrees with the rank oracle's d"):
+        dga_resonance_ideal(DGAS[name]().ainf(), i, k, n_samples=20)
 
 
 def test_universal_complex_exact_vs_truncated():

@@ -88,7 +88,7 @@ def _pair_calls(pair):
 
 @pytest.mark.parametrize("name", PAIRS)
 def test_a_reused_pair_reports_what_a_fresh_one_does(name):
-    pair = _fresh_pair(minimal_pair(name))
+    pair = minimal_pair(name)
     calls = _pair_calls(pair)
     random.Random(name).shuffle(calls)
     want = {}
@@ -113,7 +113,7 @@ def test_a_reused_algebra_reports_what_a_fresh_one_does(name):
 
 
 def test_one_universal_complex_per_trunc_and_arity_cap():
-    pair = _fresh_pair(minimal_pair("heisenberg-pair"))
+    pair = minimal_pair("heisenberg-pair")
     top = max(pair.module.actions)
     assert top > 2
     exact = universal_complex(pair, exact=True)
@@ -141,7 +141,7 @@ def test_each_complex_built_is_checked_once(monkeypatch):
         return real(self)
 
     monkeypatch.setattr(resonance.UniversalComplex, "validate_square_zero", counting)
-    pair = _fresh_pair(minimal_pair("heisenberg-pair-weighted"))
+    pair = minimal_pair("heisenberg-pair-weighted")
     for i, k in _grid(pair.module.space):
         resonance_ideal(pair, i, k, exact=True, n_samples=5)
         resonance_ideal(pair, i, k, trunc=3, n_samples=5)

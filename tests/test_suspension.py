@@ -1,10 +1,11 @@
-"""The suspension convention of the homotopy transfer, and the inputs that
-first told it apart from the signs it replaced.
+"""The suspension of the transferred structures, and the inputs that first
+told the transfer's signs apart from the ones they replaced.
 
-``signs.suspension_sign`` reads a map on A as one on sA: the same keys,
-each entry times (-1)^(sum_i (n-i)|x_i|).  On sA an A-infinity structure is
-one differential b of degree 1 with b o b = 0 under plain Koszul signs on
-the shifted degrees, and the transfer's trees carry no other sign.  The
+``transfer_reference.suspension_sign`` reads a map on A as one on sA: the
+same keys, each entry times (-1)^(sum_i (n-i)|x_i|).  On sA an A-infinity
+structure is one differential b of degree 1 with b o b = 0 under plain
+Koszul signs on the shifted degrees, so a transferred structure that
+squares to zero there has the signs of the suspension form.  The
 regression families are inputs with nu_4 != 0, nonzero h or sources with
 three or more operations: the dim-128 cdga, H_3 x H_3 in disguise and a
 seeded sweep of 2-step nilpotent cdgas.  Each is certified on both routes,
@@ -20,7 +21,6 @@ import pytest
 from hse.fixtures import Cdga, cdga_pair, heisenberg_cdga
 from hse.grading import BasisElement, GradedSpace
 from hse.multimap import MultiMap, evaluate_on_vectors, tensor_compose
-from hse.signs import suspension_sign
 from hse.structures import (
     AInfAlgebra,
     LInfAlgebra,
@@ -31,6 +31,7 @@ from hse.structures import (
 )
 from hse.transfer import cohomology_splitting, transfer_ainf, transfer_linf, transfer_pair
 from test_structures import h3_times_h3
+from transfer_reference import suspension_sign
 
 
 def _minimal_model(alg: Cdga, max_arity: int):

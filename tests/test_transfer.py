@@ -29,7 +29,7 @@ from hse.multimap import (
     identity_map,
     postcompose,
 )
-from hse.signs import koszul_sign, suspension_sign
+from hse.signs import koszul_sign
 from hse.structures import (
     LInfAlgebra,
     antisymmetrize,
@@ -40,8 +40,8 @@ from hse.structures import (
     stasheff_check,
 )
 from hse.transfer import (
+    AInfKernelCache,
     KernelCache,
-    LInfKernelCache,
     TransferError,
     _direct_sum_diagrams,
     arity_vacuity_bound,
@@ -56,7 +56,7 @@ from hse import linalg, multimap, transfer
 import transfer_reference as ref
 from test_scalar_form import heisenberg_circle
 from test_structures import h3_times_h3, iter_sorted_tuples
-from test_suspension import disguised_h3_times_h3_ainf, disguised_h3_times_h3_linf
+from test_suspension import dim128_cdga, disguised_h3_times_h3_ainf, disguised_h3_times_h3_linf
 
 
 def heis_diagram():
@@ -107,60 +107,61 @@ def test_splitting_rejects_weight_violation():
 
 
 def test_p2_is_mu2():
-    # b_2 is the suspension of mu_2: the keys of mu_2, each entry times the
-    # suspension sign of its inputs' degrees in A; P_2 is b_2 at g-images
+    # p_2 is mu_2 at g-images, keyed by small tuples, entry for entry
     alg, diag = heis_diagram()
-    cache = KernelCache(diag, alg.ainf().products)
+    cache = AInfKernelCache(diag, alg.ainf().products)
     cache.ensure(2)
-    mu2 = alg.product_map()
-    b2 = cache.b[2]
-    assert list(b2.table) == list(mu2.table)
-    for key, row in mu2.table.items():
-        sign = suspension_sign(tuple(alg.space.deg(l) for l in key))
-        assert b2.table[key] == {lab: sign * c for lab, c in row.items()}
-    assert any(suspension_sign(tuple(alg.space.deg(l) for l in key)) == -1 for key in mu2.table)
     assert set(cache.p[2].space_in.labels()) == set(diag.small.labels())
-    assert _mapping(cache.p[2]) == _mapping(ref.tensor_compose(b2, [diag.g, diag.g]))
+    assert _mapping(cache.p[2]) == _mapping(ref.tensor_compose(alg.product_map(),
+                                                               [diag.g, diag.g]))
     assert not cache.p[2].is_zero()
 
 
 def test_q1_is_identity_and_formal_q_vanishes():
     alg = exterior_cdga(3)  # formal: h = 0, gf = id
     diag = cohomology_splitting(alg.space, alg.differential_map())
-    cache = KernelCache(diag, alg.ainf().products)
+    cache = AInfKernelCache(diag, alg.ainf().products)
     cache.ensure(4)
     assert cache.q[1].equals(identity_map(diag.big))
     assert cache.hp[1].equals(diag.g) and cache.fq[1].equals(diag.f)
     for n in (2, 3, 4):
-        # f Q_n = Q_n = 0, and h = 0 kills every -h P_k, so (psi phi)_n = 0
+        # f Q_n = Q_n = 0, and h = 0 kills every -h p_k, so (psi phi)_n = 0
         assert cache.q[n].is_zero() and cache.fq[n].is_zero()
         assert cache.hp[n].is_zero() and cache.psiphi[n].is_zero()
-    # h = 0 kills every P_n with an internal h, so P_n = b_n(g^n) = 0 for n >= 3
+    # h = 0 kills every p_n with an internal h, so p_n = mu_n(g^n) = 0 for n >= 3
     assert not cache.p[2].is_zero()
     assert cache.p[3].is_zero() and cache.p[4].is_zero()
 
 
 def test_kernel_degrees_audit():
     alg, diag = heis_diagram()
-    cache = KernelCache(diag, alg.ainf().products)
+    cache = AInfKernelCache(diag, alg.ainf().products)
     cache.ensure(4)
-    # on sA every P_n has degree 1 and every Q_n degree 0
+    # on A every p_n has the degree 2 - n of nu_n and every Q_n 1 - n
     for n in range(2, 5):
-        assert cache.p[n].shift == 1
+        assert cache.p[n].shift == 2 - n
         assert not cache.p[n].audit_shift()
-        assert cache.q[n].shift == 0
+        assert cache.q[n].shift == 1 - n
         assert not cache.q[n].audit_shift()
 
 
 def test_kernel_cache_coherence():
+    # p_n is built by the one kernel class, whichever cache holds it, and a
+    # cache filled arity by arity holds what one filled at once does
     alg, diag = heis_diagram()
-    cache = KernelCache(diag, alg.ainf().products)
+    products = alg.ainf().products
+    cache = AInfKernelCache(diag, products)
     cache.ensure(4)
-    fresh = KernelCache(diag, alg.ainf().products)
-    fresh.ensure(4)
+    fresh = AInfKernelCache(diag, products)
+    plain = KernelCache(diag, products, False)
     for n in range(2, 5):
-        assert cache.p[n].equals(fresh.p[n])
+        fresh.ensure(n)
+        plain.ensure(n)
+    for n in range(2, 5):
+        assert cache.p[n].equals(fresh.p[n]) and cache.p[n].equals(plain.p[n])
+        assert cache.hp[n].equals(plain.hp[n])
         assert cache.q[n].equals(fresh.q[n])
+    assert not cache.p[3].is_zero() and not cache.q[2].is_zero()
 
 
 def test_transfer_minimality_and_components():
@@ -512,8 +513,8 @@ AINF_INPUTS = [
 
 @pytest.mark.parametrize("build, max_arity", AINF_INPUTS)
 def test_ainf_transfer_matches_per_profile_reference(build, max_arity):
-    # the kernels on sA against the reference's kernels on A: nu, phi, psi
-    # and H agree entry for entry, as mappings (no report reads the order)
+    # the kernels against the reference's per-profile kernels on A: nu, phi,
+    # psi and H agree entry for entry, as mappings (no report reads the order)
     alg = build()
     diag = cohomology_splitting(alg.space, alg.differential_map())
     res = transfer_ainf(diag, alg.ainf(), max_arity)
@@ -532,19 +533,21 @@ def _nonzero_mappings(maps: dict) -> dict:
 @pytest.mark.parametrize("build, max_arity", AINF_INPUTS + [
     pytest.param(h3_times_h3, 6, id="h3xh3"),
     pytest.param(disguised_h3_times_h3_ainf, 5, id="disguised-h3xh3"),
+    pytest.param(dim128_cdga, 4, id="dim128"),
 ])
 def test_ainf_kernels_match_per_composition_reference(build, max_arity):
-    # P_n on small tuples is the reference's big-keyed P_n at g-images, and
-    # (psi phi)_n, Q_n, nu, phi, psi and H agree with the reference's
+    # the kernels on A against the reference's on sA: p_n on small tuples is
+    # the reference's big-keyed P_n at g-images, carried back to A, and nu,
+    # phi, psi and H agree with the reference's entry for entry
     source = build()
     source = source.ainf() if isinstance(source, Cdga) else source
     diag = cohomology_splitting(source.space, source.products.get(1))
     res = transfer_ainf(diag, source, max_arity)
     products, phi, psi, homotopy, cache = ref.suspended_transfer_ainf(diag, source, max_arity)
     for n in range(2, max_arity + 1):
-        assert _mapping(res.cache.p[n]) == _mapping(ref.tensor_compose(cache.p[n], [diag.g] * n)), n
-        assert _mapping(res.cache.psiphi[n]) == _mapping(cache.psiphi[n]), n
-        assert _mapping(res.cache.q[n]) == _mapping(cache.q[n]), n
+        at_g = ref.tensor_compose(cache.p[n], [diag.g] * n)
+        back = ref.suspend(at_g, diag.small, diag.big, 2 - n, diag.small)
+        assert _mapping(res.cache.p[n]) == _mapping(back), n
     assert _nonzero_mappings(res.algebra.products) == _nonzero_mappings(products)
     assert _nonzero_mappings(res.phi.components) == _nonzero_mappings(phi)
     assert _nonzero_mappings(res.psi.components) == _nonzero_mappings(psi)
@@ -611,17 +614,17 @@ def _partition_sign(partition, degs) -> int:
     e_B = sum_B d_i + 1 - |B|), the Koszul sign of the block shuffle on the
     shifted degrees, and -s(d_B) for each block of two or more inputs."""
     perm = tuple(i for block in partition for i in block)
-    sign = suspension_sign(degs) * koszul_sign(perm, [d - 1 for d in degs])
+    sign = ref.suspension_sign(degs) * koszul_sign(perm, [d - 1 for d in degs])
     values = []
     for block in partition:
         bdegs = tuple(degs[i] for i in block)
         values.append(sum(bdegs) + 1 - len(block))
         if len(block) > 1:
-            sign *= -suspension_sign(bdegs)
-    return sign * suspension_sign(tuple(values))
+            sign *= -ref.suspension_sign(bdegs)
+    return sign * ref.suspension_sign(tuple(values))
 
 
-class ExhaustiveLInfKernelCache(LInfKernelCache):
+class ExhaustiveLInfKernelCache(KernelCache):
     """Reference kernel: every degree-feasible sorted tuple of L times every
     set partition into >= 2 blocks, with no use of the table supports.  Its
     p_n is keyed by tuples of L, a one-input block being the input itself;
@@ -632,8 +635,8 @@ class ExhaustiveLInfKernelCache(LInfKernelCache):
         degs_by_label = {e.label: e.deg for e in big.elements}
         p_n = MultiMap(big, big, n, 2 - n, "antisym")
         sums = {d - (2 - n) for d in big.degrees()}
-        partitions = [(part, self.brackets[len(part)]) for part in _ordered_partitions(n)
-                      if len(part) in self.brackets]
+        partitions = [(part, self.maps[len(part)]) for part in _ordered_partitions(n)
+                      if len(part) in self.maps]
         for T in iter_sorted_tuples(big, n, sums):
             degs = tuple(degs_by_label[l] for l in T)
             acc: dict[str, Fraction] = {}
@@ -705,7 +708,7 @@ def _at_g_images(p_n: MultiMap, diagram) -> MultiMap:
 
 
 def _assert_kernels_agree(diagram, brackets, slow, max_arity: int) -> None:
-    fast = LInfKernelCache(diagram, brackets)
+    fast = KernelCache(diagram, brackets, True)
     fast.ensure(max_arity)
     assert sorted(fast.p) == sorted(slow.p) == list(range(2, max_arity + 1))
     for n in range(2, max_arity + 1):
@@ -737,7 +740,7 @@ def _exhaustive(name: str, max_arity: int):
     """(diagram, brackets, exhaustive kernel to max_arity) of a pair's L (+) M,
     built once for the kernel test and the bracket test that share it."""
     diagram, brackets = _pair_kernel_inputs(LINF_PAIRS[name]())
-    slow = ExhaustiveLInfKernelCache(diagram, brackets)
+    slow = ExhaustiveLInfKernelCache(diagram, brackets, True)
     slow.ensure(max_arity)
     return diagram, brackets, slow
 
@@ -766,10 +769,10 @@ def test_linf_kernel_matches_exhaustive_on_a_source_with_higher_brackets():
     assert {3, 4} <= set(source.brackets)
     diagram = cohomology_splitting(source.space, source.brackets[1])
     assert not diagram.h.is_zero()
-    slow = ExhaustiveLInfKernelCache(diagram, source.brackets)
+    slow = ExhaustiveLInfKernelCache(diagram, source.brackets, True)
     slow.ensure(3)
     _assert_kernels_agree(diagram, source.brackets, slow, 3)
-    without_l3 = LInfKernelCache(diagram, {k: m for k, m in source.brackets.items() if k != 3})
+    without_l3 = KernelCache(diagram, {k: m for k, m in source.brackets.items() if k != 3}, True)
     without_l3.ensure(3)
     assert without_l3.p[3].is_zero()  # every term of p_3 there is l_3 on three blocks
 

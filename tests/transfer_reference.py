@@ -10,17 +10,20 @@ the references of the differential tests.
 
 Its kernels run on A itself, with the sign (-1)^theta of a composition
 profile and morphism components rescaled by (-1)^(n-1).  On every input
-whose transferred nu_4 vanishes that agrees with the suspension form of
-``hse.transfer``; H_3 x H_3, the first input with nu_4 != 0, tells them
-apart, and there the reference fails Stasheff at arity 5.
+whose transferred nu_4 vanishes that agrees with ``hse.transfer``; H_3 x
+H_3, the first input with nu_4 != 0, tells them apart, and there the
+reference fails Stasheff at arity 5.
 
 ``SuspendedKernelCache`` and ``suspended_transfer_ainf`` are the suspension
-form as ``hse.transfer`` ran it before its kernels were keyed by small
-tuples: P_n, Q_n and (psi phi)_n one ``tensor_compose`` per composition
-profile, P_n keyed by big tuples with an identity leaf, and the outputs
-read back through P_n g^n.  Their compositions are this module's
-``tensor_compose``, summed by copying, so they share no kernel code with
-the stored-key walk of ``hse.multimap`` that they are compared against.
+form of the transfer, as ``hse.transfer`` ran it before its kernels were
+keyed by small tuples and moved onto A: every map carried to sA by
+``suspend`` (each entry times ``suspension_sign``), P_n, Q_n and
+(psi phi)_n one ``tensor_compose`` per composition profile, P_n keyed by
+big tuples with an identity leaf, and the outputs read back through P_n g^n
+and carried back to A.  Their compositions are this module's
+``tensor_compose``, summed by copying, so they share no kernel code and no
+sign convention with the stored-key walk of ``hse.multimap`` that they are
+compared against.
 """
 
 from fractions import Fraction
@@ -33,7 +36,26 @@ from hse.grading import BasisElement, GradedSpace
 from hse.multimap import MultiMap, add_tables, identity_map
 from hse.scalars import canonical
 from hse.structures import AInfAlgebra, InfMorphism
-from hse.transfer import TransferDiagram, TransferError, _suspend
+from hse.transfer import TransferDiagram, TransferError
+
+
+def suspension_sign(degrees: tuple[int, ...]) -> int:
+    """(-1)^(sum_i (n-i)|x_i|) for degrees |x_1..x_n| in A: the entries of a
+    map on A and of its suspension on sA share keys and differ by this sign
+    (s^(x n) crossing the inputs); n - i is odd at i = n-1, n-3, ..."""
+    return -1 if sum(degrees[-2::-2]) & 1 else 1
+
+
+def suspend(mm: MultiMap, space_in: GradedSpace, space_out: GradedSpace, shift: int,
+            base: GradedSpace, scale=1) -> MultiMap:
+    """scale * mm across the suspension, either way: the same keys on (space_in,
+    space_out), each entry times ``suspension_sign`` of its degrees in base (on A)."""
+    out = MultiMap(space_in, space_out, mm.arity, shift)
+    for key, row in mm.table.items():
+        sign = scale * suspension_sign(tuple(base.deg(l) for l in key))
+        for lab, c in row.items():
+            out.add(key, lab, sign * c)
+    return out
 
 
 def compositions(n: int, k: int):
@@ -446,13 +468,13 @@ class SuspendedKernelCache:
         self.diagram = diagram
         big = diagram.big
         self.space = space = GradedSpace([replace(e, deg=e.deg - 1) for e in big])
-        self.b = {k: _suspend(m, space, space, 1, big) for k, m in mu.items() if k >= 2}
+        self.b = {k: suspend(m, space, space, 1, big) for k, m in mu.items() if k >= 2}
         ident = identity_map(space)
         self.p = {}
         self.hp = {1: ident}
         self.q = {1: ident}
-        self.hq = {1: _suspend(diagram.h, space, space, -1, big, -1)}
-        gf = _suspend(multimap.postcompose(diagram.g, diagram.f), space, space, 0, big)
+        self.hq = {1: suspend(diagram.h, space, space, -1, big, -1)}
+        gf = suspend(multimap.postcompose(diagram.g, diagram.f), space, space, 0, big)
         self.gfq = {1: gf}
         self.psiphi = {1: gf}
 
@@ -501,8 +523,8 @@ def suspended_transfer_ainf(diagram, source, max_arity):
     products, psi, phi, homotopy = {}, {1: diagram.g}, {1: f}, {1: diagram.h}
     for n in range(2, max_arity + 1):
         png = tensor_compose(cache.p[n], [diagram.g] * n)  # g has degree 0: no signs
-        products[n] = _suspend(multimap.postcompose(f, png), small, small, 2 - n, small)
-        psi[n] = _suspend(multimap.postcompose(diagram.h, png, scale=-1), small, big, 1 - n, small)
-        phi[n] = _suspend(multimap.postcompose(f, cache.q[n]), big, small, 1 - n, big)
-        homotopy[n] = _suspend(cache.hq[n], big, big, -n, big)
+        products[n] = suspend(multimap.postcompose(f, png), small, small, 2 - n, small)
+        psi[n] = suspend(multimap.postcompose(diagram.h, png, scale=-1), small, big, 1 - n, small)
+        phi[n] = suspend(multimap.postcompose(f, cache.q[n]), big, small, 1 - n, big)
+        homotopy[n] = suspend(cache.hq[n], big, big, -n, big)
     return products, phi, psi, homotopy, cache
