@@ -304,7 +304,8 @@ class AInfKernelCache(KernelCache):
     """The A-infinity kernels on A: p_n and hp_n, and Q_n (``q``), -h Q_n
     (``hq``, with hq_1 = -h), f Q_n (``fq``) and PF_n = (-1)^(n-1)
     (psi phi)_n (``psiphi``), each one walk (the module docstring); PF_n
-    takes its sign through the walk's scale."""
+    takes its sign through the walk's scale, and ``ensure(n)`` builds it up
+    to arity n - 1, the last one Q_n reads."""
 
     def __init__(self, diagram: TransferDiagram, products: dict[int, MultiMap]):
         super().__init__(diagram, products, False)
@@ -317,6 +318,12 @@ class AInfKernelCache(KernelCache):
     def _build(self, n: int) -> None:
         super()._build(n)
         big, f, h = self.diagram.big, self.diagram.f, self.diagram.h
+        m = n - 1  # Q_n reads PF_r for r < n only: PF_n waits for Q_{n+1}
+        if m > 1:
+            self.psiphi[m] = add_rows(MultiMap(big, big, m, 1 - m),
+                                      morphism_terms(uniform_plan(self.fq, self.hp), self.hp,
+                                                     big, False, m, exact=True,
+                                                     scale=-1 if (m - 1) & 1 else 1))
         outers = self._outers(n)
         # spine t of mu_k: (psi phi) before it, -h Q at it, id after it
         spines = {k: [((self.psiphi,) * t + (self.hq,) + (None,) * (k - 1 - t),
@@ -326,10 +333,6 @@ class AInfKernelCache(KernelCache):
         self.q[n] = q_n
         self.hq[n] = postcompose(h, q_n, scale=-1)
         self.fq[n] = postcompose(f, q_n)
-        self.psiphi[n] = add_rows(MultiMap(big, big, n, 1 - n),
-                                  morphism_terms(uniform_plan(self.fq, self.hp), self.hp, big,
-                                                 False, n, exact=True,
-                                                 scale=-1 if (n - 1) & 1 else 1))
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +371,8 @@ def transfer_ainf(
             homotopy[n] = cache.hq[n]
 
     small_alg = AInfAlgebra(diagram.small, products)
-    phi = InfMorphism("ainf", source, small_alg, cache.fq)
-    psi = InfMorphism("ainf", small_alg, source, cache.hp)
+    phi = InfMorphism("ainf", source, small_alg, dict(cache.fq))
+    psi = InfMorphism("ainf", small_alg, source, dict(cache.hp))
     meta = {
         "max_arity": max_arity,
         "arity_bound": arity_vacuity_bound(diagram.small),

@@ -121,7 +121,7 @@ def test_q1_is_identity_and_formal_q_vanishes():
     alg = exterior_cdga(3)  # formal: h = 0, gf = id
     diag = cohomology_splitting(alg.space, alg.differential_map())
     cache = AInfKernelCache(diag, alg.ainf().products)
-    cache.ensure(4)
+    cache.ensure(5)  # PF_4 is built with Q_5
     assert cache.q[1].equals(identity_map(diag.big))
     assert cache.hp[1].equals(diag.g) and cache.fq[1].equals(diag.f)
     for n in (2, 3, 4):
@@ -536,18 +536,26 @@ def _nonzero_mappings(maps: dict) -> dict:
     pytest.param(dim128_cdga, 4, id="dim128"),
 ])
 def test_ainf_kernels_match_per_composition_reference(build, max_arity):
-    # the kernels on A against the reference's on sA: p_n on small tuples is
-    # the reference's big-keyed P_n at g-images, carried back to A, and nu,
-    # phi, psi and H agree with the reference's entry for entry
+    # the kernels on A against the reference's on sA, carried back to A: p_n
+    # on small tuples is the reference's big-keyed P_n at g-images, Q_n is
+    # its Q_n, PF_n is (-1)^(n-1) times its (psi phi)_n below the top arity,
+    # which no kernel reads, and nu, phi, psi and H agree entry for entry
     source = build()
     source = source.ainf() if isinstance(source, Cdga) else source
     diag = cohomology_splitting(source.space, source.products.get(1))
+    big = diag.big
     res = transfer_ainf(diag, source, max_arity)
     products, phi, psi, homotopy, cache = ref.suspended_transfer_ainf(diag, source, max_arity)
     for n in range(2, max_arity + 1):
         at_g = ref.tensor_compose(cache.p[n], [diag.g] * n)
-        back = ref.suspend(at_g, diag.small, diag.big, 2 - n, diag.small)
+        back = ref.suspend(at_g, diag.small, big, 2 - n, diag.small)
         assert _mapping(res.cache.p[n]) == _mapping(back), n
+        q_back = ref.suspend(cache.q[n], big, big, 1 - n, big)
+        assert _mapping(res.cache.q[n]) == _mapping(q_back), n
+    assert sorted(res.cache.psiphi) == list(range(1, max_arity))
+    for n in range(2, max_arity):
+        pf_back = ref.suspend(cache.psiphi[n], big, big, 1 - n, big, -1 if (n - 1) & 1 else 1)
+        assert _mapping(res.cache.psiphi[n]) == _mapping(pf_back), n
     assert _nonzero_mappings(res.algebra.products) == _nonzero_mappings(products)
     assert _nonzero_mappings(res.phi.components) == _nonzero_mappings(phi)
     assert _nonzero_mappings(res.psi.components) == _nonzero_mappings(psi)
