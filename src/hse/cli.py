@@ -197,6 +197,14 @@ def _cohomology_shell(splitting) -> LInfPair:
     return LInfPair(algebra, LInfModule(algebra, diag_m.small, {}))
 
 
+def _refuse_unread(args, where: str, *flags: str) -> None:
+    """A flag the command does not read is a usage error, not a value that
+    the report would record in config and config_hash."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{flag} does not apply to {where}")
+
+
 # -- subcommand bodies ---------------------------------------------------------
 
 
@@ -349,6 +357,7 @@ def cmd_resonance(args) -> tuple[str, dict, int]:
     n0 reads only the cohomology spaces, so it fixes that arity before the
     one transfer, which runs first even when the hypothesis fails; both read
     one splitting of the pair."""
+    _refuse_unread(args, "resonance", "--ring")
     if not args.exact:
         if args.trunc is None:
             raise UsageError("resonance needs --trunc D or --exact")
@@ -356,6 +365,7 @@ def cmd_resonance(args) -> tuple[str, dict, int]:
         res = resonance_ideal(pair, args.i, args.k, trunc=args.trunc, seed=args.seed or 0)
         ok = res.consistent
         return ("pass" if ok else "fail"), res.to_json(), 0 if ok else 1
+    _refuse_unread(args, "resonance --exact", "--trunc")
     obj = _load_structure(args.file)
     source = _transfer_source(obj, args.file)
     pair, reached = obj, None
@@ -378,6 +388,7 @@ def cmd_resonance(args) -> tuple[str, dict, int]:
 
 
 def cmd_dga_resonance(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "dga-resonance", "--ring", "--trunc")
     obj = _load_structure(args.file)
     if not isinstance(obj, AInfAlgebra):
         raise UsageError("dga-resonance expects an ainf (dga) package")
@@ -386,6 +397,7 @@ def cmd_dga_resonance(args) -> tuple[str, dict, int]:
 
 
 def cmd_tangent_cone(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "tangent-cone", "--ring", "--seed")
     pair = _require_minimal_pair(args.file, args)
     rep = tangent_cone_check(pair, args.i, args.k, trunc=args.trunc)
     return ("pass" if rep.ok else "fail"), rep.to_json(), 0 if rep.ok else 1

@@ -29,9 +29,9 @@ done once per structure and degree: every monomial of the table once, as
 n^e * D^(top - |e|), then the two matrices, each a nonzero multiple of
 its value at n/D that keeps its rank; the two ranks by ``linalg.int_rank``.
 Each call takes its ideal as the echelon basis of its generators' Q-span
-(generators that are multiples of each other reduced once), evaluates
-that column on its own evaluator at every distinct point, and compares
-its zero pattern with the kept ranks.
+(generators that are multiples of each other reduced once), tests at every
+distinct point whether that column vanishes, lazily and up to its first
+nonzero row, and compares the answers with the kept ranks.
 
 Every ideal here is a jump ideal of d^{i-1} (+) d^i and goes through
 ``rings.block_minors``: only minors that take as many rows as columns from
@@ -60,6 +60,7 @@ from .rings import (
     CoefRing,
     Ideal,
     RElem,
+    RingError,
     RingMatrix,
     block_minor_terms,
     block_minors,
@@ -171,7 +172,10 @@ class _Evaluator:
     ``values`` computes each distinct monomial once, as n^e * D^(top - |e|)
     with top the largest total degree of any of the matrices.  So
     ``matrix(t, vals)`` is scales[t] * D^top times M_t(n/D), a nonzero
-    multiple with the rank and zero pattern of M_t(n/D)."""
+    multiple with the rank and zero pattern of M_t(n/D).  ``vanishes``
+    answers whether M_t(n/D) = 0 without the full table: it computes a
+    monomial when a cell first needs it and stops at the first nonzero
+    cell."""
 
     __slots__ = ("shapes", "scales", "terms", "top", "monos")
 
@@ -197,11 +201,16 @@ class _Evaluator:
         self.monos = [(self.top - sum(m), [j for j, x in enumerate(m) for _ in range(x)])
                       for m in index]
 
-    def values(self, nums: list[int], den: int) -> list[int]:
-        """Each monomial of the table at n/D, times D^top."""
+    def _pads(self, den: int) -> list[int]:
+        """D^0 .. D^top."""
         pads = [1]
         for _ in range(self.top):
             pads.append(pads[-1] * den)
+        return pads
+
+    def values(self, nums: list[int], den: int) -> list[int]:
+        """Each monomial of the table at n/D, times D^top."""
+        pads = self._pads(den)
         vals = []
         for pad, factors in self.monos:
             v = pads[pad]
@@ -218,16 +227,26 @@ class _Evaluator:
             out[r][c] += k * vals[m]
         return out
 
-    def vanishes(self, t: int, vals: list[int]) -> bool:
-        """Whether matrix t is 0 at the point of vals, summed cell by cell
-        (the terms of a cell are adjacent) up to the first nonzero one."""
+    def vanishes(self, t: int, nums: list[int], den: int) -> bool:
+        """Whether matrix t is 0 at n/D, summed cell by cell (the terms of a
+        cell are adjacent) up to the first nonzero one; each monomial is
+        computed, as in ``values``, the first time a cell needs it."""
+        pads, monos = self._pads(den), self.monos
+        vals: dict[int, int] = {}
         cell, value = None, 0
         for r, c, m, k in self.terms[t]:
             if (r, c) != cell:
                 if value:
                     return False
                 cell, value = (r, c), 0
-            value += k * vals[m]
+            v = vals.get(m)
+            if v is None:
+                pad, factors = monos[m]
+                v = pads[pad]
+                for j in factors:
+                    v *= nums[j]
+                vals[m] = v
+            value += k * v
         return not value
 
 
@@ -318,8 +337,11 @@ def _span_column(ideal: Ideal) -> tuple[int, int, _Cells]:
     """The reduced echelon basis of the generators' Q-span, one row each in
     a single column.  Evaluation is linear, so every generator vanishes at a
     point exactly when every row does.  Generators that are rational
-    multiples of each other span one line, so only one of each is reduced."""
-    keys = dict.fromkeys(_primitive(g.terms) for g in ideal.generators if g)
+    multiples of each other span one line, so only one of each is reduced,
+    and a generator object that recurs (``block_minors`` shares equal
+    minors) is made primitive once."""
+    distinct = {id(g): g for g in ideal.generators if g}
+    keys = dict.fromkeys(_primitive(g.terms) for g in distinct.values())
     span = linalg.Echelon(dict(key) for key in keys)
     return len(span.rows), 1, {(r, 0): row for r, row in enumerate(span.rows.values())}
 
@@ -418,16 +440,16 @@ def _oracle_samples(ideal: Ideal, oracle: _Oracle, k: int,
     """At each point of ``_draws`` in the coordinates labels: whether the
     ideal's generators vanish, and the twisted cohomology dimension from the
     rank oracle of the ideal's degree.  A sample is in the locus when that
-    dimension is at least k.  The span column is evaluated once per
-    distinct point, and the oracle keeps each point's dimension."""
+    dimension is at least k.  The span column is tested for vanishing
+    (``_Evaluator.vanishes``) once per distinct point, and the oracle keeps
+    each point's dimension."""
     span = _Evaluator((_span_column(ideal),))
     seen: dict[tuple, tuple[int, bool]] = {}
     samples = []
     for nums, den, coords in _draws(len(labels), count, seed):
         got = seen.get((nums, den))
         if got is None:
-            got = seen[nums, den] = (oracle.twisted_dim(nums, den),
-                                     span.vanishes(0, span.values(nums, den)))
+            got = seen[nums, den] = (oracle.twisted_dim(nums, den), span.vanishes(0, nums, den))
         dim_twisted, vanish = got
         samples.append({
             "point": dict(zip(labels, coords)),
@@ -645,13 +667,16 @@ def tangent_cone_check(
     A nonzero linearized minor is then the initial form of the matching
     generator (entries have no constant terms, so nothing of lower degree
     can appear); zero linearized minors impose no equation.  The truncation
-    is auto-raised to reach degree s.  The linearized matrix is the
+    is auto-raised to reach degree s; a negative one is refused
+    (``RingError``), as a ring refuses it.  The linearized matrix is the
     universal matrix of the binary shadow, so a pair whose m_2 breaks the
     arity-3 module identity is refused.  Only the minors that take as many
     rows as columns from each differential are evaluated, on both sides; at
     every other pair both are 0, and ``checked`` still counts every pair.
     """
     _require_minimal(pair)
+    if trunc is not None and trunc < 0:
+        raise RingError(f"truncation degree must be >= 0, got {trunc}")
     size = pair.module.space.dim(i) - k + 1
     if size <= 0:
         return TangentConeReport(i, k, size, 0, 0, True, [])

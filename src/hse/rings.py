@@ -40,8 +40,9 @@ of a jump ideal's d^{i-1} (+) d^i, from one engine per block on one shared
 packing: a minor is nonzero only when it takes as many rows as columns
 from A, and it is then det_A * det_B (I_r(A (+) B) = sum_{a+b=r} I_a(A)
 I_b(B), Bruns-Vetter).  The generators and their order are those of
-``minors`` on the glued block.  Every enumeration counts its (row set,
-column set) pairs first and raises ``RingError`` past
+``minors`` on the glued block; equal generators are one object, so a
+report prints each distinct minor once.  Every enumeration counts its
+(row set, column set) pairs first and raises ``RingError`` past
 ``MINOR_PAIR_BUDGET``.
 """
 
@@ -558,9 +559,11 @@ class Ideal:
         return None
 
     def to_json(self) -> dict:
+        # each generator object is written once, however often it recurs
+        text = {key: str(g) for key, g in {id(g): g for g in self.generators}.items()}
         return {
             "ring": self.ring.describe(),
-            "generators": [str(g) for g in self.generators],
+            "generators": [text[id(g)] for g in self.generators],
             "provenance": list(self.provenance),
         }
 
@@ -884,10 +887,13 @@ def block_minor_terms(upper: MinorEngine, lower: MinorEngine, r: int
     A minor of a block-diagonal matrix that takes a rows from the upper
     block and r - a from the lower one is zero unless it takes a columns
     from the upper block too, and then it is det_upper * det_lower; so only
-    those pairs are visited, and the lower factor only after a nonzero upper
-    one.  Raises RingError, before any minor is evaluated, when the pairs to
-    visit exceed MINOR_PAIR_BUDGET, and when the two engines do not share
-    one packing wide enough for degree_bound(upper) + degree_bound(lower).
+    those pairs are visited.  The nonzero minors of each upper row set and
+    of each lower row set are listed once per call, the lower ones only
+    for a row set whose upper list is not empty, and each row set walks the
+    product of its two lists.  Raises RingError, before any minor is
+    evaluated, when the pairs to visit exceed MINOR_PAIR_BUDGET, and when
+    the two engines do not share one packing wide enough for
+    degree_bound(upper) + degree_bound(lower).
     """
     n_up, m_up = upper.matrix.shape()
     n_lo, m_lo = lower.matrix.shape()
@@ -909,16 +915,23 @@ def block_minor_terms(upper: MinorEngine, lower: MinorEngine, r: int
     lo_cols = {a: [(cols, tuple(m_up + j for j in cols))
                    for cols in combinations(range(m_lo), r - a)] for a in splits}
     limit = packing.limit
+    # per row set of a block: its nonzero minors, as (columns, poly)
+    ups: dict[tuple[int, ...], list] = {}
+    los: dict[tuple[int, ...], list] = {}
     for rows, a, rows_up, rows_lo in merge(*(_row_sets(n_up, n_lo, a, r) for a in splits)):
+        dets_up = ups.get(rows_up)
+        if dets_up is None:
+            dets_up = ups[rows_up] = [(cols, det) for cols in up_cols[a]
+                                      if (det := upper.poly(rows_up, cols))]
+        if not dets_up:
+            continue
+        dets_lo = los.get(rows_lo)
+        if dets_lo is None:
+            dets_lo = los[rows_lo] = [(shifted, det) for cols, shifted in lo_cols[a]
+                                      if (det := lower.poly(rows_lo, cols))]
         scale = upper.scale(rows_up) * lower.scale(rows_lo)
-        for cols_up in up_cols[a]:
-            det_up = upper.poly(rows_up, cols_up)
-            if not det_up:
-                continue
-            for cols_lo, shifted in lo_cols[a]:
-                det_lo = lower.poly(rows_lo, cols_lo)
-                if not det_lo:
-                    continue
+        for cols_up, det_up in dets_up:
+            for shifted, det_lo in dets_lo:
                 if 0 < a < r:
                     value = {}
                     _mul_into(value, det_up, det_lo, 1, limit)
@@ -939,18 +952,39 @@ def _row_sets(n_up: int, n_lo: int, a: int, r: int) -> Iterator[tuple]:
 
 def block_minors(upper: MinorEngine, lower: MinorEngine, r: int) -> Ideal:
     """I_r of upper (+) lower from the minors of the two blocks, equal as a
-    tagged list to ``minors(block_diag(upper.matrix, lower.matrix), r)``."""
+    tagged list to ``minors(block_diag(upper.matrix, lower.matrix), r)``.
+
+    Equal minors are one ``RElem`` within a call, so work per generator
+    (printing, reducing) can be done once per distinct one: a minor is
+    looked up by its packed polynomial and scale, and only a pair not seen
+    before is made an element (and matched by its terms, since row sets
+    with other scales can give the same minor).  A provenance string is the
+    prefix of its row set and the suffix of its column set, each written
+    once per call."""
     ring = upper.matrix.ring
     if r <= 0:
         return Ideal.unit(ring)
     row_labels = upper.matrix.rows + lower.matrix.rows
     col_labels = upper.matrix.cols + lower.matrix.cols
     element = upper.packing.element
+    by_packed: dict[tuple, RElem] = {}
+    by_terms: dict[frozenset, RElem] = {}
+    suffixes: dict[tuple[int, ...], str] = {}
     gens, prov = [], []
+    last_rows = prefix = None
     for rows, cols, value, scale in block_minor_terms(upper, lower, r):
-        gens.append(element(ring, value, scale))
-        prov.append("rows[" + ",".join(row_labels[i] for i in rows) + "] x cols["
-                    + ",".join(col_labels[j] for j in cols) + "]")
+        key = (frozenset(value.items()), scale)
+        gen = by_packed.get(key)
+        if gen is None:
+            gen = element(ring, value, scale)
+            gen = by_packed[key] = by_terms.setdefault(frozenset(gen.terms.items()), gen)
+        gens.append(gen)
+        if rows is not last_rows:  # a row set's minors come one after another
+            last_rows, prefix = rows, "rows[" + ",".join(row_labels[i] for i in rows) + "] x cols["
+        suffix = suffixes.get(cols)
+        if suffix is None:
+            suffix = suffixes[cols] = ",".join(col_labels[j] for j in cols) + "]"
+        prov.append(prefix + suffix)
     return Ideal(ring, tuple(gens), tuple(prov))
 
 

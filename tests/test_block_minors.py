@@ -258,19 +258,68 @@ def test_block_products_that_vanish_are_dropped(descriptor):
         lower = _rational_block(ring, rng, (rng.randint(1, 3), rng.randint(1, 3)),
                                 ring.monomial_basis(), low=1)
         glued = block_diag(upper, lower)
-        ref_up, ref_lo = FractionMinorEngine(upper), FractionMinorEngine(lower)
         for r in range(1, min(glued.shape()) + 1):
             _assert_same_ideal(block_minors(*_engines(upper, lower), r),
                                _reference_minors(glued, r))
-            for a in range(1, r):
-                for rows_up in combinations(range(upper.shape()[0]), a):
-                    for cols_up in combinations(range(upper.shape()[1]), a):
-                        for rows_lo in combinations(range(lower.shape()[0]), r - a):
-                            for cols_lo in combinations(range(lower.shape()[1]), r - a):
-                                up = ref_up.minor(rows_up, cols_up)
-                                lo = ref_lo.minor(rows_lo, cols_lo)
-                                vanished += bool(up and lo and not up * lo)
+            vanished += _vanishing_products(upper, lower, r)
     assert vanished > 0
+
+
+def _vanishing_products(upper, lower, r):
+    """How many r-minors of the glued block are a nonzero minor of each
+    block whose product is 0 in the ring, by the Fraction expansion."""
+    ref_up, ref_lo = FractionMinorEngine(upper), FractionMinorEngine(lower)
+    vanished = 0
+    for a in range(1, r):
+        for rows_up in combinations(range(upper.shape()[0]), a):
+            for cols_up in combinations(range(upper.shape()[1]), a):
+                for rows_lo in combinations(range(lower.shape()[0]), r - a):
+                    for cols_lo in combinations(range(lower.shape()[1]), r - a):
+                        up = ref_up.minor(rows_up, cols_up)
+                        lo = ref_lo.minor(rows_lo, cols_lo)
+                        vanished += bool(up and lo and not up * lo)
+    return vanished
+
+
+def _block_of_forms(ring, rng, shape, forms, tag):
+    """A block whose entries are drawn from a few forms, so its minors
+    repeat within a row set and across row sets."""
+    mat = RingMatrix(ring, tuple(f"{tag}r{i}" for i in range(shape[0])),
+                     tuple(f"{tag}c{j}" for j in range(shape[1])))
+    for i in range(shape[0]):
+        for j in range(shape[1]):
+            if rng.random() < 0.8:
+                mat.set(i, j, rng.choice(forms))
+    return mat
+
+
+@pytest.mark.parametrize("descriptor", ("poly(u,v,w)", "Q[x1,x2]/(m^3)", "Q[e]/(e^3)"))
+def test_equal_minors_are_one_generator(descriptor):
+    """Entries from a few forms, one with coefficient 1/2, so equal minors
+    come from row sets of equal and of unequal scales; in the Artinian rings
+    two nonzero factors may multiply to 0.  The ideal is the glued block's
+    as a tagged list, equal generators are one object, and its report
+    prints every generator."""
+    ring = parse_ring(descriptor)
+    rng = random.Random(f"repeated minors {descriptor}")
+    x, y = ring.gen(0), ring.gen(ring.nvars - 1)
+    forms = [f for f in (x, y * Fraction(1, 2), x - y, x * -2, x * y, x + 1) if f]
+    shared = vanished = 0
+    for _ in range(12):
+        upper = _block_of_forms(ring, rng, (rng.randint(1, 3), rng.randint(1, 3)), forms, "a")
+        lower = _block_of_forms(ring, rng, (rng.randint(1, 3), rng.randint(1, 3)), forms, "b")
+        glued = block_diag(upper, lower)
+        for r in range(1, min(glued.shape()) + 1):
+            ideal = block_minors(*_engines(upper, lower), r)
+            _assert_same_ideal(ideal, _reference_minors(glued, r))
+            one = {}
+            for g in ideal.generators:
+                assert one.setdefault(frozenset(g.terms.items()), g) is g
+            shared += len(ideal.generators) - len(one)
+            assert ideal.to_json()["generators"] == [str(g) for g in ideal.generators]
+            vanished += _vanishing_products(upper, lower, r)
+    assert shared > 0
+    assert (vanished > 0) == ring.is_artinian
 
 
 def _homogeneous_rows(ring, rng, degrees, ncols):

@@ -3,7 +3,10 @@ import copy
 import hashlib
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -283,6 +286,7 @@ def test_cli_mc_entry_with_a_zero_denominator_exits_2(tmp_path, capsys):
     ["check", "heisenberg.json", "--max-arity", "0"],
     ["transfer", "heisenberg-pair.json", "--max-arity", "-3"],
     ["resonance", "heisenberg-pair.json", "--i", "1", "--k", "1", "--trunc", "-1"],
+    ["tangent-cone", "heisenberg-pair.json", "--i", "1", "--k", "1", "--trunc", "-1"],
 ])
 def test_cli_rejects_a_negative_arity_or_truncation(tmp_path, capsys, argv):
     """An arity below 1 checks nothing and a negative truncation keeps no
@@ -295,6 +299,48 @@ def test_cli_rejects_a_negative_arity_or_truncation(tmp_path, capsys, argv):
         err.startswith("error: truncation degree must be >= 0")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["resonance", "heisenberg-pair.json", "--exact", "--trunc", "2"],
+     "--trunc does not apply to resonance --exact"),
+    (["resonance", "heisenberg-pair.json", "--trunc", "3", "--ring", "Q[e]/(e^3)"],
+     "--ring does not apply to resonance"),
+    (["dga-resonance", "heisenberg.json", "--trunc", "3"], "--trunc does not apply to dga-resonance"),
+    (["dga-resonance", "heisenberg.json", "--ring", "Q[e]/(e^3)"],
+     "--ring does not apply to dga-resonance"),
+    (["tangent-cone", "heisenberg-pair.json", "--ring", "Q[e]/(e^3)"],
+     "--ring does not apply to tangent-cone"),
+    (["tangent-cone", "heisenberg-pair.json", "--seed", "0"], "--seed does not apply to tangent-cone"),
+])
+def test_cli_resonance_commands_refuse_a_flag_they_do_not_read(tmp_path, capsys, argv, message):
+    """A flag the command ignores would still be recorded in config and
+    config_hash, so a report would claim a computation that did not run:
+    it exits 2 and names the flag."""
+    command, name, *rest = argv
+    out = tmp_path / "out.json"
+    assert main([command, str(ROOT / "fixtures" / name), "--i", "1", "--k", "1", *rest,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_python_m_hse_runs_the_cli(capsys):
+    """``python -m hse`` from a checkout, with src on the path, prints what
+    ``cli.main`` prints and exits with its code."""
+    argv = ["fixture", "--name", "heisenberg"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    got = subprocess.run([sys.executable, "-m", "hse", *argv], capture_output=True, text=True,
+                         env=env, cwd=ROOT, timeout=60)
+    assert (got.returncode, got.stderr) == (0, "")
+    assert got.stdout == want
+    got = subprocess.run([sys.executable, "-m", "hse", "fixture"], capture_output=True,
+                         text=True, env=env, cwd=ROOT, timeout=60)
+    assert got.returncode == 2 and got.stdout == ""
 
 
 @pytest.mark.parametrize("argv", [["--name", "random", "--dims", "1,a"],

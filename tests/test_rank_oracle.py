@@ -191,7 +191,7 @@ def _assert_evaluates_as_reference(ev, t, ref, nums, den):
     factor = ev.scales[t] * den ** ev.top
     got = [[Fraction(x, factor) for x in row] for row in ev.matrix(t, vals)]
     assert got == [[Fraction(x, ref.factor(den)) for x in row] for row in ref.at(nums, den)]
-    assert ev.vanishes(t, vals) == ref.zero_at(nums, den)
+    assert ev.vanishes(t, nums, den) == ref.zero_at(nums, den)
 
 
 def _binary(pair):
@@ -331,17 +331,25 @@ def test_each_distinct_point_is_evaluated_once(monkeypatch):
     """h^1 = 2 repeats points among 101 draws.  The oracle of degree i is
     kept on the pair, so across the k grid at one i the ranks at each
     distinct point are computed once, on the first call; each call still
-    evaluates its own span column once per distinct point and returns
-    every sample."""
+    tests its own span column for vanishing once per distinct point, lazily
+    and never through the full table of ``values``, and returns every
+    sample."""
     ranked, spanned = [], []
-    real = _Evaluator.values
+    real_values, real_vanishes = _Evaluator.values, _Evaluator.vanishes
 
-    def counting(self, nums, den):
+    def values(self, nums, den):
         # the oracle's evaluator holds d^{i-1} and d^i, a span column's one
-        (ranked if len(self.shapes) == 2 else spanned).append((nums, den))
-        return real(self, nums, den)
+        assert len(self.shapes) == 2, "the span column built a full table"
+        ranked.append((nums, den))
+        return real_values(self, nums, den)
 
-    monkeypatch.setattr(_Evaluator, "values", counting)
+    def vanishes(self, t, nums, den):
+        assert len(self.shapes) == 1, "the oracle's matrices were tested lazily"
+        spanned.append((nums, den))
+        return real_vanishes(self, t, nums, den)
+
+    monkeypatch.setattr(_Evaluator, "values", values)
+    monkeypatch.setattr(_Evaluator, "vanishes", vanishes)
     pair = minimal_pair("heisenberg-pair")  # a new pair: nothing kept on it yet
     distinct = {(nums, den) for nums, den, _ in _draws(2, 100, 5)}
     assert len(distinct) < 101
@@ -372,10 +380,12 @@ _POLYS = st.lists(st.tuples(_EXPS, _COEF), max_size=4).map(_poly)
 
 
 def _vanish_by_span(ideal, coords):
+    """Whether the span column is 0 at coords, by the lazy ``vanishes``,
+    which must agree with the full evaluation of every row."""
     ev = _Evaluator([_span_column(ideal)])
-    vals = ev.values(*_split(coords))
-    vanish = not any(row[0] for row in ev.matrix(0, vals))
-    assert ev.vanishes(0, vals) == vanish
+    nums, den = _split(coords)
+    vanish = not any(row[0] for row in ev.matrix(0, ev.values(nums, den)))
+    assert ev.vanishes(0, nums, den) == vanish
     return vanish
 
 
@@ -462,9 +472,8 @@ def test_engine_evaluation_matches_the_reference(case, others, nums, den):
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
 def test_empty_shapes_evaluate_to_empty_rows(shape):
     ev = _Evaluator([_cells_of(*shape, [])])
-    vals = ev.values([1, -2], 2)
-    assert ev.matrix(0, vals) == [[] for _ in range(shape[0])]
-    assert ev.vanishes(0, vals) and ev.top == 0
+    assert ev.matrix(0, ev.values([1, -2], 2)) == [[] for _ in range(shape[0])]
+    assert ev.vanishes(0, [1, -2], 2) and ev.top == 0
     _assert_evaluates_as_reference(ev, 0, IntMatrix(*shape, []), [1, -2], 2)
 
 
