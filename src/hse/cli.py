@@ -205,10 +205,16 @@ def _refuse_unread(args, where: str, *flags: str) -> None:
             raise UsageError(f"{flag} does not apply to {where}")
 
 
+# the flags of the twisting and resonance commands, which a command on a
+# structure alone never reads
+_RING_FLAGS = ("--ring", "--trunc", "--seed")
+
+
 # -- subcommand bodies ---------------------------------------------------------
 
 
 def cmd_fixture(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "fixture", "--ring", "--trunc")
     try:
         dims = tuple(int(x) for x in args.dims.split(",")) if args.dims else ()
         obj = generate_fixture(FixtureDescriptor(
@@ -220,6 +226,7 @@ def cmd_fixture(args) -> tuple[str, dict, int]:
 
 
 def cmd_check(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "check", *_RING_FLAGS)
     obj = _load_structure(args.file)
     wanted = args.identities.split(",") if args.identities != "all" else None
     if isinstance(obj, AInfAlgebra):
@@ -238,6 +245,7 @@ def cmd_check(args) -> tuple[str, dict, int]:
 
 
 def cmd_cohomology(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "cohomology", *_RING_FLAGS)
     obj = _load_structure(args.file)
     if isinstance(obj, AInfAlgebra):
         space, diff = obj.space, obj.products.get(1)
@@ -266,6 +274,7 @@ def _weights_flag(args, space) -> bool | None:
 
 
 def cmd_transfer(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "transfer", *_RING_FLAGS)
     obj = _load_structure(args.file)
     if isinstance(obj, AInfAlgebra):
         diagram = cohomology_splitting(
@@ -297,6 +306,7 @@ def cmd_transfer(args) -> tuple[str, dict, int]:
 
 
 def cmd_mc_check(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "mc-check", "--trunc", "--seed")
     alg = _mc_algebra(_load_structure(args.file), "mc-check")
     ring, omega = _load_mc(args, alg)
     ok, residual = mc_check(alg, ring, omega)
@@ -309,6 +319,7 @@ def cmd_mc_check(args) -> tuple[str, dict, int]:
 
 
 def cmd_twist(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "twist", "--trunc", "--seed")
     obj = _load_structure(args.file)
     ring, omega = _load_mc(args, _mc_algebra(obj, "twist"))
     if isinstance(obj, LInfAlgebra):
@@ -331,6 +342,7 @@ def cmd_twist(args) -> tuple[str, dict, int]:
 
 
 def cmd_jump_ideal(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "jump-ideal", "--trunc", "--seed")
     pair = _load_pair(args.file)
     ring, omega = _load_mc(args, pair.algebra)
     ideal = jump_ideal_pair(pair, ring, omega, args.i, args.k)
@@ -345,6 +357,7 @@ def cmd_jump_ideal(args) -> tuple[str, dict, int]:
 
 
 def cmd_tangent_space(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "tangent-space", *_RING_FLAGS)
     pair = _require_minimal_pair(args.file, args)
     ts = tangent_space(pair, args.i, args.k)
     return "ok", {"i": args.i, "k": args.k, **ts.to_json()}, 0
@@ -404,6 +417,7 @@ def cmd_tangent_cone(args) -> tuple[str, dict, int]:
 
 
 def cmd_subtorus_check(args) -> tuple[str, dict, int]:
+    _refuse_unread(args, "subtorus-check", *_RING_FLAGS)
     pair = _require_minimal_pair(args.file, args)
     rep = subtorus_hypothesis_check(pair)
     return ("pass" if rep.certified else "fail"), rep.to_json(), 0 if rep.certified else 1

@@ -9,9 +9,11 @@ is computed up front, never guessed.  Every such sum, the Maurer-Cartan
 residual, the twisted maps and both components of a homotopy witness, is
 driven by the stored keys of the structure maps
 (``multimap.contract_power``): a tail T receives a term only from a stored
-key holding T and i labels of supp w, so no input tuple is enumerated.  A
-twisted complex compiles each differential once (``rings.MinorEngine``),
-for its d^2 = 0 certificate and its jump ideals.
+key holding T and i labels of supp w, so no input tuple is enumerated.
+The sums of one twist share one ``multimap.PowerTable``, so each product
+of entries of omega is multiplied out once per twist.  A twisted complex
+compiles each differential once (``rings.MinorEngine``), for its d^2 = 0
+certificate and its jump ideals.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from . import linalg
 from .grading import GradedSpace
-from .multimap import MultiMap, add_rows, contract_power
+from .multimap import MultiMap, PowerTable, add_rows, contract_power
 from .rings import (
     CoefRing,
     Ideal,
@@ -64,19 +66,25 @@ def _omega_power_bound(ring: CoefRing, cap: int) -> int:
     return cap
 
 
-def mc_residual(alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem]) -> dict[str, RElem]:
+def mc_residual(alg: LInfAlgebra, ring: CoefRing, omega: dict[str, RElem],
+                powers: PowerTable | None = None) -> dict[str, RElem]:
+    """sum_n (1/n!) l_n(w^n); powers is the power table of omega that the
+    rest of a twist reads too (a new one when None)."""
     check_mc_shape(alg, ring, omega)
-    return _twist_terms(alg.brackets, ring, omega, 0).get((), {})
+    if powers is None:
+        powers = PowerTable(omega, ring.one)
+    return _twist_terms(alg.brackets, ring, powers, 0).get((), {})
 
 
-def _twist_terms(maps: dict[int, MultiMap], ring: CoefRing, omega: dict[str, RElem],
+def _twist_terms(maps: dict[int, MultiMap], ring: CoefRing, omega: PowerTable,
                  n: int) -> dict[tuple, dict[str, RElem]]:
-    """sum_i (1/i!) maps[i + n](w^i, T) for every tail T of n slots."""
+    """sum_i (1/i!) maps[i + n](w^i, T) for every tail T of n slots; omega
+    is w's power table (scale ring.one), shared by the sums of one twist."""
     acc: dict[tuple, dict[str, RElem]] = {}
     for i in range(0, _omega_power_bound(ring, max(maps, default=0) - n) + 1):
         m_map = maps.get(i + n)
         if m_map is not None:
-            contract_power(m_map, omega, i, acc, ring.one)
+            contract_power(m_map, omega, i, acc)
     return acc
 
 
@@ -93,13 +101,15 @@ def twist_brackets(
     omega: dict[str, RElem],
 ) -> dict[int, MultiMap]:
     """l^w_n = sum_i (1/i!) l_{i+n}(w^i, -): same basis, ring coefficients."""
-    return _twisted(brackets, space, space, ring, omega, lambda n: "antisym")
+    return _twisted(brackets, space, space, ring, PowerTable(omega, ring.one),
+                    lambda n: "antisym")
 
 
 def _twisted(maps: dict[int, MultiMap], space_in: GradedSpace, space_out: GradedSpace,
-             ring: CoefRing, omega: dict[str, RElem], symmetry_of) -> dict[int, MultiMap]:
+             ring: CoefRing, omega: PowerTable, symmetry_of) -> dict[int, MultiMap]:
     """The nonzero twisted tables sum_i (1/i!) maps[i + n](w^i, -) by arity
-    n, each of shift 2 - n and symmetry symmetry_of(n)."""
+    n, each of shift 2 - n and symmetry symmetry_of(n); every arity reads
+    the one power table omega."""
     out: dict[int, MultiMap] = {}
     for n in range(1, max(maps, default=0) + 1):
         acc = _twist_terms(maps, ring, omega, n)
@@ -204,17 +214,19 @@ def twist_module(pair: LInfPair, ring: CoefRing,
     that d_w is the restriction to M of the twisted differential of L (+) M
     (read off that algebra's own tables, where the module slot is one more
     label to leave out), and that d_w squares to zero.  These certificates
-    always run: a twist that fails one is never returned.
+    always run: a twist that fails one is never returned.  The three sums
+    read one power table of omega.
     """
-    ok, res = mc_check(pair.algebra, ring, omega)
-    if not ok:
+    powers = PowerTable(omega, ring.one)
+    res = mc_residual(pair.algebra, ring, omega, powers)
+    if res:
         raise DeformationError(f"not Maurer-Cartan; residual {_fmt_vec(res)}")
     module = pair.module
-    twisted = _twisted(module.actions, module.combined, module.space, ring, omega,
+    twisted = _twisted(module.actions, module.combined, module.space, ring, powers,
                        lambda n: "antisym_algebra" if n > 1 else "none")
     columns = twisted[1].table if 1 in twisted else {}
     complex_ = TwistedComplex.from_columns(columns, module.space, ring)
-    whole = _twist_terms(pair_to_algebra(pair).brackets, ring, omega, 1)
+    whole = _twist_terms(pair_to_algebra(pair).brackets, ring, powers, 1)
     for xi in module.space.labels():
         if whole.get((xi,), {}) != columns.get((xi,), {}):
             raise DeformationError("twisted differential mismatch with L (+) M")
@@ -326,15 +338,14 @@ def _witness_terms(alg: LInfAlgebra, ring: CoefRing, witness: HomotopyWitness):
     sum with one-label tails T, contracted with z''.
     """
     bound = _omega_power_bound(ring, alg.max_arity())
-    tz = witness.t_part
-    one = TPoly.const(ring, ring.one)
+    tz = PowerTable(witness.t_part, TPoly.const(ring, ring.one))
     even_acc: dict[tuple, dict[str, TPoly]] = {}
     tails: dict[tuple, dict[str, TPoly]] = {}
     for n in range(1, bound + 1):
         ln = alg.brackets.get(n)
         if ln is not None:
-            contract_power(ln, tz, n, even_acc, one)
-            contract_power(ln, tz, n - 1, tails, one)
+            contract_power(ln, tz, n, even_acc)
+            contract_power(ln, tz, n - 1, tails)
     odd_acc: dict[str, TPoly] = {}
     for (lab,), vec in tails.items():
         z = witness.dt_part.get(lab)

@@ -44,6 +44,8 @@ carry one sign; so K is weighted by their number, m_K = prod_l mult_K(l)!
   contributes sign * prod_{s in S} w[s] / m_S * row_K, with
   (K, sign) = canonical(S + T).  The sign is counted from the even labels
   each s passes, so no permuted key enters a map's canonicalization cache.
+  The products come from a ``PowerTable``, which multiplies each S out once,
+  from its prefix, for every call that shares it.
 """
 
 from __future__ import annotations
@@ -453,6 +455,38 @@ def antisymmetrization(nu: MultiMap) -> MultiMap:
     return out
 
 
+class PowerTable(dict):
+    """scale * prod_{s in S} w[s] / m_S by sub-multiset S of supp w, equal
+    labels adjacent as in a stored key, for one w and scale.  S is
+    multiplied out the first time it is read, from its prefix S[:-1]
+    (``_power``), so calls of ``contract_power`` that share one table
+    multiply each S out once."""
+
+    __slots__ = ("w",)
+
+    def __init__(self, w: dict[str, object], scale=1):
+        super().__init__({(): scale})
+        self.w = {lab: c for lab, c in w.items() if c}
+
+    def __missing__(self, S: tuple[str, ...]):
+        got = self[S] = _power(self, S)
+        return got
+
+
+def _power(powers: PowerTable, S: tuple[str, ...]):
+    """powers[S] from powers[S[:-1]]: m_S = m_{S[:-1]} * k, where k is the
+    number of copies of S[-1] that end S."""
+    base = powers[S[:-1]]
+    if not base:
+        return base
+    lab = S[-1]
+    k = 1
+    while k < len(S) and S[-1 - k] == lab:
+        k += 1
+    base = base * powers.w[lab]
+    return base * Fraction(1, k) if k > 1 else base
+
+
 def contract_power(mm: MultiMap, w: dict[str, object], i: int, acc: dict, scale=1) -> dict:
     """Add scale * (1/i!) mm(w, ..., w, T) into acc[T] for every tail T.
 
@@ -460,13 +494,15 @@ def contract_power(mm: MultiMap, w: dict[str, object], i: int, acc: dict, scale=
     antisymmetric part, in stored order (the module slot stays last); w must
     sit on odd labels with even coefficients.  Each distinct sub-multiset
     contributes by the multiplicity rule above.  Cancelled entries are dropped.
+    w may be a ``PowerTable`` (whose scale then applies): calls that pass
+    one table share its products.
     """
     space = mm.space_in
-    w = {lab: c for lab, c in w.items() if c}
+    powers = w if isinstance(w, PowerTable) else PowerTable(w, scale)
+    w = powers.w
     if i and (mm.symmetry == "none" or any(lab in space and space.deg(lab) % 2 == 0 for lab in w)):
         raise ValueError("symmetric powers need an antisymmetric map and w on odd labels")
     lead = 0 if i == 0 else mm.arity - (mm.symmetry == "antisym_algebra")
-    powers: dict[tuple[str, ...], object] = {}  # S -> scale * prod w[s] / prod mult_S(l)!
     in_w = w.__contains__
     for key, row in mm.table.items():
         head = key[:lead]
@@ -475,9 +511,7 @@ def contract_power(mm: MultiMap, w: dict[str, object], i: int, acc: dict, scale=
         else:
             choices = _sub_multisets(head, w, i, space.deg)
         for S, rest, sign in choices:
-            base = powers.get(S)
-            if base is None:
-                base = powers[S] = _power(w, S, scale)
+            base = powers[S]
             if not base:
                 continue
             tail = rest + key[lead:]
@@ -512,13 +546,6 @@ def _sub_multisets(head: tuple[str, ...], w: dict, i: int, deg) -> list[tuple[tu
                   for c in range(max(0, left - cap), (min(cnt, left) if free else 0) + 1)]
         evens += 0 if deg(lab) % 2 else cnt
     return [(S, rest, -1 if cross % 2 else 1) for S, rest, _, cross in states]
-
-
-def _power(w: dict[str, object], S: tuple[str, ...], scale):
-    mult = _repeats(S)
-    for lab in S:
-        scale = scale * w[lab]
-    return scale * Fraction(1, mult) if mult > 1 else scale
 
 
 def evaluate_on_vectors(mm: MultiMap, vectors: list[dict[str, object]]) -> dict:

@@ -1,7 +1,9 @@
 """Exact commutative coefficient rings and determinantal machinery.
 
 Three ring kinds share one distributed representation (monomial exponent
-tuple -> Fraction, graded-lex ordering for display):
+tuple -> nonzero rational in the one scalar form of ``scalars``: an int when
+integral, else a Fraction with denominator > 1; graded-lex ordering for
+display):
 
 * ``field``        - the rationals (zero variables),
 * ``trunc_local``  - Q[x_1..x_r]/(x)^N, Artinian local, m^N = 0,
@@ -59,7 +61,7 @@ from itertools import combinations
 from math import comb, gcd, lcm, prod
 
 from .linalg import Echelon
-from .scalars import format_scalar, parse_scalar
+from .scalars import canonical, format_scalar, parse_scalar
 
 Monomial = tuple[int, ...]
 
@@ -87,7 +89,7 @@ class CoefRing:
         self.trunc = trunc
         # shared by every caller: safe because no code mutates RElem.terms
         self._zero = RElem(self, {})
-        self._one = RElem(self, {(0,) * len(varnames): Fraction(1)})
+        self._one = RElem(self, {(0,) * len(varnames): 1})
         self._packings: dict[int, _Packing] = {}
         self._basis_index: tuple | None = None
 
@@ -125,17 +127,17 @@ class CoefRing:
         if terms is None:
             terms = {}
         if isinstance(terms, (int, Fraction)):
-            value = Fraction(terms)
-            terms = {(0,) * self.nvars: value} if value else {}
-        clean: dict[Monomial, Fraction] = {}
+            terms = {(0,) * self.nvars: terms}
+        clean: dict[Monomial, int | Fraction] = {}
         for mono, coef in terms.items():
             mono = tuple(mono)
             if len(mono) != self.nvars:
                 raise RingError("monomial exponent length mismatch")
-            coef = Fraction(coef)
+            if type(coef) is not int:
+                coef = Fraction(coef)
             if coef and self._keeps(mono):
-                clean[mono] = clean.get(mono, Fraction(0)) + coef
-        return RElem(self, {m: c for m, c in clean.items() if c})
+                clean[mono] = clean.get(mono, 0) + coef
+        return RElem(self, {m: canonical(c) for m, c in clean.items() if c})
 
     @property
     def zero(self) -> "RElem":
@@ -244,11 +246,13 @@ def parse_ring(descriptor: str) -> CoefRing:
 
 
 class RElem:
-    """Canonical-form element; terms is monomial -> nonzero Fraction."""
+    """Canonical-form element; terms is monomial -> nonzero coefficient in
+    the scalar form of ``scalars.canonical`` (an int when integral, else a
+    Fraction with denominator > 1), so integral arithmetic runs on ints."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: CoefRing, terms: dict[Monomial, Fraction]):
+    def __init__(self, ring: CoefRing, terms: dict[Monomial, int | Fraction]):
         self.ring = ring
         self.terms = terms
 
@@ -272,9 +276,9 @@ class RElem:
         other = self._coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            v = out.get(m, Fraction(0)) + c
+            v = out.get(m, 0) + c
             if v:
-                out[m] = v
+                out[m] = canonical(v)
             else:
                 out.pop(m, None)
         return RElem(self.ring, out)
@@ -289,24 +293,18 @@ class RElem:
 
     def __mul__(self, other) -> "RElem":
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            if not f:
+            if not other:
                 return self.ring.zero
-            return RElem(self.ring, {m: c * f for m, c in self.terms.items()})
+            return RElem(self.ring, {m: canonical(c * other) for m, c in self.terms.items()})
         other = self._coerce(other)
         keeps = self.ring._keeps
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(a + b for a, b in zip(m1, m2))
-                if not keeps(mono):
-                    continue
-                v = out.get(mono, Fraction(0)) + c1 * c2
-                if v:
-                    out[mono] = v
-                else:
-                    del out[mono]
-        return RElem(self.ring, out)
+                if keeps(mono):
+                    out[mono] = out.get(mono, 0) + c1 * c2
+        return RElem(self.ring, {m: canonical(c) for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -349,8 +347,8 @@ class RElem:
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.terms}) <= 1
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
+    def constant_term(self) -> int | Fraction:
+        return self.terms.get((0,) * self.ring.nvars, 0)
 
     def evaluate(self, point: list[Fraction]) -> Fraction:
         if len(point) != self.ring.nvars:
@@ -406,15 +404,15 @@ def parse_element(ring: CoefRing, text: str) -> RElem:
     text = text.strip()
     if not text or text == "0":
         return ring.zero
-    out_terms: dict[Monomial, Fraction] = {}
+    out_terms: dict[Monomial, int | Fraction] = {}
     for chunk in _TERM_RE.findall(text.replace(" ", "")):
         if not chunk:
             continue
-        sign = Fraction(1)
+        sign = 1
         if chunk[0] == "+":
             chunk = chunk[1:]
         elif chunk[0] == "-":
-            sign = Fraction(-1)
+            sign = -1
             chunk = chunk[1:]
         coef = sign
         expo = [0] * ring.nvars
@@ -433,7 +431,7 @@ def parse_element(ring: CoefRing, text: str) -> RElem:
             idx = ring.varnames.index(m.group(1))
             expo[idx] += int(m.group(2) or 1)
         mono = tuple(expo)
-        out_terms[mono] = out_terms.get(mono, Fraction(0)) + coef
+        out_terms[mono] = out_terms.get(mono, 0) + coef
     return ring.element(out_terms)
 
 
@@ -503,12 +501,14 @@ class Ideal:
         the ring's index map, the monomials the ring drops left out) and
         queued in turn; a product already in the span adds nothing.  This
         takes one reduction per basis vector and variable, not one per
-        monomial and generator.
+        monomial and generator.  A generator object that recurs
+        (``block_minors`` shares equal minors) is queued once.
         """
         index, shifts = self.ring._index()
         full = len(index)
         span = _IntSpan()
-        queue = [_int_vector(self.ring, g.terms) for g in self.generators]
+        queue = [_int_vector(self.ring, g.terms)
+                 for g in {id(g): g for g in self.generators}.values()]
         for vec in queue:
             added = span.add(vec)
             if added is None:
@@ -612,19 +612,21 @@ class _IntSpan:
         return rest
 
 
-def _int_vector(ring: CoefRing, terms: dict[Monomial, Fraction]) -> list[int]:
+def _int_vector(ring: CoefRing, terms: dict[Monomial, int | Fraction]) -> list[int]:
     """terms over the ring's monomial basis, scaled by the lcm of their
-    denominators: a nonzero multiple of the same vector."""
+    denominators: a nonzero multiple of the same vector.  Int coefficients
+    are read without a Fraction."""
     index = ring._index()[0]
-    den = reduce(lcm, (c.denominator for c in terms.values()), 1)
+    den = reduce(lcm, (c.denominator for c in terms.values() if type(c) is not int), 1)
     vec = [0] * len(index)
     for mono, coef in terms.items():
-        vec[index[mono]] = coef.numerator * (den // coef.denominator)
+        vec[index[mono]] = (coef * den if type(coef) is int
+                            else coef.numerator * (den // coef.denominator))
     return vec
 
 
-def _shifted(ring: CoefRing, terms: dict[Monomial, Fraction],
-             mult: Monomial) -> dict[Monomial, Fraction]:
+def _shifted(ring: CoefRing, terms: dict[Monomial, int | Fraction],
+             mult: Monomial) -> dict[Monomial, int | Fraction]:
     """terms times the monomial mult, less the monomials the ring drops."""
     keeps = ring._keeps
     out = {}
@@ -755,12 +757,12 @@ class _Packing:
         return got
 
     def element(self, ring: CoefRing, poly: dict[int, int], scale: int) -> RElem:
-        """The ring element poly / scale."""
+        """The ring element poly / scale; int coefficients when scale
+        divides every coefficient, with no Fraction built."""
         unpack = self.unpack
         if scale == 1 or gcd(scale, *poly.values()) == scale:
-            # int Fractions skip the normalizing gcd
-            return RElem(ring, {unpack(m): Fraction(c // scale) for m, c in poly.items()})
-        return RElem(ring, {unpack(m): Fraction(c, scale) for m, c in poly.items()})
+            return RElem(ring, {unpack(m): c // scale for m, c in poly.items()})
+        return RElem(ring, {unpack(m): canonical(Fraction(c, scale)) for m, c in poly.items()})
 
 
 def _mul_into(acc: dict[int, int], f: dict[int, int], g: dict[int, int],
@@ -833,9 +835,11 @@ class MinorEngine:
         self.scales: list[int] = []
         self.entries: list[list[dict[int, int]]] = []
         for row in matrix.data:
-            scale = reduce(lcm, (c.denominator for e in row for c in e.terms.values()), 1)
+            scale = reduce(lcm, (c.denominator for e in row for c in e.terms.values()
+                                 if type(c) is not int), 1)
             self.scales.append(scale)
-            self.entries.append([{pack(m): c.numerator * (scale // c.denominator)
+            self.entries.append([{pack(m): c * scale if type(c) is int
+                                  else c.numerator * (scale // c.denominator)
                                   for m, c in e.terms.items()} for e in row])
         self.memo: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, int]] = {}
 

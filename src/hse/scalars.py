@@ -1,11 +1,12 @@
 """Exact rational scalars and their wire format.
 
-Every coefficient stored in a ``MultiMap`` is in one scalar form: a Python
-``int`` when the value is integral, otherwise a ``fractions.Fraction`` with
-denominator > 1 (lowest terms, positive denominator).  Arithmetic never
-rounds either way, and on the integral constants that dominate transferred
-structures it runs on ints, without a gcd per operation.  An int and the
-integral Fraction of the same value compare, hash and print alike
+Every coefficient stored in a ``MultiMap``, and every term coefficient of a
+ring element (``rings.RElem``), is in one scalar form: a Python ``int`` when
+the value is integral, otherwise a ``fractions.Fraction`` with denominator
+> 1 (lowest terms, positive denominator).  Arithmetic never rounds either
+way, and on the integral constants that dominate transferred structures and
+twisted differentials it runs on ints, without a gcd per operation.  An int
+and the integral Fraction of the same value compare, hash and print alike
 (``str(Fraction(3)) == "3"``), so reports do not depend on the form.
 """
 

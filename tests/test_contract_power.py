@@ -13,12 +13,13 @@ skip in ``RElem.evaluate`` are checked against their old formulas here too.
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hse import deformation, linalg, resonance
+from hse import deformation, linalg, multimap, resonance
 from hse.deformation import (
     DeformationError,
     HomotopyWitness,
@@ -427,6 +428,67 @@ def test_twist_module_verify_compares_d_w_with_the_pair_algebra(monkeypatch):
     monkeypatch.setattr(deformation, "_twist_terms", wrong_d_w)
     with pytest.raises(DeformationError, match="mismatch"):
         twist_module(pair, ring, omega)
+
+
+def _bracket_pair_twist():
+    """The adjoint pair of the dgla l_2(x, y) = z (x, y in degree 1, z in
+    degree 2) over Q[x1,x2]/(m^4), with w_x * w_y in m^4: Maurer-Cartan,
+    and its residual reads the product over {x, y}, whose prefix the twisted
+    module reads again."""
+    space = GradedSpace([BasisElement("x", 1), BasisElement("y", 1), BasisElement("z", 2)])
+    l2 = MultiMap(space, space, 2, 0, "antisym")
+    l2.add(("x", "y"), "z", 1)
+    ring = parse_ring("Q[x1,x2]/(m^4)")
+    omega = {"x": ring.element({(1, 0): 1, (1, 1): 2}),
+             "y": ring.element({(3, 0): 1, (0, 3): Fraction(-1, 2)})}
+    return adjoint_pair(LInfAlgebra(space, {2: l2})), ring, omega
+
+
+def _heisenberg_twist():
+    ring = parse_ring("Q[x1,x2]/(m^4)")
+    pair = minimal_pair("heisenberg-pair")
+    return pair, ring, _random_omega(ring, _h1(pair), random.Random(4))
+
+
+@pytest.mark.parametrize("make", [_heisenberg_twist, _bracket_pair_twist],
+                         ids=["heisenberg-pair", "bracket-pair"])
+def test_one_twist_multiplies_each_sub_multiset_out_once(make, monkeypatch):
+    """twist_module shares one power table between its MC residual, every
+    arity of the twisted module and the L (+) M certificate: each
+    sub-multiset S of supp w that a sum reads (with its prefixes, from which
+    it is multiplied out) is computed once, though several sums read it."""
+    pair, ring, omega = make()
+    reads = []  # (map, i) of every contract_power call
+    computed = []
+    contract, power = deformation.contract_power, multimap._power
+
+    def recording_contract(mm, w, i, acc, scale=1):
+        reads.append((mm, i))
+        return contract(mm, w, i, acc, scale)
+
+    monkeypatch.setattr(deformation, "contract_power", recording_contract)
+    monkeypatch.setattr(multimap, "_power", lambda powers, S: computed.append(S) or power(powers, S))
+    tables, _ = twist_module(pair, ring, omega)
+
+    def read_by(mm, i):
+        """Every S of i labels of supp w in the head of a stored key, in key
+        order, by position subsets, with its prefixes."""
+        lead = 0 if i == 0 else mm.arity - (mm.symmetry == "antisym_algebra")
+        out = set()
+        for key in mm.table:
+            for pos in combinations(range(lead), i):
+                S = tuple(key[j] for j in pos)
+                if all(lab in omega for lab in S):
+                    out.update(S[:t] for t in range(1, i + 1))
+        return out
+
+    per_call = [read_by(mm, i) for mm, i in reads]
+    distinct = set().union(*per_call)
+    assert len(computed) == len(set(computed)) == len(distinct)
+    assert set(computed) == distinct
+    assert sum(map(len, per_call)) > len(distinct)  # a table per sum would repeat some
+    monkeypatch.undo()
+    _assert_tables_equal(tables, ref_twist_module_tables(pair, ring, omega))
 
 
 # ---------------------------------------------------------------------------

@@ -326,6 +326,45 @@ def test_cli_resonance_commands_refuse_a_flag_they_do_not_read(tmp_path, capsys,
     assert not out.exists()
 
 
+_MC_E = str(ROOT / "tests" / "golden" / "mc-e.json")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check", "heisenberg.json", "--ring", "Q[e]/(e^3)", "--trunc", "2"],
+     "--ring does not apply to check"),
+    (["cohomology", "heisenberg.json", "--trunc", "2"], "--trunc does not apply to cohomology"),
+    (["transfer", "heisenberg-pair.json", "--seed", "4"], "--seed does not apply to transfer"),
+    (["tangent-space", "heisenberg-pair.json", "--i", "1", "--k", "1", "--trunc", "3"],
+     "--trunc does not apply to tangent-space"),
+    (["subtorus-check", "heisenberg-pair-weighted.json", "--ring", "Q[e]/(e^3)", "--seed", "4"],
+     "--ring does not apply to subtorus-check"),
+    (["mc-check", "heisenberg-pair.json", "--mc", _MC_E, "--trunc", "2"],
+     "--trunc does not apply to mc-check"),
+    (["twist", "heisenberg-pair.json", "--mc", _MC_E, "--seed", "1"],
+     "--seed does not apply to twist"),
+    (["jump-ideal", "heisenberg-pair.json", "--i", "1", "--k", "1", "--mc", _MC_E,
+      "--trunc", "2"], "--trunc does not apply to jump-ideal"),
+])
+def test_cli_structure_and_twist_commands_refuse_a_flag_they_do_not_read(tmp_path, capsys,
+                                                                         argv, message):
+    """As for the resonance commands: --ring, --trunc and --seed where the
+    command reads none of them, --trunc and --seed where it reads only
+    --ring; each exits 2, names the flag and writes no report."""
+    command, name, *rest = argv
+    out = tmp_path / "out.json"
+    assert main([command, str(ROOT / "fixtures" / name), *rest, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", [["--ring", "Q[e]/(e^3)"], ["--trunc", "2"]])
+def test_cli_fixture_refuses_ring_and_trunc(tmp_path, capsys, flag):
+    out = tmp_path / "out.json"
+    assert main(["fixture", "--name", "heisenberg", *flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag[0]} does not apply to fixture\n"
+    assert not out.exists()
+
+
 def test_python_m_hse_runs_the_cli(capsys):
     """``python -m hse`` from a checkout, with src on the path, prints what
     ``cli.main`` prints and exits with its code."""
@@ -1066,7 +1105,7 @@ def test_config_hash_ignores_out_format_and_timing(tmp_path, monkeypatch):
     assert len(hashes) == 2 * len(spellings) and len(set(hashes)) == 1
     # an option of the computation still changes it
     assert main(["check", "fixtures/heisenberg.json", "--max-arity", "4", "--timing"]) == 0
-    assert main(["check", "fixtures/heisenberg.json", "--trunc", "3"]) == 0
+    assert main(["check", "fixtures/heisenberg.json", "--identities", "stasheff"]) == 0
     assert len(set(hashes)) == 3
 
 
