@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,25 @@ class GradedSpace:
 
     def __len__(self) -> int:
         return len(self.elements)
+
+    # what the stored-key walk (``multimap.morphism_terms``) reads per label,
+    # built on first use
+
+    @cached_property
+    def parities(self) -> dict[str, int]:
+        """label -> degree parity."""
+        return {e.label: e.deg & 1 for e in self.elements}
+
+    @cached_property
+    def codes(self) -> dict[str, int]:
+        """label -> 2 * basis position + degree parity: codes sort in
+        basis order and carry the parity."""
+        return {e.label: 2 * i + (e.deg & 1) for i, e in enumerate(self.elements)}
+
+    @cached_property
+    def coded_labels(self) -> dict[int, str]:
+        """code -> label, the inverse of ``codes``."""
+        return {c: lab for lab, c in self.codes.items()}
 
     def __contains__(self, label: str) -> bool:
         return label in self._by_label

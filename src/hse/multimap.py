@@ -25,9 +25,14 @@ component set producing K[t] (an identity slot, K[t] itself) and the signed
 row_K lands on J_1 + ... + J_k.  Both sides of every identity the checkers
 evaluate (an identity's left-hand side is one plan per outer slot, with the
 inner maps there and identities elsewhere), both transfers' kernels and
-``tensor_compose`` are that walk.  It and ``postcompose`` add scale * the
-composite into an output map in place.  ``evaluate_on_vectors`` reads a map
-at per-slot vectors one input tuple at a time; no engine code calls it.
+``tensor_compose`` are that walk.  It runs on integer rows: every map is
+read at the lcm of its denominators, and every term lands in one int
+accumulator at one common scale L, so a rational appears only where a value
+leaves the walk, divided by L once: a violation's residual, a kernel's or a
+composite's output entry (``add_rows``).  ``tensor_compose`` and
+``postcompose`` add scale * the composite into an output map in place.
+``evaluate_on_vectors`` reads a map at per-slot vectors one input tuple at
+a time; no engine code calls it.
 
 Symmetric sums read each stored key once.  Odd labels commute under the
 antisymmetric sign ((-1)(-1) = +1), which is why they may repeat in a
@@ -50,9 +55,11 @@ carry one sign; so K is weighted by their number, m_K = prod_l mult_K(l)!
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import groupby, product
-from math import factorial, prod
+from itertools import chain, groupby, product
+from math import factorial, lcm, prod
+from operator import mul
 
 from .grading import GradedSpace
 from .scalars import canonical
@@ -80,6 +87,9 @@ class MultiMap:
         self.shift = shift
         self.symmetry = symmetry
         self.table: dict[tuple[str, ...], dict[str, object]] = {}
+        # ``denominator()``: kept up by ``add`` while entries only arrive,
+        # None (read afresh) once a stored rational or ring element changes
+        self._denominator: int | None = 1
         self._canon_cache: dict[tuple[str, ...], tuple[tuple[str, ...], int]] = {}
 
     # -- construction ------------------------------------------------------
@@ -96,9 +106,15 @@ class MultiMap:
         if sign == -1:
             coef = -coef
         row = self.table.setdefault(ckey, {})
-        total = row.get(out_label, 0) + coef
+        old = row.get(out_label, 0)
+        total = old + coef
+        if type(old) is not int:
+            self._denominator = None
         if total:
-            row[out_label] = canonical(total)
+            row[out_label] = total = canonical(total)
+            if type(total) is not int and self._denominator:
+                self._denominator = (lcm(self._denominator, total.denominator)
+                                     if type(total) is Fraction else 0)
         else:
             row.pop(out_label, None)
             if not row:
@@ -110,7 +126,9 @@ class MultiMap:
         A key whose antisymmetric part is already in strictly increasing
         basis order is its own stored key with sign +1: the sort is the
         identity and no label repeats.  Most keys arrive so (the kernel's
-        candidates, package entries), and only the others are sorted.
+        candidates, package entries), and only the others are sorted and
+        cached; the scan of an ordered key costs about what a cache lookup
+        does, so the cache keeps no entry for it.
         """
         if self.symmetry == "none":
             return key, 1
@@ -128,9 +146,7 @@ class MultiMap:
                     break
                 prev = i
             else:
-                result = (key, 1)
-                self._canon_cache[key] = result
-                return result
+                return key, 1
         except KeyError:
             pass  # an unknown label: the sort below names it
         degs = tuple(space.deg(l) for l in part)
@@ -138,6 +154,16 @@ class MultiMap:
         result = (sorted_part + key[len(part):], sign)
         self._canon_cache[key] = result
         return result
+
+    def denominator(self) -> int:
+        """The lcm of the denominators of the stored coefficients (1 when
+        all are ints), or 0 when one is a ring element: the scale a walk
+        reads the map at (``morphism_terms``)."""
+        if self._denominator is None:
+            seen = {c.denominator if type(c) is Fraction else 0
+                    for row in self.table.values() for c in row.values() if type(c) is not int}
+            self._denominator = 0 if 0 in seen else lcm(*seen)
+        return self._denominator
 
     # -- lookup ------------------------------------------------------------
 
@@ -202,13 +228,14 @@ class MultiMap:
         return bad
 
 
-def add_rows(out: MultiMap, rows: dict) -> MultiMap:
+def add_rows(out: MultiMap, rows: dict, scale: int = 1) -> MultiMap:
     """Add every entry of a tuple -> row dict (a table, or a walk's or a
-    contraction's accumulator) into out and return out; zero entries add
-    nothing."""
+    contraction's accumulator), divided by scale (a walk's L), into out and
+    return out; zero entries add nothing."""
     for key, row in rows.items():
         for lab, c in row.items():
-            out.add(key, lab, c)
+            if c:
+                out.add(key, lab, c if scale == 1 else Fraction(c, scale))
     return out
 
 
@@ -252,24 +279,63 @@ def _repeats(T: tuple[str, ...]) -> int:
 
 
 def _add_row(res: dict, T: tuple[str, ...], coef, row: dict) -> None:
-    vec = res.get(T)
-    if vec is None:
-        res[T] = {lab: coef * c for lab, c in row.items()}
-    else:
-        for lab, c in row.items():
-            vec[lab] = vec.get(lab, 0) + coef * c
+    vec = res.setdefault(T, {})
+    for lab, c in row.items():
+        vec[lab] = vec.get(lab, 0) + coef * c
 
 
-def _lander(space: GradedSpace):
-    """chunks -> (chunks in basis order, their antisym sign, prod m_T(l)!)."""
-    deg = {e.label: e.deg for e in space.elements}
-    order = space.order_index
+def _times(c, factor: int):
+    """c * factor: an int when factor is a multiple of the denominator of
+    the rational c, as the walk's scales are."""
+    if type(c) is Fraction:
+        quotient, rest = divmod(factor, c.denominator)
+        return c * factor if rest else c.numerator * quotient
+    return c * factor
 
-    def land(chunks: tuple[str, ...]) -> tuple:
-        T, sign = sort_with_sign(chunks, tuple([deg[l] for l in chunks]), order)
-        return T, sign, _repeats(T)
 
-    return land
+def _placed(entries, Vc: tuple, Vo: tuple, before: int, odd_before: int) -> list:
+    """[(entry, parity of the sign flips, whether a code repeats)] for each
+    entry (..., Rc, Ro), a sorted run of codes and its odd codes, that sorts
+    in among a term's other inputs, Vc sorted (Vo their odd codes): the
+    first ``before`` of those precede the run (``odd_before`` of them odd)
+    and the rest follow it, each part sorted.  An entry where an even code
+    repeats one of Vc is left out.  A code c of Rc crosses the codes before
+    the run above c and those after it below c, before + (codes of Vc below
+    c) of them mod 2, and each flips the sign but for a crossing of two odd
+    labels, which the same count over the odd codes takes out again.
+    """
+    placed, n = [], len(Vc)
+    for entry in entries:
+        Rc, Ro = entry[-2:]
+        flips, tie = len(Rc) * before + len(Ro) * odd_before, False
+        for c in Rc:
+            p = bisect_left(Vc, c)
+            if p < n and Vc[p] == c:
+                if not c & 1:
+                    break
+                tie = True
+            flips += p
+        else:
+            for c in Ro:
+                flips += bisect_left(Vo, c)
+            placed.append((entry, flips & 1, tie))
+    return placed
+
+
+def _merge(Tc: tuple, To: tuple, Rc: tuple, Ro: tuple):
+    """Sort the codes Tc + Rc, each part sorted, Tc first (To and Ro their
+    odd codes): (the codes in basis order, their odd codes, and what
+    ``_placed`` reads off Rc), or None when an even label repeats."""
+    if not Tc or Tc[-1] < Rc[0]:
+        return Tc + Rc, To + Ro, 0, False  # Rc lies above Tc
+    for _, flips, tie in _placed([(Rc, Ro)], Tc, To, len(Tc), len(To)):
+        return tuple(sorted(Tc + Rc)), tuple(sorted(To + Ro)), flips, tie
+    return None
+
+
+def _odd_part(codes: tuple) -> tuple[tuple, tuple]:
+    """A run of codes and its odd codes, as ``_merge`` reads them."""
+    return codes, tuple(filter((1).__and__, codes))
 
 
 def uniform_plan(components: dict[int, MultiMap], target: dict[int, MultiMap]) -> dict:
@@ -278,118 +344,297 @@ def uniform_plan(components: dict[int, MultiMap], target: dict[int, MultiMap]) -
     return {k: [((components,) * k, 1)] for k in target}
 
 
-def morphism_terms(plans: dict[int, list], target: dict[int, MultiMap], space: GradedSpace,
-                   antisym: bool, max_arity: int, exact: bool = False,
-                   res: dict | None = None, scale=1) -> dict:
-    """Tuple -> scale * the sum over plans of target_k(M_1 x ... x M_k), added
-    into res (cancelled entries kept as zeros), over the tuples of at most
-    max_arity inputs from space, or exactly max_arity with ``exact``.
+def morphism_terms(walks: list[tuple[dict, dict[int, MultiMap], int]], space: GradedSpace,
+                   antisym: bool, max_arity: int, exact: bool = False) -> tuple[dict, int]:
+    """(res, L): res maps each tuple of at most max_arity inputs from space,
+    or exactly max_arity with ``exact``, to L times the sum, over the walks
+    (plans, target, scale), of scale * the sum over plans of
+    target_k(M_1 x ... x M_k) there (cancelled entries kept as zeros).
 
     ``plans[k]`` lists (slots, plan scale) for target_k, where slot t holds
-    the component set (arity -> map) that fills it, or None for identity.
-    A component of odd shift in slot t flips the sign past the odd inputs
-    before it and, in epsilon, when k-1-t is odd.  A morphism's f_r has
-    shift 1 - r, as have a transfer's -h p_r and (psi phi)_r, and the
-    A-infinity transfer's -h Q_r has shift -r; all of them act on A or L
-    itself.  An identity slot passes K[t] with no sign, so each run of them
-    joins the inputs before the next component slot (a trailing run follows
-    the last one), a term lands from its last component slot, and a plan of
-    identities alone lands K itself.
+    the component set (arity -> map) that fills it, or None for identity;
+    plan scales are ints.  A component of odd shift in slot t flips the sign
+    past the odd inputs before it and, in epsilon, when k-1-t is odd.  A
+    morphism's f_r has shift 1 - r, as have a transfer's -h p_r and
+    (psi phi)_r, and the A-infinity transfer's -h Q_r has shift -r; all of
+    them act on A or L itself.  An identity slot passes K[t] with no sign,
+    so each run of them joins the inputs before the next component slot (a
+    trailing run follows the last one), a term lands from its last
+    component slot, and a plan of identities alone lands K itself.
+
+    Integer rows.  A map is read at D times its coefficients, D the lcm of
+    its stored denominators (``denominator``); a component set's terms are
+    weighed by E / D, E the lcm of its maps' D, and target_k's rows are read
+    at D_k and, when antisymmetric, at M_k / m_K, M_k the lcm of the m_K of
+    its keys.  L is the lcm of D_k * M_k * prod_t E_t * den(scale) over the
+    plans, so every term is an int at the one scale L, and the caller
+    divides by L only where a value leaves the walk.  A walk whose stored
+    coefficients are ints has L = 1 and reads its rows as stored.
+    Ring-element coefficients are not scaled: such a walk runs at L = 1,
+    with the weights 1/m_K as rationals.
+
+    An antisymmetric term lands in basis order by merging its sorted runs:
+    the inputs so far with each next run (an identity run of K, a key J),
+    up to the last component slot, whose key is placed among the inputs
+    before it and K's run after it (on a spine plan, K less the slot).
+    Runs are read as codes 2 * basis position + degree parity, and the sign
+    is counted from the crossings (``_placed``).
     """
-    odd_deg = {e.label: e.deg & 1 for e in space.elements}
-    res = {} if res is None else res
-    # the sets filling a component slot before a plan's last one: only their
-    # keys' degree parities are read
-    headed = {id(s) for k_plans in plans.values() for slots, _ in k_plans
-              for s in [s for s in slots if s is not None][:-1]}
-    # id(component set) -> label -> (arity, odd shift, [(J, coefficient, the
-    # degree parity of J, prod m_J(l)!)]) per map of the set, over its keys J
-    # producing the label
-    indexes: dict[int, dict[str, list]] = {}
+    odd_deg = space.parities
+    if antisym:
+        code, label_at = space.codes, space.coded_labels.__getitem__
+    # id(component set) -> the set, and the largest arity of its nonzero
+    # maps; the sets filling a component slot before a plan's last one, of
+    # whose keys only the degree parities are read
+    sets: dict[int, dict[int, MultiMap]] = {}
+    headed = set()
+    for plans, _, _ in walks:
+        for k_plans in plans.values():
+            for slots, _ in k_plans:
+                filled = [s for s in slots if s is not None]
+                sets.update((id(s), s) for s in filled)
+                headed.update(map(id, filled[:-1]))
+    top = {key: max((m.arity for m in s.values() if m.table), default=0)
+           for key, s in sets.items()}
 
-    def index(components: dict[int, MultiMap]) -> dict[str, list]:
-        makers = indexes.get(id(components))
-        if makers is None:
-            makers = indexes[id(components)] = {}
-            tracked = id(components) in headed
-            for m_f in components.values():
-                found: dict[str, list] = {}
-                for J, row in m_f.table.items():
-                    info = (sum(map(odd_deg.__getitem__, J)) & 1 if tracked else 0,
-                            _repeats(J) if antisym else 1)
-                    for lab, c in row.items():
-                        found.setdefault(lab, []).append((J, c, *info))
-                for lab, keys in found.items():
-                    makers.setdefault(lab, []).append((m_f.arity, m_f.shift & 1, keys))
-        return makers
-
-    land = _lander(space) if antisym else None
-    for k, m_t in target.items():
-        # per plan: its component slots but the last, and the last, each as
-        # (t, the start s of the identity run K[s:t] before it, k-1-t, the
-        # room for the inputs before that run and t's own, makers), and the
-        # seed of its terms; the plans of identities alone add up to `whole`
-        spines, whole = [], 0
-        for slots, plan_scale in plans.get(k, ()):
-            sizes = [1 if s is None else max((m.arity for m in s.values() if m.table), default=0)
-                     for s in slots]
-            if not all(sizes) or sum(sizes) < max_arity and exact:
+    # per target map: its plans that can add a term, the scale of its plans
+    # of identities alone, and the walk's scale
+    jobs = []
+    for plans, target, scale in walks:
+        for k, m_t in target.items():
+            if not m_t.table:
                 continue
+            spines, whole = [], 0
+            for slots, plan_scale in plans.get(k, ()):
+                sizes = [1 if s is None else top[id(s)] for s in slots]
+                if not all(sizes) or sum(sizes) < max_arity and exact:
+                    continue
+                if len(sizes) > slots.count(None):
+                    spines.append((slots, plan_scale))
+                elif k <= max_arity:
+                    whole += plan_scale
+            if spines or whole:
+                jobs.append((m_t, spines, whole, scale))
+    used = {id(s): s for _, spines, _, _ in jobs for slots, _ in spines for s in slots if s}
+
+    # each map is read at D * coefficient, D its ``denominator``, unless one
+    # map holds ring elements
+    dens = {id(m): m.denominator() for m in chain((m_t for m_t, _, _, _ in jobs),
+                                                  *(s.values() for s in used.values()))}
+    rational = all(dens.values())
+
+    # id(component set) -> (its E, the lcm of its maps' D) and label -> (arity,
+    # odd shift, E / D, [(J, D * coefficient, the degree parity of J), or if
+    # antisymmetric (J, D * coefficient, 0, prod m_J(l)!, J's codes, J's odd
+    # codes)]) per map of the set, over its keys J producing the label
+    indexes: dict[int, tuple[int, dict[str, list]]] = {}
+    for key, components in used.items():
+        makers: dict[str, list] = {}
+        tracked = key in headed
+        e = lcm(*(dens[id(m)] for m in components.values())) if rational else 1
+        for m_f in components.values():
+            d = dens[id(m_f)] if rational else 1
+            found: dict[str, list] = {}
+            for J, row in m_f.table.items():
+                if antisym:
+                    m_J, (Jc, Jo) = _repeats(J), _odd_part(tuple(map(code.__getitem__, J)))
+                else:
+                    parity = sum(map(odd_deg.__getitem__, J)) & 1 if tracked else 0
+                for lab, c in row.items():
+                    if d != 1:
+                        c = _times(c, d)
+                    entry = (J, c, 0, m_J, Jc, Jo) if antisym else (J, c, parity)
+                    keys = found.get(lab)
+                    if keys is None:
+                        found[lab] = [entry]
+                    else:
+                        keys.append(entry)
+            for lab, keys in found.items():
+                makers.setdefault(lab, []).append((m_f.arity, m_f.shift & 1, e // d, keys))
+        indexes[key] = (e, makers)
+
+    # the common scale L
+    bases, L = [], 1
+    for m_t, spines, whole, scale in jobs:
+        # the keys repeating a label, with their m_K
+        repeats = {K: _repeats(K) for K in m_t.table if len(set(K)) < len(K)} if antisym else {}
+        if rational:
+            d_k, m_k = dens[id(m_t)], lcm(*repeats.values())
+            base = d_k * m_k * scale.denominator
+        else:
+            d_k = m_k = base = 1
+        plan_dens = [base * prod(indexes[id(s)][0] for s in slots if s) for slots, _ in spines]
+        L = lcm(L, base, *plan_dens)
+        bases.append((d_k * m_k, base, plan_dens, repeats))
+
+    times = _times if rational else mul
+    res: dict = {}
+    res_setdefault = res.setdefault
+    for (m_t, spines, whole, scale), (row_scale, base, plan_dens, repeats) in zip(jobs, bases):
+        k = m_t.arity
+        num = scale.numerator if rational else scale
+        whole *= num * (L // base)
+        # per plan: its component slots but the last, each as (t, the start
+        # s of the identity run K[s:t] before it, k-1-t, the room for the
+        # inputs before that run and t's own, makers), then the last one's
+        # five, and the plan's factor
+        plans = []
+        for (slots, plan_scale), plan_den in zip(spines, plan_dens):
             steps, end = [], 0
             for t, s in enumerate(slots):
                 if s is not None:
-                    steps.append((t, end, k - 1 - t, max_arity - (k - 1 - t) - (t - end), index(s)))
+                    steps.append((t, end, k - 1 - t, max_arity - (k - 1 - t) - (t - end),
+                                  indexes[id(s)][1]))
                     end = t + 1
-            if steps:
-                spines.append((steps[:-1], steps[-1], (((), plan_scale * scale, 0, 1),)))
-            elif k <= max_arity:
-                whole += plan_scale
-        for K, row in m_t.table.items() if spines or whole else ():
+            plans.append((steps[:-1], *steps[-1], num * plan_scale * (L // plan_den)))
+        for K, stored in m_t.table.items():
+            # row_K at the walk's scale, * D_k * M_k / m_K, made on first use
+            if antisym:
+                m_K = repeats.get(K, 1)
+                factor = row_scale // m_K if rational else Fraction(1, m_K)
+            else:
+                m_K, factor = 1, row_scale
+            row = stored if factor == 1 else None
             if whole:
-                _add_row(res, K, whole * scale, row)
-            m_K = _repeats(K) if antisym else 1
-            for heads, (last, end, later, room, makers), partial in spines:
+                row = row or {lab: times(c, factor) for lab, c in stored.items()}
+                _add_row(res, K, whole * m_K, row)
+            # antisymmetric: K's codes, made on first use; K[last], an output
+            # of the slot's maps, may lie outside space, and is never read
+            Kc = None
+            for heads, last, end, later, room, makers, seed in plans:
                 opts = makers.get(K[last])
                 if not opts:
                     continue
-                # (inputs so far, coefficient, their degree parity, prod m_J!),
-                # component slot by component slot
-                for t, start, later_t, room_t, by_label in heads:
-                    gap = K[start:t]
-                    gap_odd = sum(map(odd_deg.__getitem__, gap)) & 1
-                    grown = []
-                    for T, coef, odd, m in partial:
-                        for size, shift_odd, keys in by_label.get(K[t], ()):
-                            if len(T) + size <= room_t:
-                                flip = shift_odd and (odd ^ gap_odd ^ later_t) & 1
-                                coef_J = -coef if flip else coef
-                                grown += [(T + gap + J, coef_J * c, odd ^ gap_odd ^ parity, m * m_J)
-                                          for J, c, parity, m_J in keys]
-                    partial = grown
-                gap, tail = K[end:last], K[last + 1:]
-                for T, coef, odd, m in partial:
-                    head = T + gap
-                    hi = room - len(T)
+                if row is None:
+                    row = {lab: times(c, factor) for lab, c in stored.items()}
+                if not (heads or antisym):
+                    # a spine, K[:last] + J + K[last+1:], landed inline: the
+                    # Stasheff check's every plan
+                    head, tail = K[:last], K[last + 1:]
+                    for size, shift_odd, e, keys in opts:
+                        if size == room or size < room and not exact:
+                            coef = seed if e == 1 else seed * e
+                            if shift_odd and (later + sum(map(odd_deg.__getitem__, head))) & 1:
+                                coef = -coef
+                            for J, c, _ in keys:
+                                vec = res_setdefault(head + J + tail if tail else head + J, {})
+                                c *= coef
+                                for lab, d in row.items():
+                                    vec[lab] = vec.get(lab, 0) + c * d
+                    continue
+                if not antisym:
+                    # (inputs so far, coefficient, their degree parity), component
+                    # slot by component slot
+                    partial = [((), seed, 0)]
+                    for t, start, later_t, room_t, by_label in heads:
+                        gap = K[start:t]
+                        gap_odd = sum(map(odd_deg.__getitem__, gap)) & 1 if gap else 0
+                        grown = []
+                        for T, coef, odd in partial:
+                            for size, shift_odd, e, keys in by_label.get(K[t], ()):
+                                if len(T) + size <= room_t:
+                                    flip = shift_odd and (odd ^ gap_odd ^ later_t) & 1
+                                    coef_J = (-coef if flip else coef) * e
+                                    grown += [(T + gap + J, coef_J * c, odd ^ gap_odd ^ parity)
+                                              for J, c, parity in keys]
+                        partial = grown
+                    gap, tail = K[end:last], K[last + 1:]
+                    gap_odd = sum(map(odd_deg.__getitem__, gap)) & 1 if gap else 0
+                    for T, coef, odd in partial:
+                        head = T + gap
+                        hi = room - len(T)
+                        lo = hi if exact else 0
+                        for size, shift_odd, e, keys in opts:
+                            if lo <= size <= hi:
+                                coef_J = coef * e
+                                if shift_odd and (odd + later + gap_odd) & 1:
+                                    coef_J = -coef_J
+                                for J, c, _ in keys:
+                                    _add_row(res, head + J + tail, coef_J * c, row)
+                    continue
+                if Kc is None:
+                    Kc = tuple(map(code.get, K))
+                # the inputs before the last slot, kept sorted as codes with
+                # their odd codes: (codes, odd codes, coefficient, prod m_J,
+                # whether a label repeats)
+                if heads:
+                    # each next run (an identity run of K, then a key J)
+                    # merged in, slot by slot, and then the identity run
+                    # before the last slot
+                    partial = [((), (), seed, 1, False)]
+                    for t, start, later_t, room_t, by_label in heads:
+                        grown = []
+                        for Tc, To, coef, m, tie in partial:
+                            if start < t:
+                                merged = _merge(Tc, To, *_odd_part(Kc[start:t]))
+                                if merged is None:
+                                    continue
+                                Tc, To, flips, joined = merged
+                                coef, tie = (-coef if flips else coef), tie or joined
+                            for size, shift_odd, e, keys in by_label.get(K[t], ()):
+                                if len(Tc) - (t - start) + size > room_t:
+                                    continue
+                                coef_J = (-coef if shift_odd and (len(To) ^ later_t) & 1
+                                          else coef) * e
+                                if not Tc:  # J alone: sorted, with no sign
+                                    grown += [(Jc, Jo, coef_J * c, m * m_J, tie)
+                                              for _, c, _, m_J, Jc, Jo in keys]
+                                    continue
+                                grown += [(tuple(sorted(Tc + Jc)), tuple(sorted(To + Jo)),
+                                           -coef_J * c if flips else coef_J * c,
+                                           m * m_J, tie or joined)
+                                          for (_, c, _, m_J, Jc, Jo), flips, joined
+                                          in _placed(keys, Tc, To, len(Tc), len(To))]
+                        partial = grown
+                    gap = end < last and _odd_part(Kc[end:last])
+                else:
+                    # a spine: K[:last], in basis order
+                    partial, gap = [(*_odd_part(Kc[:last]), seed, 1, False)], False
+                # then the run of K after the last slot, and each key J of the
+                # last slot placed between the two
+                tail = last + 1 < len(K) and _odd_part(Kc[last + 1:])
+                for Tc, To, coef, m, tie in partial:
+                    if gap:
+                        merged = _merge(Tc, To, *gap)
+                        if merged is None:
+                            continue
+                        Tc, To, flips, joined = merged
+                        coef, tie = (-coef if flips else coef), tie or joined
+                    before, odd_before = len(Tc), len(To)
+                    Vc, Vo = Tc, To
+                    if tail:
+                        merged = _merge(Tc, To, *tail)
+                        if merged is None:
+                            continue
+                        Vc, Vo, flips, joined = merged
+                        coef, tie = (-coef if flips else coef), tie or joined
+                    hi = room - before + (last - end)
                     lo = hi if exact else 0
-                    for size, shift_odd, keys in opts:
+                    n = len(Vc)
+                    for size, shift_odd, e, keys in opts:
                         if not lo <= size <= hi:
                             continue
-                        coef_J = coef
-                        if shift_odd and (odd + later + sum(map(odd_deg.__getitem__, gap))) & 1:
-                            coef_J = -coef
-                        if not antisym:
-                            for J, c, _, _ in keys:
-                                _add_row(res, head + J + tail, coef_J * c, row)
-                            continue
-                        for J, c, _, m_J in keys:
-                            S, sign, m_S = land(head + J + tail)
-                            if sign:
-                                weight = sign * m_S // (m * m_J)
-                                if m_K != 1:
-                                    weight = Fraction(weight, m_K)
-                                _add_row(res, S, coef_J * c if weight == 1 else coef_J * c * weight,
-                                         row)
-    return res
+                        coef_J = (-coef if shift_odd and (odd_before + later) & 1 else coef) * e
+                        for _, c, _, m_J, Jc, Jo in keys:
+                            # the count of ``_placed``, inline: it runs once
+                            # per term
+                            flips, joined = len(Jc) * before + len(Jo) * odd_before, tie
+                            for cj in Jc:
+                                p = bisect_left(Vc, cj)
+                                if p < n and Vc[p] == cj:
+                                    if not cj & 1:
+                                        break
+                                    joined = True
+                                flips += p
+                            else:
+                                for cj in Jo:
+                                    flips += bisect_left(Vo, cj)
+                                T = tuple(map(label_at, sorted(Vc + Jc)))
+                                term = coef_J * c
+                                if joined or m_K != 1:
+                                    term *= _repeats(T) // (m * m_J)
+                                _add_row(res, T, -term if flips & 1 else term, row)
+    return res, L
 
 
 def tensor_compose(outer: MultiMap, inners: list[MultiMap | None],
@@ -420,8 +665,8 @@ def tensor_compose(outer: MultiMap, inners: list[MultiMap | None],
     epsilon = sum(k - 1 - t for t, m in enumerate(inners) if m is not None and m.shift & 1)
     slots = tuple(None if m is None else {m.arity: m} for m in inners)
     plan = {k: [(slots, -1 if epsilon & 1 else 1)]}
-    return add_rows(out, morphism_terms(plan, {k: outer}, out.space_in, False, total_arity,
-                                        exact=True, scale=scale))
+    return add_rows(out, *morphism_terms([(plan, {k: outer}, scale)], out.space_in, False,
+                                         total_arity, exact=True))
 
 
 def compose_multimaps(outer: MultiMap, inner: MultiMap, slot: int) -> MultiMap:

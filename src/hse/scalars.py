@@ -8,6 +8,13 @@ way, and on the integral constants that dominate transferred structures and
 twisted differentials it runs on ints, without a gcd per operation.  An int
 and the integral Fraction of the same value compare, hash and print alike
 (``str(Fraction(3)) == "3"``), so reports do not depend on the form.
+
+A ``Fraction`` is a value at rest or one leaving a computation.  The
+stored-key walk (``multimap.morphism_terms``) reads each map at the lcm of
+its denominators and adds every term as an int at one common scale; a
+rational is made only where a value leaves the walk, divided back once: a
+violation's residual in a check, an output entry of a transfer kernel or a
+composite.
 """
 
 from __future__ import annotations

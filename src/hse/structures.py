@@ -21,9 +21,12 @@ a stored row at its inputs, so both sides of every identity are one walk
 over the stored keys (``multimap.morphism_terms``), term by term: an outer
 key with an inner key producing its label at one slot, or a morphism's
 target key with a component key producing each slot.  Each term adds its
-signed row into the residual of the tuple it lands on, and the nonzero
-residuals in the degree window (output degree populated), in basis order,
-are the violation list of a scan over every basis tuple in the window.
+signed row into the residual of the tuple it lands on, on integer rows:
+both sides of an identity land in one int accumulator at one scale L, and
+only a violation's residual is divided back by L, so a passing check makes
+no ``Fraction``.  The nonzero residuals in the degree window (output degree
+populated), in basis order, are the violation list of a scan over every
+basis tuple in the window.
 
 The antisymmetric convention throughout is signature times Koszul sign
 (``signs.antisym_sign``).  Under the pure-Koszul reading of the sign chi the
@@ -35,6 +38,8 @@ to zero, so that reading is rejected; both signs remain available in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
+
 from .grading import GradedSpace, combine_spaces
 from .multimap import (
     MultiMap,
@@ -44,6 +49,7 @@ from .multimap import (
     morphism_terms,
     uniform_plan,
 )
+from .scalars import canonical
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +192,8 @@ class InfMorphism:
         for k, m in self.components.items():
             if m.arity != k or m.shift != 1 - k:
                 raise StructureError(f"component f_{k} has arity {m.arity}, shift {m.shift}")
+            if kind == "linf" and k > 1 and m.symmetry != "antisym":
+                raise StructureError("L-infinity morphism components must be antisym maps")
 
     def max_arity(self) -> int:
         return max(self.components, default=0)
@@ -200,7 +208,8 @@ class InfMorphism:
 # f_{i_k}) over block orderings.  A term is nonzero only when every map it
 # reads has a stored row at its inputs, so both sides are the one walk over
 # the stored keys, ``multimap.morphism_terms``, which visits each nonzero
-# term once and adds it into the residual of the tuple it lands on:
+# term once and adds it into the residual of the tuple it lands on, both
+# sides into one integer accumulator at one scale:
 #
 #   the left-hand side walks outer_k on k spine plans, plan p holding the
 #     inner maps at slot p, identities elsewhere, and scale (-1)^p: an outer
@@ -236,17 +245,18 @@ class InfMorphism:
 
 def _residuals(outer: dict[int, MultiMap], inner: dict[int, MultiMap],
                target: dict[int, MultiMap] | None, space: GradedSpace,
-               antisym: bool, max_arity: int) -> dict:
-    """Tuple -> its residual (cancelled entries kept as zeros) up to max_arity:
-    inner inserted into outer, minus target of outer's blocks when target is
-    given (outer then holds a morphism's components)."""
+               antisym: bool, max_arity: int) -> tuple[dict, int]:
+    """(res, L): tuple -> L times its residual (cancelled entries kept as
+    zeros) up to max_arity: inner inserted into outer, minus target of
+    outer's blocks when target is given (outer then holds a morphism's
+    components).  Both sides are walked into the one accumulator at the one
+    scale L."""
     spines = {k: [((None,) * p + (inner,) + (None,) * (k - 1 - p), -1 if p & 1 else 1)
                   for p in range(k)] for k in outer}
-    res = morphism_terms(spines, outer, space, antisym, max_arity)
-    if target is None:
-        return res
-    return morphism_terms(uniform_plan(outer, target), target, space, antisym, max_arity,
-                          res=res, scale=-1)
+    walks = [(spines, outer, 1)]
+    if target is not None:
+        walks.append((uniform_plan(outer, target), target, -1))
+    return morphism_terms(walks, space, antisym, max_arity)
 
 
 # ---------------------------------------------------------------------------
@@ -263,16 +273,19 @@ def _check(name: str, antisym: bool, outer: dict[int, MultiMap], source, target,
     """
     maps = "brackets" if antisym else "products"
     space = source.space
-    res = _residuals(outer, getattr(source, maps), target and getattr(target, maps),
-                     space, antisym, max_arity)
+    res, scale = _residuals(outer, getattr(source, maps), target and getattr(target, maps),
+                            space, antisym, max_arity)
     base, out_space = (3, space) if target is None else (2, target.space)
     out_degs = set(out_space.degrees())
     deg = {e.label: e.deg for e in space.elements}
     violations = []
     for T, vec in res.items():
-        vec = {lab: c for lab, c in vec.items() if c}
-        if vec and all(l in deg for l in T) and sum(deg[l] for l in T) + base - len(T) in out_degs:
-            violations.append(Violation(len(T), T, vec))
+        if not any(vec.values()):
+            continue
+        if all(l in deg for l in T) and sum(deg[l] for l in T) + base - len(T) in out_degs:
+            violations.append(Violation(len(T), T, {
+                lab: c if scale == 1 else canonical(Fraction(c, scale))
+                for lab, c in vec.items() if c}))
     index = space.order_index
     violations.sort(key=lambda v: (v.arity, [index(l) for l in v.inputs]))
     return CheckReport(name, not violations, max_arity, tuple(violations))

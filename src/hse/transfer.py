@@ -11,7 +11,9 @@ hp_1 = g and hp_r = -h p_r as the components below the root.  That sum is
 the right-hand side of a morphism identity, so ``KernelCache`` builds each
 p_n as one ``multimap.morphism_terms`` walk over the stored keys of the
 structure maps, on A for products and on L for brackets, with the signs
-the checkers use (Markl's tree formulas) and no sign rule of its own:
+the checkers use (Markl's tree formulas) and no sign rule of its own.  The
+walk runs on integer rows at one scale, and each kernel's output entry is
+divided back once, as it enters its table:
 
     p_n = sum over the cuts of n inputs into k >= 2 blocks of
           m_k(hp_{r_1} x ... x hp_{r_k}),
@@ -294,8 +296,8 @@ class KernelCache:
         small, big = self.diagram.small, self.diagram.big
         outers = self._outers(n)
         p_n = add_rows(MultiMap(small, big, n, 2 - n, "antisym" if self.antisym else "none"),
-                       morphism_terms(uniform_plan(self.hp, outers), outers, small, self.antisym,
-                                      n, exact=True))
+                       *morphism_terms([(uniform_plan(self.hp, outers), outers, 1)], small,
+                                       self.antisym, n, exact=True))
         self.p[n] = p_n
         self.hp[n] = postcompose(self.diagram.h, p_n, scale=-1)
 
@@ -320,16 +322,15 @@ class AInfKernelCache(KernelCache):
         big, f, h = self.diagram.big, self.diagram.f, self.diagram.h
         m = n - 1  # Q_n reads PF_r for r < n only: PF_n waits for Q_{n+1}
         if m > 1:
-            self.psiphi[m] = add_rows(MultiMap(big, big, m, 1 - m),
-                                      morphism_terms(uniform_plan(self.fq, self.hp), self.hp,
-                                                     big, False, m, exact=True,
-                                                     scale=-1 if (m - 1) & 1 else 1))
+            self.psiphi[m] = add_rows(MultiMap(big, big, m, 1 - m), *morphism_terms(
+                [(uniform_plan(self.fq, self.hp), self.hp, -1 if (m - 1) & 1 else 1)], big, False,
+                m, exact=True))
         outers = self._outers(n)
         # spine t of mu_k: (psi phi) before it, -h Q at it, id after it
         spines = {k: [((self.psiphi,) * t + (self.hq,) + (None,) * (k - 1 - t),
                        -1 if t & 1 else 1) for t in range(k)] for k in outers}
         q_n = add_rows(MultiMap(big, big, n, 1 - n),
-                       morphism_terms(spines, outers, big, False, n, exact=True))
+                       *morphism_terms([(spines, outers, 1)], big, False, n, exact=True))
         self.q[n] = q_n
         self.hq[n] = postcompose(h, q_n, scale=-1)
         self.fq[n] = postcompose(f, q_n)

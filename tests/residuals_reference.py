@@ -3,7 +3,8 @@ it before both sides of every identity ran on ``multimap.morphism_terms``:
 its own walk of inner_q inserted into outer_k, indexing the outer keys by
 the label at each slot and landing every inner key on the slots holding
 its output label.  A morphism's right-hand side was already the stored-key
-walk on ``uniform_plan``, as here.  Kept as the reference of the
+walk on ``uniform_plan``, as here, in the ``Fraction`` form of
+``walk_reference``.  Kept as the reference of the
 differential test of ``structures._residuals``; its sign table and weights
 are the operadic ones, not the walk's per-slot plan scales.
 """
@@ -12,8 +13,9 @@ from fractions import Fraction
 from itertools import groupby
 from math import factorial, prod
 
-from hse.multimap import morphism_terms, uniform_plan
+from hse.multimap import uniform_plan
 from hse.signs import sort_with_sign
+from walk_reference import morphism_terms
 
 
 def _repeats(T):

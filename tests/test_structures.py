@@ -186,6 +186,19 @@ def test_dgla_morphism_passes_linf_check():
     assert rep.ok, rep.first().describe()
 
 
+def test_linf_morphism_rejects_plain_components():
+    # the L-infinity walk reads a component's keys in basis order, as only
+    # an antisym map stores them; a plain table may hold any ordering
+    lalg = heisenberg_lie_dgla()
+    f1 = MultiMap(lalg.space, lalg.space, 1, 0)
+    f1.add(("E",), "E", 1)
+    f2 = MultiMap(lalg.space, lalg.space, 2, -1)
+    f2.add(("F", "E"), "Z", 1)
+    with pytest.raises(StructureError, match="must be antisym maps"):
+        InfMorphism("linf", lalg, lalg, {1: f1, 2: f2})
+    assert InfMorphism("linf", lalg, lalg, {1: f1}).components[1] is f1
+
+
 def test_non_chain_map_fails_at_arity_one():
     alg = heisenberg_cdga().ainf()
     f1 = MultiMap(alg.space, alg.space, 1, 0)
@@ -759,10 +772,11 @@ def test_residuals_match_reference_at_arity_five_on_h3_times_h3():
 # nonzero residuals must be equal mappings, on valid inputs and with one
 # coefficient perturbed, where they must also be nonempty.
 
-def _nonzero(res: dict) -> dict:
+def _nonzero(res: dict, scale: int = 1) -> dict:
+    """The nonzero entries of an accumulator at scale L, divided by L."""
     out = {}
     for T, vec in res.items():
-        vec = {lab: c for lab, c in vec.items() if c}
+        vec = {lab: Fraction(c, scale) for lab, c in vec.items() if c}
         if vec:
             out[T] = vec
     return out
@@ -812,7 +826,7 @@ def _walk_cases():
 def test_residuals_on_the_one_walk_match_the_inner_into_outer_walk():
     repeated = {False: 0, True: 0}
     for label, outer, inner, target, space, antisym, arity, perturbed in _walk_cases():
-        got = _nonzero(structures._residuals(outer, inner, target, space, antisym, arity))
+        got = _nonzero(*structures._residuals(outer, inner, target, space, antisym, arity))
         want = _nonzero(residuals_reference.residuals(outer, inner, target, space, antisym,
                                                       arity))
         assert got == want, (label, perturbed)
