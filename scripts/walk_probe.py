@@ -9,8 +9,9 @@ H_{2n+1} is the Chevalley-Eilenberg cdga Lambda(x_1..x_n, y_1..y_n, z) with
 dz = sum x_i y_i and weights 1, 1, 2, built with ``fixtures.Cdga``; with
 n0 = 2(2n+1) + 2 both transfers run to arity n0 + 1:
 
-  pair  ``transfer_pair(cdga_pair(A), n0 + 1)``, with the ``jacobi_check``
-        it calls timed on its own;
+  pair  ``transfer_pair(cdga_pair(A), n0 + 1)``, with the
+        ``pair_splitting`` (both splittings and their identity checks) and
+        the ``jacobi_check`` it calls each timed on its own;
   ainf  ``transfer_ainf`` along ``cohomology_splitting`` of A, then
         ``stasheff_check`` of the transferred algebra.
 
@@ -46,6 +47,20 @@ def heisenberg(n: int):
     return Cdga(gens, 2 * n + 1, {"z": [(Fraction(1), (i, n + i)) for i in range(n)]})
 
 
+def _timed(fn, out: dict, column: str):
+    """fn, adding the seconds each call takes to out[column]."""
+    out[column] = 0.0
+
+    def timed(*args, **kwargs):
+        t = perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            out[column] += perf_counter() - t
+
+    return timed
+
+
 def child(probe: str, n: int) -> dict:
     """One measurement in this process: seconds per stage and peak RSS."""
     from hse import transfer
@@ -59,20 +74,11 @@ def child(probe: str, n: int) -> dict:
     if probe == "pair":
         pair = cdga_pair(alg)
         out["build_s"] = perf_counter() - start
-        jacobi, spent = transfer.jacobi_check, [0.0]
-
-        def timed(*args, **kwargs):
-            t = perf_counter()
-            try:
-                return jacobi(*args, **kwargs)
-            finally:
-                spent[0] += perf_counter() - t
-
-        transfer.jacobi_check = timed
+        for name, column in (("pair_splitting", "split_s"), ("jacobi_check", "jacobi_s")):
+            setattr(transfer, name, _timed(getattr(transfer, name), out, column))
         start = perf_counter()
         transfer.transfer_pair(pair, arity)
         out["transfer_s"] = perf_counter() - start
-        out["jacobi_s"] = spent[0]
     else:
         source = alg.ainf()
         diagram = transfer.cohomology_splitting(source.space, source.products.get(1), None)
@@ -108,9 +114,9 @@ def describe(tree: Path, got: dict) -> str:
     head = f"{tree}  H_{2 * got['n'] + 1} {got['probe']}"
     if "exit" in got:
         return f"{head}: exit {got['exit']} ({got['error']})"
-    parts = [f"{key} {got[key]:.2f}" for key in ("build_s", "transfer_s", "jacobi_s", "stasheff_s")
-             if key in got]
-    return f"{head}: " + ", ".join(parts) + f", peak RSS {got['peak_rss_mb']:.0f} MB"
+    columns = ("build_s", "transfer_s", "split_s", "jacobi_s", "stasheff_s")
+    parts = [f"{key} {got[key]:.3f}" for key in columns if key in got]
+    return f"{head}: " + ", ".join(parts) + f", peak RSS {got['peak_rss_mb']:.1f} MB"
 
 
 def main(argv: list[str] | None = None) -> int:

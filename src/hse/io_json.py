@@ -79,19 +79,25 @@ def space_to_json(space: GradedSpace) -> dict:
 
 
 def space_from_json(data: dict) -> GradedSpace:
+    """A validated space, read in one pass over its basis; an error message
+    is built only when its check fails."""
     if not isinstance(data, dict) or "basis" not in data:
         raise ParseError("space needs a 'basis' list")
+    basis = data["basis"]
+    if not isinstance(basis, list):
+        _as_list(basis, "space 'basis'")
     elements = []
-    for entry in _as_list(data["basis"], "space 'basis'"):
+    for entry in basis:
         if not isinstance(entry, dict) or "label" not in entry or "deg" not in entry:
             raise ParseError(f"bad basis element {entry!r}")
-        if not isinstance(entry["label"], str):
-            raise ParseError(f"basis element 'label' must be a string, got {entry['label']!r}")
-        deg = _as_int(entry["deg"], f"basis element {entry['label']!r} 'deg'")
-        weight = entry.get("weight")
-        if weight is not None:
-            weight = _as_int(weight, f"basis element {entry['label']!r} 'weight'")
-        elements.append(BasisElement(entry["label"], deg, weight))
+        label, deg, weight = entry["label"], entry["deg"], entry.get("weight")
+        if not isinstance(label, str):
+            raise ParseError(f"basis element 'label' must be a string, got {label!r}")
+        if type(deg) is not int:
+            deg = _as_int(deg, f"basis element {label!r} 'deg'")
+        if weight is not None and type(weight) is not int:
+            weight = _as_int(weight, f"basis element {label!r} 'weight'")
+        elements.append(BasisElement(label, deg, weight))
     try:
         return GradedSpace(elements)
     except ValueError as exc:
@@ -119,13 +125,15 @@ def multimap_to_json(mm: MultiMap) -> dict:
     }
 
 
-def _parse_coef(value, what: str) -> int | Fraction:
+def _parse_coef(value, where: str, key: tuple, lab: str) -> int | Fraction:
+    """The coefficient of the output lab at key; the message names both."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ParseError(f"{what} must be a rational string, got {value!r}")
+        raise ParseError(f"{where}: 'coef' at {key} -> {lab} must be a rational string, "
+                         f"got {value!r}")
     try:
         return parse_scalar(str(value))
     except ValueError as exc:
-        raise ParseError(f"{what}: {exc}") from exc
+        raise ParseError(f"{where}: 'coef' at {key} -> {lab}: {exc}") from exc
 
 
 def _coef_str(c) -> str:
@@ -140,11 +148,13 @@ def multimap_from_json(
     """A validated map, read in one pass over its entries.
 
     Each entry's checks run in a fixed order, and the first failure is raised
-    with the entry (and output) it names.  Degrees and weights are looked up
-    in dicts built once per call, each distinct coefficient string is parsed
-    once, and each key is canonicalized once (``MultiMap.add`` finds it in
-    the map's cache)."""
-    _as_dict(data, where)
+    with the entry (and output) it names; a message is built only when its
+    check fails.  Degrees and weights are looked up in dicts built once per
+    call, and each distinct coefficient string is parsed once.  Each key is
+    scanned once, by the check that it is in stored (sorted) form, and its
+    terms enter the map through ``MultiMap.store`` with no second scan."""
+    if not isinstance(data, dict):
+        _as_dict(data, where)
     if "arity" not in data or "shift" not in data:
         raise ParseError(f"{where}: arity/shift missing")
     arity = _as_int(data["arity"], f"{where}: 'arity'")
@@ -162,16 +172,27 @@ def multimap_from_json(
     weight_out = {e.label: e.weight for e in space_out.elements}
     coefs: dict[str, int | Fraction] = {}
     seen: set[tuple[str, ...]] = set()
-    for entry in _as_list(data.get("entries", []), f"{where}: 'entries'"):
-        _as_dict(entry, f"{where}: entry")
-        key = tuple(_as_list(entry.get("in", []), f"{where}: entry 'in'"))
-        if not all(isinstance(lab, str) for lab in key):
-            raise ParseError(f"{where}: entry 'in' must list labels, got {list(key)!r}")
+    entries = data.get("entries", [])
+    if not isinstance(entries, list):
+        _as_list(entries, f"{where}: 'entries'")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            _as_dict(entry, f"{where}: entry")
+        key = entry.get("in", [])
+        if not isinstance(key, list):
+            _as_list(key, f"{where}: entry 'in'")
+        key = tuple(key)
+        for lab in key:
+            if not isinstance(lab, str):
+                raise ParseError(f"{where}: entry 'in' must list labels, got {list(key)!r}")
         if len(key) != arity:
             raise ParseError(f"{where}: entry {key} has arity {len(key)}, expected {arity}")
+        in_deg = 0
         for lab in key:
-            if lab not in deg_in:
+            deg = deg_in.get(lab)
+            if deg is None:
                 raise ParseError(f"{where}: unknown input label {lab!r} in {key}")
+            in_deg += deg
         if mm._canonical(key) != (key, 1):
             raise ParseError(
                 f"{where}: entry {key} is not in canonical (sorted) order for a "
@@ -179,17 +200,20 @@ def multimap_from_json(
         if key in seen:
             raise ParseError(f"{where}: duplicate entry at {key}")
         seen.add(key)
-        in_deg = sum(deg_in[l] for l in key)
-        in_weight = sum(weight_in[l] for l in key) if weighted else None
-        for out in _as_list(entry.get("out", []), f"{where}: 'out' at {key}"):
-            _as_dict(out, f"{where}: output at {key}")
+        in_weight = sum(map(weight_in.__getitem__, key)) if weighted else None
+        outs = entry.get("out", [])
+        if not isinstance(outs, list):
+            _as_list(outs, f"{where}: 'out' at {key}")
+        for out in outs:
+            if not isinstance(out, dict):
+                _as_dict(out, f"{where}: output at {key}")
             lab = out.get("label")
             if not isinstance(lab, str) or lab not in deg_out:
                 raise ParseError(f"{where}: unknown output label {lab!r} at {key}")
             raw = out.get("coef", "0")
             coef = coefs.get(raw) if type(raw) is str else None
             if coef is None:
-                coef = _parse_coef(raw, f"{where}: 'coef' at {key} -> {lab}")
+                coef = _parse_coef(raw, where, key, lab)
                 if type(raw) is str:
                     coefs[raw] = coef
             if deg_out[lab] != in_deg + shift:
@@ -199,39 +223,35 @@ def multimap_from_json(
             if weighted and weight_out[lab] != in_weight:
                 raise ParseError(
                     f"{where}: entry {key} -> {lab} violates weight additivity")
-            mm.add(key, lab, coef)
+            if coef:
+                mm.store(key, lab, coef)
     return mm
 
 
 # -- packages -----------------------------------------------------------------
 
+def _package(kind: str, space: GradedSpace, maps: dict[int, MultiMap]) -> dict:
+    return {
+        "kind": kind,
+        "space": space_to_json(space),
+        "maps": {str(n): multimap_to_json(m) for n, m in sorted(maps.items())},
+    }
+
+
 def package_to_json(obj) -> dict:
     if isinstance(obj, AInfAlgebra):
-        return {
-            "kind": "ainf",
-            "space": space_to_json(obj.space),
-            "maps": {str(n): multimap_to_json(m) for n, m in sorted(obj.products.items())},
-        }
+        return _package("ainf", obj.space, obj.products)
     if isinstance(obj, LInfAlgebra):
-        return {
-            "kind": "linf",
-            "space": space_to_json(obj.space),
-            "maps": {str(n): multimap_to_json(m) for n, m in sorted(obj.brackets.items())},
-        }
+        return _package("linf", obj.space, obj.brackets)
     if isinstance(obj, LInfModule):
-        return {
-            "kind": "module",
-            "space": space_to_json(obj.space),
-            "maps": {str(n): multimap_to_json(m) for n, m in sorted(obj.actions.items())},
-            "algebra_ref": package_to_json(obj.algebra),
-        }
+        return {**_package("module", obj.space, obj.actions),
+                "algebra_ref": package_to_json(obj.algebra)}
     if isinstance(obj, LInfPair):
-        mod = package_to_json(obj.module)
-        mod.pop("algebra_ref", None)
+        # the module's algebra is the pair's, so it is written once
         return {
             "kind": "pair",
             "algebra": package_to_json(obj.algebra),
-            "module": mod,
+            "module": _package("module", obj.module.space, obj.module.actions),
         }
     raise ParseError(f"cannot serialize {type(obj).__name__}")
 
@@ -296,13 +316,14 @@ def _parse_module(data: dict, algebra: LInfAlgebra) -> LInfModule:
         raise ParseError(f"module 'space': {exc}") from exc
     actions = _parse_maps(data, combined, space,
                           lambda n: "antisym_algebra" if n > 1 else "none", "module ")
+    algebra_labels, module_labels = set(algebra.space.labels()), set(space.labels())
     for n, mm in actions.items():
         for entry_key in mm.table:
-            if any(lab not in algebra.space for lab in entry_key[:-1]):
+            if not algebra_labels.issuperset(entry_key[:-1]):
                 raise ParseError(
                     f"module map {n}: algebra slots of {entry_key} must hold "
                     "algebra labels")
-            if entry_key[-1] not in space:
+            if entry_key[-1] not in module_labels:
                 raise ParseError(
                     f"module map {n}: last slot of {entry_key} must hold a "
                     "module label")

@@ -4,10 +4,13 @@ A MultiMap of arity n and shift s sends degree-(d_1, ..., d_n) inputs to
 degree d_1 + ... + d_n + s.  The coefficient table maps input label tuples
 to sparse output vectors; zero entries are never stored.  Rational
 coefficients are stored in the one form of ``scalars.canonical``: an int
-when integral, else a Fraction with denominator > 1.  ``add``, the only
-writer of a table, enforces it.  Any commutative-ring element type with
-+, *, unary - and truthiness works too and is stored as it comes (the
-deformation modules feed ring elements through the same code).
+when integral, else a Fraction with denominator > 1.  ``store``, the only
+writer of a table, enforces it; ``add`` canonicalizes a key and calls it,
+and a key already in stored form (a parsed key, checked once, or a table
+copied from one stored so) goes to it directly.  Any commutative-ring
+element type with +, *, unary - and truthiness works too and is stored as
+it comes (the deformation modules feed ring elements through the same
+code).
 
 Symmetry handling:
 
@@ -29,8 +32,9 @@ inner maps there and identities elsewhere), both transfers' kernels and
 read at the lcm of its denominators, and every term lands in one int
 accumulator at one common scale L, so a rational appears only where a value
 leaves the walk, divided by L once: a violation's residual, a kernel's or a
-composite's output entry (``add_rows``).  ``tensor_compose`` and
-``postcompose`` add scale * the composite into an output map in place.
+composite's output entry (``add_rows``).  ``tensor_compose`` adds scale *
+the composite into an output map in place; ``postcompose`` builds scale *
+linear o mm row by row (``image``).
 ``evaluate_on_vectors`` reads a map at per-slot vectors one input tuple at
 a time; no engine code calls it.
 
@@ -101,24 +105,35 @@ class MultiMap:
         if len(key) != self.arity:
             raise ValueError(f"key arity {len(key)} != {self.arity}")
         ckey, sign = self._canonical(key)
-        if sign == 0:
-            return
-        if sign == -1:
-            coef = -coef
-        row = self.table.setdefault(ckey, {})
+        if sign:
+            self.store(ckey, out_label, coef if sign == 1 else -coef)
+
+    def store(self, key: tuple[str, ...], out_label: str, coef) -> None:
+        """Accumulate one term at a key already in stored form, the key
+        ``add`` would canonicalize to with its sign applied: a parsed key
+        checked once, or a table copied from one whose keys are stored so.
+        The one writer of the table: it keeps every coefficient in scalar
+        form and ``denominator()`` up to date."""
+        row = self.table.setdefault(key, {})
         old = row.get(out_label, 0)
         total = old + coef
-        if type(old) is not int:
-            self._denominator = None
-        if total:
-            row[out_label] = total = canonical(total)
-            if type(total) is not int and self._denominator:
-                self._denominator = (lcm(self._denominator, total.denominator)
-                                     if type(total) is Fraction else 0)
+        if type(total) is int:
+            # a sum of two ints: in scalar form, and denominator() holds
+            if total:
+                row[out_label] = total
+                return
         else:
-            row.pop(out_label, None)
-            if not row:
-                del self.table[ckey]
+            if type(old) is not int:
+                self._denominator = None
+            if total:
+                row[out_label] = total = canonical(total)
+                if type(total) is not int and self._denominator:
+                    self._denominator = (lcm(self._denominator, total.denominator)
+                                         if type(total) is Fraction else 0)
+                return
+        row.pop(out_label, None)
+        if not row:
+            del self.table[key]
 
     def _canonical(self, key: tuple[str, ...]) -> tuple[tuple[str, ...], int]:
         """(stored key, sign) with map(key) = sign * map(stored key).
@@ -255,19 +270,32 @@ def identity_map(space: GradedSpace) -> MultiMap:
     return mm
 
 
-def postcompose(linear: MultiMap, mm: MultiMap, out: MultiMap | None = None,
-                scale=1) -> MultiMap:
-    """Add scale * (linear o mm) into out (a new map when None) and return
-    it; linear has arity 1, so no signs arise at the output."""
+def image(linear: MultiMap, vector: dict) -> dict:
+    """linear (arity 1) at a vector, label -> coefficient, read off its
+    stored rows: label -> coefficient, cancelled entries kept as zeros."""
+    rows = linear.table
+    out: dict = {}
+    for mid, c in vector.items():
+        row = rows.get((mid,))
+        if row:
+            for lab, d in row.items():
+                out[lab] = out.get(lab, 0) + c * d
+    return out
+
+
+def postcompose(linear: MultiMap, mm: MultiMap, scale=1) -> MultiMap:
+    """scale * (linear o mm), a new map; linear has arity 1, so no signs
+    arise at the output.  Each row of mm is mapped by ``image`` and each
+    composite entry stored once, at mm's own key: the composite shares mm's
+    keys and symmetry."""
     if linear.arity != 1:
         raise ValueError("postcompose needs an arity-1 map")
-    if out is None:
-        out = MultiMap(mm.space_in, linear.space_out, mm.arity, mm.shift + linear.shift,
-                       mm.symmetry)
+    out = MultiMap(mm.space_in, linear.space_out, mm.arity, mm.shift + linear.shift,
+                   mm.symmetry)
     for key, row in mm.table.items():
-        for mid, c in row.items():
-            for lab, d in linear.get((mid,)).items():
-                out.add(key, lab, scale * c * d)
+        for lab, c in image(linear, row).items():
+            if c:
+                out.store(key, lab, c if scale == 1 else scale * c)
     return out
 
 
@@ -338,6 +366,34 @@ def _odd_part(codes: tuple) -> tuple[tuple, tuple]:
     return codes, tuple(filter((1).__and__, codes))
 
 
+def _walk_form(m_f: MultiMap, d: int, antisym: bool, parity: bool,
+               space: GradedSpace) -> dict[str, list]:
+    """A component map's rows as a walk reads them: output label -> [(J,
+    D * coefficient, the degree parity of J (0 unless parity)), or if
+    antisymmetric (J, D * coefficient, 0, prod m_J(l)!, J's codes, J's odd
+    codes)] over its keys J producing the label, D = d."""
+    found: dict[str, list] = {}
+    if antisym:
+        code = space.codes
+    else:
+        odd_deg = space.parities
+    for J, row in m_f.table.items():
+        if antisym:
+            m_J, (Jc, Jo) = _repeats(J), _odd_part(tuple(map(code.__getitem__, J)))
+        else:
+            odd = sum(map(odd_deg.__getitem__, J)) & 1 if parity else 0
+        for lab, c in row.items():
+            if d != 1:
+                c = _times(c, d)
+            entry = (J, c, 0, m_J, Jc, Jo) if antisym else (J, c, odd)
+            keys = found.get(lab)
+            if keys is None:
+                found[lab] = [entry]
+            else:
+                keys.append(entry)
+    return found
+
+
 def uniform_plan(components: dict[int, MultiMap], target: dict[int, MultiMap]) -> dict:
     """The plan of a morphism identity's right-hand side: for each target
     arity k, the components in all k slots, with scale 1."""
@@ -345,7 +401,8 @@ def uniform_plan(components: dict[int, MultiMap], target: dict[int, MultiMap]) -
 
 
 def morphism_terms(walks: list[tuple[dict, dict[int, MultiMap], int]], space: GradedSpace,
-                   antisym: bool, max_arity: int, exact: bool = False) -> tuple[dict, int]:
+                   antisym: bool, max_arity: int, exact: bool = False,
+                   forms: dict | None = None) -> tuple[dict, int]:
     """(res, L): res maps each tuple of at most max_arity inputs from space,
     or exactly max_arity with ``exact``, to L times the sum, over the walks
     (plans, target, scale), of scale * the sum over plans of
@@ -379,6 +436,13 @@ def morphism_terms(walks: list[tuple[dict, dict[int, MultiMap], int]], space: Gr
     before it and K's run after it (on a spine plan, K less the slot).
     Runs are read as codes 2 * basis position + degree parity, and the sign
     is counted from the crossings (``_placed``).
+
+    Walk forms.  Each component map is indexed once per walk, by output
+    label (``_walk_form``), and each target map's m_K are counted once.
+    ``forms``, when given, keeps both for later walks on the same space: a
+    kernel cache passes one dict to the walks of one build, whose maps stay
+    unchanged while it lives, so each map is indexed once per build and not
+    once per arity.
     """
     odd_deg = space.parities
     if antisym:
@@ -424,31 +488,20 @@ def morphism_terms(walks: list[tuple[dict, dict[int, MultiMap], int]], space: Gr
     rational = all(dens.values())
 
     # id(component set) -> (its E, the lcm of its maps' D) and label -> (arity,
-    # odd shift, E / D, [(J, D * coefficient, the degree parity of J), or if
-    # antisymmetric (J, D * coefficient, 0, prod m_J(l)!, J's codes, J's odd
-    # codes)]) per map of the set, over its keys J producing the label
+    # odd shift, E / D, the map's rows of that label in walk form) per map of
+    # the set
+    forms = {} if forms is None else forms
     indexes: dict[int, tuple[int, dict[str, list]]] = {}
     for key, components in used.items():
         makers: dict[str, list] = {}
-        tracked = key in headed
+        parity = not antisym and key in headed
         e = lcm(*(dens[id(m)] for m in components.values())) if rational else 1
         for m_f in components.values():
             d = dens[id(m_f)] if rational else 1
-            found: dict[str, list] = {}
-            for J, row in m_f.table.items():
-                if antisym:
-                    m_J, (Jc, Jo) = _repeats(J), _odd_part(tuple(map(code.__getitem__, J)))
-                else:
-                    parity = sum(map(odd_deg.__getitem__, J)) & 1 if tracked else 0
-                for lab, c in row.items():
-                    if d != 1:
-                        c = _times(c, d)
-                    entry = (J, c, 0, m_J, Jc, Jo) if antisym else (J, c, parity)
-                    keys = found.get(lab)
-                    if keys is None:
-                        found[lab] = [entry]
-                    else:
-                        keys.append(entry)
+            found = forms.get(("rows", m_f, parity, d))
+            if found is None:
+                found = forms["rows", m_f, parity, d] = _walk_form(m_f, d, antisym, parity,
+                                                                    space)
             for lab, keys in found.items():
                 makers.setdefault(lab, []).append((m_f.arity, m_f.shift & 1, e // d, keys))
         indexes[key] = (e, makers)
@@ -457,7 +510,10 @@ def morphism_terms(walks: list[tuple[dict, dict[int, MultiMap], int]], space: Gr
     bases, L = [], 1
     for m_t, spines, whole, scale in jobs:
         # the keys repeating a label, with their m_K
-        repeats = {K: _repeats(K) for K in m_t.table if len(set(K)) < len(K)} if antisym else {}
+        repeats = forms.get(("repeats", m_t))
+        if repeats is None:
+            repeats = forms["repeats", m_t] = (
+                {K: _repeats(K) for K in m_t.table if len(set(K)) < len(K)} if antisym else {})
         if rational:
             d_k, m_k = dens[id(m_t)], lcm(*repeats.values())
             base = d_k * m_k * scale.denominator

@@ -381,13 +381,21 @@ def pair_to_algebra(pair: LInfPair) -> LInfAlgebra:
 
 
 def _direct_sum(mod: LInfModule) -> LInfAlgebra:
-    """L (+) M of a module, built on first use and kept on the module."""
+    """L (+) M of a module, built on first use and kept on the module.
+
+    ``combined`` lists the algebra labels, in order, before the module
+    labels, so a bracket's sorted key and an action's key (sorted algebra
+    slots, the module label last) are stored keys of L (+) M as they are:
+    the tables are copied through ``MultiMap.store``."""
     if mod.direct_sum is None:
         combined = mod.combined
         maps: dict[int, MultiMap] = {}
         for n in set(mod.algebra.brackets) | set(mod.actions):
-            maps[n] = add_tables(MultiMap(combined, combined, n, 2 - n, "antisym"),
-                                 mod.algebra.brackets.get(n), mod.actions.get(n))
+            l_n = maps[n] = MultiMap(combined, combined, n, 2 - n, "antisym")
+            for part in (mod.algebra.brackets.get(n), mod.actions.get(n)):
+                for key, row in part.table.items() if part is not None else ():
+                    for lab, c in row.items():
+                        l_n.store(key, lab, c)
         mod.direct_sum = LInfAlgebra(combined, maps)
     return mod.direct_sum
 
@@ -396,7 +404,9 @@ def algebra_to_module(alg: LInfAlgebra, module_space: GradedSpace) -> LInfPair:
     """Recover the pair from an L (+) M algebra whose module labels are those
     of ``module_space`` (the algebra labels are the rest of ``alg.space``);
     errors if the splitting is not respected (mixed entries that cannot
-    belong to a pair structure)."""
+    belong to a pair structure).  Both halves keep the order of
+    ``alg.space``, so each stored key of alg is a stored key of its half
+    and is copied through ``MultiMap.store``."""
     mod_set = set(module_space.labels())
     if missing := mod_set.difference(alg.space.labels()):
         raise StructureError(f"module labels missing from L (+) M: {sorted(missing)}")
@@ -404,11 +414,11 @@ def algebra_to_module(alg: LInfAlgebra, module_space: GradedSpace) -> LInfPair:
     actions: dict[int, MultiMap] = {}
     base_alg_space = GradedSpace([e for e in alg.space.elements if e.label not in mod_set])
     base_mod_space = alg.space.restricted_to(mod_set)
+    mod_in = combine_spaces(base_alg_space, base_mod_space)
 
     for n, j in alg.brackets.items():
         ln = MultiMap(base_alg_space, base_alg_space, n, 2 - n, "antisym")
-        mn = MultiMap(combine_spaces(base_alg_space, base_mod_space), base_mod_space,
-                      n, 2 - n, "antisym_algebra" if n > 1 else "none")
+        mn = MultiMap(mod_in, base_mod_space, n, 2 - n, "antisym_algebra" if n > 1 else "none")
         for key, row in j.entries():
             n_mod = sum(1 for l in key if l in mod_set)
             if n_mod == 0:
@@ -416,7 +426,7 @@ def algebra_to_module(alg: LInfAlgebra, module_space: GradedSpace) -> LInfPair:
                     if lab in mod_set:
                         raise StructureError(
                             f"splitting not respected: algebra inputs {key} hit module output {lab}")
-                    ln.add(key, lab, c)
+                    ln.store(key, lab, c)
             elif n_mod == 1:
                 if key[-1] not in mod_set:
                     raise StructureError(
@@ -425,7 +435,7 @@ def algebra_to_module(alg: LInfAlgebra, module_space: GradedSpace) -> LInfPair:
                     if lab not in mod_set:
                         raise StructureError(
                             f"splitting not respected: module input {key} hits algebra output {lab}")
-                    mn.add(key, lab, c)
+                    mn.store(key, lab, c)
             else:
                 if row:
                     raise StructureError(

@@ -41,13 +41,17 @@ boundaries from the co-exact part of the block one degree below.  Each
 block is read off the reduced echelon R of its differential's rows: the
 co-exact part K is the unit vectors at R's pivots, and f and h at a free
 column are coordinates in [H | B] (harmonic part, boundaries) of the cocycle
-R gives there; no matrix is inverted.
+R gives there; no matrix is inverted.  A diagram's identities (f d = 0,
+d g = 0, id - gf = dh + hd) and the splitting's d^2 = 0 are checked row by
+row from the stored arity-1 tables, up to the first nonzero row, with no
+composite map built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from . import linalg
 from .grading import BasisElement, GradedSpace, combine_spaces
@@ -56,6 +60,7 @@ from .multimap import (
     add_rows,
     add_tables,
     identity_map,
+    image,
     morphism_terms,
     postcompose,
     uniform_plan,
@@ -91,16 +96,30 @@ class TransferDiagram:
 
     def validate(self) -> None:
         """f d = 0 and d g = 0 (chain maps to and from H, whose differential
-        is zero) and id - gf = dh + hd: each a residual that must vanish."""
-        if not postcompose(self.f, self.d_big).is_zero():
+        is zero) and id - gf = dh + hd: each a residual that must vanish,
+        computed row by row from the stored tables up to its first nonzero
+        row."""
+        if not _vanishes(self.f, self.d_big):
             raise TransferError("f is not a chain map")
-        if not postcompose(self.d_big, self.g).is_zero():
+        if not _vanishes(self.d_big, self.g):
             raise TransferError("g is not a chain map")
-        residual = identity_map(self.big)
-        for outer, inner in ((self.g, self.f), (self.d_big, self.h), (self.h, self.d_big)):
-            postcompose(outer, inner, residual, -1)
-        if not residual.is_zero():
-            raise TransferError("homotopy identity id - gf = dh + hd fails")
+        big, f, g, h, d = self.big, self.f.table, self.g.table, self.h.table, self.d_big.table
+        for key in dict.fromkeys(chain(((e.label,) for e in big.elements), f, h, d)):
+            residual = {key[0]: 1} if key[0] in big else {}
+            for outer, inner in ((g, f), (d, h), (h, d)):
+                row = inner.get(key)
+                if row:
+                    for mid, c in row.items():
+                        for lab, e in outer.get((mid,), {}).items():
+                            residual[lab] = residual.get(lab, 0) - c * e
+            if any(residual.values()):
+                raise TransferError("homotopy identity id - gf = dh + hd fails")
+
+
+def _vanishes(outer: MultiMap, inner: MultiMap) -> bool:
+    """outer o inner = 0 (outer of arity 1), row by row from the stored
+    tables up to the first nonzero row."""
+    return not any(any(image(outer, row).values()) for row in inner.table.values())
 
 
 def _block_key(e: BasisElement, weighted: bool):
@@ -137,8 +156,7 @@ def cohomology_splitting(
     bad_shift = differential.audit_shift()
     if bad_shift:
         raise TransferError(f"differential violates its degree shift: {bad_shift[:3]}")
-    dd = postcompose(differential, differential)
-    if not dd.is_zero():
+    if not _vanishes(differential, differential):
         raise TransferError("differential does not square to zero")
     if weighted:
         bad = differential.audit_weights()
@@ -150,6 +168,7 @@ def cohomology_splitting(
     for e in sorted(space.elements, key=lambda e: (e.deg, e.weight or 0, e.label)):
         blocks.setdefault(_block_key(e, weighted), []).append(e)
 
+    d_table = differential.table
     h_elements: list[BasisElement] = []
     # f's target and g's source are the cohomology, known once every block is split
     f_map = MultiMap(space, None, 1, 0)
@@ -168,7 +187,7 @@ def cohomology_splitting(
         targets = {e.label: t for t, e in enumerate(blocks.get((deg + 1, weight), []))}
         d_rows: list[dict] = [{} for _ in targets]
         for i, lab in enumerate(labels):
-            for out, c in differential.get((lab,)).items():
+            for out, c in d_table.get((lab,), {}).items():
                 d_rows[targets[out]][i] = c
         reduced = linalg.Echelon(d_rows).rows
         # u_i = e_i - sum_p R_p[i] e_p for each free position i spans the cocycles
@@ -180,7 +199,7 @@ def cohomology_splitting(
 
         # boundaries: images of the co-exact part one degree below
         below = coexact.get((deg - 1, weight), [])
-        b_vectors = [{pos[out]: c for out, c in differential.get((lab,)).items()}
+        b_vectors = [{pos[out]: c for out, c in d_table.get((lab,), {}).items()}
                      for lab in below]
         span = linalg.Echelon(b_vectors)
         h_vectors = [v for v in kernel.values() if span.add(v) is not None]
@@ -283,11 +302,18 @@ class KernelCache:
         self.antisym = antisym
         self.p: dict[int, MultiMap] = {}
         self.hp: dict[int, MultiMap] = {1: diagram.g}
+        # the walk forms of the kernel maps while ``ensure`` builds: each map
+        # is indexed for the walk once, not again at every later arity
+        self.forms: dict | None = None
 
     def ensure(self, n: int) -> None:
-        for m in range(2, n + 1):
-            if m not in self.p:
-                self._build(m)
+        self.forms = {}
+        try:
+            for m in range(2, n + 1):
+                if m not in self.p:
+                    self._build(m)
+        finally:
+            self.forms = None
 
     def _outers(self, n: int) -> dict[int, MultiMap]:
         return {k: m for k, m in self.maps.items() if k <= n}
@@ -297,7 +323,7 @@ class KernelCache:
         outers = self._outers(n)
         p_n = add_rows(MultiMap(small, big, n, 2 - n, "antisym" if self.antisym else "none"),
                        *morphism_terms([(uniform_plan(self.hp, outers), outers, 1)], small,
-                                       self.antisym, n, exact=True))
+                                       self.antisym, n, exact=True, forms=self.forms))
         self.p[n] = p_n
         self.hp[n] = postcompose(self.diagram.h, p_n, scale=-1)
 
@@ -324,13 +350,14 @@ class AInfKernelCache(KernelCache):
         if m > 1:
             self.psiphi[m] = add_rows(MultiMap(big, big, m, 1 - m), *morphism_terms(
                 [(uniform_plan(self.fq, self.hp), self.hp, -1 if (m - 1) & 1 else 1)], big, False,
-                m, exact=True))
+                m, exact=True, forms=self.forms))
         outers = self._outers(n)
         # spine t of mu_k: (psi phi) before it, -h Q at it, id after it
         spines = {k: [((self.psiphi,) * t + (self.hq,) + (None,) * (k - 1 - t),
                        -1 if t & 1 else 1) for t in range(k)] for k in outers}
         q_n = add_rows(MultiMap(big, big, n, 1 - n),
-                       *morphism_terms([(spines, outers, 1)], big, False, n, exact=True))
+                       *morphism_terms([(spines, outers, 1)], big, False, n, exact=True,
+                                       forms=self.forms))
         self.q[n] = q_n
         self.hq[n] = postcompose(h, q_n, scale=-1)
         self.fq[n] = postcompose(f, q_n)

@@ -43,9 +43,10 @@ from test_scalar_form import heisenberg_circle
 from test_structures import _perturbed, _walk_cases, h3_times_h3
 
 
-def reference_walk(walks, space, antisym, max_arity, exact=False):
+def reference_walk(walks, space, antisym, max_arity, exact=False, forms=None):
     """The walks through ``walk_reference``, each added into one accumulator
-    at its own scale: the integer walk's (res, L) with L = 1."""
+    at its own scale: the integer walk's (res, L) with L = 1.  It keeps no
+    walk forms, so a kernel cache's ``forms`` is not read."""
     res = {}
     for plans, target, scale in walks:
         walk_reference.morphism_terms(plans, target, space, antisym, max_arity, exact, res=res,
@@ -172,7 +173,8 @@ def test_the_cases_reach_violations_scales_and_repeated_keys():
 # kernels
 
 def _kernel_cases():
-    """(label, build) with build() -> a filled kernel cache."""
+    """(label, make, arity) with make() -> an empty kernel cache, filled to
+    arity by the tests."""
     rng = random.Random(11)
     cases = []
 
@@ -182,14 +184,14 @@ def _kernel_cases():
         bad = {**products, 2: _perturbed(products[2], rng)}
         for tag, maps in (("ok", products), ("bad", bad)):
             cases.append((f"{label}-ainf-{tag}",
-                          lambda d=diagram, m=maps: _filled(AInfKernelCache(d, m), arity)))
+                          lambda d=diagram, m=maps: AInfKernelCache(d, m), arity))
 
     def linf(label, diagram, brackets, arity):
         k = max(brackets)
         bad = {**brackets, k: _perturbed(brackets[k], rng)}
         for tag, maps in (("ok", brackets), ("bad", bad)):
             cases.append((f"{label}-linf-{tag}",
-                          lambda d=diagram, m=maps: _filled(KernelCache(d, m, True), arity)))
+                          lambda d=diagram, m=maps: KernelCache(d, m, True), arity))
 
     h3h3 = h3_times_h3()
     ainf("h3xh3", h3h3, 5)
@@ -198,12 +200,12 @@ def _kernel_cases():
          pair_to_algebra(pair).brackets, 5)
     for seed in range(10):
         ainf(f"random{seed}", random_cdga(seed), 4)
-    for c in (2, -3):
+    for c in (2, -3, 3):
         alg = heisenberg_circle(c)
         ainf(f"hc{c}", alg, 5)
         pair = cdga_pair(alg)
         linf(f"hc{c}-pair", _direct_sum_diagrams(*pair_splitting(pair)),
-             pair_to_algebra(pair).brackets, 4)
+             pair_to_algebra(pair).brackets, 5 if c == 3 else 4)
     big = _pair_algebra_with_repeats()
     linf("h3-pair-repeats", cohomology_splitting(big.space, None), big.brackets, 5)
     return cases
@@ -217,7 +219,7 @@ def _filled(cache, arity):
 def _kernel_tables(cache) -> dict:
     tables = {"p": cache.p, "hp": cache.hp}
     if isinstance(cache, AInfKernelCache):
-        tables.update(q=cache.q, psiphi=cache.psiphi)
+        tables.update(q=cache.q, hq=cache.hq, fq=cache.fq, psiphi=cache.psiphi)
     return {name: {n: _table(m) for n, m in maps.items()} for name, maps in tables.items()}
 
 
@@ -227,17 +229,45 @@ with _reference_walks():
 
 @pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: c[0])
 def test_kernel_tables_match_the_fraction_walk(case, monkeypatch):
-    label, build = case
-    got = _kernel_tables(build())
+    label, make, arity = case
+    got = _kernel_tables(_filled(make(), arity))
     monkeypatch.setattr(transfer, "morphism_terms", reference_walk)
-    want = _kernel_tables(build())
+    want = _kernel_tables(_filled(make(), arity))
     assert got == want
 
 
+@pytest.mark.parametrize("case", KERNEL_CASES, ids=lambda c: c[0])
+def test_one_ensure_matches_building_arity_by_arity(case):
+    # one ensure(n) indexes each kernel map once and reuses its walk form
+    # at every later arity; ensure(2), ensure(3), ... builds one arity per
+    # call, each with walk forms of its own, and a fresh cache per arity m
+    # builds up to m alone.  All of them hold the same tables, key for key
+    # and in insertion order.
+    label, make, arity = case
+    once = _kernel_tables(_filled(make(), arity))
+    stepwise = make()
+    for n in range(2, arity + 1):
+        stepwise.ensure(n)
+        assert stepwise.forms is None  # the walk forms live for one build only
+        fresh = _kernel_tables(_filled(make(), n))
+        for name, maps in fresh.items():
+            assert maps == {m: t for m, t in once[name].items() if m in maps}, (name, n)
+    assert _kernel_tables(stepwise) == once
+
+
 def test_kernel_cases_read_rational_maps():
-    scaled = [label for label, build in KERNEL_CASES
-              if any(_scaled(m) for m in build().hp.values())]
+    scaled = [label for label, make, arity in KERNEL_CASES
+              if any(_scaled(m) for m in _filled(make(), arity).hp.values())]
     assert len(scaled) >= 4, scaled
+
+
+def test_the_hc3_pair_kernels_change_denominators_between_arities():
+    # one component set mixes maps of several denominators D, whose lcm E
+    # grows with the arity, so a walk form must keep D * coefficient of its
+    # own map and leave E / D to each walk
+    label, make, arity = next(case for case in KERNEL_CASES if case[0] == "hc3-pair-linf-ok")
+    dens = [m.denominator() for n, m in sorted(_filled(make(), arity).hp.items())]
+    assert len(set(dens)) >= 2, dens
 
 
 # ---------------------------------------------------------------------------

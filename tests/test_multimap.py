@@ -115,8 +115,10 @@ def test_compositions_add_scale_times_the_composite_into_out():
                          for key, row in comp.table.items()}
     assert tensor_compose(mu2, [None, h], out, 2).is_zero()
     assert tensor_compose(mu2, [None, MultiMap(alg.space, alg.space, 1, -1)], comp) is comp
-    assert not postcompose(h, mu2).is_zero()
-    assert postcompose(h, mu2, postcompose(h, mu2), -1).is_zero()
+    composite = postcompose(h, mu2)
+    assert not composite.is_zero()
+    assert postcompose(h, mu2, -3).table == {
+        key: {lab: -3 * c for lab, c in row.items()} for key, row in composite.table.items()}
 
 
 def test_evaluate_on_vectors_bilinearity():

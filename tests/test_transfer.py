@@ -827,3 +827,100 @@ def test_weighted_heisenberg_pair_reaches_arity_nine():
     assert module_check(res.pair.module, 9).ok
     assert vanishing_bound(res.pair).n0_theoretical + 1 == 9
     assert elapsed < 10  # under 0.2 s on one 2-core VM; the exhaustive scan took 8.9 s for arity 7
+
+
+# ---------------------------------------------------------------------------
+# diagram identities on rows against the residual maps they replaced
+
+def _diagram_cases():
+    """(label, diagram, use_weights): seeded splittings and the summed
+    splittings of their pairs, with integral and rational h."""
+    algebras = [(f"random{seed}", random_cdga(seed, dims=(1, 3, 3, 1))) for seed in range(4)]
+    algebras += [(f"hc{c}", heisenberg_circle(c)) for c in (3, -2)]
+    algebras.append(("h3xh3", h3_times_h3()))
+    cases = []
+    for label, alg in algebras:
+        cases.append((label, cohomology_splitting(alg.space, alg.differential_map()), None))
+        pair = cdga_pair(alg)
+        cases.append((f"{label}-pair", _direct_sum_diagrams(*transfer.pair_splitting(pair)),
+                      None))
+    heis = heisenberg_cdga(weights=True)
+    cases.append(("h3-weighted", cohomology_splitting(heis.space, heis.differential_map(), True),
+                  True))
+    return cases
+
+
+DIAGRAM_CASES = _diagram_cases()
+
+
+def _perturbed_map(mm: MultiMap, rng: random.Random) -> MultiMap:
+    """A copy of an arity-1 map with one entry moved by a nonzero rational:
+    a stored one, or one at a new input and an output of the map's degree."""
+    out = add_tables(MultiMap(mm.space_in, mm.space_out, 1, mm.shift, mm.symmetry), mm)
+    stored = [(key, lab) for key, row in mm.table.items() for lab in row]
+    fresh = [((e.label,), o.label) for e in mm.space_in.elements
+             for o in mm.space_out.basis_of_degree(e.deg + mm.shift)]
+    key, lab = rng.choice(stored if stored and (rng.random() < 0.6 or not fresh) else fresh)
+    out.add(key, lab, Fraction(rng.choice([-2, -1, 1, 3]), rng.choice([1, 2])))
+    return out
+
+
+def _composable(d: MultiMap, rng: random.Random) -> MultiMap:
+    """A copy of a differential with a new term x -> y at a y that d does
+    not kill, so d^2(x) picks up d(y): d^2 = 0 breaks (or d is returned as
+    it is when no such y has an x one degree below)."""
+    out = add_tables(MultiMap(d.space_in, d.space_out, 1, d.shift, d.symmetry), d)
+    choices = [((x.label,), y) for (y,) in d.table
+               for x in d.space_in.basis_of_degree(d.space_in.deg(y) - d.shift)]
+    if choices:
+        key, lab = rng.choice(choices)
+        out.add(key, lab, rng.choice([-1, 2]))
+    return out
+
+
+def _verdict(check, *args) -> str | None:
+    """The TransferError text a check raises, or None when it passes."""
+    try:
+        check(*args)
+    except TransferError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("label, diagram, weights", DIAGRAM_CASES,
+                         ids=[case[0] for case in DIAGRAM_CASES])
+def test_diagram_identities_on_rows_match_the_residual_maps(label, diagram, weights):
+    rng = random.Random(label)
+    assert _verdict(diagram.validate) is None
+    assert _verdict(ref.validate, diagram) is None
+    seen = set()
+    for _ in range(16):
+        name = rng.choice(["d_big", "f", "g", "h"])
+        bad = replace(diagram, **{name: _perturbed_map(getattr(diagram, name), rng)})
+        verdict = _verdict(bad.validate)
+        assert verdict == _verdict(ref.validate, bad), name
+        seen.add(verdict)
+    # the splitting's d^2 = 0 check, on the differential as it is and with
+    # one entry moved: either both refuse it with one text or the splitting
+    # goes on (and validates) as the reference check lets it
+    d = diagram.d_big
+    assert _verdict(cohomology_splitting, diagram.big, d, weights) is None
+    for bad in [_perturbed_map(d, rng) for _ in range(4)] + [_composable(d, rng)]:
+        verdict = _verdict(ref.check_square_zero, bad)
+        assert _verdict(cohomology_splitting, diagram.big, bad, False) == verdict
+        seen.add(verdict)
+    assert seen - {None}, seen
+
+
+def test_diagram_perturbations_reach_every_identity():
+    rng = random.Random(5)
+    texts = set()
+    for _, diagram, _ in DIAGRAM_CASES:
+        for name in ("d_big", "f", "g", "h"):
+            for _ in range(4):
+                bad = replace(diagram, **{name: _perturbed_map(getattr(diagram, name), rng)})
+                texts.add(_verdict(ref.validate, bad))
+        texts.add(_verdict(ref.check_square_zero, _composable(diagram.d_big, rng)))
+    assert texts >= {"f is not a chain map", "g is not a chain map",
+                     "homotopy identity id - gf = dh + hd fails",
+                     "differential does not square to zero"}, texts

@@ -24,6 +24,10 @@ and carried back to A.  Their compositions are this module's
 ``tensor_compose``, summed by copying, so they share no kernel code and no
 sign convention with the stored-key walk of ``hse.multimap`` that they are
 compared against.
+
+``validate`` and ``check_square_zero`` are the diagram identities and the
+splitting's d^2 = 0 check as they ran before they were computed row by
+row: each identity a whole residual map, tested with ``is_zero``.
 """
 
 from fractions import Fraction
@@ -98,6 +102,37 @@ def postcompose(linear: MultiMap, mm: MultiMap) -> MultiMap:
             for lab, d in linear.get((mid,)).items():
                 out.add(key, lab, c * d)
     return out
+
+
+def _subtract_composite(residual: MultiMap, linear: MultiMap, mm: MultiMap) -> None:
+    """residual -= linear o mm, one ``MultiMap.add`` per term."""
+    for key, row in mm.table.items():
+        for mid, c in row.items():
+            for lab, d in linear.get((mid,)).items():
+                residual.add(key, lab, -c * d)
+
+
+def validate(diagram: TransferDiagram) -> None:
+    """``TransferDiagram.validate`` as it ran before its identities were
+    computed on rows: each identity a whole residual MultiMap (the
+    composites f d and d g, and id - gf - dh - hd on an identity map),
+    tested with ``is_zero``."""
+    if not postcompose(diagram.f, diagram.d_big).is_zero():
+        raise TransferError("f is not a chain map")
+    if not postcompose(diagram.d_big, diagram.g).is_zero():
+        raise TransferError("g is not a chain map")
+    residual = identity_map(diagram.big)
+    for outer, inner in ((diagram.g, diagram.f), (diagram.d_big, diagram.h),
+                         (diagram.h, diagram.d_big)):
+        _subtract_composite(residual, outer, inner)
+    if not residual.is_zero():
+        raise TransferError("homotopy identity id - gf = dh + hd fails")
+
+
+def check_square_zero(differential: MultiMap) -> None:
+    """The splitting's d^2 = 0 check as a whole composite map."""
+    if not postcompose(differential, differential).is_zero():
+        raise TransferError("differential does not square to zero")
 
 
 def tensor_compose(outer: MultiMap, inners: list[MultiMap | None]) -> MultiMap:
@@ -192,9 +227,7 @@ def cohomology_splitting(space, differential, use_weights=None, label_prefix="",
     bad_shift = differential.audit_shift()
     if bad_shift:
         raise TransferError(f"differential violates its degree shift: {bad_shift[:3]}")
-    dd = postcompose(differential, differential)
-    if not dd.is_zero():
-        raise TransferError("differential does not square to zero")
+    check_square_zero(differential)
     if weighted:
         bad = differential.audit_weights()
         if bad:
